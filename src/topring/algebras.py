@@ -74,29 +74,21 @@ class StructureAlgebra:
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         F = self.field
-        t = F.MUL[np.asarray(x)[:, None], np.asarray(y)[None, :]]
-        return F.fsum(F.MUL[t[:, :, None], self.c], axis=(0, 1))
+        return F.contract("ij,ijk->k", F.contract("i,j->ij", x, y), self.c)
 
     def mul_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Rowwise products of two stacks of elements, shape (m, n)."""
         F = self.field
-        X = np.asarray(X, dtype=np.int64)
-        Y = np.asarray(Y, dtype=np.int64)
-        t = F.MUL[X[:, :, None], Y[:, None, :]]
-        out = np.zeros((X.shape[0], self.dim), dtype=np.int64)
-        for k in range(self.dim):
-            out[:, k] = F.fsum(F.MUL[t, self.c[None, :, :, k]], axis=(1, 2))
-        return out
+        left = F.contract("mi,ijk->mjk", X, self.c)
+        return F.contract("mj,mjk->mk", Y, left)
 
     def lmul_matrix(self, x: np.ndarray) -> np.ndarray:
         """L with x * y == y @ L for every row y."""
-        F = self.field
-        return F.fsum(F.MUL[np.asarray(x)[:, None, None], self.c], axis=0)
+        return self.field.contract("i,ijk->jk", x, self.c)
 
     def rmul_matrix(self, x: np.ndarray) -> np.ndarray:
         """R with y * x == y @ R for every row y."""
-        F = self.field
-        return F.fsum(F.MUL[np.asarray(x)[None, :, None], self.c], axis=1)
+        return self.field.contract("j,ijk->ik", x, self.c)
 
     def power(self, x: np.ndarray, k: int) -> np.ndarray:
         if k < 0:
@@ -157,11 +149,8 @@ class StructureAlgebra:
             return ["dimension zero"]
         c = self.c
         # (e_i e_j) e_k vs e_i (e_j e_k), all triples at once
-        left = np.zeros((n, n, n, n), dtype=np.int64)
-        right = np.zeros((n, n, n, n), dtype=np.int64)
-        for m in range(n):
-            left = F.ADD[left, F.MUL[c[:, :, m][:, :, None, None], c[m, :, :][None, None, :, :]]]
-            right = F.ADD[right, F.MUL[c[:, :, m][None, :, :, None], c[:, m, :][:, None, None, :]]]
+        left = F.contract("ijm,mkl->ijkl", c, c)
+        right = F.contract("jkm,iml->ijkl", c, c)
         bad = np.argwhere((left != right).any(axis=3))
         for i, j, k in bad[:16]:
             problems.append(f"associativity fails at (e_{i}, e_{j}, e_{k})")
@@ -227,7 +216,7 @@ class StructureAlgebra:
             ei[i] = 1
             if not linalg.in_row_space(F, span, ei):
                 gens.append(i)
-                rows = [self.unit] + [_basis_vec(self.dim, g) for g in gens]
+                rows = [self.unit] + [linalg.basis_vector(self.dim, g) for g in gens]
                 span = subalgebra_closure(self, np.vstack(rows))
         self._gens = gens
         return gens
@@ -241,12 +230,6 @@ class StructureAlgebra:
 
     def __repr__(self) -> str:
         return f"StructureAlgebra(dim={self.dim} over {self.field})"
-
-
-def _basis_vec(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
 
 
 def validate_algebra(field: FiniteField, c: np.ndarray, unit: np.ndarray) -> StructureAlgebra:
@@ -304,7 +287,7 @@ class SubspaceIdeal:
         bad = []
         for r, h in enumerate(self.basis):
             for j in range(A.dim):
-                ej = _basis_vec(A.dim, j)
+                ej = linalg.basis_vector(A.dim, j)
                 if self.side in ("right", "two"):
                     if not linalg.in_row_space(F, self.basis, A.mul(h, ej)):
                         bad.append(f"h_{r} * e_{j} escapes")
@@ -378,7 +361,7 @@ def ideal_from_generators(A: StructureAlgebra, gens: np.ndarray, side: str = "tw
         add_rows = []
         for h in basis:
             for j in range(A.dim):
-                ej = _basis_vec(A.dim, j)
+                ej = linalg.basis_vector(A.dim, j)
                 if side in ("right", "two"):
                     add_rows.append(A.mul(h, ej))
                 if side in ("left", "two"):
@@ -393,10 +376,6 @@ def ideal_from_generators(A: StructureAlgebra, gens: np.ndarray, side: str = "tw
 
 def zero_ideal(A: StructureAlgebra) -> SubspaceIdeal:
     return SubspaceIdeal(A, np.zeros((0, A.dim), dtype=np.int64), side="two", check=False)
-
-
-def unit_ideal(A: StructureAlgebra) -> SubspaceIdeal:
-    return SubspaceIdeal(A, np.eye(A.dim, dtype=np.int64), side="two", check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +420,7 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
         raise AlgebraError("projection does not kill the ideal")
     for i in range(n):
         for j in range(n):
-            ei, ej = _basis_vec(n, i), _basis_vec(n, j)
+            ei, ej = linalg.basis_vector(n, i), linalg.basis_vector(n, j)
             lhs = linalg.matvec(F, A.mul(ei, ej), proj)
             rhs = Q.mul(linalg.matvec(F, ei, proj), linalg.matvec(F, ej, proj))
             if not np.array_equal(lhs, rhs):
@@ -503,7 +482,7 @@ def radical(A: StructureAlgebra, verify_quotient: bool = True) -> SubspaceIdeal:
     if A.rep is not None:
         rep_q = np.asarray(A.rep, dtype=np.int64)
     else:
-        rep_q = np.stack([A.lmul_matrix(_basis_vec(n, i)).T for i in range(n)])
+        rep_q = np.stack([A.lmul_matrix(linalg.basis_vector(n, i)).T for i in range(n)])
     mulmat = _scalar_mul_matrices(F)
     N = rep_q.shape[1] * d
     # F_p-basis (i, t) -> representation matrix of omega^t e_i
@@ -810,6 +789,6 @@ def peirce_corner(A: StructureAlgebra, e: np.ndarray):
     if not A.is_idempotent(e):
         raise AlgebraError("corner needs an idempotent")
     F = A.field
-    rows = [A.mul(A.mul(e, _basis_vec(A.dim, j)), e) for j in range(A.dim)]
+    rows = [A.mul(A.mul(e, linalg.basis_vector(A.dim, j)), e) for j in range(A.dim)]
     basis = linalg.row_space_basis(F, np.vstack(rows))
     return subalgebra_structure(A, basis, np.asarray(e, dtype=np.int64))

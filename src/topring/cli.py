@@ -4,8 +4,9 @@ Reports are whitespace-split records between a `report <verb>` header and
 a closing `end`, with a fixed field order per verb and the seed always
 recorded, so the same inputs and flags reproduce the same bytes.  Exit
 codes separate the failure kinds: 2 for files or arguments that do not
-parse, 3 for inputs that parse but fail validation, 4 for a disagreement
-between two routes that must agree (a bug, never silent).
+parse, 3 for inputs that parse but fail validation or run out of memory,
+4 for a disagreement between two routes that must agree (a bug, never
+silent).
 """
 
 import argparse
@@ -365,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 3
     sys.stdout.write(text)
     if args.out:

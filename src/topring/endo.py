@@ -63,12 +63,6 @@ class InternalInconsistencyError(AlgebraError):
     clean failure."""
 
 
-def _bv(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Endomorphism towers of truncated direct sums
 # ---------------------------------------------------------------------------
@@ -245,8 +239,7 @@ def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> Real
     gens = [np.eye(V, dtype=np.int64)]
     for idx in range(len(base)):
         gens.append(embed_block(np.eye(dims[idx], dtype=np.int64), idx, idx))
-    rmuls = np.stack([R.rmul_matrix(_bv(R.dim, t)) for t in range(R.dim)])
-    lmuls = np.stack([R.lmul_matrix(_bv(R.dim, t)) for t in range(R.dim)])
+    rmuls = np.stack([R.rmul_matrix(linalg.basis_vector(R.dim, t)) for t in range(R.dim)])
     for i, I in enumerate(base):
         _, proj_i, _ = quotients[i]
         for j, J in enumerate(base):
@@ -257,7 +250,7 @@ def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> Real
                 cols = [linalg.matmul(F, R.rmul_matrix(h), proj_i) for h in J.basis]
                 svalid = linalg.left_null_basis(F, np.hstack(cols))
             for s in svalid:
-                L = F.fsum(F.MUL[s[:, None, None], lmuls], axis=0)
+                L = R.lmul_matrix(s)
                 block = linalg.matmul(F, linalg.matmul(F, sect_j, L), proj_i)
                 gens.append(embed_block(block, j, i))
 
@@ -417,7 +410,7 @@ def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
             raise InternalInconsistencyError(
                 "Bass colimit over a finite ring failed to split off the free cover; "
                 f"ranks={ranks[:d]}, kernel dim {kernel.shape[0]}")
-        section = F.fsum(F.MUL[sol[:, None, None], homs], axis=0)
+        section = linalg.lincomb(F, sol, homs)
         if not np.array_equal(linalg.matmul(F, section, proj), np.eye(B.dim, dtype=np.int64)):
             raise InternalInconsistencyError("split section failed verification")
 
@@ -600,11 +593,11 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
         dims = [m.dim for m in S.modules]
         if dims != list(range(1, d + 1)):
             raise AlgebraError("chain family levels must have dimensions 1..depth")
-        x = _bv(S.modules[0].algebra.dim, 1)
+        x = linalg.basis_vector(S.modules[0].algebra.dim, 1)
         heights = []
         for m in S.modules:
             X = m.eff(x)
-            gen = _bv(m.dim, m.dim - 1)
+            gen = linalg.basis_vector(m.dim, m.dim - 1)
             heights.append(_x_height(F, X, gen))
         if heights != list(range(d)):
             raise InternalInconsistencyError(
@@ -657,7 +650,7 @@ def _orbit_basis(Mod: FiniteModule, v: np.ndarray) -> np.ndarray:
     """Canonical basis of the cyclic submodule generated by v."""
     F = Mod.algebra.field
     eff = Mod.eff_basis()
-    rows = F.fsum(F.MUL[np.asarray(v, dtype=np.int64)[None, :, None], eff], axis=1)
+    rows = F.contract("j,ijk->ik", v, eff)
     return linalg.row_space_basis(F, rows)
 
 

@@ -20,14 +20,26 @@ def matmul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=np.int64)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    return F.fsum(F.MUL[A[:, :, None], B[None, :, :]], axis=1)
+    return F.contract("ij,jk->ik", A, B)
 
 
 def matvec(F: FiniteField, v: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Row vector times matrix."""
     return matmul(F, np.asarray(v)[None, :], M)[0]
+
+
+def lincomb(F: FiniteField, coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Linear combination sum_i coeffs[i] * stack[i] of equal-shape arrays."""
+    stack = np.asarray(stack, dtype=np.int64)
+    flat = stack.reshape(stack.shape[0], int(np.prod(stack.shape[1:])))
+    return F.contract("i,ij->j", coeffs, flat).reshape(stack.shape[1:])
+
+
+def basis_vector(n: int, i: int) -> np.ndarray:
+    """The i-th standard basis row of length n."""
+    v = np.zeros(n, dtype=np.int64)
+    v[i] = 1
+    return v
 
 
 def scale(F: FiniteField, c: int, M: np.ndarray) -> np.ndarray:

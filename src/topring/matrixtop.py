@@ -307,11 +307,9 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     A = a.base
     F = A.field
     if a.y_kind == "finite":
-        W = a.window
-        ent = np.zeros((W, W, A.dim), dtype=np.int64)
-        for x in range(W):
-            for z in range(W):
-                ent[x, z] = F.fsum(A.mul_rows(a.entries[x], b.entries[:, z]), axis=0)
+        # ent[x, z] = sum_y a[x, y] * b[y, z] in the base ring
+        left = F.contract("xyi,ijk->xyjk", a.entries, A.c)
+        ent = F.contract("xyjk,yzj->xzk", left, b.entries)
         return windowed(A, "finite", ent, check=False)
 
     W = min(a.window, b.window)
@@ -343,8 +341,8 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
         if known_rows:
             V = np.stack([v for v, _ in known_rows])
             ys = [y for _, y in known_rows]
-            for z in range(W):
-                ent[x, z] = F.fsum(A.mul_rows(V, b.entries[ys, z]), axis=0)
+            left = F.contract("yi,ijk->yjk", V, A.c)
+            ent[x] = F.contract("yjk,yzj->zk", left, b.entries[ys, :W])
         for v, y in known_rows:
             if b.precisions[y].shape[0]:
                 prec_pieces.append(_left_products(A, v, b.precisions[y]))

@@ -82,8 +82,7 @@ class FiniteModule:
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Matrix of the algebra element x (side-independent storage form)."""
-        F = self.algebra.field
-        return F.fsum(F.MUL[np.asarray(x, dtype=np.int64)[:, None, None], self.action], axis=0)
+        return linalg.lincomb(self.algebra.field, x, self.action)
 
     def eff(self, x: np.ndarray) -> np.ndarray:
         """Matrix E with 'x acting on v' == v @ E, honoring the side."""
@@ -112,19 +111,13 @@ class FiniteModule:
 
 
 def right_regular_module(A: StructureAlgebra) -> FiniteModule:
-    action = np.stack([A.rmul_matrix(_bv(A.dim, i)) for i in range(A.dim)])
+    action = np.stack([A.rmul_matrix(linalg.basis_vector(A.dim, i)) for i in range(A.dim)])
     return FiniteModule(A, action, side="right", check=False)
 
 
 def left_regular_module(A: StructureAlgebra) -> FiniteModule:
-    action = np.stack([A.lmul_matrix(_bv(A.dim, i)).T for i in range(A.dim)])
+    action = np.stack([A.lmul_matrix(linalg.basis_vector(A.dim, i)).T for i in range(A.dim)])
     return FiniteModule(A, action, side="left", check=False)
-
-
-def _bv(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
 
 
 def submodule_module(M: FiniteModule, basis: np.ndarray):
@@ -220,7 +213,7 @@ def cyclic_submodule(M: FiniteModule, v: np.ndarray) -> np.ndarray:
     """Canonical basis of the orbit span v*A (or A*v on the left)."""
     F = M.algebra.field
     v = np.asarray(v, dtype=np.int64)
-    rows = [M.apply(v, _bv(M.algebra.dim, i)) for i in range(M.algebra.dim)]
+    rows = [M.apply(v, linalg.basis_vector(M.algebra.dim, i)) for i in range(M.algebra.dim)]
     return linalg.row_space_basis(F, np.vstack(rows))
 
 
@@ -347,7 +340,7 @@ def hom_space(M: FiniteModule, N: FiniteModule) -> np.ndarray:
 
 
 def _fkron(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = F.MUL[A[:, None, :, None], B[None, :, None, :]]
+    out = F.contract("ac,bd->abcd", A, B)
     return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
@@ -359,8 +352,9 @@ def endo_algebra(M: FiniteModule):
     the result.  Returns (E, homs, M_over_E).
 
     The hom basis is canonical RREF, so coordinates of a product are read
-    off at the pivot columns; closure and associativity hold because
-    composites of structure-compatible maps are again such maps and matrix
+    off at the pivot columns, and only those entries of each composite are
+    computed; closure and associativity hold because composites of
+    structure-compatible maps are again such maps and matrix
     multiplication is associative.  A seeded sample of products (all of
     them for small endo algebras) is reconstructed and compared exactly as
     a tripwire against a corrupted hom basis."""
@@ -369,11 +363,9 @@ def endo_algebra(M: FiniteModule):
     k = homs.shape[0]
     flat = homs.reshape(k, M.dim * M.dim)
     pivots = np.array([int(np.flatnonzero(flat[r])[0]) for r in range(k)], dtype=np.int64)
-    c = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        # all composites homs[i] @ homs[j] in one batch
-        prods = F.fsum(F.MUL[homs[i][None, :, :, None], homs[:, None, :, :]], axis=2)
-        c[i] = prods.reshape(k, -1)[:, pivots]
+    # pivot r sits at entry (a_r, b_r) of an n x n hom matrix
+    a_piv, b_piv = np.divmod(pivots, M.dim)
+    c = F.contract("irt,jtr->ijr", homs[:, a_piv, :], homs[:, :, b_piv])
     unit_flat = np.eye(M.dim, dtype=np.int64).reshape(-1)
     unit = unit_flat[pivots]
     checks = [(unit, unit_flat)]
@@ -413,12 +405,12 @@ def find_isomorphism(M: FiniteModule, N: FiniteModule, seed: int = 0,
     rng = random.Random(seed)
     for _ in range(sample_budget):
         coeffs = np.array([rng.randrange(F.q) for _ in range(k)], dtype=np.int64)
-        Phi = F.fsum(F.MUL[coeffs[:, None, None], homs], axis=0)
+        Phi = linalg.lincomb(F, coeffs, homs)
         if linalg.is_invertible(F, Phi):
             return Phi
     if F.q ** k <= 4096:
         for coeffs in linalg.enumerate_row_space(F, np.eye(k, dtype=np.int64)):
-            Phi = F.fsum(F.MUL[coeffs[:, None, None], homs], axis=0)
+            Phi = linalg.lincomb(F, coeffs, homs)
             if linalg.is_invertible(F, Phi):
                 return Phi
         return None
@@ -495,13 +487,13 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
     summands, embeddings, injections, projections = [], [], [], []
     idempotents, endo_radicals, local_checked = [], [], []
     for z in range(fam.rows.shape[0]):
-        P = F.fsum(F.MUL[fam.rows[z][:, None, None], homs], axis=0)
+        P = linalg.lincomb(F, fam.rows[z], homs)
         image = linalg.row_space_basis(F, P)
         N, embed = submodule_module(M, image)
         inj = embed
         proj_z = np.zeros((M.dim, N.dim), dtype=np.int64)
         for r in range(M.dim):
-            coords = linalg.solve_left(F, embed, linalg.matvec(F, _bv(M.dim, r), P))
+            coords = linalg.solve_left(F, embed, linalg.matvec(F, linalg.basis_vector(M.dim, r), P))
             proj_z[r] = coords
         if not np.array_equal(linalg.matmul(F, proj_z, inj), P):
             raise AssertionError("projector does not factor through its image")
@@ -824,7 +816,7 @@ def noniso_witness_search(family: ModuleFamily, depth: int, beam: int = 256) -> 
     start, cur, comp = states[0]
     path = paths[0]
     row = next(r for r in range(comp.shape[0]) if comp[r].any())
-    v = _bv(comp.shape[0], row)
+    v = linalg.basis_vector(comp.shape[0], row)
     images = []
     x = v
     for (a, b, step) in path:

@@ -138,13 +138,6 @@ def derivative(F: FiniteField, f: Poly) -> Poly:
     return norm(F.MUL[ks, np.asarray(f[1:], dtype=np.int64)])
 
 
-def evaluate(F: FiniteField, f: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(list(f)):
-        acc = int(F.ADD[F.MUL[acc, x], int(c)])
-    return acc
-
-
 def is_irreducible(F: FiniteField, f: Poly) -> bool:
     """Rabin's irreducibility test over F_q."""
     f = monic(F, f)

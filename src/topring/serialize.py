@@ -58,6 +58,30 @@ def _ints(rec: list[str], start: int = 1) -> list[int]:
         raise ParseError(f"non-integer token in {' '.join(rec)!r}") from exc
 
 
+def _sparse_record(rec: list[str], records: dict, usage: str) -> None:
+    """Add one `key i j k v` record to records[(i, j, k)] = v.
+
+    A repeated index is a ParseError, whatever the values: keeping either
+    one silently would turn a typo into a different object."""
+    vals = _ints(rec)
+    if len(vals) != 4:
+        raise ParseError(f"{usage}: {' '.join(rec)!r}")
+    idx = tuple(vals[:3])
+    if idx in records:
+        raise ParseError(f"duplicate {rec[0]} record at index {idx}")
+    records[idx] = vals[3]
+
+
+def _indexed_ref(rec: list[str], refs: dict, usage: str) -> int:
+    """Index of a `key i path` reference line, new among refs."""
+    if len(rec) != 3:
+        raise ParseError(usage)
+    idx = _ints(rec[:2])[0]
+    if idx in refs:
+        raise ParseError(f"duplicate {rec[0]} line for index {idx}")
+    return idx
+
+
 def _framed(text: str, kind: str) -> list[list[str]]:
     recs = _records(text)
     if not recs or recs[0][:2] != ["object", kind]:
@@ -99,7 +123,7 @@ def parse_algebra(text: str) -> StructureAlgebra:
     field = None
     dim = None
     unit = None
-    triples = []
+    triples: dict = {}
     for rec in _framed(text, "algebra"):
         key = rec[0]
         if key == "field":
@@ -115,10 +139,7 @@ def parse_algebra(text: str) -> StructureAlgebra:
         elif key == "unit":
             unit = _ints(rec)
         elif key == "c":
-            vals = _ints(rec)
-            if len(vals) != 4:
-                raise ParseError(f"structure line needs i j k v: {' '.join(rec)!r}")
-            triples.append(vals)
+            _sparse_record(rec, triples, "structure line needs i j k v")
         else:
             raise ParseError(f"unknown algebra key {key!r}")
     if field is None or dim is None or unit is None:
@@ -126,7 +147,7 @@ def parse_algebra(text: str) -> StructureAlgebra:
     if len(unit) != dim:
         raise ParseError("unit length differs from dim")
     c = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, j, k, v in triples:
+    for (i, j, k), v in triples.items():
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ParseError(f"structure index ({i}, {j}, {k}) outside dim {dim}")
         c[i, j, k] = v
@@ -154,7 +175,7 @@ def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
     algebra = None
     side = None
     dim = None
-    quads = []
+    quads: dict = {}
     for rec in _framed(text, "module"):
         key = rec[0]
         if key == "algebra":
@@ -168,16 +189,13 @@ def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
         elif key == "dim":
             dim = _ints(rec)[0]
         elif key == "act":
-            vals = _ints(rec)
-            if len(vals) != 4:
-                raise ParseError(f"action line needs a r c v: {' '.join(rec)!r}")
-            quads.append(vals)
+            _sparse_record(rec, quads, "action line needs a r c v")
         else:
             raise ParseError(f"unknown module key {key!r}")
     if algebra is None or side is None or dim is None:
         raise ParseError("module needs algebra, side, and dim lines")
     action = np.zeros((algebra.dim, dim, dim), dtype=np.int64)
-    for a, r, c, v in quads:
+    for (a, r, c), v in quads.items():
         if not (0 <= a < algebra.dim and 0 <= r < dim and 0 <= c < dim):
             raise ParseError(f"action index ({a}, {r}, {c}) out of range")
         action[a, r, c] = v
@@ -209,7 +227,7 @@ def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
     intent = None
     count = None
     refs: dict[int, StructureAlgebra] = {}
-    quads = []
+    quads: dict = {}
     for rec in _framed(text, "tower"):
         key = rec[0]
         if key == "intent":
@@ -219,14 +237,10 @@ def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
         elif key == "levels":
             count = _ints(rec)[0]
         elif key == "level":
-            if len(rec) != 3:
-                raise ParseError("level line needs an index and a path")
-            refs[int(rec[1])] = loader.algebra(os.path.join(base_dir, rec[2]))
+            idx = _indexed_ref(rec, refs, "level line needs an index and a path")
+            refs[idx] = loader.algebra(os.path.join(base_dir, rec[2]))
         elif key == "transition":
-            vals = _ints(rec)
-            if len(vals) != 4:
-                raise ParseError(f"transition line needs n r c v: {' '.join(rec)!r}")
-            quads.append(vals)
+            _sparse_record(rec, quads, "transition line needs n r c v")
         else:
             raise ParseError(f"unknown tower key {key!r}")
     if intent is None or count is None:
@@ -236,7 +250,7 @@ def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
     levels = [refs[i] for i in range(count)]
     transitions = [np.zeros((levels[n + 1].dim, levels[n].dim), dtype=np.int64)
                    for n in range(count - 1)]
-    for n, r, c, v in quads:
+    for (n, r, c), v in quads.items():
         if not 0 <= n < count - 1:
             raise ParseError(f"transition index {n} out of range")
         if not (0 <= r < transitions[n].shape[0] and 0 <= c < transitions[n].shape[1]):
@@ -279,8 +293,8 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
     base = None
     y_kind = None
     window = None
-    entry_quads = []
-    extra_quads = []
+    entry_quads: dict = {}
+    extra_quads: dict = {}
     tail_rows = []
     precision_rows = []
     for rec in _framed(text, "matrix"):
@@ -296,15 +310,9 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
         elif key == "window":
             window = _ints(rec)[0]
         elif key == "entry":
-            vals = _ints(rec)
-            if len(vals) != 4:
-                raise ParseError(f"entry line needs x z t v: {' '.join(rec)!r}")
-            entry_quads.append(vals)
+            _sparse_record(rec, entry_quads, "entry line needs x z t v")
         elif key == "extra":
-            vals = _ints(rec)
-            if len(vals) != 4:
-                raise ParseError(f"extra line needs x c t v: {' '.join(rec)!r}")
-            extra_quads.append(vals)
+            _sparse_record(rec, extra_quads, "extra line needs x c t v")
         elif key == "tail":
             tail_rows.append(_ints(rec))
         elif key == "precision":
@@ -314,12 +322,12 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
     if base is None or y_kind is None or window is None:
         raise ParseError("matrix needs algebra, y, and window lines")
     entries = np.zeros((window, window, base.dim), dtype=np.int64)
-    for x, z, t, v in entry_quads:
+    for (x, z, t), v in entry_quads.items():
         if not (0 <= x < window and 0 <= z < window and 0 <= t < base.dim):
             raise ParseError(f"entry index ({x}, {z}, {t}) out of range")
         entries[x, z, t] = v
     extra_vecs: dict[tuple[int, int], np.ndarray] = {}
-    for x, c, t, v in extra_quads:
+    for (x, c, t), v in extra_quads.items():
         if not (0 <= x < window and 0 <= t < base.dim):
             raise ParseError(f"extra index ({x}, {c}, {t}) out of range")
         extra_vecs.setdefault((x, c), np.zeros(base.dim, dtype=np.int64))[t] = v
@@ -364,7 +372,7 @@ def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
     ground = None
     count = None
     refs: dict[int, FiniteModule] = {}
-    quads = []
+    quads: dict = {}
     for rec in _framed(text, "system"):
         key = rec[0]
         if key == "ground":
@@ -374,14 +382,10 @@ def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
         elif key == "modules":
             count = _ints(rec)[0]
         elif key == "module":
-            if len(rec) != 3:
-                raise ParseError("module line needs an index and a path")
-            refs[int(rec[1])] = loader.module(os.path.join(base_dir, rec[2]))
+            idx = _indexed_ref(rec, refs, "module line needs an index and a path")
+            refs[idx] = loader.module(os.path.join(base_dir, rec[2]))
         elif key == "map":
-            vals = _ints(rec)
-            if len(vals) != 4:
-                raise ParseError(f"map line needs n r c v: {' '.join(rec)!r}")
-            quads.append(vals)
+            _sparse_record(rec, quads, "map line needs n r c v")
         else:
             raise ParseError(f"unknown system key {key!r}")
     if ground is None or count is None:
@@ -391,7 +395,7 @@ def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
     modules = [refs[i] for i in range(count)]
     maps = [np.zeros((modules[n].dim, modules[n + 1].dim), dtype=np.int64)
             for n in range(count - 1)]
-    for n, r, c, v in quads:
+    for (n, r, c), v in quads.items():
         if not 0 <= n < count - 1:
             raise ParseError(f"map index {n} out of range")
         if not (0 <= r < maps[n].shape[0] and 0 <= c < maps[n].shape[1]):

@@ -397,7 +397,7 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
             vanish = rng.randrange(depth + 1)
             top_ker = T.kernel_basis(depth, vanish) if vanish else np.eye(T.levels[depth].dim, dtype=np.int64)
             coeffs = np.array([rng.randrange(F.q) for _ in range(top_ker.shape[0])], dtype=np.int64)
-            elem_top = F.fsum(F.MUL[coeffs[:, None], top_ker], axis=0) if top_ker.shape[0] else np.zeros(T.levels[depth].dim, dtype=np.int64)
+            elem_top = linalg.lincomb(F, coeffs, top_ker)
             member = []
             for n in range(depth + 1):
                 down = linalg.matvec(F, elem_top, T.composite(depth, n))
@@ -417,7 +417,7 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
                         coords = linalg.solve_left(F, mapped, defect)
                         if coords is None:
                             raise TowerError(f"level {n}: section defect not repairable inside the ideal")
-                        h = F.fsum(F.MUL[coords[:, None], H.ideals[n].basis], axis=0)
+                        h = linalg.lincomb(F, coords, H.ideals[n].basis)
                         cand = linalg.sub(F, cand, h)
                         repairs += 1
                 if not np.array_equal(linalg.matvec(F, cand, quotients[n][1]), member[n]):

@@ -253,3 +253,23 @@ def test_verify_corpus_drift_exits_4(capsys, monkeypatch):
                         lambda name: "x" if name == "f2.alg" else real(name))
     rc, _ = run(capsys, "verify")
     assert rc == 4
+
+
+def test_duplicate_record_exits_2(capsys, tmp_path):
+    p = tmp_path / "dup.alg"
+    p.write_text(corpus.read("f2.alg").replace("c 0 0 0 1", "c 0 0 0 1\nc 0 0 0 0"))
+    rc, _ = run(capsys, "radical", str(p))
+    assert rc == 2
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    # stands in for numpy failing to allocate; nothing large is allocated
+    def exhausted(args, loader):
+        raise MemoryError("Unable to allocate 59.6 GiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "radical", (exhausted, 1, "stub"))
+    rc = cli.main(["radical", corpus.path("f2.alg")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")

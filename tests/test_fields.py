@@ -1,10 +1,17 @@
-"""Field axioms, exhaustively on small fields."""
+"""Field axioms, exhaustively on small fields; the contraction kernel against
+the scalar table oracle."""
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import table_contract, table_fsum
+from topring import fields, linalg
 from topring.fields import GF, FiniteField, default_modulus, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
@@ -74,3 +81,117 @@ def test_field_identity_and_cache():
     assert GF(2, 2) is GF(2, 2)
     assert GF(2, 2) == FiniteField(2, 2)
     assert GF(2) != GF(3)
+
+
+# ---------------------------------------------------------------------------
+# The contraction kernel against the scalar table oracle
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 4)]
+
+# every spec the library contracts with, plus a full contraction
+KERNEL_SPECS = [
+    "ij,jk->ik", "i,ij->j", "i,ijk->jk", "j,ijk->ik", "i,j->ij", "ij,ijk->k",
+    "mi,ijk->mjk", "mj,mjk->mk", "ijm,mkl->ijkl", "jkm,iml->ijkl",
+    "irt,jtr->ijr", "ac,bd->abcd", "i,i->",
+]
+
+
+def _elements(data, F, shape):
+    flat = data.draw(st.lists(st.integers(0, F.q - 1), min_size=int(np.prod(shape)),
+                              max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=np.int64).reshape(shape)
+
+
+@contextlib.contextmanager
+def _chunk(entries):
+    """Run the extension-field route with a given product-tensor chunk."""
+    saved = fields._CONTRACT_CHUNK
+    fields._CONTRACT_CHUNK = entries
+    fields._layout.cache_clear()
+    try:
+        yield
+    finally:
+        fields._CONTRACT_CHUNK = saved
+        fields._layout.cache_clear()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(KERNEL_FIELDS), spec=st.sampled_from(KERNEL_SPECS),
+       chunk=st.sampled_from([None, 1, 5]), lane_cap=st.sampled_from([None, 1, 3]),
+       data=st.data())
+def test_contract_matches_table_oracle(field, spec, chunk, lane_cap, data):
+    # chunk and lane_cap shrink the extension-field route's limits so the
+    # chunked and the unpacked-digit routes run on small inputs too
+    F = FiniteField(*field)
+    if lane_cap is not None:
+        F._lane_cap = lane_cap
+    ins = spec.split("->")[0]
+    sa, sb = ins.split(",")
+    sizes = {x: data.draw(st.integers(0, 3)) for x in dict.fromkeys(sa + sb)}
+    A = _elements(data, F, [sizes[x] for x in sa])
+    B = _elements(data, F, [sizes[x] for x in sb])
+    with _chunk(chunk or fields._CONTRACT_CHUNK):
+        got = F.contract(spec, A, B)
+    assert np.array_equal(got, table_contract(F, spec, A, B))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(KERNEL_FIELDS), lane_cap=st.sampled_from([None, 1, 2]),
+       shape=st.lists(st.integers(0, 4), min_size=1, max_size=3), data=st.data())
+def test_fsum_matches_table_oracle(field, lane_cap, shape, data):
+    F = FiniteField(*field)
+    if lane_cap is not None:
+        F._lane_cap = lane_cap
+    arr = _elements(data, F, shape)
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    assert np.array_equal(F.fsum(arr, axis=axis), table_fsum(F, arr, axis))
+    total = F.fsum(arr)
+    assert isinstance(total, int)
+    assert total == int(table_fsum(F, arr.reshape(-1), 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(KERNEL_FIELDS), m=st.integers(0, 4), k=st.integers(0, 4),
+       n=st.integers(0, 4), data=st.data())
+def test_matmul_matches_table_oracle(field, m, k, n, data):
+    F = GF(*field)
+    A = _elements(data, F, (m, k))
+    B = _elements(data, F, (k, n))
+    got = linalg.matmul(F, A, B)
+    assert got.shape == (m, n)
+    assert np.array_equal(got, table_contract(F, "ij,jk->ik", A, B))
+
+
+def test_prime_contract_exact_at_the_field_cap():
+    # the largest prime field with a long contracted axis: every term is
+    # (p-1)^2, so the integer sum is far beyond p before its one reduction
+    F = GF(509)
+    A = np.full((2, 4000), 508, dtype=np.int64)
+    B = np.full((4000, 3), 508, dtype=np.int64)
+    expect = (4000 * 508 * 508) % 509
+    assert (F.contract("ij,jk->ik", A, B) == expect).all()
+    assert F.fsum(np.full(4000, 508)) == (4000 * 508) % 509
+
+
+def test_extension_sums_past_the_lane_cap():
+    # GF(256) packs a digit into 7 bits, so 127 terms fill a lane; longer
+    # sums must take the digit-row route and agree with the oracle
+    F = GF(2, 8)
+    rng = np.random.default_rng(3)
+    A = rng.integers(0, F.q, size=(3, 12, 12))
+    B = rng.integers(0, F.q, size=(12, 12, 2))
+    assert np.array_equal(F.contract("itu,tuk->ik", A, B),
+                          table_contract(F, "itu,tuk->ik", A, B))
+    arr = rng.integers(0, F.q, size=(300, 4))
+    assert np.array_equal(F.fsum(arr, axis=0), table_fsum(F, arr, 0))
+    # worst case for a lane: every term has all eight digits equal to 1,
+    # so a lane fills up after exactly 127 terms
+    full = np.full(300, F.q - 1, dtype=np.int64)
+    assert F.fsum(full[:127]) == F.q - 1
+    assert F.fsum(full[:128]) == 0
+    assert F.contract("i,i->", np.ones(127, dtype=np.int64), full[:127]) == F.q - 1
+    assert (F.contract("ij,jk->ik", np.ones((2, 300), dtype=np.int64),
+                       np.full((300, 3), F.q - 1)) == 0).all()
+    assert (F.contract("itu,tuk->ik", np.ones((2, 12, 12), dtype=np.int64),
+                       np.full((12, 12, 3), F.q - 1)) == 0).all()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import endo_structure_full
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
@@ -544,3 +545,21 @@ def test_witness_search_none_without_nonisos():
     S = natural_matrix_module(F2, 2)
     fam = ModuleFamily(members=[S], labels=["S"], truncated=True)
     assert noniso_witness_search(fam, depth=2) is None
+
+
+def _showcase_module():
+    # the 28-dimensional sum of the chain family F2[x]/(x^n), n = 1..7,
+    # whose 140-dimensional endomorphism algebra the negative showcase builds
+    from topring.endo import polynomial_adic_system
+
+    return direct_sum(polynomial_adic_system(F2, 7).modules)[0]
+
+
+@pytest.mark.parametrize("build", [
+    _showcase_module,
+    lambda: direct_sum([right_regular_module(upper_triangular_algebra(GF(2, 2), 2))] * 2)[0],
+], ids=["showcase-f2", "t2-gf4-twice"])
+def test_endo_algebra_matches_full_composite_route(build):
+    M = build()
+    E, _, _ = endo_algebra(M)
+    assert np.array_equal(E.c, endo_structure_full(M))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,36 @@ def test_bundled_file_matches_its_constructor(name):
 def test_bundled_file_loads(name):
     obj = Loader().load(corpus.path(name))
     assert obj is not None
+
+
+CORPUS_DIR = os.path.dirname(corpus.path("f2.alg"))
+
+# (file, key) for every sparse record kind and every indexed reference line
+DUPLICATE_CASES = [
+    ("f2c3.alg", "c"),
+    ("dual2_reg.mod", "act"),
+    ("adic4.twr", "transition"),
+    ("adic4.twr", "level"),
+    ("shift_f2.mat", "entry"),
+    ("shift_f2.mat", "extra"),
+    ("chain6.sys", "map"),
+    ("chain6.sys", "module"),
+]
+
+
+@pytest.mark.parametrize("name,key", DUPLICATE_CASES)
+def test_duplicate_record_is_parse_error(name, key):
+    lines = RENDERED[name].splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+    lines.insert(at + 1, lines[at])
+    text = "\n".join(lines) + "\n"
+    parser = serialize.PARSERS[object_kind(text)]
+    with pytest.raises(ParseError, match="duplicate"):
+        parser(text, Loader(), CORPUS_DIR)
+
+
+def test_duplicate_with_a_new_value_is_parse_error():
+    # the second record would silently win without the check
+    bad = RENDERED["f2.alg"].replace("c 0 0 0 1", "c 0 0 0 1\nc 0 0 0 0")
+    with pytest.raises(ParseError, match="duplicate"):
+        parse_algebra(bad)
