@@ -167,14 +167,10 @@ class StructureAlgebra:
 
     def center_basis(self) -> np.ndarray:
         """Canonical basis of the center."""
-        F = self.field
-        blocks = []
-        for j in range(self.dim):
-            ej = np.zeros(self.dim, dtype=np.int64)
-            ej[j] = 1
-            blocks.append(linalg.sub(F, self.rmul_matrix(ej), self.lmul_matrix(ej)))
-        M = np.hstack(blocks)
-        return linalg.left_null_basis(F, M)
+        # column block j holds e_i * e_j - e_j * e_i over i
+        n = self.dim
+        M = linalg.sub(self.field, self.c, np.swapaxes(self.c, 0, 1)).reshape(n, n * n)
+        return linalg.left_null_basis(self.field, M)
 
     def min_poly(self, x: np.ndarray) -> poly.Poly:
         """Monic minimal polynomial of x over the base field."""
@@ -212,9 +208,7 @@ class StructureAlgebra:
         for i in range(self.dim):
             if span.shape[0] == self.dim:
                 break
-            ei = np.zeros(self.dim, dtype=np.int64)
-            ei[i] = 1
-            if not linalg.in_row_space(F, span, ei):
+            if not linalg.in_row_space(F, span, linalg.basis_vector(self.dim, i)):
                 gens.append(i)
                 rows = [self.unit] + [linalg.basis_vector(self.dim, g) for g in gens]
                 span = subalgebra_closure(self, np.vstack(rows))
@@ -222,21 +216,10 @@ class StructureAlgebra:
         return gens
 
     def generator_elements(self) -> np.ndarray:
-        gens = self.generators()
-        out = np.zeros((len(gens), self.dim), dtype=np.int64)
-        for r, i in enumerate(gens):
-            out[r, i] = 1
-        return out
+        return np.eye(self.dim, dtype=np.int64)[self.generators()]
 
     def __repr__(self) -> str:
         return f"StructureAlgebra(dim={self.dim} over {self.field})"
-
-
-def validate_algebra(field: FiniteField, c: np.ndarray, unit: np.ndarray) -> StructureAlgebra:
-    """Construct and fully check a StructureAlgebra; raises AlgebraError
-    with per-identity diagnostics when the data fails associativity or
-    the unit law."""
-    return StructureAlgebra(field, c, unit, check=True)
 
 
 def subalgebra_closure(A: StructureAlgebra, rows: np.ndarray) -> np.ndarray:
@@ -395,20 +378,8 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
         raise AlgebraError("quotient needs a two-sided ideal")
     F = A.field
     n = A.dim
-    B, pivots = linalg.rref(F, I.basis)
-    nonpivots = [j for j in range(n) if j not in pivots]
-    m = len(nonpivots)
-    # e_pc == e_pc - B[r] mod I, and that difference is supported on the
-    # non-pivot columns because B is fully reduced; other e_j are their own
-    # representatives
-    red = np.eye(n, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        red[pc] = F.NEG[B[r]]
-        red[pc, pc] = 0
-    proj = red[:, nonpivots]
-    section = np.zeros((m, n), dtype=np.int64)
-    for k, j in enumerate(nonpivots):
-        section[k, j] = 1
+    proj, section = linalg.quotient_maps(F, I.basis, n)
+    m = section.shape[0]
     cq = np.zeros((m, m, m), dtype=np.int64)
     for a in range(m):
         for b in range(m):
@@ -433,23 +404,6 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
 # ---------------------------------------------------------------------------
 # Radical
 # ---------------------------------------------------------------------------
-
-
-def _scalar_mul_matrices(F: FiniteField) -> np.ndarray:
-    """mulmat[a] is the d x d prime-field matrix of multiplication by a."""
-    d = F.d
-    out = np.zeros((F.q, d, d), dtype=np.int64)
-    for t in range(d):
-        out[:, :, t] = F.DIGITS[F.MUL[np.arange(F.q), F.p ** t]]
-    return out
-
-
-def _blowup(F: FiniteField, M: np.ndarray, mulmat: np.ndarray) -> np.ndarray:
-    """F_q-matrix (m, m) to the F_p-matrix (m*d, m*d), column convention."""
-    m = M.shape[0]
-    d = F.d
-    blocks = mulmat[M]  # (m, m, d, d)
-    return blocks.transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
 
 def _batch_power_mod(W: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -483,13 +437,13 @@ def radical(A: StructureAlgebra, verify_quotient: bool = True) -> SubspaceIdeal:
         rep_q = np.asarray(A.rep, dtype=np.int64)
     else:
         rep_q = np.stack([A.lmul_matrix(linalg.basis_vector(n, i)).T for i in range(n)])
-    mulmat = _scalar_mul_matrices(F)
     N = rep_q.shape[1] * d
-    # F_p-basis (i, t) -> representation matrix of omega^t e_i
+    # F_p-basis (i, t) -> representation matrix of omega^t e_i; the
+    # representation acts on columns, prime_restriction on rows
     pmats = np.zeros((n * d, N, N), dtype=np.int64)
     for i in range(n):
         for t in range(d):
-            pmats[i * d + t] = _blowup(F, F.MUL[p ** t, rep_q[i]], mulmat)
+            pmats[i * d + t] = linalg.prime_restriction(F, linalg.scale(F, p ** t, rep_q[i]).T).T
     Fp = GF(p)
     J = np.eye(n * d, dtype=np.int64)  # rows: F_p coordinates w.r.t. (i, t)
     i_level = 0
@@ -523,7 +477,7 @@ def radical(A: StructureAlgebra, verify_quotient: bool = True) -> SubspaceIdeal:
         if d > 1:
             omega = p
             for v in vecs:
-                w = F.MUL[omega, v]
+                w = linalg.scale(F, omega, v)
                 wdig = F.DIGITS[w].reshape(-1)
                 if not linalg.in_row_space(Fp, J, wdig):
                     raise AssertionError("radical candidate is not F_q-stable")
@@ -607,6 +561,22 @@ def invert_in_one_plus_H(A: StructureAlgebra, u: np.ndarray, H: SubspaceIdeal) -
     if not np.array_equal(A.mul(u, acc), A.unit) or not np.array_equal(A.mul(acc, u), A.unit):
         raise AssertionError("geometric series failed to invert u")
     return acc
+
+
+def check_complete_orthogonal(A: StructureAlgebra, rows: np.ndarray) -> None:
+    """Raise AssertionError unless rows are idempotents, pairwise
+    orthogonal, and sum to 1."""
+    F = A.field
+    total = np.zeros(A.dim, dtype=np.int64)
+    for i in range(rows.shape[0]):
+        if not A.is_idempotent(rows[i]):
+            raise AssertionError(f"member {i} is not idempotent")
+        total = linalg.add(F, total, rows[i])
+        for j in range(rows.shape[0]):
+            if i != j and A.mul(rows[i], rows[j]).any():
+                raise AssertionError(f"members {i} and {j} are not orthogonal")
+    if not np.array_equal(total, A.unit):
+        raise AssertionError("family does not sum to 1")
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +750,14 @@ def subalgebra_structure(A: StructureAlgebra, basis: np.ndarray, unit_row: np.nd
     return B, basis
 
 
+def corner_basis(A: StructureAlgebra, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Canonical basis of the Peirce corner e*A*f.
+
+    Row j of L_e is e*e_j, so row j of L_e @ R_f is e*e_j*f."""
+    F = A.field
+    return linalg.row_space_basis(F, linalg.matmul(F, A.lmul_matrix(e), A.rmul_matrix(f)))
+
+
 def peirce_corner(A: StructureAlgebra, e: np.ndarray):
     """Corner algebra e*A*e with unit e.
 
@@ -788,7 +766,4 @@ def peirce_corner(A: StructureAlgebra, e: np.ndarray):
     """
     if not A.is_idempotent(e):
         raise AlgebraError("corner needs an idempotent")
-    F = A.field
-    rows = [A.mul(A.mul(e, linalg.basis_vector(A.dim, j)), e) for j in range(A.dim)]
-    basis = linalg.row_space_basis(F, np.vstack(rows))
-    return subalgebra_structure(A, basis, np.asarray(e, dtype=np.int64))
+    return subalgebra_structure(A, corner_basis(A, e, e), np.asarray(e, dtype=np.int64))

@@ -10,6 +10,7 @@ silent).
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -325,7 +326,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: building the 16 subparsers costs about a
+    # hundred times more than one parse
     parser = argparse.ArgumentParser(
         prog="topring",
         description="Exact structure reports for finite algebras, towers, "

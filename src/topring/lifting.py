@@ -25,6 +25,8 @@ from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
     SubspaceIdeal,
+    check_complete_orthogonal,
+    corner_basis,
     invert_in_one_plus_H,
 )
 
@@ -44,20 +46,6 @@ class IdempotentFamily:
     u: np.ndarray
     u_inv: np.ndarray
     side: str
-
-
-def _check_complete_orthogonal(A: StructureAlgebra, rows: np.ndarray) -> None:
-    F = A.field
-    total = np.zeros(A.dim, dtype=np.int64)
-    for i in range(rows.shape[0]):
-        if not A.is_idempotent(rows[i]):
-            raise AssertionError(f"member {i} is not idempotent")
-        total = linalg.add(F, total, rows[i])
-        for j in range(rows.shape[0]):
-            if i != j and A.mul(rows[i], rows[j]).any():
-                raise AssertionError(f"members {i} and {j} are not orthogonal")
-    if not np.array_equal(total, A.unit):
-        raise AssertionError("family does not sum to 1")
 
 
 def lift_idempotent(A: StructureAlgebra, f: np.ndarray, H: SubspaceIdeal) -> np.ndarray:
@@ -86,10 +74,7 @@ def lift_idempotent(A: StructureAlgebra, f: np.ndarray, H: SubspaceIdeal) -> np.
             raise AlgebraError("idempotent lift did not converge; H is not nil")
     if not H.contains(linalg.sub(F, g, f)):
         raise AssertionError("lifted idempotent drifted out of f + H")
-    corner = linalg.row_space_basis(
-        F, np.vstack([A.mul(A.mul(f, e), f) for e in np.eye(A.dim, dtype=np.int64)])
-    )
-    if g.any() and not linalg.in_row_space(F, corner, g):
+    if g.any() and not linalg.in_row_space(F, corner_basis(A, f, f), g):
         raise AssertionError("lifted idempotent escaped f*A*f")
     return g
 
@@ -127,7 +112,7 @@ def orthogonalize(
         out = np.vstack([A.mul(u_inv, e) for e in rows]) if rows.shape[0] else rows
     else:
         out = np.vstack([A.mul(e, u_inv) for e in rows]) if rows.shape[0] else rows
-    _check_complete_orthogonal(A, out)
+    check_complete_orthogonal(A, out)
     return IdempotentFamily(algebra=A, rows=out, u=u, u_inv=u_inv, side=side)
 
 

@@ -147,46 +147,6 @@ def solve_left(F: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray | Non
     return solve_right(F, np.asarray(A).T, b)
 
 
-def rref_solve(F: FiniteField, A: np.ndarray, B: np.ndarray):
-    """Row-reduce and solve A @ X = B column by column.
-
-    Args:
-        A: coefficient matrix (m, n).
-        B: stacked right-hand sides (m, k).
-
-    Returns:
-        (rank, kernel, solutions, inconsistent) where kernel rows span
-        {v : A v = 0}, solutions is an (n, k) matrix whose consistent
-        columns solve the system, and inconsistent lists the column
-        indices with no solution (their solution column is zeroed).
-    """
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    m, n = A.shape
-    aug = np.hstack([A, B])
-    R, pivots = rref(F, aug)
-    rk = sum(1 for c in pivots if c < n)
-    kernel = right_null_basis(F, A)
-    sols = np.zeros((n, B.shape[1]), dtype=np.int64)
-    inconsistent = []
-    for j in range(B.shape[1]):
-        bad = any(pc >= n and R[r, n + j] != 0 for r, pc in enumerate(pivots))
-        # a pivot inside the RHS block makes every RHS column with support there
-        # inconsistent; check directly per column
-        if bad:
-            inconsistent.append(j)
-            continue
-        for r, pc in enumerate(pivots):
-            if pc < n:
-                sols[pc, j] = R[r, n + j]
-        if not np.array_equal(matmul(F, A, sols[:, j : j + 1]), B[:, j : j + 1]):
-            sols[:, j] = 0
-            inconsistent.append(j)
-    return rk, kernel, sols, inconsistent
-
-
 def inverse(F: FiniteField, A: np.ndarray) -> np.ndarray | None:
     """Two-sided inverse of a square matrix, or None if singular."""
     A = np.asarray(A, dtype=np.int64)
@@ -218,6 +178,23 @@ def intersect_row_spaces(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.nda
         return np.zeros((0, n), dtype=np.int64)
     U = null[:, : A.shape[0]]
     return row_space_basis(F, matmul(F, U, A))
+
+
+def quotient_maps(F: FiniteField, basis: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maps to and from the quotient of F^n by the row space of basis.
+
+    Returns:
+        (proj, section): proj is (n, m) with v @ proj == 0 iff v lies in
+        the row space, and section is (m, n), the standard basis rows of
+        the non-pivot columns, so section @ proj is the identity.
+    """
+    R, pivots = rref(F, np.asarray(basis, dtype=np.int64).reshape(-1, n))
+    free = [j for j in range(n) if j not in pivots]
+    # e_pc == e_pc - R[r] modulo the row space, and that difference is
+    # supported on the free columns because R is fully reduced
+    red = np.eye(n, dtype=np.int64)
+    red[pivots] = F.NEG[R]
+    return red[:, free], np.eye(n, dtype=np.int64)[free]
 
 
 def sum_row_spaces(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -767,7 +767,7 @@ def _fp_right_mults(M: FiniteModule) -> list[np.ndarray]:
     out = []
     for jr in range(M.algebra.dim):
         for jt in range(F.d):
-            out.append(linalg.prime_restriction(F, F.MUL[F.p ** jt, eff[jr]]))
+            out.append(linalg.prime_restriction(F, linalg.scale(F, F.p ** jt, eff[jr])))
     return out
 
 
@@ -799,10 +799,9 @@ def contratensor(N: FiniteModule, x_count: int) -> ContratensorResult:
     for jr in range(R.dim):
         for jt in range(d):
             g_scale = F.p ** jt
-            e = np.zeros(R.dim, dtype=np.int64)
-            e[jr] = 1
-            RL.append(linalg.prime_restriction(F, F.MUL[g_scale, R.lmul_matrix(e)]))
-            RRm.append(linalg.prime_restriction(F, F.MUL[g_scale, R.rmul_matrix(e)]))
+            e = linalg.basis_vector(R.dim, jr)
+            RL.append(linalg.prime_restriction(F, linalg.scale(F, g_scale, R.lmul_matrix(e))))
+            RRm.append(linalg.prime_restriction(F, linalg.scale(F, g_scale, R.rmul_matrix(e))))
 
     T = Np * Cp
     rels = np.zeros((Np * Rp * Cp, T), dtype=np.int64) if T else np.zeros((0, 0), dtype=np.int64)

@@ -151,17 +151,8 @@ def quotient_module(M: FiniteModule, basis: np.ndarray):
         section a right inverse of proj choosing standard representatives.
     """
     F = M.algebra.field
-    B, pivots = linalg.rref(F, np.asarray(basis, dtype=np.int64).reshape(-1, M.dim))
-    nonpivots = [j for j in range(M.dim) if j not in pivots]
-    k = len(nonpivots)
-    red = np.eye(M.dim, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        red[pc] = F.NEG[B[r]]
-        red[pc, pc] = 0
-    proj = red[:, nonpivots]
-    section = np.zeros((k, M.dim), dtype=np.int64)
-    for t, j in enumerate(nonpivots):
-        section[t, j] = 1
+    proj, section = linalg.quotient_maps(F, basis, M.dim)
+    k = section.shape[0]
     eff = M.eff_basis()
     q_eff = np.zeros((M.algebra.dim, k, k), dtype=np.int64)
     for i in range(M.algebra.dim):
@@ -389,36 +380,17 @@ def is_isomorphism(M: FiniteModule, N: FiniteModule, Phi: np.ndarray) -> bool:
     return M.dim == N.dim and linalg.is_invertible(M.algebra.field, Phi)
 
 
-def find_isomorphism(M: FiniteModule, N: FiniteModule, seed: int = 0,
-                     sample_budget: int = 200) -> np.ndarray | None:
-    """An invertible element of Hom(M, N), or None.
+def find_isomorphism(M: FiniteModule, N: FiniteModule) -> np.ndarray | None:
+    """The first invertible element of the canonical Hom(M, N) basis, or None.
 
-    Random sampling first; exhaustive fallback when the hom space has at
-    most 4096 elements, which makes the None answer a proof."""
+    Exact when End(M) or End(N) is local, as for indecomposable summands:
+    if theta is an isomorphism, the non-isomorphisms M -> N are theta
+    composed with rad End(M) (or with rad End(N)), a proper subspace, so
+    some basis element lies outside it (Anderson-Fuller, section 27)."""
     if M.dim != N.dim:
         return None
     F = M.algebra.field
-    homs = hom_space(M, N)
-    k = homs.shape[0]
-    if k == 0:
-        return None
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
-        coeffs = np.array([rng.randrange(F.q) for _ in range(k)], dtype=np.int64)
-        Phi = linalg.lincomb(F, coeffs, homs)
-        if linalg.is_invertible(F, Phi):
-            return Phi
-    if F.q ** k <= 4096:
-        for coeffs in linalg.enumerate_row_space(F, np.eye(k, dtype=np.int64)):
-            Phi = linalg.lincomb(F, coeffs, homs)
-            if linalg.is_invertible(F, Phi):
-                return Phi
-        return None
-    return None
-
-
-def modules_isomorphic(M: FiniteModule, N: FiniteModule, seed: int = 0) -> bool:
-    return find_isomorphism(M, N, seed=seed) is not None
+    return next((Phi for Phi in hom_space(M, N) if linalg.is_invertible(F, Phi)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +502,7 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         placed = False
         for cls in classes:
             rep = summands[cls[0]]
-            iso = find_isomorphism(N, rep, seed=seed)
+            iso = find_isomorphism(N, rep)
             if iso is not None:
                 cls.append(z)
                 class_isos[z] = iso

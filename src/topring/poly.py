@@ -269,20 +269,3 @@ def factor_poly(F: FiniteField, f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     factors.sort(key=lambda fm: (deg(fm[0]), tuple(int(c) for c in fm[0])))
     return lead, factors
 
-
-def poly_str(F: FiniteField, f: Poly) -> str:
-    """Readable form like 'x^2+x+1', prime-field coefficients shown as ints."""
-    f = norm(f)
-    if len(f) == 0:
-        return "0"
-    terms = []
-    for i in range(deg(f), -1, -1):
-        c = int(f[i])
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            xs = "x" if i == 1 else f"x^{i}"
-            terms.append(xs if c == 1 else f"{c}*{xs}")
-    return "+".join(terms)

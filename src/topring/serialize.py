@@ -58,6 +58,14 @@ def _ints(rec: list[str], start: int = 1) -> list[int]:
         raise ParseError(f"non-integer token in {' '.join(rec)!r}") from exc
 
 
+def _count(rec: list[str]) -> int:
+    """The one integer of a count line (`dim`, `window`, `levels`, `modules`)."""
+    vals = _ints(rec)
+    if len(vals) != 1:
+        raise ParseError(f"{rec[0]} line takes one integer: {' '.join(rec)!r}")
+    return vals[0]
+
+
 def _sparse_record(rec: list[str], records: dict, usage: str) -> None:
     """Add one `key i j k v` record to records[(i, j, k)] = v.
 
@@ -135,7 +143,7 @@ def parse_algebra(text: str) -> StructureAlgebra:
                 raise ParseError(f"modulus needs {d + 1} coefficients, got {len(mod)}")
             field = GF(p, d, tuple(mod))
         elif key == "dim":
-            dim = _ints(rec)[0]
+            dim = _count(rec)
         elif key == "unit":
             unit = _ints(rec)
         elif key == "c":
@@ -187,7 +195,7 @@ def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
                 raise ParseError("side must be left or right")
             side = rec[1]
         elif key == "dim":
-            dim = _ints(rec)[0]
+            dim = _count(rec)
         elif key == "act":
             _sparse_record(rec, quads, "action line needs a r c v")
         else:
@@ -235,7 +243,7 @@ def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
                 raise ParseError("intent takes one tag")
             intent = rec[1]
         elif key == "levels":
-            count = _ints(rec)[0]
+            count = _count(rec)
         elif key == "level":
             idx = _indexed_ref(rec, refs, "level line needs an index and a path")
             refs[idx] = loader.algebra(os.path.join(base_dir, rec[2]))
@@ -308,7 +316,7 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
                 raise ParseError("y must be finite or omega")
             y_kind = rec[1]
         elif key == "window":
-            window = _ints(rec)[0]
+            window = _count(rec)
         elif key == "entry":
             _sparse_record(rec, entry_quads, "entry line needs x z t v")
         elif key == "extra":
@@ -380,7 +388,7 @@ def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
                 raise ParseError("ground takes one tag")
             ground = rec[1]
         elif key == "modules":
-            count = _ints(rec)[0]
+            count = _count(rec)
         elif key == "module":
             idx = _indexed_ref(rec, refs, "module line needs an index and a path")
             refs[idx] = loader.module(os.path.join(base_dir, rec[2]))

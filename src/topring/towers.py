@@ -237,17 +237,6 @@ def topological_jacobson_radical(T: RingTower, oracle_cap: int = 1024) -> IdealT
     return out
 
 
-def coset_projection(F, basis: np.ndarray, n: int) -> np.ndarray:
-    """Matrix P with x @ P = 0 iff x lies in the row space of basis."""
-    B, pivots = linalg.rref(F, np.asarray(basis, dtype=np.int64).reshape(-1, n))
-    nonpivots = [j for j in range(n) if j not in pivots]
-    red = np.eye(n, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        red[pc] = F.NEG[B[r]]
-        red[pc, pc] = 0
-    return red[:, nonpivots]
-
-
 def tp_formula_check(T: RingTower, H: IdealTower) -> int:
     """Dual-route check of the semisimple-quotient formula on all level pairs.
 
@@ -262,7 +251,7 @@ def tp_formula_check(T: RingTower, H: IdealTower) -> int:
     for m in range(T.depth + 1):
         for n in range(m):
             C = T.composite(m, n)
-            P = coset_projection(F, H.ideals[n].basis, T.levels[n].dim)
+            P, _ = linalg.quotient_maps(F, H.ideals[n].basis, T.levels[n].dim)
             preimage = linalg.row_space_basis(F, linalg.left_null_basis(F, linalg.matmul(F, C, P)))
             summed = linalg.sum_row_spaces(F, T.kernel_basis(m, n), H.ideals[m].basis)
             if not np.array_equal(preimage, summed):
@@ -318,7 +307,7 @@ def t_nilpotency_witness_search(A: StructureAlgebra, subset: np.ndarray,
     product stays outside the open right ideal, or None."""
     F = A.field
     subset = np.asarray(subset, dtype=np.int64).reshape(-1, A.dim)
-    P = coset_projection(F, np.asarray(open_ideal, dtype=np.int64).reshape(-1, A.dim), A.dim)
+    P, _ = linalg.quotient_maps(F, open_ideal, A.dim)
 
     def outside(x: np.ndarray) -> bool:
         return bool(linalg.matvec(F, x, P).any())

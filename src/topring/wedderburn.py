@@ -22,6 +22,8 @@ from topring import linalg, poly
 from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
+    check_complete_orthogonal,
+    corner_basis,
     matrix_algebra,
     peirce_corner,
     radical,
@@ -109,31 +111,9 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     if len(family) != k:
         raise AssertionError("central idempotent refinement did not reach the factor count")
     family.sort(key=A.encode)
-    _check_orthogonal_family(A, family)
-    return np.vstack(family)
-
-
-def _check_orthogonal_family(A: StructureAlgebra, family) -> None:
-    F = A.field
-    total = np.zeros(A.dim, dtype=np.int64)
-    for i, e in enumerate(family):
-        if not A.is_idempotent(e):
-            raise AssertionError(f"family member {i} is not idempotent")
-        total = linalg.add(F, total, e)
-        for j, f in enumerate(family):
-            if i != j and A.mul(e, f).any():
-                raise AssertionError(f"family members {i}, {j} are not orthogonal")
-    if not np.array_equal(total, A.unit):
-        raise AssertionError("family does not sum to 1")
-
-
-def _corner_dim(B: StructureAlgebra, e: np.ndarray) -> int:
-    rows = []
-    for j in range(B.dim):
-        ej = np.zeros(B.dim, dtype=np.int64)
-        ej[j] = 1
-        rows.append(B.mul(B.mul(e, ej), e))
-    return linalg.rank(B.field, np.vstack(rows))
+    rows = np.vstack(family)
+    check_complete_orthogonal(A, rows)
+    return rows
 
 
 def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
@@ -144,9 +124,7 @@ def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
 
     def candidates():
         for i in range(C.dim):
-            v = np.zeros(C.dim, dtype=np.int64)
-            v[i] = 1
-            yield v
+            yield linalg.basis_vector(C.dim, i)
         for _ in range(64 + 16 * C.dim):
             yield C.random_element(rng)
 
@@ -180,7 +158,9 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
         raise AssertionError("simple algebra dimension is not n^2 * m")
     family = [B.unit.copy()]
     for _ in range(B.dim):
-        split_at = next((i for i, e in enumerate(family) if _corner_dim(B, e) > m), None)
+        split_at = next(
+            (i for i, e in enumerate(family) if corner_basis(B, e, e).shape[0] > m), None
+        )
         if split_at is None:
             break
         e = family[split_at]
@@ -192,8 +172,9 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
     if len(family) != n:
         raise AssertionError("corner refinement did not reach the matrix size")
     family.sort(key=B.encode)
-    _check_orthogonal_family(B, family)
-    return np.vstack(family)
+    rows = np.vstack(family)
+    check_complete_orthogonal(B, rows)
+    return rows
 
 
 def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndarray:
@@ -204,19 +185,14 @@ def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndar
     n = family.shape[0]
     E = np.zeros((n, n, B.dim), dtype=np.int64)
     E[0, 0] = family[0]
-    eye_rows = np.eye(B.dim, dtype=np.int64)
-
-    def corner_rows(a, b):
-        rows = [B.mul(B.mul(a, ej), b) for ej in eye_rows]
-        return linalg.row_space_basis(F, np.vstack(rows))
-
     for j in range(1, n):
-        U = corner_rows(family[0], family[j])
+        U = corner_basis(B, family[0], family[j])
         if U.shape[0] == 0:
             raise AssertionError("empty off-diagonal corner in a simple algebra")
         u = U[0]
-        W = corner_rows(family[j], family[0])
-        prods = np.vstack([B.mul(u, w) for w in W])
+        W = corner_basis(B, family[j], family[0])
+        # row w of W times L_u is u * w
+        prods = linalg.matmul(F, W, B.lmul_matrix(u))
         sol = linalg.solve_left(F, prods, family[0])
         if sol is None:
             raise AssertionError("no right quasi-inverse in the off-diagonal corner")
@@ -258,7 +234,7 @@ def wedderburn(A: StructureAlgebra, seed: int = 0) -> WedderburnDatum:
         fam = primitive_orthogonal_family(B, rng)
         E = matrix_units_from_family(B, fam)
         n = fam.shape[0]
-        corner = _corner_rows_ambient(B, E[0, 0], E[0, 0])
+        corner = corner_basis(B, E[0, 0], E[0, 0])
         m = corner.shape[0]
         E_amb = np.zeros((n, n, A.dim), dtype=np.int64)
         for i in range(n):
@@ -292,15 +268,6 @@ def wedderburn(A: StructureAlgebra, seed: int = 0) -> WedderburnDatum:
     )
 
 
-def _corner_rows_ambient(B: StructureAlgebra, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    rows = []
-    for j in range(B.dim):
-        ej = np.zeros(B.dim, dtype=np.int64)
-        ej[j] = 1
-        rows.append(B.mul(B.mul(e, ej), f))
-    return linalg.row_space_basis(B.field, np.vstack(rows))
-
-
 def _build_model_and_iso(A: StructureAlgebra, factors: list[SimpleFactor]):
     """Model = product over factors of Mat_n(F) (x) D; iso sends b to the
     concatenation over factors of the corner coordinates of E_0i b E_j0."""
@@ -310,36 +277,31 @@ def _build_model_and_iso(A: StructureAlgebra, factors: list[SimpleFactor]):
         D, _ = subalgebra_structure(A, f.corner_basis, f.matrix_units[0, 0])
         block = tensor_algebra(matrix_algebra(F, f.n), D)
         model = block if model is None else product_algebra(model, block)
-    iso = np.zeros((A.dim, model.dim), dtype=np.int64)
-    for t in range(A.dim):
-        b = np.zeros(A.dim, dtype=np.int64)
-        b[t] = 1
-        out = []
-        for f in factors:
-            for i in range(f.n):
-                for j in range(f.n):
-                    d = A.mul(A.mul(f.matrix_units[0, i], b), f.matrix_units[j, 0])
-                    coords = linalg.solve_left(F, f.corner_basis, d)
-                    if coords is None:
-                        raise AssertionError("corner coordinate extraction failed")
-                    out.append(coords)
-        iso[t] = np.concatenate(out)
-    return model, iso
+    blocks = []
+    for f in factors:
+        # corner_basis is RREF: coordinates are the entries at its pivots
+        pivots = [int(np.flatnonzero(row)[0]) for row in f.corner_basis]
+        for i in range(f.n):
+            for j in range(f.n):
+                # row t is E_0i * e_t * E_j0
+                D = linalg.matmul(F, A.lmul_matrix(f.matrix_units[0, i]),
+                                  A.rmul_matrix(f.matrix_units[j, 0]))
+                coords = D[:, pivots]
+                if not np.array_equal(linalg.matmul(F, coords, f.corner_basis), D):
+                    raise AssertionError("corner coordinate extraction failed")
+                blocks.append(coords)
+    return model, np.hstack(blocks)
 
 
 def _verify_iso(A: StructureAlgebra, model: StructureAlgebra, iso: np.ndarray) -> None:
     F = A.field
     if not np.array_equal(linalg.matvec(F, A.unit, iso), model.unit):
         raise AssertionError("decomposition map does not preserve the unit")
-    images = linalg.matmul(F, np.eye(A.dim, dtype=np.int64), iso)
+    # row s of iso is the image of e_s, and e_s * e_t is A.c[s, t]
     for s in range(A.dim):
         for t in range(A.dim):
-            es = np.zeros(A.dim, dtype=np.int64)
-            es[s] = 1
-            et = np.zeros(A.dim, dtype=np.int64)
-            et[t] = 1
-            lhs = linalg.matvec(F, A.mul(es, et), iso)
-            rhs = model.mul(images[s], images[t])
+            lhs = linalg.matvec(F, A.c[s, t], iso)
+            rhs = model.mul(iso[s], iso[t])
             if not np.array_equal(lhs, rhs):
                 raise AssertionError(f"decomposition map not multiplicative at ({s}, {t})")
 

@@ -1,15 +1,17 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here is deliberately naive: scalar-at-a-time loops, no shared
-code paths with topring.linalg beyond the field tables themselves.  The one
-exception is endo_structure_full, which keeps the old full-composite route
-of modules.endo_algebra (hom_space, MUL products, fsum) as the reference
-for its pivot-only read-off.
+code paths with topring.linalg beyond the field tables themselves.  Two
+exceptions keep an old library route as the reference for the route that
+replaced it: endo_structure_full (the full-composite structure constants
+of modules.endo_algebra) and sampled_isomorphism (the random search that
+modules.find_isomorphism used before it read the hom basis).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -18,10 +20,17 @@ from topring.fields import FiniteField
 
 def naive_rank(F: FiniteField, M) -> int:
     """Rank by plain Gaussian elimination, one scalar at a time."""
+    return len(naive_rref(F, M)[1])
+
+
+def naive_rref(F: FiniteField, M) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form (nonzero rows, pivot columns), one scalar
+    at a time."""
+    M = np.asarray(M, dtype=np.int64)
+    m, n = M.shape
     rows = [[int(x) for x in row] for row in M]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
     rank = 0
+    pivots = []
     for col in range(n):
         pivot = None
         for r in range(rank, m):
@@ -39,10 +48,93 @@ def naive_rank(F: FiniteField, M) -> int:
                 rows[r] = [
                     int(F.ADD[rows[r][j], F.NEG[F.MUL[c, rows[rank][j]]]]) for j in range(n)
                 ]
+        pivots.append(col)
         rank += 1
         if rank == m:
             break
-    return rank
+    return np.array(rows[:rank], dtype=np.int64).reshape(rank, n), pivots
+
+
+def table_mul(F: FiniteField, c, x, y) -> np.ndarray:
+    """Algebra product sum_ijk x_i y_j c[i, j, k] e_k, one scalar at a time."""
+    n = len(x)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            xy = int(F.MUL[x[i], y[j]])
+            if xy:
+                for k in range(n):
+                    out[k] = int(F.ADD[out[k], F.MUL[xy, c[i, j, k]]])
+    return np.array(out, dtype=np.int64)
+
+
+def corner_loop(A, e, f) -> np.ndarray:
+    """RREF basis of e*A*f from the products e*e_j*f, one basis vector at
+    a time."""
+    n = A.dim
+    rows = [table_mul(A.field, A.c, table_mul(A.field, A.c, e, np.eye(n, dtype=np.int64)[j]), f)
+            for j in range(n)]
+    return naive_rref(A.field, rows)[0]
+
+
+def quotient_maps_loop(F: FiniteField, basis, n: int):
+    """(proj, section) of F^n modulo the row space of basis, one pivot and
+    one free column at a time."""
+    B, pivots = naive_rref(F, np.asarray(basis, dtype=np.int64).reshape(-1, n))
+    free = [j for j in range(n) if j not in pivots]
+    red = np.eye(n, dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        for j in range(n):
+            red[pc, j] = 0 if j == pc else F.NEG[B[r, j]]
+    section = np.zeros((len(free), n), dtype=np.int64)
+    for k, j in enumerate(free):
+        section[k, j] = 1
+    return red[:, free], section
+
+
+def blowup(F: FiniteField, M) -> np.ndarray:
+    """Square F_q-matrix (m, m) to the F_p-matrix (m*d, m*d) acting on
+    columns: block (i, j) is the d x d matrix of multiplication by M[i, j]
+    on digit vectors, whose column t holds the digits of M[i, j] * w^t."""
+    M = np.asarray(M, dtype=np.int64)
+    m, d = M.shape[0], F.d
+    out = np.zeros((m * d, m * d), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            for t in range(d):
+                digits = F.DIGITS[F.MUL[M[i, j], F.p ** t]]
+                for s in range(d):
+                    out[i * d + s, j * d + t] = digits[s]
+    return out
+
+
+def sampled_isomorphism(M, N, seed: int = 0, sample_budget: int = 200):
+    """An invertible element of Hom(M, N) from random combinations of the
+    hom basis, then by enumeration when the hom space has at most 4096
+    elements; None otherwise.  A None is a proof only in the enumerated
+    case."""
+    from topring import linalg
+    from topring.modules import hom_space
+
+    if M.dim != N.dim:
+        return None
+    F = M.algebra.field
+    homs = hom_space(M, N)
+    k = homs.shape[0]
+    if k == 0:
+        return None
+    rng = random.Random(seed)
+    for _ in range(sample_budget):
+        coeffs = np.array([rng.randrange(F.q) for _ in range(k)], dtype=np.int64)
+        Phi = linalg.lincomb(F, coeffs, homs)
+        if linalg.is_invertible(F, Phi):
+            return Phi
+    if F.q ** k <= 4096:
+        for coeffs in linalg.enumerate_row_space(F, np.eye(k, dtype=np.int64)):
+            Phi = linalg.lincomb(F, coeffs, homs)
+            if linalg.is_invertible(F, Phi):
+                return Phi
+    return None
 
 
 def poly_mul(F: FiniteField, f: list[int], g: list[int]) -> list[int]:

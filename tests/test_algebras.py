@@ -9,6 +9,7 @@ from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
     basis_change,
+    corner_basis,
     cyclic_group_algebra,
     field_algebra,
     field_extension_algebra,
@@ -23,9 +24,10 @@ from topring.algebras import (
     tensor_algebra,
     truncated_poly_algebra,
     upper_triangular_algebra,
-    validate_algebra,
 )
 from topring.fields import GF
+
+from oracles import corner_loop
 
 F2 = GF(2)
 F3 = GF(3)
@@ -40,7 +42,7 @@ def test_validate_algebra_reports_failing_triples():
     c = matrix_algebra(F2, 2).c.copy()
     c[1, 2, 0] = 1 - c[1, 2, 0]  # corrupt one product
     with pytest.raises(AlgebraError) as exc:
-        validate_algebra(F2, c, matrix_algebra(F2, 2).unit)
+        StructureAlgebra(F2, c, matrix_algebra(F2, 2).unit, check=True)
     assert any("associativity" in d for d in exc.value.diagnostics)
 
 
@@ -49,7 +51,7 @@ def test_validate_algebra_reports_bad_unit():
     bad_unit = np.zeros(4, dtype=np.int64)
     bad_unit[0] = 1  # E_00 alone is not a two-sided identity
     with pytest.raises(AlgebraError) as exc:
-        validate_algebra(F2, A.c, bad_unit)
+        StructureAlgebra(F2, A.c, bad_unit, check=True)
     assert any("identity" in d for d in exc.value.diagnostics)
 
 
@@ -214,3 +216,21 @@ def test_mul_rows_batches_match_scalar_products():
     batch = A.mul_rows(X, Y)
     for i in range(10):
         assert np.array_equal(batch[i], A.mul(X[i], Y[i]))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, GF(3, 2)], ids=str)
+def test_corner_basis_matches_product_loop(F):
+    rng = np.random.default_rng(13)
+    for A in (upper_triangular_algebra(F, 3),
+              tensor_algebra(matrix_algebra(F, 2), truncated_poly_algebra(F, 2))):
+        while True:
+            P = rng.integers(0, F.q, size=(A.dim, A.dim)).astype(np.int64)
+            if linalg.is_invertible(F, P):
+                break
+        B = basis_change(A, P)
+        e_00 = linalg.solve_left(F, P, linalg.basis_vector(A.dim, 0))
+        pairs = [(B.unit, B.unit), (e_00, e_00), (e_00, B.unit)]
+        pairs += [tuple(rng.integers(0, F.q, size=(2, B.dim)).astype(np.int64)) for _ in range(4)]
+        for e, f in pairs:
+            assert np.array_equal(corner_basis(B, e, f), corner_loop(B, e, f))
+

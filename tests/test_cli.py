@@ -273,3 +273,45 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: out of memory")
+
+
+def _absolute_refs(text):
+    """The same description with every file reference pointing into the corpus."""
+    out = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0] in ("algebra", "level", "module"):
+            parts[-1] = corpus.path(parts[-1])
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+COUNT_LINES = [
+    ("radical", "f2.alg", "dim 1"),
+    ("decompose-module", "dual2_reg.mod", "dim 2"),
+    ("classify-tower", "blocks2.twr", "levels 3"),
+    ("matmul", "shift_f2.mat", "window 6"),
+    ("split-limit", "chain6.sys", "modules 6"),
+]
+
+
+@pytest.mark.parametrize("verb,name,line", COUNT_LINES,
+                         ids=[f"{n}:{l.split()[0]}" for _, n, l in COUNT_LINES])
+@pytest.mark.parametrize("form", ["bare", "two-values"])
+def test_count_line_needs_one_integer(capsys, tmp_path, verb, name, line, form):
+    keyword = line.split()[0]
+    bad = keyword if form == "bare" else f"{line} 1"
+    text = _absolute_refs(corpus.read(name))
+    assert f"\n{line}\n" in text
+    p = tmp_path / name
+    p.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    inputs = [str(p)] * (2 if verb == "matmul" else 1)
+    rc = cli.main([verb, *inputs])
+    assert rc == 2
+    assert f"{keyword} line takes one integer" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(capsys):
+    first = cli._build_parser()
+    assert run(capsys, "radical", corpus.path("f2x3.alg"))[0] == 0
+    assert cli._build_parser() is first

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from topring import linalg
 from topring.fields import GF
 
-from oracles import naive_rank
+from oracles import blowup, naive_rank, quotient_maps_loop
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2)]
+SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
 
 
 def random_matrix(F, rng, m, n):
@@ -77,17 +78,6 @@ def test_solve_and_inverse():
             assert linalg.rank(F, A) < n
 
 
-def test_rref_solve_reports_inconsistent_columns():
-    F = GF(2)
-    A = np.array([[1, 0], [1, 0], [0, 0]], dtype=np.int64)
-    B = np.array([[1, 1], [1, 0], [0, 0]], dtype=np.int64)
-    rk, kernel, sols, bad = linalg.rref_solve(F, A, B)
-    assert rk == 1
-    assert kernel.shape[0] == 1
-    assert bad == [1]
-    assert np.array_equal(linalg.matmul(F, A, sols[:, :1]), B[:, :1])
-
-
 def test_intersect_and_sum_row_spaces():
     F = GF(2)
     A = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
@@ -106,3 +96,32 @@ def test_enumerate_row_space():
     pts = linalg.enumerate_row_space(F, basis)
     assert pts.shape == (9, 2)
     assert len({tuple(r) for r in pts.tolist()}) == 9
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=str)
+def test_quotient_maps_match_pivot_loop(F):
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        basis = random_matrix(F, rng, int(rng.integers(0, n + 1)), n)
+        proj, section = linalg.quotient_maps(F, basis, n)
+        want_proj, want_section = quotient_maps_loop(F, basis, n)
+        assert np.array_equal(proj, want_proj)
+        assert np.array_equal(section, want_section)
+        m = n - naive_rank(F, basis)
+        assert proj.shape == (n, m)
+        assert np.array_equal(linalg.matmul(F, section, proj), np.eye(m, dtype=np.int64))
+        assert not linalg.matmul(F, basis, proj).any()
+        assert linalg.rank(F, proj) == m
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS + [GF(2, 3)], ids=str)
+def test_prime_restriction_transposed_is_the_column_blowup(F):
+    # the radical restricts column-convention representation matrices
+    # to the prime field as prime_restriction(F, M.T).T
+    rng = np.random.default_rng(47)
+    for m in range(5):
+        for _ in range(4):
+            M = random_matrix(F, rng, m, m)
+            assert np.array_equal(linalg.prime_restriction(F, M.T).T, blowup(F, M))
+

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import endo_structure_full
+from oracles import endo_structure_full, sampled_isomorphism
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
@@ -35,7 +35,6 @@ from topring.modules import (
     indecomposability_check,
     intersection_of_maximals,
     local_T_nilpotency_check,
-    modules_isomorphic,
     noniso_witness_search,
     perfect_decomposition_verdict,
     quotient_module,
@@ -302,7 +301,7 @@ def test_two_nonisomorphic_summands_over_dual_numbers():
     assert sorted(n.dim for n in cert.summands) == [1, 2]
     assert sorted(len(c) for c in cert.classes) == [1, 1]
     a, b = cert.summands
-    assert not modules_isomorphic(a, b)
+    assert find_isomorphism(a, b) is None
 
 
 def test_square_of_simple_matches_into_one_class():
@@ -386,6 +385,48 @@ def test_krull_schmidt_two_seeds_match(seed):
         assert hit is not None
         unmatched.remove(hit)
     assert not unmatched
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_find_isomorphism_agrees_with_sampled_search(seed):
+    cert = decompose_indecomposable(random_module(seed))
+    for a in cert.summands:
+        for b in cert.summands:
+            # small enough for the sampled search to enumerate, so its
+            # None is a proof as well
+            assert a.algebra.field.q ** hom_space(a, b).shape[0] <= 4096
+            assert (find_isomorphism(a, b) is None) == (sampled_isomorphism(a, b) is None)
+
+
+def test_find_isomorphism_beyond_enumeration_bound():
+    # Hom between 13-dimensional modules over F2[x]/(x^13) has 2^13
+    # elements, more than an enumeration bound of 4096
+    R = truncated_poly_algebra(F2, 13)
+    M = right_regular_module(R)
+    rng = np.random.default_rng(13)
+    while True:
+        P = rng.integers(0, 2, size=(13, 13)).astype(np.int64)
+        if linalg.is_invertible(F2, P):
+            break
+    Pinv = linalg.inverse(F2, P)
+    # v -> v @ P carries M onto N
+    N = FiniteModule(R, np.stack([linalg.matmul(F2, linalg.matmul(F2, Pinv, a), P)
+                                  for a in M.action]))
+    assert hom_space(M, N).shape[0] == 13
+    Phi = find_isomorphism(M, N)
+    assert Phi is not None and linalg.is_invertible(F2, Phi)
+    for a, b in zip(M.action, N.action):
+        assert np.array_equal(linalg.matmul(F2, a, Phi), linalg.matmul(F2, Phi, b))
+    assert sampled_isomorphism(M, N) is not None
+    # R/x^12 + R/x has the same dimension, and Hom to or from it has as
+    # many elements
+    parts = [quotient_module(M, cyclic_submodule(M, linalg.basis_vector(13, k)))[0]
+             for k in (12, 1)]
+    S, _, _ = direct_sum(parts)
+    assert S.dim == 13
+    assert hom_space(M, S).shape[0] == hom_space(S, M).shape[0] == 13
+    assert find_isomorphism(M, S) is None
+    assert find_isomorphism(S, M) is None
 
 
 # ---------------------------------------------------------------------------

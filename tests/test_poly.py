@@ -100,10 +100,3 @@ def test_gcd_and_divmod_agree_with_evaluation():
                 ]
             )
             assert lhs == rhs
-
-
-def test_poly_str():
-    F = GF(2)
-    assert poly.poly_str(F, P(1, 1, 1)) == "x^2+x+1"
-    assert poly.poly_str(F, P(0, 1)) == "x"
-    assert poly.poly_str(F, P()) == "0"
