@@ -82,6 +82,11 @@ class StructureAlgebra:
         left = F.contract("mi,ijk->mjk", X, self.c)
         return F.contract("mj,mjk->mk", Y, left)
 
+    def mul_pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """All products x * y of two stacks, shape (|X|, |Y|, n), x-major."""
+        F = self.field
+        return F.contract("vj,hjk->hvk", Y, F.contract("hi,ijk->hjk", X, self.c))
+
     def lmul_matrix(self, x: np.ndarray) -> np.ndarray:
         """L with x * y == y @ L for every row y."""
         return self.field.contract("i,ijk->jk", x, self.c)
@@ -230,11 +235,8 @@ def subalgebra_closure(A: StructureAlgebra, rows: np.ndarray) -> np.ndarray:
     while True:
         if basis.shape[0] == 0:
             return basis
-        prods = []
-        for x in basis:
-            for y in basis:
-                prods.append(A.mul(x, y))
-        new = linalg.row_space_basis(F, np.vstack([basis] + [np.vstack(prods)]))
+        prods = A.mul_pairs(basis, basis).reshape(-1, A.dim)
+        new = linalg.row_space_basis(F, np.vstack([basis, prods]))
         if new.shape[0] == basis.shape[0]:
             return new
         basis = new
@@ -249,7 +251,8 @@ class SubspaceIdeal:
     """A subspace of an algebra flagged as a left / right / two-sided ideal.
 
     The basis is canonical (RREF), so two ideals of the same algebra are
-    equal iff their basis arrays are equal.
+    equal iff their basis arrays are equal; pivots are its pivot columns,
+    against which membership is one residual.
     """
 
     def __init__(self, algebra: StructureAlgebra, basis: np.ndarray, side: str = "two",
@@ -257,7 +260,8 @@ class SubspaceIdeal:
         if side not in ("left", "right", "two"):
             raise ValueError(f"bad side {side!r}")
         self.algebra = algebra
-        self.basis = linalg.row_space_basis(algebra.field, np.asarray(basis, dtype=np.int64).reshape(-1, algebra.dim))
+        self.basis, self.pivots = linalg.rref(
+            algebra.field, np.asarray(basis, dtype=np.int64).reshape(-1, algebra.dim))
         self.side = side
         if check:
             bad = self._closure_failures()
@@ -265,29 +269,27 @@ class SubspaceIdeal:
                 raise AlgebraError(f"subspace is not a {side} ideal", bad)
 
     def _closure_failures(self) -> list[str]:
-        A = self.algebra
-        F = A.field
-        bad = []
-        for r, h in enumerate(self.basis):
-            for j in range(A.dim):
-                ej = linalg.basis_vector(A.dim, j)
-                if self.side in ("right", "two"):
-                    if not linalg.in_row_space(F, self.basis, A.mul(h, ej)):
-                        bad.append(f"h_{r} * e_{j} escapes")
-                if self.side in ("left", "two"):
-                    if not linalg.in_row_space(F, self.basis, A.mul(ej, h)):
-                        bad.append(f"e_{j} * h_{r} escapes")
-        return bad
+        prods, names = _side_products(self.algebra, self.basis, self.side)
+        outside = ~self.member_rows(prods)
+        return [names[s].format(r=r, j=j)
+                for r, j, s in np.argwhere(outside.reshape(prods.shape[:3]))]
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    def member_rows(self, V: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows of V (any stack of elements, read as
+        rows) that lie in the subspace."""
+        V = np.asarray(V, dtype=np.int64).reshape(-1, self.algebra.dim)
+        return ~linalg.residual(self.algebra.field, self.basis, self.pivots, V).any(axis=1)
+
     def contains(self, v: np.ndarray) -> bool:
-        return linalg.in_row_space(self.algebra.field, self.basis, np.asarray(v))
+        """Whether v lies in the subspace; a 2-d v asks it of every row."""
+        return bool(self.member_rows(v).all())
 
     def contains_ideal(self, other: "SubspaceIdeal") -> bool:
-        return all(self.contains(h) for h in other.basis)
+        return self.contains(other.basis)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -302,10 +304,8 @@ class SubspaceIdeal:
     def product_with(self, other: "SubspaceIdeal") -> np.ndarray:
         """Canonical basis of span{h * k : h in self, k in other}."""
         A = self.algebra
-        prods = [A.mul(h, k) for h in self.basis for k in other.basis]
-        if not prods:
-            return np.zeros((0, A.dim), dtype=np.int64)
-        return linalg.row_space_basis(A.field, np.vstack(prods))
+        prods = A.mul_pairs(self.basis, other.basis).reshape(-1, A.dim)
+        return linalg.row_space_basis(A.field, prods)
 
     def nilpotency_index(self, cap: int | None = None) -> int:
         """Smallest k with I^k = 0; raises AlgebraError if not nilpotent."""
@@ -316,8 +316,7 @@ class SubspaceIdeal:
         while cur.shape[0]:
             if k > cap:
                 raise AlgebraError("ideal is not nilpotent within the dimension bound")
-            prods = [A.mul(h, v) for h in self.basis for v in cur]
-            cur = linalg.row_space_basis(A.field, np.vstack(prods)) if prods else cur[:0]
+            cur = linalg.row_space_basis(A.field, A.mul_pairs(self.basis, cur).reshape(-1, A.dim))
             k += 1
         return k
 
@@ -335,23 +334,35 @@ class SubspaceIdeal:
         return f"SubspaceIdeal(dim={self.dim}, side={self.side})"
 
 
+def _side_products(A: StructureAlgebra, basis: np.ndarray, side: str):
+    """Products of the basis rows h_r with the basis vectors e_j on the
+    sides an ideal of the given side absorbs.
+
+    Returns:
+        (prods, names): prods[r, j, s] is h_r * e_j or e_j * h_r, right
+        products first when both are present; names[s] formats a failure
+        message for slot s from r and j.
+    """
+    F = A.field
+    prods, names = [], []
+    if side in ("right", "two"):
+        prods.append(F.contract("ri,ijk->rjk", basis, A.c))
+        names.append("h_{r} * e_{j} escapes")
+    if side in ("left", "two"):
+        prods.append(F.contract("ri,jik->rjk", basis, A.c))
+        names.append("e_{j} * h_{r} escapes")
+    return np.stack(prods, axis=2), names
+
+
 def ideal_from_generators(A: StructureAlgebra, gens: np.ndarray, side: str = "two") -> SubspaceIdeal:
     """Smallest ideal of the given side containing the generator rows."""
     F = A.field
     basis = linalg.row_space_basis(F, np.asarray(gens, dtype=np.int64).reshape(-1, A.dim))
     while True:
-        rows = [basis] if basis.shape[0] else []
-        add_rows = []
-        for h in basis:
-            for j in range(A.dim):
-                ej = linalg.basis_vector(A.dim, j)
-                if side in ("right", "two"):
-                    add_rows.append(A.mul(h, ej))
-                if side in ("left", "two"):
-                    add_rows.append(A.mul(ej, h))
-        if not add_rows:
+        if basis.shape[0] == 0:
             return SubspaceIdeal(A, basis, side=side, check=False)
-        new = linalg.row_space_basis(F, np.vstack(rows + [np.vstack(add_rows)]))
+        prods = _side_products(A, basis, side)[0].reshape(-1, A.dim)
+        new = linalg.row_space_basis(F, np.vstack([basis, prods]))
         if new.shape[0] == basis.shape[0]:
             return SubspaceIdeal(A, new, side=side, check=True)
         basis = new
@@ -377,26 +388,20 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
     if I.side != "two":
         raise AlgebraError("quotient needs a two-sided ideal")
     F = A.field
-    n = A.dim
-    proj, section = linalg.quotient_maps(F, I.basis, n)
-    m = section.shape[0]
-    cq = np.zeros((m, m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            cq[a, b] = linalg.matvec(F, A.mul(section[a], section[b]), proj)
+    proj, section = linalg.quotient_maps(F, I.basis, A.dim)
+    cq = F.contract("abk,kc->abc", A.mul_pairs(section, section), proj)
     unit_q = linalg.matvec(F, A.unit, proj)
     Q = StructureAlgebra(F, cq, unit_q, check=True)
     # surjective unital homomorphism with kernel exactly I, verified
     if I.dim and np.any(linalg.matmul(F, I.basis, proj)):
         raise AlgebraError("projection does not kill the ideal")
-    for i in range(n):
-        for j in range(n):
-            ei, ej = linalg.basis_vector(n, i), linalg.basis_vector(n, j)
-            lhs = linalg.matvec(F, A.mul(ei, ej), proj)
-            rhs = Q.mul(linalg.matvec(F, ei, proj), linalg.matvec(F, ej, proj))
-            if not np.array_equal(lhs, rhs):
-                raise AlgebraError(f"projection not multiplicative at ({i},{j})")
-    if linalg.rank(F, proj) != m:
+    # row i of proj is the class of e_i
+    lhs = F.contract("ijk,kl->ijl", A.c, proj)
+    bad = np.argwhere((lhs != Q.mul_pairs(proj, proj)).any(axis=2))
+    if bad.size:
+        i, j = bad[0]
+        raise AlgebraError(f"projection not multiplicative at ({i},{j})")
+    if linalg.rank(F, proj) != section.shape[0]:
         raise AlgebraError("projection is not surjective")
     return Q, proj, section
 
@@ -476,11 +481,9 @@ def radical(A: StructureAlgebra, verify_quotient: bool = True) -> SubspaceIdeal:
         # F_q-stability: multiplying by the field generator stays inside
         if d > 1:
             omega = p
-            for v in vecs:
-                w = linalg.scale(F, omega, v)
-                wdig = F.DIGITS[w].reshape(-1)
-                if not linalg.in_row_space(Fp, J, wdig):
-                    raise AssertionError("radical candidate is not F_q-stable")
+            wdig = F.DIGITS[linalg.scale(F, omega, vecs)].reshape(vecs.shape[0], -1)
+            if not linalg.in_row_space(Fp, J, wdig):
+                raise AssertionError("radical candidate is not F_q-stable")
         rad = SubspaceIdeal(A, linalg.row_space_basis(F, vecs), side="two", check=True)
     rad.nilpotency_index()
     if verify_quotient and not rad.is_zero():
@@ -503,10 +506,10 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
         raise ValueError("brute-force radical oracle capped at 4096 elements")
     n = A.dim
     members = []
-    invertibility_cache: dict[int, bool] = {}
+    invertibility_cache: dict[bytes, bool] = {}
 
     def one_minus_invertible(z: np.ndarray) -> bool:
-        key = A.encode(z)
+        key = z.tobytes()
         hit = invertibility_cache.get(key)
         if hit is None:
             u = linalg.sub(F, A.unit, z)
@@ -568,12 +571,13 @@ def check_complete_orthogonal(A: StructureAlgebra, rows: np.ndarray) -> None:
     orthogonal, and sum to 1."""
     F = A.field
     total = np.zeros(A.dim, dtype=np.int64)
+    prods = A.mul_pairs(rows, rows)
     for i in range(rows.shape[0]):
-        if not A.is_idempotent(rows[i]):
+        if not np.array_equal(prods[i, i], rows[i]):
             raise AssertionError(f"member {i} is not idempotent")
         total = linalg.add(F, total, rows[i])
         for j in range(rows.shape[0]):
-            if i != j and A.mul(rows[i], rows[j]).any():
+            if i != j and prods[i, j].any():
                 raise AssertionError(f"members {i} and {j} are not orthogonal")
     if not np.array_equal(total, A.unit):
         raise AssertionError("family does not sum to 1")
@@ -689,10 +693,6 @@ def product_algebra(A: StructureAlgebra, B: StructureAlgebra) -> StructureAlgebr
     return StructureAlgebra(A.field, c, unit, check=False)
 
 
-def opposite_algebra(A: StructureAlgebra) -> StructureAlgebra:
-    return StructureAlgebra(A.field, np.swapaxes(A.c, 0, 1), A.unit, check=False)
-
-
 def tensor_algebra(A: StructureAlgebra, B: StructureAlgebra) -> StructureAlgebra:
     """Tensor product over the base field; basis pair (i, j) has index
     i * B.dim + j.  Matrix algebras over commutative coefficient algebras
@@ -715,11 +715,7 @@ def basis_change(A: StructureAlgebra, P: np.ndarray) -> StructureAlgebra:
     Pinv = linalg.inverse(F, P)
     if Pinv is None:
         raise ValueError("basis change must be invertible")
-    n = A.dim
-    c = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            c[i, j] = linalg.matvec(F, A.mul(P[i], P[j]), Pinv)
+    c = F.contract("ijk,kl->ijl", A.mul_pairs(P, P), Pinv)
     unit = linalg.matvec(F, A.unit, Pinv)
     return StructureAlgebra(F, c, unit, check=False)
 

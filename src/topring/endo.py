@@ -43,6 +43,7 @@ from topring.modules import (
     FiniteModule,
     ModuleFamily,
     composition_length,
+    cyclic_submodule,
     direct_sum,
     endo_algebra,
     hom_space,
@@ -646,14 +647,6 @@ class SigmaCoperfectResult:
     detail: str = ""
 
 
-def _orbit_basis(Mod: FiniteModule, v: np.ndarray) -> np.ndarray:
-    """Canonical basis of the cyclic submodule generated by v."""
-    F = Mod.algebra.field
-    eff = Mod.eff_basis()
-    rows = F.contract("j,ijk->ik", v, eff)
-    return linalg.row_space_basis(F, rows)
-
-
 def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random,
                          cand_cap: int = 48):
     """Greedy strictly descending chain of cyclic submodules, ending at 0.
@@ -686,7 +679,7 @@ def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random,
     while len(gens) <= depth + 1:
         best = None
         for v in candidates(space):
-            b = _orbit_basis(Mod, v)
+            b = cyclic_submodule(Mod, v)
             if b.shape[0] == 0 or b.shape[0] >= limit:
                 continue
             if best is None or b.shape[0] > best[1].shape[0]:
@@ -706,17 +699,16 @@ def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random,
 def _verify_chain(Mod: FiniteModule, gens, bases) -> None:
     F = Mod.algebra.field
     for t in range(len(bases)):
-        expected = _orbit_basis(Mod, gens[t])
+        expected = cyclic_submodule(Mod, gens[t])
         if not np.array_equal(expected, bases[t]):
             raise InternalInconsistencyError(f"chain member {t} is not the cyclic "
                                              "submodule of its generator")
         if t > 0:
             if bases[t].shape[0] >= bases[t - 1].shape[0]:
                 raise InternalInconsistencyError(f"chain does not descend at step {t}")
-            for row in bases[t]:
-                if not linalg.in_row_space(F, bases[t - 1], row):
-                    raise InternalInconsistencyError(f"chain member {t} escapes its "
-                                                     "predecessor")
+            if not linalg.in_row_space(F, bases[t - 1], bases[t]):
+                raise InternalInconsistencyError(f"chain member {t} escapes its "
+                                                 "predecessor")
 
 
 def _resolve_sigma_target(target):
@@ -803,15 +795,14 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
         for z in range(k):
             big[z * ME.dim: (z + 1) * ME.dim, z * ME2.dim: (z + 1) * ME2.dim] = embed
         gens2 = [linalg.matvec(F, g, big) for g in gens]
-        bases2 = [_orbit_basis(Mod2, g) for g in gens2]
+        bases2 = [cyclic_submodule(Mod2, g) for g in gens2]
         for t in range(1, len(bases2)):
             if bases2[t].shape[0] >= bases2[t - 1].shape[0]:
                 raise InternalInconsistencyError(
                     f"witness chain collapsed at step {t} under refinement")
-            for row in bases2[t]:
-                if not linalg.in_row_space(F, bases2[t - 1], row):
-                    raise InternalInconsistencyError(
-                        f"witness chain member {t} escapes under refinement")
+            if not linalg.in_row_space(F, bases2[t - 1], bases2[t]):
+                raise InternalInconsistencyError(
+                    f"witness chain member {t} escapes under refinement")
         refinement_verified = True
 
     return SigmaCoperfectResult(

@@ -95,11 +95,14 @@ def orthogonalize(
         raise ValueError(f"bad side {side!r}")
     F = A.field
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
-    for z in range(rows.shape[0]):
-        if not A.is_idempotent(rows[z]):
+    k = rows.shape[0]
+    prods = A.mul_pairs(rows, rows)
+    in_H = H.member_rows(prods).reshape(k, k)
+    for z in range(k):
+        if not np.array_equal(prods[z, z], rows[z]):
             raise AlgebraError(f"input {z} is not idempotent")
-        for w in range(z + 1, rows.shape[0]):
-            if not H.contains(A.mul(rows[w], rows[z])):
+        for w in range(z + 1, k):
+            if not in_H[w, z]:
                 raise AlgebraError(f"half-orthogonality fails at pair ({w}, {z})")
     u = F.fsum(rows, axis=0) if rows.shape[0] else np.zeros(A.dim, dtype=np.int64)
     if H.contains(linalg.sub(F, u, A.unit)):
@@ -109,9 +112,9 @@ def orthogonalize(
         if u_inv is None:
             raise AlgebraError("sum of the family is not invertible")
     if side == "left":
-        out = np.vstack([A.mul(u_inv, e) for e in rows]) if rows.shape[0] else rows
+        out = A.mul_pairs(u_inv[None, :], rows)[0]
     else:
-        out = np.vstack([A.mul(e, u_inv) for e in rows]) if rows.shape[0] else rows
+        out = A.mul_pairs(rows, u_inv[None, :])[:, 0]
     check_complete_orthogonal(A, out)
     return IdempotentFamily(algebra=A, rows=out, u=u, u_inv=u_inv, side=side)
 
@@ -127,17 +130,20 @@ def lift_orthogonal_family(
     e_z inside A*f_z ("left") or f_z*A ("right")."""
     F = A.field
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
-    for z in range(rows.shape[0]):
-        for w in range(rows.shape[0]):
-            if z != w and not H.contains(A.mul(rows[w], rows[z])):
+    k = rows.shape[0]
+    in_H = H.member_rows(A.mul_pairs(rows, rows)).reshape(k, k)
+    for z in range(k):
+        for w in range(k):
+            if z != w and not in_H[w, z]:
                 raise AlgebraError(f"pairwise product ({w}, {z}) is not in H")
     total = F.fsum(rows, axis=0) if rows.shape[0] else np.zeros(A.dim, dtype=np.int64)
     if not H.contains(linalg.sub(F, total, A.unit)):
         raise AlgebraError("family sum is not in 1 + H")
     singles = np.vstack([lift_idempotent(A, f, H) for f in rows]) if rows.shape[0] else rows
     fam = orthogonalize(A, singles, H, side=side)
-    for z in range(rows.shape[0]):
-        if not H.contains(linalg.sub(F, fam.rows[z], rows[z])):
+    congruent = H.member_rows(linalg.sub(F, fam.rows, rows))
+    for z in range(k):
+        if not congruent[z]:
             raise AssertionError(f"lifted member {z} is not congruent to its input")
         anchor = rows[z]
         span = A.rmul_matrix(anchor) if side == "left" else A.lmul_matrix(anchor)

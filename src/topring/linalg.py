@@ -99,13 +99,24 @@ def row_space_basis(F: FiniteField, M: np.ndarray) -> np.ndarray:
     return rref(F, M)[0]
 
 
-def in_row_space(F: FiniteField, basis: np.ndarray, v: np.ndarray) -> bool:
-    """Membership test; basis need not be reduced."""
-    basis = np.asarray(basis, dtype=np.int64)
-    if basis.shape[0] == 0:
-        return not np.any(v)
-    stacked = np.vstack([basis, np.asarray(v, dtype=np.int64)[None, :]])
-    return rank(F, stacked) == rank(F, basis)
+def residual(F: FiniteField, R: np.ndarray, pivots: list[int], V: np.ndarray) -> np.ndarray:
+    """V - V[:, pivots] @ R, row by row, for an RREF basis R with its pivot
+    columns (as rref returns them).
+
+    Row i is zero exactly when V[i] lies in the row space of R: a member is
+    the combination of the rows of R with its own pivot entries as
+    coefficients, because R is the identity on its pivot columns."""
+    V = np.asarray(V, dtype=np.int64)
+    if not pivots:
+        return V.copy()
+    return sub(F, V, matmul(F, V[:, pivots], R))
+
+
+def in_row_space(F: FiniteField, basis: np.ndarray, V: np.ndarray) -> bool:
+    """Membership test; basis need not be reduced.  A 2-d V asks whether
+    every one of its rows lies in the span."""
+    R, pivots = rref(F, basis)
+    return not residual(F, R, pivots, np.atleast_2d(V)).any()
 
 
 def right_null_basis(F: FiniteField, M: np.ndarray) -> np.ndarray:

@@ -213,14 +213,6 @@ def elementary_matrix(base: StructureAlgebra, y_kind: str, window: int,
     return m
 
 
-def scalar_matrix(base: StructureAlgebra, y_kind: str, window: int,
-                  value: np.ndarray) -> WindowedMatrix:
-    m = zero_matrix(base, y_kind, window)
-    for x in range(window):
-        m.entries[x, x] = np.asarray(value, dtype=np.int64)
-    return m
-
-
 def shift_matrix(base: StructureAlgebra, window: int) -> WindowedMatrix:
     """The upper shift over the naturals: unit entries at (y, y+1).
 
@@ -252,29 +244,6 @@ def transpose(m: WindowedMatrix) -> WindowedMatrix:
     if any(m.extras[x] for x in range(m.window)) or not m.is_exact():
         raise WindowError("transpose needs an exact, fully windowed matrix")
     return windowed(m.base, m.y_kind, np.swapaxes(m.entries, 0, 1), check=False)
-
-
-def mat_add(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
-    """Entrywise sum; both matrices must share one window."""
-    _check_compatible(a, b)
-    if a.window != b.window:
-        raise WindowError("sums need matching windows")
-    F = a.base.field
-    W = a.window
-    ent = F.ADD[a.entries, b.entries]
-    extras: list[list[tuple[int, np.ndarray]]] = []
-    tails: list[np.ndarray] = []
-    precisions: list[np.ndarray] = []
-    for x in range(W):
-        merged: dict[int, np.ndarray] = {}
-        for src in (a, b):
-            for c, v in src.extras[x]:
-                cur = merged.get(c, np.zeros(a.base.dim, dtype=np.int64))
-                merged[c] = F.ADD[cur, v]
-        extras.append([(c, merged[c]) for c in sorted(merged) if np.any(merged[c])])
-        tails.append(linalg.sum_row_spaces(F, a.tails[x], b.tails[x]))
-        precisions.append(linalg.sum_row_spaces(F, a.precisions[x], b.precisions[x]))
-    return windowed(a.base, a.y_kind, ent, extras, tails, precisions, check=False)
 
 
 def _same_base(A: StructureAlgebra, B: StructureAlgebra) -> bool:
@@ -419,22 +388,19 @@ def ideal_member(m: WindowedMatrix, K: OpenMatrixIdeal) -> MatrixMembership:
         if x >= m.window:
             undecided.append(f"row {x} outside window {m.window}")
             continue
-        decisive = all(I.contains(p) for p in m.precisions[x])
-        for z in range(m.window):
-            if not I.contains(m.entries[x, z]):
+        decisive = I.contains(m.precisions[x])
+        # window entries, then extra columns, tested as one stack
+        cols = list(range(m.window)) + [c for c, _ in m.extras[x]]
+        known = np.vstack([m.entries[x]] + [v for _, v in m.extras[x]])
+        for col, ok in zip(cols, I.member_rows(known)):
+            if not ok:
                 if decisive:
                     return MatrixMembership(
-                        "NOT_MEMBER", m.window, f"entry ({x}, {z}) outside the ideal")
-                undecided.append(f"entry ({x}, {z}) uncertain beyond precision")
-        for c, v in m.extras[x]:
-            if not I.contains(v):
-                if decisive:
-                    return MatrixMembership(
-                        "NOT_MEMBER", m.window, f"entry ({x}, {c}) outside the ideal")
-                undecided.append(f"entry ({x}, {c}) uncertain beyond precision")
+                        "NOT_MEMBER", m.window, f"entry ({x}, {col}) outside the ideal")
+                undecided.append(f"entry ({x}, {col}) uncertain beyond precision")
         if not decisive:
             undecided.append(f"row {x} known only modulo a larger ideal")
-        if not all(I.contains(t) for t in m.tails[x]):
+        if not I.contains(m.tails[x]):
             undecided.append(f"row {x} tail not contained in the ideal")
     if undecided:
         return MatrixMembership("UNDECIDED", m.window, "; ".join(undecided[:4]))

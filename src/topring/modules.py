@@ -203,9 +203,12 @@ def direct_sum(modules: list[FiniteModule]):
 def cyclic_submodule(M: FiniteModule, v: np.ndarray) -> np.ndarray:
     """Canonical basis of the orbit span v*A (or A*v on the left)."""
     F = M.algebra.field
-    v = np.asarray(v, dtype=np.int64)
-    rows = [M.apply(v, linalg.basis_vector(M.algebra.dim, i)) for i in range(M.algebra.dim)]
-    return linalg.row_space_basis(F, np.vstack(rows))
+    return linalg.row_space_basis(F, F.contract("j,ijk->ik", v, M.eff_basis()))
+
+
+def _eff_stack(M: FiniteModule, X: np.ndarray) -> np.ndarray:
+    """The matrices M.eff(x) of the rows x of X, shape (|X|, dim, dim)."""
+    return M.algebra.field.contract("hi,ijk->hjk", X, M.eff_basis())
 
 
 def radical_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None) -> np.ndarray:
@@ -218,10 +221,7 @@ def radical_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None) -> np.n
     F = M.algebra.field
     if rad is None:
         rad = radical(M.algebra)
-    if rad.dim == 0:
-        return np.zeros((0, M.dim), dtype=np.int64)
-    rows = [M.eff(h) for h in rad.basis]
-    return linalg.row_space_basis(F, np.vstack(rows))
+    return linalg.row_space_basis(F, _eff_stack(M, rad.basis).reshape(rad.dim * M.dim, M.dim))
 
 
 def top_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None):
@@ -233,13 +233,12 @@ def radical_series(M: FiniteModule) -> list[np.ndarray]:
     """Bases of M >= M*H >= M*H^2 >= ... down to 0 (strictly descending)."""
     F = M.algebra.field
     rad = radical(M.algebra)
+    effs = _eff_stack(M, rad.basis)
     series = [np.eye(M.dim, dtype=np.int64)]
     current = series[0]
     while current.shape[0]:
-        rows = []
-        for h in rad.basis:
-            rows.append(linalg.matmul(F, current, M.eff(h)))
-        nxt = linalg.row_space_basis(F, np.vstack(rows)) if rows else current[:0]
+        rows = F.contract("rj,hjk->hrk", current, effs).reshape(-1, M.dim)
+        nxt = linalg.row_space_basis(F, rows)
         if nxt.shape[0] == current.shape[0]:
             raise AssertionError("radical series stalled; algebra radical is not nil")
         series.append(nxt)
@@ -277,13 +276,15 @@ def all_submodules(M: FiniteModule, cap: int = 4096) -> list[np.ndarray]:
 
 def maximal_submodules(M: FiniteModule) -> list[np.ndarray]:
     # proper submodules contained in no larger proper submodule
+    F = M.algebra.field
     subs = [b for b in all_submodules(M) if b.shape[0] < M.dim]
+    # the bases are canonical, so rref only reads off their pivots
+    reduced = [linalg.rref(F, o) for o in subs]
     out = []
     for b in subs:
         covered = any(
-            o.shape[0] > b.shape[0]
-            and all(linalg.in_row_space(M.algebra.field, o, r) for r in b)
-            for o in subs
+            o.shape[0] > b.shape[0] and not linalg.residual(F, o, pivots, b).any()
+            for o, pivots in reduced
         )
         if not covered:
             out.append(b)
@@ -477,12 +478,10 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
             raise AssertionError("summand endomorphism algebra is not local")
         if EN.cardinality() <= 1024:
             idems = 0
-            for x in EN.all_elements():
+            elements = EN.all_elements()
+            for x, in_rad in zip(elements, radN.member_rows(elements)):
                 if EN.is_idempotent(x):
                     idems += 1
-                in_rad = True if not x.any() else (
-                    radN.dim > 0 and linalg.in_row_space(F, radN.basis, x)
-                )
                 if (EN.inverse(x) is not None) == in_rad:
                     raise AssertionError("non-unit set differs from the endo radical")
             if idems != 2:
@@ -654,9 +653,7 @@ def coperfect_witness_search(M: FiniteModule, depth: int = 16) -> CoperfectResul
             return
         current = chain[-1][1]
         for v, b in cyclics:
-            if b.shape[0] < current.shape[0] and all(
-                linalg.in_row_space(F, current, row) for row in b
-            ):
+            if b.shape[0] < current.shape[0] and linalg.in_row_space(F, current, b):
                 extend(chain + [(v, b)])
                 break  # greedy: largest proper cyclic submodule first
 

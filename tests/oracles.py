@@ -4,8 +4,11 @@ Everything here is deliberately naive: scalar-at-a-time loops, no shared
 code paths with topring.linalg beyond the field tables themselves.  Two
 exceptions keep an old library route as the reference for the route that
 replaced it: endo_structure_full (the full-composite structure constants
-of modules.endo_algebra) and sampled_isomorphism (the random search that
-modules.find_isomorphism used before it read the hom basis).
+of modules.endo_algebra), sampled_isomorphism (the random search that
+modules.find_isomorphism used before it read the hom basis), and
+rank_membership, closure_failures_loop and quotient_structure_loop (the
+per-vector membership, ideal-closure and quotient loops that the residual
+against one RREF and the batched products replaced).
 """
 
 from __future__ import annotations
@@ -53,6 +56,46 @@ def naive_rref(F: FiniteField, M) -> tuple[np.ndarray, list[int]]:
         if rank == m:
             break
     return np.array(rows[:rank], dtype=np.int64).reshape(rank, n), pivots
+
+
+def rank_membership(F: FiniteField, basis, v) -> bool:
+    """Whether v lies in the row space of basis: appending it must not
+    raise the rank."""
+    basis = np.asarray(basis, dtype=np.int64).reshape(-1, len(v))
+    if basis.shape[0] == 0:
+        return not np.any(v)
+    return naive_rank(F, np.vstack([basis, np.asarray(v, dtype=np.int64)[None, :]])) == naive_rank(F, basis)
+
+
+def closure_failures_loop(A, basis, side: str) -> list[str]:
+    """Failure messages of an ideal-closure check, one product and one
+    membership test per basis row h_r and basis vector e_j, right product
+    before left."""
+    F = A.field
+    eye = np.eye(A.dim, dtype=np.int64)
+    bad = []
+    for r, h in enumerate(basis):
+        for j in range(A.dim):
+            if side in ("right", "two") and not rank_membership(F, basis, table_mul(F, A.c, h, eye[j])):
+                bad.append(f"h_{r} * e_{j} escapes")
+            if side in ("left", "two") and not rank_membership(F, basis, table_mul(F, A.c, eye[j], h)):
+                bad.append(f"e_{j} * h_{r} escapes")
+    return bad
+
+
+def quotient_structure_loop(A, proj, section) -> np.ndarray:
+    """Structure constants of A/I: the class of section[a] * section[b],
+    one pair and one scalar at a time."""
+    F = A.field
+    m = section.shape[0]
+    cq = np.zeros((m, m, m), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            prod = table_mul(F, A.c, section[a], section[b])
+            for k in range(A.dim):
+                for t in range(m):
+                    cq[a, b, t] = F.ADD[cq[a, b, t], F.MUL[prod[k], proj[k, t]]]
+    return cq
 
 
 def table_mul(F: FiniteField, c, x, y) -> np.ndarray:

@@ -8,6 +8,7 @@ from topring import linalg
 from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
+    SubspaceIdeal,
     basis_change,
     corner_basis,
     cyclic_group_algebra,
@@ -27,7 +28,7 @@ from topring.algebras import (
 )
 from topring.fields import GF
 
-from oracles import corner_loop
+from oracles import closure_failures_loop, corner_loop, quotient_structure_loop, table_mul
 
 F2 = GF(2)
 F3 = GF(3)
@@ -199,15 +200,6 @@ def test_multiplication_matrices_agree(a_code, b_code):
     assert not A.evaluate_poly(A.min_poly(x), x).any()
 
 
-def test_opposite_of_triangular_is_lower():
-    from topring.algebras import opposite_algebra
-
-    T = upper_triangular_algebra(F2, 2)
-    Top = opposite_algebra(T)
-    assert not Top.diagnostics()
-    assert np.array_equal(radical(Top).basis, radical(T).basis)
-
-
 def test_mul_rows_batches_match_scalar_products():
     A = mat2_over_dual_numbers()
     rng = np.random.default_rng(3)
@@ -234,3 +226,61 @@ def test_corner_basis_matches_product_loop(F):
         for e, f in pairs:
             assert np.array_equal(corner_basis(B, e, f), corner_loop(B, e, f))
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3, F4, GF(3, 2)]), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_mul_pairs_matches_table_double_loop(F, h, v, seed):
+    A = upper_triangular_algebra(F, 2) if seed % 2 else tensor_algebra(
+        matrix_algebra(F, 2), truncated_poly_algebra(F, 2))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, F.q, size=(h, A.dim)).astype(np.int64)
+    Y = rng.integers(0, F.q, size=(v, A.dim)).astype(np.int64)
+    got = A.mul_pairs(X, Y)
+    assert got.shape == (h, v, A.dim)
+    for a in range(h):
+        for b in range(v):
+            assert np.array_equal(got[a, b], table_mul(F, A.c, X[a], Y[b]))
+
+
+@pytest.mark.parametrize("A", [upper_triangular_algebra(F2, 2), matrix_algebra(F2, 2),
+                               matrix_algebra(F4, 2)], ids=["T2(F2)", "Mat2(F2)", "Mat2(F4)"])
+def test_closure_failures_match_per_vector_loop(A):
+    rng = np.random.default_rng(71)
+    nonempty = {"left": 0, "right": 0, "two": 0}
+    for _ in range(12):
+        rows = rng.integers(0, A.field.q, size=(int(rng.integers(1, A.dim)), A.dim)).astype(np.int64)
+        for side in nonempty:
+            I = SubspaceIdeal(A, rows, side=side, check=False)
+            want = closure_failures_loop(A, I.basis, side)
+            assert I._closure_failures() == want
+            if want:
+                nonempty[side] += 1
+                with pytest.raises(AlgebraError) as exc:
+                    SubspaceIdeal(A, rows, side=side)
+                assert exc.value.diagnostics == want
+    assert all(nonempty.values())
+
+
+@pytest.mark.parametrize("A", [
+    upper_triangular_algebra(F2, 3),
+    truncated_poly_algebra(F3, 3),
+    upper_triangular_algebra(F4, 2),
+    truncated_poly_algebra(GF(3, 2), 2),
+    mat2_over_dual_numbers(),
+], ids=["T3(F2)", "F3[x]/(x^3)", "T2(F4)", "F9[x]/(x^2)", "Mat2(F2[x]/(x^2))"])
+def test_quotient_structure_matches_pair_loop(A):
+    for I in (radical(A), ideal_from_generators(A, A.unit[None, :] * 0)):
+        Q, proj, section = quotient(A, I)
+        assert np.array_equal(Q.c, quotient_structure_loop(A, proj, section))
+
+
+def test_member_rows_and_stacked_contains():
+    A = upper_triangular_algebra(F2, 2)
+    rad = radical(A)
+    V = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.int64)
+    assert rad.member_rows(V).tolist() == [True, False, True]
+    assert rad.contains(V[[0, 2]]) and not rad.contains(V)
+    assert rad.contains(V[0]) and not rad.contains(V[1])
+    assert rad.contains_ideal(rad) and not rad.contains_ideal(ideal_from_generators(A, A.unit[None, :]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from topring import linalg
 from topring.fields import GF
 
-from oracles import blowup, naive_rank, quotient_maps_loop
+from oracles import blowup, naive_rank, quotient_maps_loop, rank_membership
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2)]
 SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
@@ -125,3 +125,60 @@ def test_prime_restriction_transposed_is_the_column_blowup(F):
             M = random_matrix(F, rng, m, m)
             assert np.array_equal(linalg.prime_restriction(F, M.T).T, blowup(F, M))
 
+
+
+MEMBERSHIP_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
+
+
+@st.composite
+def basis_and_rows(draw):
+    """A field, an n-column basis that may be empty, unreduced or rank
+    deficient (zero and repeated rows, combinations of other rows), and
+    rows to test: zero rows, members of the span and arbitrary rows."""
+    F = draw(st.sampled_from(MEMBERSHIP_FIELDS))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [random_matrix(F, rng, 1, n)[0] for _ in range(draw(st.integers(0, 4)))]
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combo"]), max_size=2)):
+        if kind == "zero" or not rows:
+            rows.append(np.zeros(n, dtype=np.int64))
+        elif kind == "repeat":
+            rows.append(rows[int(rng.integers(len(rows)))].copy())
+        else:
+            rows.append(linalg.matvec(F, random_matrix(F, rng, 1, len(rows))[0], np.vstack(rows)))
+    basis = np.vstack(rows) if rows else np.zeros((0, n), dtype=np.int64)
+    V = [np.zeros(n, dtype=np.int64)]
+    if rows:
+        V += [linalg.matvec(F, random_matrix(F, rng, 1, len(rows))[0], basis) for _ in range(2)]
+    V += [random_matrix(F, rng, 1, n)[0] for _ in range(draw(st.integers(0, 3)))]
+    V = np.vstack(V)
+    return F, basis, V[rng.permutation(V.shape[0])]
+
+
+@given(basis_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_membership_matches_rank_oracle(case):
+    F, basis, V = case
+    want = [rank_membership(F, basis, v) for v in V]
+    assert [linalg.in_row_space(F, basis, v) for v in V] == want
+    assert linalg.in_row_space(F, basis, V) == all(want)
+    for rows in (V[:1], V[:0]):
+        assert linalg.in_row_space(F, basis, rows) == all(want[: rows.shape[0]])
+    R, pivots = linalg.rref(F, basis)
+    res = linalg.residual(F, R, pivots, V)
+    assert res.shape == V.shape
+    assert [not r.any() for r in res] == want
+    # the residual is v minus a member of the span, and vanishes on the pivots
+    for v, r in zip(V, res):
+        assert rank_membership(F, basis, linalg.sub(F, v, r))
+    assert not res[:, pivots].any()
+
+
+def test_membership_of_empty_basis():
+    F = GF(3)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert linalg.in_row_space(F, empty, np.zeros(3, dtype=np.int64))
+    assert linalg.in_row_space(F, empty, np.zeros((2, 3), dtype=np.int64))
+    assert not linalg.in_row_space(F, empty, np.array([[0, 0, 0], [0, 2, 0]]))
+    v = np.array([[1, 2, 0]])
+    assert np.array_equal(linalg.residual(F, empty, [], v), v)

@@ -27,13 +27,11 @@ from topring.matrixtop import (
     ideal_member,
     identity_matrix,
     lower_shift_matrix,
-    mat_add,
     mat_mul,
     mat_unit_element,
     matrix_algebra_over,
     open_matrix_ideal,
     row_family,
-    scalar_matrix,
     shift_matrix,
     transport_contra,
     transport_discrete,
@@ -175,15 +173,6 @@ def test_transpose_round_trip():
     assert transpose(transpose(a)) == a
     with pytest.raises(WindowError):
         transpose(shift_matrix(B2, 4))
-
-
-def test_mat_add_merges_extras():
-    S = shift_matrix(B2, 4)
-    twice = mat_add(S, S)
-    assert twice == zero_matrix(B2, "omega", 4)
-    s_plus_id = mat_add(S, identity_matrix(B2, "omega", 4))
-    assert s_plus_id.extras[3] == [(4, np.array([1]))] or \
-        np.array_equal(s_plus_id.extras[3][0][1], np.array([1]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,3 +576,21 @@ def test_contratensor_random_instances():
 def test_contratensor_needs_right_module():
     with pytest.raises(Exception):
         contratensor(left_regular_module(DUAL), 2)
+
+
+def test_membership_details_name_window_then_extra_columns():
+    # an extra column past the window is named by its own index, after the
+    # window entries of its row
+    K = open_matrix_ideal(DUAL, [1], X_ROW[None, :])
+    m = elementary_matrix(DUAL, "omega", 3, 1, 6)
+    assert ideal_member(m, K).detail == "entry (1, 6) outside the ideal"
+    m.entries[1, 2] = DUAL.unit
+    assert ideal_member(m, K).detail == "entry (1, 2) outside the ideal"
+    none = np.zeros((0, 2), dtype=np.int64)
+    vague = windowed(DUAL, "omega", m.entries, extras=m.extras,
+                     precisions=[none, np.eye(2, dtype=np.int64), none])
+    verdict = ideal_member(vague, K)
+    assert verdict.kind == "UNDECIDED"
+    assert verdict.detail == ("entry (1, 2) uncertain beyond precision; "
+                              "entry (1, 6) uncertain beyond precision; "
+                              "row 1 known only modulo a larger ideal")
