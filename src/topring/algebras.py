@@ -395,15 +395,22 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
     # surjective unital homomorphism with kernel exactly I, verified
     if I.dim and np.any(linalg.matmul(F, I.basis, proj)):
         raise AlgebraError("projection does not kill the ideal")
-    # row i of proj is the class of e_i
-    lhs = F.contract("ijk,kl->ijl", A.c, proj)
-    bad = np.argwhere((lhs != Q.mul_pairs(proj, proj)).any(axis=2))
+    bad = hom_failures(A, Q, proj)
     if bad.size:
         i, j = bad[0]
         raise AlgebraError(f"projection not multiplicative at ({i},{j})")
     if linalg.rank(F, proj) != section.shape[0]:
         raise AlgebraError("projection is not surjective")
     return Q, proj, section
+
+
+def hom_failures(A: StructureAlgebra, B: StructureAlgebra, T: np.ndarray) -> np.ndarray:
+    """The basis pairs (i, j), row-major, at which x -> x @ T from A to B
+    is not multiplicative: (e_i * e_j) @ T != (e_i @ T) * (e_j @ T).
+
+    Row i of T is the image of e_i, and e_i * e_j is A.c[i, j]."""
+    lhs = A.field.contract("ijk,kl->ijl", A.c, T)
+    return np.argwhere((lhs != B.mul_pairs(T, T)).any(axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +514,7 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
     n = A.dim
     members = []
     invertibility_cache: dict[bytes, bool] = {}
+    right_cache: dict[bytes, bool] = {}
 
     def one_minus_invertible(z: np.ndarray) -> bool:
         key = z.tobytes()
@@ -517,18 +525,19 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
             invertibility_cache[key] = hit
         return hit
 
+    def right_multiples_ok(y: np.ndarray) -> bool:
+        """Whether 1 - z is invertible for every z in y*A."""
+        key = y.tobytes()
+        hit = right_cache.get(key)
+        if hit is None:
+            ya_basis = linalg.row_space_basis(F, A.lmul_matrix(y))
+            hit = all(one_minus_invertible(z) for z in linalg.enumerate_row_space(F, ya_basis))
+            right_cache[key] = hit
+        return hit
+
     for x in A.all_elements():
         ax_basis = linalg.row_space_basis(F, A.rmul_matrix(x))
-        ok = True
-        for y in linalg.enumerate_row_space(F, ax_basis):
-            ya_basis = linalg.row_space_basis(F, A.lmul_matrix(y))
-            for z in linalg.enumerate_row_space(F, ya_basis):
-                if not one_minus_invertible(z):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(right_multiples_ok(y) for y in linalg.enumerate_row_space(F, ax_basis)):
             members.append(x)
     basis = linalg.row_space_basis(F, np.vstack(members)) if members else np.zeros((0, n), dtype=np.int64)
     # the member set must be exactly the subspace it spans
@@ -731,18 +740,13 @@ def subalgebra_structure(A: StructureAlgebra, basis: np.ndarray, unit_row: np.nd
     F = A.field
     basis = np.asarray(basis, dtype=np.int64)
     m = basis.shape[0]
-    c = np.zeros((m, m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            prod = A.mul(basis[i], basis[j])
-            sol = linalg.solve_left(F, basis, prod)
-            if sol is None:
-                raise AlgebraError("basis is not multiplicatively closed")
-            c[i, j] = sol
+    c = linalg.solve_left(F, basis, A.mul_pairs(basis, basis).reshape(m * m, A.dim))
+    if c is None:
+        raise AlgebraError("basis is not multiplicatively closed")
     u = linalg.solve_left(F, basis, np.asarray(unit_row, dtype=np.int64))
     if u is None:
         raise AlgebraError("unit is outside the subalgebra")
-    B = StructureAlgebra(F, c, u, check=False)
+    B = StructureAlgebra(F, c.reshape(m, m, m), u, check=False)
     return B, basis
 
 

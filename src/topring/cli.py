@@ -4,9 +4,9 @@ Reports are whitespace-split records between a `report <verb>` header and
 a closing `end`, with a fixed field order per verb and the seed always
 recorded, so the same inputs and flags reproduce the same bytes.  Exit
 codes separate the failure kinds: 2 for files or arguments that do not
-parse, 3 for inputs that parse but fail validation or run out of memory,
-4 for a disagreement between two routes that must agree (a bug, never
-silent).
+parse and for an --out path that cannot be written, 3 for inputs that
+parse but fail validation or run out of memory, 4 for a disagreement
+between two routes that must agree (a bug, never silent).
 """
 
 import argparse
@@ -362,6 +362,14 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("at most two input files")
         handler = _HANDLERS[args.subcommand][0]
         text = handler(args, serialize.Loader()).text()
+        if args.out:
+            # written first, so a path that cannot be written prints no report
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+                return 2
     except serialize.ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -375,9 +383,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 3
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 

@@ -153,14 +153,11 @@ def endo_tower(A: StructureAlgebra, components: list[FiniteModule], N: int | Non
         small = sums[n]
         big_homs = homs_list[n + 1]
         small_flat = homs_list[n].reshape(homs_list[n].shape[0], -1)
-        rows = np.zeros((big_homs.shape[0], homs_list[n].shape[0]), dtype=np.int64)
-        for t in range(big_homs.shape[0]):
-            corner = big_homs[t][: small.dim, : small.dim].reshape(-1)
-            sol = linalg.solve_left(F, small_flat, corner)
-            if sol is None:
-                raise InternalInconsistencyError(
-                    f"restriction of a level {n + 1} endomorphism is not one of level {n}")
-            rows[t] = sol
+        corners = big_homs[:, : small.dim, : small.dim].reshape(big_homs.shape[0], -1)
+        rows = linalg.solve_left(F, small_flat, corners)
+        if rows is None:
+            raise InternalInconsistencyError(
+                f"restriction of a level {n + 1} endomorphism is not one of level {n}")
         if not np.array_equal(linalg.matvec(F, levels[n + 1].unit, rows), levels[n].unit):
             raise InternalInconsistencyError(f"compression at level {n} loses the unit")
         compressions.append(rows)
@@ -277,13 +274,10 @@ def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> Real
             block = linalg.matmul(F, linalg.matmul(F, sect, rmuls[t]), proj)
             op = linalg.add(F, op, embed_block(block, idx, idx))
         rho_ops.append(op)
-    to_endo = np.zeros((R.dim, E.dim), dtype=np.int64)
-    for t in range(R.dim):
-        sol = linalg.solve_left(F, flat_homs, rho_ops[t].reshape(-1))
-        if sol is None:
-            raise InternalInconsistencyError(
-                "a right multiplication is not an endomorphism of the realized module")
-        to_endo[t] = sol
+    to_endo = linalg.solve_left(F, flat_homs, np.stack(rho_ops).reshape(R.dim, V * V))
+    if to_endo is None:
+        raise InternalInconsistencyError(
+            "a right multiplication is not an endomorphism of the realized module")
     if linalg.rank(F, to_endo) != R.dim:
         raise AlgebraError("right multiplications are not linearly independent; "
                            "the base contains too little")
@@ -539,14 +533,12 @@ def _x_height(F, X: np.ndarray, v: np.ndarray) -> int:
     h = 0
     P = np.array(X, dtype=np.int64)
     while True:
-        if linalg.solve_left(F, P, v) is None:
+        if not linalg.in_row_space(F, P, v):
             return h
         h += 1
         P = linalg.matmul(F, P, X)
         if not P.any():
-            if linalg.solve_left(F, P, v) is not None:
-                return h  # v == 0 never reaches here: heights of 0 are infinite
-            return h
+            return h  # X is nilpotent; callers never pass v == 0, whose height is infinite
 
 
 def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:

@@ -138,24 +138,23 @@ def left_null_basis(F: FiniteField, M: np.ndarray) -> np.ndarray:
     return right_null_basis(F, np.asarray(M).T)
 
 
-def solve_right(F: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x (row layout) of A @ x^T = b^T, or None."""
+def solve_left(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """Coordinates X with X @ A == B, or None if a row of B lies outside
+    the row space of A.
+
+    A 2-d B gets one row of coordinates per row, all read off one rref of
+    [A^T | B^T]; a 1-d B gets one row.  Each solution is zero on the free
+    columns, so stacking rows does not change the answer for any of them."""
     A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    aug = np.hstack([A, b.reshape(A.shape[0], 1)])
-    R, pivots = rref(F, aug)
-    n = A.shape[1]
-    if n in pivots:
+    B = np.asarray(B, dtype=np.int64)
+    rows = np.atleast_2d(B)
+    m = A.shape[0]
+    R, pivots = rref(F, np.hstack([A.T, rows.T]))
+    if pivots and pivots[-1] >= m:
         return None
-    x = np.zeros(n, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, n]
-    return x
-
-
-def solve_left(F: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of x @ A = b, or None."""
-    return solve_right(F, np.asarray(A).T, b)
+    X = np.zeros((rows.shape[0], m), dtype=np.int64)
+    X[:, pivots] = R[:, m:].T
+    return X if B.ndim == 2 else X[0]
 
 
 def inverse(F: FiniteField, A: np.ndarray) -> np.ndarray | None:

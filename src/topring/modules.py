@@ -8,8 +8,8 @@ homomorphism into the matrix algebra, which is what validation checks.
 The layer builds up to three verdict-style operations used by the tower
 and endomorphism layers: Krull-Schmidt decomposition through idempotent
 lifting in the endomorphism algebra, local T-nilpotency certificates via
-the Harada-Sai composition bound, and witness searches for strictly
-descending cyclic chains and non-vanishing nonisomorphism composites.
+the Harada-Sai composition bound, and a witness search for non-vanishing
+nonisomorphism composites.
 """
 
 from __future__ import annotations
@@ -130,15 +130,12 @@ def submodule_module(M: FiniteModule, basis: np.ndarray):
     F = M.algebra.field
     basis = linalg.row_space_basis(F, np.asarray(basis, dtype=np.int64).reshape(-1, M.dim))
     k = basis.shape[0]
-    eff = M.eff_basis()
-    sub_eff = np.zeros((M.algebra.dim, k, k), dtype=np.int64)
-    for i in range(M.algebra.dim):
-        moved = linalg.matmul(F, basis, eff[i])
-        for r in range(k):
-            coords = linalg.solve_left(F, basis, moved[r])
-            if coords is None:
-                raise AlgebraError("subspace is not action-closed")
-            sub_eff[i, r] = coords
+    # moved[i, r] is basis row r acted on by e_i
+    moved = F.contract("rj,ijk->irk", basis, M.eff_basis())
+    sub_eff = linalg.solve_left(F, basis, moved.reshape(-1, M.dim))
+    if sub_eff is None:
+        raise AlgebraError("subspace is not action-closed")
+    sub_eff = sub_eff.reshape(M.algebra.dim, k, k)
     action = sub_eff if M.side == "right" else np.swapaxes(sub_eff, 1, 2)
     return FiniteModule(M.algebra, action, side=M.side, check=False), basis
 
@@ -433,19 +430,6 @@ def _endo_is_local(E: StructureAlgebra):
     return (len(summary) == 1 and summary[0][1] == 1), rad
 
 
-def indecomposability_check(M: FiniteModule) -> bool:
-    """True iff End(M) has no idempotents besides 0 and 1; exhaustive for
-    |End| <= 1024, otherwise via locality of the endomorphism algebra."""
-    E, _, _ = endo_algebra(M)
-    if E.cardinality() <= 1024:
-        count = 0
-        for x in E.all_elements():
-            if E.is_idempotent(x):
-                count += 1
-        return count == 2
-    return _endo_is_local(E)[0]
-
-
 def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCertificate:
     """Split M into indecomposable summands by lifting a complete family of
     primitive orthogonal idempotents through rad(End(M))."""
@@ -464,11 +448,9 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         image = linalg.row_space_basis(F, P)
         N, embed = submodule_module(M, image)
         inj = embed
-        proj_z = np.zeros((M.dim, N.dim), dtype=np.int64)
-        for r in range(M.dim):
-            coords = linalg.solve_left(F, embed, linalg.matvec(F, linalg.basis_vector(M.dim, r), P))
-            proj_z[r] = coords
-        if not np.array_equal(linalg.matmul(F, proj_z, inj), P):
+        # row r of P is the image of e_r
+        proj_z = linalg.solve_left(F, embed, P)
+        if proj_z is None or not np.array_equal(linalg.matmul(F, proj_z, inj), P):
             raise AssertionError("projector does not factor through its image")
         if not np.array_equal(linalg.matmul(F, inj, proj_z), np.eye(N.dim, dtype=np.int64)):
             raise AssertionError("summand section failed")
@@ -551,22 +533,12 @@ def composition_length(M: FiniteModule) -> int:
     for t in range(len(series) - 1):
         layer_basis = series[t]
         Sub, _ = submodule_module(M, layer_basis)
-        layer, _, _ = quotient_module(Sub, _image_inside(M, Sub, series[t + 1], layer_basis))
+        inner = linalg.solve_left(F, layer_basis, series[t + 1])
+        if inner is None:
+            raise AssertionError("radical series is not nested")
+        layer, _, _ = quotient_module(Sub, inner)
         total += _semisimple_length(layer)
     return total
-
-
-def _image_inside(M: FiniteModule, Sub: FiniteModule, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    F = M.algebra.field
-    if inner.shape[0] == 0:
-        return np.zeros((0, Sub.dim), dtype=np.int64)
-    coords = np.zeros((inner.shape[0], Sub.dim), dtype=np.int64)
-    for r in range(inner.shape[0]):
-        c = linalg.solve_left(F, outer, inner[r])
-        if c is None:
-            raise AssertionError("radical series is not nested")
-        coords[r] = c
-    return coords
 
 
 def _semisimple_length(S: FiniteModule) -> int:
@@ -591,83 +563,6 @@ def _semisimple_length(S: FiniteModule) -> int:
             raise AssertionError("semisimple block dimension mismatch")
         total += r // (f.n * f.m)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Descending cyclic chains
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SubmoduleChain:
-    """Strictly descending chain of cyclic submodules.
-
-    bases[t] is the cyclic submodule generated by generators[t]; the last
-    entry of a maximal chain is the zero submodule (generator 0).  length
-    counts strict descents, so a chain of k+1 entries has length k."""
-
-    generators: list[np.ndarray]
-    bases: list[np.ndarray]
-    strict: list[bool]
-
-    def length(self) -> int:
-        return len(self.bases) - 1 if self.bases else 0
-
-
-@dataclass
-class CoperfectResult:
-    """TERMINATES when every strictly descending cyclic chain provably
-    stops short of the requested depth; otherwise carries a chain that is
-    still descending at the depth cap."""
-
-    kind: str  # "TERMINATES" | "CHAIN"
-    chain: SubmoduleChain
-    depth: int
-
-
-def coperfect_witness_search(M: FiniteModule, depth: int = 16) -> CoperfectResult:
-    """Longest strictly descending chain of cyclic submodules up to the
-    depth cap, with its generators; finite modules always terminate once
-    the cap exceeds the dimension."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if M.cardinality() > 4096:
-        raise ValueError("cyclic chain search capped at 4096 elements")
-    F = M.algebra.field
-    cyclics = []
-    seen = set()
-    for v in M.all_elements():
-        b = cyclic_submodule(M, v)
-        key = b.tobytes()
-        if key not in seen:
-            seen.add(key)
-            cyclics.append((v, b))
-    cyclics.sort(key=lambda t: (-t[1].shape[0], t[1].tobytes(), t[0].tobytes()))
-    best: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def extend(chain: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        nonlocal best
-        if len(chain) > len(best):
-            best = list(chain)
-        if len(chain) - 1 >= depth:
-            return
-        current = chain[-1][1]
-        for v, b in cyclics:
-            if b.shape[0] < current.shape[0] and linalg.in_row_space(F, current, b):
-                extend(chain + [(v, b)])
-                break  # greedy: largest proper cyclic submodule first
-
-    for v, b in cyclics:
-        extend([(v, b)])
-        if len(best) - 1 >= depth:
-            break
-    chain = SubmoduleChain(
-        generators=[v for v, _ in best],
-        bases=[b for _, b in best],
-        strict=[best[t][1].shape[0] > best[t + 1][1].shape[0] for t in range(len(best) - 1)],
-    )
-    kind = "CHAIN" if chain.length() >= depth else "TERMINATES"
-    return CoperfectResult(kind=kind, chain=chain, depth=depth)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
     SubspaceIdeal,
+    hom_failures,
     product_algebra,
     quotient,
     radical,
@@ -90,14 +91,10 @@ def hom_diagnostics(A: StructureAlgebra, B: StructureAlgebra, T: np.ndarray) -> 
         return [f"transition shape {T.shape} != ({A.dim}, {B.dim})"]
     if not np.array_equal(linalg.matvec(F, A.unit, T), B.unit):
         out.append("transition does not send unit to unit")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = linalg.matvec(F, A.c[i, j], T)
-            rhs = B.mul(T[i], T[j])
-            if not np.array_equal(lhs, rhs):
-                out.append(f"transition not multiplicative at basis pair ({i}, {j})")
-                if len(out) > 16:
-                    return out
+    for i, j in hom_failures(A, B, T):
+        out.append(f"transition not multiplicative at basis pair ({i}, {j})")
+        if len(out) > 16:
+            return out
     if linalg.rank(F, T) != B.dim:
         out.append("transition is not surjective")
     return out
@@ -281,12 +278,10 @@ def _level_as_module(T: RingTower, m: int, n: int) -> FiniteModule:
 @dataclass
 class TowerTNilpotency:
     """certificate: per-level indices k_n with H_n^(k_n) = 0, so any product
-    of k_n ideal elements vanishes at level n; witness: explicit sequence
-    whose ordered products stay outside the designated ideal."""
+    of k_n ideal elements vanishes at level n."""
 
-    kind: str  # "certificate" | "witness"
+    kind: str  # "certificate"
     indices: list[int] = field(default_factory=list)
-    witness: list[np.ndarray] = field(default_factory=list)
     depth: int = 0
 
 
@@ -298,47 +293,6 @@ def t_nilpotency_check(T: RingTower, H: IdealTower, depth: int | None = None) ->
     indices = [I.nilpotency_index() for I in H.ideals]
     return TowerTNilpotency(kind="certificate", indices=indices,
                             depth=depth if depth is not None else T.depth)
-
-
-def t_nilpotency_witness_search(A: StructureAlgebra, subset: np.ndarray,
-                                open_ideal: np.ndarray, depth: int,
-                                beam: int = 256) -> list[np.ndarray] | None:
-    """Sequence a_1, ..., a_depth from the subset's basis rows whose ordered
-    product stays outside the open right ideal, or None."""
-    F = A.field
-    subset = np.asarray(subset, dtype=np.int64).reshape(-1, A.dim)
-    P, _ = linalg.quotient_maps(F, open_ideal, A.dim)
-
-    def outside(x: np.ndarray) -> bool:
-        return bool(linalg.matvec(F, x, P).any())
-
-    states: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    seen = set()
-    for r in range(subset.shape[0]):
-        a = subset[r]
-        if outside(a):
-            key = a.tobytes()
-            if key not in seen:
-                seen.add(key)
-                states.append((a, [a]))
-    for _ in range(depth - 1):
-        nxt: list[tuple[np.ndarray, list[np.ndarray]]] = []
-        seen = set()
-        for prod, path in states:
-            for r in range(subset.shape[0]):
-                cand = A.mul(prod, subset[r])
-                if not outside(cand):
-                    continue
-                key = cand.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append((cand, path + [subset[r]]))
-        nxt.sort(key=lambda t: t[0].tobytes())
-        states = nxt[:beam]
-        if not states:
-            return None
-    return states[0][1] if states else None
 
 
 # ---------------------------------------------------------------------------

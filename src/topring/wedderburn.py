@@ -24,6 +24,7 @@ from topring.algebras import (
     StructureAlgebra,
     check_complete_orthogonal,
     corner_basis,
+    hom_failures,
     matrix_algebra,
     peirce_corner,
     radical,
@@ -78,12 +79,9 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     """
     F = A.field
     Z = A.center_basis()
-    phi = np.zeros((Z.shape[0], Z.shape[0]), dtype=np.int64)
-    for r, z in enumerate(Z):
-        coords = linalg.solve_left(F, Z, A.power(z, F.q))
-        if coords is None:
-            raise AlgebraError("center is not closed under q-th powers")
-        phi[r] = coords
+    phi = linalg.solve_left(F, Z, np.array([A.power(z, F.q) for z in Z]).reshape(-1, A.dim))
+    if phi is None:
+        raise AlgebraError("center is not closed under q-th powers")
     fixed_coeff = linalg.left_null_basis(F, linalg.sub(F, phi, np.eye(Z.shape[0], dtype=np.int64)))
     fixed = linalg.matmul(F, fixed_coeff, Z)
     k = fixed.shape[0]
@@ -297,13 +295,10 @@ def _verify_iso(A: StructureAlgebra, model: StructureAlgebra, iso: np.ndarray) -
     F = A.field
     if not np.array_equal(linalg.matvec(F, A.unit, iso), model.unit):
         raise AssertionError("decomposition map does not preserve the unit")
-    # row s of iso is the image of e_s, and e_s * e_t is A.c[s, t]
-    for s in range(A.dim):
-        for t in range(A.dim):
-            lhs = linalg.matvec(F, A.c[s, t], iso)
-            rhs = model.mul(iso[s], iso[t])
-            if not np.array_equal(lhs, rhs):
-                raise AssertionError(f"decomposition map not multiplicative at ({s}, {t})")
+    bad = hom_failures(A, model, iso)
+    if bad.size:
+        s, t = bad[0]
+        raise AssertionError(f"decomposition map not multiplicative at ({s}, {t})")
 
 
 def is_semisimple(A: StructureAlgebra) -> bool:

@@ -8,7 +8,8 @@ of modules.endo_algebra), sampled_isomorphism (the random search that
 modules.find_isomorphism used before it read the hom basis), and
 rank_membership, closure_failures_loop and quotient_structure_loop (the
 per-vector membership, ideal-closure and quotient loops that the residual
-against one RREF and the batched products replaced).
+against one RREF and the batched products replaced), and hom_failures_loop
+(the basis-pair loop that algebras.hom_failures replaced).
 """
 
 from __future__ import annotations
@@ -65,6 +66,41 @@ def rank_membership(F: FiniteField, basis, v) -> bool:
     if basis.shape[0] == 0:
         return not np.any(v)
     return naive_rank(F, np.vstack([basis, np.asarray(v, dtype=np.int64)[None, :]])) == naive_rank(F, basis)
+
+
+def solve_left_rows(F: FiniteField, A, B):
+    """Coordinates x with x @ A == b for each row b of B, one naive rref of
+    [A^T | b] per row, zero on the free columns; None if any row has no
+    solution."""
+    A = np.asarray(A, dtype=np.int64)
+    m = A.shape[0]
+    out = []
+    for b in np.asarray(B, dtype=np.int64).reshape(-1, A.shape[1]):
+        R, pivots = naive_rref(F, np.hstack([A.T, b[:, None]]))
+        if m in pivots:
+            return None
+        x = np.zeros(m, dtype=np.int64)
+        for r, pc in enumerate(pivots):
+            x[pc] = R[r, m]
+        out.append(x)
+    return np.array(out, dtype=np.int64).reshape(len(out), m)
+
+
+def hom_failures_loop(A, B, T) -> list[tuple[int, int]]:
+    """Basis pairs (i, j), row-major, where (e_i * e_j) @ T differs from
+    (e_i @ T) * (e_j @ T), one pair and one scalar at a time."""
+    F = A.field
+    T = np.asarray(T, dtype=np.int64)
+    bad = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = [0] * T.shape[1]
+            for k in range(A.dim):
+                for t in range(T.shape[1]):
+                    lhs[t] = int(F.ADD[lhs[t], F.MUL[A.c[i, j, k], T[k, t]]])
+            if not np.array_equal(lhs, table_mul(F, B.c, T[i], T[j])):
+                bad.append((i, j))
+    return bad
 
 
 def closure_failures_loop(A, basis, side: str) -> list[str]:

@@ -14,6 +14,7 @@ from topring.algebras import (
     cyclic_group_algebra,
     field_algebra,
     field_extension_algebra,
+    hom_failures,
     ideal_from_generators,
     invert_in_one_plus_H,
     matrix_algebra,
@@ -22,13 +23,21 @@ from topring.algebras import (
     radical,
     radical_bruteforce,
     subalgebra_closure,
+    subalgebra_structure,
     tensor_algebra,
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
 from topring.fields import GF
 
-from oracles import closure_failures_loop, corner_loop, quotient_structure_loop, table_mul
+from oracles import (
+    closure_failures_loop,
+    corner_loop,
+    hom_failures_loop,
+    quotient_structure_loop,
+    solve_left_rows,
+    table_mul,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -284,3 +293,51 @@ def test_member_rows_and_stacked_contains():
     assert rad.contains(V[[0, 2]]) and not rad.contains(V)
     assert rad.contains(V[0]) and not rad.contains(V[1])
     assert rad.contains_ideal(rad) and not rad.contains_ideal(ideal_from_generators(A, A.unit[None, :]))
+
+
+@pytest.mark.parametrize("A", [
+    upper_triangular_algebra(F2, 3),
+    truncated_poly_algebra(F3, 3),
+    upper_triangular_algebra(F4, 2),
+    truncated_poly_algebra(GF(3, 2), 2),
+    mat2_over_dual_numbers(),
+], ids=["T3(F2)", "F3[x]/(x^3)", "T2(F4)", "F9[x]/(x^2)", "Mat2(F2[x]/(x^2))"])
+def test_hom_failures_match_pair_loop_on_corrupted_maps(A):
+    rng = np.random.default_rng(83)
+    Q, proj, _ = quotient(A, radical(A))
+    maps = [(A, np.eye(A.dim, dtype=np.int64)), (Q, proj)]
+    seen_failures = 0
+    for B, T in maps:
+        assert hom_failures(A, B, T).tolist() == hom_failures_loop(A, B, T) == []
+        for _ in range(6):
+            bad = T.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = int(rng.integers(T.shape[0])), int(rng.integers(T.shape[1]))
+                bad[i, j] = int(rng.integers(A.field.q))
+            want = hom_failures_loop(A, B, bad)
+            got = hom_failures(A, B, bad)
+            assert got.shape == (len(want), 2)
+            assert [tuple(p) for p in got.tolist()] == want
+            seen_failures += bool(want)
+    assert seen_failures
+
+
+def test_subalgebra_structure_matches_per_product_solves():
+    A = mat2_over_dual_numbers()
+    # 1, E11 (x) 1 and E12 (x) x span a three-dimensional subalgebra
+    basis = subalgebra_closure(A, np.vstack([A.unit, np.eye(A.dim, dtype=np.int64)[[0, 3]]]))
+    assert basis.shape[0] == 3
+    B, embed = subalgebra_structure(A, basis, A.unit)
+    prods = A.mul_pairs(basis, basis).reshape(-1, A.dim)
+    assert np.array_equal(B.c.reshape(-1, B.dim), solve_left_rows(F2, basis, prods))
+    assert np.array_equal(linalg.matvec(F2, B.unit, embed), A.unit)
+    assert not B.diagnostics()
+
+
+def test_subalgebra_structure_rejects_open_bases():
+    A = matrix_algebra(F2, 2)
+    e12, e21 = np.eye(4, dtype=np.int64)[[1, 2]]
+    with pytest.raises(AlgebraError, match="^basis is not multiplicatively closed$"):
+        subalgebra_structure(A, np.vstack([e12, e21]), A.unit)
+    with pytest.raises(AlgebraError, match="^unit is outside the subalgebra$"):
+        subalgebra_structure(A, e12[None, :], A.unit)

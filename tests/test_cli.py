@@ -182,6 +182,16 @@ def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     assert out1.read_text() == out2.read_text() == text1
 
 
+def test_unwritable_out_exits_2_without_a_report(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    rc = cli.main(["radical", corpus.path("f2c3.alg"), "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 def test_missing_file_exits_2(capsys):
     rc, _ = run(capsys, "radical", "/nonexistent/no.alg")
     assert rc == 2

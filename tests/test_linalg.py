@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from topring import linalg
 from topring.fields import GF
 
-from oracles import blowup, naive_rank, quotient_maps_loop, rank_membership
+from oracles import blowup, naive_rank, quotient_maps_loop, rank_membership, solve_left_rows
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2)]
 SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
@@ -66,10 +66,10 @@ def test_solve_and_inverse():
         n = int(rng.integers(1, 6))
         A = random_matrix(F, rng, n, n)
         x = rng.integers(0, 3, size=n).astype(np.int64)
-        b = linalg.matmul(F, A, x[:, None])[:, 0]
-        got = linalg.solve_right(F, A, b)
+        b = linalg.matvec(F, x, A)
+        got = linalg.solve_left(F, A, b)
         assert got is not None
-        assert np.array_equal(linalg.matmul(F, A, got[:, None])[:, 0], b)
+        assert np.array_equal(linalg.matvec(F, got, A), b)
         Ainv = linalg.inverse(F, A)
         if Ainv is not None:
             assert np.array_equal(linalg.matmul(F, A, Ainv), np.eye(n, dtype=np.int64))
@@ -182,3 +182,53 @@ def test_membership_of_empty_basis():
     assert not linalg.in_row_space(F, empty, np.array([[0, 0, 0], [0, 2, 0]]))
     v = np.array([[1, 2, 0]])
     assert np.array_equal(linalg.residual(F, empty, [], v), v)
+
+
+@st.composite
+def solve_cases(draw):
+    """A field, a coefficient matrix A that may have no rows or be rank
+    deficient, and right-hand sides B in the row space of A, with possibly
+    one row from outside it."""
+    F = draw(st.sampled_from(MEMBERSHIP_FIELDS))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = random_matrix(F, rng, draw(st.integers(0, 4)), n)
+    if A.shape[0] and draw(st.booleans()):
+        # a combination of the other rows makes A rank deficient
+        A = np.vstack([A, linalg.matvec(F, random_matrix(F, rng, 1, A.shape[0])[0], A)])
+    B = linalg.matmul(F, random_matrix(F, rng, draw(st.integers(0, 4)), A.shape[0]), A)
+    outside = [e for e in np.eye(n, dtype=np.int64) if not rank_membership(F, A, e)]
+    if outside and draw(st.booleans()):
+        B = np.insert(B, draw(st.integers(0, B.shape[0])), outside[0], axis=0)
+    return F, A, B
+
+
+@given(solve_cases())
+@settings(max_examples=150, deadline=None)
+def test_stacked_solve_left_matches_per_row_oracle(case):
+    F, A, B = case
+    want = solve_left_rows(F, A, B)
+    got = linalg.solve_left(F, A, B)
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == (B.shape[0], A.shape[0])
+    assert np.array_equal(got, want)
+    assert np.array_equal(linalg.matmul(F, got, A), B)
+    for b, x in zip(B, want):
+        assert np.array_equal(linalg.solve_left(F, A, b), x)
+
+
+@pytest.mark.parametrize("F", MEMBERSHIP_FIELDS, ids=str)
+def test_solve_left_edge_cases(F):
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert linalg.solve_left(F, empty, np.zeros(3, dtype=np.int64)).shape == (0,)
+    assert linalg.solve_left(F, empty, np.zeros((2, 3), dtype=np.int64)).shape == (2, 0)
+    assert linalg.solve_left(F, empty, np.array([[0, 0, 0], [0, 1, 0]])) is None
+    A = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.int64)
+    A[2] = linalg.add(F, A[0], A[1])
+    inside = linalg.matmul(F, np.array([[1, 1, 0], [0, 0, 1]]), A)
+    assert np.array_equal(linalg.solve_left(F, A, inside), [[1, 1, 0], [1, 1, 0]])
+    assert linalg.solve_left(F, A, np.vstack([inside, [[1, 0, 0]]])) is None
+    assert linalg.solve_left(F, A, np.array([1, 0, 0])) is None
+    assert linalg.solve_left(F, A, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)

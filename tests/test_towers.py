@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import hom_failures_loop
+
 from topring import linalg
 from topring.algebras import (
     ideal_from_generators,
@@ -36,7 +38,6 @@ from topring.towers import (
     quotient_tower,
     strongly_closed_check,
     t_nilpotency_check,
-    t_nilpotency_witness_search,
     topological_jacobson_radical,
     tower_diagnostics,
     tp_formula_check,
@@ -84,6 +85,36 @@ def test_non_homomorphism_is_rejected():
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     msgs = hom_diagnostics(A, A, swap)
     assert any("unit" in m for m in msgs)
+
+
+def test_hom_diagnostics_names_pairs_in_order_and_caps_at_seventeen():
+    A = upper_triangular_algebra(F3, 3)
+    rng = np.random.default_rng(29)
+
+    def pair_msgs(T):
+        return [f"transition not multiplicative at basis pair ({i}, {j})"
+                for i, j in hom_failures_loop(A, A, T)]
+
+    T = rng.integers(0, 3, size=(A.dim, A.dim)).astype(np.int64)
+    assert len(pair_msgs(T)) > 16
+    if np.array_equal(linalg.matvec(F3, A.unit, T), A.unit):
+        T[0, 0] = F3.ADD[T[0, 0], 1]
+    assert hom_diagnostics(A, A, T) == ["transition does not send unit to unit"] + pair_msgs(T)[:16]
+    # the unit is a sum of basis vectors with coefficient 1; solve for one
+    # of their images so that the unit goes to the unit
+    d = int(np.flatnonzero(A.unit)[0])
+    others = linalg.sub(F3, linalg.matvec(F3, A.unit, T), T[d])
+    T[d] = linalg.sub(F3, A.unit, others)
+    assert np.array_equal(linalg.matvec(F3, A.unit, T), A.unit)
+    assert len(pair_msgs(T)) > 17
+    assert hom_diagnostics(A, A, T) == pair_msgs(T)[:17]
+    # a few failures: all are named, then surjectivity is checked
+    T = np.eye(A.dim, dtype=np.int64)
+    off = int(np.flatnonzero(A.unit == 0)[0])
+    T[off] = 0
+    few = pair_msgs(T)
+    assert 0 < len(few) <= 16
+    assert hom_diagnostics(A, A, T) == few + ["transition is not surjective"]
 
 
 def test_composite_transitions_are_compatible():
@@ -168,27 +199,6 @@ def test_ideal_outside_radical_is_reported():
     H = build_ideal_tower(T, [I, I])
     with pytest.raises(TowerError):
         t_nilpotency_check(T, H)
-
-
-def test_witness_search_finds_surviving_products():
-    A = matrix_algebra(F2, 2)
-    e11 = np.zeros(4, dtype=np.int64)
-    e11[0] = 1
-    zero = np.zeros((0, 4), dtype=np.int64)
-    seq = t_nilpotency_witness_search(A, e11[None, :], zero, depth=5)
-    assert seq is not None and len(seq) == 5
-    prod = seq[0]
-    for a in seq[1:]:
-        prod = A.mul(prod, a)
-    assert prod.any()
-
-
-def test_witness_search_gives_up_on_nilpotents():
-    A = matrix_algebra(F2, 2)
-    e12 = np.zeros(4, dtype=np.int64)
-    e12[1] = 1
-    zero = np.zeros((0, 4), dtype=np.int64)
-    assert t_nilpotency_witness_search(A, e12[None, :], zero, depth=2) is None
 
 
 # ---------------------------------------------------------------------------
