@@ -34,7 +34,6 @@ from .endo import (
     perfectness_bridge,
     polynomial_adic_system,
     sample_sequence,
-    sigma_coperfect_check,
     split_omega_limit_check,
 )
 from .fields import GF
@@ -59,7 +58,6 @@ from .modules import (
     cyclic_submodule,
     direct_sum,
     hom_space,
-    perfect_decomposition_verdict,
     quotient_module,
     right_regular_module,
 )
@@ -540,7 +538,8 @@ def suite_showcase(seed: int = 0) -> SuiteResult:
     fam6 = _chain_family(6)
     checks = 0
 
-    verdict = perfect_decomposition_verdict(fam6, depth=5, seed=seed)
+    bridge = perfectness_bridge(fam6, depth=5, seed=seed, refinement=_chain_family(7))
+    verdict = bridge.perfect
     if verdict.verdict != "NOT_PERFECT" or verdict.witness is None:
         raise AssertionError("truncation family was not rejected")
     if verdict.witness.length() < 5:
@@ -556,7 +555,7 @@ def suite_showcase(seed: int = 0) -> SuiteResult:
     rep.add("split", split.kind, *split.obstruction.socle_heights)
     checks += 1
 
-    sigma = sigma_coperfect_check(fam6, depth=5, seed=seed, refinement=_chain_family(7))
+    sigma = bridge.sigma
     if sigma.kind != "witness" or sigma.max_length < 5:
         raise AssertionError("no descending cyclic chain of length 5")
     if not sigma.refinement_verified:
@@ -564,10 +563,9 @@ def suite_showcase(seed: int = 0) -> SuiteResult:
     rep.add("sigma", sigma.kind, sigma.copies, sigma.max_length, 1)
     checks += 1
 
-    bridge = perfectness_bridge(fam6, depth=5, seed=seed)
     if not bridge.consistent:
         raise AssertionError("verdict pipelines disagree")
-    rep.add("bridge", bridge.perfect_verdict, bridge.sigma_kind)
+    rep.add("bridge", verdict.verdict, sigma.kind)
     checks += 1
     return _result(rep, "negative-showcase", checks)
 

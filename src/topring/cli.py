@@ -269,8 +269,8 @@ def cmd_bridge(args, loader: serialize.Loader) -> serialize.Report:
                              refinement=refinement)
     rep = _rep("bridge", args)
     rep.add("depth", res.depth)
-    rep.add("perfect_verdict", res.perfect_verdict)
-    rep.add("sigma_kind", res.sigma_kind)
+    rep.add("perfect_verdict", res.perfect.verdict)
+    rep.add("sigma_kind", res.sigma.kind)
     rep.add("consistent", int(res.consistent))
     if res.module_semisimple is not None:
         rep.add("module_semisimple", int(res.module_semisimple))

@@ -47,6 +47,7 @@ from topring.modules import (
     direct_sum,
     endo_algebra,
     hom_space,
+    PerfectDecompositionVerdict,
     left_regular_module,
     perfect_decomposition_verdict,
     quotient_module,
@@ -817,10 +818,11 @@ class BridgeReport:
     The implications checked are one-directional: a perfect decomposition
     forces a chain certificate, and a non-perfect countably generated
     target forces a chain witness.  The reverse questions are left open on
-    purpose and never decided here."""
+    purpose and never decided here.  perfect and sigma carry both verdicts,
+    so no caller needs to run either pipeline again."""
 
-    perfect_verdict: str
-    sigma_kind: str
+    perfect: PerfectDecompositionVerdict
+    sigma: SigmaCoperfectResult
     consistent: bool
     depth: int
     module_semisimple: bool | None = None
@@ -866,8 +868,8 @@ def perfectness_bridge(target, depth: int = 6, seed: int = 0,
                         f"semisimple target with a non-semisimple endomorphism "
                         f"level {n + 1}")
     return BridgeReport(
-        perfect_verdict=pv.verdict,
-        sigma_kind=sg.kind,
+        perfect=pv,
+        sigma=sg,
         consistent=True,
         depth=depth,
         module_semisimple=module_semisimple,

@@ -7,9 +7,11 @@ homomorphism into the matrix algebra, which is what validation checks.
 
 The layer builds up to three verdict-style operations used by the tower
 and endomorphism layers: Krull-Schmidt decomposition through idempotent
-lifting in the endomorphism algebra, local T-nilpotency certificates via
-the Harada-Sai composition bound, and a witness search for non-vanishing
-nonisomorphism composites.
+lifting in E = End(M), which reads each summand eM's endomorphism algebra
+off E as the corner eEe and its isomorphism class off the simple blocks of
+E/rad E (Lam, First Course, sections 21-22); local T-nilpotency
+certificates via the Harada-Sai composition bound; and a witness search
+for non-vanishing nonisomorphism composites.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from topring.algebras import (
     StructureAlgebra,
     SubspaceIdeal,
     matrix_algebra,
+    peirce_corner,
     quotient,
     radical,
     subalgebra_structure,
@@ -402,11 +405,13 @@ class DecompositionCertificate:
 
     idempotents[z] is the projector matrix onto summand z inside the
     ambient module (injections[z] composed with projections[z]); classes
-    groups summand indices into isomorphism classes, with class_isos
-    holding an explicit isomorphism from each member to its class
-    representative (identity for the representative itself).
-    endo_radicals[z] spans the non-units of summand z's endomorphism
-    algebra; local_checked[z] records how that was verified."""
+    groups summand indices into isomorphism classes, one class per
+    Wedderburn block of End(M)/rad, in block order.  class_isos holds the
+    find_isomorphism witness from each member to its class representative
+    (identity for the representative itself).  endo_radicals[z] spans
+    rad(e_z E e_z), the non-units of summand z's endomorphism algebra, in
+    the coordinates of that Peirce corner of E = End(M); local_checked[z]
+    records how locality was verified."""
 
     module: FiniteModule
     summands: list[FiniteModule]
@@ -421,13 +426,10 @@ class DecompositionCertificate:
     t_nilpotency: "TNilpotencyResult | None" = None
 
 
-def _endo_is_local(E: StructureAlgebra):
-    """(is_local, radical_ideal): local means E/rad is a field."""
-    rad = radical(E)
-    Q, proj, _ = quotient(E, rad)
-    W = wedderburn(Q)
-    summary = W.summary()
-    return (len(summary) == 1 and summary[0][1] == 1), rad
+def _endo_is_local(E: StructureAlgebra) -> bool:
+    """Local means E/rad is a field."""
+    summary = wedderburn(quotient(E, radical(E))[0]).summary()
+    return len(summary) == 1 and summary[0][1] == 1
 
 
 def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCertificate:
@@ -441,22 +443,23 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
     Q, proj, section = quotient(E, radE)
     W = wedderburn(Q, seed=seed)
     fam = lift_family_from_quotient(E, radE, proj, section, W.primitive_family())
-    summands, embeddings, injections, projections = [], [], [], []
+    summands, embeddings, projections = [], [], []
     idempotents, endo_radicals, local_checked = [], [], []
-    for z in range(fam.rows.shape[0]):
+    # primitive_family lists its rows factor by factor
+    blocks = [b for b, f in enumerate(W.factors) for _ in range(f.n)]
+    for z, b in enumerate(blocks):
         P = linalg.lincomb(F, fam.rows[z], homs)
-        image = linalg.row_space_basis(F, P)
-        N, embed = submodule_module(M, image)
-        inj = embed
+        N, embed = submodule_module(M, P)
         # row r of P is the image of e_r
         proj_z = linalg.solve_left(F, embed, P)
-        if proj_z is None or not np.array_equal(linalg.matmul(F, proj_z, inj), P):
+        if proj_z is None or not np.array_equal(linalg.matmul(F, proj_z, embed), P):
             raise AssertionError("projector does not factor through its image")
-        if not np.array_equal(linalg.matmul(F, inj, proj_z), np.eye(N.dim, dtype=np.int64)):
+        if not np.array_equal(linalg.matmul(F, embed, proj_z), np.eye(N.dim, dtype=np.int64)):
             raise AssertionError("summand section failed")
-        EN, _, _ = endo_algebra(N)
-        local, radN = _endo_is_local(EN)
-        if not local:
+        # End(N) is the corner eEe, local exactly when its top is block b's field
+        EN, _ = peirce_corner(E, fam.rows[z])
+        radN = radical(EN)
+        if EN.dim - radN.dim != W.factors[b].m:
             raise AssertionError("summand endomorphism algebra is not local")
         if EN.cardinality() <= 1024:
             idems = 0
@@ -473,30 +476,25 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
             local_checked.append("semisimple-quotient")
         summands.append(N)
         embeddings.append(embed)
-        injections.append(inj)
         projections.append(proj_z)
         idempotents.append(P)
         endo_radicals.append(radN.basis)
-    classes: list[list[int]] = []
+    # one class per block of E/rad E, each membership re-checked by an isomorphism
+    classes = [[z for z, b in enumerate(blocks) if b == c] for c in range(len(W.factors))]
     class_isos: dict[int, np.ndarray] = {}
-    for z, N in enumerate(summands):
-        placed = False
-        for cls in classes:
-            rep = summands[cls[0]]
-            iso = find_isomorphism(N, rep)
-            if iso is not None:
-                cls.append(z)
-                class_isos[z] = iso
-                placed = True
-                break
-        if not placed:
-            classes.append([z])
-            class_isos[z] = np.eye(N.dim, dtype=np.int64)
+    for rep, *members in classes:
+        class_isos[rep] = np.eye(summands[rep].dim, dtype=np.int64)
+        for z in members:
+            iso = find_isomorphism(summands[z], summands[rep])
+            if iso is None:
+                raise AssertionError(
+                    f"summands {z} and {rep} share a Wedderburn block but are not isomorphic")
+            class_isos[z] = iso
     cert = DecompositionCertificate(
         module=M,
         summands=summands,
         embeddings=embeddings,
-        injections=injections,
+        injections=list(embeddings),
         projections=projections,
         idempotents=idempotents,
         classes=classes,
@@ -619,23 +617,23 @@ def local_T_nilpotency_check(family: ModuleFamily, depth: int = 8) -> TNilpotenc
         raise ValueError("depth must be >= 1")
     for idx, member in enumerate(family.members):
         E, _, _ = endo_algebra(member)
-        if not _endo_is_local(E)[0]:
+        if not _endo_is_local(E):
             raise AlgebraError(f"family member {family.labels[idx]} has a non-local endomorphism algebra")
     if not family.truncated:
-        b = max((composition_length(m) for m in family.members), default=0)
-        return TNilpotencyResult(
-            kind="certificate",
-            certificate=HaradaSaiCertificate(
-                length_bound=b,
-                composition_bound=max(2 ** b - 1, 0) if b else 0,
-                labels=list(family.labels),
-            ),
-            depth=depth,
-        )
+        return TNilpotencyResult(kind="certificate", certificate=_harada_sai(family), depth=depth)
     witness = noniso_witness_search(family, depth)
     if witness is not None:
         return TNilpotencyResult(kind="witness", witness=witness, depth=depth)
     return TNilpotencyResult(kind="inconclusive", depth=depth)
+
+
+def _harada_sai(family: ModuleFamily) -> HaradaSaiCertificate:
+    """Bound for a finite family of modules with local endomorphism algebras:
+    nonisomorphism composites of length 2^b - 1 vanish, b the largest
+    composition length."""
+    b = max((composition_length(m) for m in family.members), default=0)
+    return HaradaSaiCertificate(length_bound=b, composition_bound=2 ** b - 1,
+                                labels=list(family.labels))
 
 
 def noniso_witness_search(family: ModuleFamily, depth: int, beam: int = 256) -> NonisoWitnessChain | None:
@@ -710,25 +708,16 @@ def perfect_decomposition_verdict(target, depth: int = 8, seed: int = 0) -> Perf
     UNKNOWN at the stated depth (truncated families only)."""
     if isinstance(target, FiniteModule):
         cert = decompose_indecomposable(target, seed=seed)
-        family = ModuleFamily(
-            members=cert.summands,
-            labels=[f"summand_{z}" for z in range(len(cert.summands))],
-            truncated=False,
-        )
-        res = local_T_nilpotency_check(family, depth=depth)
-        if res.kind != "certificate":
-            raise AssertionError("finite module family must certify")
-        cert.t_nilpotency = res
+        labels = [f"summand_{z}" for z in range(len(cert.summands))]
+        # the decomposition already proved every summand local
+        hs = _harada_sai(ModuleFamily(members=cert.summands, labels=labels))
+        cert.t_nilpotency = TNilpotencyResult(kind="certificate", certificate=hs, depth=depth)
         return PerfectDecompositionVerdict(
-            verdict="PERFECT", depth=depth, certificate=res.certificate, decomposition=cert
-        )
+            verdict="PERFECT", depth=depth, certificate=hs, decomposition=cert)
     family = target
     if not family.members:
         return PerfectDecompositionVerdict(
-            verdict="PERFECT",
-            depth=depth,
-            certificate=HaradaSaiCertificate(length_bound=0, composition_bound=0, labels=[]),
-        )
+            verdict="PERFECT", depth=depth, certificate=_harada_sai(family))
     res = local_T_nilpotency_check(family, depth=depth)
     if res.kind == "certificate":
         return PerfectDecompositionVerdict(verdict="PERFECT", depth=depth, certificate=res.certificate)

@@ -63,6 +63,8 @@ def _count(rec: list[str]) -> int:
     vals = _ints(rec)
     if len(vals) != 1:
         raise ParseError(f"{rec[0]} line takes one integer: {' '.join(rec)!r}")
+    if vals[0] < 1:
+        raise ParseError(f"{rec[0]} line needs a count of at least 1: {' '.join(rec)!r}")
     return vals[0]
 
 

@@ -1,15 +1,18 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here is deliberately naive: scalar-at-a-time loops, no shared
-code paths with topring.linalg beyond the field tables themselves.  Two
+code paths with topring.linalg beyond the field tables themselves.  Some
 exceptions keep an old library route as the reference for the route that
 replaced it: endo_structure_full (the full-composite structure constants
 of modules.endo_algebra), sampled_isomorphism (the random search that
 modules.find_isomorphism used before it read the hom basis), and
 rank_membership, closure_failures_loop and quotient_structure_loop (the
 per-vector membership, ideal-closure and quotient loops that the residual
-against one RREF and the batched products replaced), and hom_failures_loop
-(the basis-pair loop that algebras.hom_failures replaced).
+against one RREF and the batched products replaced), hom_failures_loop
+(the basis-pair loop that algebras.hom_failures replaced), and
+decompose_per_summand (the per-summand endomorphism algebras and pairwise
+class search that modules.decompose_indecomposable replaced by Peirce
+corners and Wedderburn blocks of End(M)).
 """
 
 from __future__ import annotations
@@ -282,3 +285,53 @@ def endo_structure_full(M) -> np.ndarray:
         prods = F.fsum(F.MUL[homs[i][None, :, :, None], homs[:, None, :, :]], axis=2)
         c[i] = prods.reshape(k, -1)[:, pivots]
     return c
+
+
+def decompose_per_summand(M, seed: int = 0):
+    """Krull-Schmidt decomposition by the route modules.decompose_indecomposable
+    took before it read summand data off End(M): each summand's endomorphism
+    algebra is rebuilt from its own hom space and proved local through its
+    semisimple quotient, and classes come from a pairwise isomorphism search
+    against each class representative.
+
+    Returns (summand dims, classes, local_checked, projectors)."""
+    from topring import linalg
+    from topring.algebras import quotient, radical
+    from topring.lifting import lift_family_from_quotient
+    from topring.modules import endo_algebra, find_isomorphism, submodule_module
+    from topring.wedderburn import wedderburn
+
+    F = M.algebra.field
+    E, homs, _ = endo_algebra(M)
+    radE = radical(E)
+    Q, proj, section = quotient(E, radE)
+    W = wedderburn(Q, seed=seed)
+    fam = lift_family_from_quotient(E, radE, proj, section, W.primitive_family())
+    summands, local_checked, projectors = [], [], []
+    for row in fam.rows:
+        P = linalg.lincomb(F, row, homs)
+        N, _ = submodule_module(M, linalg.row_space_basis(F, P))
+        EN, _, _ = endo_algebra(N)
+        radN = radical(EN)
+        top = wedderburn(quotient(EN, radN)[0]).summary()
+        if len(top) != 1 or top[0][1] != 1:
+            raise AssertionError("summand endomorphism algebra is not local")
+        if EN.cardinality() <= 1024:
+            elements = EN.all_elements()
+            idems = sum(EN.is_idempotent(x) for x in elements)
+            units = [EN.inverse(x) is not None for x in elements]
+            if idems != 2 or any(u == r for u, r in zip(units, radN.member_rows(elements))):
+                raise AssertionError("summand endomorphism algebra is not local")
+            local_checked.append("exhaustive")
+        else:
+            local_checked.append("semisimple-quotient")
+        summands.append(N)
+        projectors.append(P)
+    classes: list[list[int]] = []
+    for z, N in enumerate(summands):
+        cls = next((c for c in classes if find_isomorphism(N, summands[c[0]]) is not None), None)
+        if cls is None:
+            classes.append([z])
+        else:
+            cls.append(z)
+    return [N.dim for N in summands], classes, local_checked, projectors

@@ -307,10 +307,11 @@ COUNT_LINES = [
 
 @pytest.mark.parametrize("verb,name,line", COUNT_LINES,
                          ids=[f"{n}:{l.split()[0]}" for _, n, l in COUNT_LINES])
-@pytest.mark.parametrize("form", ["bare", "two-values"])
+@pytest.mark.parametrize("form", ["bare", "two-values", "zero", "negative"])
 def test_count_line_needs_one_integer(capsys, tmp_path, verb, name, line, form):
     keyword = line.split()[0]
-    bad = keyword if form == "bare" else f"{line} 1"
+    bad = {"bare": keyword, "two-values": f"{line} 1",
+           "zero": f"{keyword} 0", "negative": f"{keyword} -1"}[form]
     text = _absolute_refs(corpus.read(name))
     assert f"\n{line}\n" in text
     p = tmp_path / name
@@ -318,7 +319,24 @@ def test_count_line_needs_one_integer(capsys, tmp_path, verb, name, line, form):
     inputs = [str(p)] * (2 if verb == "matmul" else 1)
     rc = cli.main([verb, *inputs])
     assert rc == 2
-    assert f"{keyword} line takes one integer" in capsys.readouterr().err
+    message = "needs a count of at least 1" if form in ("zero", "negative") else "takes one integer"
+    assert f"{keyword} line {message}" in capsys.readouterr().err
+
+
+def test_decompose_module_without_class_isomorphism_exits_4(capsys, tmp_path, monkeypatch):
+    from topring import modules, serialize
+    from topring.modules import right_regular_module
+
+    algebra = corpus.path("mat2_f2.alg")
+    reg = right_regular_module(serialize.Loader().algebra(algebra))
+    p = tmp_path / "mat2_reg.mod"
+    p.write_text(serialize.write_module(reg, algebra))
+    monkeypatch.setattr(modules, "find_isomorphism", lambda M, N: None)
+    rc = cli.main(["decompose-module", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "summands 1 and 0" in captured.err
 
 
 def test_parser_is_built_once(capsys):

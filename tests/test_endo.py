@@ -450,15 +450,15 @@ def test_sigma_accepts_an_endo_tower():
 
 def test_bridge_finite_module_is_consistent():
     rep = perfectness_bridge(right_regular_module(DUAL), depth=6, seed=0)
-    assert rep.perfect_verdict == "PERFECT"
-    assert rep.sigma_kind == "certificate"
+    assert rep.perfect.verdict == "PERFECT"
+    assert rep.sigma.kind == "certificate"
     assert rep.consistent
 
 
 def test_bridge_showcase_family_is_consistent():
     rep = perfectness_bridge(chain_family(6), depth=6, seed=0)
-    assert rep.perfect_verdict == "NOT_PERFECT"
-    assert rep.sigma_kind == "witness"
+    assert rep.perfect.verdict == "NOT_PERFECT"
+    assert rep.sigma.kind == "witness"
     assert rep.consistent
 
 
@@ -467,6 +467,6 @@ def test_bridge_semisimple_module_with_tower():
     tw = endo_tower(MAT2, [S, S, S], 3)
     S3, _, _ = direct_sum([S] * 3)
     rep = perfectness_bridge(S3, depth=6, seed=0, tower=tw)
-    assert rep.perfect_verdict == "PERFECT"
+    assert rep.perfect.verdict == "PERFECT"
     assert rep.module_semisimple is True
     assert rep.tower_levels_semisimple == [True, True, True]

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import endo_structure_full, sampled_isomorphism, solve_left_rows
-from topring import linalg
+from oracles import (
+    decompose_per_summand,
+    endo_structure_full,
+    sampled_isomorphism,
+    solve_left_rows,
+)
+from topring import linalg, modules
 from topring.algebras import (
     AlgebraError,
+    cyclic_group_algebra,
+    field_extension_algebra,
     matrix_algebra,
     product_algebra,
     field_algebra,
@@ -359,6 +366,82 @@ def test_krull_schmidt_two_seeds_match(seed):
         assert hit is not None
         unmatched.remove(hit)
     assert not unmatched
+
+
+REGULAR_POOL = {
+    "UT3(F2)": lambda: upper_triangular_algebra(F2, 3),
+    "Mat2(F2)": lambda: matrix_algebra(F2, 2),
+    "GF(4)/F2": lambda: field_extension_algebra(F2, 2),
+    "F3[C3]": lambda: cyclic_group_algebra(F3, 3),
+    "UT2(F3)": lambda: upper_triangular_algebra(F3, 2),
+}
+
+
+def regular_module(name, copies):
+    reg = right_regular_module(REGULAR_POOL[name]())
+    return reg if copies == 1 else direct_sum([reg] * copies)[0]
+
+
+DIFFERENTIAL_CASES = [("random", i) for i in range(150)] + [
+    (name, copies) for name in REGULAR_POOL for copies in (1, 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("kind,arg", DIFFERENTIAL_CASES,
+                         ids=[f"{k}-{a}" for k, a in DIFFERENTIAL_CASES])
+def test_decomposition_matches_per_summand_route(kind, arg, seed):
+    M = random_module(arg) if kind == "random" else regular_module(kind, arg)
+    cert = decompose_indecomposable(M, seed=seed)
+    dims, classes, local_checked, projectors = decompose_per_summand(M, seed=seed)
+    assert [N.dim for N in cert.summands] == dims
+    assert cert.classes == classes
+    assert cert.local_checked == local_checked
+    assert len(cert.idempotents) == len(projectors)
+    for P, Q in zip(cert.idempotents, projectors):
+        assert np.array_equal(P, Q)
+
+
+def test_missing_class_isomorphism_names_both_summands(monkeypatch):
+    monkeypatch.setattr(modules, "find_isomorphism", lambda M, N: None)
+    with pytest.raises(AssertionError, match="summands 1 and 0 share a Wedderburn block"):
+        decompose_indecomposable(regular_module("Mat2(F2)", 1))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(modules, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name,copies", [("Mat2(F2)", 1), ("UT3(F2)", 2), ("UT2(F3)", 2)])
+def test_one_endo_algebra_and_one_hom_space_per_class_member(monkeypatch, name, copies):
+    M = regular_module(name, copies)
+    endo_calls = _counting(monkeypatch, "endo_algebra")
+    hom_calls = _counting(monkeypatch, "hom_space")
+    cert = decompose_indecomposable(M)
+    k, c = len(cert.summands), len(cert.classes)
+    assert k > c
+    assert len(endo_calls) == 1
+    assert len(hom_calls) == 1 + (k - c)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_module_verdict_certificate_matches_family_check(seed):
+    M = random_module(seed + 100)
+    verdict = perfect_decomposition_verdict(M, depth=6)
+    summands = verdict.decomposition.summands
+    fam = ModuleFamily(members=summands,
+                       labels=[f"summand_{z}" for z in range(len(summands))],
+                       truncated=False)
+    res = local_T_nilpotency_check(fam, depth=6)
+    assert verdict.certificate == res.certificate
+    assert verdict.decomposition.t_nilpotency == res
 
 
 @pytest.mark.parametrize("seed", range(8))
