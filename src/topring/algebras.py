@@ -294,19 +294,6 @@ class SubspaceIdeal:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def add_ideal(self, other: "SubspaceIdeal") -> "SubspaceIdeal":
-        if self.side != other.side and "two" not in (self.side, other.side):
-            raise AlgebraError("cannot sum a left ideal with a right ideal")
-        side = self.side if other.side == "two" else other.side
-        basis = linalg.sum_row_spaces(self.algebra.field, self.basis, other.basis)
-        return SubspaceIdeal(self.algebra, basis, side=side, check=False)
-
-    def product_with(self, other: "SubspaceIdeal") -> np.ndarray:
-        """Canonical basis of span{h * k : h in self, k in other}."""
-        A = self.algebra
-        prods = A.mul_pairs(self.basis, other.basis).reshape(-1, A.dim)
-        return linalg.row_space_basis(A.field, prods)
-
     def nilpotency_index(self, cap: int | None = None) -> int:
         """Smallest k with I^k = 0; raises AlgebraError if not nilpotent."""
         A = self.algebra

@@ -13,8 +13,10 @@ ideals, with the isomorphism and the topology match verified exactly.
 
 bass_flat computes the direct limit of R --a_1--> R --a_2--> ... (maps are
 right multiplications, constant tail convention past the listed terms) and
-certifies projectivity by a split surjection from R; over a finite ring a
-failure to split is an internal inconsistency, never a result.
+certifies projectivity by a split surjection from R.  The section is the
+Fitting projection: right multiplication by a high power of the tail term
+splits R as kernel + image (Lam, First Course, section 19), so a failure to
+split is an internal inconsistency, never a result.
 
 split_omega_limit_check and sigma_coperfect_check handle the two decidable
 splitting regimes and the descending-chain searches; perfectness_bridge
@@ -34,6 +36,7 @@ from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
     SubspaceIdeal,
+    hom_failures,
     matrix_algebra,
     subalgebra_closure,
     subalgebra_structure,
@@ -46,9 +49,9 @@ from topring.modules import (
     cyclic_submodule,
     direct_sum,
     endo_algebra,
-    hom_space,
     PerfectDecompositionVerdict,
     left_regular_module,
+    module_map_failures,
     perfect_decomposition_verdict,
     quotient_module,
     radical_of_module,
@@ -128,7 +131,6 @@ def endo_tower(A: StructureAlgebra, components: list[FiniteModule], N: int | Non
         S, _, _ = direct_sum(components[: n + 1])
         E, homs, S_over_E = endo_algebra(S)
         k = homs.shape[0]
-        flat = homs.reshape(k, S.dim * S.dim)
         anns = []
         lead = 0
         for j in range(n + 1):
@@ -206,8 +208,8 @@ def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> Real
 
     The base must consist of right (or two-sided) ideals of R and contain
     the zero ideal; right multiplications then exhaust the commutant of
-    the coset-map algebra, and the isomorphism is verified on all element
-    pairs for small rings and on all basis pairs otherwise."""
+    the coset-map algebra, and the isomorphism is verified on every basis
+    pair, which by bilinearity covers every element pair of any ring."""
     F = R.field
     if not base:
         raise AlgebraError("the ideal base must be nonempty")
@@ -288,18 +290,11 @@ def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> Real
     if not np.array_equal(linalg.matvec(F, R.unit, to_endo), E.unit):
         raise InternalInconsistencyError("the realization map loses the unit")
 
-    if R.cardinality() <= 64:
-        elements = R.all_elements()
-    else:
-        elements = np.vstack([np.eye(R.dim, dtype=np.int64), R.unit[None, :]])
-    images = linalg.matmul(F, elements, to_endo)
-    for a in range(elements.shape[0]):
-        for b in range(elements.shape[0]):
-            lhs = E.mul(images[a], images[b])
-            rhs = linalg.matvec(F, R.mul(elements[a], elements[b]), to_endo)
-            if not np.array_equal(lhs, rhs):
-                raise InternalInconsistencyError(
-                    f"realization is not multiplicative at element pair ({a}, {b})")
+    bad = hom_failures(R, E, to_endo)
+    if bad.size:
+        i, j = bad[0]
+        raise InternalInconsistencyError(
+            f"realization is not multiplicative at basis pair ({i}, {j})")
 
     for idx, J in enumerate(base):
         _, proj, _ = quotients[idx]
@@ -335,9 +330,11 @@ class BassFlatDatum:
     The listed sequence continues with its last term (constant tail).  The
     image chain R*a_1*...*a_n has monotone cardinalities and stabilizes at
     the 1-based index recorded here; the colimit only depends on the tail
-    and equals R modulo the elements killed by a high power of the tail
+    and equals R modulo the elements killed by a high power a^N of the tail
     term.  verdict is always PROJECTIVE over a finite ring, witnessed by a
-    section with  section @ projection = identity  exactly."""
+    module-map section with  section @ projection = identity  exactly: the
+    Fitting projection of R onto R*a^N along the kernel, so the section's
+    rows lie in R*a^N."""
 
     ring: StructureAlgebra
     sequence: np.ndarray
@@ -385,30 +382,29 @@ def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
     note = "" if s <= d else "stabilized only in the constant-tail extension"
 
     # kernel of the canonical map onto the colimit: elements killed by a
-    # stable power of the tail term (the colimit depends only on the tail)
-    P = R.rmul_matrix(ext[-1])
-    Pk = np.eye(R.dim, dtype=np.int64)
-    for _ in range(R.dim):
-        Pk = linalg.matmul(F, Pk, P)
+    # stable power of the tail term (the colimit depends only on the tail);
+    # N = 2^t >= dim R, and ker/im of P^N are the same for every such N
+    Pk = R.rmul_matrix(ext[-1])
+    for _ in range((R.dim - 1).bit_length()):
+        Pk = linalg.matmul(F, Pk, Pk)
     kernel = linalg.row_space_basis(F, linalg.left_null_basis(F, Pk))
+    image = linalg.row_space_basis(F, Pk)
     LR = left_regular_module(R)
-    B, proj, _ = quotient_module(LR, kernel)
+    B, proj, lift = quotient_module(LR, kernel)
 
-    if B.dim == 0:
-        section = np.zeros((0, R.dim), dtype=np.int64)
-    else:
-        homs = hom_space(B, LR)
-        rows = np.stack([linalg.matmul(F, homs[t], proj).reshape(-1)
-                         for t in range(homs.shape[0])]) if homs.shape[0] else homs.reshape(0, B.dim * B.dim)
-        target = np.eye(B.dim, dtype=np.int64).reshape(-1)
-        sol = linalg.solve_left(F, rows, target) if rows.shape[0] else None
-        if sol is None:
-            raise InternalInconsistencyError(
-                "Bass colimit over a finite ring failed to split off the free cover; "
-                f"ranks={ranks[:d]}, kernel dim {kernel.shape[0]}")
-        section = linalg.lincomb(F, sol, homs)
-        if not np.array_equal(linalg.matmul(F, section, proj), np.eye(B.dim, dtype=np.int64)):
-            raise InternalInconsistencyError("split section failed verification")
+    # Fitting: R = ker + im of P^N as left modules; the section sends a
+    # class to its component in im, read off coordinates in [kernel; image]
+    coords = linalg.inverse(F, np.vstack([kernel, image]))
+    if coords is None:
+        raise InternalInconsistencyError(
+            "Bass colimit over a finite ring failed to split off the free cover; "
+            f"ranks={ranks[:d]}, kernel dim {kernel.shape[0]}")
+    onto_image = linalg.matmul(F, coords[:, kernel.shape[0]:], image)
+    section = linalg.matmul(F, lift, onto_image)
+    if not np.array_equal(linalg.matmul(F, section, proj), np.eye(B.dim, dtype=np.int64)):
+        raise InternalInconsistencyError("split section failed verification")
+    if module_map_failures(B, LR, section).size:
+        raise InternalInconsistencyError("split section is not a module map")
 
     return BassFlatDatum(
         ring=R,
@@ -453,22 +449,17 @@ def omega_system(modules: list[FiniteModule], maps: list[np.ndarray],
         raise AlgebraError(f"need {len(modules) - 1} maps, got {len(maps)}")
     A = modules[0].algebra
     side = modules[0].side
-    F = A.field
     for m in modules:
         if (m.algebra is not A and m.algebra != A) or m.side != side:
             raise AlgebraError("system modules must share algebra and side")
-    gens = A.generator_elements()
     clean_maps = []
     for n, T in enumerate(maps):
         T = np.asarray(T, dtype=np.int64)
         if T.shape != (modules[n].dim, modules[n + 1].dim):
             raise AlgebraError(f"map {n} has shape {T.shape}, expected "
                                f"{(modules[n].dim, modules[n + 1].dim)}")
-        for g in gens:
-            lhs = linalg.matmul(F, modules[n].eff(g), T)
-            rhs = linalg.matmul(F, T, modules[n + 1].eff(g))
-            if not np.array_equal(lhs, rhs):
-                raise AlgebraError(f"map {n} is not a module homomorphism")
+        if module_map_failures(modules[n], modules[n + 1], T).size:
+            raise AlgebraError(f"map {n} is not a module homomorphism")
         clean_maps.append(T)
     return OmegaSystem(modules=list(modules), maps=clean_maps, ground=ground)
 
@@ -575,11 +566,8 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
                               np.eye(S.modules[-1].dim, dtype=np.int64)):
             raise InternalInconsistencyError("split section failed verification")
         Sum, _, _ = direct_sum(S.modules)
-        for g in S.modules[0].algebra.generator_elements():
-            lhs = linalg.matmul(F, S.modules[-1].eff(g), section)
-            rhs = linalg.matmul(F, section, Sum.eff(g))
-            if not np.array_equal(lhs, rhs):
-                raise InternalInconsistencyError("split section is not a module map")
+        if module_map_failures(S.modules[-1], Sum, section).size:
+            raise InternalInconsistencyError("split section is not a module map")
         return SplitVerdict(kind="SPLIT", depth=d, slot=slot + 1, section=section,
                             detail=f"section embeds the colimit at slot {slot + 1}")
 

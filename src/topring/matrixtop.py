@@ -54,13 +54,6 @@ def _right_closure(A: StructureAlgebra, rows) -> np.ndarray:
     return ideal_from_generators(A, rows, side="right").basis
 
 
-def _left_products(A: StructureAlgebra, a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Rows a * t for t running over the basis rows."""
-    if basis.shape[0] == 0:
-        return _zero_basis(A.dim)
-    return np.vstack([A.mul(a, t) for t in basis])
-
-
 @dataclass
 class WindowedMatrix:
     """A matrix known exactly on a finite window, with row certificates.
@@ -314,7 +307,7 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
             ent[x] = F.contract("yjk,yzj->zk", left, b.entries[ys, :W])
         for v, y in known_rows:
             if b.precisions[y].shape[0]:
-                prec_pieces.append(_left_products(A, v, b.precisions[y]))
+                prec_pieces.append(A.mul_pairs(v[None, :], b.precisions[y])[0])
         prec = _right_closure(A, np.vstack(prec_pieces)) if prec_pieces else _zero_basis(A.dim)
         if prec.shape[0] == A.dim:
             raise WindowError(
@@ -330,7 +323,7 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
             for _, w in b.extras[y]:
                 tail_pieces.append(A.mul(v, w)[None, :])
             if b.tails[y].shape[0]:
-                tail_pieces.append(_left_products(A, v, b.tails[y]))
+                tail_pieces.append(A.mul_pairs(v[None, :], b.tails[y])[0])
         tail_rows = [p for p in tail_pieces if p.shape[0]]
         tail = _right_closure(A, np.vstack(tail_rows)) if tail_rows else _zero_basis(A.dim)
         precisions.append(prec)
@@ -345,9 +338,6 @@ class OpenMatrixIdeal:
     base: StructureAlgebra
     rows: tuple[int, ...]
     ideal: SubspaceIdeal
-
-    def describe(self) -> str:
-        return f"K(rows={list(self.rows)}, ideal dim {self.ideal.dim})"
 
 
 def open_matrix_ideal(base: StructureAlgebra, rows, basis,
@@ -367,9 +357,6 @@ class MatrixMembership:
     kind: str
     window: int
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.kind == "MEMBER"
 
 
 def ideal_member(m: WindowedMatrix, K: OpenMatrixIdeal) -> MatrixMembership:

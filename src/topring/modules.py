@@ -152,18 +152,12 @@ def quotient_module(M: FiniteModule, basis: np.ndarray):
     """
     F = M.algebra.field
     proj, section = linalg.quotient_maps(F, basis, M.dim)
-    k = section.shape[0]
-    eff = M.eff_basis()
-    q_eff = np.zeros((M.algebra.dim, k, k), dtype=np.int64)
-    for i in range(M.algebra.dim):
-        q_eff[i] = linalg.matmul(F, linalg.matmul(F, section, eff[i]), proj)
+    # q_eff[i] = section @ eff[i] @ proj
+    q_eff = F.contract("irk,kl->irl", F.contract("rj,ijk->irk", section, M.eff_basis()), proj)
     action = q_eff if M.side == "right" else np.swapaxes(q_eff, 1, 2)
     Q = FiniteModule(M.algebra, action, side=M.side, check=False)
-    for i in range(M.algebra.dim):
-        lhs = linalg.matmul(F, eff[i], proj)
-        rhs = linalg.matmul(F, proj, q_eff[i])
-        if not np.array_equal(lhs, rhs):
-            raise AlgebraError("projection does not intertwine the action")
+    if module_map_failures(M, Q, proj).size:
+        raise AlgebraError("projection does not intertwine the action")
     return Q, proj, section
 
 
@@ -209,6 +203,19 @@ def cyclic_submodule(M: FiniteModule, v: np.ndarray) -> np.ndarray:
 def _eff_stack(M: FiniteModule, X: np.ndarray) -> np.ndarray:
     """The matrices M.eff(x) of the rows x of X, shape (|X|, dim, dim)."""
     return M.algebra.field.contract("hi,ijk->hjk", X, M.eff_basis())
+
+
+def module_map_failures(M: FiniteModule, N: FiniteModule, T: np.ndarray) -> np.ndarray:
+    """Indices of the algebra generators g at which v -> v @ T from M to N
+    is not a module map: M.eff(g) @ T != T @ N.eff(g).
+
+    The elements whose action T intertwines form a unital subalgebra, so
+    an empty result means T is a module map."""
+    F = M.algebra.field
+    gens = M.algebra.generator_elements()
+    lhs = F.contract("gjk,kl->gjl", _eff_stack(M, gens), T)
+    rhs = F.contract("jk,gkl->gjl", T, _eff_stack(N, gens))
+    return np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
 
 
 def radical_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None) -> np.ndarray:
@@ -328,7 +335,7 @@ def hom_space(M: FiniteModule, N: FiniteModule) -> np.ndarray:
             blocks.append(K)
         null = linalg.right_null_basis(F, np.vstack(blocks))
         null = linalg.row_space_basis(F, null)
-    return null.reshape(-1, M.dim, N.dim)
+    return null.reshape(null.shape[0], M.dim, N.dim)
 
 
 def _fkron(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -404,7 +411,7 @@ class DecompositionCertificate:
     """Indecomposable decomposition with all the data needed to re-check it.
 
     idempotents[z] is the projector matrix onto summand z inside the
-    ambient module (injections[z] composed with projections[z]); classes
+    ambient module, projections[z] @ embeddings[z]; classes
     groups summand indices into isomorphism classes, one class per
     Wedderburn block of End(M)/rad, in block order.  class_isos holds the
     find_isomorphism witness from each member to its class representative
@@ -416,7 +423,6 @@ class DecompositionCertificate:
     module: FiniteModule
     summands: list[FiniteModule]
     embeddings: list[np.ndarray]
-    injections: list[np.ndarray]
     projections: list[np.ndarray]
     idempotents: list[np.ndarray]
     classes: list[list[int]]
@@ -435,6 +441,10 @@ def _endo_is_local(E: StructureAlgebra) -> bool:
 def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCertificate:
     """Split M into indecomposable summands by lifting a complete family of
     primitive orthogonal idempotents through rad(End(M))."""
+    if M.dim == 0:
+        return DecompositionCertificate(
+            module=M, summands=[], embeddings=[], projections=[], idempotents=[],
+            classes=[], class_isos={}, endo_radicals=[], local_checked=[])
     F = M.algebra.field
     E, homs, _ = endo_algebra(M)
     radE = radical(E)
@@ -494,7 +504,6 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         module=M,
         summands=summands,
         embeddings=embeddings,
-        injections=list(embeddings),
         projections=projections,
         idempotents=idempotents,
         classes=classes,

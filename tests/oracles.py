@@ -12,7 +12,9 @@ against one RREF and the batched products replaced), hom_failures_loop
 (the basis-pair loop that algebras.hom_failures replaced), and
 decompose_per_summand (the per-summand endomorphism algebras and pairwise
 class search that modules.decompose_indecomposable replaced by Peirce
-corners and Wedderburn blocks of End(M)).
+corners and Wedderburn blocks of End(M)), and bass_flat_hom_space (the
+Hom-space search for the Bass colimit's section that endo.bass_flat
+replaced by the Fitting projection).
 """
 
 from __future__ import annotations
@@ -335,3 +337,45 @@ def decompose_per_summand(M, seed: int = 0):
         else:
             cls.append(z)
     return [N.dim for N in summands], classes, local_checked, projectors
+
+
+def bass_flat_hom_space(R, sequence):
+    """The Bass colimit by the route endo.bass_flat took before it read its
+    section off Fitting's lemma: the power P^dim R of the tail term's right
+    multiplication by dim R products, and a section found by solving for
+    section @ proj == I inside a basis of Hom(colimit, R).
+
+    Returns (ranks, stabilization index, kernel, colimit, projection,
+    section, image of P^dim R)."""
+    from topring import linalg
+    from topring.modules import hom_space, left_regular_module, quotient_module
+
+    F = R.field
+    seq = np.asarray(sequence, dtype=np.int64).reshape(-1, R.dim)
+    d = seq.shape[0]
+    ext = np.vstack([seq] + [seq[-1][None, :]] * (R.dim + 1))
+    acc = np.eye(R.dim, dtype=np.int64)
+    ranks = []
+    for a in ext:
+        acc = linalg.matmul(F, acc, R.rmul_matrix(a))
+        ranks.append(naive_rank(F, acc))
+    s = len(ranks)
+    while s > 1 and ranks[s - 2] == ranks[-1]:
+        s -= 1
+    P = R.rmul_matrix(ext[-1])
+    Pk = np.eye(R.dim, dtype=np.int64)
+    for _ in range(R.dim):
+        Pk = linalg.matmul(F, Pk, P)
+    kernel = linalg.row_space_basis(F, linalg.left_null_basis(F, Pk))
+    LR = left_regular_module(R)
+    B, proj, _ = quotient_module(LR, kernel)
+    if B.dim == 0:
+        section = np.zeros((0, R.dim), dtype=np.int64)
+    else:
+        homs = hom_space(B, LR)
+        rows = np.stack([linalg.matmul(F, h, proj).reshape(-1) for h in homs])
+        sol = linalg.solve_left(F, rows, np.eye(B.dim, dtype=np.int64).reshape(-1))
+        if sol is None:
+            raise AssertionError("no Hom-space section")
+        section = linalg.lincomb(F, sol, homs)
+    return ranks[:d], s, kernel, B, proj, section, linalg.row_space_basis(F, Pk)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from topring import linalg
+from oracles import bass_flat_hom_space
+from topring import endo, linalg
+from topring.acceptance import _finite_ring_pool
 from topring.algebras import (
     AlgebraError,
     SubspaceIdeal,
@@ -34,6 +36,8 @@ from topring.modules import (
     cyclic_submodule,
     direct_sum,
     endo_algebra,
+    left_regular_module,
+    module_map_failures,
     quotient_module,
     right_regular_module,
     submodule_module,
@@ -226,6 +230,12 @@ def test_realize_rejects_left_ideals_and_duplicates():
         realize_ring_as_endo(DUAL, [zero_ideal(DUAL), zero_ideal(DUAL)])
 
 
+def test_realization_names_the_first_failing_basis_pair(monkeypatch):
+    monkeypatch.setattr(endo, "hom_failures", lambda A, B, T: np.array([[1, 0], [1, 1]]))
+    with pytest.raises(InternalInconsistencyError, match=r"basis pair \(1, 0\)"):
+        realize_ring_as_endo(DUAL, [zero_ideal(DUAL), X_IDEAL])
+
+
 # ---------------------------------------------------------------------------
 # Bass colimits
 # ---------------------------------------------------------------------------
@@ -277,6 +287,56 @@ def test_bass_flat_seeded_battery_always_projective():
                 assert np.array_equal(
                     linalg.matmul(ring.field, d.section, d.projection),
                     np.eye(d.colimit.dim, dtype=np.int64))
+
+
+def test_bass_flat_fitting_section_against_the_hom_space_route():
+    # the Fitting section is the one Hom(colimit, R) section with rows in
+    # R*a^N; the old search may pick another when Hom(colimit, ker) != 0,
+    # which a commutative ring never allows (ker and im are ring factors)
+    changed = set()
+    for i, R in enumerate(_finite_ring_pool()):
+        F = R.field
+        LR = left_regular_module(R)
+        for seed in range(100):
+            seq = sample_sequence(R, 6, seed)
+            d = bass_flat(R, seq)
+            ranks, s, kernel, B, proj, old, image = bass_flat_hom_space(R, seq)
+            assert d.image_ranks == ranks
+            assert d.stabilization_index == s
+            assert np.array_equal(d.kernel_basis, kernel)
+            assert np.array_equal(d.projection, proj)
+            assert d.colimit.dim == B.dim
+            eye = np.eye(B.dim, dtype=np.int64)
+            for section in (d.section, old):
+                assert np.array_equal(linalg.matmul(F, section, proj), eye)
+                assert module_map_failures(d.colimit, LR, section).size == 0
+            assert linalg.in_row_space(F, image, d.section)
+            if linalg.in_row_space(F, image, old):
+                assert np.array_equal(d.section, old)
+            elif R.is_commutative():
+                pytest.fail(f"commutative ring {i} seed {seed}: Hom-space section leaves R*a^N")
+            if not np.array_equal(d.section, old):
+                changed.add(i)
+    # only noncommutative rings can get here, and some of the pool's do
+    assert changed
+
+
+def test_bass_flat_split_failures_are_inconsistencies(monkeypatch):
+    seq = np.array([[1, 0, 0, 0]], dtype=np.int64)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "inverse", lambda F, A: None)
+        with pytest.raises(InternalInconsistencyError, match="failed to split"):
+            bass_flat(MAT2, seq)
+    with monkeypatch.context() as m:
+        # a zero coordinate matrix makes the section zero
+        m.setattr(linalg, "inverse", lambda F, A: np.zeros_like(A))
+        with pytest.raises(InternalInconsistencyError, match="failed verification"):
+            bass_flat(MAT2, seq)
+    with monkeypatch.context() as m:
+        m.setattr(endo, "module_map_failures", lambda M, N, T: np.array([0]))
+        with pytest.raises(InternalInconsistencyError, match="not a module map"):
+            bass_flat(MAT2, seq)
+    assert bass_flat(MAT2, seq).verdict == "PROJECTIVE"
 
 
 def test_bass_flat_rejects_bad_sequences():

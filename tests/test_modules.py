@@ -39,6 +39,7 @@ from topring.modules import (
     hom_space,
     intersection_of_maximals,
     local_T_nilpotency_check,
+    module_map_failures,
     noniso_witness_search,
     perfect_decomposition_verdict,
     quotient_module,
@@ -261,6 +262,49 @@ def test_hom_elements_intertwine_the_action(data):
     assert np.array_equal(lhs, rhs)
 
 
+def test_module_map_failures_names_the_failing_generators():
+    A = truncated_poly_algebra(F2, 2)
+    M = right_regular_module(A)
+    assert A.generators() == [1]
+    assert module_map_failures(M, M, np.eye(2, dtype=np.int64)).tolist() == []
+    bad = np.array([[1, 0], [0, 0]], dtype=np.int64)  # kills x, not a module map
+    assert module_map_failures(M, M, bad).tolist() == [0]
+    # over T2(F2), generated by e11 and e12, this map fails at e12 alone
+    U = right_regular_module(upper_triangular_algebra(F2, 2))
+    assert module_map_failures(U, U, np.diag([0, 1, 0])).tolist() == [1]
+    B = truncated_poly_algebra(F2, 4)
+    M2, M3 = truncated_module(B, 2), truncated_module(B, 3)
+    for Phi in hom_space(M2, M3):
+        assert module_map_failures(M2, M3, Phi).size == 0
+
+
+def test_module_map_failures_over_a_field_has_no_generators():
+    K = field_algebra(F3)
+    M = right_regular_module(K)
+    assert K.generator_elements().shape == (0, 1)
+    assert module_map_failures(M, M, np.array([[2]], dtype=np.int64)).shape == (0,)
+
+
+def test_quotient_by_a_non_submodule_does_not_intertwine():
+    M = right_regular_module(truncated_poly_algebra(F2, 2))
+    with pytest.raises(AlgebraError, match="intertwine"):
+        quotient_module(M, np.array([[1, 0]], dtype=np.int64))
+
+
+def test_zero_dimensional_module_has_empty_hom_spaces_and_no_summands():
+    A = matrix_algebra(F2, 2)
+    Z = FiniteModule(A, np.zeros((4, 0, 0), dtype=np.int64))
+    N = right_regular_module(A)
+    assert hom_space(Z, Z).shape == (0, 0, 0)
+    assert hom_space(Z, N).shape == (0, 0, 4)
+    assert hom_space(N, Z).shape == (0, 4, 0)
+    E, homs, _ = endo_algebra(Z)
+    assert E.dim == 0 and homs.shape == (0, 0, 0)
+    cert = decompose_indecomposable(Z)
+    assert cert.summands == [] and cert.classes == [] and cert.idempotents == []
+    assert perfect_decomposition_verdict(Z).verdict == "PERFECT"
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
@@ -313,7 +357,7 @@ def test_certificate_projectors_verify():
     cert = decompose_indecomposable(M)
     verify_decomposition(cert)
     m = M.dim
-    for inj, proj in zip(cert.injections, cert.projections):
+    for inj, proj in zip(cert.embeddings, cert.projections):
         assert np.array_equal(
             linalg.matmul(F2, inj, proj), np.eye(inj.shape[0], dtype=np.int64)
         )
