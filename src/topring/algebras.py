@@ -223,6 +223,15 @@ class StructureAlgebra:
     def generator_elements(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.int64)[self.generators()]
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        return (isinstance(other, StructureAlgebra) and self.field == other.field
+                and np.array_equal(self.c, other.c) and np.array_equal(self.unit, other.unit))
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.dim))
+
     def __repr__(self) -> str:
         return f"StructureAlgebra(dim={self.dim} over {self.field})"
 
@@ -419,7 +428,7 @@ def _batch_power_mod(W: np.ndarray, e: int, m: int) -> np.ndarray:
     return result
 
 
-def radical(A: StructureAlgebra, verify_quotient: bool = True) -> SubspaceIdeal:
+def radical(A: StructureAlgebra) -> SubspaceIdeal:
     """Largest nilpotent two-sided ideal (the Jacobson radical).
 
     Computed over the prime field by iterated kernels of the divided trace
@@ -480,9 +489,10 @@ def radical(A: StructureAlgebra, verify_quotient: bool = True) -> SubspaceIdeal:
                 raise AssertionError("radical candidate is not F_q-stable")
         rad = SubspaceIdeal(A, linalg.row_space_basis(F, vecs), side="two", check=True)
     rad.nilpotency_index()
-    if verify_quotient and not rad.is_zero():
+    if not rad.is_zero():
+        # a semisimple quotient has a zero radical, so it is not verified again
         Q, _, _ = quotient(A, rad)
-        if not radical(Q, verify_quotient=False).is_zero():
+        if not radical(Q).is_zero():
             raise AssertionError("quotient by the computed radical is not semisimple")
     return rad
 

@@ -121,7 +121,7 @@ def endo_tower(A: StructureAlgebra, components: list[FiniteModule], N: int | Non
         raise AlgebraError(f"need 1 <= N <= {len(components)}, got {N}")
     side = components[0].side
     for m in components[:N]:
-        if m.algebra is not A and m.algebra != A:
+        if m.algebra != A:
             raise AlgebraError("components must be modules over the given algebra")
         if m.side != side:
             raise AlgebraError("components must share the side")
@@ -215,7 +215,7 @@ def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> Real
         raise AlgebraError("the ideal base must be nonempty")
     seen = set()
     for I in base:
-        if I.algebra is not R and I.algebra != R:
+        if I.algebra != R:
             raise AlgebraError("base ideals must live in the given ring")
         if I.side not in ("right", "two"):
             raise AlgebraError("base ideals must be right ideals")
@@ -450,7 +450,7 @@ def omega_system(modules: list[FiniteModule], maps: list[np.ndarray],
     A = modules[0].algebra
     side = modules[0].side
     for m in modules:
-        if (m.algebra is not A and m.algebra != A) or m.side != side:
+        if m.algebra != A or m.side != side:
             raise AlgebraError("system modules must share algebra and side")
     clean_maps = []
     for n, T in enumerate(maps):
@@ -628,8 +628,7 @@ class SigmaCoperfectResult:
     detail: str = ""
 
 
-def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random,
-                         cand_cap: int = 48):
+def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random):
     """Greedy strictly descending chain of cyclic submodules, ending at 0.
 
     Each step picks, among the current member's basis rows and seeded
@@ -639,7 +638,7 @@ def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random,
 
     def candidates(space: np.ndarray) -> list[np.ndarray]:
         out = [space[i] for i in range(space.shape[0])]
-        for _ in range(cand_cap):
+        for _ in range(48):
             coeffs = np.array([rng.randrange(F.q) for _ in range(space.shape[0])],
                               dtype=np.int64)
             v = linalg.matvec(F, coeffs, space)

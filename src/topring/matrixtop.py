@@ -239,13 +239,8 @@ def transpose(m: WindowedMatrix) -> WindowedMatrix:
     return windowed(m.base, m.y_kind, np.swapaxes(m.entries, 0, 1), check=False)
 
 
-def _same_base(A: StructureAlgebra, B: StructureAlgebra) -> bool:
-    return A is B or (A.field == B.field and A.dim == B.dim
-                      and np.array_equal(A.c, B.c) and np.array_equal(A.unit, B.unit))
-
-
 def _check_compatible(a: WindowedMatrix, b: WindowedMatrix) -> None:
-    if not _same_base(a.base, b.base):
+    if a.base != b.base:
         raise WindowError("matrices live over different base rings")
     if a.y_kind != b.y_kind:
         raise WindowError("matrices are indexed by different sets")
@@ -367,7 +362,7 @@ def ideal_member(m: WindowedMatrix, K: OpenMatrixIdeal) -> MatrixMembership:
     outside the window, its values are only known modulo a precision
     ideal not inside I, or its tail ideal is not inside I.
     """
-    if not _same_base(K.base, m.base):
+    if K.base != m.base:
         raise WindowError("ideal and matrix live over different base rings")
     I = K.ideal
     undecided: list[str] = []

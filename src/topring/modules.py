@@ -172,7 +172,7 @@ def direct_sum(modules: list[FiniteModule]):
         raise ValueError("empty direct sum")
     A = modules[0].algebra
     side = modules[0].side
-    if any(m.algebra is not A or m.side != side for m in modules):
+    if any(m.algebra != A or m.side != side for m in modules):
         raise AlgebraError("summands must share algebra and side")
     total = sum(m.dim for m in modules)
     action = np.zeros((A.dim, total, total), dtype=np.int64)
@@ -253,7 +253,7 @@ def radical_series(M: FiniteModule) -> list[np.ndarray]:
     return series
 
 
-def all_submodules(M: FiniteModule, cap: int = 4096) -> list[np.ndarray]:
+def all_submodules(M: FiniteModule) -> list[np.ndarray]:
     """Every submodule, as canonical bases: close cyclic submodules under
     pairwise sum.  Exhaustive oracle; cardinality-capped."""
     if M.cardinality() > 1024:
@@ -275,7 +275,7 @@ def all_submodules(M: FiniteModule, cap: int = 4096) -> list[np.ndarray]:
                 if key not in seen:
                     seen[key] = S
                     fresh.append(S)
-                    if len(seen) > cap:
+                    if len(seen) > 4096:
                         raise ValueError("submodule lattice exceeds enumeration cap")
         frontier = fresh
     return sorted(seen.values(), key=lambda b: (b.shape[0], b.tobytes()))
@@ -317,7 +317,7 @@ def intersection_of_maximals(M: FiniteModule) -> np.ndarray:
 def hom_space(M: FiniteModule, N: FiniteModule) -> np.ndarray:
     """Basis (k, M.dim, N.dim) of the space of structure-compatible linear
     maps v -> v @ Phi, computed from a generating set of the algebra."""
-    if M.algebra is not N.algebra and M.algebra != N.algebra:
+    if M.algebra != N.algebra:
         raise AlgebraError("modules must share the algebra")
     if M.side != N.side:
         raise AlgebraError("modules must share the side")
@@ -645,7 +645,7 @@ def _harada_sai(family: ModuleFamily) -> HaradaSaiCertificate:
                                 labels=list(family.labels))
 
 
-def noniso_witness_search(family: ModuleFamily, depth: int, beam: int = 256) -> NonisoWitnessChain | None:
+def noniso_witness_search(family: ModuleFamily, depth: int) -> NonisoWitnessChain | None:
     """Beam search for a composite of `depth` nonisomorphisms (basis maps
     between members) that is nonzero on some element, witnessed by the
     surviving element and its images."""
@@ -679,8 +679,8 @@ def noniso_witness_search(family: ModuleFamily, depth: int, beam: int = 256) -> 
                     new_states.append((start, b, nxt))
                     new_paths.append(paths[s] + [(cur, b, step)])
         order = sorted(range(len(new_states)), key=lambda i: (new_states[i][0], new_states[i][1], new_states[i][2].tobytes()))
-        new_states = [new_states[i] for i in order[:beam]]
-        new_paths = [new_paths[i] for i in order[:beam]]
+        new_states = [new_states[i] for i in order[:256]]
+        new_paths = [new_paths[i] for i in order[:256]]
         if not new_states:
             return None
         states, paths = new_states, new_paths

@@ -21,6 +21,18 @@ one StructureAlgebra instance.
               extra x c t v / tail x <row> / precision x <row>
     system:   ground tag / modules n / module i ref / map n r c v
 
+One emitter, `_sparse_lines`, writes every sparse record `key *prefix
+*index value`: the nonzero entries of an array in row-major order.  The
+writers and `Report.sparse` all call it.  One reader, `_dense`, fills an
+array of a given shape from such records; an index outside the shape is
+a ParseError (exit 2).  Towers and systems share one reader of their
+`tag / count / indexed references / per-link matrices` layout.
+
+The value rule: every field value, in a sparse record (`c`, `act`,
+`transition`, `map`, `entry`, `extra`) or a dense row (`unit`, `tail`,
+`precision`), lies in [0, q) for the field of order q.  Any other value
+is a validation error (exit 3).
+
 Reports share the lexical rules with `report <verb>` ... `end` framing
 and never contain timestamps; rerunning a job byte-reproduces them.
 """
@@ -29,7 +41,6 @@ import os
 
 import numpy as np
 
-from . import linalg
 from .algebras import AlgebraError, StructureAlgebra
 from .endo import OmegaSystem, omega_system
 from .fields import GF
@@ -82,6 +93,37 @@ def _sparse_record(rec: list[str], records: dict, usage: str) -> None:
     records[idx] = vals[3]
 
 
+def _in_field(key: str, vals, q: int) -> None:
+    """The value rule: every value lies in [0, q); else exit 3."""
+    for v in vals:
+        if not 0 <= v < q:
+            raise AlgebraError(f"{key} value {v} outside the field range [0, {q})")
+
+
+def _dense(key: str, records: dict, shape: tuple[int, ...], q: int) -> np.ndarray:
+    """The array of the given shape holding records[index] = value, zero elsewhere.
+
+    Values are checked first, since one outside the value rule may not
+    fit the int64 array; then an index outside the shape is a ParseError."""
+    _in_field(key, records.values(), q)
+    if any(min(axis) < 0 or max(axis) >= n for axis, n in zip(zip(*records), shape)):
+        bad = next(idx for idx in records if not all(0 <= i < n for i, n in zip(idx, shape)))
+        raise ParseError(f"{key} index {bad} outside shape {shape}")
+    out = np.zeros(shape, dtype=np.int64)
+    for idx, v in records.items():
+        out[idx] = v
+    return out
+
+
+def _sparse_lines(key: str, prefix: tuple[int, ...], M) -> list[str]:
+    """`key *prefix *index value` for every nonzero entry of M, row-major."""
+    M = np.asarray(M)
+    nz = np.nonzero(M)
+    head = " ".join([key, *map(str, prefix)])
+    return [" ".join([head, *map(str, row)])
+            for row in zip(*(i.tolist() for i in nz), M[nz].tolist())]
+
+
 def _indexed_ref(rec: list[str], refs: dict, usage: str) -> int:
     """Index of a `key i path` reference line, new among refs."""
     if len(rec) != 3:
@@ -119,12 +161,7 @@ def write_algebra(A: StructureAlgebra) -> str:
     lines.append("field " + " ".join(str(t) for t in (F.p, F.d, *F.modulus)))
     lines.append(f"dim {A.dim}")
     lines.append("unit " + " ".join(str(t) for t in A.unit))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                v = int(A.c[i, j, k])
-                if v:
-                    lines.append(f"c {i} {j} {k} {v}")
+    lines += _sparse_lines("c", (), A.c)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -156,11 +193,8 @@ def parse_algebra(text: str) -> StructureAlgebra:
         raise ParseError("algebra needs field, dim, and unit lines")
     if len(unit) != dim:
         raise ParseError("unit length differs from dim")
-    c = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (i, j, k), v in triples.items():
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ParseError(f"structure index ({i}, {j}, {k}) outside dim {dim}")
-        c[i, j, k] = v
+    c = _dense("c", triples, (dim, dim, dim), field.q)
+    _in_field("unit", unit, field.q)
     return StructureAlgebra(field, c, np.array(unit, dtype=np.int64), check=True)
 
 
@@ -170,14 +204,8 @@ def parse_algebra(text: str) -> StructureAlgebra:
 
 
 def write_module(M: FiniteModule, algebra_ref: str) -> str:
-    lines = ["object module", f"algebra {algebra_ref}", f"side {M.side}", f"dim {M.dim}"]
-    for a in range(M.algebra.dim):
-        for r in range(M.dim):
-            for c in range(M.dim):
-                v = int(M.action[a, r, c])
-                if v:
-                    lines.append(f"act {a} {r} {c} {v}")
-    lines.append("end")
+    lines = ["object module", f"algebra {algebra_ref}", f"side {M.side}", f"dim {M.dim}",
+             *_sparse_lines("act", (), M.action), "end"]
     return "\n".join(lines) + "\n"
 
 
@@ -204,11 +232,7 @@ def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
             raise ParseError(f"unknown module key {key!r}")
     if algebra is None or side is None or dim is None:
         raise ParseError("module needs algebra, side, and dim lines")
-    action = np.zeros((algebra.dim, dim, dim), dtype=np.int64)
-    for (a, r, c), v in quads.items():
-        if not (0 <= a < algebra.dim and 0 <= r < dim and 0 <= c < dim):
-            raise ParseError(f"action index ({a}, {r}, {c}) out of range")
-        action[a, r, c] = v
+    action = _dense("act", quads, (algebra.dim, dim, dim), algebra.field.q)
     return FiniteModule(algebra, action, side=side, check=True)
 
 
@@ -224,48 +248,60 @@ def write_tower(T: RingTower, level_refs: list[str]) -> str:
     for i, ref in enumerate(level_refs):
         lines.append(f"level {i} {ref}")
     for n, Tr in enumerate(T.transitions):
-        for r in range(Tr.shape[0]):
-            for c in range(Tr.shape[1]):
-                v = int(Tr[r, c])
-                if v:
-                    lines.append(f"transition {n} {r} {c} {v}")
+        lines += _sparse_lines("transition", (n,), Tr)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
-    intent = None
+def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: str,
+                 link_key: str, load, base_dir: str, link):
+    """The `tag / count / indexed references / per-link matrices` layout
+    shared by towers and systems.
+
+    `load(path)` parses a referenced file; `link(lo, hi)` is the (shape,
+    field order) of the matrix joining objects n and n + 1, since a tower
+    maps level n + 1 down to n and a system maps module n up to n + 1.
+
+    Returns:
+        (tag, objects, link matrices).
+    """
+    tag = None
     count = None
-    refs: dict[int, StructureAlgebra] = {}
+    refs: dict = {}
     quads: dict = {}
-    for rec in _framed(text, "tower"):
+    for rec in _framed(text, kind):
         key = rec[0]
-        if key == "intent":
+        if key == tag_key:
             if len(rec) != 2:
-                raise ParseError("intent takes one tag")
-            intent = rec[1]
-        elif key == "levels":
+                raise ParseError(f"{tag_key} takes one tag")
+            tag = rec[1]
+        elif key == count_key:
             count = _count(rec)
-        elif key == "level":
-            idx = _indexed_ref(rec, refs, "level line needs an index and a path")
-            refs[idx] = loader.algebra(os.path.join(base_dir, rec[2]))
-        elif key == "transition":
-            _sparse_record(rec, quads, "transition line needs n r c v")
+        elif key == ref_key:
+            idx = _indexed_ref(rec, refs, f"{ref_key} line needs an index and a path")
+            refs[idx] = load(os.path.join(base_dir, rec[2]))
+        elif key == link_key:
+            _sparse_record(rec, quads, f"{link_key} line needs n r c v")
         else:
-            raise ParseError(f"unknown tower key {key!r}")
-    if intent is None or count is None:
-        raise ParseError("tower needs intent and levels lines")
+            raise ParseError(f"unknown {kind} key {key!r}")
+    if tag is None or count is None:
+        raise ParseError(f"{kind} needs {tag_key} and {count_key} lines")
     if sorted(refs) != list(range(count)):
-        raise ParseError(f"need level lines 0..{count - 1}")
-    levels = [refs[i] for i in range(count)]
-    transitions = [np.zeros((levels[n + 1].dim, levels[n].dim), dtype=np.int64)
-                   for n in range(count - 1)]
+        raise ParseError(f"need {ref_key} lines 0..{count - 1}")
+    objs = [refs[i] for i in range(count)]
+    links: dict[int, dict] = {n: {} for n in range(count - 1)}
     for (n, r, c), v in quads.items():
-        if not 0 <= n < count - 1:
-            raise ParseError(f"transition index {n} out of range")
-        if not (0 <= r < transitions[n].shape[0] and 0 <= c < transitions[n].shape[1]):
-            raise ParseError(f"transition entry ({r}, {c}) outside level shapes")
-        transitions[n][r, c] = v
+        if n not in links:
+            raise ParseError(f"{link_key} index {n} out of range")
+        links[n][(r, c)] = v
+    return tag, objs, [_dense(link_key, links[n], *link(objs[n], objs[n + 1]))
+                       for n in range(count - 1)]
+
+
+def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
+    intent, levels, transitions = _parse_chain(
+        text, "tower", "intent", "levels", "level", "transition", loader.algebra, base_dir,
+        lambda lo, hi: ((hi.dim, lo.dim), lo.field.q))
     return build_tower(levels, transitions, intent=intent)
 
 
@@ -277,24 +313,13 @@ def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
 def write_matrix(m: WindowedMatrix, algebra_ref: str) -> str:
     lines = ["object matrix", f"algebra {algebra_ref}", f"y {m.y_kind}",
              f"window {m.window}"]
-    for x in range(m.window):
-        for z in range(m.window):
-            for t in range(m.base.dim):
-                v = int(m.entries[x, z, t])
-                if v:
-                    lines.append(f"entry {x} {z} {t} {v}")
+    lines += _sparse_lines("entry", (), m.entries)
     for x in range(m.window):
         for c, vec in m.extras[x]:
-            for t in range(m.base.dim):
-                v = int(vec[t])
-                if v:
-                    lines.append(f"extra {x} {c} {t} {v}")
-    for x in range(m.window):
-        for row in m.tails[x]:
-            lines.append(f"tail {x} " + " ".join(str(int(t)) for t in row))
-    for x in range(m.window):
-        for row in m.precisions[x]:
-            lines.append(f"precision {x} " + " ".join(str(int(t)) for t in row))
+            lines += _sparse_lines("extra", (x, c), vec)
+    for key, rows in (("tail", m.tails), ("precision", m.precisions)):
+        for x in range(m.window):
+            lines += [" ".join([key, str(x), *map(str, row)]) for row in rows[x].tolist()]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -305,8 +330,7 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
     window = None
     entry_quads: dict = {}
     extra_quads: dict = {}
-    tail_rows = []
-    precision_rows = []
+    ideal_rows: dict[str, list[list[int]]] = {"tail": [], "precision": []}
     for rec in _framed(text, "matrix"):
         key = rec[0]
         if key == "algebra":
@@ -323,38 +347,34 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
             _sparse_record(rec, entry_quads, "entry line needs x z t v")
         elif key == "extra":
             _sparse_record(rec, extra_quads, "extra line needs x c t v")
-        elif key == "tail":
-            tail_rows.append(_ints(rec))
-        elif key == "precision":
-            precision_rows.append(_ints(rec))
+        elif key in ideal_rows:
+            ideal_rows[key].append(_ints(rec))
         else:
             raise ParseError(f"unknown matrix key {key!r}")
     if base is None or y_kind is None or window is None:
         raise ParseError("matrix needs algebra, y, and window lines")
-    entries = np.zeros((window, window, base.dim), dtype=np.int64)
-    for (x, z, t), v in entry_quads.items():
-        if not (0 <= x < window and 0 <= z < window and 0 <= t < base.dim):
-            raise ParseError(f"entry index ({x}, {z}, {t}) out of range")
-        entries[x, z, t] = v
-    extra_vecs: dict[tuple[int, int], np.ndarray] = {}
+    q = base.field.q
+    entries = _dense("entry", entry_quads, (window, window, base.dim), q)
+    extra_vecs: dict[tuple[int, int], dict] = {}
     for (x, c, t), v in extra_quads.items():
-        if not (0 <= x < window and 0 <= t < base.dim):
-            raise ParseError(f"extra index ({x}, {c}, {t}) out of range")
-        extra_vecs.setdefault((x, c), np.zeros(base.dim, dtype=np.int64))[t] = v
+        if not 0 <= x < window:
+            raise ParseError(f"extra row {x} outside window {window}")
+        extra_vecs.setdefault((x, c), {})[(t,)] = v
     extras: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(window)]
-    for (x, c), vec in sorted(extra_vecs.items()):
-        extras[x].append((c, vec))
-    tails = [np.zeros((0, base.dim), dtype=np.int64) for _ in range(window)]
-    precisions = [np.zeros((0, base.dim), dtype=np.int64) for _ in range(window)]
-    for target, rows in ((tails, tail_rows), (precisions, precision_rows)):
+    for (x, c), recs in sorted(extra_vecs.items()):
+        extras[x].append((c, _dense("extra", recs, (base.dim,), q)))
+    ideals = {key: [np.zeros((0, base.dim), dtype=np.int64) for _ in range(window)]
+              for key in ideal_rows}
+    for key, rows in ideal_rows.items():
         for vals in rows:
             if len(vals) != 1 + base.dim:
                 raise ParseError("ideal row length differs from the base dimension")
             x = vals[0]
             if not 0 <= x < window:
                 raise ParseError(f"ideal row index {x} out of range")
-            target[x] = np.vstack([target[x], np.array(vals[1:], dtype=np.int64)[None, :]])
-    return windowed(base, y_kind, entries, extras, tails, precisions, check=True)
+            _in_field(key, vals[1:], q)
+            ideals[key][x] = np.vstack([ideals[key][x], [vals[1:]]])
+    return windowed(base, y_kind, entries, extras, ideals["tail"], ideals["precision"], check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,48 +389,15 @@ def write_system(S: OmegaSystem, module_refs: list[str]) -> str:
     for i, ref in enumerate(module_refs):
         lines.append(f"module {i} {ref}")
     for n, T in enumerate(S.maps):
-        for r in range(T.shape[0]):
-            for c in range(T.shape[1]):
-                v = int(T[r, c])
-                if v:
-                    lines.append(f"map {n} {r} {c} {v}")
+        lines += _sparse_lines("map", (n,), T)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
-    ground = None
-    count = None
-    refs: dict[int, FiniteModule] = {}
-    quads: dict = {}
-    for rec in _framed(text, "system"):
-        key = rec[0]
-        if key == "ground":
-            if len(rec) != 2:
-                raise ParseError("ground takes one tag")
-            ground = rec[1]
-        elif key == "modules":
-            count = _count(rec)
-        elif key == "module":
-            idx = _indexed_ref(rec, refs, "module line needs an index and a path")
-            refs[idx] = loader.module(os.path.join(base_dir, rec[2]))
-        elif key == "map":
-            _sparse_record(rec, quads, "map line needs n r c v")
-        else:
-            raise ParseError(f"unknown system key {key!r}")
-    if ground is None or count is None:
-        raise ParseError("system needs ground and modules lines")
-    if sorted(refs) != list(range(count)):
-        raise ParseError(f"need module lines 0..{count - 1}")
-    modules = [refs[i] for i in range(count)]
-    maps = [np.zeros((modules[n].dim, modules[n + 1].dim), dtype=np.int64)
-            for n in range(count - 1)]
-    for (n, r, c), v in quads.items():
-        if not 0 <= n < count - 1:
-            raise ParseError(f"map index {n} out of range")
-        if not (0 <= r < maps[n].shape[0] and 0 <= c < maps[n].shape[1]):
-            raise ParseError(f"map entry ({r}, {c}) outside module dimensions")
-        maps[n][r, c] = v
+    ground, modules, maps = _parse_chain(
+        text, "system", "ground", "modules", "module", "map", loader.module, base_dir,
+        lambda lo, hi: ((lo.dim, hi.dim), lo.algebra.field.q))
     return omega_system(modules, maps, ground=ground)
 
 
@@ -493,11 +480,7 @@ class Report:
         self.lines.append(" ".join(parts))
 
     def sparse(self, key: str, prefix: tuple[int, ...], M: np.ndarray) -> None:
-        M = np.asarray(M)
-        for idx in np.ndindex(*M.shape):
-            v = int(M[idx])
-            if v:
-                self.add(key, *prefix, *idx, v)
+        self.lines += _sparse_lines(key, prefix, M)
 
     def text(self) -> str:
         return "\n".join(self.lines + ["end"]) + "\n"

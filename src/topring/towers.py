@@ -190,10 +190,9 @@ def ideal_tower_diagnostics(T: RingTower, ideals: list[SubspaceIdeal]) -> list[s
         return ["one ideal per level required"]
     F = T.levels[0].field
     for n, I in enumerate(ideals):
-        if I.algebra is not T.levels[n]:
-            if I.algebra.dim != T.levels[n].dim:
-                out.append(f"level {n}: ideal lives in the wrong algebra")
-                continue
+        if I.algebra != T.levels[n]:
+            out.append(f"level {n}: ideal lives in the wrong algebra")
+            continue
         if I.side != "two":
             out.append(f"level {n}: ideal is not two-sided")
     for n in range(T.depth):
@@ -211,7 +210,7 @@ def build_ideal_tower(T: RingTower, ideals: list[SubspaceIdeal]) -> IdealTower:
     return IdealTower(tower=T, ideals=list(ideals))
 
 
-def topological_jacobson_radical(T: RingTower, oracle_cap: int = 1024) -> IdealTower:
+def topological_jacobson_radical(T: RingTower) -> IdealTower:
     """Levelwise radicals as an ideal tower.
 
     Levels small enough to enumerate are cross-checked against the
@@ -223,7 +222,7 @@ def topological_jacobson_radical(T: RingTower, oracle_cap: int = 1024) -> IdealT
     checked: dict[int, np.ndarray] = {}
     for n, R in enumerate(T.levels):
         H = radical(R)
-        if R.cardinality() <= oracle_cap and id(R) not in checked:
+        if R.cardinality() <= 1024 and id(R) not in checked:
             inter = intersection_of_maximals(right_regular_module(R))
             if not np.array_equal(inter, H.basis):
                 raise TowerError(f"level {n}: radical differs from the maximal-ideal oracle")
@@ -285,14 +284,13 @@ class TowerTNilpotency:
     depth: int = 0
 
 
-def t_nilpotency_check(T: RingTower, H: IdealTower, depth: int | None = None) -> TowerTNilpotency:
+def t_nilpotency_check(T: RingTower, H: IdealTower) -> TowerTNilpotency:
     for n, I in enumerate(H.ideals):
         rad_n = radical(T.levels[n])
         if I.dim and not rad_n.contains_ideal(I):
             raise TowerError(f"level {n}: ideal is not inside the radical, hence not topologically nil")
     indices = [I.nilpotency_index() for I in H.ideals]
-    return TowerTNilpotency(kind="certificate", indices=indices,
-                            depth=depth if depth is not None else T.depth)
+    return TowerTNilpotency(kind="certificate", indices=indices, depth=T.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +314,7 @@ class StrongClosednessCertificate:
 
 
 def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 3,
-                          depth: int | None = None, seed: int = 0) -> StrongClosednessCertificate:
+                          seed: int = 0) -> StrongClosednessCertificate:
     """Lift random zero-convergent families from the quotient tower.
 
     Each family member vanishes below a random level; the lift is built
@@ -325,10 +323,11 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
     """
     if isinstance(sizes, int):
         sizes = [sizes]
-    depth = T.depth if depth is None else min(depth, T.depth)
+    depth = T.depth
     F = T.levels[0].field
     rng = random.Random(seed)
-    quotients = [quotient(T.levels[n], H.ideals[n]) for n in range(depth + 1)]
+    # (proj, section) per level; quotient_tower builds and verifies the quotient algebras
+    quotients = [linalg.quotient_maps(F, I.basis, R.dim) for R, I in zip(T.levels, H.ideals)]
     families_lifted = 0
     repairs = 0
     all_lifts = []
@@ -344,13 +343,13 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
             member = []
             for n in range(depth + 1):
                 down = linalg.matvec(F, elem_top, T.composite(depth, n))
-                _, projn, _ = quotients[n]
+                projn, _ = quotients[n]
                 member.append(linalg.matvec(F, down, projn))
             family_rows.append(member)
             # lift upward with repair
             lift = []
             for n in range(depth + 1):
-                _, projn, secn = quotients[n]
+                projn, secn = quotients[n]
                 cand = linalg.matvec(F, member[n], secn)
                 if n:
                     below = linalg.matvec(F, cand, T.transitions[n - 1])
@@ -363,7 +362,7 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
                         h = linalg.lincomb(F, coords, H.ideals[n].basis)
                         cand = linalg.sub(F, cand, h)
                         repairs += 1
-                if not np.array_equal(linalg.matvec(F, cand, quotients[n][1]), member[n]):
+                if not np.array_equal(linalg.matvec(F, cand, projn), member[n]):
                     raise TowerError(f"level {n}: lift does not project to the family member")
                 if n and not np.array_equal(linalg.matvec(F, cand, T.transitions[n - 1]), lift[n - 1]):
                     raise TowerError(f"level {n}: lift is not transition-compatible")
@@ -475,9 +474,8 @@ def classify_perfect(T: RingTower, sizes: list[int] | int = 3, seed: int = 0) ->
     semi = classify_semisimple(QT)
     if semi.kind != "SEMISIMPLE":
         raise TowerError("quotient by the radical tower failed to classify semisimple")
-    verdict = "PERFECT" if nil.kind == "certificate" and semi.kind == "SEMISIMPLE" else "NOT_PERFECT"
     return PerfectnessReport(
-        verdict=verdict,
+        verdict="PERFECT",
         depth=T.depth,
         radical_tower=H,
         t_nilpotency=nil,

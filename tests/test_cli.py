@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from topring import acceptance, cli, corpus
+from topring import acceptance, cli, corpus, serialize
+from topring.algebras import truncated_poly_algebra
+from topring.endo import omega_system
+from topring.fields import GF
+from topring.matrixtop import windowed
+from topring.modules import right_regular_module
+from topring.towers import constant_tower
 
 
 def run(capsys, *argv):
@@ -343,3 +350,59 @@ def test_parser_is_built_once(capsys):
     first = cli._build_parser()
     assert run(capsys, "radical", corpus.path("f2x3.alg"))[0] == 0
     assert cli._build_parser() is first
+
+
+def _value_rule_files(tmp_path, F):
+    """One valid description file per object kind over F, together holding
+    every record kind that carries field values."""
+    A = truncated_poly_algebra(F, 2)
+    M = right_regular_module(A)
+    entries = np.zeros((2, 2, 2), dtype=np.int64)
+    entries[0, 1, 0] = 1
+    xrow = np.array([[0, 1]], dtype=np.int64)
+    m = windowed(A, "omega", entries, extras=[[(2, A.unit)], []],
+                 tails=[xrow, xrow], precisions=[xrow, xrow])
+    texts = {
+        "a.alg": serialize.write_algebra(A),
+        "m.mod": serialize.write_module(M, "a.alg"),
+        "t.twr": serialize.write_tower(constant_tower(A, 1), ["a.alg"] * 2),
+        "s.sys": serialize.write_system(
+            omega_system([M, M], [np.eye(2, dtype=np.int64)]), ["m.mod"] * 2),
+        "x.mat": serialize.write_matrix(m, "a.alg"),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        assert serialize.Loader().load(str(tmp_path / name)) is not None
+
+
+VALUE_CASES = [
+    ("c", "radical", "a.alg"),
+    ("unit", "radical", "a.alg"),
+    ("act", "decompose-module", "m.mod"),
+    ("transition", "classify-tower", "t.twr"),
+    ("map", "split-limit", "s.sys"),
+    ("entry", "matmul", "x.mat"),
+    ("extra", "matmul", "x.mat"),
+    ("tail", "matmul", "x.mat"),
+    ("precision", "matmul", "x.mat"),
+]
+
+
+@pytest.mark.parametrize("key,verb,name", VALUE_CASES, ids=[k for k, _, _ in VALUE_CASES])
+@pytest.mark.parametrize("F", [GF(2), GF(2, 2)], ids=["F2", "GF4"])
+@pytest.mark.parametrize("form", ["too-large", "negative"])
+def test_value_outside_the_field_exits_3(capsys, tmp_path, key, verb, name, F, form):
+    # the last token of the first `key` line is a field value; replace it
+    _value_rule_files(tmp_path, F)
+    bad = {"too-large": F.q, "negative": -1}[form]
+    path = tmp_path / name
+    text = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(text) if ln.split()[0] == key)
+    text[at] = " ".join(text[at].split()[:-1] + [str(bad)])
+    path.write_text("\n".join(text) + "\n")
+    inputs = [str(path)] * (2 if verb == "matmul" else 1)
+    rc = cli.main([verb, *inputs])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {key} value {bad} outside the field range [0, {F.q})\n"

@@ -305,6 +305,15 @@ def test_zero_dimensional_module_has_empty_hom_spaces_and_no_summands():
     assert perfect_decomposition_verdict(Z).verdict == "PERFECT"
 
 
+def test_modules_over_equal_algebras_built_twice_share_the_algebra():
+    # two constructor calls give equal, not identical, algebras
+    A, B = matrix_algebra(F2, 2), matrix_algebra(F2, 2)
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert A != matrix_algebra(GF(3), 2) and A != upper_triangular_algebra(F2, 2)
+    Z = FiniteModule(A, np.zeros((4, 0, 0), dtype=np.int64))
+    assert hom_space(Z, right_regular_module(B)).shape == (0, 0, 4)
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def test_incompatible_ideal_tower_is_rejected():
         build_ideal_tower(T, broken)
 
 
+def test_ideals_of_another_algebra_of_the_same_dimension_are_rejected():
+    T = constant_tower(product_algebra(field_algebra(F2), field_algebra(F2)), 1)
+    wrong = zero_ideal(truncated_poly_algebra(F2, 2))
+    with pytest.raises(TowerError) as err:
+        build_ideal_tower(T, [wrong, wrong])
+    assert err.value.diagnostics == [f"level {n}: ideal lives in the wrong algebra" for n in (0, 1)]
+
+
 def test_tp_formula_pair_count():
     T = adic_tower(F2, 3)
     H = topological_jacobson_radical(T)
