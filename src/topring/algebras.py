@@ -27,6 +27,13 @@ class AlgebraError(ValueError):
         self.diagnostics = diagnostics or []
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only C-contiguous int64 copy of a."""
+    out = np.array(a, dtype=np.int64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 class StructureAlgebra:
     """Associative unital algebra given by structure constants.
 
@@ -40,6 +47,9 @@ class StructureAlgebra:
             a stack (n, m, m) of column-convention matrices, multiplicative
             on basis products.  Defaults to the (transposed) left regular
             representation.
+
+    c, unit and rep are read-only copies of the arrays passed in, so the
+    generators and the radical cached on the object stay valid.
     """
 
     def __init__(
@@ -51,8 +61,8 @@ class StructureAlgebra:
         rep: np.ndarray | None = None,
     ):
         self.field = field
-        self.c = np.ascontiguousarray(np.asarray(c, dtype=np.int64))
-        self.unit = np.asarray(unit, dtype=np.int64).ravel()
+        self.c = _frozen(c)
+        self.unit = _frozen(unit).ravel()
         n = self.unit.shape[0]
         if self.c.shape != (n, n, n):
             raise AlgebraError(f"structure constants shape {self.c.shape} != {(n, n, n)}")
@@ -61,8 +71,9 @@ class StructureAlgebra:
         if self.unit.size and (self.unit.min() < 0 or self.unit.max() >= field.q):
             raise AlgebraError("unit coordinate out of field range")
         self.dim = n
-        self.rep = rep
+        self.rep = None if rep is None else _frozen(rep)
         self._gens: list[int] | None = None
+        self._radical: SubspaceIdeal | None = None
         if check:
             problems = self.diagnostics()
             if problems:
@@ -259,9 +270,10 @@ def subalgebra_closure(A: StructureAlgebra, rows: np.ndarray) -> np.ndarray:
 class SubspaceIdeal:
     """A subspace of an algebra flagged as a left / right / two-sided ideal.
 
-    The basis is canonical (RREF), so two ideals of the same algebra are
-    equal iff their basis arrays are equal; pivots are its pivot columns,
-    against which membership is one residual.
+    The basis is canonical (RREF) and read-only, so two ideals of the same
+    algebra are equal iff their basis arrays are equal, and the quotient
+    cached on the ideal stays valid; pivots are its pivot columns, against
+    which membership is one residual.
     """
 
     def __init__(self, algebra: StructureAlgebra, basis: np.ndarray, side: str = "two",
@@ -271,7 +283,9 @@ class SubspaceIdeal:
         self.algebra = algebra
         self.basis, self.pivots = linalg.rref(
             algebra.field, np.asarray(basis, dtype=np.int64).reshape(-1, algebra.dim))
+        self.basis.flags.writeable = False
         self.side = side
+        self._quotient = None
         if check:
             bad = self._closure_failures()
             if bad:
@@ -376,13 +390,25 @@ def zero_ideal(A: StructureAlgebra) -> SubspaceIdeal:
 def quotient(A: StructureAlgebra, I: SubspaceIdeal):
     """Quotient algebra by a two-sided ideal.
 
+    Built and verified once per ideal object of A: later calls return the
+    same Q, so whatever is cached on Q (its radical) is shared too.
+
     Returns:
         (Q, proj, section): Q is the quotient, proj is (dim A, dim Q) with
         class(v) == v @ proj, and section is (dim Q, dim A) choosing
-        standard-coordinate representatives (a right inverse of proj).
+        standard-coordinate representatives (a right inverse of proj);
+        proj and section are read-only.
     """
     if I.side != "two":
         raise AlgebraError("quotient needs a two-sided ideal")
+    if I.algebra is not A:
+        return _quotient(A, I)
+    if I._quotient is None:
+        I._quotient = _quotient(A, I)
+    return I._quotient
+
+
+def _quotient(A: StructureAlgebra, I: SubspaceIdeal):
     F = A.field
     proj, section = linalg.quotient_maps(F, I.basis, A.dim)
     cq = F.contract("abk,kc->abc", A.mul_pairs(section, section), proj)
@@ -397,6 +423,8 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
         raise AlgebraError(f"projection not multiplicative at ({i},{j})")
     if linalg.rank(F, proj) != section.shape[0]:
         raise AlgebraError("projection is not surjective")
+    proj.flags.writeable = False
+    section.flags.writeable = False
     return Q, proj, section
 
 
@@ -434,8 +462,16 @@ def radical(A: StructureAlgebra) -> SubspaceIdeal:
     Computed over the prime field by iterated kernels of the divided trace
     forms (x, y) -> tr((XY)^(p^i)) / p^i mod p on a faithful representation,
     using exact integer lifts.  The result is verified to be a nilpotent
-    two-sided ideal whose quotient has zero radical.
+    two-sided ideal whose quotient has zero radical.  It is computed and
+    verified once per algebra object and kept on it; every later call
+    returns the same ideal.
     """
+    if A._radical is None:
+        A._radical = _radical(A)
+    return A._radical
+
+
+def _radical(A: StructureAlgebra) -> SubspaceIdeal:
     F = A.field
     p, d, n = F.p, F.d, A.dim
     if n == 0:
@@ -504,39 +540,40 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
     The products a*x*b are enumerated as a union of subspaces (a*x ranges
     over the image of right multiplication by x, then y*b over the image
     of left multiplication by y), which changes the cost, not the set.
+    Every element's unit test and both of its spans come from one stacked
+    row reduction each, and each distinct span is enumerated once.
     """
     F = A.field
     if A.cardinality() > 4096:
         raise ValueError("brute-force radical oracle capped at 4096 elements")
     n = A.dim
-    members = []
-    invertibility_cache: dict[bytes, bool] = {}
-    right_cache: dict[bytes, bool] = {}
+    elements = A.all_elements()
+    # all_elements lists x at its base-q code sum_i x_i q^i
+    codes = F.q ** np.arange(n, dtype=np.int64)
+    lmul = F.contract("vi,ijk->vjk", elements, A.c)
+    rmul = F.contract("vj,ijk->vik", elements, A.c)
+    # 1 - z is a unit iff left multiplication by it has full rank
+    one_minus = F.contract("vi,ijk->vjk", linalg.sub(F, A.unit[None, :], elements), A.c)
+    unit_ok = linalg.rref(F, one_minus)[1] == n
 
-    def one_minus_invertible(z: np.ndarray) -> bool:
-        key = z.tobytes()
-        hit = invertibility_cache.get(key)
-        if hit is None:
-            u = linalg.sub(F, A.unit, z)
-            hit = linalg.rank(F, A.lmul_matrix(u)) == n
-            invertibility_cache[key] = hit
-        return hit
+    def on_every_span_element(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        """Per matrix of the stack, whether ok holds at every element of
+        its row space."""
+        R, ranks = linalg.rref(F, stack)
+        verdicts: dict[bytes, bool] = {}
+        out = np.zeros(len(stack), dtype=bool)
+        for v, r in enumerate(ranks):
+            basis = R[v, :r]
+            key = basis.tobytes()
+            if key not in verdicts:
+                verdicts[key] = bool(ok[linalg.enumerate_row_space(F, basis) @ codes].all())
+            out[v] = verdicts[key]
+        return out
 
-    def right_multiples_ok(y: np.ndarray) -> bool:
-        """Whether 1 - z is invertible for every z in y*A."""
-        key = y.tobytes()
-        hit = right_cache.get(key)
-        if hit is None:
-            ya_basis = linalg.row_space_basis(F, A.lmul_matrix(y))
-            hit = all(one_minus_invertible(z) for z in linalg.enumerate_row_space(F, ya_basis))
-            right_cache[key] = hit
-        return hit
-
-    for x in A.all_elements():
-        ax_basis = linalg.row_space_basis(F, A.rmul_matrix(x))
-        if all(right_multiples_ok(y) for y in linalg.enumerate_row_space(F, ax_basis)):
-            members.append(x)
-    basis = linalg.row_space_basis(F, np.vstack(members)) if members else np.zeros((0, n), dtype=np.int64)
+    # y*A is the row space of L_y, A*x that of R_x
+    right_multiples_ok = on_every_span_element(lmul, unit_ok)
+    members = elements[on_every_span_element(rmul, right_multiples_ok)]
+    basis = linalg.row_space_basis(F, members) if len(members) else np.zeros((0, n), dtype=np.int64)
     # the member set must be exactly the subspace it spans
     if F.q ** basis.shape[0] != len(members):
         raise AssertionError("oracle member set is not a subspace")

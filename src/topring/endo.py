@@ -368,11 +368,11 @@ def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
         raise AlgebraError("sequence coordinates out of field range")
 
     ext = np.vstack([seq] + [seq[-1][None, :]] * (R.dim + 1))
-    acc = np.eye(R.dim, dtype=np.int64)
-    ranks = []
+    prefix = [np.eye(R.dim, dtype=np.int64)]
     for a in ext:
-        acc = linalg.matmul(F, acc, R.rmul_matrix(a))
-        ranks.append(linalg.rank(F, acc))
+        prefix.append(linalg.matmul(F, prefix[-1], R.rmul_matrix(a)))
+    # rank of each prefix product, all from one stacked row reduction
+    ranks = [int(r) for r in linalg.rref(F, np.stack(prefix[1:]))[1]]
     for n in range(len(ranks) - 1):
         if ranks[n] < ranks[n + 1]:
             raise InternalInconsistencyError("image chain cardinalities increased")

@@ -54,20 +54,24 @@ def sub(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F.ADD[np.asarray(A), F.NEG[np.asarray(B)]]
 
 
-def rref(F: FiniteField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form.
+def rref(F: FiniteField, M: np.ndarray):
+    """Reduced row echelon form of one matrix or of a stack of them.
 
     Args:
         F: the field.
-        M: matrix of encoded elements, shape (m, n).
+        M: matrix of encoded elements, shape (m, n), or a stack (B, m, n).
 
     Returns:
-        (R, pivots): R has one row per pivot (zero rows dropped), pivots
-        lists the pivot column of each row in order.
+        For a matrix, (R, pivots): R has one row per pivot (zero rows
+        dropped), pivots lists the pivot column of each row in order.
+        For a stack, (R, ranks): R has shape (B, m, n) with R[b, :ranks[b]]
+        the reduced form of M[b] and zero rows below it.
     """
     R = np.array(M, dtype=np.int64)
+    if R.ndim == 3:
+        return _rref_stack(F, R)
     if R.ndim != 2:
-        raise ValueError("rref expects a 2d array")
+        raise ValueError("rref expects a 2d array or a 3d stack")
     m, n = R.shape
     pivots: list[int] = []
     r = 0
@@ -88,6 +92,38 @@ def rref(F: FiniteField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
+
+
+def _rref_stack(F: FiniteField, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix of the stack R (modified in place), one column
+    at a time: one masked pivot search and one elimination per column for
+    the whole stack.
+
+    Rows at or below a matrix's current rank are zero left of the current
+    column, so a pivot row is supported on columns c: and the elimination
+    touches only those."""
+    B, m, n = R.shape
+    ranks = np.zeros(B, dtype=np.int64)
+    below = np.arange(m)[None, :]
+    for c in range(n):
+        hits = (R[:, :, c] != 0) & (below >= ranks[:, None])
+        idx = np.flatnonzero(hits.any(axis=1))
+        if idx.size == 0:
+            continue
+        r = ranks[idx]
+        piv = hits[idx].argmax(axis=1)
+        prow = R[idx, piv, c:]
+        R[idx, piv, c:] = R[idx, r, c:]
+        prow = F.MUL[F.INV[prow[:, :1]], prow]
+        R[idx, r, c:] = prow
+        block = R[idx, :, c:]
+        factors = block[:, :, 0].copy()
+        factors[np.arange(idx.size), r] = 0
+        R[idx, :, c:] = F.ADD[block, F.NEG[F.MUL[factors[:, :, None], prow[:, None, :]]]]
+        ranks[idx] += 1
+        if ranks.min(initial=m) == m:
+            break
+    return R, ranks
 
 
 def rank(F: FiniteField, M: np.ndarray) -> int:

@@ -25,7 +25,6 @@ from topring import linalg
 from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
-    SubspaceIdeal,
     matrix_algebra,
     peirce_corner,
     quotient,
@@ -218,7 +217,7 @@ def module_map_failures(M: FiniteModule, N: FiniteModule, T: np.ndarray) -> np.n
     return np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
 
 
-def radical_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None) -> np.ndarray:
+def radical_of_module(M: FiniteModule) -> np.ndarray:
     """Canonical basis of M*H(A) (right side; H(A)*M on the left).
 
     The quotient algebra A/H(A) is semisimple, so this subspace is the
@@ -226,14 +225,13 @@ def radical_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None) -> np.n
     maximal_submodules cross-checks that on small modules.
     """
     F = M.algebra.field
-    if rad is None:
-        rad = radical(M.algebra)
+    rad = radical(M.algebra)
     return linalg.row_space_basis(F, _eff_stack(M, rad.basis).reshape(rad.dim * M.dim, M.dim))
 
 
-def top_of_module(M: FiniteModule, rad: SubspaceIdeal | None = None):
+def top_of_module(M: FiniteModule):
     """Quotient by the module radical: (top, proj, section)."""
-    return quotient_module(M, radical_of_module(M, rad))
+    return quotient_module(M, radical_of_module(M))
 
 
 def radical_series(M: FiniteModule) -> list[np.ndarray]:
@@ -255,15 +253,18 @@ def radical_series(M: FiniteModule) -> list[np.ndarray]:
 
 def all_submodules(M: FiniteModule) -> list[np.ndarray]:
     """Every submodule, as canonical bases: close cyclic submodules under
-    pairwise sum.  Exhaustive oracle; cardinality-capped."""
+    pairwise sum.  Exhaustive oracle; cardinality-capped.  The cyclic
+    submodules of all elements come from one stacked row reduction."""
     if M.cardinality() > 1024:
         raise ValueError("submodule enumeration capped at 1024 elements")
     F = M.algebra.field
     seen: dict[bytes, np.ndarray] = {}
     zero = np.zeros((0, M.dim), dtype=np.int64)
     seen[zero.tobytes()] = zero
-    for v in M.all_elements():
-        b = cyclic_submodule(M, v)
+    # orbits[v] spans element v acted on by every basis element, as in cyclic_submodule
+    orbits, ranks = linalg.rref(F, F.contract("vj,ijk->vik", M.all_elements(), M.eff_basis()))
+    for R, r in zip(orbits, ranks):
+        b = R[:r]
         seen.setdefault(b.tobytes(), b)
     frontier = list(seen.values())
     while frontier:
@@ -472,13 +473,13 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         if EN.dim - radN.dim != W.factors[b].m:
             raise AssertionError("summand endomorphism algebra is not local")
         if EN.cardinality() <= 1024:
-            idems = 0
             elements = EN.all_elements()
-            for x, in_rad in zip(elements, radN.member_rows(elements)):
-                if EN.is_idempotent(x):
-                    idems += 1
-                if (EN.inverse(x) is not None) == in_rad:
-                    raise AssertionError("non-unit set differs from the endo radical")
+            # x is a unit iff left multiplication by x has full rank
+            lmul = F.contract("vi,ijk->vjk", elements, EN.c)
+            units = linalg.rref(F, lmul)[1] == EN.dim
+            if np.any(units == radN.member_rows(elements)):
+                raise AssertionError("non-unit set differs from the endo radical")
+            idems = int((EN.mul_rows(elements, elements) == elements).all(axis=1).sum())
             if idems != 2:
                 raise AssertionError("summand has a nontrivial idempotent endomorphism")
             local_checked.append("exhaustive")

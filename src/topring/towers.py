@@ -238,9 +238,11 @@ def tp_formula_check(T: RingTower, H: IdealTower) -> int:
 
     Route one: the preimage of H_n under level m -> n equals
     ker(m -> n) + H_m as subspaces.  Route two: the module radical of R_n
-    as a module over R_m (acting through the transition, radical of R_m
-    recomputed independently) equals H_n.  Returns the number of pairs
-    checked.
+    as a module over R_m (acting through the transition) equals H_n.  Its
+    independence is the module-radical computation: R_n * H(R_m) is formed
+    from R_m's radical and the transition, never from R_n's own radical.
+    H(R_m) itself is the one radical of that level object, the same ideal
+    route one uses.  Returns the number of pairs checked.
     """
     F = T.levels[0].field
     pairs = 0

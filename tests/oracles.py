@@ -14,7 +14,10 @@ decompose_per_summand (the per-summand endomorphism algebras and pairwise
 class search that modules.decompose_indecomposable replaced by Peirce
 corners and Wedderburn blocks of End(M)), and bass_flat_hom_space (the
 Hom-space search for the Bass colimit's section that endo.bass_flat
-replaced by the Fitting projection).
+replaced by the Fitting projection), and radical_bruteforce_loop and
+all_submodules_loop (the per-element row reductions that the stacked rref
+replaced in algebras.radical_bruteforce and modules.all_submodules);
+hidden_block_algebras builds inputs for those two.
 """
 
 from __future__ import annotations
@@ -379,3 +382,84 @@ def bass_flat_hom_space(R, sequence):
             raise AssertionError("no Hom-space section")
         section = linalg.lincomb(F, sol, homs)
     return ranks[:d], s, kernel, B, proj, section, linalg.row_space_basis(F, Pk)
+
+
+def radical_bruteforce_loop(A) -> np.ndarray:
+    """The exhaustive radical {x : 1 - a*x*b invertible for all a, b} by the
+    route algebras.radical_bruteforce took before it row-reduced element
+    stacks: one rref per element x for A*x and one per product y for y*A,
+    cached per y and per z."""
+    from topring import linalg
+
+    F = A.field
+    n = A.dim
+    invertible: dict[bytes, bool] = {}
+    right_ok: dict[bytes, bool] = {}
+
+    def one_minus_invertible(z) -> bool:
+        key = z.tobytes()
+        if key not in invertible:
+            invertible[key] = linalg.rank(F, A.lmul_matrix(linalg.sub(F, A.unit, z))) == n
+        return invertible[key]
+
+    def right_multiples_ok(y) -> bool:
+        key = y.tobytes()
+        if key not in right_ok:
+            ya = linalg.row_space_basis(F, A.lmul_matrix(y))
+            right_ok[key] = all(one_minus_invertible(z) for z in linalg.enumerate_row_space(F, ya))
+        return right_ok[key]
+
+    members = []
+    for x in A.all_elements():
+        ax = linalg.row_space_basis(F, A.rmul_matrix(x))
+        if all(right_multiples_ok(y) for y in linalg.enumerate_row_space(F, ax)):
+            members.append(x)
+    if not members:
+        return np.zeros((0, n), dtype=np.int64)
+    return linalg.row_space_basis(F, np.vstack(members))
+
+
+def all_submodules_loop(M) -> list[np.ndarray]:
+    """Every submodule by the route modules.all_submodules took before it
+    row-reduced the cyclic submodules as one stack: one rref per element,
+    then closure under pairwise sums."""
+    from topring import linalg
+
+    F = M.algebra.field
+    zero = np.zeros((0, M.dim), dtype=np.int64)
+    seen = {zero.tobytes(): zero}
+    for v in M.all_elements():
+        b = linalg.row_space_basis(F, F.contract("j,ijk->ik", v, M.eff_basis()))
+        seen.setdefault(b.tobytes(), b)
+    frontier = list(seen.values())
+    while frontier:
+        fresh = []
+        for X in frontier:
+            for Y in list(seen.values()):
+                S = linalg.sum_row_spaces(F, X, Y)
+                if S.tobytes() not in seen:
+                    seen[S.tobytes()] = S
+                    fresh.append(S)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda b: (b.shape[0], b.tobytes()))
+
+
+def hidden_block_algebras():
+    """Inputs for the per-element oracles: products of blocks behind a seeded
+    random basis change, with at most 243 elements."""
+    from topring.acceptance import _random_invertible
+    from topring.algebras import (
+        basis_change, cyclic_group_algebra, field_algebra, field_extension_algebra,
+        matrix_algebra, product_algebra, truncated_poly_algebra, upper_triangular_algebra)
+    from topring.fields import GF
+
+    F2, F3, F4 = GF(2), GF(3), GF(2, 2)
+    rng = np.random.default_rng(2026)
+    products = [
+        product_algebra(upper_triangular_algebra(F2, 2), truncated_poly_algebra(F2, 3)),
+        product_algebra(matrix_algebra(F2, 2), field_algebra(F2)),
+        product_algebra(cyclic_group_algebra(F2, 4), field_extension_algebra(F2, 2)),
+        product_algebra(truncated_poly_algebra(F3, 2), upper_triangular_algebra(F3, 2)),
+        product_algebra(truncated_poly_algebra(F4, 2), field_algebra(F4)),
+    ]
+    return [basis_change(A, _random_invertible(A.field, A.dim, rng)) for A in products]

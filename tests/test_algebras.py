@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topring import linalg
+from topring import acceptance, algebras, linalg
 from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
@@ -33,8 +33,10 @@ from topring.fields import GF
 from oracles import (
     closure_failures_loop,
     corner_loop,
+    hidden_block_algebras,
     hom_failures_loop,
     quotient_structure_loop,
+    radical_bruteforce_loop,
     solve_left_rows,
     table_mul,
 )
@@ -341,3 +343,63 @@ def test_subalgebra_structure_rejects_open_bases():
         subalgebra_structure(A, np.vstack([e12, e21]), A.unit)
     with pytest.raises(AlgebraError, match="^unit is outside the subalgebra$"):
         subalgebra_structure(A, e12[None, :], A.unit)
+
+
+@pytest.mark.parametrize("A", acceptance._finite_ring_pool() + hidden_block_algebras(), ids=repr)
+def test_radical_bruteforce_matches_per_element_loop(A):
+    assert np.array_equal(radical_bruteforce(A), radical_bruteforce_loop(A))
+
+
+def test_radical_is_computed_once_per_algebra_object():
+    A = upper_triangular_algebra(F3, 2)
+    assert radical(A) is radical(A)
+    B = upper_triangular_algebra(F3, 2)
+    assert B == A and radical(B) is not radical(A)
+    # the semisimple-quotient check left the quotient and its zero radical behind
+    Q, proj, section = quotient(A, radical(A))
+    assert quotient(A, radical(A))[0] is Q
+    assert radical(Q).is_zero() and radical(Q) is radical(Q)
+
+
+def test_cached_arrays_are_read_only():
+    A = truncated_poly_algebra(F2, 3)
+    rad = radical(A)
+    Q, proj, section = quotient(A, rad)
+    for arr in (A.c, A.unit, rad.basis, proj, section, Q.c):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+
+def test_building_an_algebra_copies_the_callers_arrays():
+    base = matrix_algebra(F2, 2)
+    c, unit, rep = base.c.copy(), base.unit.copy(), np.stack([np.eye(2, dtype=np.int64)] * 4)
+    A = StructureAlgebra(F2, c, unit, rep=rep)
+    assert c.flags.writeable and unit.flags.writeable and rep.flags.writeable
+    c[0, 0, 0] = 1 - c[0, 0, 0]
+    unit[0] = 0
+    rep[0, 0, 0] = 0
+    assert A == base and A.rep[0, 0, 0] == 1
+
+
+def test_quotient_by_an_ideal_of_an_equal_algebra_is_not_cached():
+    A, B = truncated_poly_algebra(F2, 3), truncated_poly_algebra(F2, 3)
+    I = radical(B)
+    Q1, proj1, _ = quotient(A, I)
+    Q2, proj2, _ = quotient(A, I)
+    assert Q1 is not Q2 and Q1 == Q2 and np.array_equal(proj1, proj2)
+    assert quotient(B, I)[0] is quotient(B, I)[0]
+
+
+def test_rerunning_a_suite_recomputes_every_radical(monkeypatch):
+    calls = []
+    real = algebras._radical
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(algebras, "_radical", counting)
+    acceptance.suite_perfectness(0)
+    first = len(calls)
+    acceptance.suite_perfectness(0)
+    assert first and len(calls) == 2 * first

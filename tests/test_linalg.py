@@ -232,3 +232,52 @@ def test_solve_left_edge_cases(F):
     assert linalg.solve_left(F, A, np.vstack([inside, [[1, 0, 0]]])) is None
     assert linalg.solve_left(F, A, np.array([1, 0, 0])) is None
     assert linalg.solve_left(F, A, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@st.composite
+def matrix_stacks(draw):
+    F = draw(st.sampled_from(MEMBERSHIP_FIELDS))
+    B, m, n = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = random_matrix(F, rng, B * m, n).reshape(B, m, n)
+    for b in range(B):
+        # zero matrices and rank-deficient ones, besides the random ones
+        kind = draw(st.sampled_from(["random", "zero", "low-rank"]))
+        if kind == "zero":
+            M[b] = 0
+        elif kind == "low-rank" and m and n:
+            M[b] = linalg.matmul(F, random_matrix(F, rng, m, 1), random_matrix(F, rng, 1, n))
+    return F, M
+
+
+def _assert_stack_matches_per_matrix(F, M):
+    R, ranks = linalg.rref(F, M)
+    assert R.shape == M.shape and ranks.shape == (M.shape[0],)
+    for b in range(M.shape[0]):
+        want, pivots = linalg.rref(F, M[b])
+        assert ranks[b] == len(pivots)
+        assert np.array_equal(R[b, : ranks[b]], want)
+        assert not R[b, ranks[b]:].any()
+
+
+@given(matrix_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_rref_matches_per_matrix_rref(case):
+    _assert_stack_matches_per_matrix(*case)
+
+
+@pytest.mark.parametrize("F", MEMBERSHIP_FIELDS, ids=str)
+@pytest.mark.parametrize("shape", [(0, 3, 3), (4, 0, 3), (4, 3, 0), (0, 0, 0), (3, 6, 2), (3, 2, 6)])
+def test_stacked_rref_edge_shapes(F, shape):
+    rng = np.random.default_rng(sum(shape))
+    B, m, n = shape
+    M = random_matrix(F, rng, B * m, n).reshape(shape)
+    _assert_stack_matches_per_matrix(F, M)
+    _assert_stack_matches_per_matrix(F, np.zeros(shape, dtype=np.int64))
+    R, ranks = linalg.rref(F, np.zeros(shape, dtype=np.int64))
+    assert not R.any() and not ranks.any()
+
+
+def test_rref_rejects_other_ranks():
+    with pytest.raises(ValueError):
+        linalg.rref(GF(2), np.zeros((2, 2, 2, 2), dtype=np.int64))

@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_submodules_loop,
     decompose_per_summand,
     endo_structure_full,
+    hidden_block_algebras,
     sampled_isomorphism,
     solve_left_rows,
 )
-from topring import linalg, modules
+from topring import acceptance, linalg, modules
 from topring.algebras import (
     AlgebraError,
+    StructureAlgebra,
     cyclic_group_algebra,
     field_extension_algebra,
     matrix_algebra,
@@ -714,3 +717,36 @@ def test_endo_algebra_matches_full_composite_route(build):
     M = build()
     E, _, _ = endo_algebra(M)
     assert np.array_equal(E.c, endo_structure_full(M))
+
+
+@pytest.mark.parametrize("A", acceptance._finite_ring_pool() + hidden_block_algebras(), ids=repr)
+def test_all_submodules_matches_per_element_loop(A):
+    M = right_regular_module(A)
+    got, want = all_submodules(M), all_submodules_loop(M)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_unit_rank_disagreeing_with_the_corner_radical_trips(monkeypatch):
+    # stacked ranks forced full: every element reads as a unit, the zero of
+    # the radical included
+    real = linalg.rref
+
+    def rref(F, M):
+        R, ranks = real(F, M)
+        return (R, np.full_like(ranks, R.shape[1])) if np.ndim(M) == 3 else (R, ranks)
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    with pytest.raises(AssertionError, match="^non-unit set differs from the endo radical$"):
+        decompose_indecomposable(regular_module("GF(4)/F2", 1))
+
+
+def test_extra_idempotent_among_corner_elements_trips(monkeypatch):
+    real = StructureAlgebra.all_elements
+
+    def with_unit_twice(self, cap=1 << 22):
+        return np.vstack([real(self, cap), self.unit[None, :]])
+
+    monkeypatch.setattr(StructureAlgebra, "all_elements", with_unit_twice)
+    with pytest.raises(AssertionError, match="^summand has a nontrivial idempotent endomorphism$"):
+        decompose_indecomposable(regular_module("GF(4)/F2", 1))

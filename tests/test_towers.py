@@ -150,6 +150,20 @@ def test_constant_triangular_radical_tower():
         assert np.array_equal(I.basis, np.array([[0, 1, 0]], dtype=np.int64))
 
 
+def test_maximal_ideal_oracle_disagreeing_with_the_radical_trips(monkeypatch):
+    # stacked row reductions that report rank 0 leave the oracle only the
+    # zero submodule, so its intersection of maximals misses rad(F2[x]/(x^2))
+    real = linalg.rref
+
+    def rref(F, M):
+        out = real(F, M)
+        return (out[0], 0 * out[1]) if np.ndim(M) == 3 else out
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    with pytest.raises(TowerError, match="^level 1: radical differs from the maximal-ideal oracle$"):
+        topological_jacobson_radical(adic_tower(F2, 2))
+
+
 def test_incompatible_ideal_tower_is_rejected():
     T = adic_tower(F2, 2)
     H = topological_jacobson_radical(T)
