@@ -673,23 +673,8 @@ def truncated_poly_algebra(F: FiniteField, n: int) -> StructureAlgebra:
 
 
 def field_extension_algebra(F: FiniteField, d: int) -> StructureAlgebra:
-    """F_{q^d} as an F_q-algebra (via the default irreducible)."""
-    from topring.fields import default_modulus
-
-    if F.d == 1:
-        mod = np.array(default_modulus(F.p, d), dtype=np.int64)
-        return poly_quotient_algebra(F, mod)
-    # search a monic irreducible of degree d over F_q
-    for tail in range(F.q ** d):
-        coeffs = []
-        t = tail
-        for _ in range(d):
-            coeffs.append(t % F.q)
-            t //= F.q
-        f = poly.norm(np.array(coeffs + [1], dtype=np.int64))
-        if poly.deg(f) == d and poly.is_irreducible(F, f):
-            return poly_quotient_algebra(F, f)
-    raise AssertionError("no irreducible polynomial found")
+    """F_{q^d} as an F_q-algebra, F[x] modulo poly.first_irreducible(F, d)."""
+    return poly_quotient_algebra(F, poly.first_irreducible(F, d))
 
 
 def field_algebra(F: FiniteField) -> StructureAlgebra:

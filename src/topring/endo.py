@@ -474,11 +474,9 @@ def polynomial_adic_system(F, depth: int) -> OmegaSystem:
     R = truncated_poly_algebra(F, depth)
     modules = []
     for n in range(1, depth + 1):
-        S = np.zeros((n, n), dtype=np.int64)
-        for i in range(n - 1):
-            S[i, i + 1] = 1
-        action = np.stack([np.linalg.matrix_power(S, j) % F.q for j in range(depth)])
-        modules.append(FiniteModule(R, action.astype(np.int64), side="right", check=False))
+        # x^j shifts coordinate i to i + j
+        action = np.stack([np.eye(n, k=j, dtype=np.int64) for j in range(depth)])
+        modules.append(FiniteModule(R, action, side="right", check=False))
     maps = []
     for n in range(1, depth):
         T = np.zeros((n, n + 1), dtype=np.int64)

@@ -4,8 +4,11 @@ Field elements are encoded as integers in [0, p^d): the element with
 polynomial coordinates (a_0, ..., a_{d-1}) in the basis 1, x, ..., x^{d-1}
 of F_p[x]/(modulus) is stored as a_0 + a_1*p + ... + a_{d-1}*p^{d-1}.
 Elementwise addition and multiplication are lookup tables, so they work on
-numpy integer arrays of any shape; the tables are built from exact
-polynomial arithmetic mod p.
+numpy integer arrays of any shape.  This module holds only those tables and
+the contraction kernel: polynomial work (the default modulus, the
+irreducibility check of a given one, the reduction rows x^k mod modulus
+behind MUL) is done in poly, over the prime field GF(p).  poly imports this
+module, so the functions here import poly when they run.
 
 Sums and sums of products (``fsum``, ``contract``) take two routes chosen
 by the extension degree.  Over a prime field (d == 1) an element is its own
@@ -47,108 +50,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over the prime field F_p, as plain int lists (low degree first).
-# Only what is needed to validate a defining modulus; general polynomial
-# factorization over F_{p^d} lives in poly.py.
-# ---------------------------------------------------------------------------
-
-def _pf_trim(f: Sequence[int]) -> list[int]:
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pf_mul(p: int, f: Sequence[int], g: Sequence[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pf_trim(out)
-
-
-def _pf_divmod(p: int, f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
-    f = _pf_trim(f)
-    g = _pf_trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(g[-1], p - 2, p)
-    quo = [0] * max(0, len(f) - len(g) + 1)
-    rem = list(f)
-    while len(rem) >= len(g):
-        c = (rem[-1] * inv_lead) % p
-        k = len(rem) - len(g)
-        quo[k] = c
-        for j, b in enumerate(g):
-            rem[k + j] = (rem[k + j] - c * b) % p
-        rem = _pf_trim(rem)
-        if not rem:
-            break
-    return _pf_trim(quo), rem
-
-
-def _pf_gcd(p: int, f: Sequence[int], g: Sequence[int]) -> list[int]:
-    a, b = _pf_trim(f), _pf_trim(g)
-    while b:
-        a, b = b, _pf_divmod(p, a, b)[1]
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
-def _pf_powmod(p: int, f: Sequence[int], e: int, m: Sequence[int]) -> list[int]:
-    result = [1]
-    base = _pf_divmod(p, f, m)[1]
-    while e > 0:
-        if e & 1:
-            result = _pf_divmod(p, _pf_mul(p, result, base), m)[1]
-        base = _pf_divmod(p, _pf_mul(p, base, base), m)[1]
-        e >>= 1
-    return result
-
-
-def _pf_sub(p: int, f: Sequence[int], g: Sequence[int]) -> list[int]:
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _pf_trim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _pf_is_irreducible(p: int, f: Sequence[int]) -> bool:
-    """Rabin's test for a monic polynomial over F_p."""
-    f = _pf_trim(f)
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    if _pf_sub(p, _pf_powmod(p, x, p ** d, f), x):
-        return False
-    for r in {r for r in range(2, d + 1) if d % r == 0 and is_prime(r)}:
-        t = _pf_powmod(p, x, p ** (d // r), f)
-        if len(_pf_gcd(p, _pf_sub(p, t, x), f)) > 1:
-            return False
-    return True
-
-
 def default_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree d over F_p."""
+    """Smallest monic irreducible of degree d over F_p (see
+    poly.first_irreducible), coefficients low degree first."""
     if d == 1:
         return (0, 1)
-    for tail in range(p ** d):
-        coeffs = []
-        t = tail
-        for _ in range(d):
-            coeffs.append(t % p)
-            t //= p
-        f = coeffs + [1]
-        if _pf_is_irreducible(p, f):
-            return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    from topring import poly
+
+    return tuple(int(c) for c in poly.first_irreducible(GF(p), d))
 
 
 class FiniteField:
@@ -175,8 +84,11 @@ class FiniteField:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != d + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree d")
-        if d > 1 and not _pf_is_irreducible(p, modulus):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        if d > 1:
+            from topring import poly
+
+            if not poly.is_irreducible(GF(p), modulus):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.d = d
         self.q = q
@@ -203,16 +115,13 @@ class FiniteField:
         self._packed = digits @ (1 << self._lane_shifts)
         self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ self._pp).astype(np.int64)
         self.NEG = (((-digits) % p) @ self._pp).astype(np.int64)
+        from topring import poly
+
         # x^k mod modulus for k in [d, 2d-1), as digit rows
         red = np.zeros((max(0, d - 1), d), dtype=np.int64)
-        cur = [(-c) % p for c in self.modulus[:d]]  # x^d
         for k in range(d - 1):
-            red[k] = cur
-            # multiply by x, reduce
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            nxt = [(nxt[i] + lead * ((-self.modulus[i]) % p)) % p for i in range(d)]
-            cur = nxt
+            r = poly.pow_mod(GF(p), poly.X, d + k, self.modulus)
+            red[k, : len(r)] = r
         conv = np.zeros((q, q, 2 * d - 1), dtype=np.int64)
         for i in range(d):
             for j in range(d):

@@ -398,28 +398,6 @@ def matrix_algebra_over(R: StructureAlgebra, k: int) -> StructureAlgebra:
     return tensor_algebra(matrix_algebra(R.field, k), R)
 
 
-def mat_unit_element(R: StructureAlgebra, k: int, a: int, b: int,
-                     r: np.ndarray | None = None) -> np.ndarray:
-    """Coordinates of the matrix with r (default the unit) at (a, b)."""
-    if r is None:
-        r = R.unit
-    out = np.zeros(k * k * R.dim, dtype=np.int64)
-    out[(a * k + b) * R.dim:(a * k + b + 1) * R.dim] = np.asarray(r, dtype=np.int64)
-    return out
-
-
-def windowed_from_element(R: StructureAlgebra, k: int, coords: np.ndarray) -> WindowedMatrix:
-    coords = np.asarray(coords, dtype=np.int64)
-    ent = coords.reshape(k, k, R.dim)
-    return windowed(R, "finite", ent, check=False)
-
-
-def element_from_windowed(m: WindowedMatrix) -> np.ndarray:
-    if m.y_kind != "finite":
-        raise WindowError("only finite matrices are ring elements")
-    return m.entries.reshape(-1).copy()
-
-
 # ---------------------------------------------------------------------------
 # transport of modules across the matrix equivalence
 

@@ -25,11 +25,9 @@ from topring import linalg
 from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
-    matrix_algebra,
     peirce_corner,
     quotient,
     radical,
-    subalgebra_structure,
 )
 from topring.lifting import lift_family_from_quotient
 from topring.wedderburn import wedderburn
@@ -73,13 +71,13 @@ class FiniteModule:
         if not np.array_equal(unit_mat, np.eye(m, dtype=np.int64)):
             out.append("unit does not act as identity")
         for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = self.act(A.c[i, j])
-                rhs = linalg.matmul(F, self.action[i], self.action[j])
-                if not np.array_equal(lhs, rhs):
-                    out.append(f"action not multiplicative at (e_{i}, e_{j})")
-                    if len(out) > 16:
-                        return out
+            # lhs[j] acts as e_i e_j, rhs[j] is act(e_i) act(e_j)
+            lhs = F.contract("jk,kab->jab", A.c[i], self.action)
+            rhs = F.contract("ab,jbc->jac", self.action[i], self.action)
+            for j in np.flatnonzero((lhs != rhs).any(axis=(1, 2))):
+                out.append(f"action not multiplicative at (e_{i}, e_{j})")
+                if len(out) > 16:
+                    return out
         return out
 
     def act(self, x: np.ndarray) -> np.ndarray:
@@ -227,11 +225,6 @@ def radical_of_module(M: FiniteModule) -> np.ndarray:
     F = M.algebra.field
     rad = radical(M.algebra)
     return linalg.row_space_basis(F, _eff_stack(M, rad.basis).reshape(rad.dim * M.dim, M.dim))
-
-
-def top_of_module(M: FiniteModule):
-    """Quotient by the module radical: (top, proj, section)."""
-    return quotient_module(M, radical_of_module(M))
 
 
 def radical_series(M: FiniteModule) -> list[np.ndarray]:
@@ -532,44 +525,27 @@ def verify_decomposition(cert: DecompositionCertificate) -> None:
 
 
 def composition_length(M: FiniteModule) -> int:
-    """Sum of simple-summand counts along the radical series."""
+    """Sum of simple-summand counts along the radical series.
+
+    Each layer B_t/B_{t+1} is killed by rad A, so a lift of the central
+    idempotent of block b of A/rad A = Mat_n(D), |D| = q^m, projects it onto
+    its b-isotypic part, a sum of simples of dimension n*m each."""
     if M.dim == 0:
         return 0
-    F = M.algebra.field
+    A = M.algebra
+    F = A.field
+    Q, _, section = quotient(A, radical(A))
+    W = wedderburn(Q)
+    lifts = linalg.matmul(F, np.array([f.central_idempotent for f in W.factors]), section)
+    effs = _eff_stack(M, lifts)
     series = radical_series(M)
     total = 0
-    for t in range(len(series) - 1):
-        layer_basis = series[t]
-        Sub, _ = submodule_module(M, layer_basis)
-        inner = linalg.solve_left(F, layer_basis, series[t + 1])
-        if inner is None:
-            raise AssertionError("radical series is not nested")
-        layer, _, _ = quotient_module(Sub, inner)
-        total += _semisimple_length(layer)
-    return total
-
-
-def _semisimple_length(S: FiniteModule) -> int:
-    """Number of simple summands of a semisimple module, from the block
-    dimensions of its action image."""
-    if S.dim == 0:
-        return 0
-    F = S.algebra.field
-    eff = S.eff_basis()
-    flat = linalg.row_space_basis(F, eff.reshape(S.algebra.dim, S.dim * S.dim))
-    ambient = matrix_algebra(F, S.dim)
-    unit_flat = np.eye(S.dim, dtype=np.int64).reshape(-1)
-    if not linalg.in_row_space(F, flat, unit_flat):
-        flat = linalg.row_space_basis(F, np.vstack([flat, unit_flat[None, :]]))
-    B, embed = subalgebra_structure(ambient, flat, unit_flat)
-    W = wedderburn(B)
-    total = 0
-    for f in W.factors:
-        op = linalg.matvec(F, f.central_idempotent, embed).reshape(S.dim, S.dim)
-        r = linalg.rank(F, op)
-        if r % (f.n * f.m):
-            raise AssertionError("semisimple block dimension mismatch")
-        total += r // (f.n * f.m)
+    for top, below in zip(series, series[1:]):
+        for f, eff in zip(W.factors, effs):
+            r = linalg.rank(F, np.vstack([linalg.matmul(F, top, eff), below])) - below.shape[0]
+            if r % (f.n * f.m):
+                raise AssertionError("semisimple block dimension mismatch")
+            total += r // (f.n * f.m)
     return total
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from topring import linalg
-from topring.fields import FiniteField
+from topring.fields import FiniteField, is_prime
 
 Poly = np.ndarray
 
@@ -148,12 +148,22 @@ def is_irreducible(F: FiniteField, f: Poly) -> bool:
         return True
     if len(sub(F, pow_mod(F, X, F.q ** n, f), X)):
         return False
-    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
-    for r in primes:
+    for r in [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]:
         t = sub(F, pow_mod(F, X, F.q ** (n // r), f), X)
         if deg(gcd(F, t, f)) > 0:
             return False
     return True
+
+
+def first_irreducible(F: FiniteField, d: int) -> Poly:
+    """The monic irreducible of degree d over F whose lower coefficients,
+    read as base-q digits with the constant term lowest, form the smallest
+    number."""
+    for tail in range(F.q ** d):
+        f = np.append(np.array([tail // F.q ** i % F.q for i in range(d)], dtype=np.int64), 1)
+        if is_irreducible(F, f):
+            return f
+    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 def _pth_root_poly(F: FiniteField, f: Poly) -> Poly:

@@ -97,12 +97,10 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
             roots.append(int(F.NEG[g[0]]))
         lagr = []
         for a in roots:
-            num = poly.const(F, 1)
-            den = 1
-            for b in roots:
-                if b != a:
-                    num = poly.mul(F, num, np.array([F.NEG[b], 1], dtype=np.int64))
-                    den = int(F.MUL[den, F.ADD[a, F.NEG[b]]])
+            x_minus_a = np.array([F.NEG[a], 1], dtype=np.int64)
+            num = poly.exact_div(F, mp, x_minus_a)
+            # num(a) is the remainder of num by x - a
+            den = int(poly.mod(F, num, x_minus_a)[0])
             lagr.append(A.evaluate_poly(poly.scale(F, int(F.INV[den]), num), z))
         family = [A.mul(e, l) for e in family for l in lagr]
         family = [e for e in family if e.any()]

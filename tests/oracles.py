@@ -17,7 +17,12 @@ Hom-space search for the Bass colimit's section that endo.bass_flat
 replaced by the Fitting projection), and radical_bruteforce_loop and
 all_submodules_loop (the per-element row reductions that the stacked rref
 replaced in algebras.radical_bruteforce and modules.all_submodules);
-hidden_block_algebras builds inputs for those two.
+hidden_block_algebras builds inputs for those two.  module_diagnostics_loop
+is the per-pair check that FiniteModule.diagnostics replaced by one
+contraction pair per generator, composition_length_layers the per-layer
+Mat_s(F) route that modules.composition_length replaced by the Wedderburn
+blocks of A/rad A, and list_is_irreducible and list_default_modulus the
+int-list copy of F_p[x] that fields used before its moduli came from poly.
 """
 
 from __future__ import annotations
@@ -463,3 +468,160 @@ def hidden_block_algebras():
         product_algebra(truncated_poly_algebra(F4, 2), field_algebra(F4)),
     ]
     return [basis_change(A, _random_invertible(A.field, A.dim, rng)) for A in products]
+
+
+# Polynomials over F_p as plain int lists, low degree first: the copy of
+# F_p[x] that fields kept for its default moduli before poly became the one
+# polynomial layer.
+
+
+def _pf_trim(f) -> list[int]:
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _pf_mul(p: int, f, g) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return _pf_trim(out)
+
+
+def _pf_mod(p: int, f, g) -> list[int]:
+    rem, g = _pf_trim(f), _pf_trim(g)
+    inv_lead = pow(g[-1], p - 2, p)
+    while len(rem) >= len(g):
+        c = (rem[-1] * inv_lead) % p
+        k = len(rem) - len(g)
+        for j, b in enumerate(g):
+            rem[k + j] = (rem[k + j] - c * b) % p
+        rem = _pf_trim(rem)
+    return rem
+
+
+def _pf_gcd(p: int, f, g) -> list[int]:
+    a, b = _pf_trim(f), _pf_trim(g)
+    while b:
+        a, b = b, _pf_mod(p, a, b)
+    return a
+
+
+def _pf_powmod(p: int, f, e: int, m) -> list[int]:
+    result, base = [1], _pf_mod(p, f, m)
+    while e > 0:
+        if e & 1:
+            result = _pf_mod(p, _pf_mul(p, result, base), m)
+        base = _pf_mod(p, _pf_mul(p, base, base), m)
+        e >>= 1
+    return result
+
+
+def _pf_sub(p: int, f, g) -> list[int]:
+    n = max(len(f), len(g))
+    f = list(f) + [0] * (n - len(f))
+    g = list(g) + [0] * (n - len(g))
+    return _pf_trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def list_is_irreducible(p: int, f) -> bool:
+    """Rabin's test for a monic polynomial of degree >= 2 over F_p, on int
+    lists (it reduces x itself modulo f, so it misjudges degree 1)."""
+    f = _pf_trim(f)
+    d = len(f) - 1
+    if d < 1:
+        return False
+    x = [0, 1]
+    if _pf_sub(p, _pf_powmod(p, x, p ** d, f), x):
+        return False
+    for r in range(2, d + 1):
+        if d % r == 0 and all(r % s for s in range(2, r)):
+            if len(_pf_gcd(p, _pf_sub(p, _pf_powmod(p, x, p ** (d // r), f), x), f)) > 1:
+                return False
+    return True
+
+
+def list_default_modulus(p: int, d: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree d over F_p,
+    lowest coefficient varying fastest."""
+    if d == 1:
+        return (0, 1)
+    for tail in range(p ** d):
+        f = [tail // p ** i % p for i in range(d)] + [1]
+        if list_is_irreducible(p, f):
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def module_diagnostics_loop(M) -> list[str]:
+    """FiniteModule.diagnostics by the route it took before one contraction
+    pair per generator: one act and one matmul per basis pair (i, j)."""
+    from topring import linalg
+
+    F, A = M.algebra.field, M.algebra
+    if M.dim == 0:
+        return []
+    out = []
+    if not np.array_equal(M.act(A.unit), np.eye(M.dim, dtype=np.int64)):
+        out.append("unit does not act as identity")
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if not np.array_equal(M.act(A.c[i, j]), linalg.matmul(F, M.action[i], M.action[j])):
+                out.append(f"action not multiplicative at (e_{i}, e_{j})")
+                if len(out) > 16:
+                    return out
+    return out
+
+
+def composition_length_layers(M) -> int:
+    """modules.composition_length by the route it took before it read the
+    layers off the Wedderburn blocks of A/rad A: each radical layer is built
+    as a module, and its simple summands are counted from the Wedderburn
+    blocks of its action image inside Mat_s(F)."""
+    from topring import linalg
+    from topring.algebras import matrix_algebra, subalgebra_structure
+    from topring.modules import quotient_module, radical_series, submodule_module
+    from topring.wedderburn import wedderburn
+
+    if M.dim == 0:
+        return 0
+    F = M.algebra.field
+    series = radical_series(M)
+    total = 0
+    for t in range(len(series) - 1):
+        Sub, _ = submodule_module(M, series[t])
+        inner = linalg.solve_left(F, series[t], series[t + 1])
+        S, _, _ = quotient_module(Sub, inner)
+        if S.dim == 0:
+            continue
+        eff = S.eff_basis()
+        flat = linalg.row_space_basis(F, eff.reshape(S.algebra.dim, S.dim * S.dim))
+        unit_flat = np.eye(S.dim, dtype=np.int64).reshape(-1)
+        if not linalg.in_row_space(F, flat, unit_flat):
+            flat = linalg.row_space_basis(F, np.vstack([flat, unit_flat[None, :]]))
+        B, embed = subalgebra_structure(matrix_algebra(F, S.dim), flat, unit_flat)
+        for f in wedderburn(B).factors:
+            op = linalg.matvec(F, f.central_idempotent, embed).reshape(S.dim, S.dim)
+            r = linalg.rank(F, op)
+            if r % (f.n * f.m):
+                raise AssertionError("semisimple block dimension mismatch")
+            total += r // (f.n * f.m)
+    return total
+
+
+def list_mul_table(p: int, modulus) -> np.ndarray:
+    """MUL table of F_p[x]/(modulus) on the base-p encoding, from int-list
+    products reduced by int-list division."""
+    d = len(modulus) - 1
+    q = p ** d
+    digits = [[a // p ** i % p for i in range(d)] for a in range(q)]
+    table = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            r = _pf_mod(p, _pf_mul(p, digits[a], digits[b]), modulus)
+            table[a, b] = sum(c * p ** i for i, c in enumerate(r))
+    return table

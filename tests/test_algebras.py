@@ -146,6 +146,18 @@ def test_min_poly_of_extension_generator():
     assert not A.evaluate_poly(A.min_poly(x), x).any()
 
 
+def test_extension_of_an_extension_field_is_a_field_of_order_16():
+    F4 = GF(2, 2)
+    A = field_extension_algebra(F4, 2)
+    assert (A.field, A.dim) == (F4, 2)
+    assert A.field.q ** A.dim == 16
+    # commutative, and every nonzero element multiplies injectively
+    elements = A.all_elements()
+    assert np.array_equal(A.mul_rows(elements, elements[::-1]), A.mul_rows(elements[::-1], elements))
+    assert all(linalg.rank(F4, A.lmul_matrix(x)) == 2 for x in elements if x.any())
+    assert radical(A).dim == 0
+
+
 def test_center_dimensions():
     assert matrix_algebra(F3, 2).center_basis().shape[0] == 1
     assert upper_triangular_algebra(F2, 3).center_basis().shape[0] == 1

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -290,6 +296,29 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: out of memory")
+
+
+def test_coperfect_on_a_vector_space_fits_in_600_mb(tmp_path):
+    # End of the 5-dimensional F2-space is Mat_5(F2), dim 25, so the regular
+    # composition length is computed; read off the layers, not off their
+    # images in Mat_25(F2), it needs no 625^3 structure tensor
+    (tmp_path / "f2.alg").write_text(corpus.read("f2.alg"))
+    acts = "".join(f"act 0 {i} {i} 1\n" for i in range(5))
+    (tmp_path / "v5.mod").write_text(
+        f"object module\nalgebra f2.alg\nside right\ndim 5\n{acts}end\n")
+    cap = 600 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "topring.cli", "coperfect", "v5.mod"],
+                          cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "bound 5" in done.stdout.splitlines()
 
 
 def _absolute_refs(text):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import table_contract, table_fsum
-from topring import fields, linalg
+from oracles import list_default_modulus, list_mul_table, table_contract, table_fsum
+from topring import fields, linalg, poly
 from topring.fields import GF, FiniteField, default_modulus, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
@@ -67,11 +67,44 @@ def test_default_modulus_is_frozen_for_f16():
     assert default_modulus(2, 2) == (1, 1, 1)
 
 
+# every extension field under the table cap: 2^2..2^9, 3^2..3^5, 5^2, 5^3,
+# 7^2, 7^3, 11^2, 13^2, 17^2, 19^2
+EXTENSION_FIELDS = [(p, d) for p in range(2, 23) if is_prime(p)
+                    for d in range(2, 10) if p ** d <= fields.MAX_FIELD_SIZE]
+
+
+def test_twenty_extension_fields_under_the_cap():
+    assert len(EXTENSION_FIELDS) == 20
+
+
+@pytest.mark.parametrize("p,d", EXTENSION_FIELDS)
+def test_default_modulus_matches_the_int_list_search(p, d):
+    want = list_default_modulus(p, d)
+    assert default_modulus(p, d) == want
+    assert tuple(poly.first_irreducible(GF(p), d).tolist()) == want
+    assert GF(p, d).modulus == want
+
+
+def test_default_modulus_of_a_prime_field_is_x():
+    assert default_modulus(5, 1) == (0, 1)
+    assert GF(5).modulus == (0, 1)
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 4)])
+def test_mul_table_matches_int_list_arithmetic(p, d):
+    F = GF(p, d)
+    assert np.array_equal(F.MUL, list_mul_table(p, F.modulus))
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         FiniteField(4)
     with pytest.raises(ValueError):
         FiniteField(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+    with pytest.raises(ValueError, match="reducible"):
+        FiniteField(3, 4, modulus=(1, 0, 2, 0, 1))  # x^4 + 2x^2 + 1 = (x^2 + 1)^2 over F_3
+    with pytest.raises(ValueError, match="reducible"):
+        FiniteField(2, 6, modulus=(1, 1, 1, 1, 1, 1, 1))  # (x^7 - 1)/(x - 1) over F_2
     with pytest.raises(ZeroDivisionError):
         GF(3).inv(0)
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)

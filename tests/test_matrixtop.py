@@ -22,13 +22,11 @@ from topring.matrixtop import (
     WindowedMatrix,
     contratensor,
     elementary_matrix,
-    element_from_windowed,
     free_contra_corner,
     ideal_member,
     identity_matrix,
     lower_shift_matrix,
     mat_mul,
-    mat_unit_element,
     matrix_algebra_over,
     open_matrix_ideal,
     row_family,
@@ -38,7 +36,6 @@ from topring.matrixtop import (
     transpose,
     windowed,
     windowed_diagnostics,
-    windowed_from_element,
     zero_convergent_family,
     zero_matrix,
 )
@@ -260,8 +257,9 @@ def test_finite_product_matches_matrix_ring():
     for _ in range(25):
         u = rng.integers(0, 2, size=E.dim).astype(np.int64)
         v = rng.integers(0, 2, size=E.dim).astype(np.int64)
-        mw = mat_mul(windowed_from_element(DUAL, 2, u), windowed_from_element(DUAL, 2, v))
-        assert np.array_equal(element_from_windowed(mw), E.mul(u, v))
+        mw = mat_mul(windowed(DUAL, "finite", u.reshape(2, 2, DUAL.dim)),
+                     windowed(DUAL, "finite", v.reshape(2, 2, DUAL.dim)))
+        assert np.array_equal(mw.entries.reshape(-1), E.mul(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +477,24 @@ def test_free_corner_matches_matrix_corner():
     # rows of e_xx Mat_Y(R) correspond to R^Y with the corner acting left
     R, k, x = DUAL, 3, 1
     E = matrix_algebra_over(R, k)
-    e = mat_unit_element(R, k, x, x)
+    # coordinates of the matrix with r at (x, x): basis (a, b, t) at (a*k + b)*dim + t
+    e_xx = linalg.basis_vector(k * k, x * k + x)
+    e = np.kron(e_xx, R.unit)
     fc = free_contra_corner(R, "finite", k, x)
     rng = np.random.default_rng(17)
     rows = []
     for _ in range(40):
         m = rng.integers(0, 2, size=E.dim).astype(np.int64)
         em = E.mul(e, m)
-        w = windowed_from_element(R, k, em)
+        w = windowed(R, "finite", em.reshape(k, k, R.dim))
         for other in range(k):
             if other != x:
                 assert not np.any(w.entries[other])
         coords = w.entries[x].reshape(-1)
         rows.append(coords)
         r = rng.integers(0, 2, size=R.dim).astype(np.int64)
-        scaled = E.mul(mat_unit_element(R, k, x, x, r), em)
-        got = windowed_from_element(R, k, scaled).entries[x].reshape(-1)
+        scaled = E.mul(np.kron(e_xx, r), em)
+        got = scaled.reshape(k, k, R.dim)[x].reshape(-1)
         assert np.array_equal(got, fc.module.apply(coords, r))
     assert linalg.rank(F2, np.vstack(rows)) == fc.module.dim
 

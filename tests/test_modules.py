@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_submodules_loop,
+    composition_length_layers,
     decompose_per_summand,
     endo_structure_full,
     hidden_block_algebras,
+    module_diagnostics_loop,
     sampled_isomorphism,
     solve_left_rows,
 )
@@ -50,7 +52,6 @@ from topring.modules import (
     right_regular_module,
     left_regular_module,
     submodule_module,
-    top_of_module,
     verify_decomposition,
 )
 from topring.wedderburn import wedderburn
@@ -148,7 +149,7 @@ def test_radical_of_semisimple_module_is_zero():
     M = natural_matrix_module(F2, 2)
     rad = radical_of_module(M)
     assert rad.shape == (0, 2)
-    top, _, _ = top_of_module(M)
+    top, _, _ = quotient_module(M, radical_of_module(M))
     assert top.dim == M.dim
 
 
@@ -157,7 +158,7 @@ def test_radical_of_truncated_polynomial_regular_module():
     M = right_regular_module(A)
     rad = radical_of_module(M)
     assert np.array_equal(rad, np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64))
-    top, _, _ = top_of_module(M)
+    top, _, _ = quotient_module(M, radical_of_module(M))
     assert top.dim == 1
 
 
@@ -173,7 +174,7 @@ def test_radical_of_upper_triangular_regular_module_vs_oracle():
 def test_top_is_semisimple():
     A = truncated_poly_algebra(F3, 3)
     M = right_regular_module(A)
-    top, _, _ = top_of_module(M)
+    top, _, _ = quotient_module(M, radical_of_module(M))
     E, _, _ = endo_algebra(top)
     assert radical(E).dim == 0
 
@@ -332,7 +333,7 @@ def test_simple_module_is_indecomposable():
 def test_two_nonisomorphic_summands_over_dual_numbers():
     A = truncated_poly_algebra(F2, 2)
     reg = right_regular_module(A)
-    simple, _, _ = top_of_module(reg)
+    simple, _, _ = quotient_module(reg, radical_of_module(reg))
     M, _, _ = direct_sum([simple, reg])
     cert = decompose_indecomposable(M)
     assert sorted(n.dim for n in cert.summands) == [1, 2]
@@ -355,7 +356,7 @@ def test_square_of_simple_matches_into_one_class():
 def test_rerunning_on_a_summand_is_stable():
     A = truncated_poly_algebra(F2, 2)
     reg = right_regular_module(A)
-    simple, _, _ = top_of_module(reg)
+    simple, _, _ = quotient_module(reg, radical_of_module(reg))
     M, _, _ = direct_sum([simple, reg])
     cert = decompose_indecomposable(M)
     for N in cert.summands:
@@ -669,7 +670,7 @@ def test_unknown_verdict_for_quiet_truncated_family():
     # one simple module, flagged truncated: no witness exists at any depth
     A = truncated_poly_algebra(F2, 2)
     reg = right_regular_module(A)
-    simple, _, _ = top_of_module(reg)
+    simple, _, _ = quotient_module(reg, radical_of_module(reg))
     fam = ModuleFamily(members=[simple], labels=["S"], truncated=True)
     verdict = perfect_decomposition_verdict(fam, depth=3)
     assert verdict.verdict == "UNKNOWN"
@@ -750,3 +751,73 @@ def test_extra_idempotent_among_corner_elements_trips(monkeypatch):
     monkeypatch.setattr(StructureAlgebra, "all_elements", with_unit_twice)
     with pytest.raises(AssertionError, match="^summand has a nontrivial idempotent endomorphism$"):
         decompose_indecomposable(regular_module("GF(4)/F2", 1))
+
+
+def _length_cases():
+    """195 modules: regular, doubled and left regular over the ring pool and
+    the hidden block algebras, and random_module(0..149)."""
+    cases = []
+    for i, A in enumerate(acceptance._finite_ring_pool() + hidden_block_algebras()):
+        cases += [(f"reg-{i}", right_regular_module(A)),
+                  (f"double-{i}", direct_sum([right_regular_module(A)] * 2)[0]),
+                  (f"left-{i}", left_regular_module(A))]
+    return cases + [(f"random-{i}", random_module(i)) for i in range(150)]
+
+
+LENGTH_CASES = _length_cases()
+
+
+def test_length_cases_count():
+    assert len(LENGTH_CASES) == 195
+
+
+@pytest.mark.parametrize("M", [M for _, M in LENGTH_CASES], ids=[k for k, _ in LENGTH_CASES])
+def test_composition_length_matches_the_layer_route(M):
+    assert composition_length(M) == composition_length_layers(M)
+
+
+def test_composition_length_of_a_vector_space_counts_its_dimension():
+    # End of F2^5 is Mat_5(F2): its regular module has five simple layers
+    V = FiniteModule(field_algebra(F2), np.eye(5, dtype=np.int64)[None], check=False)
+    E, _, _ = endo_algebra(V)
+    assert composition_length(right_regular_module(E)) == 5
+
+
+def test_composition_length_keeps_the_block_dimension_tripwire(monkeypatch):
+    # the one layer has rank 4, and a block claimed to be Mat_2 over F_8
+    # needs ranks divisible by 6
+    W = wedderburn(matrix_algebra(F2, 2))
+    for f in W.factors:
+        f.m = 3
+    monkeypatch.setattr(modules, "wedderburn", lambda Q: W)
+    with pytest.raises(AssertionError, match="^semisimple block dimension mismatch$"):
+        composition_length(right_regular_module(matrix_algebra(F2, 2)))
+
+
+def _corrupted(M, seed, entries):
+    """M's action with `entries` random cells redrawn."""
+    rng = np.random.default_rng(seed)
+    action = M.action.copy()
+    for _ in range(entries):
+        i, a, b = (int(rng.integers(n)) for n in action.shape)
+        action[i, a, b] = rng.integers(M.algebra.field.q)
+    return FiniteModule(M.algebra, action, side=M.side, check=False)
+
+
+DIAGNOSTIC_CASES = [
+    (name, copies, seed, entries)
+    for name in REGULAR_POOL for copies in (1, 2)
+    for seed, entries in ((0, 0), (1, 1), (2, 3), (3, 40))]
+
+
+@pytest.mark.parametrize("name,copies,seed,entries", DIAGNOSTIC_CASES)
+def test_module_diagnostics_match_the_pair_loop(name, copies, seed, entries):
+    M = _corrupted(regular_module(name, copies), seed, entries)
+    assert M.diagnostics() == module_diagnostics_loop(M)
+
+
+def test_module_diagnostics_stop_at_seventeen_messages():
+    M = _corrupted(regular_module("UT3(F2)", 2), 5, 400)
+    got = M.diagnostics()
+    assert len(got) == 17
+    assert got == module_diagnostics_loop(M)

@@ -8,7 +8,7 @@ import pytest
 from topring import poly
 from topring.fields import GF
 
-from oracles import poly_eval, poly_mul
+from oracles import list_is_irreducible, poly_eval, poly_mul
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5)]
 
@@ -40,6 +40,33 @@ def test_x4_plus_x_plus_1_irreducible_over_f2():
     lead, factors = poly.factor_poly(F, f)
     assert len(factors) == 1 and factors[0][1] == 1
     assert np.array_equal(factors[0][0], f)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_irreducible_matches_int_list_rabin(p):
+    # every monic polynomial of degree <= 5 over F_p; the int-list test
+    # reduces x itself modulo f, so it was only ever asked about degree >= 2
+    F = GF(p)
+    assert not poly.is_irreducible(F, P(1))
+    assert all(poly.is_irreducible(F, P(a, 1)) for a in range(p))
+    for n in range(2, 6):
+        for tail in range(p ** n):
+            f = [tail // p ** i % p for i in range(n)] + [1]
+            assert poly.is_irreducible(F, P(*f)) == list_is_irreducible(p, f), f
+
+
+@pytest.mark.parametrize("F,d", [(GF(2), 3), (GF(3), 2), (GF(2, 2), 2), (GF(5), 2)], ids=str)
+def test_first_irreducible_is_the_smallest(F, d):
+    # irreducible by Berlekamp, and every smaller tail (base-q digits, constant
+    # term lowest) has a proper factor
+    f = poly.first_irreducible(F, d)
+    tail = sum(int(c) * F.q ** i for i, c in enumerate(f[:d]))
+    assert len(f) == d + 1 and f[-1] == 1
+    assert len(poly.factor_poly(F, f)[1]) == 1 and poly.factor_poly(F, f)[1][0][1] == 1
+    for smaller in range(tail):
+        g = P(*[smaller // F.q ** i % F.q for i in range(d)], 1)
+        factors = poly.factor_poly(F, g)[1]
+        assert len(factors) > 1 or factors[0][1] > 1
 
 
 def test_x_squared_over_f3():
