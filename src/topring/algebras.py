@@ -330,9 +330,6 @@ class SubspaceIdeal:
             k += 1
         return k
 
-    def elements(self) -> np.ndarray:
-        return linalg.enumerate_row_space(self.algebra.field, self.basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceIdeal)

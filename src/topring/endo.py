@@ -1,15 +1,4 @@
-"""Endomorphism towers, ring realizations, Bass colimits, split checks.
-
-The tower layer looks at a growing direct sum M_1 + ... + M_n and the
-endomorphism algebras E_n of the partial sums, in the apply-then-compose
-convention, together with the annihilator right ideals of the leading
-components, which form the neighborhood base of the finite topology.
-Restriction to a partial sum compresses E_{n+1} onto E_n linearly but not
-multiplicatively, so no ring-tower structure is claimed.
-
-realize_ring_as_endo goes the other way: it rebuilds a ring R as the full
-endomorphism algebra of the sum of the quotients by a listed base of right
-ideals, with the isomorphism and the topology match verified exactly.
+"""Bass colimits, split checks for direct limits, descending chain checks.
 
 bass_flat computes the direct limit of R --a_1--> R --a_2--> ... (maps are
 right multiplications, constant tail convention past the listed terms) and
@@ -19,7 +8,8 @@ splits R as kernel + image (Lam, First Course, section 19), so a failure to
 split is an internal inconsistency, never a result.
 
 split_omega_limit_check and sigma_coperfect_check handle the two decidable
-splitting regimes and the descending-chain searches; perfectness_bridge
+splitting regimes and the descending-chain searches over the endomorphism
+ring of a module or of the direct sum of a module family; perfectness_bridge
 cross-checks their verdicts against the decomposition verdicts and treats
 any violation of a proven implication as a fatal bug.
 """
@@ -32,16 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from topring import linalg
-from topring.algebras import (
-    AlgebraError,
-    StructureAlgebra,
-    SubspaceIdeal,
-    hom_failures,
-    matrix_algebra,
-    subalgebra_closure,
-    subalgebra_structure,
-    truncated_poly_algebra,
-)
+from topring.algebras import AlgebraError, StructureAlgebra, truncated_poly_algebra
 from topring.modules import (
     FiniteModule,
     ModuleFamily,
@@ -57,7 +38,6 @@ from topring.modules import (
     radical_of_module,
     right_regular_module,
 )
-from topring.wedderburn import is_semisimple
 
 
 class InternalInconsistencyError(AlgebraError):
@@ -66,256 +46,6 @@ class InternalInconsistencyError(AlgebraError):
     This is a bug in the computation, never a mathematical discovery, and
     the command line maps it to its own exit code so it cannot pass as a
     clean failure."""
-
-
-# ---------------------------------------------------------------------------
-# Endomorphism towers of truncated direct sums
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EndoTower:
-    """Endomorphism algebras E_n of the partial sums M_1 + ... + M_n.
-
-    levels[n] acts on sums[n] from the right (apply-then convention);
-    annihilators[n][k] is the right ideal of maps killing the first k+1
-    components, a decreasing filter base ending at zero; compressions[n]
-    restricts level n+2 maps to the level n+1 partial sum, a linear
-    unit-preserving map that is not multiplicative in general."""
-
-    algebra: StructureAlgebra
-    components: list[FiniteModule]
-    sums: list[FiniteModule]
-    levels: list[StructureAlgebra]
-    homs: list[np.ndarray]
-    sum_over_level: list[FiniteModule]
-    annihilators: list[list[SubspaceIdeal]]
-    compressions: list[np.ndarray]
-    truncated: bool = False
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def annihilator_base(self, n: int) -> list[SubspaceIdeal]:
-        """The listed neighborhood base of level n (0-indexed)."""
-        return self.annihilators[n]
-
-    def compress(self, n: int, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the restriction of a level n+1 map to level n."""
-        return linalg.matvec(self.levels[n].field, np.asarray(x, dtype=np.int64),
-                             self.compressions[n])
-
-
-def endo_tower(A: StructureAlgebra, components: list[FiniteModule], N: int | None = None,
-               truncated: bool = False) -> EndoTower:
-    """Build the endomorphism tower of the partial sums of the components.
-
-    Every component must be a module over A on the same side.  The
-    annihilator ideals are validated as right ideals and as a decreasing
-    chain whose last member, the annihilator of the full partial sum, is
-    zero."""
-    if N is None:
-        N = len(components)
-    if not 1 <= N <= len(components):
-        raise AlgebraError(f"need 1 <= N <= {len(components)}, got {N}")
-    side = components[0].side
-    for m in components[:N]:
-        if m.algebra != A:
-            raise AlgebraError("components must be modules over the given algebra")
-        if m.side != side:
-            raise AlgebraError("components must share the side")
-    F = A.field
-    sums, levels, homs_list, modules_over, ann_all = [], [], [], [], []
-    for n in range(N):
-        S, _, _ = direct_sum(components[: n + 1])
-        E, homs, S_over_E = endo_algebra(S)
-        k = homs.shape[0]
-        anns = []
-        lead = 0
-        for j in range(n + 1):
-            lead += components[j].dim
-            # maps vanishing on the first j+1 components: leading rows zero
-            head = homs[:, :lead, :].reshape(k, lead * S.dim)
-            basis = linalg.row_space_basis(F, linalg.left_null_basis(F, head))
-            anns.append(SubspaceIdeal(E, basis, side="right", check=True))
-        for j in range(len(anns) - 1):
-            if not anns[j].contains_ideal(anns[j + 1]):
-                raise InternalInconsistencyError(
-                    f"annihilator base is not a decreasing chain at level {n}")
-        if not anns[-1].is_zero():
-            raise InternalInconsistencyError(
-                f"annihilator of the full partial sum is nonzero at level {n}")
-        sums.append(S)
-        levels.append(E)
-        homs_list.append(homs)
-        modules_over.append(S_over_E)
-        ann_all.append(anns)
-    compressions = []
-    for n in range(N - 1):
-        small = sums[n]
-        big_homs = homs_list[n + 1]
-        small_flat = homs_list[n].reshape(homs_list[n].shape[0], -1)
-        corners = big_homs[:, : small.dim, : small.dim].reshape(big_homs.shape[0], -1)
-        rows = linalg.solve_left(F, small_flat, corners)
-        if rows is None:
-            raise InternalInconsistencyError(
-                f"restriction of a level {n + 1} endomorphism is not one of level {n}")
-        if not np.array_equal(linalg.matvec(F, levels[n + 1].unit, rows), levels[n].unit):
-            raise InternalInconsistencyError(f"compression at level {n} loses the unit")
-        compressions.append(rows)
-    return EndoTower(
-        algebra=A,
-        components=list(components[:N]),
-        sums=sums,
-        levels=levels,
-        homs=homs_list,
-        sum_over_level=modules_over,
-        annihilators=ann_all,
-        compressions=compressions,
-        truncated=truncated,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Realizing a ring as a full endomorphism ring
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RealizedEndo:
-    """R realized as End(M) over the algebra generated by coset maps.
-
-    M is the direct sum of the quotients R/I over the listed right ideal
-    base; operators is the algebra generated by the block projections and
-    every well-defined map  r + J |-> s*r + I; to_endo/from_endo convert
-    between R coordinates and endomorphism coordinates and are verified as
-    mutually inverse ring isomorphisms.  generator annihilators match the
-    listed ideals exactly, so the finite topology agrees with the base."""
-
-    ring: StructureAlgebra
-    base: list[SubspaceIdeal]
-    operators: StructureAlgebra
-    module: FiniteModule
-    endo: StructureAlgebra
-    homs: np.ndarray
-    to_endo: np.ndarray
-    from_endo: np.ndarray
-
-
-def realize_ring_as_endo(R: StructureAlgebra, base: list[SubspaceIdeal]) -> RealizedEndo:
-    """Rebuild R as the endomorphism ring of  M = sum of R/I  over the base.
-
-    The base must consist of right (or two-sided) ideals of R and contain
-    the zero ideal; right multiplications then exhaust the commutant of
-    the coset-map algebra, and the isomorphism is verified on every basis
-    pair, which by bilinearity covers every element pair of any ring."""
-    F = R.field
-    if not base:
-        raise AlgebraError("the ideal base must be nonempty")
-    seen = set()
-    for I in base:
-        if I.algebra != R:
-            raise AlgebraError("base ideals must live in the given ring")
-        if I.side not in ("right", "two"):
-            raise AlgebraError("base ideals must be right ideals")
-        key = I.basis.tobytes()
-        if key in seen:
-            raise AlgebraError("base ideals must be distinct")
-        seen.add(key)
-    if not any(I.is_zero() for I in base):
-        raise AlgebraError("the ideal base must contain the zero ideal")
-
-    RR = right_regular_module(R)
-    quotients = [quotient_module(RR, I.basis) for I in base]
-    dims = [Q.dim for Q, _, _ in quotients]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    V = int(offsets[-1])
-
-    def embed_block(B: np.ndarray, row_idx: int, col_idx: int) -> np.ndarray:
-        out = np.zeros((V, V), dtype=np.int64)
-        out[offsets[row_idx]: offsets[row_idx + 1], offsets[col_idx]: offsets[col_idx + 1]] = B
-        return out
-
-    gens = [np.eye(V, dtype=np.int64)]
-    for idx in range(len(base)):
-        gens.append(embed_block(np.eye(dims[idx], dtype=np.int64), idx, idx))
-    rmuls = np.stack([R.rmul_matrix(linalg.basis_vector(R.dim, t)) for t in range(R.dim)])
-    for i, I in enumerate(base):
-        _, proj_i, _ = quotients[i]
-        for j, J in enumerate(base):
-            _, _, sect_j = quotients[j]
-            if J.dim == 0:
-                svalid = np.eye(R.dim, dtype=np.int64)
-            else:
-                cols = [linalg.matmul(F, R.rmul_matrix(h), proj_i) for h in J.basis]
-                svalid = linalg.left_null_basis(F, np.hstack(cols))
-            for s in svalid:
-                L = R.lmul_matrix(s)
-                block = linalg.matmul(F, linalg.matmul(F, sect_j, L), proj_i)
-                gens.append(embed_block(block, j, i))
-
-    MatV = matrix_algebra(F, V)
-    flat_gens = np.stack([g.reshape(-1) for g in gens])
-    basis = subalgebra_closure(MatV, flat_gens)
-    A_ops, _ = subalgebra_structure(MatV, basis, np.eye(V, dtype=np.int64).reshape(-1))
-    action = basis.reshape(basis.shape[0], V, V)
-    M = FiniteModule(A_ops, action, side="right", check=True)
-
-    E, homs, _ = endo_algebra(M)
-    if E.dim != R.dim:
-        raise AlgebraError(
-            f"endomorphism ring has dimension {E.dim}, the ring has {R.dim}; "
-            "the base does not separate enough maps")
-    flat_homs = homs.reshape(E.dim, V * V)
-
-    rho_ops = []
-    for t in range(R.dim):
-        op = np.zeros((V, V), dtype=np.int64)
-        for idx in range(len(base)):
-            _, proj, sect = quotients[idx]
-            block = linalg.matmul(F, linalg.matmul(F, sect, rmuls[t]), proj)
-            op = linalg.add(F, op, embed_block(block, idx, idx))
-        rho_ops.append(op)
-    to_endo = linalg.solve_left(F, flat_homs, np.stack(rho_ops).reshape(R.dim, V * V))
-    if to_endo is None:
-        raise InternalInconsistencyError(
-            "a right multiplication is not an endomorphism of the realized module")
-    if linalg.rank(F, to_endo) != R.dim:
-        raise AlgebraError("right multiplications are not linearly independent; "
-                           "the base contains too little")
-    from_endo = linalg.inverse(F, to_endo)
-    if from_endo is None:
-        raise AlgebraError("the realization map is not invertible")
-    if not np.array_equal(linalg.matvec(F, R.unit, to_endo), E.unit):
-        raise InternalInconsistencyError("the realization map loses the unit")
-
-    bad = hom_failures(R, E, to_endo)
-    if bad.size:
-        i, j = bad[0]
-        raise InternalInconsistencyError(
-            f"realization is not multiplicative at basis pair ({i}, {j})")
-
-    for idx, J in enumerate(base):
-        _, proj, _ = quotients[idx]
-        gen = np.zeros(V, dtype=np.int64)
-        gen[offsets[idx]: offsets[idx + 1]] = linalg.matvec(F, R.unit, proj)
-        K = np.stack([linalg.matvec(F, gen, rho_ops[t]) for t in range(R.dim)])
-        ann = linalg.row_space_basis(F, linalg.left_null_basis(F, K))
-        if not np.array_equal(ann, J.basis):
-            raise InternalInconsistencyError(
-                f"annihilator of the generator of summand {idx} differs from its ideal")
-
-    return RealizedEndo(
-        ring=R,
-        base=list(base),
-        operators=A_ops,
-        module=M,
-        endo=E,
-        homs=homs,
-        to_endo=to_endo,
-        from_endo=from_endo,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +421,6 @@ def _verify_chain(Mod: FiniteModule, gens, bases) -> None:
 
 def _resolve_sigma_target(target):
     """(module over its endomorphism ring, truncated flag, label)."""
-    if isinstance(target, EndoTower):
-        return target.sum_over_level[-1], target.truncated, "endo tower top level"
     if isinstance(target, ModuleFamily):
         M, _, _ = direct_sum(target.members)
         _, _, ME = endo_algebra(M)
@@ -707,12 +435,13 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
                           refinement=None, embed: np.ndarray | None = None) -> SigmaCoperfectResult:
     """Certificate or witness for descending cyclic chains over End.
 
-    target may be a module, a module family, or an endomorphism tower; the
+    target may be a module or a module family (read as its direct sum); the
     chains live in copies of the module viewed over its endomorphism ring.
     A chain of length >= depth in a truncated target is a witness and must
     re-verify inside the refinement when one is given (same kind of target,
     one more component; embed maps old coordinates into new ones and
-    defaults to the leading-block inclusion)."""
+    defaults to the leading-block inclusion).  A refinement whose module
+    over End is smaller than the target's raises AlgebraError."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ME, truncated, label = _resolve_sigma_target(target)
@@ -763,6 +492,10 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
     refinement_verified = False
     if refinement is not None:
         ME2, _, _ = _resolve_sigma_target(refinement)
+        if ME2.dim < ME.dim:
+            raise AlgebraError(
+                f"refinement module over End has dimension {ME2.dim}, "
+                f"smaller than the target's {ME.dim}")
         if embed is None:
             dim_small = ME.dim
             embed = np.zeros((dim_small, ME2.dim), dtype=np.int64)
@@ -804,24 +537,24 @@ class BridgeReport:
     forces a chain certificate, and a non-perfect countably generated
     target forces a chain witness.  The reverse questions are left open on
     purpose and never decided here.  perfect and sigma carry both verdicts,
-    so no caller needs to run either pipeline again."""
+    so no caller needs to run either pipeline again; module_semisimple
+    records whether the target (a family's direct sum) has zero radical."""
 
     perfect: PerfectDecompositionVerdict
     sigma: SigmaCoperfectResult
     consistent: bool
     depth: int
     module_semisimple: bool | None = None
-    tower_levels_semisimple: list[bool] | None = None
     notes: list[str] | None = None
 
 
 def perfectness_bridge(target, depth: int = 6, seed: int = 0,
-                       tower: EndoTower | None = None,
                        refinement=None) -> BridgeReport:
     """Run both verdict pipelines and fail loudly when they disagree.
 
-    Raises InternalInconsistencyError on any violated implication; the
-    command line maps that to the dedicated inconsistency exit code."""
+    target and refinement are as in sigma_coperfect_check.  Raises
+    InternalInconsistencyError on any violated implication; the command
+    line maps that to the dedicated inconsistency exit code."""
     pv = perfect_decomposition_verdict(target, depth=depth, seed=seed)
     sg = sigma_coperfect_check(target, depth=depth, seed=seed, refinement=refinement)
     notes = []
@@ -838,26 +571,16 @@ def perfectness_bridge(target, depth: int = 6, seed: int = 0,
         notes.append("decomposition verdict unknown at this depth; no implication checked")
 
     module_semisimple = None
-    tower_flags = None
     if isinstance(target, FiniteModule):
         module_semisimple = radical_of_module(target).shape[0] == 0
     elif isinstance(target, ModuleFamily) and target.members:
         Msum, _, _ = direct_sum(target.members)
         module_semisimple = radical_of_module(Msum).shape[0] == 0
-    if tower is not None:
-        tower_flags = [is_semisimple(E) for E in tower.levels]
-        if module_semisimple:
-            for n, flag in enumerate(tower_flags):
-                if not flag:
-                    raise InternalInconsistencyError(
-                        f"semisimple target with a non-semisimple endomorphism "
-                        f"level {n + 1}")
     return BridgeReport(
         perfect=pv,
         sigma=sg,
         consistent=True,
         depth=depth,
         module_semisimple=module_semisimple,
-        tower_levels_semisimple=tower_flags,
         notes=notes or None,
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -231,12 +231,6 @@ class FiniteField:
     def pth_root(self, a):
         """Inverse of Frobenius: the unique b with b^p == a."""
         return self.power(a, self.q // self.p)
-
-    def elements(self) -> Iterable[int]:
-        return range(self.q)
-
-    def digits(self, a):
-        return self.DIGITS[a]
 
     def from_digits(self, dig) -> int:
         dig = np.asarray(dig) % self.p

@@ -14,9 +14,9 @@ is decided from the certificates, with an explicit undecided verdict when
 the certified region is too small.
 
 The second half of the module carries finite modules across the matrix
-equivalence: row transport for ordinary modules, column transport with a
-corner inverse, free corner rows, and the contraction of a module against
-a finite power of the base ring, verified against its closed form.
+equivalence: row transport for ordinary modules, free corner rows, and the
+contraction of a module against a finite power of the base ring, verified
+against its closed form.
 """
 
 from __future__ import annotations
@@ -225,18 +225,6 @@ def lower_shift_matrix(base: StructureAlgebra, window: int) -> WindowedMatrix:
     for x in range(1, window):
         m.entries[x, x - 1] = base.unit
     return m
-
-
-def transpose(m: WindowedMatrix) -> WindowedMatrix:
-    """Transpose of a fully windowed matrix.
-
-    Only exact matrices with no extra columns can be transposed: an extra
-    known entry at (x, c) would become row c outside the window, which the
-    representation cannot carry.
-    """
-    if any(m.extras[x] for x in range(m.window)) or not m.is_exact():
-        raise WindowError("transpose needs an exact, fully windowed matrix")
-    return windowed(m.base, m.y_kind, np.swapaxes(m.entries, 0, 1), check=False)
 
 
 def _check_compatible(a: WindowedMatrix, b: WindowedMatrix) -> None:
@@ -455,69 +443,6 @@ def transport_discrete(N: FiniteModule, k: int,
                 action[i, a * m:(a + 1) * m, b * m:(b + 1) * m] = eff[t]
     V = FiniteModule(E, action, side="right", check=True)
     return TransportedDiscrete(N, k, E, V)
-
-
-@dataclass
-class TransportedContra:
-    """A left module C over R carried to columns over Mat_k(R)."""
-
-    source: FiniteModule
-    k: int
-    ring: StructureAlgebra
-    module: FiniteModule
-    truncated: bool = False
-
-    def corner_block(self, x: int) -> slice:
-        m = self.source.dim
-        return slice(x * m, (x + 1) * m)
-
-    def corner_restrict(self, x: int) -> FiniteModule:
-        """The x-th corner slice as a module over the base ring.
-
-        Cutting columns down by the idempotent with the unit at (x, x)
-        leaves the x-th block, and the corner copy of R acts on it through
-        the original action.  The recovered module is literally the source
-        action, which is the exactness of the inverse construction.
-        """
-        if x >= self.k:
-            raise WindowError(f"corner {x} outside a {self.k}-block transport")
-        m = self.source.dim
-        R = self.source.algebra
-        blk = self.corner_block(x)
-        action = np.zeros((R.dim, m, m), dtype=np.int64)
-        for t in range(R.dim):
-            i = (x * self.k + x) * R.dim + t
-            action[t] = self.module.action[i][blk, blk]
-        return FiniteModule(R, action, side="left", check=True)
-
-
-def transport_contra(C: FiniteModule, k: int, truncation: int | None = None,
-                     ring: StructureAlgebra | None = None) -> TransportedContra:
-    """Columns of length k over C with the matrix ring acting from the left.
-
-    (a * c)_x = sum_y a_{x, y} c_y.  For an infinite index set pass a
-    truncation: the transport is computed on that many coordinates and
-    flagged, since the full column module does not fit at finite scale.
-    """
-    if C.side != "left":
-        raise AlgebraError("column transport takes a left module")
-    truncated = False
-    if truncation is not None:
-        k = truncation
-        truncated = True
-    R = C.algebra
-    E = matrix_algebra_over(R, k) if ring is None else ring
-    if E.dim != k * k * R.dim:
-        raise AlgebraError("ring does not match the transport size")
-    m = C.dim
-    action = np.zeros((E.dim, k * m, k * m), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            for t in range(R.dim):
-                i = (a * k + b) * R.dim + t
-                action[i, a * m:(a + 1) * m, b * m:(b + 1) * m] = C.action[t]
-    V = FiniteModule(E, action, side="left", check=True)
-    return TransportedContra(C, k, E, V, truncated)
 
 
 # ---------------------------------------------------------------------------

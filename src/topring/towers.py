@@ -180,9 +180,6 @@ class IdealTower:
     tower: RingTower
     ideals: list[SubspaceIdeal]
 
-    def basis(self, n: int) -> np.ndarray:
-        return self.ideals[n].basis
-
 
 def ideal_tower_diagnostics(T: RingTower, ideals: list[SubspaceIdeal]) -> list[str]:
     out = []

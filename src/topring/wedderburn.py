@@ -297,7 +297,3 @@ def _verify_iso(A: StructureAlgebra, model: StructureAlgebra, iso: np.ndarray) -
     if bad.size:
         s, t = bad[0]
         raise AssertionError(f"decomposition map not multiplicative at ({s}, {t})")
-
-
-def is_semisimple(A: StructureAlgebra) -> bool:
-    return radical(A).is_zero()

@@ -165,6 +165,20 @@ def test_coperfect_witness_survives_refinement(capsys):
     assert "refinement_verified 1" in body
 
 
+@pytest.mark.parametrize("verb,target,refined,small,big", [
+    ("coperfect", "chain7.sys", "chain6.sys", 21, 28),
+    ("bridge", "chain7.sys", "chain6.sys", 21, 28),
+    ("coperfect", "chain6.sys", "f2c3_reg.mod", 3, 21),
+])
+def test_refinement_smaller_than_its_target_exits_3(capsys, verb, target, refined, small, big):
+    rc = cli.main([verb, corpus.path(target), corpus.path(refined)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: refinement module over End has dimension {small}, "
+                            f"smaller than the target's {big}\n")
+
+
 def test_coperfect_finite_module_certificate(capsys):
     rc, out = run(capsys, "coperfect", corpus.path("f2c3_reg.mod"), "--depth", "3")
     assert rc == 0

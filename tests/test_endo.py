@@ -1,4 +1,4 @@
-"""Endomorphism towers, realizations, Bass colimits, split and chain checks."""
+"""Bass colimits, split checks, descending chain checks and the bridge."""
 
 import numpy as np
 import pytest
@@ -8,22 +8,17 @@ from topring import endo, linalg
 from topring.acceptance import _finite_ring_pool
 from topring.algebras import (
     AlgebraError,
-    SubspaceIdeal,
     cyclic_group_algebra,
-    field_algebra,
     ideal_from_generators,
     matrix_algebra,
     truncated_poly_algebra,
-    zero_ideal,
 )
 from topring.endo import (
     InternalInconsistencyError,
     bass_flat,
-    endo_tower,
     omega_system,
     perfectness_bridge,
     polynomial_adic_system,
-    realize_ring_as_endo,
     sample_sequence,
     sigma_coperfect_check,
     split_omega_limit_check,
@@ -71,169 +66,6 @@ def chain_family(depth):
     return ModuleFamily(members=sys.modules,
                         labels=[f"level_{n}" for n in range(1, depth + 1)],
                         truncated=True)
-
-
-# ---------------------------------------------------------------------------
-# Endomorphism towers
-# ---------------------------------------------------------------------------
-
-
-def test_single_component_tower_is_discrete():
-    RR = right_regular_module(DUAL)
-    tw = endo_tower(DUAL, [RR], 1)
-    assert tw.depth == 1
-    assert tw.levels[0].dim == 2
-    anns = tw.annihilator_base(0)
-    assert [a.dim for a in anns] == [0]
-
-
-def test_two_component_tower_dimensions():
-    tw = endo_tower(DUAL, [dual_simple(), right_regular_module(DUAL)], 2)
-    assert tw.levels[0].dim == 1
-    assert tw.levels[1].dim == 5
-    assert [a.dim for a in tw.annihilator_base(1)] == [3, 0]
-
-
-def test_annihilator_is_right_but_not_two_sided():
-    tw = endo_tower(DUAL, [dual_simple(), right_regular_module(DUAL)], 2)
-    ann = tw.annihilator_base(1)[0]
-    assert ann.side == "right"
-    with pytest.raises(AlgebraError):
-        SubspaceIdeal(tw.levels[1], ann.basis, side="two")
-
-
-def test_annihilator_chain_is_a_decreasing_filter_base():
-    S = dual_simple()
-    tw = endo_tower(DUAL, [S, S, right_regular_module(DUAL)], 3)
-    anns = tw.annihilator_base(2)
-    dims = [a.dim for a in anns]
-    assert dims == sorted(dims, reverse=True)
-    assert anns[-1].is_zero()
-    for j in range(len(anns) - 1):
-        assert anns[j].contains_ideal(anns[j + 1])
-
-
-def test_compression_preserves_unit_but_not_products():
-    tw = endo_tower(DUAL, [right_regular_module(DUAL), dual_simple()], 2)
-    E1, E2 = tw.levels
-    assert np.array_equal(tw.compress(0, E2.unit), E1.unit)
-    flat2 = tw.homs[1].reshape(E2.dim, -1)
-    P = np.zeros((3, 3), dtype=np.int64)
-    P[0, 2] = 1  # project the regular block onto the simple one
-    Q = np.zeros((3, 3), dtype=np.int64)
-    Q[2, 1] = 1  # send the simple generator to x in the regular block
-    cP = linalg.solve_left(F2, flat2, P.reshape(-1))
-    cQ = linalg.solve_left(F2, flat2, Q.reshape(-1))
-    assert cP is not None and cQ is not None
-    lhs = tw.compress(0, E2.mul(cP, cQ))
-    rhs = E1.mul(tw.compress(0, cP), tw.compress(0, cQ))
-    assert lhs.any() and not rhs.any()
-
-
-def test_simple_cube_level_is_a_3x3_matrix_ring():
-    S = mat2_natural()
-    tw = endo_tower(MAT2, [S, S, S], 3)
-    E3 = tw.levels[2]
-    assert E3.dim == 9
-    assert wedderburn(E3).summary() == [(2, 3)]
-    # explicit isomorphism with the 3x3 matrix ring over End(S)
-    E_S, _, _ = endo_algebra(S)
-    model = matrix_algebra_over(E_S, 3)
-    assert model.dim == 9
-    flat = tw.homs[2].reshape(9, -1)
-    U = np.zeros((9, 9), dtype=np.int64)
-    for a in range(3):
-        for b in range(3):
-            Phi = np.zeros((6, 6), dtype=np.int64)
-            Phi[2 * a: 2 * a + 2, 2 * b: 2 * b + 2] = np.eye(2, dtype=np.int64)
-            coords = linalg.solve_left(F2, flat, Phi.reshape(-1))
-            assert coords is not None
-            U[a * 3 + b] = coords
-    assert linalg.is_invertible(F2, U)
-    assert np.array_equal(linalg.matvec(F2, model.unit, U), E3.unit)
-    for i in range(9):
-        for j in range(9):
-            lhs = E3.mul(U[i], U[j])
-            rhs = linalg.matvec(F2, model.mul(_bv9(i), _bv9(j)), U)
-            assert np.array_equal(lhs, rhs)
-
-
-def _bv9(i):
-    v = np.zeros(9, dtype=np.int64)
-    v[i] = 1
-    return v
-
-
-def test_tower_rejects_foreign_components():
-    S = mat2_natural()
-    with pytest.raises(AlgebraError):
-        endo_tower(DUAL, [S], 1)
-    with pytest.raises(AlgebraError):
-        endo_tower(DUAL, [right_regular_module(DUAL)], 2)
-
-
-# ---------------------------------------------------------------------------
-# Realizing rings as endomorphism rings
-# ---------------------------------------------------------------------------
-
-
-def test_realize_base_field():
-    B = field_algebra(F2)
-    rz = realize_ring_as_endo(B, [zero_ideal(B)])
-    assert rz.module.dim == 1
-    assert rz.endo.dim == 1
-    assert np.array_equal(linalg.matmul(F2, rz.to_endo, rz.from_endo),
-                          np.eye(1, dtype=np.int64))
-
-
-def test_realize_dual_numbers_with_two_ideals():
-    rz = realize_ring_as_endo(DUAL, [zero_ideal(DUAL), X_IDEAL])
-    assert rz.module.dim == 3  # R + R/(x)
-    assert rz.operators.dim == 5
-    assert rz.endo.dim == 2
-    assert np.array_equal(linalg.matmul(F2, rz.to_endo, rz.from_endo),
-                          np.eye(2, dtype=np.int64))
-    assert np.array_equal(linalg.matmul(F2, rz.from_endo, rz.to_endo),
-                          np.eye(2, dtype=np.int64))
-    # multiplicativity spot check from outside: x * x = 0 transports
-    x = np.array([0, 1], dtype=np.int64)
-    xe = linalg.matvec(F2, x, rz.to_endo)
-    assert not rz.endo.mul(xe, xe).any()
-
-
-def test_realize_matrix_ring():
-    J = ideal_from_generators(MAT2, np.array([[0, 0, 1, 0], [0, 0, 0, 1]],
-                                             dtype=np.int64), side="right")
-    rz = realize_ring_as_endo(MAT2, [zero_ideal(MAT2), J])
-    assert rz.module.dim == 6  # R + R/J
-    assert rz.endo.dim == 4
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.integers(0, 2, size=4).astype(np.int64)
-        b = rng.integers(0, 2, size=4).astype(np.int64)
-        lhs = rz.endo.mul(linalg.matvec(F2, a, rz.to_endo),
-                          linalg.matvec(F2, b, rz.to_endo))
-        rhs = linalg.matvec(F2, MAT2.mul(a, b), rz.to_endo)
-        assert np.array_equal(lhs, rhs)
-
-
-def test_realize_requires_the_zero_ideal():
-    with pytest.raises(AlgebraError):
-        realize_ring_as_endo(DUAL, [X_IDEAL])
-
-
-def test_realize_rejects_left_ideals_and_duplicates():
-    with pytest.raises(AlgebraError):
-        realize_ring_as_endo(DUAL, [zero_ideal(DUAL),
-                                    SubspaceIdeal(DUAL, X_IDEAL.basis, side="left")])
-    with pytest.raises(AlgebraError):
-        realize_ring_as_endo(DUAL, [zero_ideal(DUAL), zero_ideal(DUAL)])
-
-
-def test_realization_names_the_first_failing_basis_pair(monkeypatch):
-    monkeypatch.setattr(endo, "hom_failures", lambda A, B, T: np.array([[1, 0], [1, 1]]))
-    with pytest.raises(InternalInconsistencyError, match=r"basis pair \(1, 0\)"):
-        realize_ring_as_endo(DUAL, [zero_ideal(DUAL), X_IDEAL])
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +328,6 @@ def test_sigma_is_deterministic():
     assert a.max_length == b.max_length
 
 
-def test_sigma_accepts_an_endo_tower():
-    S = dual_simple()
-    tw = endo_tower(DUAL, [S, right_regular_module(DUAL)], 2)
-    r = sigma_coperfect_check(tw, depth=5, seed=0)
-    assert r.kind == "certificate"
-
-
 # ---------------------------------------------------------------------------
 # The consistency bridge
 # ---------------------------------------------------------------------------
@@ -524,9 +349,36 @@ def test_bridge_showcase_family_is_consistent():
 
 def test_bridge_semisimple_module_with_tower():
     S = mat2_natural()
-    tw = endo_tower(MAT2, [S, S, S], 3)
     S3, _, _ = direct_sum([S] * 3)
-    rep = perfectness_bridge(S3, depth=6, seed=0, tower=tw)
+    rep = perfectness_bridge(S3, depth=6, seed=0)
     assert rep.perfect.verdict == "PERFECT"
     assert rep.module_semisimple is True
-    assert rep.tower_levels_semisimple == [True, True, True]
+
+
+def test_simple_cube_level_is_a_3x3_matrix_ring():
+    S = mat2_natural()
+    S3, _, _ = direct_sum([S] * 3)
+    E3, homs, _ = endo_algebra(S3)
+    assert E3.dim == 9
+    assert wedderburn(E3).summary() == [(2, 3)]
+    # explicit isomorphism with the 3x3 matrix ring over End(S)
+    E_S, _, _ = endo_algebra(S)
+    model = matrix_algebra_over(E_S, 3)
+    assert model.dim == 9
+    flat = homs.reshape(9, -1)
+    U = np.zeros((9, 9), dtype=np.int64)
+    for a in range(3):
+        for b in range(3):
+            Phi = np.zeros((6, 6), dtype=np.int64)
+            Phi[2 * a: 2 * a + 2, 2 * b: 2 * b + 2] = np.eye(2, dtype=np.int64)
+            coords = linalg.solve_left(F2, flat, Phi.reshape(-1))
+            assert coords is not None
+            U[a * 3 + b] = coords
+    assert linalg.is_invertible(F2, U)
+    assert np.array_equal(linalg.matvec(F2, model.unit, U), E3.unit)
+    basis = np.eye(9, dtype=np.int64)
+    for i in range(9):
+        for j in range(9):
+            lhs = E3.mul(U[i], U[j])
+            rhs = linalg.matvec(F2, model.mul(basis[i], basis[j]), U)
+            assert np.array_equal(lhs, rhs)

@@ -31,9 +31,7 @@ from topring.matrixtop import (
     open_matrix_ideal,
     row_family,
     shift_matrix,
-    transport_contra,
     transport_discrete,
-    transpose,
     windowed,
     windowed_diagnostics,
     zero_convergent_family,
@@ -162,14 +160,6 @@ def test_finite_windows_must_match():
 def test_different_bases_rejected():
     with pytest.raises(WindowError):
         mat_mul(identity_matrix(B2, "omega", 3), identity_matrix(DUAL, "omega", 3))
-
-
-def test_transpose_round_trip():
-    rng = np.random.default_rng(7)
-    a = rand_exact(DUAL, rng, 4)
-    assert transpose(transpose(a)) == a
-    with pytest.raises(WindowError):
-        transpose(shift_matrix(B2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +413,7 @@ def test_transport_discrete_needs_right_module():
 
 
 # ---------------------------------------------------------------------------
-# contra transport and free corners
-
-
-def test_corner_recovery_dual_numbers():
-    C = left_regular_module(DUAL)
-    tc = transport_contra(C, 3)
-    for x in range(3):
-        rec = tc.corner_restrict(x)
-        assert np.array_equal(rec.action, C.action)
-        assert rec.side == "left"
-    assert tc.module.cardinality() == 4 ** 3
-
-
-def test_corner_recovery_field_columns():
-    R3 = field_algebra(F3)
-    tc = transport_contra(left_regular_module(R3), 2)
-    assert tc.module.cardinality() == 9
-    rec = tc.corner_restrict(1)
-    assert np.array_equal(rec.action, left_regular_module(R3).action)
-
-
-def test_contra_transport_truncation_flag():
-    C = left_regular_module(DUAL)
-    tc = transport_contra(C, 0, truncation=4)
-    assert tc.truncated and tc.k == 4
-    assert transport_contra(C, 2).truncated is False
+# free corners
 
 
 def test_free_corner_finite_is_free_module():
