@@ -477,14 +477,12 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
     if A.rep is not None:
         rep_q = np.asarray(A.rep, dtype=np.int64)
     else:
-        rep_q = np.stack([A.lmul_matrix(linalg.basis_vector(n, i)).T for i in range(n)])
+        rep_q = np.swapaxes(A.c, 1, 2)
     N = rep_q.shape[1] * d
     # F_p-basis (i, t) -> representation matrix of omega^t e_i; the
     # representation acts on columns, prime_restriction on rows
-    pmats = np.zeros((n * d, N, N), dtype=np.int64)
-    for i in range(n):
-        for t in range(d):
-            pmats[i * d + t] = linalg.prime_restriction(F, linalg.scale(F, p ** t, rep_q[i]).T).T
+    scaled_t = F.contract("t,iab->itba", p ** np.arange(d, dtype=np.int64), rep_q)
+    pmats = np.swapaxes(linalg.prime_restriction(F, scaled_t), 2, 3).reshape(n * d, N, N)
     Fp = GF(p)
     J = np.eye(n * d, dtype=np.int64)  # rows: F_p coordinates w.r.t. (i, t)
     i_level = 0

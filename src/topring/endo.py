@@ -440,11 +440,20 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
     A chain of length >= depth in a truncated target is a witness and must
     re-verify inside the refinement when one is given (same kind of target,
     one more component; embed maps old coordinates into new ones and
-    defaults to the leading-block inclusion).  A refinement whose module
-    over End is smaller than the target's raises AlgebraError."""
+    defaults to the leading-block inclusion).  A refinement given for a
+    target that is not truncated, or whose module over End is smaller than
+    the target's, raises AlgebraError before any chain search."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ME, truncated, label = _resolve_sigma_target(target)
+    if refinement is not None:
+        if not truncated:
+            raise AlgebraError(f"refinement given, but the target {label} is not truncated")
+        ME2, _, _ = _resolve_sigma_target(refinement)
+        if ME2.dim < ME.dim:
+            raise AlgebraError(
+                f"refinement module over End has dimension {ME2.dim}, "
+                f"smaller than the target's {ME.dim}")
     E = ME.algebra
     rng = random.Random(seed)
 
@@ -491,20 +500,11 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
 
     refinement_verified = False
     if refinement is not None:
-        ME2, _, _ = _resolve_sigma_target(refinement)
-        if ME2.dim < ME.dim:
-            raise AlgebraError(
-                f"refinement module over End has dimension {ME2.dim}, "
-                f"smaller than the target's {ME.dim}")
         if embed is None:
-            dim_small = ME.dim
-            embed = np.zeros((dim_small, ME2.dim), dtype=np.int64)
-            embed[:, :dim_small] = np.eye(dim_small, dtype=np.int64)
+            embed = np.eye(ME.dim, ME2.dim, dtype=np.int64)
         F = E.field
         Mod2 = ME2 if k == 1 else direct_sum([ME2] * k)[0]
-        big = np.zeros((ME.dim * k, ME2.dim * k), dtype=np.int64)
-        for z in range(k):
-            big[z * ME.dim: (z + 1) * ME.dim, z * ME2.dim: (z + 1) * ME2.dim] = embed
+        big = np.kron(np.eye(k, dtype=np.int64), embed)
         gens2 = [linalg.matvec(F, g, big) for g in gens]
         bases2 = [cyclic_submodule(Mod2, g) for g in gens2]
         for t in range(1, len(bases2)):

@@ -275,13 +275,15 @@ def prime_restriction(F: FiniteField, M: np.ndarray) -> np.ndarray:
     vectors of length m*d.  Coordinate (i, t) of the restricted space
     stands for w^t * e_i with w the residue of the tower generator, so
     the restricted matrix row (i*d + t) holds the digits of w^t * M[i].
+    A stack (..., m, n) restricts every matrix of it at once, to shape
+    (..., m*d, n*d).
     """
     M = np.asarray(M, dtype=np.int64)
-    m, n = M.shape
+    *lead, m, n = M.shape
     d = F.d
     if d == 1:
         return M.copy()
-    omega_powers = np.array([F.p ** t for t in range(d)], dtype=np.int64)
-    scaled = F.MUL[M[:, :, None], omega_powers[None, None, :]]
-    digits = F.DIGITS[scaled]
-    return np.transpose(digits, (0, 2, 1, 3)).reshape(m * d, n * d)
+    omega_powers = F.p ** np.arange(d, dtype=np.int64)
+    # digits[..., i, j, t, :] holds the digits of w^t * M[..., i, j]
+    digits = F.DIGITS[F.MUL[M[..., None], omega_powers]]
+    return np.swapaxes(digits, -3, -2).reshape(*lead, m * d, n * d)

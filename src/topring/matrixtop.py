@@ -401,21 +401,12 @@ class TransportedDiscrete:
 
     def of_morphism(self, phi: np.ndarray) -> np.ndarray:
         """Block-diagonal transport of an R-linear morphism matrix."""
-        phi = np.asarray(phi, dtype=np.int64)
-        m, n = phi.shape
-        out = np.zeros((self.k * m, self.k * n), dtype=np.int64)
-        for y in range(self.k):
-            out[y * m:(y + 1) * m, y * n:(y + 1) * n] = phi
-        return out
+        return np.kron(np.eye(self.k, dtype=np.int64), np.asarray(phi, dtype=np.int64))
 
     def of_subspace(self, basis: np.ndarray) -> np.ndarray:
         """Canonical basis of the transported row subspace."""
         basis = np.asarray(basis, dtype=np.int64).reshape(-1, self.source.dim)
-        m = self.source.dim
-        rows = np.zeros((self.k * basis.shape[0], self.k * m), dtype=np.int64)
-        for y in range(self.k):
-            for i, s in enumerate(basis):
-                rows[y * basis.shape[0] + i, y * m:(y + 1) * m] = s
+        rows = np.kron(np.eye(self.k, dtype=np.int64), basis)
         return linalg.row_space_basis(self.source.algebra.field, rows)
 
 
@@ -434,13 +425,9 @@ def transport_discrete(N: FiniteModule, k: int,
     if E.dim != k * k * R.dim:
         raise AlgebraError("ring does not match the transport size")
     m = N.dim
-    eff = N.eff_basis()
-    action = np.zeros((E.dim, k * m, k * m), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            for t in range(R.dim):
-                i = (a * k + b) * R.dim + t
-                action[i, a * m:(a + 1) * m, b * m:(b + 1) * m] = eff[t]
+    # basis element (a, b, t) acts as the block matrix E_ab (x) eff[t]
+    eye = np.eye(k, dtype=np.int64)
+    action = np.einsum("ac,bd,tuv->abtcudv", eye, eye, N.eff_basis()).reshape(E.dim, k * m, k * m)
     V = FiniteModule(E, action, side="right", check=True)
     return TransportedDiscrete(N, k, E, V)
 
@@ -575,12 +562,9 @@ def free_contra_corner(base: StructureAlgebra, y_kind: str, window: int, x: int,
     if y_kind == "finite":
         if tail_basis.shape[0]:
             raise WindowError("finite corners take no tail ideal")
-        stored = np.zeros((base.dim, window * base.dim, window * base.dim), dtype=np.int64)
-        for t in range(base.dim):
-            colop = base.lmul_matrix(np.eye(base.dim, dtype=np.int64)[t]).T
-            for y in range(window):
-                blk = slice(y * base.dim, (y + 1) * base.dim)
-                stored[t][blk, blk] = colop
+        # e_t acts as I_window (x) L_t^T, with L_t = c[t] its left multiplication
+        stored = np.einsum("yz,tba->tyazb", np.eye(window, dtype=np.int64), base.c).reshape(
+            base.dim, window * base.dim, window * base.dim)
         module = FiniteModule(base, stored, side="left", check=True)
     else:
         if tail_basis.shape[0]:
@@ -611,25 +595,20 @@ class ContratensorResult:
     relations: np.ndarray
 
 
-def _fp_right_mults(M: FiniteModule) -> list[np.ndarray]:
-    """Prime-field matrices of right multiplication by a prime basis of R."""
-    F = M.algebra.field
-    eff = M.eff_basis()
-    out = []
-    for jr in range(M.algebra.dim):
-        for jt in range(F.d):
-            out.append(linalg.prime_restriction(F, linalg.scale(F, F.p ** jt, eff[jr])))
-    return out
-
-
 def contratensor(N: FiniteModule, x_count: int) -> ContratensorResult:
     """Contract a right module N against the free family ring R^X.
 
     Computed as the quotient of the plain tensor product N (x) R^X by the
     balancing relations n*r (x) c - n (x) r*c, everything written over
-    the prime field.  The closed form says the result is N^X; the
-    returned isomorphism is verified to kill the relations, to have full
-    rank, and to intertwine the right action of R on both sides.
+    the prime field, where the right actions of the prime basis (j, t) of
+    R (the element w^t * e_j) are each one stacked prime_restriction.
+    Rows (u, j, (x, s)) of the relation matrix are act - bal, with
+    act[(u, j, w), (u', w')] = NR_j[u, u'] * delta_ww' and
+    bal[(u, j, (x, s)), (u', (x', s'))] = delta_uu' * delta_xx' * RL_j[s, s'].
+    The closed form says the result is N^X; the returned isomorphism
+    iso[(u, (x, s)), (x', u')] = delta_xx' * NR_s[u, u'] is verified to
+    kill the relations, to have full rank, and to intertwine the right
+    action of R on both sides.
     """
     if N.side != "right":
         raise AlgebraError("contraction takes a right module")
@@ -642,51 +621,37 @@ def contratensor(N: FiniteModule, x_count: int) -> ContratensorResult:
     Np = N.dim * d
     Rp = R.dim * d
     Cp = Rp * x_count
+    omega = p ** np.arange(d, dtype=np.int64)
+
+    def prime_mults(stack: np.ndarray) -> np.ndarray:
+        """Prime-field matrices of w^t * stack[j], one per prime basis (j, t)."""
+        restricted = linalg.prime_restriction(F, F.contract("t,jab->jtab", omega, stack))
+        return restricted.reshape(Rp, *restricted.shape[2:])
 
     # prime-field matrices: right mult on N, left and right mult on R
-    NR = _fp_right_mults(N)
-    RL = []
-    RRm = []
-    for jr in range(R.dim):
-        for jt in range(d):
-            g_scale = F.p ** jt
-            e = linalg.basis_vector(R.dim, jr)
-            RL.append(linalg.prime_restriction(F, linalg.scale(F, g_scale, R.lmul_matrix(e))))
-            RRm.append(linalg.prime_restriction(F, linalg.scale(F, g_scale, R.rmul_matrix(e))))
+    NR = prime_mults(N.eff_basis())
+    RL = prime_mults(R.c)
+    RRm = prime_mults(np.swapaxes(R.c, 0, 1))
+    eye_x = np.eye(x_count, dtype=np.int64)
 
     T = Np * Cp
-    rels = np.zeros((Np * Rp * Cp, T), dtype=np.int64) if T else np.zeros((0, 0), dtype=np.int64)
-    r = 0
-    for u in range(Np):
-        for j in range(Rp):
-            for w in range(Cp):
-                x_slot, s = divmod(w, Rp)
-                row = rels[r]
-                for u2 in range(Np):
-                    row[u2 * Cp + w] = Fp.ADD[row[u2 * Cp + w], NR[j][u, u2]]
-                for s2 in range(Rp):
-                    col = u * Cp + x_slot * Rp + s2
-                    row[col] = Fp.ADD[row[col], Fp.NEG[RL[j][s, s2]]]
-                r += 1
+    act = np.einsum("jab,wv->ajwbv", NR, np.eye(Cp, dtype=np.int64))
+    bal = np.einsum("ab,xy,jst->ajxsbyt", np.eye(Np, dtype=np.int64), eye_x, RL)
+    rels = linalg.sub(Fp, act.reshape(Np * Rp * Cp, T), bal.reshape(Np * Rp * Cp, T))
     relation_rank = linalg.rank(Fp, rels) if T else 0
     fp_dim = T - relation_rank
 
     # the closed-form map sends n (x) (point c at slot x) to n*c placed at x
-    iso = np.zeros((T, Np * x_count), dtype=np.int64)
-    for u in range(Np):
-        for w in range(Cp):
-            x_slot, s = divmod(w, Rp)
-            iso[u * Cp + w, x_slot * Np:(x_slot + 1) * Np] = NR[s][u]
+    iso = np.einsum("xy,sab->axsyb", eye_x, NR).reshape(T, Np * x_count)
     if T:
         if np.any(linalg.matmul(Fp, rels, iso)):
             raise AlgebraError("closed-form map does not kill the relations")
         if linalg.rank(Fp, iso) != Np * x_count or fp_dim != Np * x_count:
             raise AlgebraError("contraction does not match its closed form")
-        for j in range(Rp):
-            lhs = linalg.matmul(Fp, np.kron(np.eye(Np, dtype=np.int64), np.kron(
-                np.eye(x_count, dtype=np.int64), RRm[j])), iso)
-            rhs = linalg.matmul(Fp, iso, np.kron(np.eye(x_count, dtype=np.int64), NR[j]))
-            if not np.array_equal(lhs, rhs):
-                raise AlgebraError("closed-form map does not respect the action")
+        # r acting on R^X before iso against r acting on N^X after it
+        lhs = Fp.contract("jst,axtc->jaxsc", RRm, iso.reshape(Np, x_count, Rp, -1))
+        rhs = Fp.contract("ryb,jbc->jryc", iso.reshape(T, x_count, Np), NR)
+        if not np.array_equal(lhs.reshape(rhs.shape), rhs):
+            raise AlgebraError("closed-form map does not respect the action")
     return ContratensorResult(
         p, x_count, T, relation_rank, fp_dim, p ** fp_dim, iso, rels)

@@ -111,13 +111,13 @@ class FiniteModule:
 
 
 def right_regular_module(A: StructureAlgebra) -> FiniteModule:
-    action = np.stack([A.rmul_matrix(linalg.basis_vector(A.dim, i)) for i in range(A.dim)])
-    return FiniteModule(A, action, side="right", check=False)
+    # action[i][a, k] = c[a, i, k]: right multiplication by e_i
+    return FiniteModule(A, np.transpose(A.c, (1, 0, 2)), side="right", check=False)
 
 
 def left_regular_module(A: StructureAlgebra) -> FiniteModule:
-    action = np.stack([A.lmul_matrix(linalg.basis_vector(A.dim, i)).T for i in range(A.dim)])
-    return FiniteModule(A, action, side="left", check=False)
+    # action[i][k, j] = c[i, j, k]: left multiplication by e_i, transposed
+    return FiniteModule(A, np.transpose(A.c, (0, 2, 1)), side="left", check=False)
 
 
 def submodule_module(M: FiniteModule, basis: np.ndarray):

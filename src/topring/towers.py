@@ -262,9 +262,8 @@ def tp_formula_check(T: RingTower, H: IdealTower) -> int:
 def _level_as_module(T: RingTower, m: int, n: int) -> FiniteModule:
     """R_n as a right module over R_m through the transition map."""
     F = T.levels[0].field
-    C = T.composite(m, n)
-    Rn = T.levels[n]
-    action = np.stack([Rn.rmul_matrix(C[i]) for i in range(T.levels[m].dim)])
+    # action[i] is right multiplication by the image C[i] of e_i in R_n
+    action = F.contract("ij,ajk->iak", T.composite(m, n), T.levels[n].c)
     return FiniteModule(T.levels[m], action, side="right", check=False)
 
 

@@ -85,29 +85,24 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     fixed_coeff = linalg.left_null_basis(F, linalg.sub(F, phi, np.eye(Z.shape[0], dtype=np.int64)))
     fixed = linalg.matmul(F, fixed_coeff, Z)
     k = fixed.shape[0]
-    family = [A.unit.copy()]
+    family = A.unit[None, :]
     for z in fixed:
-        if len(family) == k:
+        if family.shape[0] == k:
             break
         mp = A.min_poly(z)
-        roots = []
+        lagr = []
         for g, e in poly.factor_poly(F, mp)[1]:
             if poly.deg(g) != 1 or e != 1:
                 raise AssertionError("fixed central element with non-split minimal polynomial")
-            roots.append(int(F.NEG[g[0]]))
-        lagr = []
-        for a in roots:
-            x_minus_a = np.array([F.NEG[a], 1], dtype=np.int64)
-            num = poly.exact_div(F, mp, x_minus_a)
-            # num(a) is the remainder of num by x - a
-            den = int(poly.mod(F, num, x_minus_a)[0])
+            # g is x - a; num(a) is the remainder of num = mp / g by g
+            num = poly.exact_div(F, mp, g)
+            den = int(poly.mod(F, num, g)[0])
             lagr.append(A.evaluate_poly(poly.scale(F, int(F.INV[den]), num), z))
-        family = [A.mul(e, l) for e in family for l in lagr]
-        family = [e for e in family if e.any()]
-    if len(family) != k:
+        family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
+        family = family[family.any(axis=1)]
+    if family.shape[0] != k:
         raise AssertionError("central idempotent refinement did not reach the factor count")
-    family.sort(key=A.encode)
-    rows = np.vstack(family)
+    rows = np.vstack(sorted(family, key=A.encode))
     check_complete_orthogonal(A, rows)
     return rows
 
@@ -176,7 +171,10 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
 def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndarray:
     """Matrix units E_ij of a simple algebra from a complete primitive
     orthogonal family (E_ii = family[i]); E_0j is any nonzero element of
-    f_0 B f_j and E_j0 solves E_0j * v = f_0 inside f_j B f_0."""
+    f_0 B f_j and E_j0 solves E_0j * v = f_0 inside f_j B f_0.  Every
+    E_ij = E_i0 * E_0j is one mul_pairs of the column E_i0 with the row
+    E_0j, and one more checks all n^4 relations E_ab * E_cd = delta_bc * E_ad;
+    the AssertionError names the first failing (a, b, c, d), row-major."""
     F = B.field
     n = family.shape[0]
     E = np.zeros((n, n, B.dim), dtype=np.int64)
@@ -197,19 +195,14 @@ def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndar
             raise AssertionError("v*u is not the expected diagonal idempotent")
         E[0, j] = u
         E[j, 0] = v
-    for i in range(1, n):
-        E[i, i] = family[i]
-        for j in range(1, n):
-            if i != j:
-                E[i, j] = B.mul(E[i, 0], E[0, j])
-    zero = np.zeros(B.dim, dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            for c2 in range(n):
-                for d2 in range(n):
-                    want = E[a, d2] if b == c2 else zero
-                    if not np.array_equal(B.mul(E[a, b], E[c2, d2]), want):
-                        raise AssertionError(f"matrix unit relation fails at {(a, b, c2, d2)}")
+    # E_ij = E_i0 * E_0j; the diagonal comes out as family[i], since v*u was checked
+    E = B.mul_pairs(E[:, 0], E[0, :])
+    # E_ab * E_cd against delta_bc * E_ad, every quadruple at once
+    prods = B.mul_pairs(E.reshape(n * n, B.dim), E.reshape(n * n, B.dim))
+    want = np.einsum("bc,adk->abcdk", np.eye(n, dtype=np.int64), E)
+    bad = np.argwhere((prods.reshape(want.shape) != want).any(axis=4))
+    if bad.size:
+        raise AssertionError(f"matrix unit relation fails at {tuple(int(i) for i in bad[0])}")
     return E
 
 
@@ -232,10 +225,7 @@ def wedderburn(A: StructureAlgebra, seed: int = 0) -> WedderburnDatum:
         n = fam.shape[0]
         corner = corner_basis(B, E[0, 0], E[0, 0])
         m = corner.shape[0]
-        E_amb = np.zeros((n, n, A.dim), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                E_amb[i, j] = linalg.matvec(F, E[i, j], embed)
+        E_amb = F.contract("ijk,kl->ijl", E, embed)
         factors.append(
             SimpleFactor(
                 card=F.q ** m,
@@ -277,15 +267,14 @@ def _build_model_and_iso(A: StructureAlgebra, factors: list[SimpleFactor]):
     for f in factors:
         # corner_basis is RREF: coordinates are the entries at its pivots
         pivots = [int(np.flatnonzero(row)[0]) for row in f.corner_basis]
-        for i in range(f.n):
-            for j in range(f.n):
-                # row t is E_0i * e_t * E_j0
-                D = linalg.matmul(F, A.lmul_matrix(f.matrix_units[0, i]),
-                                  A.rmul_matrix(f.matrix_units[j, 0]))
-                coords = D[:, pivots]
-                if not np.array_equal(linalg.matmul(F, coords, f.corner_basis), D):
-                    raise AssertionError("corner coordinate extraction failed")
-                blocks.append(coords)
+        # D[i, j, t] is E_0i * e_t * E_j0: left multiplication by E_0i, then right by E_j0
+        D = F.contract("itk,jkl->ijtl", F.contract("ia,ajk->ijk", f.matrix_units[0], A.c),
+                       F.contract("jb,abk->jak", f.matrix_units[:, 0], A.c))
+        coords = D[..., pivots]
+        if not np.array_equal(F.contract("ijtp,pl->ijtl", coords, f.corner_basis), D):
+            raise AssertionError("corner coordinate extraction failed")
+        # column block (i, j) holds the corner coordinates of E_0i * b * E_j0
+        blocks.append(np.transpose(coords, (2, 0, 1, 3)).reshape(A.dim, -1))
     return model, np.hstack(blocks)
 
 

@@ -23,6 +23,11 @@ contraction pair per generator, composition_length_layers the per-layer
 Mat_s(F) route that modules.composition_length replaced by the Wedderburn
 blocks of A/rad A, and list_is_irreducible and list_default_modulus the
 int-list copy of F_p[x] that fields used before its moduli came from poly.
+The routes at the end of the file are the per-entry loops that built
+structured stacks before each became one product: prime_restriction_2d
+(linalg.prime_restriction before it took stacks), matrix_units_loop with
+matrix_unit_relation_failure, transport_action_loop, corner_action_loop,
+contratensor_loop, regular_actions_loop and level_action_loop.
 """
 
 from __future__ import annotations
@@ -625,3 +630,161 @@ def list_mul_table(p: int, modulus) -> np.ndarray:
             r = _pf_mod(p, _pf_mul(p, digits[a], digits[b]), modulus)
             table[a, b] = sum(c * p ** i for i, c in enumerate(r))
     return table
+
+
+# The per-entry loops that built structured stacks before each became one
+# product (mul_pairs, F.contract or an einsum over 0/1 index tensors).
+
+
+def prime_restriction_2d(F: FiniteField, M) -> np.ndarray:
+    """linalg.prime_restriction of one m x n matrix, as it read before it
+    took stacks: row (i*d + t) holds the digits of w^t * M[i]."""
+    M = np.asarray(M, dtype=np.int64)
+    m, n = M.shape
+    d = F.d
+    if d == 1:
+        return M.copy()
+    omega_powers = np.array([F.p ** t for t in range(d)], dtype=np.int64)
+    digits = F.DIGITS[F.MUL[M[:, :, None], omega_powers[None, None, :]]]
+    return np.transpose(digits, (0, 2, 1, 3)).reshape(m * d, n * d)
+
+
+def prime_restriction_per_matrix(F: FiniteField, M) -> np.ndarray:
+    """A stack (..., m, n) restricted one matrix at a time."""
+    M = np.asarray(M, dtype=np.int64)
+    *lead, m, n = M.shape
+    out = np.zeros((*lead, m * F.d, n * F.d), dtype=np.int64)
+    for idx in np.ndindex(*lead):
+        out[idx] = prime_restriction_2d(F, M[idx])
+    return out
+
+
+def matrix_unit_relation_failure(B, E):
+    """The first (a, b, c, d), row-major, with E_ab * E_cd != delta_bc * E_ad,
+    one product at a time; None when every relation holds."""
+    n = E.shape[0]
+    zero = np.zeros(B.dim, dtype=np.int64)
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        want = E[a, d] if b == c else zero
+        if not np.array_equal(B.mul(E[a, b], E[c, d]), want):
+            return (a, b, c, d)
+    return None
+
+
+def matrix_units_loop(B, family) -> np.ndarray:
+    """wedderburn.matrix_units_from_family as it read before mul_pairs: E_ij
+    is one product E_i0 * E_0j per pair, and the relations are checked one
+    quadruple at a time."""
+    from topring import linalg
+    from topring.algebras import corner_basis
+
+    F = B.field
+    n = family.shape[0]
+    E = np.zeros((n, n, B.dim), dtype=np.int64)
+    E[0, 0] = family[0]
+    for j in range(1, n):
+        U = corner_basis(B, family[0], family[j])
+        if U.shape[0] == 0:
+            raise AssertionError("empty off-diagonal corner in a simple algebra")
+        u = U[0]
+        W = corner_basis(B, family[j], family[0])
+        sol = linalg.solve_left(F, linalg.matmul(F, W, B.lmul_matrix(u)), family[0])
+        if sol is None:
+            raise AssertionError("no right quasi-inverse in the off-diagonal corner")
+        v = linalg.matvec(F, sol, W)
+        if not np.array_equal(B.mul(v, u), family[j]):
+            raise AssertionError("v*u is not the expected diagonal idempotent")
+        E[0, j] = u
+        E[j, 0] = v
+    for i in range(1, n):
+        E[i, i] = family[i]
+        for j in range(1, n):
+            if i != j:
+                E[i, j] = B.mul(E[i, 0], E[0, j])
+    bad = matrix_unit_relation_failure(B, E)
+    if bad is not None:
+        raise AssertionError(f"matrix unit relation fails at {bad}")
+    return E
+
+
+def transport_action_loop(N, k: int) -> np.ndarray:
+    """Action of Mat_k(R) on rows of length k over N, one block copy per
+    basis element (a, b, t)."""
+    R, m = N.algebra, N.dim
+    eff = N.eff_basis()
+    action = np.zeros((k * k * R.dim, k * m, k * m), dtype=np.int64)
+    for a in range(k):
+        for b in range(k):
+            for t in range(R.dim):
+                action[(a * k + b) * R.dim + t, a * m:(a + 1) * m, b * m:(b + 1) * m] = eff[t]
+    return action
+
+
+def corner_action_loop(base, window: int) -> np.ndarray:
+    """Left action of the base on the free corner R^window, one diagonal
+    block copy per basis element and index."""
+    n = base.dim
+    stored = np.zeros((n, window * n, window * n), dtype=np.int64)
+    for t in range(n):
+        colop = base.lmul_matrix(np.eye(n, dtype=np.int64)[t]).T
+        for y in range(window):
+            stored[t, y * n:(y + 1) * n, y * n:(y + 1) * n] = colop
+    return stored
+
+
+def contratensor_loop(N, x_count: int):
+    """(relations, iso) of matrixtop.contratensor as it built them before
+    the stacked prime restrictions: one restriction per prime basis element
+    and one scalar prime-field lookup per relation entry."""
+    from topring import linalg
+    from topring.fields import GF
+
+    R = N.algebra
+    F = R.field
+    p, d = F.p, F.d
+    Fp = GF(p, 1)
+    Np, Rp = N.dim * d, R.dim * d
+    Cp = Rp * x_count
+    eff = N.eff_basis()
+    NR, RL = [], []
+    for jr in range(R.dim):
+        e = np.eye(R.dim, dtype=np.int64)[jr]
+        for jt in range(d):
+            NR.append(prime_restriction_2d(F, linalg.scale(F, p ** jt, eff[jr])))
+            RL.append(prime_restriction_2d(F, linalg.scale(F, p ** jt, R.lmul_matrix(e))))
+    T = Np * Cp
+    rels = np.zeros((Np * Rp * Cp, T), dtype=np.int64) if T else np.zeros((0, 0), dtype=np.int64)
+    r = 0
+    for u in range(Np):
+        for j in range(Rp):
+            for w in range(Cp):
+                x_slot, s = divmod(w, Rp)
+                row = rels[r]
+                for u2 in range(Np):
+                    row[u2 * Cp + w] = Fp.ADD[row[u2 * Cp + w], NR[j][u, u2]]
+                for s2 in range(Rp):
+                    col = u * Cp + x_slot * Rp + s2
+                    row[col] = Fp.ADD[row[col], Fp.NEG[RL[j][s, s2]]]
+                r += 1
+    iso = np.zeros((T, Np * x_count), dtype=np.int64)
+    for u in range(Np):
+        for w in range(Cp):
+            x_slot, s = divmod(w, Rp)
+            iso[u * Cp + w, x_slot * Np:(x_slot + 1) * Np] = NR[s][u]
+    return rels, iso
+
+
+def regular_actions_loop(A):
+    """(right, left) regular action stacks, one multiplication matrix per
+    basis element."""
+    eye = np.eye(A.dim, dtype=np.int64)
+    right = np.stack([A.rmul_matrix(eye[i]) for i in range(A.dim)])
+    left = np.stack([A.lmul_matrix(eye[i]).T for i in range(A.dim)])
+    return right, left
+
+
+def level_action_loop(T, m: int, n: int) -> np.ndarray:
+    """Action of R_m on R_n through the transition map, one right
+    multiplication matrix per basis element of R_m."""
+    C = T.composite(m, n)
+    return np.stack([T.levels[n].rmul_matrix(C[i]) for i in range(T.levels[m].dim)])

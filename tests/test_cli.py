@@ -179,6 +179,15 @@ def test_refinement_smaller_than_its_target_exits_3(capsys, verb, target, refine
                             f"smaller than the target's {big}\n")
 
 
+@pytest.mark.parametrize("verb", ["coperfect", "bridge"])
+def test_refinement_of_a_target_that_is_not_truncated_exits_3(capsys, verb):
+    rc = cli.main([verb, corpus.path("chain6_n6.mod"), corpus.path("chain7.sys")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: refinement given, but the target module is not truncated\n"
+
+
 def test_coperfect_finite_module_certificate(capsys):
     rc, out = run(capsys, "coperfect", corpus.path("f2c3_reg.mod"), "--depth", "3")
     assert rc == 0

@@ -1,0 +1,195 @@
+"""Structured stacks built as whole-stack products against the per-entry
+loops they replaced (tests/oracles.py): prime restrictions, matrix units
+with their relation check, transport and corner actions, contratensor
+relations and iso, regular actions and the level modules of a tower.
+
+Inputs are every bundled module and tower, the algebras of the lifting and
+perfectness suites, and small algebras over GF(2), GF(3), GF(4), GF(8) and
+GF(9)."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    contratensor_loop,
+    corner_action_loop,
+    level_action_loop,
+    matrix_unit_relation_failure,
+    matrix_units_loop,
+    prime_restriction_per_matrix,
+    regular_actions_loop,
+    transport_action_loop,
+)
+from topring import acceptance, corpus, linalg
+from topring.algebras import (
+    field_algebra,
+    matrix_algebra,
+    peirce_corner,
+    quotient,
+    radical,
+    truncated_poly_algebra,
+    upper_triangular_algebra,
+)
+from topring.fields import GF
+from topring.matrixtop import contratensor, free_contra_corner, transport_discrete
+from topring.modules import left_regular_module, right_regular_module
+from topring.serialize import Loader
+from topring.towers import _level_as_module, adic_tower, constant_tower
+from topring.wedderburn import (
+    central_primitive_idempotents,
+    matrix_units_from_family,
+    primitive_orthogonal_family,
+)
+
+FIELDS = [GF(2), GF(3), GF(2, 2), GF(2, 3), GF(3, 2)]
+FIELD_ALGEBRAS = [A for F in FIELDS for A in (
+    field_algebra(F), truncated_poly_algebra(F, 2), upper_triangular_algebra(F, 2),
+    matrix_algebra(F, 2))]
+POOL = acceptance._lifting_pool() + acceptance._finite_ring_pool()
+ALGEBRAS = POOL + FIELD_ALGEBRAS
+BUNDLED_MODULES = sorted(n for n in corpus.names() if n.endswith(".mod"))
+BUNDLED_TOWERS = sorted(n for n in corpus.names() if n.endswith(".twr"))
+
+
+def _bundled(name):
+    return Loader().load(corpus.path(name))
+
+
+def _blocks(A):
+    """(B, family): each simple block of A/rad A with a complete primitive
+    orthogonal family of it."""
+    Q = quotient(A, radical(A))[0] if radical(A).dim else A
+    out = []
+    for eps in central_primitive_idempotents(Q):
+        B, _ = peirce_corner(Q, eps)
+        out.append((B, primitive_orthogonal_family(B, random.Random(0))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# prime restriction
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.lists(st.integers(0, 3), max_size=2),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 31))
+def test_stacked_prime_restriction_matches_per_matrix(F, lead, m, n, seed):
+    M = np.random.default_rng(seed).integers(0, F.q, size=(*lead, m, n))
+    out = linalg.prime_restriction(F, M)
+    assert out.shape == (*lead, m * F.d, n * F.d)
+    assert np.array_equal(out, prime_restriction_per_matrix(F, M))
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
+def test_prime_restriction_of_structure_constants(A):
+    assert np.array_equal(linalg.prime_restriction(A.field, A.c),
+                          prime_restriction_per_matrix(A.field, A.c))
+
+
+# ---------------------------------------------------------------------------
+# matrix units
+
+
+@pytest.mark.parametrize("A", ALGEBRAS + [matrix_algebra(F, 3) for F in FIELDS], ids=repr)
+def test_matrix_units_match_the_product_loop(A):
+    for B, fam in _blocks(A):
+        assert np.array_equal(matrix_units_from_family(B, fam), matrix_units_loop(B, fam))
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(2, 2)], ids=str)
+@pytest.mark.parametrize("slot", [(0, 0), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2)])
+def test_forged_matrix_unit_names_the_first_failing_quadruple(monkeypatch, F, slot):
+    (B, fam), = _blocks(matrix_algebra(F, 3))
+    products = B.mul_pairs
+    forged = []
+
+    def forge_units_once(X, Y):
+        # the first product is E_ij = E_i0 * E_0j; corrupt one unit of it
+        out = products(X, Y)
+        if not forged:
+            out = out.copy()
+            out[slot] = linalg.add(F, out[slot], B.unit)
+            forged.append(out)
+        return out
+
+    monkeypatch.setattr(B, "mul_pairs", forge_units_once)
+    with pytest.raises(AssertionError) as err:
+        matrix_units_from_family(B, fam)
+    first = matrix_unit_relation_failure(B, forged[0])
+    assert first is not None
+    assert str(err.value) == f"matrix unit relation fails at {first}"
+
+
+# ---------------------------------------------------------------------------
+# actions
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
+def test_regular_actions_match_the_per_element_loop(A):
+    right, left = regular_actions_loop(A)
+    assert np.array_equal(right_regular_module(A).action, right)
+    assert np.array_equal(left_regular_module(A).action, left)
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
+def test_corner_action_matches_the_block_loop(A):
+    for window in (1, 2, 3):
+        corner = free_contra_corner(A, "finite", window, 0)
+        assert np.array_equal(corner.module.action, corner_action_loop(A, window))
+
+
+@pytest.mark.parametrize("name", BUNDLED_MODULES)
+def test_transport_action_of_bundled_modules(name):
+    N = _bundled(name)
+    for k in (1, 2, 3):
+        assert np.array_equal(transport_discrete(N, k).module.action, transport_action_loop(N, k))
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
+def test_transport_action_of_regular_modules(A):
+    N = right_regular_module(A)
+    for k in (1, 2):
+        assert np.array_equal(transport_discrete(N, k).module.action, transport_action_loop(N, k))
+
+
+# ---------------------------------------------------------------------------
+# contratensor
+
+
+def _assert_contratensor_matches_loop(N, x_count):
+    res = contratensor(N, x_count)
+    rels, iso = contratensor_loop(N, x_count)
+    assert np.array_equal(res.relations, rels)
+    assert np.array_equal(res.iso, iso)
+
+
+@pytest.mark.parametrize("name", BUNDLED_MODULES)
+@pytest.mark.parametrize("window", [0, 1, 2, 3])
+def test_contratensor_of_bundled_modules(name, window):
+    _assert_contratensor_matches_loop(_bundled(name), window)
+
+
+@pytest.mark.parametrize("A", POOL + [A for A in FIELD_ALGEBRAS if A.dim <= 2], ids=repr)
+def test_contratensor_of_regular_modules(A):
+    for window in (0, 1, 2):
+        _assert_contratensor_matches_loop(right_regular_module(A), window)
+
+
+# ---------------------------------------------------------------------------
+# level modules of a tower
+
+
+TOWERS = ([(name, _bundled(name)) for name in BUNDLED_TOWERS]
+          + [(f"constant-{A!r}-{i}", constant_tower(A, 2)) for i, A in enumerate(POOL)]
+          + [(f"adic-{F}", adic_tower(F, 3)) for F in FIELDS])
+
+
+@pytest.mark.parametrize("T", [T for _, T in TOWERS], ids=[label for label, _ in TOWERS])
+def test_level_module_matches_the_per_element_loop(T):
+    for m in range(T.depth + 1):
+        for n in range(m):
+            assert np.array_equal(_level_as_module(T, m, n).action, level_action_loop(T, m, n))
