@@ -185,7 +185,7 @@ class StructureAlgebra:
         """Canonical basis of the center."""
         # column block j holds e_i * e_j - e_j * e_i over i
         n = self.dim
-        M = linalg.sub(self.field, self.c, np.swapaxes(self.c, 0, 1)).reshape(n, n * n)
+        M = self.field.sub(self.c, np.swapaxes(self.c, 0, 1)).reshape(n, n * n)
         return linalg.left_null_basis(self.field, M)
 
     def min_poly(self, x: np.ndarray) -> poly.Poly:
@@ -199,7 +199,7 @@ class StructureAlgebra:
             sol = linalg.solve_left(F, A, cur)
             if sol is not None:
                 coeffs = np.zeros(k + 1, dtype=np.int64)
-                coeffs[:k] = F.NEG[sol]
+                coeffs[:k] = F.neg(sol)
                 coeffs[k] = 1
                 return poly.norm(coeffs)
             rows.append(cur.copy())
@@ -207,11 +207,12 @@ class StructureAlgebra:
 
     def evaluate_poly(self, f: poly.Poly, x: np.ndarray) -> np.ndarray:
         """f(x) inside the algebra (constant term times the unit)."""
+        F = self.field
         acc = np.zeros(self.dim, dtype=np.int64)
         for c in reversed(list(np.asarray(f, dtype=np.int64))):
             acc = self.mul(acc, x)
             if c:
-                acc = linalg.add(self.field, acc, linalg.scale(self.field, int(c), self.unit))
+                acc = F.add(acc, F.mul(c, self.unit))
         return acc
 
     def generators(self) -> list[int]:
@@ -515,7 +516,7 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
         # F_q-stability: multiplying by the field generator stays inside
         if d > 1:
             omega = p
-            wdig = F.DIGITS[linalg.scale(F, omega, vecs)].reshape(vecs.shape[0], -1)
+            wdig = F.DIGITS[F.mul(omega, vecs)].reshape(vecs.shape[0], -1)
             if not linalg.in_row_space(Fp, J, wdig):
                 raise AssertionError("radical candidate is not F_q-stable")
         rad = SubspaceIdeal(A, linalg.row_space_basis(F, vecs), side="two", check=True)
@@ -548,7 +549,7 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
     lmul = F.contract("vi,ijk->vjk", elements, A.c)
     rmul = F.contract("vj,ijk->vik", elements, A.c)
     # 1 - z is a unit iff left multiplication by it has full rank
-    one_minus = F.contract("vi,ijk->vjk", linalg.sub(F, A.unit[None, :], elements), A.c)
+    one_minus = F.contract("vi,ijk->vjk", F.sub(A.unit[None, :], elements), A.c)
     unit_ok = linalg.rref(F, one_minus)[1] == n
 
     def on_every_span_element(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -586,17 +587,17 @@ def invert_in_one_plus_H(A: StructureAlgebra, u: np.ndarray, H: SubspaceIdeal) -
     Raises AlgebraError if u - 1 is outside H or H fails to be nil on it.
     """
     F = A.field
-    h = linalg.sub(F, np.asarray(u, dtype=np.int64), A.unit)
+    h = F.sub(np.asarray(u, dtype=np.int64), A.unit)
     if not H.contains(h):
         raise AlgebraError("u - 1 is not in H")
     acc = A.unit.copy()
     term = A.unit.copy()
-    neg_h = F.NEG[h]
+    neg_h = F.neg(h)
     for _ in range(A.dim + 1):
         term = A.mul(term, neg_h)
         if not term.any():
             break
-        acc = linalg.add(F, acc, term)
+        acc = F.add(acc, term)
     else:
         raise AlgebraError("H is not nil on u - 1")
     if not np.array_equal(A.mul(u, acc), A.unit) or not np.array_equal(A.mul(acc, u), A.unit):
@@ -607,17 +608,14 @@ def invert_in_one_plus_H(A: StructureAlgebra, u: np.ndarray, H: SubspaceIdeal) -
 def check_complete_orthogonal(A: StructureAlgebra, rows: np.ndarray) -> None:
     """Raise AssertionError unless rows are idempotents, pairwise
     orthogonal, and sum to 1."""
-    F = A.field
-    total = np.zeros(A.dim, dtype=np.int64)
     prods = A.mul_pairs(rows, rows)
     for i in range(rows.shape[0]):
         if not np.array_equal(prods[i, i], rows[i]):
             raise AssertionError(f"member {i} is not idempotent")
-        total = linalg.add(F, total, rows[i])
         for j in range(rows.shape[0]):
             if i != j and prods[i, j].any():
                 raise AssertionError(f"members {i} and {j} are not orthogonal")
-    if not np.array_equal(total, A.unit):
+    if not np.array_equal(A.field.fsum(rows, axis=0), A.unit):
         raise AssertionError("family does not sum to 1")
 
 
@@ -724,11 +722,11 @@ def tensor_algebra(A: StructureAlgebra, B: StructureAlgebra) -> StructureAlgebra
         raise ValueError("factors must share the base field")
     F = A.field
     nA, nB = A.dim, B.dim
-    c = F.MUL[
+    c = F.mul(
         A.c[:, None, :, None, :, None],
         B.c[None, :, None, :, None, :],
-    ].reshape(nA * nB, nA * nB, nA * nB)
-    unit = F.MUL[A.unit[:, None], B.unit[None, :]].reshape(nA * nB)
+    ).reshape(nA * nB, nA * nB, nA * nB)
+    unit = F.mul(A.unit[:, None], B.unit[None, :]).reshape(nA * nB)
     return StructureAlgebra(F, c, unit, check=False)
 
 

@@ -132,15 +132,12 @@ def cmd_lift_idempotents(args, loader: serialize.Loader) -> serialize.Report:
     rep.add("u", *fam.u)
     rep.add("u_inv", *fam.u_inv)
     # re-derive the certificate rather than echoing the constructor
-    total = np.zeros(A.dim, dtype=np.int64)
-    for z in range(fam.rows.shape[0]):
-        e = fam.rows[z]
-        ortho = all(not A.mul(e, fam.rows[w]).any()
-                    for w in range(fam.rows.shape[0]) if w != z)
+    prods = A.mul_pairs(fam.rows, fam.rows)
+    for z, e in enumerate(fam.rows):
+        ortho = not np.delete(prods[z], z, axis=0).any()
         projects = np.array_equal(linalg.matvec(A.field, e, proj), prim[z])
-        rep.add("check", z, int(A.is_idempotent(e)), int(ortho), int(projects))
-        total = linalg.add(A.field, total, e)
-    rep.add("sums_to_unit", int(np.array_equal(total, A.unit)))
+        rep.add("check", z, int(np.array_equal(prods[z, z], e)), int(ortho), int(projects))
+    rep.add("sums_to_unit", int(np.array_equal(A.field.fsum(fam.rows, axis=0), A.unit)))
     return rep
 
 
@@ -258,6 +255,8 @@ def cmd_coperfect(args, loader: serialize.Loader) -> serialize.Report:
         rep.add("chain_dims", *[b.shape[0] for b in res.bases])
     if res.generators is not None:
         rep.sparse("generator", (), res.generators)
+    if refinement is not None and res.kind == "certificate":
+        rep.add("note", res.detail)
     rep.add("refinement_verified", int(res.refinement_verified))
     return rep
 

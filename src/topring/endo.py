@@ -442,7 +442,9 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
     one more component; embed maps old coordinates into new ones and
     defaults to the leading-block inclusion).  A refinement given for a
     target that is not truncated, or whose module over End is smaller than
-    the target's, raises AlgebraError before any chain search."""
+    the target's, raises AlgebraError before any chain search.  When the
+    search ends without a witness chain, the refinement is not examined
+    and the certificate's detail says so."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ME, truncated, label = _resolve_sigma_target(target)
@@ -496,7 +498,9 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
             kind="certificate", depth=depth, copies=k, max_length=length,
             evidence="search", bound=bound,
             generators=np.stack(gens) if gens else None, bases=bases or None,
-            detail=f"no chain of length {depth} found in up to {k} copies")
+            detail=(f"no chain of length {depth} found in up to {k} copies"
+                    if refinement is None else
+                    f"refinement not examined: no witness chain of length {depth}"))
 
     refinement_verified = False
     if refinement is not None:

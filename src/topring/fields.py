@@ -3,8 +3,9 @@
 Field elements are encoded as integers in [0, p^d): the element with
 polynomial coordinates (a_0, ..., a_{d-1}) in the basis 1, x, ..., x^{d-1}
 of F_p[x]/(modulus) is stored as a_0 + a_1*p + ... + a_{d-1}*p^{d-1}.
-Elementwise addition and multiplication are lookup tables, so they work on
-numpy integer arrays of any shape.  This module holds only those tables and
+Elementwise arithmetic is lookup in tables, so it works on numpy integer
+arrays of any shape; other modules call the methods add, sub, neg, mul and
+inv and never read the tables.  This module holds only those tables and
 the contraction kernel: polynomial work (the default modulus, the
 irreducibility check of a given one, the reduction rows x^k mod modulus
 behind MUL) is done in poly, over the prime field GF(p).  poly imports this
@@ -151,9 +152,12 @@ class FiniteField:
         return self.MUL[a, b]
 
     def inv(self, a):
-        if np.any(np.asarray(a) == 0):
+        """Elementwise inverse, ZeroDivisionError if an entry is 0.  INV sends
+        0 to 0 and units to units, so the check reads the looked-up values."""
+        out = self.INV[a]
+        if not (out.all() if out.ndim else out):
             raise ZeroDivisionError("inverse of 0")
-        return self.INV[a]
+        return out
 
     def power(self, a, n: int):
         """a^n elementwise, n >= 0 (or any n for invertible a)."""

@@ -55,7 +55,7 @@ def lift_idempotent(A: StructureAlgebra, f: np.ndarray, H: SubspaceIdeal) -> np.
     """
     F = A.field
     f = np.asarray(f, dtype=np.int64)
-    defect = linalg.sub(F, A.mul(f, f), f)
+    defect = F.sub(A.mul(f, f), f)
     if not H.contains(defect):
         raise AlgebraError("f^2 - f is not in H")
     nu = H.nilpotency_index()
@@ -68,11 +68,11 @@ def lift_idempotent(A: StructureAlgebra, f: np.ndarray, H: SubspaceIdeal) -> np.
         if np.array_equal(g2, g):
             break
         g3 = A.mul(g2, g)
-        g = linalg.sub(F, linalg.scale(F, three, g2), linalg.scale(F, two, g3))
+        g = F.sub(F.mul(three, g2), F.mul(two, g3))
     else:
         if not np.array_equal(A.mul(g, g), g):
             raise AlgebraError("idempotent lift did not converge; H is not nil")
-    if not H.contains(linalg.sub(F, g, f)):
+    if not H.contains(F.sub(g, f)):
         raise AssertionError("lifted idempotent drifted out of f + H")
     if g.any() and not linalg.in_row_space(F, corner_basis(A, f, f), g):
         raise AssertionError("lifted idempotent escaped f*A*f")
@@ -105,7 +105,7 @@ def orthogonalize(
             if not in_H[w, z]:
                 raise AlgebraError(f"half-orthogonality fails at pair ({w}, {z})")
     u = F.fsum(rows, axis=0) if rows.shape[0] else np.zeros(A.dim, dtype=np.int64)
-    if H.contains(linalg.sub(F, u, A.unit)):
+    if H.contains(F.sub(u, A.unit)):
         u_inv = invert_in_one_plus_H(A, u, H)
     else:
         u_inv = A.inverse(u)
@@ -137,11 +137,11 @@ def lift_orthogonal_family(
             if z != w and not in_H[w, z]:
                 raise AlgebraError(f"pairwise product ({w}, {z}) is not in H")
     total = F.fsum(rows, axis=0) if rows.shape[0] else np.zeros(A.dim, dtype=np.int64)
-    if not H.contains(linalg.sub(F, total, A.unit)):
+    if not H.contains(F.sub(total, A.unit)):
         raise AlgebraError("family sum is not in 1 + H")
     singles = np.vstack([lift_idempotent(A, f, H) for f in rows]) if rows.shape[0] else rows
     fam = orthogonalize(A, singles, H, side=side)
-    congruent = H.member_rows(linalg.sub(F, fam.rows, rows))
+    congruent = H.member_rows(F.sub(fam.rows, rows))
     for z in range(k):
         if not congruent[z]:
             raise AssertionError(f"lifted member {z} is not congruent to its input")

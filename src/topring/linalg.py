@@ -42,18 +42,6 @@ def basis_vector(n: int, i: int) -> np.ndarray:
     return v
 
 
-def scale(F: FiniteField, c: int, M: np.ndarray) -> np.ndarray:
-    return F.MUL[c, np.asarray(M, dtype=np.int64)]
-
-
-def add(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return F.ADD[np.asarray(A), np.asarray(B)]
-
-
-def sub(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return F.ADD[np.asarray(A), F.NEG[np.asarray(B)]]
-
-
 def rref(F: FiniteField, M: np.ndarray):
     """Reduced row echelon form of one matrix or of a stack of them.
 
@@ -84,11 +72,11 @@ def rref(F: FiniteField, M: np.ndarray):
         piv = r + int(hits[0])
         if piv != r:
             R[[r, piv]] = R[[piv, r]]
-        R[r] = F.MUL[F.INV[R[r, c]], R[r]]
+        R[r] = F.mul(F.inv(R[r, c]), R[r])
         others = np.nonzero(R[:, c])[0]
         others = others[others != r]
         if others.size:
-            R[others] = F.ADD[R[others], F.NEG[F.MUL[R[others, c][:, None], R[r][None, :]]]]
+            R[others] = F.sub(R[others], F.mul(R[others, c][:, None], R[r][None, :]))
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
@@ -114,12 +102,12 @@ def _rref_stack(F: FiniteField, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         piv = hits[idx].argmax(axis=1)
         prow = R[idx, piv, c:]
         R[idx, piv, c:] = R[idx, r, c:]
-        prow = F.MUL[F.INV[prow[:, :1]], prow]
+        prow = F.mul(F.inv(prow[:, :1]), prow)
         R[idx, r, c:] = prow
         block = R[idx, :, c:]
         factors = block[:, :, 0].copy()
         factors[np.arange(idx.size), r] = 0
-        R[idx, :, c:] = F.ADD[block, F.NEG[F.MUL[factors[:, :, None], prow[:, None, :]]]]
+        R[idx, :, c:] = F.sub(block, F.mul(factors[:, :, None], prow[:, None, :]))
         ranks[idx] += 1
         if ranks.min(initial=m) == m:
             break
@@ -145,7 +133,7 @@ def residual(F: FiniteField, R: np.ndarray, pivots: list[int], V: np.ndarray) ->
     V = np.asarray(V, dtype=np.int64)
     if not pivots:
         return V.copy()
-    return sub(F, V, matmul(F, V[:, pivots], R))
+    return F.sub(V, matmul(F, V[:, pivots], R))
 
 
 def in_row_space(F: FiniteField, basis: np.ndarray, V: np.ndarray) -> bool:
@@ -162,10 +150,8 @@ def right_null_basis(F: FiniteField, M: np.ndarray) -> np.ndarray:
     R, pivots = rref(F, M)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = F.NEG[R[r, f]]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = F.neg(R[:, free]).T
     return basis
 
 
@@ -219,7 +205,7 @@ def intersect_row_spaces(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.nda
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.zeros((0, n), dtype=np.int64)
     # x = u @ A = w @ B iff (u | w) kills the stacked matrix [A; -B] from the left
-    null = left_null_basis(F, np.vstack([A, F.NEG[B]]))
+    null = left_null_basis(F, np.vstack([A, F.neg(B)]))
     if null.shape[0] == 0:
         return np.zeros((0, n), dtype=np.int64)
     U = null[:, : A.shape[0]]
@@ -239,7 +225,7 @@ def quotient_maps(F: FiniteField, basis: np.ndarray, n: int) -> tuple[np.ndarray
     # e_pc == e_pc - R[r] modulo the row space, and that difference is
     # supported on the free columns because R is fully reduced
     red = np.eye(n, dtype=np.int64)
-    red[pivots] = F.NEG[R]
+    red[pivots] = F.neg(R)
     return red[:, free], np.eye(n, dtype=np.int64)[free]
 
 
@@ -285,5 +271,5 @@ def prime_restriction(F: FiniteField, M: np.ndarray) -> np.ndarray:
         return M.copy()
     omega_powers = F.p ** np.arange(d, dtype=np.int64)
     # digits[..., i, j, t, :] holds the digits of w^t * M[..., i, j]
-    digits = F.DIGITS[F.MUL[M[..., None], omega_powers]]
+    digits = F.DIGITS[F.mul(M[..., None], omega_powers)]
     return np.swapaxes(digits, -3, -2).reshape(*lead, m * d, n * d)

@@ -637,7 +637,7 @@ def contratensor(N: FiniteModule, x_count: int) -> ContratensorResult:
     T = Np * Cp
     act = np.einsum("jab,wv->ajwbv", NR, np.eye(Cp, dtype=np.int64))
     bal = np.einsum("ab,xy,jst->ajxsbyt", np.eye(Np, dtype=np.int64), eye_x, RL)
-    rels = linalg.sub(Fp, act.reshape(Np * Rp * Cp, T), bal.reshape(Np * Rp * Cp, T))
+    rels = Fp.sub(act.reshape(Np * Rp * Cp, T), bal.reshape(Np * Rp * Cp, T))
     relation_rank = linalg.rank(Fp, rels) if T else 0
     fp_dim = T - relation_rank
 

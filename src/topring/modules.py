@@ -320,21 +320,16 @@ def hom_space(M: FiniteModule, N: FiniteModule) -> np.ndarray:
     if gens.shape[0] == 0:
         null = np.eye(M.dim * N.dim, dtype=np.int64)
     else:
-        blocks = []
-        eyeM = np.eye(M.dim, dtype=np.int64)
-        eyeN = np.eye(N.dim, dtype=np.int64)
-        for g in gens:
-            GM, GN = M.eff(g), N.eff(g)
-            K = linalg.sub(F, _fkron(F, GM, eyeN), _fkron(F, eyeM, GN.T))
-            blocks.append(K)
-        null = linalg.right_null_basis(F, np.vstack(blocks))
-        null = linalg.row_space_basis(F, null)
+        # block g is G_M (x) I - I (x) G_N^T, rows (a, b) and columns (c, d):
+        # G_M[g, a, c] where b == d, minus G_N[g, d, b] where a == c
+        m, n = M.dim, N.dim
+        ia, ib = np.arange(m), np.arange(n)
+        K = np.zeros((gens.shape[0], m, n, m, n), dtype=np.int64)
+        K[:, :, ib, :, ib] = _eff_stack(M, gens)
+        K[:, ia, :, ia, :] = F.sub(K[:, ia, :, ia, :], np.swapaxes(_eff_stack(N, gens), 1, 2))
+        K = K.reshape(gens.shape[0] * m * n, m * n)
+        null = linalg.row_space_basis(F, linalg.right_null_basis(F, K))
     return null.reshape(null.shape[0], M.dim, N.dim)
-
-
-def _fkron(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = F.contract("ac,bd->abcd", A, B)
-    return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
 def endo_algebra(M: FiniteModule):
@@ -516,7 +511,7 @@ def verify_decomposition(cert: DecompositionCertificate) -> None:
     for z, P in enumerate(cert.idempotents):
         if not np.array_equal(linalg.matmul(F, P, P), P):
             raise AssertionError(f"projector {z} is not idempotent")
-        total = linalg.add(F, total, P)
+        total = F.add(total, P)
         for w, Pw in enumerate(cert.idempotents):
             if z != w and linalg.matmul(F, P, Pw).any():
                 raise AssertionError(f"projectors {z}, {w} are not orthogonal")

@@ -37,26 +37,26 @@ def add(F: FiniteField, f: Poly, g: Poly) -> Poly:
     n = max(len(f), len(g))
     out = np.zeros(n, dtype=np.int64)
     out[: len(f)] = f
-    out[: len(g)] = F.ADD[out[: len(g)], g]
+    out[: len(g)] = F.add(out[: len(g)], g)
     return norm(out)
 
 
 def sub(F: FiniteField, f: Poly, g: Poly) -> Poly:
-    return add(F, f, F.NEG[np.asarray(g, dtype=np.int64)])
+    return add(F, f, F.neg(np.asarray(g, dtype=np.int64)))
 
 
 def mul(F: FiniteField, f: Poly, g: Poly) -> Poly:
     if len(f) == 0 or len(g) == 0:
         return np.zeros(0, dtype=np.int64)
-    prods = F.MUL[np.asarray(f)[:, None], np.asarray(g)[None, :]]
+    prods = F.mul(np.asarray(f)[:, None], np.asarray(g)[None, :])
     out = np.zeros(len(f) + len(g) - 1, dtype=np.int64)
     for i in range(len(f)):
-        out[i : i + len(g)] = F.ADD[out[i : i + len(g)], prods[i]]
+        out[i : i + len(g)] = F.add(out[i : i + len(g)], prods[i])
     return norm(out)
 
 
 def scale(F: FiniteField, c: int, f: Poly) -> Poly:
-    return norm(F.MUL[c, np.asarray(f, dtype=np.int64)])
+    return norm(F.mul(c, np.asarray(f, dtype=np.int64)))
 
 
 def divmod_(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -66,14 +66,14 @@ def divmod_(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return np.zeros(0, dtype=np.int64), f
-    inv_lead = F.INV[g[-1]]
+    inv_lead = F.inv(g[-1])
     rem = f.copy()
     quo = np.zeros(len(f) - len(g) + 1, dtype=np.int64)
     for k in range(len(quo) - 1, -1, -1):
-        c = F.MUL[rem[k + len(g) - 1], inv_lead]
+        c = F.mul(rem[k + len(g) - 1], inv_lead)
         if c:
             quo[k] = c
-            rem[k : k + len(g)] = F.ADD[rem[k : k + len(g)], F.NEG[F.MUL[c, g]]]
+            rem[k : k + len(g)] = F.sub(rem[k : k + len(g)], F.mul(c, g))
     return norm(quo), norm(rem)
 
 
@@ -92,7 +92,7 @@ def monic(F: FiniteField, f: Poly) -> Poly:
     f = norm(f)
     if len(f) == 0 or f[-1] == 1:
         return f
-    return scale(F, F.INV[f[-1]], f)
+    return scale(F, F.inv(f[-1]), f)
 
 
 def gcd(F: FiniteField, f: Poly, g: Poly) -> Poly:
@@ -113,7 +113,7 @@ def xgcd(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         u0, u1 = u1, sub(F, u0, mul(F, q, u1))
         v0, v1 = v1, sub(F, v0, mul(F, q, v1))
     if len(r0) and r0[-1] != 1:
-        lead_inv = int(F.INV[r0[-1]])
+        lead_inv = int(F.inv(r0[-1]))
         r0, u0, v0 = scale(F, lead_inv, r0), scale(F, lead_inv, u0), scale(F, lead_inv, v0)
     return r0, u0, v0
 
@@ -135,7 +135,7 @@ def derivative(F: FiniteField, f: Poly) -> Poly:
         return np.zeros(0, dtype=np.int64)
     # k mod p encodes the prime-subfield scalar k, so this is exact
     ks = (np.arange(1, len(f)) % F.p).astype(np.int64)
-    return norm(F.MUL[ks, np.asarray(f[1:], dtype=np.int64)])
+    return norm(F.mul(ks, np.asarray(f[1:], dtype=np.int64)))
 
 
 def is_irreducible(F: FiniteField, f: Poly) -> bool:
@@ -222,7 +222,7 @@ def _berlekamp_split(F: FiniteField, g: Poly) -> list[Poly]:
     if n <= 1:
         return [g]
     Q = _berlekamp_matrix(F, g)
-    B = F.ADD[Q, F.NEG[np.eye(n, dtype=np.int64)]]
+    B = F.sub(Q, np.eye(n, dtype=np.int64))
     # left kernel: polynomials h with h^q == h mod g
     kernel = linalg.left_null_basis(F, B)
     k = kernel.shape[0]

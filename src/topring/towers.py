@@ -351,14 +351,14 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
                 cand = linalg.matvec(F, member[n], secn)
                 if n:
                     below = linalg.matvec(F, cand, T.transitions[n - 1])
-                    defect = linalg.sub(F, below, lift[n - 1])
+                    defect = F.sub(below, lift[n - 1])
                     if defect.any():
                         mapped = linalg.matmul(F, H.ideals[n].basis, T.transitions[n - 1])
                         coords = linalg.solve_left(F, mapped, defect)
                         if coords is None:
                             raise TowerError(f"level {n}: section defect not repairable inside the ideal")
                         h = linalg.lincomb(F, coords, H.ideals[n].basis)
-                        cand = linalg.sub(F, cand, h)
+                        cand = F.sub(cand, h)
                         repairs += 1
                 if not np.array_equal(linalg.matvec(F, cand, projn), member[n]):
                     raise TowerError(f"level {n}: lift does not project to the family member")

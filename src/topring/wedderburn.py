@@ -82,7 +82,7 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     phi = linalg.solve_left(F, Z, np.array([A.power(z, F.q) for z in Z]).reshape(-1, A.dim))
     if phi is None:
         raise AlgebraError("center is not closed under q-th powers")
-    fixed_coeff = linalg.left_null_basis(F, linalg.sub(F, phi, np.eye(Z.shape[0], dtype=np.int64)))
+    fixed_coeff = linalg.left_null_basis(F, F.sub(phi, np.eye(Z.shape[0], dtype=np.int64)))
     fixed = linalg.matmul(F, fixed_coeff, Z)
     k = fixed.shape[0]
     family = A.unit[None, :]
@@ -97,7 +97,7 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
             # g is x - a; num(a) is the remainder of num = mp / g by g
             num = poly.exact_div(F, mp, g)
             den = int(poly.mod(F, num, g)[0])
-            lagr.append(A.evaluate_poly(poly.scale(F, int(F.INV[den]), num), z))
+            lagr.append(A.evaluate_poly(poly.scale(F, F.inv(den), num), z))
         family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
         family = family[family.any(axis=1)]
     if family.shape[0] != k:
@@ -158,7 +158,7 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
         C, embed = peirce_corner(B, e)
         f = _proper_idempotent(C, rng)
         f1 = linalg.matvec(B.field, f, embed)
-        f2 = linalg.sub(B.field, e, f1)
+        f2 = B.field.sub(e, f1)
         family[split_at : split_at + 1] = [f1, f2]
     if len(family) != n:
         raise AssertionError("corner refinement did not reach the matrix size")

@@ -27,7 +27,10 @@ The routes at the end of the file are the per-entry loops that built
 structured stacks before each became one product: prime_restriction_2d
 (linalg.prime_restriction before it took stacks), matrix_units_loop with
 matrix_unit_relation_failure, transport_action_loop, corner_action_loop,
-contratensor_loop, regular_actions_loop and level_action_loop.
+contratensor_loop, regular_actions_loop and level_action_loop, and
+right_null_basis_loop and hom_space_loop (the per-(free, pivot) loop of
+linalg.right_null_basis and the per-generator Kronecker blocks of
+modules.hom_space).
 """
 
 from __future__ import annotations
@@ -409,7 +412,7 @@ def radical_bruteforce_loop(A) -> np.ndarray:
     def one_minus_invertible(z) -> bool:
         key = z.tobytes()
         if key not in invertible:
-            invertible[key] = linalg.rank(F, A.lmul_matrix(linalg.sub(F, A.unit, z))) == n
+            invertible[key] = linalg.rank(F, A.lmul_matrix(F.sub(A.unit, z))) == n
         return invertible[key]
 
     def right_multiples_ok(y) -> bool:
@@ -750,8 +753,8 @@ def contratensor_loop(N, x_count: int):
     for jr in range(R.dim):
         e = np.eye(R.dim, dtype=np.int64)[jr]
         for jt in range(d):
-            NR.append(prime_restriction_2d(F, linalg.scale(F, p ** jt, eff[jr])))
-            RL.append(prime_restriction_2d(F, linalg.scale(F, p ** jt, R.lmul_matrix(e))))
+            NR.append(prime_restriction_2d(F, F.mul(p ** jt, eff[jr])))
+            RL.append(prime_restriction_2d(F, F.mul(p ** jt, R.lmul_matrix(e))))
     T = Np * Cp
     rels = np.zeros((Np * Rp * Cp, T), dtype=np.int64) if T else np.zeros((0, 0), dtype=np.int64)
     r = 0
@@ -788,3 +791,46 @@ def level_action_loop(T, m: int, n: int) -> np.ndarray:
     multiplication matrix per basis element of R_m."""
     C = T.composite(m, n)
     return np.stack([T.levels[n].rmul_matrix(C[i]) for i in range(T.levels[m].dim)])
+
+
+def right_null_basis_loop(F: FiniteField, M) -> np.ndarray:
+    """linalg.right_null_basis as one (free, pivot) entry at a time: row i
+    is the free column f_i set to 1 and each pivot column set to -R[r, f_i]."""
+    from topring import linalg
+
+    M = np.asarray(M, dtype=np.int64)
+    n = M.shape[1]
+    R, pivots = linalg.rref(F, M)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = F.NEG[R[r, f]]
+    return basis
+
+
+def hom_space_loop(M, N) -> np.ndarray:
+    """modules.hom_space with one Kronecker block G_M (x) I - I (x) G_N^T
+    per algebra generator g, each from its own pair of contractions."""
+    from topring import linalg
+
+    F = M.algebra.field
+
+    def kron(A, B):
+        out = F.contract("ac,bd->abcd", A, B)
+        return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
+
+    gens = M.algebra.generator_elements()
+    if gens.shape[0] == 0:
+        null = np.eye(M.dim * N.dim, dtype=np.int64)
+    else:
+        eyeM = np.eye(M.dim, dtype=np.int64)
+        eyeN = np.eye(N.dim, dtype=np.int64)
+        blocks = []
+        for g in gens:
+            GM, GN = M.eff(g), N.eff(g)
+            blocks.append(F.ADD[kron(GM, eyeN), F.NEG[kron(eyeM, GN.T)]])
+        null = right_null_basis_loop(F, np.vstack(blocks))
+        null = linalg.row_space_basis(F, null)
+    return null.reshape(null.shape[0], M.dim, N.dim)

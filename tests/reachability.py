@@ -35,11 +35,6 @@ from topring import cli, corpus  # noqa: E402
 # library entry points that no verb enters, keyed "module.qualname"
 ALLOWED = {
     "corpus.names": "lists the bundled files for the tests and this sweep; verify renders them all",
-    "fields.FiniteField.add": "scalar field op for library callers; verbs work on arrays",
-    "fields.FiniteField.sub": "scalar field op for library callers; verbs work on arrays",
-    "fields.FiniteField.mul": "scalar field op for library callers; verbs work on arrays",
-    "fields.FiniteField.neg": "scalar field op for library callers; verbs work on arrays",
-    "fields.FiniteField.inv": "scalar field op for library callers; verbs work on arrays",
     "algebras.StructureAlgebra.inverse": "element inverse, the library face of is_unit_element",
     "algebras.StructureAlgebra.is_unit_element": "unit test for elements, used by library callers",
     "algebras.StructureAlgebra.is_commutative": "structure query for library callers",

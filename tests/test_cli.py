@@ -13,7 +13,7 @@ import pytest
 
 from topring import acceptance, cli, corpus, serialize
 from topring.algebras import truncated_poly_algebra
-from topring.endo import omega_system
+from topring.endo import omega_system, polynomial_adic_system
 from topring.fields import GF
 from topring.matrixtop import windowed
 from topring.modules import right_regular_module
@@ -186,6 +186,30 @@ def test_refinement_of_a_target_that_is_not_truncated_exits_3(capsys, verb):
     assert rc == 3
     assert captured.out == ""
     assert captured.err == "error: refinement given, but the target module is not truncated\n"
+
+
+def test_coperfect_notes_a_refinement_it_did_not_examine(capsys, tmp_path):
+    # no chain of length 20 exists in the depth-3 family, so the depth-4
+    # refinement plays no part, and the report says so
+    for depth in (3, 4):
+        system = polynomial_adic_system(GF(2), depth)
+        alg = f"f2x{depth}.alg"
+        (tmp_path / alg).write_text(serialize.write_algebra(system.modules[0].algebra))
+        refs = [f"chain{depth}_n{i + 1}.mod" for i in range(depth)]
+        for ref, N in zip(refs, system.modules):
+            (tmp_path / ref).write_text(serialize.write_module(N, alg))
+        (tmp_path / f"chain{depth}.sys").write_text(serialize.write_system(system, refs))
+    target, refinement = str(tmp_path / "chain3.sys"), str(tmp_path / "chain4.sys")
+    rc, plain = run(capsys, "coperfect", target, "--depth", "20")
+    assert rc == 0
+    rc, out = run(capsys, "coperfect", target, refinement, "--depth", "20")
+    assert rc == 0
+    body = lines(out)
+    note = "note refinement not examined: no witness chain of length 20"
+    assert body.count(note) == 1
+    assert body[body.index(note) + 1] == "refinement_verified 0"
+    assert [line for line in body if line != note] == lines(plain)
+    assert "kind certificate" in body
 
 
 def test_coperfect_finite_module_certificate(capsys):

@@ -297,6 +297,15 @@ def test_sigma_showcase_witness_survives_refinement():
     assert r.refinement_verified
 
 
+def test_sigma_refinement_without_a_witness_is_reported_unexamined():
+    r = sigma_coperfect_check(chain_family(3), depth=20, seed=0, refinement=chain_family(4))
+    assert (r.kind, r.evidence, r.refinement_verified) == ("certificate", "search", False)
+    assert r.detail == "refinement not examined: no witness chain of length 20"
+    plain = sigma_coperfect_check(chain_family(3), depth=20, seed=0)
+    assert plain.detail.startswith("no chain of length 20 found")
+    assert (plain.copies, plain.max_length) == (r.copies, r.max_length)
+
+
 def test_sigma_collapsing_refinement_is_flagged():
     fam6, fam7 = chain_family(6), chain_family(7)
     zero_embed = np.zeros((21, 28), dtype=np.int64)

@@ -4,6 +4,8 @@ the scalar table oracle."""
 from __future__ import annotations
 
 import contextlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +109,27 @@ def test_invalid_inputs_rejected():
         FiniteField(2, 6, modulus=(1, 1, 1, 1, 1, 1, 1))  # (x^7 - 1)/(x - 1) over F_2
     with pytest.raises(ZeroDivisionError):
         GF(3).inv(0)
+    for F in (GF(3), GF(2, 2), GF(3, 2)):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(np.int64(0))
+        with pytest.raises(ZeroDivisionError):
+            F.inv(np.array([[1, 2], [0, 1]]))
+        with pytest.raises(ZeroDivisionError):
+            F.inv(np.arange(F.q)[:, None])
+        assert np.array_equal(F.mul(F.inv(np.arange(1, F.q)), np.arange(1, F.q)), np.ones(F.q - 1))
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
+
+
+def test_only_fields_reads_the_tables():
+    # elementwise field arithmetic outside fields goes through F.add, F.sub,
+    # F.neg, F.mul and F.inv, and linalg keeps no wrappers of its own
+    src = Path(fields.__file__).parent
+    lookups = [f"{path.name}:{i}: {line.strip()}"
+               for path in sorted(src.glob("*.py")) if path.name != "fields.py"
+               for i, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\.(ADD|MUL|NEG|INV)\[", line)]
+    assert lookups == []
+    assert not [name for name in ("add", "sub", "scale") if hasattr(linalg, name)]
 
 
 def test_field_identity_and_cache():

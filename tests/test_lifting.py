@@ -35,7 +35,7 @@ def test_single_lift_in_truncated_ring():
     H = radical(A)
     e = lift_idempotent(A, np.array([1, 1, 0, 0]), H)  # 1 + x
     assert e.tolist() == [1, 0, 0, 0]
-    assert H.contains(linalg.sub(F2, e, np.array([1, 1, 0, 0])))
+    assert H.contains(F2.sub(e, np.array([1, 1, 0, 0])))
 
 
 def test_single_lift_rejects_non_idempotent_class():
@@ -161,8 +161,8 @@ def test_lift_family_from_quotient_with_perturbed_preimages():
         assert np.array_equal(linalg.matvec(F2, fam.rows[z], proj), quotient_rows[z])
     # same family through deliberately perturbed (non-multiplicative) preimages
     perturbed = linalg.matmul(F2, quotient_rows, section)
-    perturbed[0] = linalg.add(F2, perturbed[0], H.basis[0])
-    perturbed[1] = linalg.add(F2, perturbed[1], H.basis[2])
+    perturbed[0] = F2.add(perturbed[0], H.basis[0])
+    perturbed[1] = F2.add(perturbed[1], H.basis[2])
     fam2 = lift_orthogonal_family(A, perturbed, H)
     for z in range(2):
         assert np.array_equal(linalg.matvec(F2, fam2.rows[z], proj), quotient_rows[z])
@@ -188,11 +188,11 @@ def test_lift_family_on_conjugated_idempotents(h1_code, h2_code, side):
     for z, code in enumerate((h1_code, h2_code)):
         coeffs = np.array([(code >> i) & 1 for i in range(H.dim)], dtype=np.int64)
         h = linalg.matvec(F2, coeffs, H.basis)
-        one_plus = linalg.add(F2, A.unit, h)
+        one_plus = F2.add(A.unit, h)
         inv = A.inverse(one_plus)
         rows[z] = A.mul(A.mul(one_plus, base[z]), inv)
     fam = lift_orthogonal_family(A, rows, H, side=side)
     for z in range(2):
-        assert H.contains(linalg.sub(F2, fam.rows[z], rows[z]))
+        assert H.contains(F2.sub(fam.rows[z], rows[z]))
         if fam.rows[z].any():
             assert linalg.in_row_space(F2, side_span(A, rows[z], side), fam.rows[z])

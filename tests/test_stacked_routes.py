@@ -1,11 +1,12 @@
 """Structured stacks built as whole-stack products against the per-entry
 loops they replaced (tests/oracles.py): prime restrictions, matrix units
 with their relation check, transport and corner actions, contratensor
-relations and iso, regular actions and the level modules of a tower.
+relations and iso, regular actions, the level modules of a tower, right
+null bases and Hom spaces.
 
 Inputs are every bundled module and tower, the algebras of the lifting and
-perfectness suites, and small algebras over GF(2), GF(3), GF(4), GF(8) and
-GF(9)."""
+perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(8) and
+GF(9), and random matrices over GF(2), GF(3), GF(4) and GF(9)."""
 
 import random
 
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 from oracles import (
     contratensor_loop,
     corner_action_loop,
+    hom_space_loop,
     level_action_loop,
     matrix_unit_relation_failure,
     matrix_units_loop,
     prime_restriction_per_matrix,
     regular_actions_loop,
+    right_null_basis_loop,
     transport_action_loop,
 )
 from topring import acceptance, corpus, linalg
@@ -36,7 +39,7 @@ from topring.algebras import (
 )
 from topring.fields import GF
 from topring.matrixtop import contratensor, free_contra_corner, transport_discrete
-from topring.modules import left_regular_module, right_regular_module
+from topring.modules import FiniteModule, hom_space, left_regular_module, right_regular_module
 from topring.serialize import Loader
 from topring.towers import _level_as_module, adic_tower, constant_tower
 from topring.wedderburn import (
@@ -112,7 +115,7 @@ def test_forged_matrix_unit_names_the_first_failing_quadruple(monkeypatch, F, sl
         out = products(X, Y)
         if not forged:
             out = out.copy()
-            out[slot] = linalg.add(F, out[slot], B.unit)
+            out[slot] = F.add(out[slot], B.unit)
             forged.append(out)
         return out
 
@@ -193,3 +196,41 @@ def test_level_module_matches_the_per_element_loop(T):
     for m in range(T.depth + 1):
         for n in range(m):
             assert np.array_equal(_level_as_module(T, m, n).action, level_action_loop(T, m, n))
+
+
+# ---------------------------------------------------------------------------
+# right null bases and Hom spaces
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(2, 2), GF(3, 2)], ids=str)
+def test_right_null_basis_matches_the_entry_loop(F):
+    rng = np.random.default_rng(F.q)
+    for _ in range(150):
+        m, n = rng.integers(0, 7, size=2)
+        M = rng.integers(0, F.q, size=(m, n))
+        # low-rank inputs too: rows repeated through a random combination
+        if m > 1 and rng.integers(2):
+            M = linalg.matmul(F, rng.integers(0, F.q, size=(m, 1)), M[:1])
+        out = linalg.right_null_basis(F, M)
+        assert np.array_equal(out, right_null_basis_loop(F, M))
+        assert not linalg.matmul(F, M, out.T).any()
+
+
+def _assert_hom_space_matches_loop(M, N):
+    assert np.array_equal(hom_space(M, N), hom_space_loop(M, N))
+
+
+@pytest.mark.parametrize("name", BUNDLED_MODULES)
+def test_hom_space_of_bundled_modules(name):
+    N = _bundled(name)
+    reg = right_regular_module(N.algebra) if N.side == "right" else left_regular_module(N.algebra)
+    zero = FiniteModule(N.algebra, np.zeros((N.algebra.dim, 0, 0), dtype=np.int64), side=N.side)
+    for M, P in ((N, N), (N, reg), (reg, N), (zero, N), (N, zero)):
+        _assert_hom_space_matches_loop(M, P)
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
+def test_hom_space_of_regular_modules(A):
+    right, left = right_regular_module(A), left_regular_module(A)
+    _assert_hom_space_matches_loop(right, right)
+    _assert_hom_space_matches_loop(left, left)

@@ -103,8 +103,8 @@ def test_hom_diagnostics_names_pairs_in_order_and_caps_at_seventeen():
     # the unit is a sum of basis vectors with coefficient 1; solve for one
     # of their images so that the unit goes to the unit
     d = int(np.flatnonzero(A.unit)[0])
-    others = linalg.sub(F3, linalg.matvec(F3, A.unit, T), T[d])
-    T[d] = linalg.sub(F3, A.unit, others)
+    others = F3.sub(linalg.matvec(F3, A.unit, T), T[d])
+    T[d] = F3.sub(A.unit, others)
     assert np.array_equal(linalg.matvec(F3, A.unit, T), A.unit)
     assert len(pair_msgs(T)) > 17
     assert hom_diagnostics(A, A, T) == pair_msgs(T)[:17]

@@ -61,10 +61,10 @@ def test_central_idempotents_and_units():
             ej = np.zeros(A.dim, dtype=np.int64)
             ej[j] = 1
             assert np.array_equal(A.mul(eps, ej), A.mul(ej, eps))
-        total = linalg.add(F2, total, eps)
+        total = F2.add(total, eps)
         diag = np.zeros(A.dim, dtype=np.int64)
         for i in range(f.n):
-            diag = linalg.add(F2, diag, f.matrix_units[i, i])
+            diag = F2.add(diag, f.matrix_units[i, i])
         assert np.array_equal(diag, eps)
         assert linalg.rank(F2, f.matrix_units.reshape(-1, A.dim)) == f.n * f.n
         assert f.corner_basis.shape[0] == f.m
@@ -114,7 +114,7 @@ def test_primitive_family_is_complete():
     total = np.zeros(A.dim, dtype=np.int64)
     for i in range(fam.shape[0]):
         assert A.is_idempotent(fam[i])
-        total = linalg.add(F2, total, fam[i])
+        total = F2.add(total, fam[i])
         for j in range(fam.shape[0]):
             if i != j:
                 assert not A.mul(fam[i], fam[j]).any()
