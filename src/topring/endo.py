@@ -463,14 +463,20 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
     if E.dim <= 32:
         bound = composition_length(right_regular_module(E))
 
+    def within_bound(length: int) -> None:
+        # a strict chain v_0 E > v_1 E > ... lies in v_0 E, a quotient of E_E
+        if bound is not None and length > bound:
+            raise InternalInconsistencyError(
+                f"chain of length {length} exceeds the composition length bound {bound}")
+
     if not truncated:
         gens, bases = _greedy_cyclic_chain(ME, depth, rng)
         _verify_chain(ME, gens, bases)
         found = max(len(bases) - 1, 0)
+        within_bound(found)
         if bound is not None:
             return SigmaCoperfectResult(
-                kind="certificate", depth=depth, copies=1,
-                max_length=min(found, bound) if found else found,
+                kind="certificate", depth=depth, copies=1, max_length=found,
                 evidence="bound", bound=bound,
                 generators=np.stack(gens) if gens else None,
                 bases=bases or None,
@@ -493,6 +499,7 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
         if length >= depth:
             break
     k, (gens, bases), length = best
+    within_bound(length)
     if length < depth:
         return SigmaCoperfectResult(
             kind="certificate", depth=depth, copies=k, max_length=length,

@@ -180,8 +180,9 @@ class FiniteField:
         Addition in F_{p^d} is coordinatewise mod p on digit vectors, so a
         long sum is one sum of lane-packed digits, unpacked and reduced mod p
         once; a sum of more than _lane_cap terms sums the digit rows instead.
+        An empty sum is 0, the zero of the element shape left after the axis.
         """
-        arr = np.asarray(arr)
+        arr = np.asarray(arr, dtype=np.int64)
         if axis is None:
             axis = tuple(range(arr.ndim))
         if self.d == 1:

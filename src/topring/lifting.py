@@ -104,7 +104,7 @@ def orthogonalize(
         for w in range(z + 1, k):
             if not in_H[w, z]:
                 raise AlgebraError(f"half-orthogonality fails at pair ({w}, {z})")
-    u = F.fsum(rows, axis=0) if rows.shape[0] else np.zeros(A.dim, dtype=np.int64)
+    u = F.fsum(rows, axis=0)
     if H.contains(F.sub(u, A.unit)):
         u_inv = invert_in_one_plus_H(A, u, H)
     else:
@@ -136,7 +136,7 @@ def lift_orthogonal_family(
         for w in range(k):
             if z != w and not in_H[w, z]:
                 raise AlgebraError(f"pairwise product ({w}, {z}) is not in H")
-    total = F.fsum(rows, axis=0) if rows.shape[0] else np.zeros(A.dim, dtype=np.int64)
+    total = F.fsum(rows, axis=0)
     if not H.contains(F.sub(total, A.unit)):
         raise AlgebraError("family sum is not in 1 + H")
     singles = np.vstack([lift_idempotent(A, f, H) for f in rows]) if rows.shape[0] else rows

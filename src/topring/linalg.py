@@ -197,21 +197,6 @@ def is_invertible(F: FiniteField, A: np.ndarray) -> bool:
     return A.shape[0] == A.shape[1] and rank(F, A) == A.shape[0]
 
 
-def intersect_row_spaces(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Canonical basis of rowspace(A) & rowspace(B)."""
-    A = row_space_basis(F, A)
-    B = row_space_basis(F, B)
-    n = A.shape[1] if A.size else np.asarray(B).shape[1]
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    # x = u @ A = w @ B iff (u | w) kills the stacked matrix [A; -B] from the left
-    null = left_null_basis(F, np.vstack([A, F.neg(B)]))
-    if null.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    U = null[:, : A.shape[0]]
-    return row_space_basis(F, matmul(F, U, A))
-
-
 def quotient_maps(F: FiniteField, basis: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Maps to and from the quotient of F^n by the row space of basis.
 

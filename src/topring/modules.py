@@ -95,12 +95,6 @@ class FiniteModule:
     def eff_basis(self) -> np.ndarray:
         return self.action if self.side == "right" else np.swapaxes(self.action, 1, 2)
 
-    def cardinality(self) -> int:
-        return self.algebra.field.q ** self.dim
-
-    def all_elements(self) -> np.ndarray:
-        return linalg.enumerate_row_space(self.algebra.field, np.eye(self.dim, dtype=np.int64))
-
     def __repr__(self) -> str:
         return f"FiniteModule(dim={self.dim}, side={self.side}, over dim {self.algebra.dim})"
 
@@ -187,7 +181,7 @@ def direct_sum(modules: list[FiniteModule]):
 
 
 # ---------------------------------------------------------------------------
-# Submodules, radical, socle-side operations
+# Submodules and radicals
 # ---------------------------------------------------------------------------
 
 
@@ -219,8 +213,9 @@ def radical_of_module(M: FiniteModule) -> np.ndarray:
     """Canonical basis of M*H(A) (right side; H(A)*M on the left).
 
     The quotient algebra A/H(A) is semisimple, so this subspace is the
-    intersection of the maximal submodules; the exhaustive oracle
-    maximal_submodules cross-checks that on small modules.
+    intersection of the maximal submodules; the tests compare it with that
+    intersection, enumerated from the whole submodule lattice, on small
+    modules.
     """
     F = M.algebra.field
     rad = radical(M.algebra)
@@ -242,65 +237,6 @@ def radical_series(M: FiniteModule) -> list[np.ndarray]:
         series.append(nxt)
         current = nxt
     return series
-
-
-def all_submodules(M: FiniteModule) -> list[np.ndarray]:
-    """Every submodule, as canonical bases: close cyclic submodules under
-    pairwise sum.  Exhaustive oracle; cardinality-capped.  The cyclic
-    submodules of all elements come from one stacked row reduction."""
-    if M.cardinality() > 1024:
-        raise ValueError("submodule enumeration capped at 1024 elements")
-    F = M.algebra.field
-    seen: dict[bytes, np.ndarray] = {}
-    zero = np.zeros((0, M.dim), dtype=np.int64)
-    seen[zero.tobytes()] = zero
-    # orbits[v] spans element v acted on by every basis element, as in cyclic_submodule
-    orbits, ranks = linalg.rref(F, F.contract("vj,ijk->vik", M.all_elements(), M.eff_basis()))
-    for R, r in zip(orbits, ranks):
-        b = R[:r]
-        seen.setdefault(b.tobytes(), b)
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        for X in frontier:
-            for Y in list(seen.values()):
-                S = linalg.sum_row_spaces(F, X, Y)
-                key = S.tobytes()
-                if key not in seen:
-                    seen[key] = S
-                    fresh.append(S)
-                    if len(seen) > 4096:
-                        raise ValueError("submodule lattice exceeds enumeration cap")
-        frontier = fresh
-    return sorted(seen.values(), key=lambda b: (b.shape[0], b.tobytes()))
-
-
-def maximal_submodules(M: FiniteModule) -> list[np.ndarray]:
-    # proper submodules contained in no larger proper submodule
-    F = M.algebra.field
-    subs = [b for b in all_submodules(M) if b.shape[0] < M.dim]
-    # the bases are canonical, so rref only reads off their pivots
-    reduced = [linalg.rref(F, o) for o in subs]
-    out = []
-    for b in subs:
-        covered = any(
-            o.shape[0] > b.shape[0] and not linalg.residual(F, o, pivots, b).any()
-            for o, pivots in reduced
-        )
-        if not covered:
-            out.append(b)
-    return out
-
-
-def intersection_of_maximals(M: FiniteModule) -> np.ndarray:
-    F = M.algebra.field
-    maxes = maximal_submodules(M)
-    if not maxes:
-        return np.zeros((0, M.dim), dtype=np.int64)
-    acc = maxes[0]
-    for b in maxes[1:]:
-        acc = linalg.intersect_row_spaces(F, acc, b)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +443,21 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
 def verify_decomposition(cert: DecompositionCertificate) -> None:
     F = cert.module.algebra.field
     m = cert.module.dim
-    total = np.zeros((m, m), dtype=np.int64)
-    for z, P in enumerate(cert.idempotents):
-        if not np.array_equal(linalg.matmul(F, P, P), P):
+    k = len(cert.idempotents)
+    P = np.asarray(cert.idempotents, dtype=np.int64).reshape(k, m, m)
+    # prods[z, w] is P_z P_w
+    prods = F.contract("zab,wbc->zwac", P, P)
+    diag = np.arange(k)
+    not_idempotent = (prods[diag, diag] != P).any(axis=(1, 2))
+    not_orthogonal = prods.any(axis=(2, 3))
+    not_orthogonal[diag, diag] = False
+    for z in range(k):
+        if not_idempotent[z]:
             raise AssertionError(f"projector {z} is not idempotent")
-        total = F.add(total, P)
-        for w, Pw in enumerate(cert.idempotents):
-            if z != w and linalg.matmul(F, P, Pw).any():
-                raise AssertionError(f"projectors {z}, {w} are not orthogonal")
-    if not np.array_equal(total, np.eye(m, dtype=np.int64)):
+        partners = np.flatnonzero(not_orthogonal[z])
+        if partners.size:
+            raise AssertionError(f"projectors {z}, {partners[0]} are not orthogonal")
+    if not np.array_equal(F.fsum(P, axis=0), np.eye(m, dtype=np.int64)):
         raise AssertionError("projectors do not sum to the identity")
 
 

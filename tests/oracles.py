@@ -14,10 +14,14 @@ decompose_per_summand (the per-summand endomorphism algebras and pairwise
 class search that modules.decompose_indecomposable replaced by Peirce
 corners and Wedderburn blocks of End(M)), and bass_flat_hom_space (the
 Hom-space search for the Bass colimit's section that endo.bass_flat
-replaced by the Fitting projection), and radical_bruteforce_loop and
-all_submodules_loop (the per-element row reductions that the stacked rref
-replaced in algebras.radical_bruteforce and modules.all_submodules);
-hidden_block_algebras builds inputs for those two.  module_diagnostics_loop
+replaced by the Fitting projection), and radical_bruteforce_loop (the
+per-element row reductions that the stacked rref replaced in
+algebras.radical_bruteforce).  all_submodules_loop is the only enumeration
+of a submodule lattice: intersection_of_maximals reads the maximal
+submodules off it and intersects them with intersect_row_spaces, the
+reference that modules.radical_of_module and algebras.radical_bruteforce
+are compared against; hidden_block_algebras builds inputs for these
+oracles.  module_diagnostics_loop
 is the per-pair check that FiniteModule.diagnostics replaced by one
 contraction pair per generator, composition_length_layers the per-layer
 Mat_s(F) route that modules.composition_length replaced by the Wedderburn
@@ -433,15 +437,14 @@ def radical_bruteforce_loop(A) -> np.ndarray:
 
 
 def all_submodules_loop(M) -> list[np.ndarray]:
-    """Every submodule by the route modules.all_submodules took before it
-    row-reduced the cyclic submodules as one stack: one rref per element,
-    then closure under pairwise sums."""
+    """Every submodule, as canonical bases: one rref per element for its
+    cyclic submodule, then closure under pairwise sums."""
     from topring import linalg
 
     F = M.algebra.field
     zero = np.zeros((0, M.dim), dtype=np.int64)
     seen = {zero.tobytes(): zero}
-    for v in M.all_elements():
+    for v in linalg.enumerate_row_space(F, np.eye(M.dim, dtype=np.int64)):
         b = linalg.row_space_basis(F, F.contract("j,ijk->ik", v, M.eff_basis()))
         seen.setdefault(b.tobytes(), b)
     frontier = list(seen.values())
@@ -455,6 +458,33 @@ def all_submodules_loop(M) -> list[np.ndarray]:
                     fresh.append(S)
         frontier = fresh
     return sorted(seen.values(), key=lambda b: (b.shape[0], b.tobytes()))
+
+
+def intersect_row_spaces(F: FiniteField, A, B) -> np.ndarray:
+    """Canonical basis of rowspace(A) & rowspace(B): x = u @ A = w @ B
+    exactly when (u | w) kills [A; -B] from the left."""
+    from topring import linalg
+
+    A = linalg.row_space_basis(F, A)
+    B = linalg.row_space_basis(F, B)
+    null = linalg.left_null_basis(F, np.vstack([A, F.neg(B)]))
+    return linalg.row_space_basis(F, linalg.matmul(F, null[:, : A.shape[0]], A))
+
+
+def intersection_of_maximals(M) -> np.ndarray:
+    """Intersection of the maximal submodules of M, read off the whole
+    submodule lattice of all_submodules_loop; M itself when it has none."""
+    from topring import linalg
+
+    F = M.algebra.field
+    proper = [b for b in all_submodules_loop(M) if b.shape[0] < M.dim]
+    maximal = [b for b in proper
+               if not any(o.shape[0] > b.shape[0] and linalg.in_row_space(F, o, b)
+                          for o in proper)]
+    acc = np.eye(M.dim, dtype=np.int64)
+    for b in maximal:
+        acc = intersect_row_spaces(F, acc, b)
+    return acc
 
 
 def hidden_block_algebras():

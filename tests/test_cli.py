@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topring import acceptance, cli, corpus, serialize
+from topring import acceptance, cli, corpus, endo, serialize
 from topring.algebras import truncated_poly_algebra
 from topring.endo import omega_system, polynomial_adic_system
 from topring.fields import GF
@@ -219,6 +219,17 @@ def test_coperfect_finite_module_certificate(capsys):
     assert "kind certificate" in body
     assert "evidence bound" in body
     assert "bound 2" in body
+
+
+def test_coperfect_chain_longer_than_its_bound_exits_4(capsys, monkeypatch):
+    # the chain search finds bases of dims [2, 1, 0], a chain of length 2
+    monkeypatch.setattr(endo, "composition_length", lambda M: 1)
+    rc = cli.main(["coperfect", corpus.path("dual2_reg.mod")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == ("inconsistency: chain of length 2 exceeds the composition "
+                            "length bound 1\n")
 
 
 def test_bridge_consistent(capsys):

@@ -391,3 +391,16 @@ def test_simple_cube_level_is_a_3x3_matrix_ring():
             lhs = E3.mul(U[i], U[j])
             rhs = linalg.matvec(F2, model.mul(basis[i], basis[j]), U)
             assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("target", [
+    lambda: right_regular_module(DUAL),
+    lambda: chain_family(3),
+], ids=["module", "truncated-family"])
+def test_sigma_chain_longer_than_its_bound_trips(monkeypatch, target):
+    # every strict chain of cyclic submodules lies in v_0 E, a quotient of
+    # E_E, so a chain longer than the composition length is a defect
+    monkeypatch.setattr(endo, "composition_length", lambda M: 1)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^chain of length [2-9] exceeds the composition length bound 1$"):
+        sigma_coperfect_check(target(), depth=6, seed=0)

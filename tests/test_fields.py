@@ -63,6 +63,13 @@ def test_fsum_matches_pairwise():
     assert F.fsum(arr) == F.fsum(expect, axis=0)
 
 
+@pytest.mark.parametrize("F", [GF(2, 2), GF(3, 2)], ids=str)
+def test_fsum_of_nothing_is_zero(F):
+    assert F.fsum([], axis=0) == 0
+    assert F.fsum([]) == 0
+    assert np.array_equal(F.fsum(np.zeros((0, 3), dtype=np.int64), axis=0), [0, 0, 0])
+
+
 def test_default_modulus_is_frozen_for_f16():
     # x^4 + x + 1 is the smallest monic irreducible of degree 4 over F_2
     assert default_modulus(2, 4) == (1, 1, 0, 0, 1)

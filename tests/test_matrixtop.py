@@ -418,7 +418,7 @@ def test_transport_discrete_needs_right_module():
 
 def test_free_corner_finite_is_free_module():
     fc = free_contra_corner(B2, "finite", 3, 0)
-    assert fc.module.dim == 3 and fc.module.cardinality() == 8
+    assert fc.module.dim == 3 and B2.field.q ** fc.module.dim == 8
     # point measures are the identity rows
     ident = identity_matrix(B2, "finite", 3)
     for y in range(3):
@@ -501,7 +501,7 @@ def test_contratensor_singleton_is_identity():
     for R in (DUAL, field_algebra(F3), upper_triangular_algebra(F2, 2)):
         N = right_regular_module(R)
         res = contratensor(N, 1)
-        assert res.cardinality == N.cardinality()
+        assert res.cardinality == R.field.q ** N.dim
         assert res.fp_dim == N.dim * R.field.d
 
 
@@ -518,7 +518,7 @@ def test_contratensor_simple_over_dual_numbers():
     assert res.tensor_dim == 4
     assert res.relation_rank == 2
     assert res.fp_dim == 2
-    assert res.cardinality == 4 == N.cardinality() ** 2
+    assert res.cardinality == 4 == (F2.q ** N.dim) ** 2
 
 
 def test_contratensor_over_extension_field():
@@ -533,7 +533,7 @@ def test_contratensor_random_instances():
         N = rand_right_module(DUAL, rng)
         x = int(rng.integers(1, 4))
         res = contratensor(N, x)
-        assert res.cardinality == N.cardinality() ** x
+        assert res.cardinality == (DUAL.field.q ** N.dim) ** x
         assert res.tensor_dim - res.relation_rank == res.fp_dim
 
 

@@ -13,6 +13,7 @@ from oracles import (
     decompose_per_summand,
     endo_structure_full,
     hidden_block_algebras,
+    intersection_of_maximals,
     module_diagnostics_loop,
     sampled_isomorphism,
     solve_left_rows,
@@ -27,6 +28,7 @@ from topring.algebras import (
     product_algebra,
     field_algebra,
     radical,
+    radical_bruteforce,
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
@@ -34,7 +36,6 @@ from topring.fields import GF
 from topring.modules import (
     FiniteModule,
     ModuleFamily,
-    all_submodules,
     composition_length,
     cyclic_submodule,
     decompose_indecomposable,
@@ -42,7 +43,6 @@ from topring.modules import (
     endo_algebra,
     find_isomorphism,
     hom_space,
-    intersection_of_maximals,
     local_T_nilpotency_check,
     module_map_failures,
     noniso_witness_search,
@@ -114,7 +114,7 @@ def test_cyclic_submodule_of_x_in_x_cubed_truncation():
 def test_cyclic_submodule_is_action_closed():
     A = upper_triangular_algebra(F2, 2)
     M = right_regular_module(A)
-    for v in M.all_elements():
+    for v in A.all_elements():
         basis = cyclic_submodule(M, v)
         submodule_module(M, basis)  # raises if not closed
 
@@ -123,7 +123,7 @@ def test_cyclic_submodule_is_action_closed():
 def test_submodule_action_matches_per_vector_solves(side):
     A = upper_triangular_algebra(F3, 2)
     M = right_regular_module(A) if side == "right" else left_regular_module(A)
-    for v in M.all_elements():
+    for v in A.all_elements():
         basis = cyclic_submodule(M, v)
         N, embed = submodule_module(M, basis)
         assert np.array_equal(embed, basis)
@@ -191,14 +191,14 @@ def test_top_is_semisimple():
 )
 def test_module_radical_equals_intersection_of_maximals(make):
     M = make()
-    assert M.cardinality() <= 1024
+    assert M.algebra.field.q ** M.dim <= 1024
     assert np.array_equal(radical_of_module(M), intersection_of_maximals(M))
 
 
 def test_all_submodules_of_two_simples():
     A = product_algebra(field_algebra(F2), field_algebra(F2))
     M = right_regular_module(A)
-    subs = all_submodules(M)
+    subs = all_submodules_loop(M)
     assert [b.shape[0] for b in subs] == [0, 1, 1, 2]
 
 
@@ -374,6 +374,32 @@ def test_certificate_projectors_verify():
         assert np.array_equal(
             linalg.matmul(F2, inj, proj), np.eye(inj.shape[0], dtype=np.int64)
         )
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # the all-ones P_0 squares to 0 and P_0 P_1 != 0: idempotence is tested first
+    (lambda P: [np.ones((2, 2), dtype=np.int64), P[1]], "^projector 0 is not idempotent$"),
+    # P_0 = 1: idempotent, but P_0 P_1 = P_1
+    (lambda P: [np.eye(2, dtype=np.int64), P[1]], "^projectors 0, 1 are not orthogonal$"),
+    # P_1 = 1: z = 0 reaches its orthogonality test first
+    (lambda P: [P[0], np.eye(2, dtype=np.int64)], "^projectors 0, 1 are not orthogonal$"),
+    (lambda P: [P[0]], "^projectors do not sum to the identity$"),
+    (lambda P: [], "^projectors do not sum to the identity$"),
+], ids=["idempotent", "orthogonal-first", "orthogonal-second", "sum", "empty"])
+def test_mutated_decomposition_certificate_trips(mutate, message):
+    A = product_algebra(field_algebra(F2), field_algebra(F2))
+    cert = decompose_indecomposable(right_regular_module(A))
+    verify_decomposition(cert)
+    cert.idempotents = mutate(cert.idempotents)
+    with pytest.raises(AssertionError, match=message):
+        verify_decomposition(cert)
+
+
+def test_zero_dimensional_certificate_verifies():
+    Z = FiniteModule(truncated_poly_algebra(GF(2, 2), 2), np.zeros((2, 0, 0), dtype=np.int64))
+    cert = decompose_indecomposable(Z)
+    assert cert.idempotents == []
+    verify_decomposition(cert)
 
 
 RANDOM_ALGEBRA_POOL = [
@@ -721,11 +747,10 @@ def test_endo_algebra_matches_full_composite_route(build):
 
 
 @pytest.mark.parametrize("A", acceptance._finite_ring_pool() + hidden_block_algebras(), ids=repr)
-def test_all_submodules_matches_per_element_loop(A):
-    M = right_regular_module(A)
-    got, want = all_submodules(M), all_submodules_loop(M)
-    assert len(got) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def test_bruteforce_radical_is_the_intersection_of_maximal_right_ideals(A):
+    # the two exhaustive readings of the Jacobson radical: the unit
+    # condition on 1 - a*x*b and the submodule lattice of A_A
+    assert np.array_equal(radical_bruteforce(A), intersection_of_maximals(right_regular_module(A)))
 
 
 def test_unit_rank_disagreeing_with_the_corner_radical_trips(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import hom_failures_loop
 
-from topring import linalg
+from topring import linalg, towers
 from topring.algebras import (
     ideal_from_generators,
     field_extension_algebra,
@@ -150,18 +150,31 @@ def test_constant_triangular_radical_tower():
         assert np.array_equal(I.basis, np.array([[0, 1, 0]], dtype=np.int64))
 
 
-def test_maximal_ideal_oracle_disagreeing_with_the_radical_trips(monkeypatch):
-    # stacked row reductions that report rank 0 leave the oracle only the
-    # zero submodule, so its intersection of maximals misses rad(F2[x]/(x^2))
-    real = linalg.rref
-
-    def rref(F, M):
-        out = real(F, M)
-        return (out[0], 0 * out[1]) if np.ndim(M) == 3 else out
-
-    monkeypatch.setattr(linalg, "rref", rref)
-    with pytest.raises(TowerError, match="^level 1: radical differs from the maximal-ideal oracle$"):
+def test_brute_force_oracle_disagreeing_with_the_radical_trips(monkeypatch):
+    # an oracle that reads every radical as zero misses rad(F2[x]/(x^2))
+    monkeypatch.setattr(towers, "radical_bruteforce",
+                        lambda R: np.zeros((0, R.dim), dtype=np.int64))
+    with pytest.raises(TowerError, match="^level 1: radical differs from the brute-force oracle$"):
         topological_jacobson_radical(adic_tower(F2, 2))
+
+
+@pytest.mark.parametrize("T,small", [
+    (constant_tower(upper_triangular_algebra(F2, 2), 3), 1),
+    # levels F3[x]/(x^7) and F3[x]/(x^8) have 2187 and 6561 elements
+    (adic_tower(F3, 7), 6),
+], ids=["constant-t2", "adic-f3"])
+def test_brute_force_oracle_runs_once_per_small_level_object(monkeypatch, T, small):
+    seen = []
+    real = towers.radical_bruteforce
+
+    def counting(R):
+        seen.append(R)
+        return real(R)
+
+    monkeypatch.setattr(towers, "radical_bruteforce", counting)
+    topological_jacobson_radical(T)
+    assert len(seen) == len({id(R) for R in seen}) == small
+    assert {id(R) for R in seen} == {id(R) for R in T.levels if R.cardinality() <= 1024}
 
 
 def test_incompatible_ideal_tower_is_rejected():
@@ -298,7 +311,7 @@ def test_semisimple_levels_have_split_modules():
     A = T.levels[1]
     reg = right_regular_module(A)
     samples = 0
-    for v in reg.all_elements()[1:]:
+    for v in A.all_elements()[1:]:
         sub = cyclic_submodule(reg, v)
         if sub.shape[0] == reg.dim:
             continue
