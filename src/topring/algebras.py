@@ -49,7 +49,8 @@ class StructureAlgebra:
             representation.
 
     c, unit and rep are read-only copies of the arrays passed in, so the
-    generators and the radical cached on the object stay valid.
+    generators, the radical and the Fitting splits of endo.bass_flat (one
+    per tail term, keyed by its bytes) cached on the object stay valid.
     """
 
     def __init__(
@@ -74,6 +75,7 @@ class StructureAlgebra:
         self.rep = None if rep is None else _frozen(rep)
         self._gens: list[int] | None = None
         self._radical: SubspaceIdeal | None = None
+        self._fitting: dict[bytes, tuple] = {}
         if check:
             problems = self.diagnostics()
             if problems:

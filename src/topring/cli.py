@@ -191,7 +191,16 @@ def cmd_contratensor(args, loader: serialize.Loader) -> serialize.Report:
     return rep
 
 
+# Longest bass-flat sequence.  The report lists every term and bass_flat
+# takes one product per term, so time and memory grow with --depth; without
+# a cap, --depth 10^9 fills memory with sampled terms before any check fails.
+MAX_BASS_FLAT_DEPTH = 4096
+
+
 def cmd_bass_flat(args, loader: serialize.Loader) -> serialize.Report:
+    if args.depth > MAX_BASS_FLAT_DEPTH:
+        raise ValueError(f"bass-flat --depth {args.depth} exceeds the cap of "
+                         f"{MAX_BASS_FLAT_DEPTH} terms")
     R = loader.algebra(args.inputs[0])
     seq = sample_sequence(R, args.depth, args.seed)
     d = bass_flat(R, seq)

@@ -5,7 +5,10 @@ right multiplications, constant tail convention past the listed terms) and
 certifies projectivity by a split surjection from R.  The section is the
 Fitting projection: right multiplication by a high power of the tail term
 splits R as kernel + image (Lam, First Course, section 19), so a failure to
-split is an internal inconsistency, never a result.
+split is an internal inconsistency, never a result.  The split depends only
+on the ring and the tail term: it is computed and verified once per (ring
+object, tail term), kept on the ring next to its radical, and shared
+read-only by every sequence with that tail.
 
 split_omega_limit_check and sigma_coperfect_check handle the two decidable
 splitting regimes and the descending-chain searches over the endomorphism
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from topring import linalg
-from topring.algebras import AlgebraError, StructureAlgebra, truncated_poly_algebra
+from topring.algebras import AlgebraError, StructureAlgebra, _frozen, truncated_poly_algebra
 from topring.modules import (
     FiniteModule,
     ModuleFamily,
@@ -64,7 +67,9 @@ class BassFlatDatum:
     term.  verdict is always PROJECTIVE over a finite ring, witnessed by a
     module-map section with  section @ projection = identity  exactly: the
     Fitting projection of R onto R*a^N along the kernel, so the section's
-    rows lie in R*a^N."""
+    rows lie in R*a^N.  kernel_basis, colimit, projection and section are
+    computed and verified once per (ring object, tail term) and shared by
+    every datum with that tail; their arrays are read-only."""
 
     ring: StructureAlgebra
     sequence: np.ndarray
@@ -99,8 +104,8 @@ def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
 
     ext = np.vstack([seq] + [seq[-1][None, :]] * (R.dim + 1))
     prefix = [np.eye(R.dim, dtype=np.int64)]
-    for a in ext:
-        prefix.append(linalg.matmul(F, prefix[-1], R.rmul_matrix(a)))
+    for Ra in F.contract("hj,ijk->hik", ext, R.c):
+        prefix.append(linalg.matmul(F, prefix[-1], Ra))
     # rank of each prefix product, all from one stacked row reduction
     ranks = [int(r) for r in linalg.rref(F, np.stack(prefix[1:]))[1]]
     for n in range(len(ranks) - 1):
@@ -111,30 +116,10 @@ def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
         s -= 1
     note = "" if s <= d else "stabilized only in the constant-tail extension"
 
-    # kernel of the canonical map onto the colimit: elements killed by a
-    # stable power of the tail term (the colimit depends only on the tail);
-    # N = 2^t >= dim R, and ker/im of P^N are the same for every such N
-    Pk = R.rmul_matrix(ext[-1])
-    for _ in range((R.dim - 1).bit_length()):
-        Pk = linalg.matmul(F, Pk, Pk)
-    kernel = linalg.row_space_basis(F, linalg.left_null_basis(F, Pk))
-    image = linalg.row_space_basis(F, Pk)
-    LR = left_regular_module(R)
-    B, proj, lift = quotient_module(LR, kernel)
-
-    # Fitting: R = ker + im of P^N as left modules; the section sends a
-    # class to its component in im, read off coordinates in [kernel; image]
-    coords = linalg.inverse(F, np.vstack([kernel, image]))
-    if coords is None:
-        raise InternalInconsistencyError(
-            "Bass colimit over a finite ring failed to split off the free cover; "
-            f"ranks={ranks[:d]}, kernel dim {kernel.shape[0]}")
-    onto_image = linalg.matmul(F, coords[:, kernel.shape[0]:], image)
-    section = linalg.matmul(F, lift, onto_image)
-    if not np.array_equal(linalg.matmul(F, section, proj), np.eye(B.dim, dtype=np.int64)):
-        raise InternalInconsistencyError("split section failed verification")
-    if module_map_failures(B, LR, section).size:
-        raise InternalInconsistencyError("split section is not a module map")
+    key = seq[-1].tobytes()
+    if key not in R._fitting:
+        R._fitting[key] = _fitting_split(R, seq[-1])
+    kernel, B, proj, section = R._fitting[key]
 
     return BassFlatDatum(
         ring=R,
@@ -148,6 +133,40 @@ def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
         section=section,
         note=note,
     )
+
+
+def _fitting_split(R: StructureAlgebra, tail: np.ndarray):
+    """(kernel, colimit, projection, section) of the colimit along the tail term.
+
+    Verified here, once, on the arrays that are then frozen and returned."""
+    F = R.field
+    # kernel of the canonical map onto the colimit: elements killed by a
+    # stable power of the tail term (the colimit depends only on the tail);
+    # N = 2^t >= dim R, and ker/im of P^N are the same for every such N
+    Pk = R.rmul_matrix(tail)
+    for _ in range((R.dim - 1).bit_length()):
+        Pk = linalg.matmul(F, Pk, Pk)
+    kernel = _frozen(linalg.row_space_basis(F, linalg.left_null_basis(F, Pk)))
+    image = linalg.row_space_basis(F, Pk)
+    LR = left_regular_module(R)
+    B, proj, lift = quotient_module(LR, kernel)
+    B.action = _frozen(B.action)
+    proj = _frozen(proj)
+
+    # Fitting: R = ker + im of P^N as left modules; the section sends a
+    # class to its component in im, read off coordinates in [kernel; image]
+    coords = linalg.inverse(F, np.vstack([kernel, image]))
+    if coords is None:
+        raise InternalInconsistencyError(
+            "Bass colimit over a finite ring failed to split off the free cover; "
+            f"kernel dim {kernel.shape[0]}")
+    onto_image = linalg.matmul(F, coords[:, kernel.shape[0]:], image)
+    section = _frozen(linalg.matmul(F, lift, onto_image))
+    if not np.array_equal(linalg.matmul(F, section, proj), np.eye(B.dim, dtype=np.int64)):
+        raise InternalInconsistencyError("split section failed verification")
+    if module_map_failures(B, LR, section).size:
+        raise InternalInconsistencyError("split section is not a module map")
+    return kernel, B, proj, section
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,18 @@ def test_bad_depth_exits_3(capsys):
     assert rc == 3
 
 
+def test_bass_flat_depth_cap(capsys):
+    cap = cli.MAX_BASS_FLAT_DEPTH
+    rc = cli.main(["bass-flat", corpus.path("f3.alg"), "--depth", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"cap of {cap} terms" in captured.err
+    rc, out = run(capsys, "bass-flat", corpus.path("f3.alg"), "--depth", str(cap))
+    assert rc == 0
+    assert f"length {cap}" in lines(out)
+
+
 def test_bad_window_exits_3(capsys):
     rc, _ = run(capsys, "transport", corpus.path("dual2_reg.mod"), "--window", "0")
     assert rc == 3

@@ -154,21 +154,62 @@ def test_bass_flat_fitting_section_against_the_hom_space_route():
 
 
 def test_bass_flat_split_failures_are_inconsistencies(monkeypatch):
+    # a fresh ring: MAT2 may already hold the split for this tail, and a
+    # cached split would never reach the patched functions
+    R = matrix_algebra(F2, 2)
     seq = np.array([[1, 0, 0, 0]], dtype=np.int64)
     with monkeypatch.context() as m:
         m.setattr(linalg, "inverse", lambda F, A: None)
         with pytest.raises(InternalInconsistencyError, match="failed to split"):
-            bass_flat(MAT2, seq)
+            bass_flat(R, seq)
     with monkeypatch.context() as m:
         # a zero coordinate matrix makes the section zero
         m.setattr(linalg, "inverse", lambda F, A: np.zeros_like(A))
         with pytest.raises(InternalInconsistencyError, match="failed verification"):
-            bass_flat(MAT2, seq)
+            bass_flat(R, seq)
     with monkeypatch.context() as m:
         m.setattr(endo, "module_map_failures", lambda M, N, T: np.array([0]))
         with pytest.raises(InternalInconsistencyError, match="not a module map"):
-            bass_flat(MAT2, seq)
-    assert bass_flat(MAT2, seq).verdict == "PROJECTIVE"
+            bass_flat(R, seq)
+    assert bass_flat(R, seq).verdict == "PROJECTIVE"
+
+
+def test_bass_flat_computes_one_split_per_ring_and_tail(monkeypatch):
+    calls = []
+    real = endo._fitting_split
+
+    def counted(R, tail):
+        calls.append(tail.tobytes())
+        return real(R, tail)
+
+    monkeypatch.setattr(endo, "_fitting_split", counted)
+    R = _finite_ring_pool()[8]
+    seqs = [sample_sequence(R, 6, j) for j in range(100)]
+    for seq in seqs:
+        bass_flat(R, seq)
+    assert len(calls) == len(set(calls)) == 31
+    # the same sequences again on the same object: nothing new
+    for seq in seqs:
+        bass_flat(R, seq)
+    assert len(calls) == 31
+    # an equal ring built anew keeps no split of the first one
+    R2 = _finite_ring_pool()[8]
+    assert R2 == R and R2 is not R
+    bass_flat(R2, seqs[0])
+    assert len(calls) == 32
+
+
+def test_bass_flat_shared_split_is_read_only():
+    # tail e_11 in Mat_2(F2): kernel and colimit both have dimension 2
+    R = matrix_algebra(F2, 2)
+    tail = np.array([[1, 0, 0, 0]], dtype=np.int64)
+    d = bass_flat(R, tail)
+    assert d.kernel_basis.shape[0] == d.colimit.dim == 2
+    for arr in (d.section, d.projection, d.kernel_basis, d.colimit.action):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1 - arr[0, 0]
+    again = bass_flat(R, np.vstack([R.unit[None, :], tail]))
+    assert again.section is d.section and again.colimit is d.colimit
 
 
 def test_bass_flat_rejects_bad_sequences():
