@@ -11,15 +11,18 @@ irreducibility check of a given one, the reduction rows x^k mod modulus
 behind MUL) is done in poly, over the prime field GF(p).  poly imports this
 module, so the functions here import poly when they run.
 
-Sums and sums of products (``fsum``, ``contract``) take two routes chosen
-by the extension degree.  Over a prime field (d == 1) an element is its own
-integer residue, so a sum of products is one int64 sum or einsum reduced
-mod p once at the end.  Each term is below (p-1)^2 <= 508^2 < 2^18, so a
-sum of K terms is exact while K * (p-1)^2 < 2^63, i.e. for any K below
-2^45.  Over F_{p^d} with d > 1 the products come from the MUL table, and a
-sum adds digit vectors: the d digits of an element are packed into lanes of
-one int64, so one integer sum adds every digit plane, and each lane is
-reduced mod p once.  Nothing here is approximate.
+Sums and sums of products (``fsum``, ``contract``) are int64 sums reduced
+mod p once.  Addition is coordinatewise on digit vectors, so ``fsum`` adds
+the digit vectors (``DIGITS``) of its terms.  Over a prime field ``contract``
+is one einsum.  Over F_{p^d} with d > 1 it is one batched matmul over F_p:
+the operand with more entries becomes its digit vectors and the other its
+multiplication matrices (``REG``), which gives the same product because the
+field is commutative.  No product tensor is formed; the route holds
+|larger operand|*d, |smaller operand|*d^2 and |output|*d int64.  A digit
+of a sum of K products adds K*d terms below (p-1)^2, so it is exact while
+K*d*(p-1)^2 < 2^63: under the 512-element cap, for any K below 2^45 over a
+prime field (p - 1 <= 508) and below 2^53 over an extension
+(d*(p-1)^2 <= 648, from 19^2).  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -31,13 +34,8 @@ from typing import Sequence
 import numpy as np
 
 # Largest table-backed field.  Each q*q int64 table takes 2 MB at this cap, and
-# the cap keeps p - 1 <= 508 on the prime path, where an int64 sum of K
-# products is exact for any K below 2^45.
+# the cap bounds the int64 sums of the module docstring.
 MAX_FIELD_SIZE = 512
-
-# Entries of the product tensor gathered per step on the extension-field
-# contraction route; the sum is chunked along its first summed index.
-_CONTRACT_CHUNK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -105,15 +103,6 @@ class FiniteField:
             digits[:, i] = t % p
             t = t // p
         self.DIGITS = digits
-        # Lane packing for extension-field sums: digit i of an element sits
-        # in bits [i*W, (i+1)*W) of one int64, so an integer sum of packed
-        # elements adds every digit plane at once.  A lane holds a sum of up
-        # to _lane_cap digits before it could carry into the next one.
-        w = 63 // d
-        self._lane_mask = (1 << w) - 1
-        self._lane_cap = self._lane_mask // (p - 1)
-        self._lane_shifts = w * np.arange(d, dtype=np.int64)
-        self._packed = digits @ (1 << self._lane_shifts)
         self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ self._pp).astype(np.int64)
         self.NEG = (((-digits) % p) @ self._pp).astype(np.int64)
         from topring import poly
@@ -135,7 +124,9 @@ class FiniteField:
         units = np.argwhere(self.MUL == 1)
         inv[units[:, 0]] = units[:, 1]
         self.INV = inv
-        self._mul_packed = self._packed[self.MUL] if d > 1 else None
+        # REG[b][u] holds the digits of x^u * b (x^u is the element p^u), so
+        # the digits of a * b are DIGITS[a] @ REG[b] before reduction mod p
+        self.REG = digits[self.MUL[:, self._pp]]
 
     # -- scalar / elementwise operations (ints or numpy int arrays) --------
 
@@ -174,64 +165,45 @@ class FiniteField:
         return result if result.shape else int(result)
 
     def fsum(self, arr, axis=None):
-        """Field sum of an integer array along the given axis (or all axes).
-
-        Over a prime field this is an integer sum reduced mod p once.
-        Addition in F_{p^d} is coordinatewise mod p on digit vectors, so a
-        long sum is one sum of lane-packed digits, unpacked and reduced mod p
-        once; a sum of more than _lane_cap terms sums the digit rows instead.
-        An empty sum is 0, the zero of the element shape left after the axis.
+        """Field sum of an integer array along the given axis (or all axes):
+        the digit vectors of the terms are added and reduced mod p once.  An
+        empty sum is 0, the zero of the element shape left after the axis.
+        Axes are normalized here, as the gathered digits add a last axis.
         """
         arr = np.asarray(arr, dtype=np.int64)
-        if axis is None:
-            axis = tuple(range(arr.ndim))
-        if self.d == 1:
-            out = arr.sum(axis=axis, dtype=np.int64) % self.p
-        elif np.prod(np.take(arr.shape, axis)) <= self._lane_cap:
-            out = self._unpack(self._packed[arr].sum(axis=axis))
-        else:
-            out = (self.DIGITS[arr].sum(axis=axis) % self.p) @ self._pp
+        nd = arr.ndim
+        axes = range(nd) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+        if not all(-nd <= a < nd for a in axes):
+            raise ValueError(f"axis {axis} is out of bounds for an array of dimension {nd}")
+        axis = tuple(a % nd for a in axes)
+        out = (np.take(self.DIGITS, arr, axis=0).sum(axis) % self.p) @ self._pp
         return out if isinstance(out, np.ndarray) else int(out)
-
-    def _unpack(self, s):
-        """Field elements from sums of lane-packed elements."""
-        lanes = np.asarray(s)[..., None] >> self._lane_shifts & self._lane_mask
-        return lanes % self.p @ self._pp
 
     def contract(self, spec: str, A, B) -> np.ndarray:
         """Exact bilinear einsum over the field, e.g. ``contract('ij,jk->ik', A, B)``.
 
         spec is a two-operand np.einsum subscript string with an explicit
-        output; no operand repeats an index.  Indices absent from the output
-        are summed.  Over a prime field this is one int64 einsum reduced mod p
-        once (exact, see the module docstring).  Over F_{p^d} with d > 1 the
-        products are lookups in a lane-packed copy of the MUL table, summed
-        as fsum does, in chunks along the first summed index so that the
-        product tensor never exceeds _CONTRACT_CHUNK entries per step.
+        output; an index appears at most once per operand and, unless it is
+        in the output, in both operands (ValueError otherwise).  Indices
+        absent from the output are summed.  Over a prime field this is one
+        int64 einsum reduced mod p once; over F_{p^d} with d > 1 it is one
+        matmul of digit vectors by REG matrices (see the module docstring).
         """
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.d == 1:
+            _indices(spec)
             out = np.einsum(spec, A, B)
             out %= self.p
             return out
-        perm_a, view_a, perm_b, view_b, axes, first, step, packed = _layout(
-            spec, A.shape, B.shape, self._lane_cap)
-        Af = A.transpose(perm_a).reshape(view_a)
-        Bf = B.transpose(perm_b).reshape(view_b)
-        if axes == ():
-            return self.MUL[Af, Bf]
-        if packed and step >= first:
-            return self._unpack(self._mul_packed[Af, Bf].sum(axis=axes))
-        acc = None
-        for lo in range(0, max(first, 1), step):
-            part_a, part_b = _head(Af, lo, step, first), _head(Bf, lo, step, first)
-            if packed:
-                part = self._unpack(self._mul_packed[part_a, part_b].sum(axis=axes))
-            else:
-                part = self.fsum(self.MUL[part_a, part_b], axis=axes)
-            acc = part if acc is None else self.ADD[acc, part]
-        return acc
+        swap, perm_x, view_x, perm_y, view_y, shape, perm_out = _layout(
+            spec, A.shape, B.shape, self.d)
+        X, Y = (B, A) if swap else (A, B)
+        X = np.take(self.DIGITS, X, axis=0).transpose(perm_x).reshape(view_x)
+        Y = np.take(self.REG, Y, axis=0).transpose(perm_y).reshape(view_y)
+        out = (X @ Y).reshape(shape)
+        out %= self.p
+        return (out @ self._pp).transpose(perm_out)
 
     def pth_root(self, a):
         """Inverse of Frobenius: the unique b with b^p == a."""
@@ -257,41 +229,56 @@ class FiniteField:
         return f"F_{self.q}" if self.d == 1 else f"F_{self.q}(p={self.p},mod={list(self.modulus)})"
 
 
-@functools.lru_cache(maxsize=4096)
-def _layout(spec: str, shape_a: tuple, shape_b: tuple, lane_cap: int):
-    """Broadcast layout of a two-operand einsum for the table route.
+@functools.lru_cache(maxsize=256)
+def _indices(spec: str) -> tuple[str, str, str]:
+    """The operand and output subscripts of a two-operand einsum spec.
 
-    Both operands are viewed over one index order, the summed indices first
-    and then the output ones, with size 1 where an operand lacks an index.
-    Returns (perm_a, view_a, perm_b, view_b, axes, first, step, packed):
-    perm_x orders operand x's axes, view_x is its broadcast shape, axes are
-    the summed ones, first is the size of the first of them, step the chunk
-    of it that keeps a product tensor within _CONTRACT_CHUNK entries and a
-    lane within lane_cap terms, and packed says whether one value of the
-    first summed index already fits a lane."""
+    Raises ValueError for a repeated index in one subscript, an output
+    index in neither operand, or an index summed inside one operand."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    for sub in (sa, sb):
+    for sub in (sa, sb, out):
         if len(set(sub)) != len(sub):
-            raise ValueError(f"repeated index in operand {sub!r}")
-    summed = "".join(x for x in dict.fromkeys(sa + sb) if x not in out)
-    full = summed + out
+            raise ValueError(f"repeated index in {sub!r} of {spec!r}")
+    if set(out) - set(sa + sb):
+        raise ValueError(f"output index of {spec!r} in neither operand")
+    if (set(sa) ^ set(sb)) - set(out):
+        raise ValueError(f"index summed inside one operand of {spec!r}")
+    return sa, sb, out
+
+
+@functools.lru_cache(maxsize=4096)
+def _layout(spec: str, shape_a: tuple, shape_b: tuple, d: int):
+    """Views of a two-operand einsum over F_{p^d} as one batched matmul.
+
+    X, the operand with more entries, is gathered as digit vectors (axis u)
+    and viewed as (batch, free in X, summed * u); Y, the other, is gathered
+    as REG matrices (axes u, v) and viewed as (batch, summed * u, free in
+    Y * v).  Batch indices are in both operands and the output, free ones
+    in one operand and the output, summed ones in both operands only.
+    Returns whether X is B, the transpose and view of each operand, the
+    shape of the product before the digits v are folded, and the transpose
+    that puts the folded result in output order."""
+    sa, sb, out = _indices(spec)
     sizes = dict(zip(sa, shape_a)) | dict(zip(sb, shape_b))
-    views = []
-    for sub in (sa, sb):
-        views.append(tuple(sub.index(x) for x in full if x in sub))
-        views.append(tuple(sizes[x] if x in sub else 1 for x in full))
-    axes = 0 if len(summed) == 1 else tuple(range(len(summed)))
-    first = sizes[full[0]] if summed else 0
-    rest = max(math.prod(sizes[x] for x in summed[1:]), 1)
-    step = max(1, _CONTRACT_CHUNK // max(math.prod(sizes[x] for x in full[1:]), 1))
-    step = min(step, max(1, lane_cap // rest))
-    return (*views, axes, first, step, rest <= lane_cap)
+    swap = math.prod(shape_b) > math.prod(shape_a)
+    sx, sy = (sb, sa) if swap else (sa, sb)
+    batch = [x for x in out if x in sx and x in sy]
+    free_x = [x for x in out if x in sx and x not in sy]
+    free_y = [x for x in out if x in sy and x not in sx]
+    summed = [x for x in sx if x not in out]
 
+    def size(idx):
+        return math.prod(sizes[x] for x in idx)
 
-def _head(X: np.ndarray, lo: int, step: int, size: int) -> np.ndarray:
-    """Rows [lo, lo + step) of axis 0, unless X broadcasts along it."""
-    return X[lo : lo + step] if X.shape[0] == size else X
+    perm_x = (*[sx.index(x) for x in batch + free_x + summed], len(sx))
+    perm_y = (*[sy.index(x) for x in batch + summed], len(sy),
+              *[sy.index(x) for x in free_y], len(sy) + 1)
+    view_x = (size(batch), size(free_x), size(summed) * d)
+    view_y = (size(batch), size(summed) * d, size(free_y) * d)
+    res = batch + free_x + free_y
+    return (swap, perm_x, view_x, perm_y, view_y, (*[sizes[x] for x in res], d),
+            tuple(res.index(x) for x in out))
 
 
 def GF(p: int, d: int = 1, modulus: Sequence[int] | None = None) -> FiniteField:

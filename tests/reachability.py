@@ -47,8 +47,6 @@ ALLOWED = {
     "modules.FiniteModule.apply": "acts on one element; the pipelines act on whole stacks",
     "modules.find_isomorphism": "class witness; no bundled module has a summand class "
                                 "with two members",
-    "fields._head": "chunks extension-field contractions larger than one chunk, which no "
-                    "bundled input reaches; tests/test_fields.py drives it",
 }
 
 

@@ -3,7 +3,6 @@ the scalar table oracle."""
 
 from __future__ import annotations
 
-import contextlib
 import re
 from pathlib import Path
 
@@ -68,6 +67,18 @@ def test_fsum_of_nothing_is_zero(F):
     assert F.fsum([], axis=0) == 0
     assert F.fsum([]) == 0
     assert np.array_equal(F.fsum(np.zeros((0, 3), dtype=np.int64), axis=0), [0, 0, 0])
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(2, 2)], ids=str)
+def test_fsum_axes_are_checked_not_wrapped(F):
+    # the gathered digits add a last axis, so an out-of-range axis must not
+    # wrap round to a summed axis or reach the digit axis
+    arr = np.arange(6).reshape(2, 3) % F.q
+    for axis in (2, -3, (0, 2)):
+        with pytest.raises(ValueError):
+            F.fsum(arr, axis=axis)
+    assert np.array_equal(F.fsum(arr, axis=(-1,)), F.fsum(arr, axis=1))
+    assert F.fsum(arr, axis=(0, -1)) == F.fsum(arr)
 
 
 def test_default_modulus_is_frozen_for_f16():
@@ -149,14 +160,28 @@ def test_field_identity_and_cache():
 # The contraction kernel against the scalar table oracle
 # ---------------------------------------------------------------------------
 
-KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 4)]
+KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (7, 3)]
 
-# every spec the library contracts with, plus a full contraction
+# every spec the library contracts with, plus an outer product and a full
+# contraction
 KERNEL_SPECS = [
-    "ij,jk->ik", "i,ij->j", "i,ijk->jk", "j,ijk->ik", "i,j->ij", "ij,ijk->k",
-    "mi,ijk->mjk", "mj,mjk->mk", "ijm,mkl->ijkl", "jkm,iml->ijkl",
-    "irt,jtr->ijr", "ac,bd->abcd", "i,i->",
+    "ab,jbc->jac", "abk,kc->abc", "ac,bd->abcd", "gjk,kl->gjl", "hi,ijk->hjk",
+    "hj,ijk->hik", "i,i->", "i,ij->j", "i,ijk->jk", "i,j->ij", "ia,ajk->ijk",
+    "ij,ajk->iak", "ij,ijk->k", "ij,jk->ik", "ijk,kl->ijl", "ijm,mkl->ijkl",
+    "ijtp,pl->ijtl", "irk,kl->irl", "irt,jtr->ijr", "itk,jkl->ijtl", "j,ijk->ik",
+    "jb,abk->jak", "jk,gkl->gjl", "jk,kab->jab", "jkm,iml->ijkl", "jst,axtc->jaxsc",
+    "mi,ijk->mjk", "mj,mjk->mk", "ri,ijk->rjk", "ri,jik->rjk", "rj,hjk->hrk",
+    "rj,ijk->irk", "ryb,jbc->jryc", "t,iab->itba", "t,jab->jtab", "vi,ijk->vjk",
+    "vj,hjk->hvk", "vj,ijk->vik", "xyi,ijk->xyjk", "xyjk,yzj->xzk", "yi,ijk->yjk",
+    "yjk,yzj->zk", "zab,wbc->zwac",
 ]
+
+
+def test_kernel_specs_cover_the_library():
+    src = Path(fields.__file__).parent
+    used = {spec for path in src.glob("*.py")
+            for spec in re.findall(r'contract\("([^"]*)"', path.read_text())}
+    assert used and used - set(KERNEL_SPECS) == set()
 
 
 def _elements(data, F, shape):
@@ -165,52 +190,41 @@ def _elements(data, F, shape):
     return np.array(flat, dtype=np.int64).reshape(shape)
 
 
-@contextlib.contextmanager
-def _chunk(entries):
-    """Run the extension-field route with a given product-tensor chunk."""
-    saved = fields._CONTRACT_CHUNK
-    fields._CONTRACT_CHUNK = entries
-    fields._layout.cache_clear()
-    try:
-        yield
-    finally:
-        fields._CONTRACT_CHUNK = saved
-        fields._layout.cache_clear()
-
-
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(field=st.sampled_from(KERNEL_FIELDS), spec=st.sampled_from(KERNEL_SPECS),
-       chunk=st.sampled_from([None, 1, 5]), lane_cap=st.sampled_from([None, 1, 3]),
        data=st.data())
-def test_contract_matches_table_oracle(field, spec, chunk, lane_cap, data):
-    # chunk and lane_cap shrink the extension-field route's limits so the
-    # chunked and the unpacked-digit routes run on small inputs too
-    F = FiniteField(*field)
-    if lane_cap is not None:
-        F._lane_cap = lane_cap
+def test_contract_matches_table_oracle(field, spec, data):
+    F = GF(*field)
     ins = spec.split("->")[0]
     sa, sb = ins.split(",")
     sizes = {x: data.draw(st.integers(0, 3)) for x in dict.fromkeys(sa + sb)}
     A = _elements(data, F, [sizes[x] for x in sa])
     B = _elements(data, F, [sizes[x] for x in sb])
-    with _chunk(chunk or fields._CONTRACT_CHUNK):
-        got = F.contract(spec, A, B)
-    assert np.array_equal(got, table_contract(F, spec, A, B))
+    assert np.array_equal(F.contract(spec, A, B), table_contract(F, spec, A, B))
 
 
 @settings(max_examples=100, deadline=None)
-@given(field=st.sampled_from(KERNEL_FIELDS), lane_cap=st.sampled_from([None, 1, 2]),
+@given(field=st.sampled_from(KERNEL_FIELDS),
        shape=st.lists(st.integers(0, 4), min_size=1, max_size=3), data=st.data())
-def test_fsum_matches_table_oracle(field, lane_cap, shape, data):
-    F = FiniteField(*field)
-    if lane_cap is not None:
-        F._lane_cap = lane_cap
+def test_fsum_matches_table_oracle(field, shape, data):
+    F = GF(*field)
     arr = _elements(data, F, shape)
-    axis = data.draw(st.integers(0, len(shape) - 1))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
     assert np.array_equal(F.fsum(arr, axis=axis), table_fsum(F, arr, axis))
     total = F.fsum(arr)
     assert isinstance(total, int)
     assert total == int(table_fsum(F, arr.reshape(-1), 0))
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(2, 2)], ids=str)
+@pytest.mark.parametrize("spec", ["ii,i->i", "ij,jk->ii", "ij,jk->il", "ij,k->ik", "ij,jk->i"])
+def test_contract_rejects_the_same_malformed_specs_over_every_field(F, spec):
+    # a repeated index, an output index in neither operand, or an index
+    # summed inside one operand; np.einsum would take a diagonal of "ii"
+    ins = spec.split("->")[0].split(",")
+    A, B = (np.ones((2,) * len(sub), dtype=np.int64) for sub in ins)
+    with pytest.raises(ValueError):
+        F.contract(spec, A, B)
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,9 +250,9 @@ def test_prime_contract_exact_at_the_field_cap():
     assert F.fsum(np.full(4000, 508)) == (4000 * 508) % 509
 
 
-def test_extension_sums_past_the_lane_cap():
-    # GF(256) packs a digit into 7 bits, so 127 terms fill a lane; longer
-    # sums must take the digit-row route and agree with the oracle
+def test_long_extension_sums_are_exact():
+    # long sums against the oracle, and sums whose terms have every digit
+    # at p - 1: the largest integer sums before the one reduction mod p
     F = GF(2, 8)
     rng = np.random.default_rng(3)
     A = rng.integers(0, F.q, size=(3, 12, 12))
@@ -247,8 +261,6 @@ def test_extension_sums_past_the_lane_cap():
                           table_contract(F, "itu,tuk->ik", A, B))
     arr = rng.integers(0, F.q, size=(300, 4))
     assert np.array_equal(F.fsum(arr, axis=0), table_fsum(F, arr, 0))
-    # worst case for a lane: every term has all eight digits equal to 1,
-    # so a lane fills up after exactly 127 terms
     full = np.full(300, F.q - 1, dtype=np.int64)
     assert F.fsum(full[:127]) == F.q - 1
     assert F.fsum(full[:128]) == 0
@@ -257,3 +269,13 @@ def test_extension_sums_past_the_lane_cap():
                        np.full((300, 3), F.q - 1)) == 0).all()
     assert (F.contract("itu,tuk->ik", np.ones((2, 12, 12), dtype=np.int64),
                        np.full((12, 12, 3), F.q - 1)) == 0).all()
+    # a sum of 4097 terms over GF(512)
+    F = GF(2, 9)
+    full = np.full(4097, F.q - 1, dtype=np.int64)
+    assert F.fsum(full) == F.q - 1
+    assert F.fsum(full[:4096]) == 0
+    assert F.contract("i,i->", np.ones(4097, dtype=np.int64), full) == F.q - 1
+    assert (F.contract("ij,jk->ik", np.ones((2, 4096), dtype=np.int64),
+                       np.full((4096, 3), F.q - 1)) == 0).all()
+    a, b = rng.integers(0, F.q, size=(2, 4097))
+    assert F.contract("i,i->", a, b) == table_contract(F, "i,i->", a, b)
