@@ -443,28 +443,63 @@ def hom_failures(A: StructureAlgebra, B: StructureAlgebra, T: np.ndarray) -> np.
 
 
 def _batch_power_mod(W: np.ndarray, e: int, m: int) -> np.ndarray:
-    """W^e mod m for a stack (T, N, N) of integer matrices."""
-    T, N = W.shape[0], W.shape[1]
-    result = np.broadcast_to(np.eye(N, dtype=np.int64), (T, N, N)).copy()
-    base = W % m
+    """W^e mod m for a stack (T, N, N) of integer matrices and e >= 1.
+
+    Left-to-right square-and-multiply from W mod m: every bit of e below
+    the top one costs a squaring and every set one a product more, so
+    W^(2^k) takes k batched products and W^1 none."""
     e = int(e)
-    while e > 0:
-        if e & 1:
+    if e < 1:
+        raise ValueError("exponent must be >= 1")
+    base = W % m
+    result = base
+    for bit in bin(e)[3:]:
+        result = np.matmul(result, result) % m
+        if bit == "1":
             result = np.matmul(result, base) % m
-        base = np.matmul(base, base) % m
-        e >>= 1
     return result
+
+
+def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
+    """Gram matrix of the i-th divided trace form on a stack (m, N, N) of
+    matrices over F_p: entry (s, t) is tr((M_s M_t)^(p^i)) / p^i mod p,
+    computed on the integer lifts in [0, p).
+
+    Level 0 is the bilinear form tr(M_s M_t), one contraction over all
+    pairs.  A level i >= 1 powers the products M_s M_t for t >= s, one s
+    at a time, so it holds O(m*N^2) integers, and raises AssertionError
+    if a trace is not divisible by p^i."""
+    if i == 0:
+        return np.einsum("sab,tba->st", mats, mats) % p
+    m_dim = mats.shape[0]
+    step = p ** i
+    modulus = step * p
+    gram = np.zeros((m_dim, m_dim), dtype=np.int64)
+    for s in range(m_dim):
+        prods = np.matmul(mats[s][None, :, :], mats[s:]) % modulus
+        tr = _batch_power_mod(prods, step, modulus).trace(axis1=1, axis2=2) % modulus
+        if np.any(tr % step):
+            raise AssertionError("divided trace not divisible; filtration broken")
+        g = (tr // step) % p
+        gram[s, s:] = g
+        gram[s:, s] = g
+    return gram
 
 
 def radical(A: StructureAlgebra) -> SubspaceIdeal:
     """Largest nilpotent two-sided ideal (the Jacobson radical).
 
     Computed over the prime field by iterated kernels of the divided trace
-    forms (x, y) -> tr((XY)^(p^i)) / p^i mod p on a faithful representation,
-    using exact integer lifts.  The result is verified to be a nilpotent
-    two-sided ideal whose quotient has zero radical.  It is computed and
-    verified once per algebra object and kept on it; every later call
-    returns the same ideal.
+    forms (x, y) -> tr((XY)^(p^i)) / p^i mod p on a faithful representation
+    of F_p-dimension N, for p^i <= N, using exact integer lifts.  Level 0
+    is bilinear, tr(XY) mod p, and is one int64 contraction over all
+    pairs, exact while N^2*(p-1)^2 < 2^63.  Each level i >= 1 powers the
+    products mod p^(i+1) by square-and-multiply, exact while
+    N*(p^(i+1)-1)^2 < 2^63; p^i <= N keeps that below p^2*N^3, so both
+    hold for any N below 10^4 and p below the field cap of 512.  The
+    result is verified to be a nilpotent two-sided ideal whose quotient
+    has zero radical.  It is computed and verified once per algebra object
+    and kept on it; every later call returns the same ideal.
     """
     if A._radical is None:
         A._radical = _radical(A)
@@ -494,18 +529,7 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
         if m_dim == 0:
             break
         mats = (J.astype(np.int64) @ pmats.reshape(n * d, N * N)).reshape(m_dim, N, N) % p
-        modulus = p ** (i_level + 1)
-        gram = np.zeros((m_dim, m_dim), dtype=np.int64)
-        for s in range(m_dim):
-            prods = np.matmul(mats[s][None, :, :], mats[s:]) % modulus
-            powered = _batch_power_mod(prods, p ** i_level, modulus)
-            tr = powered.trace(axis1=1, axis2=2) % modulus
-            if np.any(tr % (p ** i_level)):
-                raise AssertionError("divided trace not divisible; filtration broken")
-            g = (tr // (p ** i_level)) % p
-            gram[s, s:] = g
-            gram[s:, s] = g
-        kernel = linalg.left_null_basis(Fp, gram)
+        kernel = linalg.left_null_basis(Fp, _trace_gram(mats, p, i_level))
         J = linalg.row_space_basis(Fp, (kernel @ J) % p)
         i_level += 1
     # back to F_q coordinates

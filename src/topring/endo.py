@@ -403,20 +403,21 @@ def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random):
     bases: list[np.ndarray] = []
     space = np.eye(Mod.dim, dtype=np.int64)
     limit = Mod.dim + 1
+    eff = Mod.eff_basis()
     while len(gens) <= depth + 1:
-        best = None
-        for v in candidates(space):
-            b = cyclic_submodule(Mod, v)
-            if b.shape[0] == 0 or b.shape[0] >= limit:
-                continue
-            if best is None or b.shape[0] > best[1].shape[0]:
-                best = (v, b)
-        if best is None:
+        # candidate c's cyclic submodule, as in cyclic_submodule, is the
+        # row space of matrix c of the contraction; one rref reduces them all
+        V = np.stack(candidates(space))
+        R, ranks = linalg.rref(F, F.contract("cj,ijk->cik", V, eff))
+        fits = np.flatnonzero((ranks > 0) & (ranks < limit))
+        if fits.size == 0:
             break
-        gens.append(best[0])
-        bases.append(best[1])
-        space = best[1]
-        limit = best[1].shape[0]
+        # the first candidate of the largest rank below the current member
+        c = fits[np.argmax(ranks[fits])]
+        limit = int(ranks[c])
+        gens.append(V[c])
+        bases.append(R[c, :limit].copy())
+        space = bases[-1]
     if bases:
         gens.append(np.zeros(Mod.dim, dtype=np.int64))
         bases.append(np.zeros((0, Mod.dim), dtype=np.int64))

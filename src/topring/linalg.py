@@ -123,6 +123,23 @@ def row_space_basis(F: FiniteField, M: np.ndarray) -> np.ndarray:
     return rref(F, M)[0]
 
 
+def row_space_bases(F: FiniteField, spans, n: int) -> list[np.ndarray]:
+    """row_space_basis of every matrix of a list, each of shape (k, n) with
+    its own k, from one stacked rref.
+
+    The matrices are padded with zero rows to the largest k, which leaves
+    every row space as it is; when every k is 0 nothing is reduced."""
+    spans = [np.asarray(s, dtype=np.int64) for s in spans]
+    height = max((s.shape[0] for s in spans), default=0)
+    if height == 0:
+        return [np.zeros((0, n), dtype=np.int64) for _ in spans]
+    stack = np.zeros((len(spans), height, n), dtype=np.int64)
+    for b, s in enumerate(spans):
+        stack[b, : s.shape[0]] = s
+    R, ranks = rref(F, stack)
+    return [R[b, :r] for b, r in enumerate(ranks)]
+
+
 def residual(F: FiniteField, R: np.ndarray, pivots: list[int], V: np.ndarray) -> np.ndarray:
     """V - V[:, pivots] @ R, row by row, for an RREF basis R with its pivot
     columns (as rref returns them).

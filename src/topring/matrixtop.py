@@ -166,8 +166,8 @@ def windowed(base: StructureAlgebra, y_kind: str, entries: np.ndarray,
         tails = [_zero_basis(base.dim) for _ in range(W)]
     if precisions is None:
         precisions = [_zero_basis(base.dim) for _ in range(W)]
-    tails = [linalg.row_space_basis(base.field, t) for t in tails]
-    precisions = [linalg.row_space_basis(base.field, p) for p in precisions]
+    tails = linalg.row_space_bases(base.field, tails, base.dim)
+    precisions = linalg.row_space_bases(base.field, precisions, base.dim)
     m = WindowedMatrix(base, y_kind, W, entries, extras, tails, precisions)
     if check:
         problems = windowed_diagnostics(m)

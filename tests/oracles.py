@@ -34,7 +34,11 @@ matrix_unit_relation_failure, transport_action_loop, corner_action_loop,
 contratensor_loop, regular_actions_loop and level_action_loop, and
 right_null_basis_loop and hom_space_loop (the per-(free, pivot) loop of
 linalg.right_null_basis and the per-generator Kronecker blocks of
-modules.hom_space).
+modules.hom_space).  Last come batch_power_loop and trace_gram_loop (the
+power by e - 1 products and the per-pair divided trace forms that
+algebras._radical computes by square-and-multiply and, at level 0, by one
+contraction) and greedy_chain_loop (the per-candidate cyclic submodules
+that endo._greedy_cyclic_chain reduces as one stack).
 """
 
 from __future__ import annotations
@@ -864,3 +868,80 @@ def hom_space_loop(M, N) -> np.ndarray:
         null = right_null_basis_loop(F, np.vstack(blocks))
         null = linalg.row_space_basis(F, null)
     return null.reshape(null.shape[0], M.dim, N.dim)
+
+
+def batch_power_loop(W, e: int, m: int) -> np.ndarray:
+    """W^e mod m for a stack of integer matrices, e >= 1: e - 1 products
+    by W, one matrix at a time, with Python integers."""
+    out = []
+    for M in np.asarray(W, dtype=np.int64):
+        M = [[int(x) % m for x in row] for row in M]
+        size = len(M)
+        acc = M
+        for _ in range(e - 1):
+            acc = [[sum(acc[a][k] * M[k][b] for k in range(size)) % m for b in range(size)]
+                   for a in range(size)]
+        out.append(acc)
+    return np.array(out, dtype=np.int64).reshape(np.shape(W))
+
+
+def trace_gram_loop(mats, p: int, i: int) -> np.ndarray:
+    """The i-th divided trace form of algebras._radical, one pair (s, t) at
+    a time: tr((M_s M_t)^(p^i)) / p^i mod p, with the power taken by
+    batch_power_loop mod p^(i+1)."""
+    mats = np.asarray(mats, dtype=np.int64)
+    m = mats.shape[0]
+    modulus = p ** (i + 1)
+    gram = np.zeros((m, m), dtype=np.int64)
+    for s in range(m):
+        for t in range(m):
+            prod = (mats[s] @ mats[t]) % modulus
+            tr = int(np.trace(batch_power_loop(prod[None], p ** i, modulus)[0])) % modulus
+            if tr % p ** i:
+                raise AssertionError("divided trace not divisible")
+            gram[s, t] = tr // p ** i % p
+    return gram
+
+
+def greedy_chain_loop(Mod, depth: int, rng) -> tuple[list, list]:
+    """endo._greedy_cyclic_chain before it row-reduced its candidates as one
+    stack: one cyclic_submodule per candidate, keeping the first of the
+    largest rank below the current member."""
+    from topring import linalg
+    from topring.modules import cyclic_submodule
+
+    F = Mod.algebra.field
+
+    def candidates(space):
+        out = [space[i] for i in range(space.shape[0])]
+        for _ in range(48):
+            coeffs = np.array([rng.randrange(F.q) for _ in range(space.shape[0])],
+                              dtype=np.int64)
+            v = linalg.matvec(F, coeffs, space)
+            if v.any():
+                out.append(v)
+        seen, uniq = set(), []
+        for v in out:
+            if v.tobytes() not in seen:
+                seen.add(v.tobytes())
+                uniq.append(v)
+        return uniq
+
+    gens, bases = [], []
+    space = np.eye(Mod.dim, dtype=np.int64)
+    limit = Mod.dim + 1
+    while len(gens) <= depth + 1:
+        best = None
+        for v in candidates(space):
+            b = cyclic_submodule(Mod, v)
+            if 0 < b.shape[0] < limit and (best is None or b.shape[0] > best[1].shape[0]):
+                best = (v, b)
+        if best is None:
+            break
+        gens.append(best[0])
+        bases.append(best[1])
+        space, limit = best[1], best[1].shape[0]
+    if bases:
+        gens.append(np.zeros(Mod.dim, dtype=np.int64))
+        bases.append(np.zeros((0, Mod.dim), dtype=np.int64))
+    return gens, bases

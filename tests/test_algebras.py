@@ -1,5 +1,11 @@
 """Structure-constant algebras: validation, radical, quotients, ideals."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +50,9 @@ from oracles import (
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2)
+F5 = GF(5)
+F8 = GF(2, 3)
+F9 = GF(3, 2)
 
 
 def mat2_over_dual_numbers():
@@ -101,12 +110,97 @@ NAMED_ALGEBRAS = [
     ("F16/F2", field_extension_algebra(F2, 4)),
     ("Mat2(F2[x]/(x^2))", mat2_over_dual_numbers()),
     ("T2(F2) x F2[x]/(x^2)", product_algebra(upper_triangular_algebra(F2, 2), truncated_poly_algebra(F2, 2))),
+    ("T2(F8)", upper_triangular_algebra(F8, 2)),
+    ("F8[x]/(x^3)", truncated_poly_algebra(F8, 3)),
+    ("F9[x]/(x^2)", truncated_poly_algebra(F9, 2)),
+    # the trace forms reach level 1, whose power is x^5
+    ("F5[x]/(x^5)", truncated_poly_algebra(F5, 5)),
 ]
 
 
 @pytest.mark.parametrize("name,A", NAMED_ALGEBRAS, ids=[n for n, _ in NAMED_ALGEBRAS])
 def test_radical_matches_bruteforce(name, A):
     assert np.array_equal(radical(A).basis, radical_bruteforce(A))
+
+
+def diagonal_algebra(F, n, check=True):
+    """F^n with its coordinate idempotents as basis."""
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[np.arange(n), np.arange(n), np.arange(n)] = 1
+    return StructureAlgebra(F, c, np.ones(n, dtype=np.int64), check=check)
+
+
+def natural_matrix_algebra(F, k):
+    """Mat_k(F) acting on F^k: the basis E_ab is its own k x k matrix."""
+    A = matrix_algebra(F, k)
+    rep = np.zeros((k * k, k, k), dtype=np.int64)
+    for a in range(k):
+        for b in range(k):
+            rep[a * k + b, a, b] = 1
+    return StructureAlgebra(F, A.c, A.unit, check=False, rep=rep)
+
+
+@pytest.mark.parametrize("A", [
+    diagonal_algebra(F8, 32, check=False), diagonal_algebra(F4, 8),
+    natural_matrix_algebra(F4, 4), matrix_algebra(F4, 3), field_extension_algebra(F8, 2),
+], ids=["GF8^32", "GF4^8", "Mat4(GF4) natural", "Mat3(GF4)", "GF64/GF8"])
+def test_semisimple_radical_finishes_at_level_zero(monkeypatch, A):
+    # a nondegenerate trace form leaves no kernel, so nothing is powered;
+    # Mat4(GF4) needs its natural representation, because its regular
+    # one is four copies of it and has trace form zero in characteristic 2
+    def no_powers(W, e, m):
+        raise AssertionError("a level past 0 was reached")
+
+    monkeypatch.setattr(algebras, "_batch_power_mod", no_powers)
+    assert radical(A).is_zero()
+
+
+@pytest.mark.parametrize("A", [
+    diagonal_algebra(F2, 4), diagonal_algebra(F8, 3), matrix_algebra(F4, 3),
+    field_extension_algebra(F3, 2),
+], ids=["F2^4", "GF8^3", "Mat3(GF4)", "F9/F3"])
+def test_zeroed_level_zero_gram_makes_radical_raise(monkeypatch, A):
+    # the whole algebra survives level 0 and fails the divisibility check
+    # at level 1, or else the nilpotency check; it is never returned
+    gram = algebras._trace_gram
+
+    def zeroed(mats, p, i):
+        out = gram(mats, p, i)
+        return np.zeros_like(out) if i == 0 else out
+
+    monkeypatch.setattr(algebras, "_trace_gram", zeroed)
+    with pytest.raises((AssertionError, AlgebraError)):
+        radical(A)
+
+
+def test_radical_ladder_fits_in_600_mb():
+    # every level holds O(m*N^2) integers at a time (about 55 MB peak in
+    # all); the products M_s M_t of all pairs would take 680 MB for
+    # diagonal GF(8)^32, where m = N = 96
+    script = """
+import numpy as np
+from topring.algebras import StructureAlgebra, radical, truncated_poly_algebra
+from topring.fields import GF
+def diag(F, n):
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[np.arange(n), np.arange(n), np.arange(n)] = 1
+    return StructureAlgebra(F, c, np.ones(n, dtype=np.int64), check=False)
+T = truncated_poly_algebra(GF(2), 32)
+for A in (diag(GF(2), 64), diag(GF(2, 3), 32), T):
+    print(radical(A).dim)
+"""
+    cap = 600 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(algebras.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "31"]
 
 
 def test_radical_transports_under_basis_change():

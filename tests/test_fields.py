@@ -165,8 +165,8 @@ KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (7, 3)]
 # every spec the library contracts with, plus an outer product and a full
 # contraction
 KERNEL_SPECS = [
-    "ab,jbc->jac", "abk,kc->abc", "ac,bd->abcd", "gjk,kl->gjl", "hi,ijk->hjk",
-    "hj,ijk->hik", "i,i->", "i,ij->j", "i,ijk->jk", "i,j->ij", "ia,ajk->ijk",
+    "ab,jbc->jac", "abk,kc->abc", "ac,bd->abcd", "cj,ijk->cik", "gjk,kl->gjl",
+    "hi,ijk->hjk", "hj,ijk->hik", "i,i->", "i,ij->j", "i,ijk->jk", "i,j->ij", "ia,ajk->ijk",
     "ij,ajk->iak", "ij,ijk->k", "ij,jk->ik", "ijk,kl->ijl", "ijm,mkl->ijkl",
     "ijtp,pl->ijtl", "irk,kl->irl", "irt,jtr->ijr", "itk,jkl->ijtl", "j,ijk->ik",
     "jb,abk->jak", "jk,gkl->gjl", "jk,kab->jab", "jkm,iml->ijkl", "jst,axtc->jaxsc",

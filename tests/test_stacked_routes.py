@@ -2,11 +2,12 @@
 loops they replaced (tests/oracles.py): prime restrictions, matrix units
 with their relation check, transport and corner actions, contratensor
 relations and iso, regular actions, the level modules of a tower, right
-null bases and Hom spaces.
+null bases and Hom spaces, the powers and trace forms of the radical, the
+greedy chain of cyclic submodules and the stacked window bases.
 
 Inputs are every bundled module and tower, the algebras of the lifting and
-perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(8) and
-GF(9), and random matrices over GF(2), GF(3), GF(4) and GF(9)."""
+perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(5), GF(8)
+and GF(9), and random matrices over GF(2), GF(3), GF(4) and GF(9)."""
 
 import random
 
@@ -16,19 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    batch_power_loop,
     contratensor_loop,
     corner_action_loop,
+    greedy_chain_loop,
     hom_space_loop,
     level_action_loop,
     matrix_unit_relation_failure,
     matrix_units_loop,
+    naive_rref,
     prime_restriction_per_matrix,
     regular_actions_loop,
     right_null_basis_loop,
+    trace_gram_loop,
     transport_action_loop,
 )
-from topring import acceptance, corpus, linalg
+from topring import acceptance, algebras, corpus, endo, linalg
 from topring.algebras import (
+    StructureAlgebra,
     field_algebra,
     matrix_algebra,
     peirce_corner,
@@ -38,8 +44,14 @@ from topring.algebras import (
     upper_triangular_algebra,
 )
 from topring.fields import GF
-from topring.matrixtop import contratensor, free_contra_corner, transport_discrete
-from topring.modules import FiniteModule, hom_space, left_regular_module, right_regular_module
+from topring.matrixtop import contratensor, free_contra_corner, transport_discrete, windowed
+from topring.modules import (
+    FiniteModule,
+    direct_sum,
+    hom_space,
+    left_regular_module,
+    right_regular_module,
+)
 from topring.serialize import Loader
 from topring.towers import _level_as_module, adic_tower, constant_tower
 from topring.wedderburn import (
@@ -234,3 +246,128 @@ def test_hom_space_of_regular_modules(A):
     right, left = right_regular_module(A), left_regular_module(A)
     _assert_hom_space_matches_loop(right, right)
     _assert_hom_space_matches_loop(left, left)
+
+
+# ---------------------------------------------------------------------------
+# powers and trace forms of the radical
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 9, 16, 25, 27])
+def test_batch_power_mod_matches_repeated_products(p, e):
+    rng = np.random.default_rng(100 * p + e)
+    m = p ** 3
+    # entries past the modulus too: the power starts from W mod m
+    W = rng.integers(0, 3 * m, size=(3, 4, 4))
+    assert np.array_equal(algebras._batch_power_mod(W, e, m), batch_power_loop(W, e, m))
+
+
+def test_batch_power_mod_rejects_exponent_zero():
+    with pytest.raises(ValueError):
+        algebras._batch_power_mod(np.zeros((1, 2, 2), dtype=np.int64), 0, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_level_zero_gram_matches_the_pair_loop(p):
+    rng = np.random.default_rng(p)
+    for m, N in [(0, 2), (1, 1), (3, 4), (7, 5)]:
+        mats = rng.integers(0, p, size=(m, N, N))
+        assert np.array_equal(algebras._trace_gram(mats, p, 0), trace_gram_loop(mats, p, 0))
+
+
+GRAM_ALGEBRAS = [
+    upper_triangular_algebra(GF(2, 3), 2), truncated_poly_algebra(GF(2, 3), 3),
+    truncated_poly_algebra(GF(3, 2), 2), truncated_poly_algebra(GF(5), 5),
+    truncated_poly_algebra(GF(2), 4), matrix_algebra(GF(2), 2), matrix_algebra(GF(2, 2), 2),
+    matrix_algebra(GF(3), 3), upper_triangular_algebra(GF(3), 2),
+]
+
+
+@pytest.mark.parametrize("A", GRAM_ALGEBRAS, ids=repr)
+def test_every_trace_form_of_radical_matches_the_pair_loop(monkeypatch, A):
+    seen = []
+    gram = algebras._trace_gram
+
+    def recorded(mats, p, i):
+        out = gram(mats, p, i)
+        seen.append((mats, p, i, out))
+        return out
+
+    monkeypatch.setattr(algebras, "_trace_gram", recorded)
+    # a fresh object, since the radical is kept on the algebra
+    radical(StructureAlgebra(A.field, A.c, A.unit, check=False))
+    assert seen
+    for mats, p, i, out in seen:
+        assert np.array_equal(out, trace_gram_loop(mats, p, i))
+
+
+# ---------------------------------------------------------------------------
+# the greedy chain of cyclic submodules
+
+
+CHAIN_MODULES = (
+    [(name, endo._resolve_sigma_target(_bundled(name))[0])
+     for name in ("dual2_reg.mod", "f2c3_reg.mod", "mat2_nat.mod", "chain6_n3.mod")]
+    + [(f"reg-{A!r}", right_regular_module(A)) for A in FIELD_ALGEBRAS]
+    + [(f"reg2-{A!r}", direct_sum([right_regular_module(A)] * 2)[0])
+       for A in FIELD_ALGEBRAS if A.dim == 2]
+    + [(f"left-{A!r}", left_regular_module(A)) for A in POOL[:4]])
+
+
+@pytest.mark.parametrize("Mod", [M for _, M in CHAIN_MODULES],
+                         ids=[label for label, _ in CHAIN_MODULES])
+def test_stacked_greedy_chain_matches_the_candidate_loop(Mod):
+    for seed in (0, 1):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        gens, bases = endo._greedy_cyclic_chain(Mod, 6, ours)
+        gens0, bases0 = greedy_chain_loop(Mod, 6, theirs)
+        assert len(gens) == len(gens0) and len(bases) == len(bases0)
+        assert all(np.array_equal(g, g0) for g, g0 in zip(gens, gens0))
+        assert all(np.array_equal(b, b0) for b, b0 in zip(bases, bases0))
+        assert ours.getstate() == theirs.getstate()
+
+
+# ---------------------------------------------------------------------------
+# stacked window bases
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=6),
+       st.integers(0, 2 ** 31))
+def test_row_space_bases_match_per_span(F, n, heights, seed):
+    rng = np.random.default_rng(seed)
+    spans = []
+    for h in heights:
+        span = rng.integers(0, F.q, size=(h, n))
+        if h > 1 and rng.integers(2):
+            # rank-deficient spans too: one row repeated through scalars
+            span = linalg.matmul(F, rng.integers(0, F.q, size=(h, 1)), span[:1])
+        spans.append(span)
+    out = linalg.row_space_bases(F, spans, n)
+    assert len(out) == len(spans)
+    for span, basis in zip(spans, out):
+        expected = naive_rref(F, span)[0]
+        assert basis.shape == expected.shape and np.array_equal(basis, expected)
+
+
+def test_all_empty_spans_are_not_reduced(monkeypatch):
+    def no_rref(F, M):
+        raise AssertionError("rref called on empty spans")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    out = linalg.row_space_bases(GF(2), [np.zeros((0, 3), dtype=np.int64)] * 4, 3)
+    assert [b.shape for b in out] == [(0, 3)] * 4
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(2, 2)], ids=str)
+def test_windowed_bases_match_per_row(F):
+    A = truncated_poly_algebra(F, 3)
+    W = 4
+    rng = np.random.default_rng(F.q)
+    for _ in range(10):
+        tails = [rng.integers(0, F.q, size=(int(h), A.dim)) for h in rng.integers(0, 4, size=W)]
+        precs = [rng.integers(0, F.q, size=(int(h), A.dim)) for h in rng.integers(0, 3, size=W)]
+        m = windowed(A, "omega", np.zeros((W, W, A.dim), dtype=np.int64),
+                     tails=tails, precisions=precs, check=False)
+        for bases, spans in ((m.tails, tails), (m.precisions, precs)):
+            assert all(np.array_equal(b, naive_rref(F, s)[0]) for b, s in zip(bases, spans))
