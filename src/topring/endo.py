@@ -8,7 +8,13 @@ splits R as kernel + image (Lam, First Course, section 19), so a failure to
 split is an internal inconsistency, never a result.  The split depends only
 on the ring and the tail term: it is computed and verified once per (ring
 object, tail term), kept on the ring next to its radical, and shared
-read-only by every sequence with that tail.
+read-only by every sequence with that tail.  bass_flat takes one
+sequence, shape (d, dim R), or a stack of S sequences of one length,
+shape (S, d, dim R), and runs the stack as one prefix chain: one batched
+product per term and one stacked row reduction for all ranks.  Its prefix
+stack holds S * (d + dim R + 1) * (dim R)^2 int64 entries; for one
+sequence that is d + dim R + 1 matrices of dim R x dim R, which the
+bass-flat --depth cap of the command line bounds.
 
 split_omega_limit_check and sigma_coperfect_check handle the two decidable
 splitting regimes and the descending-chain searches over the endomorphism
@@ -92,47 +98,69 @@ def sample_sequence(R: StructureAlgebra, length: int, seed: int) -> np.ndarray:
                      for _ in range(length)], dtype=np.int64)
 
 
-def bass_flat(R: StructureAlgebra, sequence: np.ndarray) -> BassFlatDatum:
-    """Colimit of the free rank-one modules along right multiplications."""
+def bass_flat(R: StructureAlgebra,
+              sequence: np.ndarray) -> BassFlatDatum | list[BassFlatDatum]:
+    """Colimit of the free rank-one modules along right multiplications.
+
+    sequence is one sequence, shape (d, dim R), or a stack of S sequences
+    of equal length, shape (S, d, dim R); any other shape raises
+    AlgebraError.  One sequence gives one BassFlatDatum, a stack a list of
+    S datums in stack order (an empty stack gives []).  The whole stack is
+    one prefix chain: the right multiplications of every term, the tails
+    extended by dim R + 1 copies of the last term, come from one
+    contraction, each prefix product is one batched product, and all
+    ranks come from one stacked row reduction.  The prefix stack holds
+    S * (d + dim R + 1) * (dim R)^2 int64 entries, computed in place."""
     F = R.field
-    seq = np.asarray(sequence, dtype=np.int64).reshape(-1, R.dim)
-    d = seq.shape[0]
+    n = R.dim
+    seqs = np.asarray(sequence, dtype=np.int64)
+    if seqs.ndim not in (2, 3) or seqs.shape[-1] != n:
+        raise AlgebraError(f"expected a sequence of shape (d, {n}) or a stack of "
+                           f"shape (S, d, {n}), got shape {seqs.shape}")
+    single = seqs.ndim == 2
+    if single:
+        seqs = seqs[None]
+    S, d, _ = seqs.shape
     if d < 1:
         raise AlgebraError("the sequence must have at least one term")
-    if seq.min() < 0 or seq.max() >= F.q:
+    if S == 0:
+        return []
+    if seqs.min() < 0 or seqs.max() >= F.q:
         raise AlgebraError("sequence coordinates out of field range")
 
-    ext = np.vstack([seq] + [seq[-1][None, :]] * (R.dim + 1))
-    prefix = [np.eye(R.dim, dtype=np.int64)]
-    for Ra in F.contract("hj,ijk->hik", ext, R.c):
-        prefix.append(linalg.matmul(F, prefix[-1], Ra))
-    # rank of each prefix product, all from one stacked row reduction
-    ranks = [int(r) for r in linalg.rref(F, np.stack(prefix[1:]))[1]]
-    for n in range(len(ranks) - 1):
-        if ranks[n] < ranks[n + 1]:
-            raise InternalInconsistencyError("image chain cardinalities increased")
-    s = len(ranks)
-    while s > 1 and ranks[s - 2] == ranks[-1]:
-        s -= 1
-    note = "" if s <= d else "stabilized only in the constant-tail extension"
+    ext = np.concatenate([seqs, np.repeat(seqs[:, -1:], n + 1, axis=1)], axis=1)
+    L = ext.shape[1]
+    # P[s, h] is the right multiplication by term h of sequence s, then,
+    # in place, the prefix product of its first h + 1 terms
+    P = F.contract("shj,ijk->shik", ext, R.c)
+    for h in range(1, L):
+        P[:, h] = F.contract("sij,sjk->sik", P[:, h - 1], P[:, h])
+    ranks = linalg.rref(F, P.reshape(S * L, n, n))[1].reshape(S, L)
+    if (ranks[:, 1:] > ranks[:, :-1]).any():
+        raise InternalInconsistencyError("image chain cardinalities increased")
+    # a chain that never grows reaches its last rank right after the
+    # entries above it
+    stab = (ranks > ranks[:, -1:]).sum(axis=1) + 1
 
-    key = seq[-1].tobytes()
-    if key not in R._fitting:
-        R._fitting[key] = _fitting_split(R, seq[-1])
-    kernel, B, proj, section = R._fitting[key]
-
-    return BassFlatDatum(
-        ring=R,
-        sequence=seq,
-        image_ranks=ranks[:d],
-        stabilization_index=s,
-        kernel_basis=kernel,
-        colimit=B,
-        projection=proj,
-        verdict="PROJECTIVE",
-        section=section,
-        note=note,
-    )
+    datums = []
+    for seq, row, s in zip(seqs, ranks, stab.tolist()):
+        key = seq[-1].tobytes()
+        if key not in R._fitting:
+            R._fitting[key] = _fitting_split(R, seq[-1])
+        kernel, B, proj, section = R._fitting[key]
+        datums.append(BassFlatDatum(
+            ring=R,
+            sequence=seq,
+            image_ranks=row[:d].tolist(),
+            stabilization_index=s,
+            kernel_basis=kernel,
+            colimit=B,
+            projection=proj,
+            verdict="PROJECTIVE",
+            section=section,
+            note="" if s <= d else "stabilized only in the constant-tail extension",
+        ))
+    return datums[0] if single else datums
 
 
 def _fitting_split(R: StructureAlgebra, tail: np.ndarray):

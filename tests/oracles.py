@@ -38,7 +38,9 @@ modules.hom_space).  Last come batch_power_loop and trace_gram_loop (the
 power by e - 1 products and the per-pair divided trace forms that
 algebras._radical computes by square-and-multiply and, at level 0, by one
 contraction) and greedy_chain_loop (the per-candidate cyclic submodules
-that endo._greedy_cyclic_chain reduces as one stack).
+that endo._greedy_cyclic_chain reduces as one stack), and bass_flat_loop
+(the per-sequence prefix chain that endo.bass_flat runs for a whole stack
+of sequences at once).
 """
 
 from __future__ import annotations
@@ -403,6 +405,30 @@ def bass_flat_hom_space(R, sequence):
             raise AssertionError("no Hom-space section")
         section = linalg.lincomb(F, sol, homs)
     return ranks[:d], s, kernel, B, proj, section, linalg.row_space_basis(F, Pk)
+
+
+def bass_flat_loop(R, seq):
+    """The image chain of one Bass sequence by the route endo.bass_flat
+    took before it took stacks: one product per term, starting from the
+    identity, over the sequence extended by dim R + 1 copies of its last
+    term, and the ranks from one stacked row reduction of the prefixes.
+
+    Returns (image ranks of the listed terms, stabilization index, note)."""
+    from topring import linalg
+
+    F = R.field
+    seq = np.asarray(seq, dtype=np.int64)
+    d = seq.shape[0]
+    ext = np.vstack([seq] + [seq[-1][None, :]] * (R.dim + 1))
+    prefix = [np.eye(R.dim, dtype=np.int64)]
+    for a in ext:
+        prefix.append(linalg.matmul(F, prefix[-1], R.rmul_matrix(a)))
+    ranks = [int(r) for r in linalg.rref(F, np.stack(prefix[1:]))[1]]
+    s = len(ranks)
+    while s > 1 and ranks[s - 2] == ranks[-1]:
+        s -= 1
+    note = "" if s <= d else "stabilized only in the constant-tail extension"
+    return ranks[:d], s, note
 
 
 def radical_bruteforce_loop(A) -> np.ndarray:

@@ -199,6 +199,25 @@ def test_bass_flat_computes_one_split_per_ring_and_tail(monkeypatch):
     assert len(calls) == 32
 
 
+def test_stacked_bass_flat_computes_one_split_per_ring_and_tail(monkeypatch):
+    calls = []
+    real = endo._fitting_split
+
+    def counted(R, tail):
+        calls.append(tail.tobytes())
+        return real(R, tail)
+
+    monkeypatch.setattr(endo, "_fitting_split", counted)
+    R = _finite_ring_pool()[8]
+    stack = np.stack([sample_sequence(R, 6, j) for j in range(100)])
+    assert len(bass_flat(R, stack)) == 100
+    # one split per tail, in the order the tails first appear in the stack
+    assert calls == list(dict.fromkeys(seq[-1].tobytes() for seq in stack))
+    assert len(calls) == 31
+    bass_flat(R, stack)
+    assert len(calls) == 31
+
+
 def test_bass_flat_shared_split_is_read_only():
     # tail e_11 in Mat_2(F2): kernel and colimit both have dimension 2
     R = matrix_algebra(F2, 2)
@@ -217,6 +236,49 @@ def test_bass_flat_rejects_bad_sequences():
         bass_flat(DUAL, np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(AlgebraError):
         bass_flat(DUAL, np.array([[0, 5]], dtype=np.int64))
+
+
+@pytest.mark.parametrize("seq", [
+    [[1, 0, 0, 1], [0, 1, 1, 0]],  # rows of width 4 on a ring of dimension 2
+    [1, 0, 0, 1, 1, 0],            # a flat array of three terms' coordinates
+    [[[[1, 0]]]],                  # a stack of stacks
+    5,
+], ids=["wide-rows", "flat", "four-axes", "scalar"])
+def test_bass_flat_rejects_a_sequence_of_the_wrong_shape(seq):
+    with pytest.raises(AlgebraError, match=r"\(d, 2\) or a stack of shape \(S, d, 2\)"):
+        bass_flat(DUAL, np.array(seq, dtype=np.int64))
+
+
+def test_bass_flat_takes_a_stack_of_sequences():
+    seqs = np.array([[[0, 1]] * 4, [[1, 0]] * 4, [[0, 1], [1, 0], [1, 0], [1, 0]]])
+    datums = bass_flat(DUAL, seqs)
+    assert [d.image_ranks for d in datums] == [[1, 0, 0, 0], [2, 2, 2, 2], [1, 1, 1, 1]]
+    assert [d.stabilization_index for d in datums] == [2, 1, 1]
+    assert all(np.array_equal(d.sequence, seq) for d, seq in zip(datums, seqs))
+    assert bass_flat(DUAL, np.zeros((0, 4, 2), dtype=np.int64)) == []
+    with pytest.raises(AlgebraError, match="at least one term"):
+        bass_flat(DUAL, np.zeros((3, 0, 2), dtype=np.int64))
+
+
+def test_bass_flat_stack_checks_every_sequence(monkeypatch):
+    stack = np.stack([sample_sequence(DUAL, 6, j) for j in range(5)])
+    stack[-1, -1, 1] = 2
+    with pytest.raises(AlgebraError, match="out of field range"):
+        bass_flat(DUAL, stack)
+
+    # a rank that grows in the middle sequence of the stack, and only there
+    stack = np.stack([sample_sequence(MAT2, 6, j) for j in range(5)])
+    real = linalg.rref
+
+    def growing(F, M):
+        R, ranks = real(F, M)
+        L = ranks.shape[0] // 5
+        ranks[2 * L + 3] = ranks[2 * L + 2] + 1
+        return R, ranks
+
+    monkeypatch.setattr(linalg, "rref", growing)
+    with pytest.raises(InternalInconsistencyError, match="image chain cardinalities increased"):
+        bass_flat(MAT2, stack)
 
 
 # ---------------------------------------------------------------------------

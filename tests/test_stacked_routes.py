@@ -3,7 +3,8 @@ loops they replaced (tests/oracles.py): prime restrictions, matrix units
 with their relation check, transport and corner actions, contratensor
 relations and iso, regular actions, the level modules of a tower, right
 null bases and Hom spaces, the powers and trace forms of the radical, the
-greedy chain of cyclic submodules and the stacked window bases.
+greedy chain of cyclic submodules, the stacked window bases and the
+prefix chains of a stack of Bass sequences.
 
 Inputs are every bundled module and tower, the algebras of the lifting and
 perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(5), GF(8)
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bass_flat_loop,
     batch_power_loop,
     contratensor_loop,
     corner_action_loop,
@@ -371,3 +373,63 @@ def test_windowed_bases_match_per_row(F):
                      tails=tails, precisions=precs, check=False)
         for bases, spans in ((m.tails, tails), (m.precisions, precs)):
             assert all(np.array_equal(b, naive_rref(F, s)[0]) for b, s in zip(bases, spans))
+
+
+# ---------------------------------------------------------------------------
+# Bass colimits over a stack of sequences
+
+
+def _tail_only_sequence(R):
+    """Five units, then a nonzero radical element: its powers keep losing
+    rank after the listed terms, so the chain stabilizes only in the
+    constant tail.  A semisimple ring has none and gets its unit."""
+    J = radical(R).basis
+    a = J[0] if J.shape[0] else R.unit
+    return np.vstack([np.tile(R.unit, (5, 1)), a[None, :]])
+
+
+BASS_RINGS = acceptance._finite_ring_pool() + [
+    truncated_poly_algebra(GF(2, 2), 2), upper_triangular_algebra(GF(3, 2), 2)]
+
+
+@pytest.mark.parametrize("R", BASS_RINGS, ids=repr)
+@pytest.mark.parametrize("S", [1, 2, 100])
+def test_stacked_bass_flat_matches_the_sequence_loop(R, S):
+    seqs = [endo.sample_sequence(R, 6, 1000 * S + j) for j in range(S)]
+    seqs[-1] = _tail_only_sequence(R)
+    stack = np.stack(seqs)
+    datums = endo.bass_flat(R, stack)
+    assert len(datums) == S
+    for seq, d in zip(seqs, datums):
+        assert np.array_equal(d.sequence, seq)
+        ranks, s, note = bass_flat_loop(R, seq)
+        assert (d.image_ranks, d.stabilization_index, d.note) == (ranks, s, note)
+        assert all(type(r) is int for r in d.image_ranks)
+        assert type(d.stabilization_index) is int
+        # the split is the one kept on the ring for this tail, shared with
+        # a single call on the same sequence
+        one = endo.bass_flat(R, seq)
+        split = R._fitting[seq[-1].tobytes()]
+        for arrs in ((d.kernel_basis, d.colimit, d.projection, d.section),
+                     (one.kernel_basis, one.colimit, one.projection, one.section)):
+            assert all(x is y for x, y in zip(arrs, split))
+    if radical(R).dim:
+        assert datums[-1].note == "stabilized only in the constant-tail extension"
+
+
+def test_perfectness_suite_runs_one_bass_stack_per_ring(monkeypatch):
+    calls = []
+    real = acceptance.bass_flat
+
+    def counted(R, sequence):
+        out = real(R, sequence)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(acceptance, "bass_flat", counted)
+    result = acceptance.suite_perfectness(0)
+    assert len(calls) == len(acceptance._finite_ring_pool()) == 10
+    for datums in calls:
+        assert len(datums) == 100
+        assert all(d.verdict == "PROJECTIVE" for d in datums)
+    assert sum(" PERFECT 100" in ln for ln in result.report.splitlines()) == 10
