@@ -144,8 +144,8 @@ class StructureAlgebra:
     def cardinality(self) -> int:
         return self.field.q ** self.dim
 
-    def all_elements(self, cap: int = 1 << 22) -> np.ndarray:
-        if self.cardinality() > cap:
+    def all_elements(self) -> np.ndarray:
+        if self.cardinality() > 1 << 22:
             raise ValueError(f"algebra too large to enumerate ({self.cardinality()})")
         return linalg.enumerate_row_space(self.field, np.eye(self.dim, dtype=np.int64))
 
@@ -320,14 +320,13 @@ class SubspaceIdeal:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def nilpotency_index(self, cap: int | None = None) -> int:
+    def nilpotency_index(self) -> int:
         """Smallest k with I^k = 0; raises AlgebraError if not nilpotent."""
         A = self.algebra
-        cap = cap if cap is not None else A.dim + 1
         cur = self.basis
         k = 1
         while cur.shape[0]:
-            if k > cap:
+            if k > A.dim + 1:
                 raise AlgebraError("ideal is not nilpotent within the dimension bound")
             cur = linalg.row_space_basis(A.field, A.mul_pairs(self.basis, cur).reshape(-1, A.dim))
             k += 1

@@ -231,14 +231,6 @@ def quotient_maps(F: FiniteField, basis: np.ndarray, n: int) -> tuple[np.ndarray
     return red[:, free], np.eye(n, dtype=np.int64)[free]
 
 
-def sum_row_spaces(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[0] == 0:
-        return row_space_basis(F, B)
-    if B.shape[0] == 0:
-        return row_space_basis(F, A)
-    return row_space_basis(F, np.vstack([A, B]))
-
-
 def enumerate_row_space(F: FiniteField, basis: np.ndarray) -> np.ndarray:
     """All q^k vectors in the span of k basis rows, one per row."""
     basis = np.asarray(basis, dtype=np.int64)

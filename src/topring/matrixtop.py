@@ -46,9 +46,12 @@ def _zero_basis(dim: int) -> np.ndarray:
     return np.zeros((0, dim), dtype=np.int64)
 
 
-def _right_closure(A: StructureAlgebra, rows) -> np.ndarray:
-    """Canonical basis of the right ideal generated by the given rows."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
+def _right_closure(A: StructureAlgebra, pieces) -> np.ndarray:
+    """Canonical basis of the right ideal generated by the rows of all the
+    pieces, each an element or a stack of them.  Zero rows and empty pieces
+    are skipped, so pieces without a nonzero row cost no row reduction."""
+    rows = np.vstack([np.reshape(p, (-1, A.dim)) for p in pieces])
+    rows = rows[rows.any(axis=1)]
     if rows.shape[0] == 0:
         return _zero_basis(A.dim)
     return ideal_from_generators(A, rows, side="right").basis
@@ -240,78 +243,69 @@ def _check_compatible(a: WindowedMatrix, b: WindowedMatrix) -> None:
 def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     """Product of windowed matrices with certificate propagation.
 
-    The result window is the smaller of the two input windows.  Terms
-    pairing a certified-tail entry of the left factor with an unknown row
-    of the right factor stay inside the tail ideal because tail ideals
-    are right ideals; a known nonzero left entry against an unrepresented
-    right row cannot be bounded, so it widens the row precision by the
-    right ideal it generates.  A row whose precision reaches the whole
-    base ring raises: the window was too small to certify that row.
+    The result window is W, the smaller of the two input windows.  One
+    route serves both index kinds.  known[x, y] holds row x of a at every
+    column y that b has a row for: the window columns and, over the
+    naturals, the extra columns before b.window.  Its products with the
+    base ring, left, hold W * b.window * dim^2 int64, and one contraction
+    of left against b's window gives the entries.  A finite index set
+    carries no certificates and stops there.
+
+    Over the naturals the certificates of a row are stacks: the terms
+    known[x, y] * b[y, z] past the window (one contraction that keeps y
+    apart, W * b.window * (b.window - W) * dim int64), and the products of
+    known with b's precision rows, extra values and tail rows (one
+    mul_rows over every (row, certificate row) pair).  Terms pairing a
+    certified-tail entry of the left factor with an unknown row of the
+    right factor stay inside the tail ideal because tail ideals are right
+    ideals; a known nonzero left entry against an unrepresented right row
+    cannot be bounded, so it widens the row precision by the right ideal
+    it generates.  Each row takes one right closure for its precision and
+    one for its tail, seeded with that precision.  A row whose precision
+    reaches the whole base ring raises: the window was too small to
+    certify that row.
     """
     _check_compatible(a, b)
     A = a.base
     F = A.field
+    W = min(a.window, b.window)
+    n = b.window
+    known = np.zeros((W, n, A.dim), dtype=np.int64)
+    known[:, :W] = a.entries[:W, :W]
+    for x in range(W):
+        for c, v in a.extras[x]:
+            if c < n:
+                known[x, c] = v
+    # ent[x, z] = sum_y a[x, y] * b[y, z] in the base ring
+    left = F.contract("xyi,ijk->xyjk", known, A.c)
+    ent = F.contract("xyjk,yzj->xzk", left, b.entries[:, :W])
     if a.y_kind == "finite":
-        # ent[x, z] = sum_y a[x, y] * b[y, z] in the base ring
-        left = F.contract("xyi,ijk->xyjk", a.entries, A.c)
-        ent = F.contract("xyjk,yzj->xzk", left, b.entries)
         return windowed(A, "finite", ent, check=False)
 
-    W = min(a.window, b.window)
-    ent = np.zeros((W, W, A.dim), dtype=np.int64)
+    past = F.contract("xyjk,yzj->xyzk", left, b.entries[:, W:]).reshape(W, -1, A.dim)
+    # b's certificate rows, precisions first, each with the row y of b it sits in
+    certs = b.precisions + [np.array([v for _, v in e], dtype=np.int64).reshape(-1, A.dim)
+                            for e in b.extras] + b.tails
+    owner = np.repeat(np.tile(np.arange(n), 3), [r.shape[0] for r in certs])
+    n_prec = sum(r.shape[0] for r in b.precisions)
+    prods = A.mul_rows(known[:, owner].reshape(-1, A.dim),
+                       np.tile(np.vstack(certs), (W, 1))).reshape(W, owner.size, A.dim)
     tails: list[np.ndarray] = []
     precisions: list[np.ndarray] = []
     for x in range(W):
-        prec_pieces: list[np.ndarray] = []
-        if a.precisions[x].shape[0]:
-            prec_pieces.append(a.precisions[x])
-        if a.tails[x].shape[0]:
-            # columns past the recorded ones meet unknown rows of b
-            prec_pieces.append(a.tails[x])
-        known_rows: list[tuple[np.ndarray, int]] = []
-        for y in range(W):
-            v = a.entries[x, y]
-            if np.any(v):
-                known_rows.append((v, y))
-        for y in range(W, a.window):
-            v = a.entries[x, y]
-            if np.any(v):
-                # known left entry, but the right factor has no row y
-                prec_pieces.append(_right_closure(A, v))
-        for c, v in a.extras[x]:
-            if c < b.window:
-                known_rows.append((v, c))
-            else:
-                prec_pieces.append(_right_closure(A, v))
-        if known_rows:
-            V = np.stack([v for v, _ in known_rows])
-            ys = [y for _, y in known_rows]
-            left = F.contract("yi,ijk->yjk", V, A.c)
-            ent[x] = F.contract("yjk,yzj->zk", left, b.entries[ys, :W])
-        for v, y in known_rows:
-            if b.precisions[y].shape[0]:
-                prec_pieces.append(A.mul_pairs(v[None, :], b.precisions[y])[0])
-        prec = _right_closure(A, np.vstack(prec_pieces)) if prec_pieces else _zero_basis(A.dim)
+        # a's own precision, then a's tail columns and its known entries in
+        # columns b has no row for (they meet unknown rows of b), then
+        # known entries against b's precisions
+        prec = _right_closure(A, [a.precisions[x], a.tails[x], a.entries[x, W:],
+                                  *(v for c, v in a.extras[x] if c >= n), prods[x, :n_prec]])
         if prec.shape[0] == A.dim:
             raise WindowError(
                 f"window too small to certify row {x} of the product")
+        precisions.append(prec)
         # the tail covers columns past the window: every uncertainty source
         # above, plus the known values the right factor holds out there
-        tail_pieces: list[np.ndarray] = list(prec_pieces)
-        for v, y in known_rows:
-            for z in range(W, b.window):
-                w = b.entries[y, z]
-                if np.any(w):
-                    tail_pieces.append(A.mul(v, w)[None, :])
-            for _, w in b.extras[y]:
-                tail_pieces.append(A.mul(v, w)[None, :])
-            if b.tails[y].shape[0]:
-                tail_pieces.append(A.mul_pairs(v[None, :], b.tails[y])[0])
-        tail_rows = [p for p in tail_pieces if p.shape[0]]
-        tail = _right_closure(A, np.vstack(tail_rows)) if tail_rows else _zero_basis(A.dim)
-        precisions.append(prec)
-        tails.append(tail)
-    return windowed(A, "omega", ent, None, tails, precisions, check=False)
+        tails.append(_right_closure(A, [prec, past[x], prods[x, n_prec:]]))
+    return WindowedMatrix(A, "omega", W, ent, [[] for _ in range(W)], tails, precisions)
 
 
 @dataclass

@@ -243,7 +243,8 @@ def tp_formula_check(T: RingTower, H: IdealTower) -> int:
             C = T.composite(m, n)
             P, _ = linalg.quotient_maps(F, H.ideals[n].basis, T.levels[n].dim)
             preimage = linalg.row_space_basis(F, linalg.left_null_basis(F, linalg.matmul(F, C, P)))
-            summed = linalg.sum_row_spaces(F, T.kernel_basis(m, n), H.ideals[m].basis)
+            summed = linalg.row_space_basis(
+                F, np.vstack([T.kernel_basis(m, n), H.ideals[m].basis]))
             if not np.array_equal(preimage, summed):
                 raise TowerError(f"levels {m}->{n}: ideal preimage differs from kernel + ideal")
             Rn_over_Rm = _level_as_module(T, m, n)

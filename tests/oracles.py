@@ -40,7 +40,10 @@ algebras._radical computes by square-and-multiply and, at level 0, by one
 contraction) and greedy_chain_loop (the per-candidate cyclic submodules
 that endo._greedy_cyclic_chain reduces as one stack), and bass_flat_loop
 (the per-sequence prefix chain that endo.bass_flat runs for a whole stack
-of sequences at once).
+of sequences at once), and mat_mul_loop (the two product routes of
+matrixtop.mat_mul, its per-row loop over the naturals among them, before
+both index kinds took one entry contraction and stacked certificate
+products).
 """
 
 from __future__ import annotations
@@ -482,7 +485,7 @@ def all_submodules_loop(M) -> list[np.ndarray]:
         fresh = []
         for X in frontier:
             for Y in list(seen.values()):
-                S = linalg.sum_row_spaces(F, X, Y)
+                S = linalg.row_space_basis(F, np.vstack([X, Y]))
                 if S.tobytes() not in seen:
                     seen[S.tobytes()] = S
                     fresh.append(S)
@@ -971,3 +974,86 @@ def greedy_chain_loop(Mod, depth: int, rng) -> tuple[list, list]:
         gens.append(np.zeros(Mod.dim, dtype=np.int64))
         bases.append(np.zeros((0, Mod.dim), dtype=np.int64))
     return gens, bases
+
+
+def mat_mul_loop(a, b):
+    """matrixtop.mat_mul before it became one route: one contraction for a
+    finite index set, and over the naturals a per-row loop that closes
+    every uncertain left entry on its own, multiplies element by element
+    and row-reduces its certificates again through windowed."""
+    from topring.algebras import ideal_from_generators
+    from topring.matrixtop import WindowError, _check_compatible, windowed
+
+    def _zero_basis(dim):
+        return np.zeros((0, dim), dtype=np.int64)
+
+    def _right_closure(A, rows):
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
+        if rows.shape[0] == 0:
+            return _zero_basis(A.dim)
+        return ideal_from_generators(A, rows, side="right").basis
+
+    _check_compatible(a, b)
+    A = a.base
+    F = A.field
+    if a.y_kind == "finite":
+        # ent[x, z] = sum_y a[x, y] * b[y, z] in the base ring
+        left = F.contract("xyi,ijk->xyjk", a.entries, A.c)
+        ent = F.contract("xyjk,yzj->xzk", left, b.entries)
+        return windowed(A, "finite", ent, check=False)
+
+    W = min(a.window, b.window)
+    ent = np.zeros((W, W, A.dim), dtype=np.int64)
+    tails: list[np.ndarray] = []
+    precisions: list[np.ndarray] = []
+    for x in range(W):
+        prec_pieces: list[np.ndarray] = []
+        if a.precisions[x].shape[0]:
+            prec_pieces.append(a.precisions[x])
+        if a.tails[x].shape[0]:
+            # columns past the recorded ones meet unknown rows of b
+            prec_pieces.append(a.tails[x])
+        known_rows: list[tuple[np.ndarray, int]] = []
+        for y in range(W):
+            v = a.entries[x, y]
+            if np.any(v):
+                known_rows.append((v, y))
+        for y in range(W, a.window):
+            v = a.entries[x, y]
+            if np.any(v):
+                # known left entry, but the right factor has no row y
+                prec_pieces.append(_right_closure(A, v))
+        for c, v in a.extras[x]:
+            if c < b.window:
+                known_rows.append((v, c))
+            else:
+                prec_pieces.append(_right_closure(A, v))
+        if known_rows:
+            V = np.stack([v for v, _ in known_rows])
+            ys = [y for _, y in known_rows]
+            left = F.contract("yi,ijk->yjk", V, A.c)
+            ent[x] = F.contract("yjk,yzj->zk", left, b.entries[ys, :W])
+        for v, y in known_rows:
+            if b.precisions[y].shape[0]:
+                prec_pieces.append(A.mul_pairs(v[None, :], b.precisions[y])[0])
+        prec = _right_closure(A, np.vstack(prec_pieces)) if prec_pieces else _zero_basis(A.dim)
+        if prec.shape[0] == A.dim:
+            raise WindowError(
+                f"window too small to certify row {x} of the product")
+        # the tail covers columns past the window: every uncertainty source
+        # above, plus the known values the right factor holds out there
+        tail_pieces: list[np.ndarray] = list(prec_pieces)
+        for v, y in known_rows:
+            for z in range(W, b.window):
+                w = b.entries[y, z]
+                if np.any(w):
+                    tail_pieces.append(A.mul(v, w)[None, :])
+            for _, w in b.extras[y]:
+                tail_pieces.append(A.mul(v, w)[None, :])
+            if b.tails[y].shape[0]:
+                tail_pieces.append(A.mul_pairs(v[None, :], b.tails[y])[0])
+        tail_rows = [p for p in tail_pieces if p.shape[0]]
+        tail = _right_closure(A, np.vstack(tail_rows)) if tail_rows else _zero_basis(A.dim)
+        precisions.append(prec)
+        tails.append(tail)
+    return windowed(A, "omega", ent, None, tails, precisions, check=False)

@@ -85,7 +85,7 @@ def test_intersect_and_sum_row_spaces():
     B = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64)
     inter = intersect_row_spaces(F, A, B)
     assert inter.shape == (1, 3) and np.array_equal(inter[0], [0, 1, 0])
-    total = linalg.sum_row_spaces(F, A, B)
+    total = linalg.row_space_basis(F, np.vstack([A, B]))
     assert total.shape == (3, 3)
     # dim formula
     assert linalg.rank(F, A) + linalg.rank(F, B) == inter.shape[0] + total.shape[0]

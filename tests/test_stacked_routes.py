@@ -3,8 +3,9 @@ loops they replaced (tests/oracles.py): prime restrictions, matrix units
 with their relation check, transport and corner actions, contratensor
 relations and iso, regular actions, the level modules of a tower, right
 null bases and Hom spaces, the powers and trace forms of the radical, the
-greedy chain of cyclic submodules, the stacked window bases and the
-prefix chains of a stack of Bass sequences.
+greedy chain of cyclic submodules, the stacked window bases, the
+prefix chains of a stack of Bass sequences and the products of windowed
+matrices.
 
 Inputs are every bundled module and tower, the algebras of the lifting and
 perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(5), GF(8)
@@ -25,6 +26,7 @@ from oracles import (
     greedy_chain_loop,
     hom_space_loop,
     level_action_loop,
+    mat_mul_loop,
     matrix_unit_relation_failure,
     matrix_units_loop,
     naive_rref,
@@ -34,10 +36,12 @@ from oracles import (
     trace_gram_loop,
     transport_action_loop,
 )
-from topring import acceptance, algebras, corpus, endo, linalg
+from topring import acceptance, algebras, corpus, endo, linalg, matrixtop
 from topring.algebras import (
     StructureAlgebra,
+    cyclic_group_algebra,
     field_algebra,
+    ideal_from_generators,
     matrix_algebra,
     peirce_corner,
     quotient,
@@ -46,7 +50,14 @@ from topring.algebras import (
     upper_triangular_algebra,
 )
 from topring.fields import GF
-from topring.matrixtop import contratensor, free_contra_corner, transport_discrete, windowed
+from topring.matrixtop import (
+    WindowError,
+    contratensor,
+    free_contra_corner,
+    mat_mul,
+    transport_discrete,
+    windowed,
+)
 from topring.modules import (
     FiniteModule,
     direct_sum,
@@ -433,3 +444,106 @@ def test_perfectness_suite_runs_one_bass_stack_per_ring(monkeypatch):
         assert len(datums) == 100
         assert all(d.verdict == "PROJECTIVE" for d in datums)
     assert sum(" PERFECT 100" in ln for ln in result.report.splitlines()) == 10
+
+
+# ---------------------------------------------------------------------------
+# products of windowed matrices
+
+
+PRODUCT_BASES = [
+    field_algebra(GF(2)), truncated_poly_algebra(GF(2), 2), truncated_poly_algebra(GF(2), 3),
+    cyclic_group_algebra(GF(2), 3), matrix_algebra(GF(2), 2), upper_triangular_algebra(GF(3), 2),
+    field_algebra(GF(3, 2)), truncated_poly_algebra(GF(2, 2), 2)]
+
+
+def _random_windowed(A, y_kind, window, rng):
+    """Sparse random entries; over the naturals also extra columns up to
+    six past the window and, on some rows, a tail and a precision ideal,
+    each the right ideal of one random element."""
+    q = A.field.q
+
+    def element():
+        return rng.integers(0, q, size=A.dim) * (rng.random() < 0.5)
+
+    def ideal():
+        if rng.random() < 0.85:
+            return np.zeros((0, A.dim), dtype=np.int64)
+        return ideal_from_generators(A, rng.integers(0, q, size=A.dim), side="right").basis
+
+    entries = np.array([[element() for _ in range(window)] for _ in range(window)],
+                       dtype=np.int64)
+    if y_kind == "finite":
+        return windowed(A, "finite", entries)
+    extras = []
+    for _ in range(window):
+        cols = rng.choice(np.arange(window, window + 6), size=int(rng.integers(0, 3)),
+                          replace=False)
+        extras.append([(int(c), v) for c in sorted(cols) if (v := element()).any()])
+    return windowed(A, "omega", entries, extras, [ideal() for _ in range(window)],
+                    [ideal() for _ in range(window)])
+
+
+def _product_or_message(a, b, mul):
+    try:
+        return mul(a, b)
+    except WindowError as err:
+        return str(err)
+
+
+def test_windowed_product_matches_the_row_loop():
+    rng = np.random.default_rng(19)
+    seen = {"finite": 0, "product": 0, "error": 0, "a narrower": 0, "a wider": 0,
+            "extra inside b": 0, "extra past b": 0, "certified product": 0}
+    for i in range(400):
+        A = PRODUCT_BASES[i % len(PRODUCT_BASES)]
+        y_kind = "finite" if i % 4 == 0 else "omega"
+        wa = int(rng.integers(1, 6))
+        wb = wa if y_kind == "finite" else int(rng.integers(1, 6))
+        a = _random_windowed(A, y_kind, wa, rng)
+        b = _random_windowed(A, y_kind, wb, rng)
+        got = _product_or_message(a, b, mat_mul)
+        want = _product_or_message(a, b, mat_mul_loop)
+        if isinstance(want, str):
+            assert got == want
+            seen["error"] += 1
+        else:
+            assert isinstance(got, matrixtop.WindowedMatrix)
+            assert (got.y_kind, got.window) == (want.y_kind, want.window)
+            assert np.array_equal(got.entries, want.entries)
+            assert got.extras == [[] for _ in range(want.window)] == want.extras
+            for mine, theirs in ((got.tails, want.tails), (got.precisions, want.precisions)):
+                assert len(mine) == len(theirs)
+                assert all(np.array_equal(u, v) for u, v in zip(mine, theirs))
+            seen["product"] += 1
+            seen["certified product"] += not want.is_exact()
+        seen["finite"] += y_kind == "finite"
+        seen["a narrower"] += wa < wb
+        seen["a wider"] += wa > wb
+        cols = [c for row in a.extras for c, _ in row]
+        seen["extra inside b"] += any(c < wb for c in cols)
+        seen["extra past b"] += any(c >= wb for c in cols)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_windowed_product_closes_each_row_at_most_twice(monkeypatch):
+    calls = []
+    real = matrixtop._right_closure
+
+    def counted(A, pieces):
+        calls.append(A)
+        return real(A, pieces)
+
+    monkeypatch.setattr(matrixtop, "_right_closure", counted)
+    rng = np.random.default_rng(7)
+    A = truncated_poly_algebra(GF(2), 2)
+    a, b = (_random_windowed(A, "finite", 4, rng) for _ in range(2))
+    mat_mul(a, b)
+    assert calls == []
+    for _ in range(20):
+        a, b = (_random_windowed(A, "omega", int(rng.integers(1, 6)), rng) for _ in range(2))
+        calls.clear()
+        out = _product_or_message(a, b, mat_mul)
+        rows = min(a.window, b.window)
+        assert len(calls) <= 2 * rows
+        if not isinstance(out, str):
+            assert len(calls) == 2 * rows
