@@ -289,7 +289,7 @@ class SubspaceIdeal:
         self.basis.flags.writeable = False
         self.side = side
         self._quotient = None
-        if check:
+        if check and self.dim:  # the zero subspace is an ideal of every side
             bad = self._closure_failures()
             if bad:
                 raise AlgebraError(f"subspace is not a {side} ideal", bad)
@@ -363,22 +363,17 @@ def _side_products(A: StructureAlgebra, basis: np.ndarray, side: str):
     return np.stack(prods, axis=2), names
 
 
-def ideal_from_generators(A: StructureAlgebra, gens: np.ndarray, side: str = "two") -> SubspaceIdeal:
-    """Smallest ideal of the given side containing the generator rows."""
-    F = A.field
-    basis = linalg.row_space_basis(F, np.asarray(gens, dtype=np.int64).reshape(-1, A.dim))
-    while True:
-        if basis.shape[0] == 0:
-            return SubspaceIdeal(A, basis, side=side, check=False)
-        prods = _side_products(A, basis, side)[0].reshape(-1, A.dim)
-        new = linalg.row_space_basis(F, np.vstack([basis, prods]))
-        if new.shape[0] == basis.shape[0]:
-            return SubspaceIdeal(A, new, side=side, check=True)
-        basis = new
+def ideal_span(A: StructureAlgebra, gens: np.ndarray, side: str = "two") -> np.ndarray:
+    """Unreduced rows spanning the ideal of the given side generated by the
+    rows of gens: G·A for "right", A·G for "left", A·(G·A) for "two".
 
-
-def zero_ideal(A: StructureAlgebra) -> SubspaceIdeal:
-    return SubspaceIdeal(A, np.zeros((0, A.dim), dtype=np.int64), side="two", check=False)
+    One step suffices: the unit lies in A, so G ⊂ G·A, and (G·A)·A = G·A.
+    Each step is one contraction; a two-sided span is reduced once between
+    its two steps, so it holds at most dim³ entries."""
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, A.dim)
+    if side == "two":
+        gens, side = linalg.row_space_basis(A.field, ideal_span(A, gens, "right")), "left"
+    return _side_products(A, gens, side)[0].reshape(-1, A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +503,6 @@ def radical(A: StructureAlgebra) -> SubspaceIdeal:
 def _radical(A: StructureAlgebra) -> SubspaceIdeal:
     F = A.field
     p, d, n = F.p, F.d, A.dim
-    if n == 0:
-        return zero_ideal(A)
     # faithful representation, column convention, multiplicative
     if A.rep is not None:
         rep_q = np.asarray(A.rep, dtype=np.int64)
@@ -532,19 +525,13 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
         J = linalg.row_space_basis(Fp, (kernel @ J) % p)
         i_level += 1
     # back to F_q coordinates
-    if J.shape[0] == 0:
-        rad = zero_ideal(A)
-    else:
-        vecs = np.zeros((J.shape[0], n), dtype=np.int64)
-        for r, u in enumerate(J):
-            vecs[r] = F.from_digits(u.reshape(n, d))
-        # F_q-stability: multiplying by the field generator stays inside
-        if d > 1:
-            omega = p
-            wdig = F.DIGITS[F.mul(omega, vecs)].reshape(vecs.shape[0], -1)
-            if not linalg.in_row_space(Fp, J, wdig):
-                raise AssertionError("radical candidate is not F_q-stable")
-        rad = SubspaceIdeal(A, linalg.row_space_basis(F, vecs), side="two", check=True)
+    vecs = F.from_digits(J.reshape(-1, n, d))
+    # F_q-stability: multiplying by the field generator (coded p) stays inside
+    if d > 1:
+        wdig = F.DIGITS[F.mul(p, vecs)].reshape(vecs.shape[0], n * d)
+        if not linalg.in_row_space(Fp, J, wdig):
+            raise AssertionError("radical candidate is not F_q-stable")
+    rad = SubspaceIdeal(A, vecs, side="two", check=True)
     rad.nilpotency_index()
     if not rad.is_zero():
         # a semisimple quotient has a zero radical, so it is not verified again

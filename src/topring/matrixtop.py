@@ -30,7 +30,7 @@ from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
     SubspaceIdeal,
-    ideal_from_generators,
+    ideal_span,
     matrix_algebra,
     tensor_algebra,
 )
@@ -46,15 +46,20 @@ def _zero_basis(dim: int) -> np.ndarray:
     return np.zeros((0, dim), dtype=np.int64)
 
 
-def _right_closure(A: StructureAlgebra, pieces) -> np.ndarray:
-    """Canonical basis of the right ideal generated by the rows of all the
-    pieces, each an element or a stack of them.  Zero rows and empty pieces
-    are skipped, so pieces without a nonzero row cost no row reduction."""
-    rows = np.vstack([np.reshape(p, (-1, A.dim)) for p in pieces])
-    rows = rows[rows.any(axis=1)]
-    if rows.shape[0] == 0:
-        return _zero_basis(A.dim)
-    return ideal_from_generators(A, rows, side="right").basis
+def _right_ideal_bases(A: StructureAlgebra, W: int, parts) -> list[np.ndarray]:
+    """Canonical bases of the right ideals I_0, ..., I_{W-1}, where each
+    part is a block (W, k, dim) or a list of W stacks and part[x] holds
+    generators of I_x: one ideal_span of every nonzero generator and one
+    stacked row reduction."""
+    stacks = [(x, g) for part in parts for x, g in enumerate(part)]
+    owner = np.repeat([x for x, _ in stacks], [len(g) for _, g in stacks])
+    gens = np.concatenate([g for _, g in stacks])
+    keep = gens.any(axis=1)
+    span = ideal_span(A, gens[keep], "right")
+    # the span holds one block of rows per generator, in generator order
+    owner = np.repeat(owner[keep], span.shape[0] // max(keep.sum(), 1))
+    keep = span.any(axis=1)
+    return linalg.row_space_bases(A.field, [span[keep & (owner == x)] for x in range(W)], A.dim)
 
 
 @dataclass
@@ -260,10 +265,11 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     right factor stay inside the tail ideal because tail ideals are right
     ideals; a known nonzero left entry against an unrepresented right row
     cannot be bounded, so it widens the row precision by the right ideal
-    it generates.  Each row takes one right closure for its precision and
-    one for its tail, seeded with that precision.  A row whose precision
-    reaches the whole base ring raises: the window was too small to
-    certify that row.
+    it generates.  All precisions, then all tails (seeded with them), take
+    one ideal_span and one stacked row reduction.  The first row whose
+    precision reaches the whole base ring raises WindowError: the window
+    was too small to certify it.  windowed_diagnostics re-checks that
+    every certificate is a right ideal; a failure raises AssertionError.
     """
     _check_compatible(a, b)
     A = a.base
@@ -280,7 +286,8 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     left = F.contract("xyi,ijk->xyjk", known, A.c)
     ent = F.contract("xyjk,yzj->xzk", left, b.entries[:, :W])
     if a.y_kind == "finite":
-        return windowed(A, "finite", ent, check=False)
+        return WindowedMatrix(A, "finite", W, ent, [[] for _ in range(W)],
+                              [_zero_basis(A.dim)] * W, [_zero_basis(A.dim)] * W)
 
     past = F.contract("xyjk,yzj->xyzk", left, b.entries[:, W:]).reshape(W, -1, A.dim)
     # b's certificate rows, precisions first, each with the row y of b it sits in
@@ -290,22 +297,23 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     n_prec = sum(r.shape[0] for r in b.precisions)
     prods = A.mul_rows(known[:, owner].reshape(-1, A.dim),
                        np.tile(np.vstack(certs), (W, 1))).reshape(W, owner.size, A.dim)
-    tails: list[np.ndarray] = []
-    precisions: list[np.ndarray] = []
-    for x in range(W):
-        # a's own precision, then a's tail columns and its known entries in
-        # columns b has no row for (they meet unknown rows of b), then
-        # known entries against b's precisions
-        prec = _right_closure(A, [a.precisions[x], a.tails[x], a.entries[x, W:],
-                                  *(v for c, v in a.extras[x] if c >= n), prods[x, :n_prec]])
-        if prec.shape[0] == A.dim:
-            raise WindowError(
-                f"window too small to certify row {x} of the product")
-        precisions.append(prec)
-        # the tail covers columns past the window: every uncertainty source
-        # above, plus the known values the right factor holds out there
-        tails.append(_right_closure(A, [prec, past[x], prods[x, n_prec:]]))
-    return WindowedMatrix(A, "omega", W, ent, [[] for _ in range(W)], tails, precisions)
+    # a's own precision, then a's tail columns and its known entries in
+    # columns b has no row for (they meet unknown rows of b), then known
+    # entries against b's precisions
+    precisions = _right_ideal_bases(A, W, [
+        a.precisions[:W], a.tails[:W], a.entries[:W, W:],
+        [np.array([v for c, v in e if c >= n], dtype=np.int64).reshape(-1, A.dim)
+         for e in a.extras[:W]], prods[:, :n_prec]])
+    full = [x for x, prec in enumerate(precisions) if prec.shape[0] == A.dim]
+    if full:
+        raise WindowError(f"window too small to certify row {full[0]} of the product")
+    # the tail covers columns past the window: every uncertainty source
+    # above, plus the known values the right factor holds out there
+    tails = _right_ideal_bases(A, W, [precisions, past, prods[:, n_prec:]])
+    m = WindowedMatrix(A, "omega", W, ent, [[] for _ in range(W)], tails, precisions)
+    if problems := windowed_diagnostics(m):
+        raise AssertionError("product certificates failed their check: " + "; ".join(problems))
+    return m
 
 
 @dataclass

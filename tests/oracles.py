@@ -43,7 +43,9 @@ that endo._greedy_cyclic_chain reduces as one stack), and bass_flat_loop
 of sequences at once), and mat_mul_loop (the two product routes of
 matrixtop.mat_mul, its per-row loop over the naturals among them, before
 both index kinds took one entry contraction and stacked certificate
-products).
+products), which closes its certificates with ideal_closure_loop (the
+multiply-and-reduce fixed point that algebras.ideal_span replaced by
+G·A, A·G and A·(G·A)).
 """
 
 from __future__ import annotations
@@ -976,12 +978,28 @@ def greedy_chain_loop(Mod, depth: int, rng) -> tuple[list, list]:
     return gens, bases
 
 
+def ideal_closure_loop(A, gens, side: str = "two"):
+    """Smallest ideal of the given side containing the generator rows."""
+    from topring import linalg
+    from topring.algebras import SubspaceIdeal, _side_products
+
+    F = A.field
+    basis = linalg.row_space_basis(F, np.asarray(gens, dtype=np.int64).reshape(-1, A.dim))
+    while True:
+        if basis.shape[0] == 0:
+            return SubspaceIdeal(A, basis, side=side, check=False)
+        prods = _side_products(A, basis, side)[0].reshape(-1, A.dim)
+        new = linalg.row_space_basis(F, np.vstack([basis, prods]))
+        if new.shape[0] == basis.shape[0]:
+            return SubspaceIdeal(A, new, side=side, check=True)
+        basis = new
+
+
 def mat_mul_loop(a, b):
     """matrixtop.mat_mul before it became one route: one contraction for a
     finite index set, and over the naturals a per-row loop that closes
     every uncertain left entry on its own, multiplies element by element
     and row-reduces its certificates again through windowed."""
-    from topring.algebras import ideal_from_generators
     from topring.matrixtop import WindowError, _check_compatible, windowed
 
     def _zero_basis(dim):
@@ -991,7 +1009,7 @@ def mat_mul_loop(a, b):
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
         if rows.shape[0] == 0:
             return _zero_basis(A.dim)
-        return ideal_from_generators(A, rows, side="right").basis
+        return ideal_closure_loop(A, rows, side="right").basis
 
     _check_compatible(a, b)
     A = a.base

@@ -6,11 +6,26 @@ stands alone as the pass/fail line for its criterion.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 from topring import acceptance
 
 REPORTS: dict[str, str] = {}
+
+# sha256 of each suite's seed-0 report, so a change to any report byte
+# fails here
+TRANSCRIPTS = {
+    "radical-correctness": "7c84821030fc59951a852debe2a908c580f4b705cb18243025db3aea266681df",
+    "wedderburn-round-trip": "57e95ddaee1d1f9568c79e9fc4532f5afb7cbedff190fe53603e22f5afe3694b",
+    "idempotent-lifting": "f21fdcbb1ba3de65994e3cc31073d9e85d7e4bdfd4981d742720b4dd782e799e",
+    "matrix-topology": "f5b9b39748e70c4d1ea25d161c399efd7ad5f2501eb0bf16ea9a5d069072596b",
+    "contratensor": "7012d0fbaf6380dd8da707ccff9b5afc387ca73f8a091222c99a2eda1289fb54",
+    "tp-formula": "dca735183e0df183be7483e3f057ace097942971a82f6e6e20f9a38c34e79ecc",
+    "perfectness-coherence": "e0e31ed4eff8cb2378c6d1296011b6d1fe297e87563b1dcb9219286ad962f1d1",
+    "negative-showcase": "3220d973b311ce44c7dbc9bab3157bf379ffc525f7a0e4b4d4f0c8b5a02cb6c0",
+    "semisimple-recognition": "5e1f30da391c12995c2359da1a08e8c570a6727a396e6ed36463166667cd72b8",
+}
 
 
 def _run(number, name, fn, budget_s, expect_checks=None):
@@ -22,6 +37,7 @@ def _run(number, name, fn, budget_s, expect_checks=None):
     if expect_checks is not None:
         assert result.checks == expect_checks
     assert elapsed < budget_s, f"{name}: {elapsed:.1f}s over the {budget_s}s budget"
+    assert hashlib.sha256(result.report.encode()).hexdigest() == TRANSCRIPTS[name]
     REPORTS[name] = result.report
     print(f"PASS criterion-{number} {name}: {result.checks} checks "
           f"in {elapsed:.2f}s (budget {budget_s}s)")

@@ -21,7 +21,7 @@ from topring.algebras import (
     field_algebra,
     field_extension_algebra,
     hom_failures,
-    ideal_from_generators,
+    ideal_span,
     invert_in_one_plus_H,
     matrix_algebra,
     product_algebra,
@@ -264,19 +264,19 @@ def test_ideal_generation():
     M = matrix_algebra(F2, 2)
     e = np.zeros(4, dtype=np.int64)
     e[0] = 1
-    assert ideal_from_generators(M, e[None, :], side="two").dim == 4  # simple
+    assert SubspaceIdeal(M, ideal_span(M, e[None, :], "two"), side="two").dim == 4  # simple
     T = upper_triangular_algebra(F2, 2)
     g = np.zeros(3, dtype=np.int64)
     g[1] = 1
-    assert ideal_from_generators(T, g[None, :], side="two").dim == 1
+    assert SubspaceIdeal(T, ideal_span(T, g[None, :], "two"), side="two").dim == 1
 
 
 def test_one_sided_ideals_differ():
     M = matrix_algebra(F2, 2)
     e = np.zeros(4, dtype=np.int64)
     e[0] = 1  # E_00
-    left = ideal_from_generators(M, e[None, :], side="left")
-    right = ideal_from_generators(M, e[None, :], side="right")
+    left = SubspaceIdeal(M, ideal_span(M, e[None, :], "left"), side="left")
+    right = SubspaceIdeal(M, ideal_span(M, e[None, :], "right"), side="right")
     assert left.dim == 2 and right.dim == 2
     assert not np.array_equal(left.basis, right.basis)
 
@@ -285,7 +285,7 @@ def test_quotient_requires_two_sided():
     M = matrix_algebra(F2, 2)
     e = np.zeros(4, dtype=np.int64)
     e[0] = 1
-    left = ideal_from_generators(M, e[None, :], side="left")
+    left = SubspaceIdeal(M, ideal_span(M, e[None, :], "left"), side="left")
     with pytest.raises(AlgebraError):
         quotient(M, left)
 
@@ -388,7 +388,7 @@ def test_closure_failures_match_per_vector_loop(A):
     mat2_over_dual_numbers(),
 ], ids=["T3(F2)", "F3[x]/(x^3)", "T2(F4)", "F9[x]/(x^2)", "Mat2(F2[x]/(x^2))"])
 def test_quotient_structure_matches_pair_loop(A):
-    for I in (radical(A), ideal_from_generators(A, A.unit[None, :] * 0)):
+    for I in (radical(A), SubspaceIdeal(A, ideal_span(A, A.unit[None, :] * 0))):
         Q, proj, section = quotient(A, I)
         assert np.array_equal(Q.c, quotient_structure_loop(A, proj, section))
 
@@ -400,7 +400,8 @@ def test_member_rows_and_stacked_contains():
     assert rad.member_rows(V).tolist() == [True, False, True]
     assert rad.contains(V[[0, 2]]) and not rad.contains(V)
     assert rad.contains(V[0]) and not rad.contains(V[1])
-    assert rad.contains_ideal(rad) and not rad.contains_ideal(ideal_from_generators(A, A.unit[None, :]))
+    whole = SubspaceIdeal(A, ideal_span(A, A.unit[None, :]))
+    assert rad.contains_ideal(rad) and not rad.contains_ideal(whole)
 
 
 @pytest.mark.parametrize("A", [

@@ -9,7 +9,8 @@ from topring.acceptance import _finite_ring_pool
 from topring.algebras import (
     AlgebraError,
     cyclic_group_algebra,
-    ideal_from_generators,
+    SubspaceIdeal,
+    ideal_span,
     matrix_algebra,
     truncated_poly_algebra,
 )
@@ -41,7 +42,8 @@ from topring.wedderburn import wedderburn
 
 F2 = GF(2, 1)
 DUAL = truncated_poly_algebra(F2, 2)
-X_IDEAL = ideal_from_generators(DUAL, np.array([[0, 1]], dtype=np.int64), side="right")
+X_IDEAL = SubspaceIdeal(DUAL, ideal_span(DUAL, np.array([[0, 1]], dtype=np.int64), "right"),
+                        side="right")
 MAT2 = matrix_algebra(F2, 2)
 
 

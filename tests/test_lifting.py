@@ -39,11 +39,11 @@ def test_single_lift_in_truncated_ring():
 
 
 def test_single_lift_rejects_non_idempotent_class():
-    from topring.algebras import ideal_from_generators
+    from topring.algebras import SubspaceIdeal, ideal_span
 
     A = truncated_poly_algebra(F2, 4)
     x2 = np.array([0, 0, 1, 0], dtype=np.int64)
-    H = ideal_from_generators(A, x2[None, :])  # (x^2), misses x^2 - x
+    H = SubspaceIdeal(A, ideal_span(A, x2[None, :]))  # (x^2), misses x^2 - x
     with pytest.raises(AlgebraError):
         lift_idempotent(A, np.array([0, 1, 0, 0]), H)
 

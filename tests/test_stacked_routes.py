@@ -25,6 +25,7 @@ from oracles import (
     corner_action_loop,
     greedy_chain_loop,
     hom_space_loop,
+    ideal_closure_loop,
     level_action_loop,
     mat_mul_loop,
     matrix_unit_relation_failure,
@@ -36,12 +37,13 @@ from oracles import (
     trace_gram_loop,
     transport_action_loop,
 )
-from topring import acceptance, algebras, corpus, endo, linalg, matrixtop
+from topring import acceptance, algebras, cli, corpus, endo, linalg, matrixtop
 from topring.algebras import (
     StructureAlgebra,
+    SubspaceIdeal,
     cyclic_group_algebra,
     field_algebra,
-    ideal_from_generators,
+    ideal_span,
     matrix_algebra,
     peirce_corner,
     quotient,
@@ -468,7 +470,8 @@ def _random_windowed(A, y_kind, window, rng):
     def ideal():
         if rng.random() < 0.85:
             return np.zeros((0, A.dim), dtype=np.int64)
-        return ideal_from_generators(A, rng.integers(0, q, size=A.dim), side="right").basis
+        gen = rng.integers(0, q, size=A.dim)
+        return SubspaceIdeal(A, ideal_span(A, gen, "right"), side="right").basis
 
     entries = np.array([[element() for _ in range(window)] for _ in range(window)],
                        dtype=np.int64)
@@ -525,25 +528,73 @@ def test_windowed_product_matches_the_row_loop():
     assert min(seen.values()) >= 20, seen
 
 
-def test_windowed_product_closes_each_row_at_most_twice(monkeypatch):
+def test_windowed_product_reduces_all_certificates_twice(monkeypatch):
     calls = []
-    real = matrixtop._right_closure
+    real = linalg.row_space_bases
 
-    def counted(A, pieces):
-        calls.append(A)
-        return real(A, pieces)
+    def counted(F, spans, n):
+        calls.append(len(spans))
+        return real(F, spans, n)
 
-    monkeypatch.setattr(matrixtop, "_right_closure", counted)
+    monkeypatch.setattr(linalg, "row_space_bases", counted)
     rng = np.random.default_rng(7)
     A = truncated_poly_algebra(GF(2), 2)
     a, b = (_random_windowed(A, "finite", 4, rng) for _ in range(2))
+    calls.clear()
     mat_mul(a, b)
     assert calls == []
-    for _ in range(20):
+    seen = {"product": 0, "error": 0}
+    for _ in range(30):
         a, b = (_random_windowed(A, "omega", int(rng.integers(1, 6)), rng) for _ in range(2))
         calls.clear()
         out = _product_or_message(a, b, mat_mul)
         rows = min(a.window, b.window)
-        assert len(calls) <= 2 * rows
-        if not isinstance(out, str):
-            assert len(calls) == 2 * rows
+        assert calls == ([rows] if isinstance(out, str) else [rows, rows])
+        seen["error" if isinstance(out, str) else "product"] += 1
+    assert min(seen.values()) >= 3, seen
+
+
+def test_unclosed_product_certificate_exits_4(tmp_path, monkeypatch, capsys):
+    """Over Mat2(F2) a left factor wider than the right one holds E00 in a
+    column past the right factor's window, so the product's row-0
+    precision is generated by E00, which is not a right ideal.  With
+    ideal_span returning its generators unchanged, the re-check of the
+    product must catch it."""
+    (tmp_path / "mat2.alg").write_text(open(corpus.path("mat2_f2.alg")).read())
+    head = "object matrix\nalgebra mat2.alg\ny omega\n"
+    (tmp_path / "a.mat").write_text(head + "window 2\nentry 0 1 0 1\nend\n")
+    (tmp_path / "b.mat").write_text(head + "window 1\nentry 0 0 0 1\nend\n")
+    argv = ["matmul", str(tmp_path / "a.mat"), str(tmp_path / "b.mat")]
+    assert cli.main(argv) == 0
+    # the precision of row 0 is E00·A, spanned by E00 and E01
+    body = capsys.readouterr().out.splitlines()
+    assert [ln for ln in body if ln.startswith("precision")] == [
+        "precision 0 0 0 1", "precision 0 1 1 1"]
+    monkeypatch.setattr(matrixtop, "ideal_span", lambda A, gens, side: gens)
+    assert cli.main(argv) == 4
+    assert "precision certificate is not a right ideal" in capsys.readouterr().err
+
+
+IDEAL_SPAN_BASES = [
+    matrix_algebra(GF(2), 3), upper_triangular_algebra(GF(3), 3),
+    truncated_poly_algebra(GF(2, 2), 3), cyclic_group_algebra(GF(2), 4),
+    truncated_poly_algebra(GF(3, 2), 2), upper_triangular_algebra(GF(2, 2), 2),
+    algebras.tensor_algebra(matrix_algebra(GF(2), 2), truncated_poly_algebra(GF(2), 2))]
+
+
+@pytest.mark.parametrize("A", IDEAL_SPAN_BASES, ids=[
+    "Mat3(F2)", "T3(F3)", "F4[x]/(x^3)", "F2[C4]", "F9[x]/(x^2)", "T2(F4)", "Mat2(F2[x]/(x^2))"])
+def test_ideal_span_matches_the_closure_loop(A):
+    rng = np.random.default_rng(A.dim * A.field.q)
+    q = A.field.q
+    gens = [np.zeros((0, A.dim), dtype=np.int64), np.zeros((3, A.dim), dtype=np.int64),
+            A.unit, radical(A).basis]
+    for k in (1, 1, 2, 3, 5):
+        gens.append(rng.integers(0, q, size=(k, A.dim)) * (rng.random((k, A.dim)) < 0.4))
+    for side in ("left", "right", "two"):
+        for G in gens + [ideal_closure_loop(A, gens[-1], side).basis]:
+            span = ideal_span(A, G, side)
+            assert span.shape[0] <= A.dim * (A.dim if side == "two" else np.size(G) // A.dim)
+            want = ideal_closure_loop(A, G, side)
+            got = SubspaceIdeal(A, span, side=side)
+            assert np.array_equal(got.basis, want.basis), (side, G)

@@ -7,14 +7,14 @@ from oracles import hom_failures_loop
 
 from topring import linalg, towers
 from topring.algebras import (
-    ideal_from_generators,
+    SubspaceIdeal,
+    ideal_span,
     field_extension_algebra,
     field_algebra,
     matrix_algebra,
     product_algebra,
     truncated_poly_algebra,
     upper_triangular_algebra,
-    zero_ideal,
 )
 from topring.fields import GF
 from topring.modules import (
@@ -180,14 +180,15 @@ def test_brute_force_oracle_runs_once_per_small_level_object(monkeypatch, T, sma
 def test_incompatible_ideal_tower_is_rejected():
     T = adic_tower(F2, 2)
     H = topological_jacobson_radical(T)
-    broken = [H.ideals[0], zero_ideal(T.levels[1]), H.ideals[2]]
+    zero = SubspaceIdeal(T.levels[1], np.zeros((0, T.levels[1].dim), dtype=np.int64))
+    broken = [H.ideals[0], zero, H.ideals[2]]
     with pytest.raises(TowerError):
         build_ideal_tower(T, broken)
 
 
 def test_ideals_of_another_algebra_of_the_same_dimension_are_rejected():
     T = constant_tower(product_algebra(field_algebra(F2), field_algebra(F2)), 1)
-    wrong = zero_ideal(truncated_poly_algebra(F2, 2))
+    wrong = SubspaceIdeal(truncated_poly_algebra(F2, 2), np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(TowerError) as err:
         build_ideal_tower(T, [wrong, wrong])
     assert err.value.diagnostics == [f"level {n}: ideal lives in the wrong algebra" for n in (0, 1)]
@@ -230,7 +231,7 @@ def test_ideal_outside_radical_is_reported():
     A = product_algebra(field_algebra(F2), field_algebra(F2))
     T = constant_tower(A, 1)
     e1 = np.array([1, 0], dtype=np.int64)
-    I = ideal_from_generators(A, e1[None, :], side="two")
+    I = SubspaceIdeal(A, ideal_span(A, e1[None, :], "two"), side="two")
     H = build_ideal_tower(T, [I, I])
     with pytest.raises(TowerError):
         t_nilpotency_check(T, H)
