@@ -285,7 +285,7 @@ class SubspaceIdeal:
             raise ValueError(f"bad side {side!r}")
         self.algebra = algebra
         self.basis, self.pivots = linalg.rref(
-            algebra.field, np.asarray(basis, dtype=np.int64).reshape(-1, algebra.dim))
+            algebra.field, linalg.as_rows(basis, algebra.dim))
         self.basis.flags.writeable = False
         self.side = side
         self._quotient = None
@@ -307,7 +307,7 @@ class SubspaceIdeal:
     def member_rows(self, V: np.ndarray) -> np.ndarray:
         """Boolean mask of the rows of V (any stack of elements, read as
         rows) that lie in the subspace."""
-        V = np.asarray(V, dtype=np.int64).reshape(-1, self.algebra.dim)
+        V = linalg.as_rows(V, self.algebra.dim)
         return ~linalg.residual(self.algebra.field, self.basis, self.pivots, V).any(axis=1)
 
     def contains(self, v: np.ndarray) -> bool:
@@ -370,10 +370,10 @@ def ideal_span(A: StructureAlgebra, gens: np.ndarray, side: str = "two") -> np.n
     One step suffices: the unit lies in A, so G ⊂ G·A, and (G·A)·A = G·A.
     Each step is one contraction; a two-sided span is reduced once between
     its two steps, so it holds at most dim³ entries."""
-    gens = np.asarray(gens, dtype=np.int64).reshape(-1, A.dim)
+    gens = linalg.as_rows(gens, A.dim)
     if side == "two":
         gens, side = linalg.row_space_basis(A.field, ideal_span(A, gens, "right")), "left"
-    return _side_products(A, gens, side)[0].reshape(-1, A.dim)
+    return linalg.as_rows(_side_products(A, gens, side)[0], A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
         J = linalg.row_space_basis(Fp, (kernel @ J) % p)
         i_level += 1
     # back to F_q coordinates
-    vecs = F.from_digits(J.reshape(-1, n, d))
+    vecs = F.from_digits(J.reshape(J.shape[0], n, d))
     # F_q-stability: multiplying by the field generator (coded p) stays inside
     if d > 1:
         wdig = F.DIGITS[F.mul(p, vecs)].reshape(vecs.shape[0], n * d)

@@ -5,8 +5,13 @@ polynomial coordinates (a_0, ..., a_{d-1}) in the basis 1, x, ..., x^{d-1}
 of F_p[x]/(modulus) is stored as a_0 + a_1*p + ... + a_{d-1}*p^{d-1}.
 Elementwise arithmetic is lookup in tables, so it works on numpy integer
 arrays of any shape; other modules call the methods add, sub, neg, mul and
-inv and never read the tables.  This module holds only those tables and
-the contraction kernel: polynomial work (the default modulus, the
+inv and never read the tables.  Over GF(2), add and sub are XOR, mul is AND
+and neg is a copy, all on the codes themselves: this trusts that every
+entry is an encoded element, 0 or 1 (the parser's value rule and
+StructureAlgebra enforce it), where a table would raise IndexError on an
+entry >= q.  The tables stay, for the other fields and as the oracle.
+
+This module holds only those tables and the contraction kernel: polynomial work (the default modulus, the
 irreducibility check of a given one, the reduction rows x^k mod modulus
 behind MUL) is done in poly, over the prime field GF(p).  poly imports this
 module, so the functions here import poly when they run.
@@ -131,15 +136,23 @@ class FiniteField:
     # -- scalar / elementwise operations (ints or numpy int arrays) --------
 
     def add(self, a, b):
+        if self.q == 2:
+            return np.bitwise_xor(a, b)
         return self.ADD[a, b]
 
     def sub(self, a, b):
+        if self.q == 2:
+            return np.bitwise_xor(a, b)
         return self.ADD[a, self.NEG[b]]
 
     def neg(self, a):
+        if self.q == 2:
+            return np.positive(a)
         return self.NEG[a]
 
     def mul(self, a, b):
+        if self.q == 2:
+            return np.bitwise_and(a, b)
         return self.MUL[a, b]
 
     def inv(self, a):

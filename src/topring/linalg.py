@@ -42,6 +42,14 @@ def basis_vector(n: int, i: int) -> np.ndarray:
     return v
 
 
+def as_rows(a, n: int) -> np.ndarray:
+    """a (any stack of vectors of length n) as an int64 array of rows.
+    The row count is explicit, because numpy refuses reshape(-1, 0); when
+    n == 0 there are no rows, as an empty row is zero."""
+    a = np.asarray(a, dtype=np.int64)
+    return a.reshape(a.size // n if n else 0, n)
+
+
 def rref(F: FiniteField, M: np.ndarray):
     """Reduced row echelon form of one matrix or of a stack of them.
 
@@ -83,13 +91,16 @@ def rref(F: FiniteField, M: np.ndarray):
 
 
 def _rref_stack(F: FiniteField, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rref of every matrix of the stack R (modified in place), one column
-    at a time: one masked pivot search and one elimination per column for
-    the whole stack.
+    """rref of every matrix of the stack R (a copy, which it may overwrite),
+    one column at a time: one masked pivot search and one elimination per
+    column for the whole stack.
 
     Rows at or below a matrix's current rank are zero left of the current
     column, so a pivot row is supported on columns c: and the elimination
-    touches only those."""
+    touches only those.  Over GF(2) the rows are packed into machine words
+    (``_rref_stack_gf2``); its entries must be encoded elements, 0 or 1."""
+    if F.q == 2:
+        return _rref_stack_gf2(R)
     B, m, n = R.shape
     ranks = np.zeros(B, dtype=np.int64)
     below = np.arange(m)[None, :]
@@ -112,6 +123,47 @@ def _rref_stack(F: FiniteField, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if ranks.min(initial=m) == m:
             break
     return R, ranks
+
+
+def _rref_stack_gf2(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_rref_stack over GF(2) on bit-packed rows: the dense elimination of
+    M4RI (Albrecht, Bard and Hart, ACM TOMS 2010) without its Gray-code
+    tables.
+
+    Column c is bit c % 64 of word c // 64 of a row: np.packbits with
+    little bit order, viewed as little-endian 64-bit words, so the map from
+    bits to columns is the same on every host.  A pivot needs no scaling,
+    and the elimination XORs the pivot row into every other row that has
+    the bit set.  The rows are unpacked to int64 once, at the end."""
+    B, m, n = R.shape
+    words = -(-n // 64)
+    packed = np.zeros((B, m, words * 8), dtype=np.uint8)
+    packed[:, :, : -(-n // 8)] = np.packbits(R.astype(np.uint8), axis=2, bitorder="little")
+    P = packed.view("<u8")
+    ranks = np.zeros(B, dtype=np.int64)
+    below = np.arange(m)[None, :]
+    one = np.uint64(1)
+    for c in range(n):
+        w, shift = c // 64, np.uint64(c % 64)
+        hits = ((P[:, :, w] >> shift) & one).astype(bool) & (below >= ranks[:, None])
+        idx = np.flatnonzero(hits.any(axis=1))
+        if idx.size == 0:
+            continue
+        r = ranks[idx]
+        piv = hits[idx].argmax(axis=1)
+        prow = P[idx, piv]
+        P[idx, piv] = P[idx, r]
+        P[idx, r] = prow
+        block = P[idx]
+        factors = (block[:, :, w] >> shift) & one
+        factors[np.arange(idx.size), r] = 0
+        # -1 is the all-ones word, so -factors keeps prow on the rows to clear
+        P[idx] = block ^ (-factors[:, :, None] & prow[:, None, :])
+        ranks[idx] += 1
+        if ranks.min(initial=m) == m:
+            break
+    out = np.unpackbits(packed, axis=2, count=n, bitorder="little")
+    return out.astype(np.int64), ranks
 
 
 def rank(F: FiniteField, M: np.ndarray) -> int:
@@ -222,7 +274,7 @@ def quotient_maps(F: FiniteField, basis: np.ndarray, n: int) -> tuple[np.ndarray
         the row space, and section is (m, n), the standard basis rows of
         the non-pivot columns, so section @ proj is the identity.
     """
-    R, pivots = rref(F, np.asarray(basis, dtype=np.int64).reshape(-1, n))
+    R, pivots = rref(F, as_rows(basis, n))
     free = [j for j in range(n) if j not in pivots]
     # e_pc == e_pc - R[r] modulo the row space, and that difference is
     # supported on the free columns because R is fully reduced

@@ -281,6 +281,29 @@ def test_one_sided_ideals_differ():
     assert not np.array_equal(left.basis, right.basis)
 
 
+def _zero_dimensional(F):
+    return StructureAlgebra(F, np.zeros((0, 0, 0), dtype=np.int64),
+                            np.zeros(0, dtype=np.int64), check=False)
+
+
+@pytest.mark.parametrize("F", [F2, GF(3), GF(2, 2)], ids=str)
+def test_zero_subspace_of_a_zero_dimensional_algebra(F):
+    A = _zero_dimensional(F)
+    I = SubspaceIdeal(A, np.zeros((0, 0), dtype=np.int64))
+    assert I.basis.shape == (0, 0) and I.basis.dtype == np.int64
+    assert I.is_zero() and I.pivots == []
+    assert I.contains(np.zeros((3, 0), dtype=np.int64))
+    assert ideal_span(A, I.basis).shape == (0, 0)
+    assert [m.shape for m in linalg.quotient_maps(F, I.basis, 0)] == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("F", [F2, GF(3), GF(2, 2)], ids=str)
+def test_radical_of_a_zero_dimensional_algebra_is_zero(F):
+    H = radical(_zero_dimensional(F))
+    assert H.basis.shape == (0, 0) and H.basis.dtype == np.int64
+    assert H.is_zero() and H.nilpotency_index() == 1
+
+
 def test_quotient_requires_two_sided():
     M = matrix_algebra(F2, 2)
     e = np.zeros(4, dtype=np.int64)

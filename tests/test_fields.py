@@ -150,6 +150,51 @@ def test_only_fields_reads_the_tables():
     assert not [name for name in ("add", "sub", "scale") if hasattr(linalg, name)]
 
 
+def _same_value_and_type(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).shape == np.asarray(want).shape
+    assert np.array_equal(got, want)
+
+
+def test_gf2_elementwise_is_the_table_lookup():
+    # over GF(2) add, sub and mul are XOR and AND on the codes and neg is
+    # a copy; each must give what the tables give, in the same type
+    F = GF(2)
+    table = {F.add: lambda a, b: F.ADD[a, b], F.sub: lambda a, b: F.ADD[a, F.NEG[b]],
+             F.mul: lambda a, b: F.MUL[a, b]}
+    rng = np.random.default_rng(2)
+    pairs = [(a, b) for a in range(2) for b in range(2)]
+    pairs += [(np.array(a), np.array(b)) for a, b in pairs[:4]]
+    pairs += [(np.array(a), b) for a, b in pairs[:4]]
+    pairs += [(np.arange(2)[:, None, None], np.arange(2)[None, :, None]),
+              (rng.integers(0, 2, size=(3, 4, 5)), rng.integers(0, 2, size=(3, 4, 5))),
+              (rng.integers(0, 2, size=(4, 5)), 1),
+              (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=np.int64))]
+    for op, lookup in table.items():
+        for a, b in pairs:
+            _same_value_and_type(op(a, b), lookup(a, b))
+    for a in [0, 1, np.array(0), np.array(1), np.arange(2), rng.integers(0, 2, size=(3, 4, 5))]:
+        out = F.neg(a)
+        _same_value_and_type(out, F.NEG[a])
+        if isinstance(a, np.ndarray) and a.ndim:
+            out[...] = 1 - out  # a copy: the argument is left as it was
+            assert np.array_equal(F.neg(a), F.NEG[a])
+
+
+def test_only_the_kernels_special_case_gf2():
+    # the bit route over GF(2) lives in fields (XOR/AND) and linalg (packed
+    # rows); every other module reaches it through them
+    pattern = re.compile(r"\bq\s*[!=]=\s*2\b|\b2\s*[!=]=\s*[\w.]*\bq\b|\bq\s+in\s*[(\[{]\s*2\b")
+    src = Path(fields.__file__).parent
+    special = {path.name: [f"{i}: {line.strip()}"
+                           for i, line in enumerate(path.read_text().splitlines(), 1)
+                           if pattern.search(line)]
+               for path in sorted(src.glob("*.py"))}
+    assert special.pop("fields.py") and special.pop("linalg.py")
+    assert {name: hits for name, hits in special.items() if hits} == {}
+
+
 def test_field_identity_and_cache():
     assert GF(2, 2) is GF(2, 2)
     assert GF(2, 2) == FiniteField(2, 2)

@@ -10,7 +10,8 @@ from topring import linalg
 from topring.fields import GF
 
 from oracles import (
-    blowup, intersect_row_spaces, naive_rank, quotient_maps_loop, rank_membership, solve_left_rows)
+    blowup, intersect_row_spaces, naive_rank, naive_rref, quotient_maps_loop, rank_membership,
+    solve_left_rows)
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2)]
 SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
@@ -254,9 +255,10 @@ def matrix_stacks(draw):
 def _assert_stack_matches_per_matrix(F, M):
     R, ranks = linalg.rref(F, M)
     assert R.shape == M.shape and ranks.shape == (M.shape[0],)
+    assert R.dtype == ranks.dtype == np.int64
     for b in range(M.shape[0]):
         want, pivots = linalg.rref(F, M[b])
-        assert ranks[b] == len(pivots)
+        assert want.dtype == np.int64 and ranks[b] == len(pivots)
         assert np.array_equal(R[b, : ranks[b]], want)
         assert not R[b, ranks[b]:].any()
 
@@ -277,6 +279,32 @@ def test_stacked_rref_edge_shapes(F, shape):
     _assert_stack_matches_per_matrix(F, np.zeros(shape, dtype=np.int64))
     R, ranks = linalg.rref(F, np.zeros(shape, dtype=np.int64))
     assert not R.any() and not ranks.any()
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("m_of_n", [lambda n: n - 2, lambda n: n + 2], ids=["m<n", "m>n"])
+def test_stacked_rref_edge_shapes_at_gf2_word_boundaries(n, m_of_n):
+    # a GF(2) stack is reduced on 64-bit words: widths on both sides of one
+    # and of two words, with pivots that cross from one word to the next
+    F = GF(2)
+    m = m_of_n(n)
+    rng = np.random.default_rng(n * m)
+    late = np.zeros((m, n), dtype=np.int64)
+    late[:, n - 3:] = random_matrix(F, rng, m, 3)  # every pivot in the last word
+    M = np.stack([
+        random_matrix(F, rng, m, n),
+        np.zeros((m, n), dtype=np.int64),
+        np.ones((m, n), dtype=np.int64),
+        linalg.matmul(F, random_matrix(F, rng, m, 5), random_matrix(F, rng, 5, n)),
+        late,
+    ])
+    _assert_stack_matches_per_matrix(F, M)
+    R, ranks = linalg.rref(F, M)
+    for b in range(M.shape[0]):
+        want, pivots = naive_rref(F, M[b])
+        assert ranks[b] == len(pivots)
+        assert np.array_equal(R[b, : ranks[b]], want)
+    assert ranks[1] == 0 and ranks[2] == 1 and ranks[3] <= 5 and ranks[4] <= 3
 
 
 def test_rref_rejects_other_ranks():
