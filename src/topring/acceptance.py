@@ -397,7 +397,7 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
 
 
 def _rand_right_module(R, rng):
-    big, _, _ = direct_sum([right_regular_module(R)] * int(rng.integers(1, 3)))
+    big = direct_sum([right_regular_module(R)] * int(rng.integers(1, 3)))
     v = rng.integers(0, R.field.q, size=big.dim).astype(np.int64)
     sub = cyclic_submodule(big, v)
     if 0 < sub.shape[0] < big.dim and rng.integers(0, 2):
@@ -421,7 +421,7 @@ def suite_contratensor(seed: int = 0) -> SuiteResult:
         right_regular_module(cyclic_group_algebra(F2, 3)),
         right_regular_module(upper_triangular_algebra(F2, 2)),
         right_regular_module(truncated_poly_algebra(F3, 2)),
-        direct_sum([S, right_regular_module(DUAL)])[0],
+        direct_sum([S, right_regular_module(DUAL)]),
         corpus_natural_mat2(),
         right_regular_module(truncated_poly_algebra(F2, 3)),
         right_regular_module(upper_triangular_algebra(F3, 2)),

@@ -27,6 +27,14 @@ class AlgebraError(ValueError):
         self.diagnostics = diagnostics or []
 
 
+class InternalInconsistencyError(AlgebraError):
+    """Two verdicts that provably must agree came out different.
+
+    This is a bug in the computation, never a mathematical discovery, and
+    the command line maps it to its own exit code so it cannot pass as a
+    clean failure."""
+
+
 def _frozen(a) -> np.ndarray:
     """A read-only C-contiguous int64 copy of a."""
     out = np.array(a, dtype=np.int64, order="C")
@@ -130,14 +138,8 @@ class StructureAlgebra:
             return None
         return y
 
-    def is_unit_element(self, x: np.ndarray) -> bool:
-        return self.inverse(x) is not None
-
     def is_idempotent(self, x: np.ndarray) -> bool:
         return np.array_equal(self.mul(x, x), np.asarray(x))
-
-    def is_commutative(self) -> bool:
-        return np.array_equal(self.c, np.swapaxes(self.c, 0, 1))
 
     # -- enumeration ----------------------------------------------------------
 

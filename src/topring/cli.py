@@ -16,9 +16,8 @@ import sys
 import numpy as np
 
 from . import acceptance, corpus, linalg, serialize
-from .algebras import quotient, radical
+from .algebras import InternalInconsistencyError, quotient, radical
 from .endo import (
-    InternalInconsistencyError,
     OmegaSystem,
     bass_flat,
     perfectness_bridge,

@@ -102,7 +102,3 @@ def render_all() -> dict[str, str]:
     out["shift_f2.mat"] = serialize.write_matrix(shift_matrix(f2, 6), "f2.alg")
     out["lshift_f2.mat"] = serialize.write_matrix(lower_shift_matrix(f2, 7), "f2.alg")
     return out
-
-
-def names() -> list[str]:
-    return sorted(render_all())

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from topring import linalg
-from topring.algebras import AlgebraError, StructureAlgebra, _frozen, truncated_poly_algebra
+from topring.algebras import (
+    AlgebraError,
+    InternalInconsistencyError,
+    StructureAlgebra,
+    _frozen,
+    truncated_poly_algebra,
+)
 from topring.modules import (
     FiniteModule,
     ModuleFamily,
@@ -47,14 +53,6 @@ from topring.modules import (
     radical_of_module,
     right_regular_module,
 )
-
-
-class InternalInconsistencyError(AlgebraError):
-    """Two verdicts that provably must agree came out different.
-
-    This is a bug in the computation, never a mathematical discovery, and
-    the command line maps it to its own exit code so it cannot pass as a
-    clean failure."""
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,7 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
         if not np.array_equal(linalg.matmul(F, section, stacked),
                               np.eye(S.modules[-1].dim, dtype=np.int64)):
             raise InternalInconsistencyError("split section failed verification")
-        Sum, _, _ = direct_sum(S.modules)
+        Sum = direct_sum(S.modules)
         if module_map_failures(S.modules[-1], Sum, section).size:
             raise InternalInconsistencyError("split section is not a module map")
         return SplitVerdict(kind="SPLIT", depth=d, slot=slot + 1, section=section,
@@ -359,7 +357,7 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
         if heights != list(range(d)):
             raise InternalInconsistencyError(
                 f"socle generator heights {heights} are not strictly growing")
-        Sum, _, _ = direct_sum(S.modules)
+        Sum = direct_sum(S.modules)
         XS = Sum.eff(x)
         P = np.eye(Sum.dim, dtype=np.int64)
         for _ in range(d):
@@ -386,16 +384,17 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
 @dataclass
 class SigmaCoperfectResult:
     """certificate: every strictly descending chain of cyclic submodules
-    over the endomorphism ring is bounded (by the regular composition
-    length, by exhaustion, or by an exhausted search); witness: a chain of
-    the requested depth, re-verified after one truncation refinement when
-    one is supplied."""
+    over the endomorphism ring is bounded, by the regular composition
+    length (evidence "bound") or by a greedy search that ended below the
+    requested depth ("search"); witness: a chain of the requested depth
+    ("chain"), re-verified after one truncation refinement when one is
+    supplied."""
 
     kind: str  # "certificate" | "witness"
     depth: int
     copies: int
     max_length: int
-    evidence: str  # "bound" | "exhaustive" | "search" | "chain"
+    evidence: str  # "bound" | "search" | "chain"
     bound: int | None = None
     generators: np.ndarray | None = None
     bases: list[np.ndarray] | None = None
@@ -470,7 +469,7 @@ def _verify_chain(Mod: FiniteModule, gens, bases) -> None:
 def _resolve_sigma_target(target):
     """(module over its endomorphism ring, truncated flag, label)."""
     if isinstance(target, ModuleFamily):
-        M, _, _ = direct_sum(target.members)
+        M = direct_sum(target.members)
         _, _, ME = endo_algebra(M)
         return ME, target.truncated, "family direct sum"
     if isinstance(target, FiniteModule):
@@ -538,7 +537,7 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
 
     best = None
     for k in range(1, min(3, depth) + 1):
-        Mod = ME if k == 1 else direct_sum([ME] * k)[0]
+        Mod = ME if k == 1 else direct_sum([ME] * k)
         gens, bases = _greedy_cyclic_chain(Mod, depth, rng)
         _verify_chain(Mod, gens, bases)
         length = max(len(bases) - 1, 0)
@@ -562,7 +561,7 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
         if embed is None:
             embed = np.eye(ME.dim, ME2.dim, dtype=np.int64)
         F = E.field
-        Mod2 = ME2 if k == 1 else direct_sum([ME2] * k)[0]
+        Mod2 = ME2 if k == 1 else direct_sum([ME2] * k)
         big = np.kron(np.eye(k, dtype=np.int64), embed)
         gens2 = [linalg.matvec(F, g, big) for g in gens]
         bases2 = [cyclic_submodule(Mod2, g) for g in gens2]
@@ -633,7 +632,7 @@ def perfectness_bridge(target, depth: int = 6, seed: int = 0,
     if isinstance(target, FiniteModule):
         module_semisimple = radical_of_module(target).shape[0] == 0
     elif isinstance(target, ModuleFamily) and target.members:
-        Msum, _, _ = direct_sum(target.members)
+        Msum = direct_sum(target.members)
         module_semisimple = radical_of_module(Msum).shape[0] == 0
     return BridgeReport(
         perfect=pv,

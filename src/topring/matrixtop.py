@@ -82,23 +82,6 @@ class WindowedMatrix:
     tails: list[np.ndarray]
     precisions: list[np.ndarray]
 
-    def entry(self, x: int, z: int) -> np.ndarray:
-        if x >= self.window:
-            raise WindowError(f"row {x} outside window {self.window}")
-        if z < self.window:
-            return self.entries[x, z].copy()
-        for c, v in self.extras[x]:
-            if c == z:
-                return v.copy()
-        if self.tails[x].shape[0] == 0:
-            return np.zeros(self.base.dim, dtype=np.int64)
-        raise WindowError(f"entry ({x}, {z}) only certified up to the row tail ideal")
-
-    def is_exact(self) -> bool:
-        return all(t.shape[0] == 0 for t in self.tails) and all(
-            p.shape[0] == 0 for p in self.precisions
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WindowedMatrix):
             return NotImplemented
@@ -396,20 +379,9 @@ def matrix_algebra_over(R: StructureAlgebra, k: int) -> StructureAlgebra:
 class TransportedDiscrete:
     """A module M over R carried to rows over Mat_k(R)."""
 
-    source: FiniteModule
     k: int
     ring: StructureAlgebra
     module: FiniteModule
-
-    def of_morphism(self, phi: np.ndarray) -> np.ndarray:
-        """Block-diagonal transport of an R-linear morphism matrix."""
-        return np.kron(np.eye(self.k, dtype=np.int64), np.asarray(phi, dtype=np.int64))
-
-    def of_subspace(self, basis: np.ndarray) -> np.ndarray:
-        """Canonical basis of the transported row subspace."""
-        basis = np.asarray(basis, dtype=np.int64).reshape(-1, self.source.dim)
-        rows = np.kron(np.eye(self.k, dtype=np.int64), basis)
-        return linalg.row_space_basis(self.source.algebra.field, rows)
 
 
 def transport_discrete(N: FiniteModule, k: int,
@@ -431,7 +403,7 @@ def transport_discrete(N: FiniteModule, k: int,
     eye = np.eye(k, dtype=np.int64)
     action = np.einsum("ac,bd,tuv->abtcudv", eye, eye, N.eff_basis()).reshape(E.dim, k * m, k * m)
     V = FiniteModule(E, action, side="right", check=True)
-    return TransportedDiscrete(N, k, E, V)
+    return TransportedDiscrete(k, E, V)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +420,6 @@ class ZeroConvergentFamily:
     support: tuple[int, ...]
     coeffs: np.ndarray
     tail_basis: np.ndarray
-
-    def coefficient(self, y: int) -> np.ndarray:
-        for i, s in enumerate(self.support):
-            if s == y:
-                return self.coeffs[i].copy()
-        if self.tail_basis.shape[0] == 0:
-            return np.zeros(self.base.dim, dtype=np.int64)
-        raise WindowError(f"coefficient {y} only certified up to the tail ideal")
 
     def point_measure_at(self) -> int | None:
         """The index if this is a unit coefficient at a single point."""
@@ -522,7 +486,6 @@ class FreeCornerRows:
     base: StructureAlgebra
     y_kind: str
     window: int
-    row: int
     module: FiniteModule | None
     tail_basis: np.ndarray
 
@@ -536,14 +499,6 @@ class FreeCornerRows:
             return out
         return zero_convergent_family(
             self.base, "omega", self.window, (y,), r[None, :], None)
-
-    def family_of(self, coords: np.ndarray) -> ZeroConvergentFamily:
-        coords = np.asarray(coords, dtype=np.int64).reshape(self.window, self.base.dim)
-        support = [y for y in range(self.window) if np.any(coords[y])]
-        return zero_convergent_family(
-            self.base, self.y_kind, self.window, support,
-            coords[support] if support else np.zeros((0, self.base.dim), dtype=np.int64),
-            None if self.y_kind == "finite" else self.tail_basis)
 
 
 def free_contra_corner(base: StructureAlgebra, y_kind: str, window: int, x: int,
@@ -571,7 +526,7 @@ def free_contra_corner(base: StructureAlgebra, y_kind: str, window: int, x: int,
     else:
         if tail_basis.shape[0]:
             SubspaceIdeal(base, tail_basis, side="right")
-    return FreeCornerRows(base, y_kind, window, x, module, tail_basis)
+    return FreeCornerRows(base, y_kind, window, module, tail_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,6 @@ class FiniteModule:
         M = self.act(x)
         return M if self.side == "right" else M.T
 
-    def apply(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return linalg.matvec(self.algebra.field, np.asarray(v, dtype=np.int64), self.eff(x))
-
     def eff_basis(self) -> np.ndarray:
         return self.action if self.side == "right" else np.swapaxes(self.action, 1, 2)
 
@@ -152,13 +149,8 @@ def quotient_module(M: FiniteModule, basis: np.ndarray):
     return Q, proj, section
 
 
-def direct_sum(modules: list[FiniteModule]):
-    """Direct sum with injection and projection matrices.
-
-    Returns:
-        (S, injections, projections): inj[z] is (dim_z, dim_S), proj[z] is
-        (dim_S, dim_z), inj @ proj are orthogonal idempotents summing to 1.
-    """
+def direct_sum(modules: list[FiniteModule]) -> FiniteModule:
+    """Direct sum, the summands' coordinates concatenated in order."""
     if not modules:
         raise ValueError("empty direct sum")
     A = modules[0].algebra
@@ -167,17 +159,11 @@ def direct_sum(modules: list[FiniteModule]):
         raise AlgebraError("summands must share algebra and side")
     total = sum(m.dim for m in modules)
     action = np.zeros((A.dim, total, total), dtype=np.int64)
-    injections, projections = [], []
     off = 0
     for m in modules:
         action[:, off : off + m.dim, off : off + m.dim] = m.action
-        inj = np.zeros((m.dim, total), dtype=np.int64)
-        inj[:, off : off + m.dim] = np.eye(m.dim, dtype=np.int64)
-        proj = inj.T.copy()
-        injections.append(inj)
-        projections.append(proj)
         off += m.dim
-    return FiniteModule(A, action, side=side, check=False), injections, projections
+    return FiniteModule(A, action, side=side, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +326,9 @@ class DecompositionCertificate:
     groups summand indices into isomorphism classes, one class per
     Wedderburn block of End(M)/rad, in block order.  class_isos holds the
     find_isomorphism witness from each member to its class representative
-    (identity for the representative itself).  endo_radicals[z] spans
-    rad(e_z E e_z), the non-units of summand z's endomorphism algebra, in
-    the coordinates of that Peirce corner of E = End(M); local_checked[z]
-    records how locality was verified."""
+    (identity for the representative itself); local_checked[z] records
+    how the locality of summand z's endomorphism algebra, the Peirce
+    corner e_z E e_z of E = End(M), was verified."""
 
     module: FiniteModule
     summands: list[FiniteModule]
@@ -352,7 +337,6 @@ class DecompositionCertificate:
     idempotents: list[np.ndarray]
     classes: list[list[int]]
     class_isos: dict[int, np.ndarray]
-    endo_radicals: list[np.ndarray]
     local_checked: list[str]
     t_nilpotency: "TNilpotencyResult | None" = None
 
@@ -369,7 +353,7 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
     if M.dim == 0:
         return DecompositionCertificate(
             module=M, summands=[], embeddings=[], projections=[], idempotents=[],
-            classes=[], class_isos={}, endo_radicals=[], local_checked=[])
+            classes=[], class_isos={}, local_checked=[])
     F = M.algebra.field
     E, homs, _ = endo_algebra(M)
     radE = radical(E)
@@ -379,7 +363,7 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
     W = wedderburn(Q, seed=seed)
     fam = lift_family_from_quotient(E, radE, proj, section, W.primitive_family())
     summands, embeddings, projections = [], [], []
-    idempotents, endo_radicals, local_checked = [], [], []
+    idempotents, local_checked = [], []
     # primitive_family lists its rows factor by factor
     blocks = [b for b, f in enumerate(W.factors) for _ in range(f.n)]
     for z, b in enumerate(blocks):
@@ -413,7 +397,6 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         embeddings.append(embed)
         projections.append(proj_z)
         idempotents.append(P)
-        endo_radicals.append(radN.basis)
     # one class per block of E/rad E, each membership re-checked by an isomorphism
     classes = [[z for z, b in enumerate(blocks) if b == c] for c in range(len(W.factors))]
     class_isos: dict[int, np.ndarray] = {}
@@ -433,7 +416,6 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         idempotents=idempotents,
         classes=classes,
         class_isos=class_isos,
-        endo_radicals=endo_radicals,
         local_checked=local_checked,
     )
     verify_decomposition(cert)

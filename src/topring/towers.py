@@ -22,6 +22,7 @@ import numpy as np
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     SubspaceIdeal,
     hom_failures,
@@ -217,7 +218,8 @@ def topological_jacobson_radical(T: RingTower) -> IdealTower:
         H = radical(R)
         if R.cardinality() <= 1024 and id(R) not in checked:
             if not np.array_equal(radical_bruteforce(R), H.basis):
-                raise TowerError(f"level {n}: radical differs from the brute-force oracle")
+                raise InternalInconsistencyError(
+                    f"level {n}: radical differs from the brute-force oracle")
             checked.add(id(R))
         ideals.append(H)
     out = build_ideal_tower(T, ideals)
@@ -467,7 +469,8 @@ def classify_perfect(T: RingTower, sizes: list[int] | int = 3, seed: int = 0) ->
     QT, _, _ = quotient_tower(T, H)
     semi = classify_semisimple(QT)
     if semi.kind != "SEMISIMPLE":
-        raise TowerError("quotient by the radical tower failed to classify semisimple")
+        raise InternalInconsistencyError(
+            "quotient by the radical tower failed to classify semisimple")
     return PerfectnessReport(
         verdict="PERFECT",
         depth=T.depth,

@@ -53,7 +53,6 @@ class SimpleFactor:
 @dataclass
 class WedderburnDatum:
     algebra: StructureAlgebra
-    center_basis: np.ndarray
     factors: list[SimpleFactor]
     model: StructureAlgebra
     iso: np.ndarray
@@ -210,9 +209,11 @@ def wedderburn(A: StructureAlgebra, seed: int = 0) -> WedderburnDatum:
     """Decompose a semisimple algebra as a product of matrix algebras over
     finite fields, with an explicit verified isomorphism.
 
-    Raises AlgebraError when A has a nonzero radical.
+    Raises AlgebraError when A is the zero ring or has a nonzero radical.
     """
     F = A.field
+    if A.dim == 0:
+        raise AlgebraError("algebra has dimension zero")
     if not radical(A).is_zero():
         raise AlgebraError("algebra is not semisimple")
     rng = random.Random(seed)
@@ -246,7 +247,6 @@ def wedderburn(A: StructureAlgebra, seed: int = 0) -> WedderburnDatum:
     _verify_iso(A, model, iso)
     return WedderburnDatum(
         algebra=A,
-        center_basis=A.center_basis(),
         factors=factors,
         model=model,
         iso=iso,

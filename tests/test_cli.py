@@ -445,6 +445,19 @@ def test_decompose_module_without_class_isomorphism_exits_4(capsys, tmp_path, mo
     assert "summands 1 and 0" in captured.err
 
 
+def test_radical_disagreeing_with_the_brute_force_oracle_exits_4(capsys, monkeypatch):
+    from topring import towers
+
+    monkeypatch.setattr(towers, "radical_bruteforce",
+                        lambda R: np.zeros((0, R.dim), dtype=np.int64))
+    rc = cli.main(["classify-perfect", corpus.path("adic4.twr")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "inconsistency: level 1: radical differs from the brute-force oracle")
+
+
 def test_parser_is_built_once(capsys):
     first = cli._build_parser()
     assert run(capsys, "radical", corpus.path("f2x3.alg"))[0] == 0

@@ -8,6 +8,7 @@ from topring import endo, linalg
 from topring.acceptance import _finite_ring_pool
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     cyclic_group_algebra,
     SubspaceIdeal,
     ideal_span,
@@ -15,7 +16,6 @@ from topring.algebras import (
     truncated_poly_algebra,
 )
 from topring.endo import (
-    InternalInconsistencyError,
     bass_flat,
     omega_system,
     perfectness_bridge,
@@ -96,7 +96,7 @@ def test_bass_flat_identity_sequence_is_free():
 def test_bass_flat_unit_sequence_over_group_algebra():
     C3 = cyclic_group_algebra(F2, 3)
     g = np.array([0, 1, 0], dtype=np.int64)
-    assert C3.is_unit_element(g)
+    assert C3.inverse(g) is not None
     d = bass_flat(C3, np.array([g] * 3, dtype=np.int64))
     assert d.stabilization_index == 1
     assert d.colimit.dim == 3
@@ -147,7 +147,7 @@ def test_bass_flat_fitting_section_against_the_hom_space_route():
             assert linalg.in_row_space(F, image, d.section)
             if linalg.in_row_space(F, image, old):
                 assert np.array_equal(d.section, old)
-            elif R.is_commutative():
+            elif np.array_equal(R.c, np.swapaxes(R.c, 0, 1)):
                 pytest.fail(f"commutative ring {i} seed {seed}: Hom-space section leaves R*a^N")
             if not np.array_equal(d.section, old):
                 changed.add(i)
@@ -378,7 +378,7 @@ def test_sigma_simple_module_certificate():
 
 
 def test_sigma_semisimple_cube_certificate():
-    S3, _, _ = direct_sum([mat2_natural()] * 3)
+    S3 = direct_sum([mat2_natural()] * 3)
     r = sigma_coperfect_check(S3, depth=6, seed=0)
     assert r.kind == "certificate"
     assert r.bound == 3
@@ -423,7 +423,7 @@ def test_sigma_shift_image_generators_descend():
     # the k-fold shift images x^k inside the deepest level generate a
     # strictly descending chain of cyclic submodules over End
     fam = chain_family(6)
-    M, _, _ = direct_sum(fam.members)
+    M = direct_sum(fam.members)
     _, _, ME = endo_algebra(M)
     offset = M.dim - 6  # the deepest level occupies the last block
     dims = []
@@ -463,7 +463,7 @@ def test_bridge_showcase_family_is_consistent():
 
 def test_bridge_semisimple_module_with_tower():
     S = mat2_natural()
-    S3, _, _ = direct_sum([S] * 3)
+    S3 = direct_sum([S] * 3)
     rep = perfectness_bridge(S3, depth=6, seed=0)
     assert rep.perfect.verdict == "PERFECT"
     assert rep.module_semisimple is True
@@ -471,7 +471,7 @@ def test_bridge_semisimple_module_with_tower():
 
 def test_simple_cube_level_is_a_3x3_matrix_ring():
     S = mat2_natural()
-    S3, _, _ = direct_sum([S] * 3)
+    S3 = direct_sum([S] * 3)
     E3, homs, _ = endo_algebra(S3)
     assert E3.dim == 9
     assert wedderburn(E3).summary() == [(2, 3)]

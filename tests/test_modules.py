@@ -224,7 +224,7 @@ def test_endo_of_natural_module_is_the_scalars():
 
 def test_endo_of_simple_square_is_two_by_two_matrices():
     S = natural_matrix_module(F2, 2)
-    M, _, _ = direct_sum([S, S])
+    M = direct_sum([S, S])
     E, _, _ = endo_algebra(M)
     assert E.dim == 4
     assert wedderburn(E).summary() == [(2, 2)]
@@ -235,7 +235,7 @@ def test_endo_of_local_regular_module_is_the_algebra_itself():
     M = right_regular_module(A)
     E, _, _ = endo_algebra(M)
     assert E.dim == 2
-    assert E.is_commutative()
+    assert np.array_equal(E.c, np.swapaxes(E.c, 0, 1))
     assert radical(E).dim == 1
 
 
@@ -261,8 +261,8 @@ def test_hom_elements_intertwine_the_action(data):
     Phi = F2.fsum(F2.MUL[coeffs[:, None, None], homs], axis=0)
     v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=2, max_size=2)), dtype=np.int64)
     a = np.array(data.draw(st.lists(st.integers(0, 1), min_size=4, max_size=4)), dtype=np.int64)
-    lhs = linalg.matvec(F2, M2.apply(v, a), Phi)
-    rhs = M3.apply(linalg.matvec(F2, v, Phi), a)
+    lhs = linalg.matvec(F2, linalg.matvec(F2, v, M2.eff(a)), Phi)
+    rhs = linalg.matvec(F2, linalg.matvec(F2, v, Phi), M3.eff(a))
     assert np.array_equal(lhs, rhs)
 
 
@@ -334,7 +334,7 @@ def test_two_nonisomorphic_summands_over_dual_numbers():
     A = truncated_poly_algebra(F2, 2)
     reg = right_regular_module(A)
     simple, _, _ = quotient_module(reg, radical_of_module(reg))
-    M, _, _ = direct_sum([simple, reg])
+    M = direct_sum([simple, reg])
     cert = decompose_indecomposable(M)
     assert sorted(n.dim for n in cert.summands) == [1, 2]
     assert sorted(len(c) for c in cert.classes) == [1, 1]
@@ -344,7 +344,7 @@ def test_two_nonisomorphic_summands_over_dual_numbers():
 
 def test_square_of_simple_matches_into_one_class():
     S = natural_matrix_module(F2, 2)
-    M, _, _ = direct_sum([S, S])
+    M = direct_sum([S, S])
     cert = decompose_indecomposable(M)
     assert len(cert.summands) == 2
     assert [len(c) for c in cert.classes] == [2]
@@ -357,7 +357,7 @@ def test_rerunning_on_a_summand_is_stable():
     A = truncated_poly_algebra(F2, 2)
     reg = right_regular_module(A)
     simple, _, _ = quotient_module(reg, radical_of_module(reg))
-    M, _, _ = direct_sum([simple, reg])
+    M = direct_sum([simple, reg])
     cert = decompose_indecomposable(M)
     for N in cert.summands:
         again = decompose_indecomposable(N)
@@ -416,7 +416,7 @@ def random_module(seed):
     rng = random.Random(seed)
     A = RANDOM_ALGEBRA_POOL[rng.randrange(len(RANDOM_ALGEBRA_POOL))]()
     reg = right_regular_module(A)
-    big, _, _ = direct_sum([reg, reg])
+    big = direct_sum([reg, reg])
     rows = [cyclic_submodule(big, big_elem(rng, big)) for _ in range(rng.randrange(3))]
     if rows:
         sub = linalg.row_space_basis(A.field, np.vstack(rows))
@@ -462,7 +462,7 @@ REGULAR_POOL = {
 
 def regular_module(name, copies):
     reg = right_regular_module(REGULAR_POOL[name]())
-    return reg if copies == 1 else direct_sum([reg] * copies)[0]
+    return reg if copies == 1 else direct_sum([reg] * copies)
 
 
 DIFFERENTIAL_CASES = [("random", i) for i in range(150)] + [
@@ -562,7 +562,7 @@ def test_find_isomorphism_beyond_enumeration_bound():
     # many elements
     parts = [quotient_module(M, cyclic_submodule(M, linalg.basis_vector(13, k)))[0]
              for k in (12, 1)]
-    S, _, _ = direct_sum(parts)
+    S = direct_sum(parts)
     assert S.dim == 13
     assert hom_space(M, S).shape[0] == hom_space(S, M).shape[0] == 13
     assert find_isomorphism(M, S) is None
@@ -626,7 +626,7 @@ def test_explicit_shift_chain_survives():
 
 def test_nonlocal_family_member_is_rejected():
     S = natural_matrix_module(F2, 2)
-    M, _, _ = direct_sum([S, S])
+    M = direct_sum([S, S])
     fam = ModuleFamily(members=[M], labels=["S+S"], truncated=False)
     with pytest.raises(AlgebraError):
         local_T_nilpotency_check(fam, depth=2)
@@ -733,12 +733,12 @@ def _showcase_module():
     # whose 140-dimensional endomorphism algebra the negative showcase builds
     from topring.endo import polynomial_adic_system
 
-    return direct_sum(polynomial_adic_system(F2, 7).modules)[0]
+    return direct_sum(polynomial_adic_system(F2, 7).modules)
 
 
 @pytest.mark.parametrize("build", [
     _showcase_module,
-    lambda: direct_sum([right_regular_module(upper_triangular_algebra(GF(2, 2), 2))] * 2)[0],
+    lambda: direct_sum([right_regular_module(upper_triangular_algebra(GF(2, 2), 2))] * 2),
 ], ids=["showcase-f2", "t2-gf4-twice"])
 def test_endo_algebra_matches_full_composite_route(build):
     M = build()
@@ -784,7 +784,7 @@ def _length_cases():
     cases = []
     for i, A in enumerate(acceptance._finite_ring_pool() + hidden_block_algebras()):
         cases += [(f"reg-{i}", right_regular_module(A)),
-                  (f"double-{i}", direct_sum([right_regular_module(A)] * 2)[0]),
+                  (f"double-{i}", direct_sum([right_regular_module(A)] * 2)),
                   (f"left-{i}", left_regular_module(A))]
     return cases + [(f"random-{i}", random_module(i)) for i in range(150)]
 

@@ -35,7 +35,7 @@ def _field_order(obj) -> int:
     return obj.field.q
 
 
-ORDERS = {name: _field_order(Loader().load(corpus.path(name))) for name in corpus.names()}
+ORDERS = {name: _field_order(Loader().load(corpus.path(name))) for name in corpus.render_all()}
 
 
 def _is_int(tok: str) -> bool:
@@ -80,7 +80,7 @@ def mutants(draw):
 @pytest.fixture(scope="module")
 def corpus_copy(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
-    for name in corpus.names():
+    for name in ORDERS:
         shutil.copy(corpus.path(name), root / name)
     return root
 

@@ -81,8 +81,8 @@ FIELD_ALGEBRAS = [A for F in FIELDS for A in (
     matrix_algebra(F, 2))]
 POOL = acceptance._lifting_pool() + acceptance._finite_ring_pool()
 ALGEBRAS = POOL + FIELD_ALGEBRAS
-BUNDLED_MODULES = sorted(n for n in corpus.names() if n.endswith(".mod"))
-BUNDLED_TOWERS = sorted(n for n in corpus.names() if n.endswith(".twr"))
+BUNDLED_MODULES = sorted(n for n in corpus.render_all() if n.endswith(".mod"))
+BUNDLED_TOWERS = sorted(n for n in corpus.render_all() if n.endswith(".twr"))
 
 
 def _bundled(name):
@@ -324,7 +324,7 @@ CHAIN_MODULES = (
     [(name, endo._resolve_sigma_target(_bundled(name))[0])
      for name in ("dual2_reg.mod", "f2c3_reg.mod", "mat2_nat.mod", "chain6_n3.mod")]
     + [(f"reg-{A!r}", right_regular_module(A)) for A in FIELD_ALGEBRAS]
-    + [(f"reg2-{A!r}", direct_sum([right_regular_module(A)] * 2)[0])
+    + [(f"reg2-{A!r}", direct_sum([right_regular_module(A)] * 2))
        for A in FIELD_ALGEBRAS if A.dim == 2]
     + [(f"left-{A!r}", left_regular_module(A)) for A in POOL[:4]])
 
@@ -518,7 +518,7 @@ def test_windowed_product_matches_the_row_loop():
                 assert len(mine) == len(theirs)
                 assert all(np.array_equal(u, v) for u, v in zip(mine, theirs))
             seen["product"] += 1
-            seen["certified product"] += not want.is_exact()
+            seen["certified product"] += any(t.shape[0] for t in want.tails + want.precisions)
         seen["finite"] += y_kind == "finite"
         seen["a narrower"] += wa < wb
         seen["a wider"] += wa > wb
@@ -560,7 +560,7 @@ def test_unclosed_product_certificate_exits_4(tmp_path, monkeypatch, capsys):
     precision is generated by E00, which is not a right ideal.  With
     ideal_span returning its generators unchanged, the re-check of the
     product must catch it."""
-    (tmp_path / "mat2.alg").write_text(open(corpus.path("mat2_f2.alg")).read())
+    (tmp_path / "mat2.alg").write_text(corpus.read("mat2_f2.alg"))
     head = "object matrix\nalgebra mat2.alg\ny omega\n"
     (tmp_path / "a.mat").write_text(head + "window 2\nentry 0 1 0 1\nend\n")
     (tmp_path / "b.mat").write_text(head + "window 1\nentry 0 0 0 1\nend\n")

@@ -7,6 +7,7 @@ from oracles import hom_failures_loop
 
 from topring import linalg, towers
 from topring.algebras import (
+    InternalInconsistencyError,
     SubspaceIdeal,
     ideal_span,
     field_extension_algebra,
@@ -154,7 +155,8 @@ def test_brute_force_oracle_disagreeing_with_the_radical_trips(monkeypatch):
     # an oracle that reads every radical as zero misses rad(F2[x]/(x^2))
     monkeypatch.setattr(towers, "radical_bruteforce",
                         lambda R: np.zeros((0, R.dim), dtype=np.int64))
-    with pytest.raises(TowerError, match="^level 1: radical differs from the brute-force oracle$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="^level 1: radical differs from the brute-force oracle$"):
         topological_jacobson_radical(adic_tower(F2, 2))
 
 

@@ -7,6 +7,7 @@ import pytest
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
+    StructureAlgebra,
     basis_change,
     cyclic_group_algebra,
     field_algebra,
@@ -46,6 +47,15 @@ def test_rejects_non_semisimple():
         wedderburn(truncated_poly_algebra(F2, 2))
     with pytest.raises(AlgebraError):
         wedderburn(upper_triangular_algebra(F3, 2))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=["F2", "F3", "F4"])
+def test_rejects_the_zero_ring(F):
+    # the parser refuses dim 0; a library caller can still build it unchecked
+    Z = StructureAlgebra(F, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                         check=False)
+    with pytest.raises(AlgebraError, match="^algebra has dimension zero$"):
+        wedderburn(Z)
 
 
 def test_central_idempotents_and_units():
@@ -124,4 +134,4 @@ def test_primitive_family_is_complete():
 def test_center_dimension_matches_factors():
     A = cyclic_group_algebra(F3, 4)
     W = wedderburn(A)
-    assert W.center_basis.shape[0] == sum(f.m for f in W.factors)
+    assert A.center_basis().shape[0] == sum(f.m for f in W.factors)
