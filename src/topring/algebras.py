@@ -291,6 +291,7 @@ class SubspaceIdeal:
         self.basis.flags.writeable = False
         self.side = side
         self._quotient = None
+        self._nilpotency: int | None = None  # 0: not nilpotent
         if check and self.dim:  # the zero subspace is an ideal of every side
             bad = self._closure_failures()
             if bad:
@@ -323,16 +324,29 @@ class SubspaceIdeal:
         return self.dim == 0
 
     def nilpotency_index(self) -> int:
-        """Smallest k with I^k = 0; raises AlgebraError if not nilpotent."""
-        A = self.algebra
-        cur = self.basis
-        k = 1
-        while cur.shape[0]:
-            if k > A.dim + 1:
-                raise AlgebraError("ideal is not nilpotent within the dimension bound")
-            cur = linalg.row_space_basis(A.field, A.mul_pairs(self.basis, cur).reshape(-1, A.dim))
-            k += 1
-        return k
+        """Smallest k with I^k = 0; raises AlgebraError if not nilpotent.
+
+        The powers I^(k+1) = I * I^k of an ideal only shrink, so the chain
+        of their canonical bases reaches 0 or repeats; a repeat I^(k+1) =
+        I^k means every later power is I^k, which is not 0, and the chain
+        stops there.  Computed once per ideal and kept on it, the verdict
+        "not nilpotent" included, since the basis is read-only."""
+        if self._nilpotency is None:
+            A = self.algebra
+            cur, k = self.basis, 1
+            while cur.shape[0]:
+                nxt = linalg.row_space_basis(
+                    A.field, A.mul_pairs(self.basis, cur).reshape(-1, A.dim))
+                # the bound ends the chain of a subspace that was built
+                # with check=False and is no ideal, whose powers need not shrink
+                if k > A.dim or np.array_equal(nxt, cur):
+                    k = 0
+                    break
+                cur, k = nxt, k + 1
+            self._nilpotency = k
+        if not self._nilpotency:
+            raise AlgebraError("ideal is not nilpotent within the dimension bound")
+        return self._nilpotency
 
     def __eq__(self, other) -> bool:
         return (
@@ -492,10 +506,16 @@ def radical(A: StructureAlgebra) -> SubspaceIdeal:
     pairs, exact while N^2*(p-1)^2 < 2^63.  Each level i >= 1 powers the
     products mod p^(i+1) by square-and-multiply, exact while
     N*(p^(i+1)-1)^2 < 2^63; p^i <= N keeps that below p^2*N^3, so both
-    hold for any N below 10^4 and p below the field cap of 512.  The
-    result is verified to be a nilpotent two-sided ideal whose quotient
-    has zero radical.  It is computed and verified once per algebra object
-    and kept on it; every later call returns the same ideal.
+    hold for any N below 10^4 and p below the field cap of 512.
+
+    The climb stops at the first level whose kernel is an F_q-stable,
+    nilpotent two-sided ideal, and returns that ideal.  This is exact:
+    every level's kernel contains rad A (Cohen, Ivanyos and Wales, JPAA
+    1997), and every nilpotent two-sided ideal lies inside rad A.  When no
+    level passes, the last kernel is checked as such and the check raises.
+    The result's quotient is verified to have zero radical.  It is computed
+    and verified once per algebra object and kept on it; every later call
+    returns the same ideal.
     """
     if A._radical is None:
         A._radical = _radical(A)
@@ -518,29 +538,48 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
     Fp = GF(p)
     J = np.eye(n * d, dtype=np.int64)  # rows: F_p coordinates w.r.t. (i, t)
     i_level = 0
-    while p ** i_level <= N:
+    rad = None
+    while rad is None and p ** i_level <= N:
         m_dim = J.shape[0]
-        if m_dim == 0:
-            break
         mats = (J.astype(np.int64) @ pmats.reshape(n * d, N * N)).reshape(m_dim, N, N) % p
         kernel = linalg.left_null_basis(Fp, _trace_gram(mats, p, i_level))
         J = linalg.row_space_basis(Fp, (kernel @ J) % p)
         i_level += 1
-    # back to F_q coordinates
-    vecs = F.from_digits(J.reshape(J.shape[0], n, d))
-    # F_q-stability: multiplying by the field generator (coded p) stays inside
-    if d > 1:
-        wdig = F.DIGITS[F.mul(p, vecs)].reshape(vecs.shape[0], n * d)
-        if not linalg.in_row_space(Fp, J, wdig):
-            raise AssertionError("radical candidate is not F_q-stable")
-    rad = SubspaceIdeal(A, vecs, side="two", check=True)
-    rad.nilpotency_index()
+        rad = _nilpotent_ideal(A, J, final=p ** i_level > N)
+    if rad is None:  # N = 0 runs no level
+        rad = _nilpotent_ideal(A, J, final=True)
     if not rad.is_zero():
         # a semisimple quotient has a zero radical, so it is not verified again
         Q, _, _ = quotient(A, rad)
         if not radical(Q).is_zero():
             raise AssertionError("quotient by the computed radical is not semisimple")
     return rad
+
+
+def _nilpotent_ideal(A: StructureAlgebra, J: np.ndarray, final: bool) -> SubspaceIdeal | None:
+    """The span of the rows J, F_p coordinates w.r.t. the basis
+    (i, t) -> omega^t e_i, as an ideal of A when it is F_q-stable (the
+    field generator, coded p, keeps it inside), a two-sided ideal and
+    nilpotent.  Otherwise None, or, for the final level, the failed
+    check raises."""
+    F = A.field
+    if not final and J.shape[0] == A.dim * F.d:
+        return None  # the whole algebra holds 1, so it is not nilpotent
+    vecs = F.from_digits(J.reshape(J.shape[0], A.dim, F.d))
+    if F.d > 1:
+        wdig = F.DIGITS[F.mul(F.p, vecs)].reshape(vecs.shape[0], A.dim * F.d)
+        if not linalg.in_row_space(GF(F.p), J, wdig):
+            if final:
+                raise AssertionError("radical candidate is not F_q-stable")
+            return None
+    try:
+        ideal = SubspaceIdeal(A, vecs, side="two", check=True)
+        ideal.nilpotency_index()
+    except AlgebraError:
+        if final:
+            raise
+        return None
+    return ideal
 
 
 def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:

@@ -265,9 +265,12 @@ def endo_algebra(M: FiniteModule):
     off at the pivot columns, and only those entries of each composite are
     computed; closure and associativity hold because composites of
     structure-compatible maps are again such maps and matrix
-    multiplication is associative.  A seeded sample of products (all of
-    them for small endo algebras) is reconstructed and compared exactly as
-    a tripwire against a corrupted hom basis."""
+    multiplication is associative.  As a tripwire against a corrupted hom
+    basis, the unit and a seeded sample of products (all k^2 of them when
+    k^2 <= 576, else 64 drawn pairs) are rebuilt from their coordinates in
+    one matmul and compared exactly, in one stacked check, with the
+    composites, which one contraction forms.  The stack holds at most
+    577 * dim^2 integers."""
     F = M.algebra.field
     homs = hom_space(M, M)
     k = homs.shape[0]
@@ -278,18 +281,16 @@ def endo_algebra(M: FiniteModule):
     c = F.contract("irt,jtr->ijr", homs[:, a_piv, :], homs[:, :, b_piv])
     unit_flat = np.eye(M.dim, dtype=np.int64).reshape(-1)
     unit = unit_flat[pivots]
-    checks = [(unit, unit_flat)]
-    if k:
-        if k * k <= 576:
-            pairs = [(i, j) for i in range(k) for j in range(k)]
-        else:
-            rng = random.Random(k)
-            pairs = [(rng.randrange(k), rng.randrange(k)) for _ in range(64)]
-        for i, j in pairs:
-            checks.append((c[i, j], linalg.matmul(F, homs[i], homs[j]).reshape(-1)))
-    for coords, target in checks:
-        if not np.array_equal(linalg.matvec(F, coords, flat), target):
-            raise AlgebraError("hom space is not closed under composition")
+    if k * k <= 576:
+        first, second = np.divmod(np.arange(k * k), k)
+    else:
+        rng = random.Random(k)
+        first, second = np.array([(rng.randrange(k), rng.randrange(k)) for _ in range(64)]).T
+    composites = F.contract("sij,sjk->sik", homs[first], homs[second])
+    coords = np.vstack([unit, c[first, second]])
+    targets = np.vstack([unit_flat, linalg.as_rows(composites, M.dim * M.dim)])
+    if not np.array_equal(linalg.matmul(F, coords, flat), targets):
+        raise AlgebraError("hom space is not closed under composition")
     E = StructureAlgebra(F, c, unit, check=False, rep=homs)
     M_over_E = FiniteModule(E, homs, side="right", check=False)
     return E, homs, M_over_E

@@ -1,5 +1,6 @@
 """Structure-constant algebras: validation, radical, quotients, ideals."""
 
+import itertools
 import os
 import resource
 import subprocess
@@ -35,6 +36,7 @@ from topring.algebras import (
     upper_triangular_algebra,
 )
 from topring.fields import GF
+from topring.serialize import Loader
 
 from oracles import (
     closure_failures_loop,
@@ -171,6 +173,79 @@ def test_zeroed_level_zero_gram_makes_radical_raise(monkeypatch, A):
     monkeypatch.setattr(algebras, "_trace_gram", zeroed)
     with pytest.raises((AssertionError, AlgebraError)):
         radical(A)
+
+
+def _suite_radical_algebras() -> list[StructureAlgebra]:
+    """Every algebra whose radical the radical-correctness suite takes."""
+    seen = []
+    real = acceptance.radical
+
+    def record(A):
+        seen.append(A)
+        return real(A)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "radical", record)
+        acceptance.suite_radical(0)
+    return seen
+
+
+def _block_products() -> list[StructureAlgebra]:
+    blocks = [lambda F: matrix_algebra(F, 2), lambda F: matrix_algebra(F, 3),
+              lambda F: field_extension_algebra(F, 2), lambda F: truncated_poly_algebra(F, 3),
+              lambda F: upper_triangular_algebra(F, 3)]
+    return [product_algebra(blocks[a](F), blocks[b](F))
+            for F in (F2, F3, F4)
+            for a, b in itertools.combinations_with_replacement(range(len(blocks)), 2)]
+
+
+def test_radical_stop_agrees_with_the_full_climb():
+    # the climb stops at the first nilpotent ideal; with the stop test
+    # never firing it climbs every level and checks the last kernel
+    corpus_dir = Path(algebras.__file__).parent / "corpus"
+    bundled = [Loader().algebra(str(p)) for p in sorted(corpus_dir.glob("*.alg"))]
+    cases = _suite_radical_algebras() + bundled + _block_products()
+    assert len(bundled) >= 10 and len(cases) > 100
+    full = []
+    check = algebras._nilpotent_ideal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebras, "_nilpotent_ideal",
+                   lambda A, J, final: check(A, J, final) if final else None)
+        for A in cases:
+            copy = StructureAlgebra(A.field, A.c, A.unit, check=False, rep=A.rep)
+            H = radical(copy)
+            full.append((H.basis, H.nilpotency_index()))
+    for A, (basis, nu) in zip(cases, full):
+        H = radical(A)
+        assert np.array_equal(H.basis, basis), A
+        assert H.nilpotency_index() == nu, A
+
+
+def test_truncated_radical_stops_at_level_zero(monkeypatch):
+    # tr(1) = 5 is a unit mod 3, so the level-0 kernel is already rad A
+    def no_powers(W, e, m):
+        raise AssertionError("a level past 0 was reached")
+
+    monkeypatch.setattr(algebras, "_batch_power_mod", no_powers)
+    H = radical(truncated_poly_algebra(F3, 5))
+    assert H.dim == 4 and H.nilpotency_index() == 5
+
+
+@pytest.mark.parametrize("A,rows,steps", [
+    (product_algebra(field_algebra(F2), field_algebra(F2)), [[1, 0], [0, 1]], 1),
+    (product_algebra(field_algebra(F2), truncated_poly_algebra(F2, 2)), [[1, 0, 0], [0, 0, 1]], 2),
+], ids=["F2xF2", "F2xF2[x]/(x^2)"])
+def test_non_nilpotent_ideal_stops_at_its_fixed_point(monkeypatch, A, rows, steps):
+    # F2 x F2 is an ideal of itself with I^2 = I; span{(1, 0), (0, x)} in
+    # F2 x F2[x]/(x^2) has I^2 = span{(1, 0)} = I^3
+    calls = []
+    real = A.mul_pairs
+    monkeypatch.setattr(A, "mul_pairs", lambda X, Y: calls.append(1) or real(X, Y))
+    I = SubspaceIdeal(A, np.array(rows, dtype=np.int64))
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="^ideal is not nilpotent within the dimension bound$"):
+            I.nilpotency_index()
+    assert len(calls) == steps
 
 
 def test_radical_ladder_fits_in_600_mb():

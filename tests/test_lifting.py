@@ -21,6 +21,7 @@ from topring.lifting import (
     lift_orthogonal_family,
     orthogonalize,
 )
+from topring.wedderburn import wedderburn
 
 F2 = GF(2)
 F3 = GF(3)
@@ -166,6 +167,27 @@ def test_lift_family_from_quotient_with_perturbed_preimages():
     fam2 = lift_orthogonal_family(A, perturbed, H)
     for z in range(2):
         assert np.array_equal(linalg.matvec(F2, fam2.rows[z], proj), quotient_rows[z])
+
+
+def test_family_lift_computes_the_nilpotency_index_once(monkeypatch):
+    # T3(F3) has three primitive idempotents, and each one's Newton lift
+    # reads nu(H), which the radical's own check computed and kept
+    A = upper_triangular_algebra(F3, 3)
+    starts = []
+    real = A.mul_pairs
+
+    def counted(X, Y):
+        # a nilpotency chain starts with the basis times itself
+        if X is Y:
+            starts.append(X.tobytes())
+        return real(X, Y)
+
+    monkeypatch.setattr(A, "mul_pairs", counted)
+    H = radical(A)
+    Q, proj, section = quotient(A, H)
+    fam = lift_family_from_quotient(A, H, proj, section, wedderburn(Q).primitive_family())
+    assert fam.rows.shape[0] == 3 and H.nilpotency_index() == 3
+    assert starts.count(H.basis.tobytes()) == 1
 
 
 def side_span(A, f, side):

@@ -77,6 +77,16 @@ def test_diagnostics_reject_bad_certificates():
     assert any("not a right ideal" in p for p in problems)
 
 
+def test_non_ideal_tail_on_row_1_is_named():
+    # the strict upper entry spans a two-sided ideal of T2(F2), e11 does not
+    T2 = upper_triangular_algebra(F2, 2)
+    zero = np.zeros((0, 3), dtype=np.int64)
+    upper = np.array([[0, 1, 0]], dtype=np.int64)
+    m = WindowedMatrix(T2, "omega", 2, np.zeros((2, 2, 3), dtype=np.int64), [[], []],
+                       [upper, np.array([[1, 0, 0]], dtype=np.int64)], [upper, zero])
+    assert windowed_diagnostics(m) == ["row 1: tail certificate is not a right ideal"]
+
+
 def test_diagnostics_reject_extras_inside_window():
     with pytest.raises(WindowError):
         windowed(B2, "omega", np.zeros((3, 3, 1), dtype=np.int64),

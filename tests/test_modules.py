@@ -32,6 +32,7 @@ from topring.algebras import (
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
+from topring.endo import polynomial_adic_system
 from topring.fields import GF
 from topring.modules import (
     FiniteModule,
@@ -237,6 +238,28 @@ def test_endo_of_local_regular_module_is_the_algebra_itself():
     assert E.dim == 2
     assert np.array_equal(E.c, np.swapaxes(E.c, 0, 1))
     assert radical(E).dim == 1
+
+
+@pytest.mark.parametrize("depth", [3, 7], ids=["all pairs, k=14", "sampled, k=140"])
+def test_corrupted_hom_basis_trips_the_composition_check(monkeypatch, depth):
+    # the sum of the chain modules of lengths 1..depth; every entry past
+    # the pivot of one map is flipped, a map that the first drawn pair
+    # composes and that is no summand of the identity, so only composites
+    # can catch it
+    M = direct_sum(polynomial_adic_system(F2, depth).modules)
+    homs = hom_space(M, M)
+    k = homs.shape[0]
+    assert (k * k <= 576) == (depth == 3)
+    endo_algebra(M)
+    r = random.Random(k).randrange(k)
+    bad = homs.copy()
+    row = bad[r].reshape(-1)
+    pivot = int(np.flatnonzero(row)[0])
+    assert pivot // M.dim != pivot % M.dim
+    row[pivot + 1:] ^= 1
+    monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
+    with pytest.raises(AlgebraError, match="^hom space is not closed under composition$"):
+        endo_algebra(M)
 
 
 def test_endo_action_module_is_valid():
