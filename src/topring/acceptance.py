@@ -35,6 +35,7 @@ from .endo import (
     polynomial_adic_system,
     sample_sequence,
     split_omega_limit_check,
+    system_family,
 )
 from .fields import GF
 from .lifting import lift_family_from_quotient, lift_idempotent, orthogonalize
@@ -54,7 +55,6 @@ from .matrixtop import (
 )
 from .modules import (
     FiniteModule,
-    ModuleFamily,
     cyclic_submodule,
     direct_sum,
     hom_space,
@@ -524,19 +524,13 @@ def suite_perfectness(seed: int = 0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _chain_family(depth: int) -> ModuleFamily:
-    system = polynomial_adic_system(GF(2), depth)
-    return ModuleFamily(members=system.modules,
-                        labels=[f"level_{n}" for n in range(1, depth + 1)],
-                        truncated=True)
-
-
 def suite_showcase(seed: int = 0) -> SuiteResult:
     rep = _report("negative-showcase", seed)
-    fam6 = _chain_family(6)
+    fam6 = system_family(polynomial_adic_system(GF(2), 6))
     checks = 0
 
-    bridge = perfectness_bridge(fam6, depth=5, seed=seed, refinement=_chain_family(7))
+    bridge = perfectness_bridge(fam6, depth=5, seed=seed,
+                                refinement=system_family(polynomial_adic_system(GF(2), 7)))
     verdict = bridge.perfect
     if verdict.verdict != "NOT_PERFECT" or verdict.witness is None:
         raise AssertionError("truncation family was not rejected")

@@ -281,8 +281,7 @@ class SubspaceIdeal:
     which membership is one residual.
     """
 
-    def __init__(self, algebra: StructureAlgebra, basis: np.ndarray, side: str = "two",
-                 check: bool = True):
+    def __init__(self, algebra: StructureAlgebra, basis: np.ndarray, side: str = "two"):
         if side not in ("left", "right", "two"):
             raise ValueError(f"bad side {side!r}")
         self.algebra = algebra
@@ -292,7 +291,7 @@ class SubspaceIdeal:
         self.side = side
         self._quotient = None
         self._nilpotency: int | None = None  # 0: not nilpotent
-        if check and self.dim:  # the zero subspace is an ideal of every side
+        if self.dim:  # the zero subspace is an ideal of every side
             bad = self._closure_failures()
             if bad:
                 raise AlgebraError(f"subspace is not a {side} ideal", bad)
@@ -337,9 +336,7 @@ class SubspaceIdeal:
             while cur.shape[0]:
                 nxt = linalg.row_space_basis(
                     A.field, A.mul_pairs(self.basis, cur).reshape(-1, A.dim))
-                # the bound ends the chain of a subspace that was built
-                # with check=False and is no ideal, whose powers need not shrink
-                if k > A.dim or np.array_equal(nxt, cur):
+                if np.array_equal(nxt, cur):
                     k = 0
                     break
                 cur, k = nxt, k + 1
@@ -573,7 +570,7 @@ def _nilpotent_ideal(A: StructureAlgebra, J: np.ndarray, final: bool) -> Subspac
                 raise AssertionError("radical candidate is not F_q-stable")
             return None
     try:
-        ideal = SubspaceIdeal(A, vecs, side="two", check=True)
+        ideal = SubspaceIdeal(A, vecs, side="two")
         ideal.nilpotency_index()
     except AlgebraError:
         if final:

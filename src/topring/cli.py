@@ -24,10 +24,11 @@ from .endo import (
     sample_sequence,
     sigma_coperfect_check,
     split_omega_limit_check,
+    system_family,
 )
 from .lifting import lift_family_from_quotient
 from .matrixtop import contratensor, mat_mul, transport_discrete
-from .modules import FiniteModule, ModuleFamily, decompose_indecomposable, hom_space
+from .modules import FiniteModule, decompose_indecomposable, hom_space
 from .towers import RingTower, classify_perfect, classify_semisimple, topological_jacobson_radical
 from .wedderburn import wedderburn
 
@@ -238,11 +239,7 @@ def _chain_target(loader: serialize.Loader, path: str):
     if isinstance(obj, FiniteModule):
         return obj
     if isinstance(obj, OmegaSystem):
-        return ModuleFamily(
-            members=obj.modules,
-            labels=[f"level_{n}" for n in range(1, len(obj.modules) + 1)],
-            truncated=obj.ground != "finite",
-        )
+        return system_family(obj)
     raise serialize.ParseError(f"{path}: expected a module or system file")
 
 

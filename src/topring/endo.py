@@ -239,6 +239,13 @@ def omega_system(modules: list[FiniteModule], maps: list[np.ndarray],
     return OmegaSystem(modules=list(modules), maps=clean_maps, ground=ground)
 
 
+def system_family(S: OmegaSystem) -> ModuleFamily:
+    """S's modules as a family level_1..level_d, truncated unless finite."""
+    return ModuleFamily(members=S.modules,
+                        labels=[f"level_{n}" for n in range(1, len(S.modules) + 1)],
+                        truncated=S.ground != "finite")
+
+
 def polynomial_adic_system(F, depth: int) -> OmegaSystem:
     """The chain family F[x]/(x^n), n = 1..depth, with maps 1 |-> x.
 

@@ -489,16 +489,14 @@ class FreeCornerRows:
     module: FiniteModule | None
     tail_basis: np.ndarray
 
-    def point_measure(self, y: int, r: np.ndarray | None = None):
-        if r is None:
-            r = self.base.unit
-        r = np.asarray(r, dtype=np.int64)
+    def point_measure(self, y: int):
+        unit = self.base.unit
         if self.y_kind == "finite":
             out = np.zeros(self.window * self.base.dim, dtype=np.int64)
-            out[y * self.base.dim:(y + 1) * self.base.dim] = r
+            out[y * self.base.dim:(y + 1) * self.base.dim] = unit
             return out
         return zero_convergent_family(
-            self.base, "omega", self.window, (y,), r[None, :], None)
+            self.base, "omega", self.window, (y,), unit[None, :], None)
 
 
 def free_contra_corner(base: StructureAlgebra, y_kind: str, window: int, x: int,

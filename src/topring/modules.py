@@ -10,12 +10,13 @@ and endomorphism layers: Krull-Schmidt decomposition through idempotent
 lifting in E = End(M), which reads each summand eM's endomorphism algebra
 off E as the corner eEe and its isomorphism class off the simple blocks of
 E/rad E (Lam, First Course, sections 21-22); local T-nilpotency
-certificates via the Harada-Sai composition bound; and a witness search
-for non-vanishing nonisomorphism composites.
+certificates via the Harada-Sai composition bound; and nonzero
+nonisomorphism composites read off the powers of rad End of a family's sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -239,19 +240,16 @@ def hom_space(M: FiniteModule, N: FiniteModule) -> np.ndarray:
         raise AlgebraError("modules must share the side")
     F = M.algebra.field
     gens = M.algebra.generator_elements()
-    if gens.shape[0] == 0:
-        null = np.eye(M.dim * N.dim, dtype=np.int64)
-    else:
-        # block g is G_M (x) I - I (x) G_N^T, rows (a, b) and columns (c, d):
-        # G_M[g, a, c] where b == d, minus G_N[g, d, b] where a == c
-        m, n = M.dim, N.dim
-        ia, ib = np.arange(m), np.arange(n)
-        K = np.zeros((gens.shape[0], m, n, m, n), dtype=np.int64)
-        K[:, :, ib, :, ib] = _eff_stack(M, gens)
-        K[:, ia, :, ia, :] = F.sub(K[:, ia, :, ia, :], np.swapaxes(_eff_stack(N, gens), 1, 2))
-        K = K.reshape(gens.shape[0] * m * n, m * n)
-        null = linalg.row_space_basis(F, linalg.right_null_basis(F, K))
-    return null.reshape(null.shape[0], M.dim, N.dim)
+    # block g is G_M (x) I - I (x) G_N^T (no block without generators), rows (a, b),
+    # columns (c, d): G_M[g, a, c] where b == d, minus G_N[g, d, b] where a == c
+    m, n = M.dim, N.dim
+    ia, ib = np.arange(m), np.arange(n)
+    K = np.zeros((gens.shape[0], m, n, m, n), dtype=np.int64)
+    K[:, :, ib, :, ib] = _eff_stack(M, gens)
+    K[:, ia, :, ia, :] = F.sub(K[:, ia, :, ia, :], np.swapaxes(_eff_stack(N, gens), 1, 2))
+    K = K.reshape(gens.shape[0] * m * n, m * n)
+    null = linalg.row_space_basis(F, linalg.right_null_basis(F, K))
+    return null.reshape(null.shape[0], m, n)
 
 
 def endo_algebra(M: FiniteModule):
@@ -270,12 +268,15 @@ def endo_algebra(M: FiniteModule):
     k^2 <= 576, else 64 drawn pairs) are rebuilt from their coordinates in
     one matmul and compared exactly, in one stacked check, with the
     composites, which one contraction forms.  The stack holds at most
-    577 * dim^2 integers."""
+    577 * dim^2 integers.  Then every basis map must commute with the
+    generators (one pair of contractions) and the basis be the identity on
+    its pivot columns, where coordinates are read."""
     F = M.algebra.field
     homs = hom_space(M, M)
     k = homs.shape[0]
     flat = homs.reshape(k, M.dim * M.dim)
-    pivots = np.array([int(np.flatnonzero(flat[r])[0]) for r in range(k)], dtype=np.int64)
+    # the first nonzero column of each row (column 0 for a zero row)
+    pivots = (flat != 0).argmax(axis=1) if flat.size else np.zeros(k, dtype=np.int64)
     # pivot r sits at entry (a_r, b_r) of an n x n hom matrix
     a_piv, b_piv = np.divmod(pivots, M.dim)
     c = F.contract("irt,jtr->ijr", homs[:, a_piv, :], homs[:, :, b_piv])
@@ -291,13 +292,17 @@ def endo_algebra(M: FiniteModule):
     targets = np.vstack([unit_flat, linalg.as_rows(composites, M.dim * M.dim)])
     if not np.array_equal(linalg.matmul(F, coords, flat), targets):
         raise AlgebraError("hom space is not closed under composition")
+    effs = _eff_stack(M, M.algebra.generator_elements())
+    # G_g @ H_r at [g, r] against H_r @ G_g at [r, g]
+    moved = (F.contract("itk,jkl->ijtl", effs, homs)
+             != np.swapaxes(F.contract("itk,jkl->ijtl", homs, effs), 0, 1)).any(axis=(0, 2, 3))
+    if moved.any():
+        raise AlgebraError(f"hom basis map {np.argmax(moved)} is not a module map")
+    if not np.array_equal(flat[:, pivots], np.eye(k, dtype=np.int64)):
+        raise AlgebraError("hom basis is not reduced on its pivot columns")
     E = StructureAlgebra(F, c, unit, check=False, rep=homs)
     M_over_E = FiniteModule(E, homs, side="right", check=False)
     return E, homs, M_over_E
-
-
-def is_isomorphism(M: FiniteModule, N: FiniteModule, Phi: np.ndarray) -> bool:
-    return M.dim == N.dim and linalg.is_invertible(M.algebra.field, Phi)
 
 
 def find_isomorphism(M: FiniteModule, N: FiniteModule) -> np.ndarray | None:
@@ -340,12 +345,6 @@ class DecompositionCertificate:
     class_isos: dict[int, np.ndarray]
     local_checked: list[str]
     t_nilpotency: "TNilpotencyResult | None" = None
-
-
-def _endo_is_local(E: StructureAlgebra) -> bool:
-    """Local means E/rad is a field."""
-    summary = wedderburn(quotient(E, radical(E))[0]).summary()
-    return len(summary) == 1 and summary[0][1] == 1
 
 
 def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCertificate:
@@ -410,15 +409,9 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
                     f"summands {z} and {rep} share a Wedderburn block but are not isomorphic")
             class_isos[z] = iso
     cert = DecompositionCertificate(
-        module=M,
-        summands=summands,
-        embeddings=embeddings,
-        projections=projections,
-        idempotents=idempotents,
-        classes=classes,
-        class_isos=class_isos,
-        local_checked=local_checked,
-    )
+        module=M, summands=summands, embeddings=embeddings, projections=projections,
+        idempotents=idempotents, classes=classes, class_isos=class_isos,
+        local_checked=local_checked)
     verify_decomposition(cert)
     return cert
 
@@ -514,23 +507,23 @@ class TNilpotencyResult:
 
 
 def local_T_nilpotency_check(family: ModuleFamily, depth: int = 8) -> TNilpotencyResult:
-    """Harada-Sai certificate for bounded families; witness search for
-    truncated families standing for unbounded ones.
+    """Harada-Sai certificate for bounded families; for truncated families
+    standing for unbounded ones, noniso_witness_search's witness or none.
 
     Raises AlgebraError when a member's endomorphism algebra is not local.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    for idx, member in enumerate(family.members):
-        E, _, _ = endo_algebra(member)
-        if not _endo_is_local(E):
+    ends = [endo_algebra(member)[0] for member in family.members]
+    for idx, E in enumerate(ends):
+        top = wedderburn(quotient(E, radical(E))[0]).summary()
+        if len(top) != 1 or top[0][1] != 1:  # local: E/rad E is a field
             raise AlgebraError(f"family member {family.labels[idx]} has a non-local endomorphism algebra")
     if not family.truncated:
         return TNilpotencyResult(kind="certificate", certificate=_harada_sai(family), depth=depth)
-    witness = noniso_witness_search(family, depth)
-    if witness is not None:
-        return TNilpotencyResult(kind="witness", witness=witness, depth=depth)
-    return TNilpotencyResult(kind="inconclusive", depth=depth)
+    witness = noniso_witness_search(family, ends, depth)
+    return TNilpotencyResult(kind="inconclusive" if witness is None else "witness",
+                             witness=witness, depth=depth)
 
 
 def _harada_sai(family: ModuleFamily) -> HaradaSaiCertificate:
@@ -542,62 +535,78 @@ def _harada_sai(family: ModuleFamily) -> HaradaSaiCertificate:
                                 labels=list(family.labels))
 
 
-def noniso_witness_search(family: ModuleFamily, depth: int) -> NonisoWitnessChain | None:
-    """Beam search for a composite of `depth` nonisomorphisms (basis maps
-    between members) that is nonzero on some element, witnessed by the
-    surviving element and its images."""
-    F = family.members[0].algebra.field if family.members else None
-    if F is None:
+def _block_products(F, X: np.ndarray, Y: np.ndarray, dims: list[int]) -> np.ndarray:
+    """[a, b, c, i, j] = X[a, c, i] @ Y[c, b, j] for maps padded to D x D in blocks X
+    (ka, k, h, D, D) and Y (k, kb, g, D, D); one product per member c, of nonzero rows/columns."""
+    (ka, k, h, D, _), (kb, g) = X.shape, Y.shape[1:3]
+    out = np.zeros((k, ka * h * D, kb * g * D), dtype=np.int64)
+    for c, dc in enumerate(dims):
+        lhs = X[:, c, :, :, :dc].reshape(-1, dc)
+        rhs = Y[c, :, :, :dc].transpose(2, 0, 1, 3).reshape(dc, -1)
+        rows, cols = lhs.any(axis=1), rhs.any(axis=0)
+        out[c][np.ix_(rows, cols)] = linalg.matmul(F, lhs[rows], rhs[:, cols])
+    return out.reshape(k, ka, h, D, kb, g, D).transpose(1, 4, 0, 2, 5, 3, 6)
+
+
+def noniso_witness_search(family: ModuleFamily, ends: list[StructureAlgebra],
+                          depth: int) -> NonisoWitnessChain | None:
+    """A composite of `depth` nonisomorphisms between members that is
+    nonzero on some element, or None when every such composite vanishes.
+
+    ends[a] is the local End(M_a), its hom basis as rep.  The
+    nonisomorphisms M_a -> M_b are the Peirce block J(a, b) of J = rad End
+    of the members' sum (Anderson-Fuller, section 29): Hom(M_a, M_b) when
+    find_isomorphism finds no isomorphism theta, else theta rad End(M_b)
+    (theta = 1 when a == b).  J^t has blocks S_t(a, b) = sum_c S_{t-1}(a,
+    c) J(c, b), S_0 = 1, and a witness exists iff J^depth != 0.  Products
+    are read in coordinates off the pivots of J's reduced blocks (J^t lies
+    in J; the second power checks it) and reduced in one stacked rref.  The
+    witness is read back from its end: with P the factors so far, the next
+    is the first basis map f of a J(c, cur) with S_{s-1}(a, c) f P != 0."""
+    members = family.members
+    if not members:
         return None
-    k = len(family.members)
-    arrows: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(k):
-        for b in range(k):
-            homs = hom_space(family.members[a], family.members[b])
-            keep = [t for t in range(homs.shape[0])
-                    if not is_isomorphism(family.members[a], family.members[b], homs[t])]
-            arrows[(a, b)] = homs[keep] if keep else homs[:0]
-    # state: (start member, current member, composite matrix)
-    states = [(a, a, np.eye(family.members[a].dim, dtype=np.int64)) for a in range(k)]
-    paths: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in states]
-    for _ in range(depth):
-        new_states, new_paths, seen = [], [], set()
-        for s, (start, cur, comp) in enumerate(states):
-            for b in range(k):
-                for t in range(arrows[(cur, b)].shape[0]):
-                    step = arrows[(cur, b)][t]
-                    nxt = linalg.matmul(F, comp, step)
-                    if not nxt.any():
-                        continue
-                    key = (start, b, nxt.tobytes())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    new_states.append((start, b, nxt))
-                    new_paths.append(paths[s] + [(cur, b, step)])
-        order = sorted(range(len(new_states)), key=lambda i: (new_states[i][0], new_states[i][1], new_states[i][2].tobytes()))
-        new_states = [new_states[i] for i in order[:256]]
-        new_paths = [new_paths[i] for i in order[:256]]
-        if not new_states:
+    F, k, dims = members[0].algebra.field, len(members), [m.dim for m in members]
+    D = max(dims)
+    rads = [F.contract("hi,ijk->hjk", radical(E).basis, E.rep) for E in ends]
+    blocks = {}
+    for a, b in np.ndindex(k, k):
+        theta = np.eye(dims[a], dtype=np.int64) if a == b else find_isomorphism(members[a], members[b])
+        blocks[a, b] = (hom_space(members[a], members[b]) if theta is None
+                        else F.contract("jk,gkl->gjl", theta, rads[b]))
+    J = np.zeros((k, k, max(x.shape[0] for x in blocks.values()), D, D), dtype=np.int64)
+    for (a, b), x in blocks.items():
+        J[a, b, : x.shape[0], : dims[a], : dims[b]] = x
+    basis = linalg.rref(F, J.reshape(k * k, -1, D * D))[0]
+    J = basis.reshape(J.shape)
+    pivots, live = (basis != 0).argmax(axis=2), basis.any(axis=2)
+    # identity blocks; the padding is harmless, as every J block is zero there
+    spans = [np.multiply.outer(np.eye(k, dtype=np.int64), np.eye(D, dtype=np.int64))[:, :, None]]
+    for t in range(depth):
+        prods = _block_products(F, spans[-1], J, dims).reshape(k * k, -1, D * D)
+        if not prods.any():
             return None
-        states, paths = new_states, new_paths
-    start, cur, comp = states[0]
-    path = paths[0]
-    row = next(r for r in range(comp.shape[0]) if comp[r].any())
-    v = linalg.basis_vector(comp.shape[0], row)
-    images = []
-    x = v
-    for (a, b, step) in path:
-        x = linalg.matvec(F, x, step)
-        images.append(x)
+        coords = np.take_along_axis(prods, pivots[:, None, :], axis=2) * live[:, None, :]
+        if t == 1 and not np.array_equal(F.contract("sij,sjk->sik", coords, basis), prods):
+            raise AssertionError("a nonisomorphism composite left its block of J")
+        R, ranks = linalg.rref(F, coords)
+        spans.append(F.contract("sij,sjk->sik", R[:, : max(ranks)], basis).reshape(k, k, -1, D, D))
+    a, b = divmod(int(np.flatnonzero(spans[-1].any(axis=(2, 3, 4)))[0]), k)
+    P, cur, path = np.eye(D, dtype=np.int64), b, []
+    for s in range(depth, 0, -1):
+        tails = F.contract("ijtp,pl->ijtl", J[:, cur], P)[:, None]
+        hits = _block_products(F, spans[s - 1][a : a + 1], tails, dims)[0, 0].any(axis=(1, 3, 4))
+        c, j = (int(i) for i in np.argwhere(hits)[0])
+        path.insert(0, (c, cur, J[c, cur, j, : dims[c], : dims[cur]]))
+        P = linalg.matmul(F, J[c, cur, j], P)
+        cur = c
+    v = linalg.basis_vector(dims[a], int(np.flatnonzero(P.any(axis=1))[0]))
+    images = list(itertools.accumulate((f for _, _, f in path), lambda x, f: linalg.matvec(F, x, f),
+                                       initial=v))[1:]
     if not images[-1].any():
         raise AssertionError("witness composite lost its element")
-    return NonisoWitnessChain(
-        labels=[family.labels[a] for (a, _, _) in path] + [family.labels[path[-1][1]]],
-        steps=path,
-        start_element=v,
-        images=images,
-    )
+    return NonisoWitnessChain(labels=[family.labels[c] for (c, _, _) in path] + [family.labels[b]],
+                              steps=path, start_element=v, images=images)
 
 
 @dataclass
@@ -625,8 +634,6 @@ def perfect_decomposition_verdict(target, depth: int = 8, seed: int = 0) -> Perf
         return PerfectDecompositionVerdict(
             verdict="PERFECT", depth=depth, certificate=_harada_sai(family))
     res = local_T_nilpotency_check(family, depth=depth)
-    if res.kind == "certificate":
-        return PerfectDecompositionVerdict(verdict="PERFECT", depth=depth, certificate=res.certificate)
-    if res.kind == "witness":
-        return PerfectDecompositionVerdict(verdict="NOT_PERFECT", depth=depth, witness=res.witness)
-    return PerfectDecompositionVerdict(verdict="UNKNOWN", depth=depth)
+    verdict = {"certificate": "PERFECT", "witness": "NOT_PERFECT", "inconclusive": "UNKNOWN"}[res.kind]
+    return PerfectDecompositionVerdict(verdict=verdict, depth=depth, certificate=res.certificate,
+                                       witness=res.witness)

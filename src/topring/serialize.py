@@ -62,9 +62,9 @@ def _records(text: str) -> list[list[str]]:
     return out
 
 
-def _ints(rec: list[str], start: int = 1) -> list[int]:
+def _ints(rec: list[str]) -> list[int]:
     try:
-        return [int(tok) for tok in rec[start:]]
+        return [int(tok) for tok in rec[1:]]
     except ValueError as exc:
         raise ParseError(f"non-integer token in {' '.join(rec)!r}") from exc
 

@@ -109,7 +109,7 @@ def tower_diagnostics(levels: list[StructureAlgebra], transitions: list[np.ndarr
         F = levels[0].field
         ker = linalg.left_null_basis(F, np.asarray(T, dtype=np.int64))
         try:
-            SubspaceIdeal(levels[n + 1], ker, side="two", check=True)
+            SubspaceIdeal(levels[n + 1], ker, side="two")
         except AlgebraError:
             out.append(f"level {n + 1} -> {n}: kernel is not a two-sided ideal")
     return out

@@ -45,7 +45,9 @@ matrixtop.mat_mul, its per-row loop over the naturals among them, before
 both index kinds took one entry contraction and stacked certificate
 products), which closes its certificates with ideal_closure_loop (the
 multiply-and-reduce fixed point that algebras.ideal_span replaced by
-G·A, A·G and A·(G·A)).
+G·A, A·G and A·(G·A)), and noniso_beam_search (the capped beam over hom
+basis maps that modules.noniso_witness_search replaced by the powers of
+the Peirce blocks of rad End).
 """
 
 from __future__ import annotations
@@ -987,11 +989,11 @@ def ideal_closure_loop(A, gens, side: str = "two"):
     basis = linalg.row_space_basis(F, np.asarray(gens, dtype=np.int64).reshape(-1, A.dim))
     while True:
         if basis.shape[0] == 0:
-            return SubspaceIdeal(A, basis, side=side, check=False)
+            return SubspaceIdeal(A, basis, side=side)
         prods = _side_products(A, basis, side)[0].reshape(-1, A.dim)
         new = linalg.row_space_basis(F, np.vstack([basis, prods]))
         if new.shape[0] == basis.shape[0]:
-            return SubspaceIdeal(A, new, side=side, check=True)
+            return SubspaceIdeal(A, new, side=side)
         basis = new
 
 
@@ -1075,3 +1077,63 @@ def mat_mul_loop(a, b):
         precisions.append(prec)
         tails.append(tail)
     return windowed(A, "omega", ent, None, tails, precisions, check=False)
+
+
+def noniso_beam_search(family, depth: int):
+    """modules.noniso_witness_search before it read composites off the powers
+    of rad End of the family's sum: a beam of at most 256 states over the
+    hom basis maps between members that are not invertible, deduplicated
+    on (start, end, composite) and cut after sorting by the composite's
+    bytes.  A witness it returns is a composite of elements of J; its None
+    proves nothing once the cap cuts the beam."""
+    from topring import linalg
+    from topring.modules import NonisoWitnessChain, hom_space
+
+    members = family.members
+    if not members:
+        return None
+    F = members[0].algebra.field
+    k = len(members)
+    arrows = {}
+    for a in range(k):
+        for b in range(k):
+            homs = hom_space(members[a], members[b])
+            keep = [t for t in range(homs.shape[0])
+                    if not (members[a].dim == members[b].dim
+                            and linalg.is_invertible(F, homs[t]))]
+            arrows[(a, b)] = homs[keep] if keep else homs[:0]
+    # state: (start member, current member, composite matrix)
+    states = [(a, a, np.eye(members[a].dim, dtype=np.int64)) for a in range(k)]
+    paths = [[] for _ in states]
+    for _ in range(depth):
+        new_states, new_paths, seen = [], [], set()
+        for s, (start, cur, comp) in enumerate(states):
+            for b in range(k):
+                for step in arrows[(cur, b)]:
+                    nxt = linalg.matmul(F, comp, step)
+                    if not nxt.any():
+                        continue
+                    key = (start, b, nxt.tobytes())
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    new_states.append((start, b, nxt))
+                    new_paths.append(paths[s] + [(cur, b, step)])
+        order = sorted(range(len(new_states)),
+                       key=lambda i: (new_states[i][0], new_states[i][1], new_states[i][2].tobytes()))
+        new_states = [new_states[i] for i in order[:256]]
+        new_paths = [new_paths[i] for i in order[:256]]
+        if not new_states:
+            return None
+        states, paths = new_states, new_paths
+    comp, path = states[0][2], paths[0]
+    row = next(r for r in range(comp.shape[0]) if comp[r].any())
+    v = linalg.basis_vector(comp.shape[0], row)
+    images = []
+    x = v
+    for (_, _, step) in path:
+        x = linalg.matvec(F, x, step)
+        images.append(x)
+    return NonisoWitnessChain(
+        labels=[family.labels[a] for (a, _, _) in path] + [family.labels[path[-1][1]]],
+        steps=path, start_element=v, images=images)

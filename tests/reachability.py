@@ -37,8 +37,6 @@ ALLOWED = {
     "algebras.StructureAlgebra.inverse": "lifting.orthogonalize's route when the sum of the "
                                          "family is a unit outside 1 + H; no bundled input "
                                          "has such a family",
-    "modules.find_isomorphism": "class witness; no bundled module has a summand class "
-                                "with two members",
 }
 
 

@@ -241,6 +241,14 @@ def test_bridge_consistent(capsys):
     assert "consistent 1" in body
 
 
+@pytest.mark.parametrize("depth,verdict", [(12, "NOT_PERFECT"), (13, "UNKNOWN")])
+def test_bridge_verdict_on_chain7_flips_at_the_nilpotency_index(capsys, depth, verdict):
+    # rad End of the sum of F2[x]/(x^n), n = 1..7, has nilpotency index 13
+    rc, out = run(capsys, "bridge", corpus.path("chain7.sys"), "--depth", str(depth))
+    assert rc == 0
+    assert f"perfect_verdict {verdict}" in lines(out)
+
+
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     out1 = tmp_path / "r1.txt"
     out2 = tmp_path / "r2.txt"

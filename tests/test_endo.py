@@ -23,12 +23,12 @@ from topring.endo import (
     sample_sequence,
     sigma_coperfect_check,
     split_omega_limit_check,
+    system_family,
 )
 from topring.fields import GF
 from topring.matrixtop import matrix_algebra_over
 from topring.modules import (
     FiniteModule,
-    ModuleFamily,
     cyclic_submodule,
     direct_sum,
     endo_algebra,
@@ -64,10 +64,7 @@ def mat2_natural():
 
 
 def chain_family(depth):
-    sys = polynomial_adic_system(F2, depth)
-    return ModuleFamily(members=sys.modules,
-                        labels=[f"level_{n}" for n in range(1, depth + 1)],
-                        truncated=True)
+    return system_family(polynomial_adic_system(F2, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from oracles import (
     hidden_block_algebras,
     intersection_of_maximals,
     module_diagnostics_loop,
+    noniso_beam_search,
     sampled_isomorphism,
     solve_left_rows,
 )
@@ -32,7 +33,7 @@ from topring.algebras import (
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
-from topring.endo import polynomial_adic_system
+from topring.endo import polynomial_adic_system, system_family
 from topring.fields import GF
 from topring.modules import (
     FiniteModule,
@@ -259,6 +260,48 @@ def test_corrupted_hom_basis_trips_the_composition_check(monkeypatch, depth):
     row[pivot + 1:] ^= 1
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
     with pytest.raises(AlgebraError, match="^hom space is not closed under composition$"):
+        endo_algebra(M)
+
+
+def _unchecked_maps(M):
+    """The hom basis of M (k^2 > 576, so 64 pairs are drawn) and the maps
+    that no drawn pair holds, that are no summand of the identity and on
+    which no drawn composite has a coordinate: adding to one of them a
+    matrix that is zero up to its pivot changes no checked composite."""
+    E, homs, _ = endo_algebra(M)
+    k = homs.shape[0]
+    assert k * k > 576
+    rng = random.Random(k)
+    first, second = np.array([(rng.randrange(k), rng.randrange(k)) for _ in range(64)]).T
+    seen = E.c[first, second].any(axis=0) | (E.unit != 0)
+    seen[first] = seen[second] = True
+    return homs, np.flatnonzero(~seen)
+
+
+def test_hom_basis_map_that_is_no_module_map_trips(monkeypatch):
+    # the socle of F2[x]/(x^7) sent to itself, the rest to 0, is no module
+    # map; the sampled composition check cannot see it on these maps
+    M = _showcase_module()
+    homs, unchecked = _unchecked_maps(M)
+    assert unchecked.size
+    r = unchecked[0]
+    bad = homs.copy()
+    bad[r, -1, -1] ^= 1
+    monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
+    with pytest.raises(AlgebraError, match=f"^hom basis map {r} is not a module map$"):
+        endo_algebra(M)
+
+
+def test_hom_basis_that_is_not_reduced_trips(monkeypatch):
+    # the next basis map added to an unchecked one: the basis still spans
+    # the module maps, but the next map's pivot column holds two entries
+    M = _showcase_module()
+    homs, unchecked = _unchecked_maps(M)
+    r = unchecked[0]
+    bad = homs.copy()
+    bad[r] ^= homs[r + 1]
+    monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
+    with pytest.raises(AlgebraError, match="^hom basis is not reduced on its pivot columns$"):
         endo_algebra(M)
 
 
@@ -748,13 +791,122 @@ def test_composition_length(make, expected):
 def test_witness_search_none_without_nonisos():
     S = natural_matrix_module(F2, 2)
     fam = ModuleFamily(members=[S], labels=["S"], truncated=True)
-    assert noniso_witness_search(fam, depth=2) is None
+    assert noniso_witness_search(fam, [endo_algebra(S)[0]], depth=2) is None
+
+
+# ---------------------------------------------------------------------------
+# Nonisomorphism composites read off the powers of rad End
+# ---------------------------------------------------------------------------
+
+
+def _assert_noniso_chain(members, w, depth):
+    """w is `depth` composable nonisomorphisms between members, and its
+    images are the start element carried along them, never zero."""
+    F = members[0].algebra.field
+    assert w.length() == depth == len(w.images)
+    x = w.start_element
+    for t, (a, b, f) in enumerate(w.steps):
+        if t:
+            assert w.steps[t - 1][1] == a
+        assert f.shape == (members[a].dim, members[b].dim)
+        assert module_map_failures(members[a], members[b], f).size == 0
+        assert not (members[a].dim == members[b].dim and linalg.is_invertible(F, f))
+        x = linalg.matvec(F, x, f)
+        assert np.array_equal(x, w.images[t]) and x.any()
+
+
+def _truncated(members):
+    return ModuleFamily(members=members, labels=[f"m{i}" for i in range(len(members))],
+                        truncated=True)
+
+
+@pytest.mark.parametrize("n,nu", [(4, 7), (6, 11), (7, 13)])
+def test_chain_family_has_a_witness_exactly_below_the_nilpotency_index(n, nu):
+    fam = system_family(polynomial_adic_system(F2, n))
+    if n < 7:
+        # chain7's End has dimension 140; its radical is left to the bridge test
+        assert radical(endo_algebra(direct_sum(fam.members))[0]).nilpotency_index() == nu
+    for depth in range(1, 16):
+        res = local_T_nilpotency_check(fam, depth=depth)
+        assert res.kind == ("witness" if depth < nu else "inconclusive"), depth
+        if res.witness is not None:
+            _assert_noniso_chain(fam.members, res.witness, depth)
+
+
+def _hidden_copy(M, seed):
+    """M carried to a random basis: an isomorphic module with other matrices."""
+    F = M.algebra.field
+    rng = np.random.default_rng(seed)
+    while True:
+        P = rng.integers(0, F.q, size=(M.dim, M.dim)).astype(np.int64)
+        if linalg.is_invertible(F, P):
+            Pinv = linalg.inverse(F, P)
+            action = np.stack([linalg.matmul(F, linalg.matmul(F, Pinv, a), P) for a in M.action])
+            if not np.array_equal(action, M.action):
+                return FiniteModule(M.algebra, action)
+
+
+def _family_with_isomorphic_members(F):
+    chain = polynomial_adic_system(F, 3).modules
+    return _truncated(chain + [_hidden_copy(chain[1], 5)])
+
+
+@pytest.mark.parametrize("F", [F2, F3, GF(2, 2)], ids=str)
+def test_isomorphic_members_flip_the_verdict_at_the_nilpotency_index(F):
+    fam = _family_with_isomorphic_members(F)
+    members = fam.members
+    assert not np.array_equal(members[1].action, members[3].action)
+    assert find_isomorphism(members[1], members[3]) is not None
+    nu = radical(endo_algebra(direct_sum(members))[0]).nilpotency_index()
+    assert nu == 5
+    for depth in range(1, nu + 3):
+        res = local_T_nilpotency_check(fam, depth=depth)
+        assert (res.witness is not None) == (depth < nu), depth
+        if res.witness is not None:
+            _assert_noniso_chain(members, res.witness, depth)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: system_family(polynomial_adic_system(F2, 4)),
+    lambda: system_family(polynomial_adic_system(F2, 6)),
+    lambda: system_family(polynomial_adic_system(F2, 7)),
+    lambda: _family_with_isomorphic_members(F2),
+], ids=["chain4", "chain6", "chain7", "chain3+copy"])
+def test_beam_finds_a_witness_only_where_the_powers_do(make):
+    fam = make()
+    ends = [endo_algebra(M)[0] for M in fam.members]
+    for depth in range(1, 16):
+        beam = noniso_beam_search(fam, depth)
+        if beam is not None:
+            _assert_noniso_chain(fam.members, beam, depth)
+            assert noniso_witness_search(fam, ends, depth) is not None, depth
+
+
+def test_family_check_builds_one_endo_algebra_per_member(monkeypatch):
+    fam = system_family(polynomial_adic_system(F2, 4))
+    endo_calls = _counting(monkeypatch, "endo_algebra")
+    res = local_T_nilpotency_check(fam, depth=3)
+    assert res.kind == "witness"
+    assert len(endo_calls) == len(fam.members)
+
+
+def test_dropping_a_peirce_block_trips_the_closure_check(monkeypatch):
+    # Hom(F2, F2[x]/(x^3)) left out of J: the composite F2 -> F2[x]/(x^2)
+    # -> F2[x]/(x^3), 1 -> x^2, lands outside it
+    fam = system_family(polynomial_adic_system(F2, 3))
+    first, last = fam.members[0], fam.members[2]
+    real = modules.hom_space
+    monkeypatch.setattr(modules, "hom_space",
+                        lambda M, N: real(M, N)[:0] if M is first and N is last else real(M, N))
+    assert local_T_nilpotency_check(fam, depth=1).kind == "witness"
+    with pytest.raises(AssertionError, match="^a nonisomorphism composite left its block of J$"):
+        local_T_nilpotency_check(fam, depth=2)
 
 
 def _showcase_module():
     # the 28-dimensional sum of the chain family F2[x]/(x^n), n = 1..7,
     # whose 140-dimensional endomorphism algebra the negative showcase builds
-    from topring.endo import polynomial_adic_system
+    from topring.endo import polynomial_adic_system, system_family
 
     return direct_sum(polynomial_adic_system(F2, 7).modules)
 
