@@ -14,6 +14,7 @@ import numpy as np
 
 from . import corpus, linalg, serialize
 from .algebras import (
+    InternalInconsistencyError,
     StructureAlgebra,
     basis_change,
     cyclic_group_algebra,
@@ -124,7 +125,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
     for label, A in _named_radical_examples():
         H = radical(A)
         if not np.array_equal(H.basis, radical_bruteforce(A)):
-            raise AssertionError(f"radical oracle mismatch on {label}")
+            raise InternalInconsistencyError(f"radical oracle mismatch on {label}")
         rep.add("named", label, A.dim, H.dim)
         checks += 1
     F2, F3 = GF(2), GF(3)
@@ -147,7 +148,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
             continue
         H = radical(B)
         if not np.array_equal(H.basis, radical_bruteforce(B)):
-            raise AssertionError(f"radical oracle mismatch on random algebra {found}")
+            raise InternalInconsistencyError(f"radical oracle mismatch on random algebra {found}")
         rep.add("random", found, p, B.dim, H.dim)
         found += 1
         checks += 1
@@ -200,7 +201,7 @@ def suite_wedderburn(seed: int = 0) -> SuiteResult:
         B = basis_change(A, _random_invertible(A.field, A.dim, rng))
         W = wedderburn(B, seed=seed + i)
         if W.summary() != truth:
-            raise AssertionError(f"factor multiset mismatch on instance {i}")
+            raise InternalInconsistencyError(f"factor multiset mismatch on instance {i}")
         rep.add("instance", i, p, B.dim, *[t for pair in truth for t in pair])
         checks += 1
     return _result(rep, "wedderburn-round-trip", checks)
@@ -247,9 +248,9 @@ def suite_lifting(seed: int = 0) -> SuiteResult:
         f = linalg.matvec(A.field, A.field.fsum(prim[subset], axis=0), section)
         e = lift_idempotent(A, f, H)
         if not A.is_idempotent(e):
-            raise AssertionError(f"lift {i} is not idempotent")
+            raise InternalInconsistencyError(f"lift {i} is not idempotent")
         if not H.contains(A.field.sub(e, f)):
-            raise AssertionError(f"lift {i} left its congruence class")
+            raise InternalInconsistencyError(f"lift {i} left its congruence class")
         singles += 1
         checks += 1
     rep.add("single_lifts", singles)
@@ -261,7 +262,7 @@ def suite_lifting(seed: int = 0) -> SuiteResult:
         fam = lift_family_from_quotient(A, H, proj, section, prim, side=side)
         for z in range(prim.shape[0]):
             if not np.array_equal(linalg.matvec(A.field, fam.rows[z], proj), prim[z]):
-                raise AssertionError(f"family {i} member {z} projects wrong")
+                raise InternalInconsistencyError(f"family {i} member {z} projects wrong")
         families += 1
         checks += 1
     rep.add("family_lifts", families)
@@ -272,9 +273,9 @@ def suite_lifting(seed: int = 0) -> SuiteResult:
         fam = lift_family_from_quotient(A, H, proj, section, prim, side="left")
         again = orthogonalize(A, fam.rows, H, side="left")
         if not np.array_equal(again.u, A.unit):
-            raise AssertionError(f"exactly orthogonal input {i} produced u != 1")
+            raise InternalInconsistencyError(f"exactly orthogonal input {i} produced u != 1")
         if not np.array_equal(again.rows, fam.rows):
-            raise AssertionError(f"exactly orthogonal input {i} was changed")
+            raise InternalInconsistencyError(f"exactly orthogonal input {i} was changed")
         unchanged += 1
         checks += 1
     rep.add("u_equals_one", unchanged)
@@ -306,7 +307,7 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
         rng = np.random.default_rng(seed * 4099 + i)
         a, b, c = (_random_windowed(base, y_kind, W, rng) for _ in range(3))
         if mat_mul(mat_mul(a, b), c) != mat_mul(a, mat_mul(b, c)):
-            raise AssertionError(f"associativity failed on triple {i}")
+            raise InternalInconsistencyError(f"associativity failed on triple {i}")
         assoc += 1
         checks += 1
     rep.add("associativity_triples", assoc)
@@ -320,7 +321,7 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
                 want = elementary_matrix(base, y_kind, 4, i, l) if j == k else \
                     windowed(base, y_kind, np.zeros((4, 4, base.dim), dtype=np.int64))
                 if lhs != want:
-                    raise AssertionError(f"delta rule failed at E_{i}{j} E_{k}{l}")
+                    raise InternalInconsistencyError(f"delta rule failed at E_{i}{j} E_{k}{l}")
                 delta += 1
                 checks += 1
     rep.add("delta_rule", delta)
@@ -332,7 +333,7 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
         for _ in range(5):
             a = _random_windowed(base, "finite", 4, rng)
             if mat_mul(one, a) != a or mat_mul(a, one) != a:
-                raise AssertionError("unit law failed")
+                raise InternalInconsistencyError("unit law failed")
             checks += 1
     rep.add("unit_laws", checks - before)
 
@@ -346,7 +347,7 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
         k = windowed(DUAL, "finite", entries, check=False)
         a = _random_windowed(DUAL, "finite", 4, rng)
         if ideal_member(mat_mul(k, a), K).kind != "MEMBER":
-            raise AssertionError("right ideal property failed")
+            raise InternalInconsistencyError("right ideal property failed")
         members += 1
         checks += 1
     rep.add("right_ideal_products", members)
@@ -363,7 +364,7 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
         big = hom_space(transport_discrete(N, k, ring=E).module,
                         transport_discrete(N2, k, ring=E).module).shape[0]
         if small != big:
-            raise AssertionError(f"hom cardinality changed under transport on pair {i}")
+            raise InternalInconsistencyError(f"hom cardinality changed under transport on pair {i}")
         rep.add("hom_pair", i, k, small)
         hom_pairs += 1
         checks += 1
@@ -373,23 +374,23 @@ def suite_matrix_topology(seed: int = 0) -> SuiteResult:
         for size in (2, 3, 4):
             fc = free_contra_corner(base, "finite", size, 0)
             if fc.module.dim != size * base.dim:
-                raise AssertionError("finite corner is not the free module")
+                raise InternalInconsistencyError("finite corner is not the free module")
             ident = identity_matrix(base, "finite", size)
             for y in range(size):
                 if not np.array_equal(fc.point_measure(y), ident.entries[y].reshape(-1)):
-                    raise AssertionError("point measure is not an identity row")
+                    raise InternalInconsistencyError("point measure is not an identity row")
             corners += 1
             checks += 1
     for W in (2, 3, 4):
         fc = free_contra_corner(DUAL, "omega", W, 0, tail_basis=xrow)
         for y in range(W):
             if fc.point_measure(y).point_measure_at() != y:
-                raise AssertionError("omega point measure misplaced")
+                raise InternalInconsistencyError("omega point measure misplaced")
         sh = shift_matrix(DUAL, W)
         for x in range(W - 1):
             fam = row_family(sh, x)
             if fam.support != (x + 1,):
-                raise AssertionError("shift row support is wrong")
+                raise InternalInconsistencyError("shift row support is wrong")
         corners += 1
         checks += 1
     rep.add("corner_checks", corners)
@@ -435,13 +436,13 @@ def suite_contratensor(seed: int = 0) -> SuiteResult:
         F = N.algebra.field
         want = x_count * N.dim * F.d
         if r.fp_dim != want:
-            raise AssertionError(f"instance {i}: contratensor is not N^X")
+            raise InternalInconsistencyError(f"instance {i}: contratensor is not N^X")
         if r.cardinality != F.p ** want:
-            raise AssertionError(f"instance {i}: cardinality mismatch")
+            raise InternalInconsistencyError(f"instance {i}: cardinality mismatch")
         if r.tensor_dim - r.relation_rank != r.fp_dim:
-            raise AssertionError(f"instance {i}: relation rank inconsistent")
+            raise InternalInconsistencyError(f"instance {i}: relation rank inconsistent")
         if r.fp_dim and linalg.rank(GF(F.p), r.iso % F.p) != r.fp_dim:
-            raise AssertionError(f"instance {i}: induced map is not onto")
+            raise InternalInconsistencyError(f"instance {i}: induced map is not onto")
         rep.add("instance", i, x_count, r.tensor_dim, r.fp_dim)
         checks += 1
     return _result(rep, "contratensor", checks)
@@ -472,7 +473,7 @@ def suite_tp_formula(seed: int = 0) -> SuiteResult:
             image = linalg.row_space_basis(
                 F, linalg.matmul(F, H.ideals[n + 1].basis, T.transitions[n]))
             if not np.array_equal(image, H.ideals[n].basis):
-                raise AssertionError(f"{name}: radical transition {n} is not onto")
+                raise InternalInconsistencyError(f"{name}: radical transition {n} is not onto")
         rep.add("tower", name, T.depth, pairs, *[I.dim for I in H.ideals])
         checks += pairs + T.depth
     return _result(rep, "tp-formula", checks)
@@ -506,13 +507,13 @@ def suite_perfectness(seed: int = 0) -> SuiteResult:
         T = constant_tower(R, 2, intent="exact")
         verdict = classify_perfect(T, sizes=2, seed=seed).verdict
         if verdict != "PERFECT":
-            raise AssertionError(f"finite ring {i} not classified PERFECT")
+            raise InternalInconsistencyError(f"finite ring {i} not classified PERFECT")
         checks += 1
         flats = 0
         seqs = np.stack([sample_sequence(R, 6, seed * 1009 + j) for j in range(100)])
         for j, d in enumerate(bass_flat(R, seqs)):
             if d.verdict != "PROJECTIVE":
-                raise AssertionError(f"ring {i} sequence {j}: colimit not projective")
+                raise InternalInconsistencyError(f"ring {i} sequence {j}: colimit not projective")
             flats += 1
             checks += 1
         rep.add("ring", i, R.dim, verdict, flats)
@@ -533,30 +534,30 @@ def suite_showcase(seed: int = 0) -> SuiteResult:
                                 refinement=system_family(polynomial_adic_system(GF(2), 7)))
     verdict = bridge.perfect
     if verdict.verdict != "NOT_PERFECT" or verdict.witness is None:
-        raise AssertionError("truncation family was not rejected")
+        raise InternalInconsistencyError("truncation family was not rejected")
     if verdict.witness.length() < 5:
-        raise AssertionError("nonisomorphism chain is too short")
+        raise InternalInconsistencyError("nonisomorphism chain is too short")
     rep.add("decomposition", verdict.verdict, verdict.witness.length())
     checks += 1
 
     split = split_omega_limit_check(polynomial_adic_system(GF(2), 6))
     if split.kind != "NOT_SPLIT" or split.obstruction is None:
-        raise AssertionError("chain system was not obstructed")
+        raise InternalInconsistencyError("chain system was not obstructed")
     if split.obstruction.socle_heights != list(range(6)):
-        raise AssertionError("socle heights drifted")
+        raise InternalInconsistencyError("socle heights drifted")
     rep.add("split", split.kind, *split.obstruction.socle_heights)
     checks += 1
 
     sigma = bridge.sigma
     if sigma.kind != "witness" or sigma.max_length < 5:
-        raise AssertionError("no descending cyclic chain of length 5")
+        raise InternalInconsistencyError("no descending cyclic chain of length 5")
     if not sigma.refinement_verified:
-        raise AssertionError("chain did not survive the refinement")
+        raise InternalInconsistencyError("chain did not survive the refinement")
     rep.add("sigma", sigma.kind, sigma.copies, sigma.max_length, 1)
     checks += 1
 
     if not bridge.consistent:
-        raise AssertionError("verdict pipelines disagree")
+        raise InternalInconsistencyError("verdict pipelines disagree")
     rep.add("bridge", verdict.verdict, sigma.kind)
     checks += 1
     return _result(rep, "negative-showcase", checks)
@@ -572,13 +573,13 @@ def suite_semisimple(seed: int = 0) -> SuiteResult:
     loader = serialize.Loader()
     blocks = classify_semisimple(loader.tower(corpus.path("blocks2.twr")))
     if blocks.kind != "SEMISIMPLE":
-        raise AssertionError("block tower not recognized")
+        raise InternalInconsistencyError("block tower not recognized")
     if blocks.factors != [(2, 1), (2, 2), (4, 1)]:
-        raise AssertionError(f"factor multiset drifted: {blocks.factors}")
+        raise InternalInconsistencyError(f"factor multiset drifted: {blocks.factors}")
     rep.add("blocks2", blocks.kind, *[t for pair in blocks.factors for t in pair])
     adic = classify_semisimple(loader.tower(corpus.path("adic4.twr")))
     if adic.kind != "NOT" or adic.witness_level != 1:
-        raise AssertionError("adic tower not rejected at level 1")
+        raise InternalInconsistencyError("adic tower not rejected at level 1")
     rep.add("adic4", adic.kind, adic.witness_level)
     return _result(rep, "semisimple-recognition", 2)
 
@@ -614,7 +615,7 @@ def suite_determinism(seed: int = 0,
         baseline = first_runs[name] if first_runs else fn(seed).report
         again = fn(seed).report
         if baseline != again:
-            raise AssertionError(f"suite {name} is not deterministic")
+            raise InternalInconsistencyError(f"suite {name} is not deterministic")
         rep.add("identical", name, 1)
         checks += 1
     return _result(rep, "determinism", checks)

@@ -27,12 +27,13 @@ class AlgebraError(ValueError):
         self.diagnostics = diagnostics or []
 
 
-class InternalInconsistencyError(AlgebraError):
+class InternalInconsistencyError(Exception):
     """Two verdicts that provably must agree came out different.
 
     This is a bug in the computation, never a mathematical discovery, and
-    the command line maps it to its own exit code so it cannot pass as a
-    clean failure."""
+    the command line maps it, and nothing else, to exit 4.  It is not a
+    ValueError, so no handler that turns invalid input into a verdict or
+    into exit 3 (AlgebraError is a ValueError) can swallow it."""
 
 
 def _frozen(a) -> np.ndarray:
@@ -207,7 +208,7 @@ class StructureAlgebra:
                 coeffs[k] = 1
                 return poly.norm(coeffs)
             rows.append(cur.copy())
-        raise AssertionError("minimal polynomial must exist within dim+1 powers")
+        raise InternalInconsistencyError("minimal polynomial must exist within dim+1 powers")
 
     def evaluate_poly(self, f: poly.Poly, x: np.ndarray) -> np.ndarray:
         """f(x) inside the algebra (constant term times the unit)."""
@@ -473,9 +474,9 @@ def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
     computed on the integer lifts in [0, p).
 
     Level 0 is the bilinear form tr(M_s M_t), one contraction over all
-    pairs.  A level i >= 1 powers the products M_s M_t for t >= s, one s
-    at a time, so it holds O(m*N^2) integers, and raises AssertionError
-    if a trace is not divisible by p^i."""
+    pairs.  A level i >= 1 powers the products M_s M_t for t >= s, one s at
+    a time, so it holds O(m*N^2) integers; a trace not divisible by p^i is
+    an InternalInconsistencyError."""
     if i == 0:
         return np.einsum("sab,tba->st", mats, mats) % p
     m_dim = mats.shape[0]
@@ -486,7 +487,7 @@ def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
         prods = np.matmul(mats[s][None, :, :], mats[s:]) % modulus
         tr = _batch_power_mod(prods, step, modulus).trace(axis1=1, axis2=2) % modulus
         if np.any(tr % step):
-            raise AssertionError("divided trace not divisible; filtration broken")
+            raise InternalInconsistencyError("divided trace not divisible; filtration broken")
         g = (tr // step) % p
         gram[s, s:] = g
         gram[s:, s] = g
@@ -509,7 +510,7 @@ def radical(A: StructureAlgebra) -> SubspaceIdeal:
     nilpotent two-sided ideal, and returns that ideal.  This is exact:
     every level's kernel contains rad A (Cohen, Ivanyos and Wales, JPAA
     1997), and every nilpotent two-sided ideal lies inside rad A.  When no
-    level passes, the last kernel is checked as such and the check raises.
+    level passes, the last kernel is checked, and a failure is a bug (exit 4).
     The result's quotient is verified to have zero radical.  It is computed
     and verified once per algebra object and kept on it; every later call
     returns the same ideal.
@@ -549,7 +550,7 @@ def _radical(A: StructureAlgebra) -> SubspaceIdeal:
         # a semisimple quotient has a zero radical, so it is not verified again
         Q, _, _ = quotient(A, rad)
         if not radical(Q).is_zero():
-            raise AssertionError("quotient by the computed radical is not semisimple")
+            raise InternalInconsistencyError("quotient by the computed radical is not semisimple")
     return rad
 
 
@@ -558,7 +559,7 @@ def _nilpotent_ideal(A: StructureAlgebra, J: np.ndarray, final: bool) -> Subspac
     (i, t) -> omega^t e_i, as an ideal of A when it is F_q-stable (the
     field generator, coded p, keeps it inside), a two-sided ideal and
     nilpotent.  Otherwise None, or, for the final level, the failed
-    check raises."""
+    check raises InternalInconsistencyError."""
     F = A.field
     if not final and J.shape[0] == A.dim * F.d:
         return None  # the whole algebra holds 1, so it is not nilpotent
@@ -567,14 +568,14 @@ def _nilpotent_ideal(A: StructureAlgebra, J: np.ndarray, final: bool) -> Subspac
         wdig = F.DIGITS[F.mul(F.p, vecs)].reshape(vecs.shape[0], A.dim * F.d)
         if not linalg.in_row_space(GF(F.p), J, wdig):
             if final:
-                raise AssertionError("radical candidate is not F_q-stable")
+                raise InternalInconsistencyError("radical candidate is not F_q-stable")
             return None
     try:
         ideal = SubspaceIdeal(A, vecs, side="two")
         ideal.nilpotency_index()
-    except AlgebraError:
+    except AlgebraError as e:
         if final:
-            raise
+            raise InternalInconsistencyError(str(e)) from e
         return None
     return ideal
 
@@ -622,7 +623,7 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
     basis = linalg.row_space_basis(F, members) if len(members) else np.zeros((0, n), dtype=np.int64)
     # the member set must be exactly the subspace it spans
     if F.q ** basis.shape[0] != len(members):
-        raise AssertionError("oracle member set is not a subspace")
+        raise InternalInconsistencyError("oracle member set is not a subspace")
     return basis
 
 
@@ -651,22 +652,22 @@ def invert_in_one_plus_H(A: StructureAlgebra, u: np.ndarray, H: SubspaceIdeal) -
     else:
         raise AlgebraError("H is not nil on u - 1")
     if not np.array_equal(A.mul(u, acc), A.unit) or not np.array_equal(A.mul(acc, u), A.unit):
-        raise AssertionError("geometric series failed to invert u")
+        raise InternalInconsistencyError("geometric series failed to invert u")
     return acc
 
 
 def check_complete_orthogonal(A: StructureAlgebra, rows: np.ndarray) -> None:
-    """Raise AssertionError unless rows are idempotents, pairwise
-    orthogonal, and sum to 1."""
+    """Raise InternalInconsistencyError unless rows are idempotents,
+    pairwise orthogonal, and sum to 1."""
     prods = A.mul_pairs(rows, rows)
     for i in range(rows.shape[0]):
         if not np.array_equal(prods[i, i], rows[i]):
-            raise AssertionError(f"member {i} is not idempotent")
+            raise InternalInconsistencyError(f"member {i} is not idempotent")
         for j in range(rows.shape[0]):
             if i != j and prods[i, j].any():
-                raise AssertionError(f"members {i} and {j} are not orthogonal")
+                raise InternalInconsistencyError(f"members {i} and {j} are not orthogonal")
     if not np.array_equal(A.field.fsum(rows, axis=0), A.unit):
-        raise AssertionError("family does not sum to 1")
+        raise InternalInconsistencyError("family does not sum to 1")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ recorded, so the same inputs and flags reproduce the same bytes.  Exit
 codes separate the failure kinds: 2 for files or arguments that do not
 parse and for an --out path that cannot be written, 3 for inputs that
 parse but fail validation or run out of memory, 4 for a disagreement
-between two routes that must agree (a bug, never silent).
+between two routes that must agree (a bug, never silent), which is an
+InternalInconsistencyError and nothing else.
 """
 
 import argparse
@@ -377,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except serialize.ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (InternalInconsistencyError, AssertionError) as e:
+    except InternalInconsistencyError as e:
         print(f"inconsistency: {e}", file=sys.stderr)
         return 4
     except ValueError as e:

@@ -572,13 +572,7 @@ def sigma_coperfect_check(target, depth: int = 6, seed: int = 0,
         big = np.kron(np.eye(k, dtype=np.int64), embed)
         gens2 = [linalg.matvec(F, g, big) for g in gens]
         bases2 = [cyclic_submodule(Mod2, g) for g in gens2]
-        for t in range(1, len(bases2)):
-            if bases2[t].shape[0] >= bases2[t - 1].shape[0]:
-                raise InternalInconsistencyError(
-                    f"witness chain collapsed at step {t} under refinement")
-            if not linalg.in_row_space(F, bases2[t - 1], bases2[t]):
-                raise InternalInconsistencyError(
-                    f"witness chain member {t} escapes under refinement")
+        _verify_chain(Mod2, gens2, bases2)
         refinement_verified = True
 
     return SigmaCoperfectResult(

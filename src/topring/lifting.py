@@ -23,6 +23,7 @@ import numpy as np
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     SubspaceIdeal,
     check_complete_orthogonal,
@@ -73,9 +74,9 @@ def lift_idempotent(A: StructureAlgebra, f: np.ndarray, H: SubspaceIdeal) -> np.
         if not np.array_equal(A.mul(g, g), g):
             raise AlgebraError("idempotent lift did not converge; H is not nil")
     if not H.contains(F.sub(g, f)):
-        raise AssertionError("lifted idempotent drifted out of f + H")
+        raise InternalInconsistencyError("lifted idempotent drifted out of f + H")
     if g.any() and not linalg.in_row_space(F, corner_basis(A, f, f), g):
-        raise AssertionError("lifted idempotent escaped f*A*f")
+        raise InternalInconsistencyError("lifted idempotent escaped f*A*f")
     return g
 
 
@@ -144,11 +145,11 @@ def lift_orthogonal_family(
     congruent = H.member_rows(F.sub(fam.rows, rows))
     for z in range(k):
         if not congruent[z]:
-            raise AssertionError(f"lifted member {z} is not congruent to its input")
+            raise InternalInconsistencyError(f"lifted member {z} is not congruent to its input")
         anchor = rows[z]
         span = A.rmul_matrix(anchor) if side == "left" else A.lmul_matrix(anchor)
         if fam.rows[z].any() and not linalg.in_row_space(F, linalg.row_space_basis(F, span), fam.rows[z]):
-            raise AssertionError(f"lifted member {z} violates the {side} closure choice")
+            raise InternalInconsistencyError(f"lifted member {z} violates the {side} closure choice")
     return fam
 
 
@@ -171,5 +172,5 @@ def lift_family_from_quotient(
     fam = lift_orthogonal_family(A, preimages, H, side=side)
     for z in range(quotient_rows.shape[0]):
         if not np.array_equal(linalg.matvec(F, fam.rows[z], proj), quotient_rows[z]):
-            raise AssertionError(f"lift {z} does not project onto the given idempotent")
+            raise InternalInconsistencyError(f"lift {z} does not project onto the given idempotent")
     return fam

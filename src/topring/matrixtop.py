@@ -28,6 +28,7 @@ import numpy as np
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     SubspaceIdeal,
     ideal_span,
@@ -251,8 +252,8 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     it generates.  All precisions, then all tails (seeded with them), take
     one ideal_span and one stacked row reduction.  The first row whose
     precision reaches the whole base ring raises WindowError: the window
-    was too small to certify it.  windowed_diagnostics re-checks that
-    every certificate is a right ideal; a failure raises AssertionError.
+    was too small to certify it.  windowed_diagnostics re-checks that every
+    certificate is a right ideal; a failure is an InternalInconsistencyError.
     """
     _check_compatible(a, b)
     A = a.base
@@ -295,7 +296,7 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     tails = _right_ideal_bases(A, W, [precisions, past, prods[:, n_prec:]])
     m = WindowedMatrix(A, "omega", W, ent, [[] for _ in range(W)], tails, precisions)
     if problems := windowed_diagnostics(m):
-        raise AssertionError("product certificates failed their check: " + "; ".join(problems))
+        raise InternalInconsistencyError("product certificates failed their check: " + "; ".join(problems))
     return m
 
 
@@ -600,13 +601,13 @@ def contratensor(N: FiniteModule, x_count: int) -> ContratensorResult:
     iso = np.einsum("xy,sab->axsyb", eye_x, NR).reshape(T, Np * x_count)
     if T:
         if np.any(linalg.matmul(Fp, rels, iso)):
-            raise AlgebraError("closed-form map does not kill the relations")
+            raise InternalInconsistencyError("closed-form map does not kill the relations")
         if linalg.rank(Fp, iso) != Np * x_count or fp_dim != Np * x_count:
-            raise AlgebraError("contraction does not match its closed form")
+            raise InternalInconsistencyError("contraction does not match its closed form")
         # r acting on R^X before iso against r acting on N^X after it
         lhs = Fp.contract("jst,axtc->jaxsc", RRm, iso.reshape(Np, x_count, Rp, -1))
         rhs = Fp.contract("ryb,jbc->jryc", iso.reshape(T, x_count, Np), NR)
         if not np.array_equal(lhs.reshape(rhs.shape), rhs):
-            raise AlgebraError("closed-form map does not respect the action")
+            raise InternalInconsistencyError("closed-form map does not respect the action")
     return ContratensorResult(
         p, x_count, T, relation_rank, fp_dim, p ** fp_dim, iso, rels)

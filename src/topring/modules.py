@@ -25,6 +25,7 @@ import numpy as np
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     peirce_corner,
     quotient,
@@ -220,7 +221,7 @@ def radical_series(M: FiniteModule) -> list[np.ndarray]:
         rows = F.contract("rj,hjk->hrk", current, effs).reshape(-1, M.dim)
         nxt = linalg.row_space_basis(F, rows)
         if nxt.shape[0] == current.shape[0]:
-            raise AssertionError("radical series stalled; algebra radical is not nil")
+            raise InternalInconsistencyError("radical series stalled; algebra radical is not nil")
         series.append(nxt)
         current = nxt
     return series
@@ -291,15 +292,15 @@ def endo_algebra(M: FiniteModule):
     coords = np.vstack([unit, c[first, second]])
     targets = np.vstack([unit_flat, linalg.as_rows(composites, M.dim * M.dim)])
     if not np.array_equal(linalg.matmul(F, coords, flat), targets):
-        raise AlgebraError("hom space is not closed under composition")
+        raise InternalInconsistencyError("hom space is not closed under composition")
     effs = _eff_stack(M, M.algebra.generator_elements())
     # G_g @ H_r at [g, r] against H_r @ G_g at [r, g]
     moved = (F.contract("itk,jkl->ijtl", effs, homs)
              != np.swapaxes(F.contract("itk,jkl->ijtl", homs, effs), 0, 1)).any(axis=(0, 2, 3))
     if moved.any():
-        raise AlgebraError(f"hom basis map {np.argmax(moved)} is not a module map")
+        raise InternalInconsistencyError(f"hom basis map {np.argmax(moved)} is not a module map")
     if not np.array_equal(flat[:, pivots], np.eye(k, dtype=np.int64)):
-        raise AlgebraError("hom basis is not reduced on its pivot columns")
+        raise InternalInconsistencyError("hom basis is not reduced on its pivot columns")
     E = StructureAlgebra(F, c, unit, check=False, rep=homs)
     M_over_E = FiniteModule(E, homs, side="right", check=False)
     return E, homs, M_over_E
@@ -358,7 +359,7 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
     E, homs, _ = endo_algebra(M)
     radE = radical(E)
     if radE.dim == E.dim:
-        raise AssertionError("endomorphism algebra cannot be its own radical")
+        raise InternalInconsistencyError("endomorphism algebra cannot be its own radical")
     Q, proj, section = quotient(E, radE)
     W = wedderburn(Q, seed=seed)
     fam = lift_family_from_quotient(E, radE, proj, section, W.primitive_family())
@@ -372,24 +373,24 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         # row r of P is the image of e_r
         proj_z = linalg.solve_left(F, embed, P)
         if proj_z is None or not np.array_equal(linalg.matmul(F, proj_z, embed), P):
-            raise AssertionError("projector does not factor through its image")
+            raise InternalInconsistencyError("projector does not factor through its image")
         if not np.array_equal(linalg.matmul(F, embed, proj_z), np.eye(N.dim, dtype=np.int64)):
-            raise AssertionError("summand section failed")
+            raise InternalInconsistencyError("summand section failed")
         # End(N) is the corner eEe, local exactly when its top is block b's field
         EN, _ = peirce_corner(E, fam.rows[z])
         radN = radical(EN)
         if EN.dim - radN.dim != W.factors[b].m:
-            raise AssertionError("summand endomorphism algebra is not local")
+            raise InternalInconsistencyError("summand endomorphism algebra is not local")
         if EN.cardinality() <= 1024:
             elements = EN.all_elements()
             # x is a unit iff left multiplication by x has full rank
             lmul = F.contract("vi,ijk->vjk", elements, EN.c)
             units = linalg.rref(F, lmul)[1] == EN.dim
             if np.any(units == radN.member_rows(elements)):
-                raise AssertionError("non-unit set differs from the endo radical")
+                raise InternalInconsistencyError("non-unit set differs from the endo radical")
             idems = int((EN.mul_rows(elements, elements) == elements).all(axis=1).sum())
             if idems != 2:
-                raise AssertionError("summand has a nontrivial idempotent endomorphism")
+                raise InternalInconsistencyError("summand has a nontrivial idempotent endomorphism")
             local_checked.append("exhaustive")
         else:
             local_checked.append("semisimple-quotient")
@@ -405,7 +406,7 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         for z in members:
             iso = find_isomorphism(summands[z], summands[rep])
             if iso is None:
-                raise AssertionError(
+                raise InternalInconsistencyError(
                     f"summands {z} and {rep} share a Wedderburn block but are not isomorphic")
             class_isos[z] = iso
     cert = DecompositionCertificate(
@@ -429,12 +430,12 @@ def verify_decomposition(cert: DecompositionCertificate) -> None:
     not_orthogonal[diag, diag] = False
     for z in range(k):
         if not_idempotent[z]:
-            raise AssertionError(f"projector {z} is not idempotent")
+            raise InternalInconsistencyError(f"projector {z} is not idempotent")
         partners = np.flatnonzero(not_orthogonal[z])
         if partners.size:
-            raise AssertionError(f"projectors {z}, {partners[0]} are not orthogonal")
+            raise InternalInconsistencyError(f"projectors {z}, {partners[0]} are not orthogonal")
     if not np.array_equal(F.fsum(P, axis=0), np.eye(m, dtype=np.int64)):
-        raise AssertionError("projectors do not sum to the identity")
+        raise InternalInconsistencyError("projectors do not sum to the identity")
 
 
 def composition_length(M: FiniteModule) -> int:
@@ -457,7 +458,7 @@ def composition_length(M: FiniteModule) -> int:
         for f, eff in zip(W.factors, effs):
             r = linalg.rank(F, np.vstack([linalg.matmul(F, top, eff), below])) - below.shape[0]
             if r % (f.n * f.m):
-                raise AssertionError("semisimple block dimension mismatch")
+                raise InternalInconsistencyError("semisimple block dimension mismatch")
             total += r // (f.n * f.m)
     return total
 
@@ -588,7 +589,7 @@ def noniso_witness_search(family: ModuleFamily, ends: list[StructureAlgebra],
             return None
         coords = np.take_along_axis(prods, pivots[:, None, :], axis=2) * live[:, None, :]
         if t == 1 and not np.array_equal(F.contract("sij,sjk->sik", coords, basis), prods):
-            raise AssertionError("a nonisomorphism composite left its block of J")
+            raise InternalInconsistencyError("a nonisomorphism composite left its block of J")
         R, ranks = linalg.rref(F, coords)
         spans.append(F.contract("sij,sjk->sik", R[:, : max(ranks)], basis).reshape(k, k, -1, D, D))
     a, b = divmod(int(np.flatnonzero(spans[-1].any(axis=(2, 3, 4)))[0]), k)
@@ -604,7 +605,7 @@ def noniso_witness_search(family: ModuleFamily, ends: list[StructureAlgebra],
     images = list(itertools.accumulate((f for _, _, f in path), lambda x, f: linalg.matvec(F, x, f),
                                        initial=v))[1:]
     if not images[-1].any():
-        raise AssertionError("witness composite lost its element")
+        raise InternalInconsistencyError("witness composite lost its element")
     return NonisoWitnessChain(labels=[family.labels[c] for (c, _, _) in path] + [family.labels[b]],
                               steps=path, start_element=v, images=images)
 

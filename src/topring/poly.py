@@ -158,12 +158,10 @@ def is_irreducible(F: FiniteField, f: Poly) -> bool:
 def first_irreducible(F: FiniteField, d: int) -> Poly:
     """The monic irreducible of degree d over F whose lower coefficients,
     read as base-q digits with the constant term lowest, form the smallest
-    number."""
-    for tail in range(F.q ** d):
-        f = np.append(np.array([tail // F.q ** i % F.q for i in range(d)], dtype=np.int64), 1)
-        if is_irreducible(F, f):
-            return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    number; an irreducible of every degree exists, so next() finds one."""
+    candidates = (np.append(np.array([tail // F.q ** i % F.q for i in range(d)], dtype=np.int64), 1)
+                  for tail in range(F.q ** d))
+    return next(f for f in candidates if is_irreducible(F, f))
 
 
 def _pth_root_poly(F: FiniteField, f: Poly) -> Poly:

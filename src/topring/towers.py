@@ -7,9 +7,9 @@ carry the truncation depth they were established at.
 
 The levelwise Jacobson radicals form an ideal tower (transition images
 match exactly); its per-level nilpotency indices certify topological
-T-nilpotency, a constructive lifting argument certifies strong
-closedness, and the quotient tower is classified semisimple with a factor
-multiset matched across levels by central idempotent tracking.
+T-nilpotency, lifting seeded random zero-convergent families samples
+strong closedness, and the quotient tower is classified semisimple with
+a factor multiset matched across levels by central idempotent tracking.
 """
 
 from __future__ import annotations
@@ -248,11 +248,11 @@ def tp_formula_check(T: RingTower, H: IdealTower) -> int:
             summed = linalg.row_space_basis(
                 F, np.vstack([T.kernel_basis(m, n), H.ideals[m].basis]))
             if not np.array_equal(preimage, summed):
-                raise TowerError(f"levels {m}->{n}: ideal preimage differs from kernel + ideal")
+                raise InternalInconsistencyError(f"levels {m}->{n}: ideal preimage differs from kernel + ideal")
             Rn_over_Rm = _level_as_module(T, m, n)
             mod_rad = radical_of_module(Rn_over_Rm)
             if not np.array_equal(mod_rad, H.ideals[n].basis):
-                raise TowerError(f"levels {m}->{n}: module radical route disagrees")
+                raise InternalInconsistencyError(f"levels {m}->{n}: module radical route disagrees")
             pairs += 1
     return pairs
 
@@ -354,14 +354,15 @@ def strongly_closed_check(T: RingTower, H: IdealTower, sizes: list[int] | int = 
                         mapped = linalg.matmul(F, H.ideals[n].basis, T.transitions[n - 1])
                         coords = linalg.solve_left(F, mapped, defect)
                         if coords is None:
-                            raise TowerError(f"level {n}: section defect not repairable inside the ideal")
+                            raise InternalInconsistencyError(
+                                f"level {n}: section defect not repairable inside the ideal")
                         h = linalg.lincomb(F, coords, H.ideals[n].basis)
                         cand = F.sub(cand, h)
                         repairs += 1
                 if not np.array_equal(linalg.matvec(F, cand, projn), member[n]):
-                    raise TowerError(f"level {n}: lift does not project to the family member")
+                    raise InternalInconsistencyError(f"level {n}: lift does not project to the family member")
                 if n and not np.array_equal(linalg.matvec(F, cand, T.transitions[n - 1]), lift[n - 1]):
-                    raise TowerError(f"level {n}: lift is not transition-compatible")
+                    raise InternalInconsistencyError(f"level {n}: lift is not transition-compatible")
                 lift.append(cand)
             lift_rows.append(lift)
             families_lifted += 1
@@ -415,9 +416,9 @@ def classify_semisimple(T: RingTower) -> TowerSemisimpleResult:
             else:
                 match = next((p for eps, p in prev if np.array_equal(eps, img)), None)
                 if match is None:
-                    raise TowerError(f"level {n}: factor image is not a lower-level factor")
+                    raise InternalInconsistencyError(f"level {n}: factor image is not a lower-level factor")
                 if match != pair:
-                    raise TowerError(f"level {n}: factor changed shape across a transition")
+                    raise InternalInconsistencyError(f"level {n}: factor changed shape across a transition")
         prev = current
     return TowerSemisimpleResult(kind="SEMISIMPLE", factors=sorted(multiset), depth=T.depth)
 
@@ -460,8 +461,8 @@ def classify_perfect(T: RingTower, sizes: list[int] | int = 3, seed: int = 0) ->
     quotient pipelines and report the conjunction verdict.
 
     Towers with a two-sided base always come out PERFECT: each level is a
-    finite ring, so the levelwise condition holds, and all three defining
-    conditions are certified constructively.
+    finite ring, so the levelwise condition holds.  T-nilpotency and the
+    semisimple quotient are certified; strong closedness is sampled.
     """
     H = topological_jacobson_radical(T)
     nil = t_nilpotency_check(T, H)
@@ -479,7 +480,7 @@ def classify_perfect(T: RingTower, sizes: list[int] | int = 3, seed: int = 0) ->
         strong_closedness=strong,
         semisimple_quotient=semi,
         reason="every level is a finite ring, so the levelwise perfectness condition holds; "
-               "T-nilpotency, strong closedness, and semisimple quotient certified constructively",
+               "T-nilpotency and semisimple quotient certified, strong closedness sampled",
         equivalent_conditions=list(EQUIVALENT_CONDITIONS),
         two_sided_base_conditions=list(TWO_SIDED_BASE_CONDITIONS),
         caveats=[

@@ -21,6 +21,7 @@ import numpy as np
 from topring import linalg, poly
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     check_complete_orthogonal,
     corner_basis,
@@ -92,7 +93,7 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
         lagr = []
         for g, e in poly.factor_poly(F, mp)[1]:
             if poly.deg(g) != 1 or e != 1:
-                raise AssertionError("fixed central element with non-split minimal polynomial")
+                raise InternalInconsistencyError("fixed central element with non-split minimal polynomial")
             # g is x - a; num(a) is the remainder of num = mp / g by g
             num = poly.exact_div(F, mp, g)
             den = int(poly.mod(F, num, g)[0])
@@ -100,7 +101,7 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
         family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
         family = family[family.any(axis=1)]
     if family.shape[0] != k:
-        raise AssertionError("central idempotent refinement did not reach the factor count")
+        raise InternalInconsistencyError("central idempotent refinement did not reach the factor count")
     rows = np.vstack(sorted(family, key=A.encode))
     check_complete_orthogonal(A, rows)
     return rows
@@ -129,13 +130,13 @@ def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
         h = poly.exact_div(F, mp, g)
         d, u, _ = poly.xgcd(F, g, h)
         if poly.deg(d) != 0:
-            raise AssertionError("coprime parts with nontrivial gcd")
+            raise InternalInconsistencyError("coprime parts with nontrivial gcd")
         w = poly.mod(F, poly.mul(F, u, g), mp)
         f = C.evaluate_poly(w, y)
         if not C.is_idempotent(f) or not f.any() or np.array_equal(f, C.unit):
-            raise AssertionError("idempotent construction failed")
+            raise InternalInconsistencyError("idempotent construction failed")
         return f
-    raise AssertionError("no proper idempotent found within the retry budget")
+    raise InternalInconsistencyError("no proper idempotent found within the retry budget")
 
 
 def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.ndarray:
@@ -145,7 +146,7 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
     m = B.center_basis().shape[0]
     n = isqrt(B.dim // m)
     if n * n * m != B.dim:
-        raise AssertionError("simple algebra dimension is not n^2 * m")
+        raise InternalInconsistencyError("simple algebra dimension is not n^2 * m")
     family = [B.unit.copy()]
     for _ in range(B.dim):
         split_at = next(
@@ -160,7 +161,7 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
         f2 = B.field.sub(e, f1)
         family[split_at : split_at + 1] = [f1, f2]
     if len(family) != n:
-        raise AssertionError("corner refinement did not reach the matrix size")
+        raise InternalInconsistencyError("corner refinement did not reach the matrix size")
     family.sort(key=B.encode)
     rows = np.vstack(family)
     check_complete_orthogonal(B, rows)
@@ -172,8 +173,8 @@ def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndar
     orthogonal family (E_ii = family[i]); E_0j is any nonzero element of
     f_0 B f_j and E_j0 solves E_0j * v = f_0 inside f_j B f_0.  Every
     E_ij = E_i0 * E_0j is one mul_pairs of the column E_i0 with the row
-    E_0j, and one more checks all n^4 relations E_ab * E_cd = delta_bc * E_ad;
-    the AssertionError names the first failing (a, b, c, d), row-major."""
+    E_0j, and one more checks all n^4 relations E_ab * E_cd = delta_bc * E_ad.
+    A failure names the first failing (a, b, c, d), row-major."""
     F = B.field
     n = family.shape[0]
     E = np.zeros((n, n, B.dim), dtype=np.int64)
@@ -181,17 +182,17 @@ def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndar
     for j in range(1, n):
         U = corner_basis(B, family[0], family[j])
         if U.shape[0] == 0:
-            raise AssertionError("empty off-diagonal corner in a simple algebra")
+            raise InternalInconsistencyError("empty off-diagonal corner in a simple algebra")
         u = U[0]
         W = corner_basis(B, family[j], family[0])
         # row w of W times L_u is u * w
         prods = linalg.matmul(F, W, B.lmul_matrix(u))
         sol = linalg.solve_left(F, prods, family[0])
         if sol is None:
-            raise AssertionError("no right quasi-inverse in the off-diagonal corner")
+            raise InternalInconsistencyError("no right quasi-inverse in the off-diagonal corner")
         v = linalg.matvec(F, sol, W)
         if not np.array_equal(B.mul(v, u), family[j]):
-            raise AssertionError("v*u is not the expected diagonal idempotent")
+            raise InternalInconsistencyError("v*u is not the expected diagonal idempotent")
         E[0, j] = u
         E[j, 0] = v
     # E_ij = E_i0 * E_0j; the diagonal comes out as family[i], since v*u was checked
@@ -201,7 +202,7 @@ def matrix_units_from_family(B: StructureAlgebra, family: np.ndarray) -> np.ndar
     want = np.einsum("bc,adk->abcdk", np.eye(n, dtype=np.int64), E)
     bad = np.argwhere((prods.reshape(want.shape) != want).any(axis=4))
     if bad.size:
-        raise AssertionError(f"matrix unit relation fails at {tuple(int(i) for i in bad[0])}")
+        raise InternalInconsistencyError(f"matrix unit relation fails at {tuple(int(i) for i in bad[0])}")
     return E
 
 
@@ -239,11 +240,11 @@ def wedderburn(A: StructureAlgebra, seed: int = 0) -> WedderburnDatum:
         )
     factors.sort(key=lambda f: (f.card, f.n, A.encode(f.central_idempotent)))
     if sum(f.n * f.n * f.m for f in factors) != A.dim:
-        raise AssertionError("factor dimensions do not add up")
+        raise InternalInconsistencyError("factor dimensions do not add up")
     model, iso = _build_model_and_iso(A, factors)
     iso_inv = linalg.inverse(F, iso)
     if iso_inv is None:
-        raise AssertionError("decomposition map is not bijective")
+        raise InternalInconsistencyError("decomposition map is not bijective")
     _verify_iso(A, model, iso)
     return WedderburnDatum(
         algebra=A,
@@ -272,7 +273,7 @@ def _build_model_and_iso(A: StructureAlgebra, factors: list[SimpleFactor]):
                        F.contract("jb,abk->jak", f.matrix_units[:, 0], A.c))
         coords = D[..., pivots]
         if not np.array_equal(F.contract("ijtp,pl->ijtl", coords, f.corner_basis), D):
-            raise AssertionError("corner coordinate extraction failed")
+            raise InternalInconsistencyError("corner coordinate extraction failed")
         # column block (i, j) holds the corner coordinates of E_0i * b * E_j0
         blocks.append(np.transpose(coords, (2, 0, 1, 3)).reshape(A.dim, -1))
     return model, np.hstack(blocks)
@@ -281,8 +282,8 @@ def _build_model_and_iso(A: StructureAlgebra, factors: list[SimpleFactor]):
 def _verify_iso(A: StructureAlgebra, model: StructureAlgebra, iso: np.ndarray) -> None:
     F = A.field
     if not np.array_equal(linalg.matvec(F, A.unit, iso), model.unit):
-        raise AssertionError("decomposition map does not preserve the unit")
+        raise InternalInconsistencyError("decomposition map does not preserve the unit")
     bad = hom_failures(A, model, iso)
     if bad.size:
         s, t = bad[0]
-        raise AssertionError(f"decomposition map not multiplicative at ({s}, {t})")
+        raise InternalInconsistencyError(f"decomposition map not multiplicative at ({s}, {t})")

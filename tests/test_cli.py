@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import resource
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from topring import acceptance, cli, corpus, endo, serialize
-from topring.algebras import truncated_poly_algebra
+from topring.algebras import InternalInconsistencyError, truncated_poly_algebra
 from topring.endo import omega_system, polynomial_adic_system
 from topring.fields import GF
 from topring.matrixtop import windowed
@@ -464,6 +465,54 @@ def test_radical_disagreeing_with_the_brute_force_oracle_exits_4(capsys, monkeyp
     assert captured.out == ""
     assert captured.err.startswith(
         "inconsistency: level 1: radical differs from the brute-force oracle")
+
+
+def test_module_radical_route_disagreeing_exits_4(capsys, monkeypatch):
+    # the tower passed build_tower, so the two routes of tp_formula_check
+    # disagreeing is a bug, not an invalid input
+    from topring import towers
+
+    monkeypatch.setattr(towers, "radical_of_module",
+                        lambda M: np.zeros((0, M.dim), dtype=np.int64))
+    rc = cli.main(["classify-perfect", corpus.path("adic4.twr")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == "inconsistency: levels 2->1: module radical route disagrees\n"
+
+
+def test_hom_space_not_closed_under_composition_exits_4(capsys, monkeypatch):
+    # the module passed FiniteModule(check=True), so a hom basis that the
+    # tripwires of endo_algebra reject is a bug, not an invalid input
+    from topring import modules
+
+    real = modules.hom_space
+
+    def flipped(M, N):
+        homs = real(M, N).copy()
+        homs[-1, -1, -1] ^= 1
+        return homs
+
+    monkeypatch.setattr(modules, "hom_space", flipped)
+    rc = cli.main(["decompose-module", corpus.path("chain6_n6.mod")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == "inconsistency: hom space is not closed under composition\n"
+
+
+def test_exit_4_has_one_exception():
+    # every route disagreement raises InternalInconsistencyError: src/ names
+    # no AssertionError and has no assert statement (python -O strips those),
+    # and no `except ValueError` or `except AlgebraError` can catch the class
+    src = Path(cli.__file__).parent
+    found = [f"{path.relative_to(src)}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "AssertionError"]
+    assert found == []
+    assert not issubclass(InternalInconsistencyError, ValueError)
 
 
 def test_parser_is_built_once(capsys):

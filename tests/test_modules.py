@@ -22,6 +22,7 @@ from oracles import (
 from topring import acceptance, linalg, modules
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     cyclic_group_algebra,
     field_extension_algebra,
@@ -259,7 +260,8 @@ def test_corrupted_hom_basis_trips_the_composition_check(monkeypatch, depth):
     assert pivot // M.dim != pivot % M.dim
     row[pivot + 1:] ^= 1
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
-    with pytest.raises(AlgebraError, match="^hom space is not closed under composition$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="^hom space is not closed under composition$"):
         endo_algebra(M)
 
 
@@ -288,7 +290,8 @@ def test_hom_basis_map_that_is_no_module_map_trips(monkeypatch):
     bad = homs.copy()
     bad[r, -1, -1] ^= 1
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
-    with pytest.raises(AlgebraError, match=f"^hom basis map {r} is not a module map$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match=f"^hom basis map {r} is not a module map$"):
         endo_algebra(M)
 
 
@@ -301,7 +304,8 @@ def test_hom_basis_that_is_not_reduced_trips(monkeypatch):
     bad = homs.copy()
     bad[r] ^= homs[r + 1]
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
-    with pytest.raises(AlgebraError, match="^hom basis is not reduced on its pivot columns$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="^hom basis is not reduced on its pivot columns$"):
         endo_algebra(M)
 
 
@@ -457,7 +461,7 @@ def test_mutated_decomposition_certificate_trips(mutate, message):
     cert = decompose_indecomposable(right_regular_module(A))
     verify_decomposition(cert)
     cert.idempotents = mutate(cert.idempotents)
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(InternalInconsistencyError, match=message):
         verify_decomposition(cert)
 
 
@@ -552,7 +556,8 @@ def test_decomposition_matches_per_summand_route(kind, arg, seed):
 
 def test_missing_class_isomorphism_names_both_summands(monkeypatch):
     monkeypatch.setattr(modules, "find_isomorphism", lambda M, N: None)
-    with pytest.raises(AssertionError, match="summands 1 and 0 share a Wedderburn block"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="summands 1 and 0 share a Wedderburn block"):
         decompose_indecomposable(regular_module("Mat2(F2)", 1))
 
 
@@ -899,7 +904,8 @@ def test_dropping_a_peirce_block_trips_the_closure_check(monkeypatch):
     monkeypatch.setattr(modules, "hom_space",
                         lambda M, N: real(M, N)[:0] if M is first and N is last else real(M, N))
     assert local_T_nilpotency_check(fam, depth=1).kind == "witness"
-    with pytest.raises(AssertionError, match="^a nonisomorphism composite left its block of J$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="^a nonisomorphism composite left its block of J$"):
         local_T_nilpotency_check(fam, depth=2)
 
 
@@ -938,7 +944,8 @@ def test_unit_rank_disagreeing_with_the_corner_radical_trips(monkeypatch):
         return (R, np.full_like(ranks, R.shape[1])) if np.ndim(M) == 3 else (R, ranks)
 
     monkeypatch.setattr(linalg, "rref", rref)
-    with pytest.raises(AssertionError, match="^non-unit set differs from the endo radical$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="^non-unit set differs from the endo radical$"):
         decompose_indecomposable(regular_module("GF(4)/F2", 1))
 
 
@@ -949,7 +956,8 @@ def test_extra_idempotent_among_corner_elements_trips(monkeypatch):
         return np.vstack([real(self), self.unit[None, :]])
 
     monkeypatch.setattr(StructureAlgebra, "all_elements", with_unit_twice)
-    with pytest.raises(AssertionError, match="^summand has a nontrivial idempotent endomorphism$"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="^summand has a nontrivial idempotent endomorphism$"):
         decompose_indecomposable(regular_module("GF(4)/F2", 1))
 
 
@@ -990,7 +998,7 @@ def test_composition_length_keeps_the_block_dimension_tripwire(monkeypatch):
     for f in W.factors:
         f.m = 3
     monkeypatch.setattr(modules, "wedderburn", lambda Q: W)
-    with pytest.raises(AssertionError, match="^semisimple block dimension mismatch$"):
+    with pytest.raises(InternalInconsistencyError, match="^semisimple block dimension mismatch$"):
         composition_length(right_regular_module(matrix_algebra(F2, 2)))
 
 

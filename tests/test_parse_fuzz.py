@@ -2,8 +2,10 @@
 
 The driver maps a ParseError to exit 2 and every other ValueError to
 exit 3, so any other exception out of `Loader().load` would end a run in
-a traceback.  Each example mutates one bundled file and loads it next to
-unmutated copies of the files it references.
+a traceback.  InternalInconsistencyError, the one exception the driver
+maps to exit 4, is not a ValueError, so a mutant that leaks an exit 4
+out of loading fails this test as well.  Each example mutates one bundled
+file and loads it next to unmutated copies of the files it references.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from oracles import (
 )
 from topring import acceptance, algebras, cli, corpus, endo, linalg, matrixtop
 from topring.algebras import (
+    InternalInconsistencyError,
     StructureAlgebra,
     SubspaceIdeal,
     cyclic_group_algebra,
@@ -147,7 +148,7 @@ def test_forged_matrix_unit_names_the_first_failing_quadruple(monkeypatch, F, sl
         return out
 
     monkeypatch.setattr(B, "mul_pairs", forge_units_once)
-    with pytest.raises(AssertionError) as err:
+    with pytest.raises(InternalInconsistencyError) as err:
         matrix_units_from_family(B, fam)
     first = matrix_unit_relation_failure(B, forged[0])
     assert first is not None
