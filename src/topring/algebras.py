@@ -821,12 +821,17 @@ def corner_basis(A: StructureAlgebra, e: np.ndarray, f: np.ndarray) -> np.ndarra
     return linalg.row_space_basis(F, linalg.matmul(F, A.lmul_matrix(e), A.rmul_matrix(f)))
 
 
-def peirce_corner(A: StructureAlgebra, e: np.ndarray):
+def peirce_corner(A: StructureAlgebra, e: np.ndarray, basis: np.ndarray | None = None):
     """Corner algebra e*A*e with unit e.
+
+    basis, when given, is corner_basis(A, e, e), which the caller already
+    holds; it is computed here otherwise.
 
     Returns:
         (B, embed) as in subalgebra_structure.
     """
     if not A.is_idempotent(e):
         raise AlgebraError("corner needs an idempotent")
-    return subalgebra_structure(A, corner_basis(A, e, e), np.asarray(e, dtype=np.int64))
+    if basis is None:
+        basis = corner_basis(A, e, e)
+    return subalgebra_structure(A, basis, np.asarray(e, dtype=np.int64))

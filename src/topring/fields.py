@@ -16,18 +16,26 @@ irreducibility check of a given one, the reduction rows x^k mod modulus
 behind MUL) is done in poly, over the prime field GF(p).  poly imports this
 module, so the functions here import poly when they run.
 
-Sums and sums of products (``fsum``, ``contract``) are int64 sums reduced
+Sums and sums of products (``fsum``, ``contract``) are integer sums reduced
 mod p once.  Addition is coordinatewise on digit vectors, so ``fsum`` adds
-the digit vectors (``DIGITS``) of its terms.  Over a prime field ``contract``
-is one einsum.  Over F_{p^d} with d > 1 it is one batched matmul over F_p:
-the operand with more entries becomes its digit vectors and the other its
-multiplication matrices (``REG``), which gives the same product because the
-field is commutative.  No product tensor is formed; the route holds
-|larger operand|*d, |smaller operand|*d^2 and |output|*d int64.  A digit
-of a sum of K products adds K*d terms below (p-1)^2, so it is exact while
-K*d*(p-1)^2 < 2^63: under the 512-element cap, for any K below 2^45 over a
-prime field (p - 1 <= 508) and below 2^53 over an extension
-(d*(p-1)^2 <= 648, from 19^2).  Nothing here is approximate.
+the digit vectors (``DIGITS``) of its terms in int64.  ``contract`` is one
+batched matmul over F_p.  Over F_{p^d} with d > 1 the operand with more
+entries becomes its digit vectors and the other its multiplication matrices
+(``REG``), which gives the same product because the field is commutative;
+over a prime field the operands go in as they are.  No product tensor is
+formed; the route holds |larger operand|*d, |smaller operand|*d^2 and
+|output|*d integers.  A digit of a sum of K products adds K*d terms of at
+most (p-1)^2, so every partial sum, in any order, is an integer of at most
+K*d*(p-1)^2.  In int64 that is exact while K*d*(p-1)^2 < 2^63: under the
+512-element cap, for any K below 2^45 over a prime field (p - 1 <= 508) and
+below 2^53 over an extension (d*(p-1)^2 <= 648, from 19^2).  A product of at
+least FLOAT_MIN_MADDS multiply-adds runs in float64 BLAS instead, one block
+of at most FLOAT_BLOCK multiply-adds at a time, when K*d*(p-1)^2 < 2^53
+(FLOAT_EXACT): every integer up to 2^53 is a double, so each product and
+partial sum is exact whatever the order and blocking of the BLAS and its
+thread count, and the block is cast back to int64 before the reduction (an
+AND with 1 when p = 2).  Past that bound the product stays in int64.
+Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -41,6 +49,23 @@ import numpy as np
 # Largest table-backed field.  Each q*q int64 table takes 2 MB at this cap, and
 # the cap bounds the int64 sums of the module docstring.
 MAX_FIELD_SIZE = 512
+
+# Multiply-adds (b*m*k*n for a (b, m, k) @ (b, k, n) product) from which a
+# contraction runs in float64 BLAS rather than in int64 matmul: the
+# crossover of the two on a 2-core x86-64 VM with OpenBLAS, between about
+# 8,000 multiply-adds for one square matrix and 10,000 for a stack of them.
+FLOAT_MIN_MADDS = 10_000
+
+# Multiply-adds of one float64 block of such a product (or one row, if a
+# row needs more).  Its temporaries stay this small whatever the size of the
+# product, and OpenBLAS runs a dgemm of at most 2^18 multiply-adds on the
+# calling thread: a BLAS thread pool would add about 2 MB to the peak RSS of
+# `topring verify` and gains nothing at the sizes it contracts.
+FLOAT_BLOCK = 1 << 18
+
+# Every integer up to 2^53 is a double, so float64 sums of integers are exact
+# while they stay below it: the float64 route needs K*d*(p-1)^2 below this.
+FLOAT_EXACT = 1 << 53
 
 
 def is_prime(n: int) -> bool:
@@ -198,25 +223,32 @@ class FiniteField:
         spec is a two-operand np.einsum subscript string with an explicit
         output; an index appears at most once per operand and, unless it is
         in the output, in both operands (ValueError otherwise).  Indices
-        absent from the output are summed.  Over a prime field this is one
-        int64 einsum reduced mod p once; over F_{p^d} with d > 1 it is one
-        matmul of digit vectors by REG matrices (see the module docstring).
+        absent from the output are summed.  This is one batched matmul,
+        reduced mod p once: over F_{p^d} with d > 1 of digit vectors by REG
+        matrices, over a prime field of the operands themselves (see the
+        module docstring).
         """
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        if self.d == 1:
-            _indices(spec)
-            out = np.einsum(spec, A, B)
-            out %= self.p
-            return out
-        swap, perm_x, view_x, perm_y, view_y, shape, perm_out = _layout(
+        swap, perm_x, view_x, perm_y, view_y, shape, perm_out, madds = _layout(
             spec, A.shape, B.shape, self.d)
         X, Y = (B, A) if swap else (A, B)
-        X = np.take(self.DIGITS, X, axis=0).transpose(perm_x).reshape(view_x)
-        Y = np.take(self.REG, Y, axis=0).transpose(perm_y).reshape(view_y)
-        out = (X @ Y).reshape(shape)
-        out %= self.p
-        return (out @ self._pp).transpose(perm_out)
+        if self.d > 1:
+            X, Y = np.take(self.DIGITS, X, axis=0), np.take(self.REG, Y, axis=0)
+        X = X.transpose(perm_x).reshape(view_x)
+        Y = Y.transpose(perm_y).reshape(view_y)
+        if madds < FLOAT_MIN_MADDS or view_x[2] * (self.p - 1) ** 2 >= FLOAT_EXACT:
+            out = X @ Y
+        else:
+            out = _float_matmul(X, Y)
+        out = out.reshape(shape)
+        if self.p == 2:
+            out &= 1
+        else:
+            out %= self.p
+        if self.d > 1:
+            out = out @ self._pp
+        return out.transpose(perm_out)
 
     def pth_root(self, a):
         """Inverse of Frobenius: the unique b with b^p == a."""
@@ -268,10 +300,13 @@ def _layout(spec: str, shape_a: tuple, shape_b: tuple, d: int):
     and viewed as (batch, free in X, summed * u); Y, the other, is gathered
     as REG matrices (axes u, v) and viewed as (batch, summed * u, free in
     Y * v).  Batch indices are in both operands and the output, free ones
-    in one operand and the output, summed ones in both operands only.
+    in one operand and the output, summed ones in both operands only.  Over
+    a prime field an element is its own digit and 1 x 1 REG matrix, so the
+    operands are not gathered and have no axes u and v.
     Returns whether X is B, the transpose and view of each operand, the
-    shape of the product before the digits v are folded, and the transpose
-    that puts the folded result in output order."""
+    shape of the product before the digits v are folded, the transpose
+    that puts the folded result in output order, and the multiply-add
+    count of the matmul."""
     sa, sb, out = _indices(spec)
     sizes = dict(zip(sa, shape_a)) | dict(zip(sb, shape_b))
     swap = math.prod(shape_b) > math.prod(shape_a)
@@ -284,14 +319,33 @@ def _layout(spec: str, shape_a: tuple, shape_b: tuple, d: int):
     def size(idx):
         return math.prod(sizes[x] for x in idx)
 
-    perm_x = (*[sx.index(x) for x in batch + free_x + summed], len(sx))
-    perm_y = (*[sy.index(x) for x in batch + summed], len(sy),
-              *[sy.index(x) for x in free_y], len(sy) + 1)
+    u, v = ([len(sx)], [len(sy), len(sy) + 1]) if d > 1 else ([], [])
+    perm_x = (*[sx.index(x) for x in batch + free_x + summed], *u)
+    perm_y = (*[sy.index(x) for x in batch + summed], *v[:1],
+              *[sy.index(x) for x in free_y], *v[1:])
     view_x = (size(batch), size(free_x), size(summed) * d)
     view_y = (size(batch), size(summed) * d, size(free_y) * d)
     res = batch + free_x + free_y
-    return (swap, perm_x, view_x, perm_y, view_y, (*[sizes[x] for x in res], d),
-            tuple(res.index(x) for x in out))
+    digits = (d,) if d > 1 else ()
+    return (swap, perm_x, view_x, perm_y, view_y, (*[sizes[x] for x in res], *digits),
+            tuple(res.index(x) for x in out), math.prod(view_x) * view_y[2])
+
+
+def _float_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y as int64 for int64 stacks (b, m, k) and (b, k, n), computed in
+    float64 BLAS one block of whole matrices or of rows of one matrix at a
+    time, of at most FLOAT_BLOCK multiply-adds (or one row).  The caller
+    checks that the sums are exact (module docstring)."""
+    b, m, k = X.shape
+    n = Y.shape[2]
+    out = np.empty((b, m, n), dtype=np.int64)
+    rows = max(1, FLOAT_BLOCK // (k * n))
+    per = max(1, rows // m)
+    for i in range(0, b, per):
+        Yf = Y[i : i + per].astype(np.float64)
+        for r in range(0, m, rows):
+            out[i : i + per, r : r + rows] = X[i : i + per, r : r + rows].astype(np.float64) @ Yf
+    return out
 
 
 def GF(p: int, d: int = 1, modulus: Sequence[int] | None = None) -> FiniteField:

@@ -62,12 +62,22 @@ def rref(F: FiniteField, M: np.ndarray):
         dropped), pivots lists the pivot column of each row in order.
         For a stack, (R, ranks): R has shape (B, m, n) with R[b, :ranks[b]]
         the reduced form of M[b] and zero rows below it.
+
+    One matrix over GF(2) is reduced on its rows packed into Python
+    integers (``_rref_gf2``), a stack over GF(2) on rows packed into 64-bit
+    words (``_rref_stack_gf2``); there the entries must be encoded elements,
+    0 or 1.  Other fields eliminate one column at a time through the
+    field's elementwise methods.  The RREF is unique, so every route gives
+    the same R and pivots.
     """
-    R = np.array(M, dtype=np.int64)
+    R = np.asarray(M, dtype=np.int64)
     if R.ndim == 3:
-        return _rref_stack(F, R)
+        return _rref_stack(F, R.copy())
     if R.ndim != 2:
         raise ValueError("rref expects a 2d array or a 3d stack")
+    if F.q == 2:
+        return _rref_gf2(R)
+    R = R.copy()
     m, n = R.shape
     pivots: list[int] = []
     r = 0
@@ -88,6 +98,48 @@ def rref(F: FiniteField, M: np.ndarray):
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
+
+
+def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """rref of one matrix over GF(2) on rows packed into Python integers;
+    its entries must be encoded elements, 0 or 1.
+
+    Column c is bit c of a row: np.packbits with little bit order, read as
+    a little-endian integer, so the map from bits to columns is the same on
+    every host.  Forward elimination reduces each incoming row by the pivot
+    row of its lowest set bit until that bit has no pivot row, which makes
+    it one.  Back-substitution runs from the highest pivot down and XORs
+    into a row only the (already reduced) pivot rows of the pivot bits it
+    has set, so it costs the fill of the rows, not rank^2.  The RREF is
+    unique, so R and the pivots are those of the table route."""
+    m, n = R.shape
+    width = -(-n // 8)
+    data = np.packbits(R, axis=1, bitorder="little").tobytes()
+    rows: dict[int, int] = {}  # lowest set bit -> pivot row
+    for i in range(m):
+        row = int.from_bytes(data[i * width : (i + 1) * width], "little")
+        while row:
+            low = row & -row
+            prow = rows.get(low)
+            if prow is None:
+                rows[low] = row
+                break
+            row ^= prow
+    mask = sum(rows)
+    lows = sorted(rows, reverse=True)
+    for low in lows:
+        row = rows[low]
+        hits = (row & mask) ^ low
+        while hits:
+            bit = hits & -hits
+            row ^= rows[bit]
+            hits ^= bit
+        rows[low] = row
+    lows.reverse()
+    packed = np.frombuffer(b"".join(rows[low].to_bytes(width, "little") for low in lows),
+                           dtype=np.uint8).reshape(len(lows), width)
+    out = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.int64)
+    return out, [low.bit_length() - 1 for low in lows]
 
 
 def _rref_stack(F: FiniteField, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

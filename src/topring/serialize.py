@@ -134,8 +134,10 @@ def _indexed_ref(rec: list[str], refs: dict, usage: str) -> int:
     return idx
 
 
-def _framed(text: str, kind: str) -> list[list[str]]:
-    recs = _records(text)
+def _framed(text: str, kind: str, records: list[list[str]] | None = None) -> list[list[str]]:
+    """The records between the `object <kind>` header and the `end` line.
+    records, when given, are _records(text), so the text is not split again."""
+    recs = _records(text) if records is None else records
     if not recs or recs[0][:2] != ["object", kind]:
         raise ParseError(f"expected an 'object {kind}' header")
     if recs[-1] != ["end"]:
@@ -143,8 +145,8 @@ def _framed(text: str, kind: str) -> list[list[str]]:
     return recs[1:-1]
 
 
-def object_kind(text: str) -> str:
-    recs = _records(text)
+def _kind(recs: list[list[str]]) -> str:
+    """The kind named by the `object <kind>` header of a file's records."""
     if not recs or recs[0][0] != "object" or len(recs[0]) != 2:
         raise ParseError("expected an 'object <kind>' header")
     return recs[0][1]
@@ -166,12 +168,12 @@ def write_algebra(A: StructureAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_algebra(text: str) -> StructureAlgebra:
+def parse_algebra(text: str, records: list[list[str]] | None = None) -> StructureAlgebra:
     field = None
     dim = None
     unit = None
     triples: dict = {}
-    for rec in _framed(text, "algebra"):
+    for rec in _framed(text, "algebra", records):
         key = rec[0]
         if key == "field":
             vals = _ints(rec)
@@ -209,12 +211,13 @@ def write_module(M: FiniteModule, algebra_ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
+def parse_module(text: str, loader: "Loader", base_dir: str,
+                 records: list[list[str]] | None = None) -> FiniteModule:
     algebra = None
     side = None
     dim = None
     quads: dict = {}
-    for rec in _framed(text, "module"):
+    for rec in _framed(text, "module", records):
         key = rec[0]
         if key == "algebra":
             if len(rec) != 2:
@@ -254,7 +257,7 @@ def write_tower(T: RingTower, level_refs: list[str]) -> str:
 
 
 def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: str,
-                 link_key: str, load, base_dir: str, link):
+                 link_key: str, load, base_dir: str, link, records):
     """The `tag / count / indexed references / per-link matrices` layout
     shared by towers and systems.
 
@@ -269,7 +272,7 @@ def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: st
     count = None
     refs: dict = {}
     quads: dict = {}
-    for rec in _framed(text, kind):
+    for rec in _framed(text, kind, records):
         key = rec[0]
         if key == tag_key:
             if len(rec) != 2:
@@ -298,10 +301,11 @@ def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: st
                        for n in range(count - 1)]
 
 
-def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
+def parse_tower(text: str, loader: "Loader", base_dir: str,
+                records: list[list[str]] | None = None) -> RingTower:
     intent, levels, transitions = _parse_chain(
         text, "tower", "intent", "levels", "level", "transition", loader.algebra, base_dir,
-        lambda lo, hi: ((hi.dim, lo.dim), lo.field.q))
+        lambda lo, hi: ((hi.dim, lo.dim), lo.field.q), records)
     return build_tower(levels, transitions, intent=intent)
 
 
@@ -324,14 +328,15 @@ def write_matrix(m: WindowedMatrix, algebra_ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
+def parse_matrix(text: str, loader: "Loader", base_dir: str,
+                 records: list[list[str]] | None = None) -> WindowedMatrix:
     base = None
     y_kind = None
     window = None
     entry_quads: dict = {}
     extra_quads: dict = {}
     ideal_rows: dict[str, list[list[int]]] = {"tail": [], "precision": []}
-    for rec in _framed(text, "matrix"):
+    for rec in _framed(text, "matrix", records):
         key = rec[0]
         if key == "algebra":
             if len(rec) != 2:
@@ -394,10 +399,11 @@ def write_system(S: OmegaSystem, module_refs: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
+def parse_system(text: str, loader: "Loader", base_dir: str,
+                 records: list[list[str]] | None = None) -> OmegaSystem:
     ground, modules, maps = _parse_chain(
         text, "system", "ground", "modules", "module", "map", loader.module, base_dir,
-        lambda lo, hi: ((lo.dim, hi.dim), lo.algebra.field.q))
+        lambda lo, hi: ((lo.dim, hi.dim), lo.algebra.field.q), records)
     return omega_system(modules, maps, ground=ground)
 
 
@@ -407,7 +413,7 @@ def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
 
 
 PARSERS = {
-    "algebra": lambda text, loader, base_dir: parse_algebra(text),
+    "algebra": lambda text, loader, base_dir, records=None: parse_algebra(text, records),
     "module": parse_module,
     "tower": parse_tower,
     "matrix": parse_matrix,
@@ -430,10 +436,11 @@ class Loader:
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        kind = object_kind(text)
+        recs = _records(text)
+        kind = _kind(recs)
         if kind not in PARSERS:
             raise ParseError(f"unknown object kind {kind!r}")
-        obj = PARSERS[kind](text, self, os.path.dirname(real))
+        obj = PARSERS[kind](text, self, os.path.dirname(real), records=recs)
         self.cache[real] = obj
         return obj
 

@@ -148,18 +148,18 @@ def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.n
     if n * n * m != B.dim:
         raise InternalInconsistencyError("simple algebra dimension is not n^2 * m")
     family = [B.unit.copy()]
+    corners = [np.eye(B.dim, dtype=np.int64)]  # corners[i] spans family[i] B family[i]; 1 B 1 = B
     for _ in range(B.dim):
-        split_at = next(
-            (i for i, e in enumerate(family) if corner_basis(B, e, e).shape[0] > m), None
-        )
+        split_at = next((i for i, U in enumerate(corners) if U.shape[0] > m), None)
         if split_at is None:
             break
         e = family[split_at]
-        C, embed = peirce_corner(B, e)
+        C, embed = peirce_corner(B, e, corners[split_at])
         f = _proper_idempotent(C, rng)
         f1 = linalg.matvec(B.field, f, embed)
         f2 = B.field.sub(e, f1)
         family[split_at : split_at + 1] = [f1, f2]
+        corners[split_at : split_at + 1] = [corner_basis(B, f1, f1), corner_basis(B, f2, f2)]
     if len(family) != n:
         raise InternalInconsistencyError("corner refinement did not reach the matrix size")
     family.sort(key=B.encode)

@@ -545,6 +545,34 @@ def hidden_block_algebras():
     return [basis_change(A, _random_invertible(A.field, A.dim, rng)) for A in products]
 
 
+
+def primitive_family_rescan(B, rng) -> np.ndarray:
+    """wedderburn.primitive_orthogonal_family as it was before each member
+    kept its corner: every refinement step rescans the family, computing
+    the corner of each member again, and the corner of the member it splits
+    once more in peirce_corner.  Draws from rng in the same order."""
+    from math import isqrt
+
+    from topring import linalg
+    from topring.algebras import corner_basis, peirce_corner
+    from topring.wedderburn import _proper_idempotent
+
+    m = B.center_basis().shape[0]
+    n = isqrt(B.dim // m)
+    family = [B.unit.copy()]
+    for _ in range(B.dim):
+        split_at = next(
+            (i for i, e in enumerate(family) if corner_basis(B, e, e).shape[0] > m), None)
+        if split_at is None:
+            break
+        e = family[split_at]
+        C, embed = peirce_corner(B, e)
+        f1 = linalg.matvec(B.field, _proper_idempotent(C, rng), embed)
+        family[split_at : split_at + 1] = [f1, B.field.sub(e, f1)]
+    assert len(family) == n
+    family.sort(key=B.encode)
+    return np.vstack(family)
+
 # Polynomials over F_p as plain int lists, low degree first: the copy of
 # F_p[x] that fields kept for its default moduli before poly became the one
 # polynomial layer.

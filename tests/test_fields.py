@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import list_default_modulus, list_mul_table, table_contract, table_fsum
-from topring import fields, linalg, poly
+from topring import corpus, fields, linalg, poly, serialize
 from topring.fields import GF, FiniteField, default_modulus, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
@@ -148,6 +148,16 @@ def test_only_fields_reads_the_tables():
                if re.search(r"\.(ADD|MUL|NEG|INV)\[", line)]
     assert lookups == []
     assert not [name for name in ("add", "sub", "scale") if hasattr(linalg, name)]
+
+
+def test_only_fields_names_float64():
+    # exact arithmetic everywhere: float64 holds integer sums inside the
+    # contraction kernel, under its exactness bound, and nowhere else
+    src = Path(fields.__file__).parent
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(src.rglob("*.py")) if path.name != "fields.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1) if "float64" in line]
+    assert hits == []
 
 
 def _same_value_and_type(got, want):
@@ -328,3 +338,98 @@ def test_long_extension_sums_are_exact():
                        np.full((4096, 3), F.q - 1)) == 0).all()
     a, b = rng.integers(0, F.q, size=(2, 4097))
     assert F.contract("i,i->", a, b) == table_contract(F, "i,i->", a, b)
+
+
+# ---------------------------------------------------------------------------
+# The float64 route of the contraction kernel
+# ---------------------------------------------------------------------------
+
+
+def _corpus_fields() -> set[tuple[int, int]]:
+    loader = serialize.Loader()
+    found = set()
+    for path in sorted(Path(corpus.__file__).parent.iterdir()):
+        if path.suffix == ".py":
+            continue
+        obj = loader.load(str(path))
+        for ring in [obj] + list(getattr(obj, "levels", [])) + list(getattr(obj, "modules", [])):
+            F = getattr(ring, "field", None) or getattr(getattr(ring, "algebra", None), "field", None)
+            if F is not None:
+                found.add((F.p, F.d))
+    return found
+
+
+ROUTE_FIELDS = sorted(set(KERNEL_FIELDS) | _corpus_fields() | {(509, 1)})
+
+
+def _spy_float(monkeypatch) -> list:
+    """Record the operand shapes of every product that takes the float64 route."""
+    calls = []
+    real = fields._float_matmul
+    monkeypatch.setattr(fields, "_float_matmul", lambda X, Y: calls.append(X.shape) or real(X, Y))
+    return calls
+
+
+def test_route_fields_cover_the_corpus():
+    assert {(2, 1), (3, 1)} <= _corpus_fields() <= set(ROUTE_FIELDS)
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS, ids=str)
+@pytest.mark.parametrize("spec,batch", [("ij,jk->ik", 1), ("sij,sjk->sik", 3)])
+def test_contract_matches_table_oracle_on_both_sides_of_the_float_threshold(
+        field, spec, batch, monkeypatch):
+    # m = n = 4: the matmul makes batch * 16 * k * d^2 multiply-adds, so k
+    # is set one short of FLOAT_MIN_MADDS and one at it or past it
+    F = GF(*field)
+    calls = _spy_float(monkeypatch)
+    rng = np.random.default_rng(F.q * batch)
+    per_k = batch * 16 * F.d ** 2
+    for k, floats in (((fields.FLOAT_MIN_MADDS - 1) // per_k, False),
+                      (-(-fields.FLOAT_MIN_MADDS // per_k), True)):
+        shape_a, shape_b = ((4, k), (k, 4)) if batch == 1 else ((batch, 4, k), (batch, k, 4))
+        A = rng.integers(0, F.q, size=shape_a)
+        B = rng.integers(0, F.q, size=shape_b)
+        assert (fields._layout(spec, A.shape, B.shape, F.d)[-1]
+                >= fields.FLOAT_MIN_MADDS) == floats
+        calls.clear()
+        assert np.array_equal(F.contract(spec, A, B), table_contract(F, spec, A, B))
+        assert bool(calls) == floats
+        # every digit at p - 1: the largest integer sums of this length
+        top = np.full_like(A, F.q - 1)
+        assert np.array_equal(F.contract(spec, top, B), table_contract(F, spec, top, B))
+
+
+@pytest.mark.parametrize("field", [(509, 1), (7, 3), (2, 9)], ids=str)
+def test_float_route_stops_at_the_exactness_bound(field, monkeypatch):
+    # the float64 route needs K*d*(p-1)^2 < FLOAT_EXACT, K*d the summed
+    # length of the matmul: with the bound moved down to these operands,
+    # the largest K it allows takes the float64 route and one more takes
+    # int64, and both give the exact sums
+    assert fields.FLOAT_EXACT == 2 ** 53
+    assert float(2 ** 53 - 1) + 1.0 == 2 ** 53 and float(2 ** 53 + 1) == 2 ** 53
+    F = GF(*field)
+    calls = _spy_float(monkeypatch)
+    k = 3000 // F.d
+    A = np.full((4, k), F.q - 1, dtype=np.int64)
+    B = np.full((k, 5), F.q - 1, dtype=np.int64)
+    want = table_contract(F, "ij,jk->ik", A[:1, :], B[:, :1])[0, 0]
+    top = k * F.d * (F.p - 1) ** 2
+    for bound, floats in ((top + 1, True), (top, False)):
+        monkeypatch.setattr(fields, "FLOAT_EXACT", bound)
+        calls.clear()
+        got = F.contract("ij,jk->ik", A, B)
+        assert bool(calls) == floats
+        assert (got == want).all()
+
+
+def test_float_route_blocks_match_one_product(monkeypatch):
+    # blocks of one row, of 7 rows of one matrix (the last one short), of 2
+    # matrices of a stack of 9, and of the whole product
+    rng = np.random.default_rng(5)
+    for X, Y in ((rng.integers(0, 3, size=(1, 300, 40)), rng.integers(0, 3, size=(1, 40, 70))),
+                 (rng.integers(0, 3, size=(9, 30, 20)), rng.integers(0, 3, size=(9, 20, 40)))):
+        k, n = Y.shape[1:]
+        for block in (1, 7 * k * n, 2 * X.shape[1] * k * n, 1 << 30):
+            monkeypatch.setattr(fields, "FLOAT_BLOCK", block)
+            got = fields._float_matmul(X, Y)
+            assert got.dtype == np.int64 and np.array_equal(got, X @ Y)

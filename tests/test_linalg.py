@@ -310,3 +310,68 @@ def test_stacked_rref_edge_shapes_at_gf2_word_boundaries(n, m_of_n):
 def test_rref_rejects_other_ranks():
     with pytest.raises(ValueError):
         linalg.rref(GF(2), np.zeros((2, 2, 2, 2), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# One matrix over GF(2): rows packed into Python integers
+# ---------------------------------------------------------------------------
+
+
+def _assert_gf2_rref_matches_oracle(M):
+    F = GF(2)
+    R, pivots = linalg.rref(F, M)
+    want, want_pivots = naive_rref(F, M)
+    assert R.dtype == np.int64 and R.shape == want.shape
+    assert np.array_equal(R, want) and pivots == want_pivots
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("m_of_n", [lambda n: 3, lambda n: n - 2, lambda n: n + 5],
+                         ids=["m=3", "m<n", "m>n"])
+def test_gf2_rref_at_byte_and_word_boundaries(n, m_of_n):
+    # column c is bit c of a little-endian integer: widths on both sides of
+    # one byte and of one 64-bit word, with pivots in the last byte
+    F = GF(2)
+    m = m_of_n(n)
+    rng = np.random.default_rng(7 * n + m)
+    late = np.zeros((m, n), dtype=np.int64)
+    late[:, n - 3:] = random_matrix(F, rng, m, 3)
+    for M in (random_matrix(F, rng, m, n),
+              linalg.matmul(F, random_matrix(F, rng, m, 4), random_matrix(F, rng, 4, n)),
+              np.zeros((m, n), dtype=np.int64),
+              np.ones((m, n), dtype=np.int64),
+              late):
+        _assert_gf2_rref_matches_oracle(M)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (0, 64), (70, 0)])
+def test_gf2_rref_of_empty_matrices(shape):
+    M = np.zeros(shape, dtype=np.int64)
+    _assert_gf2_rref_matches_oracle(M)
+    R, pivots = linalg.rref(GF(2), M)
+    assert R.shape == (0, shape[1]) and pivots == []
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([0.1, 0.5, 0.9]))
+@settings(max_examples=150, deadline=None)
+def test_gf2_rref_matches_naive_elimination(seed, m, n, density):
+    rng = np.random.default_rng(seed)
+    _assert_gf2_rref_matches_oracle((rng.random((m, n)) < density).astype(np.int64))
+
+
+@pytest.mark.parametrize("m,n,g", [(4, 6, 2), (7, 7, 3), (9, 3, 2)])
+def test_gf2_rref_of_tall_sparse_commutation_systems(m, n, g):
+    # shaped like hom_space's K: rows (g, a, b), columns (c, d), with
+    # G_M[g, a, c] where b == d and G_N[g, d, b] where a == c
+    F = GF(2)
+    rng = np.random.default_rng(m * n * g)
+    GM = (rng.random((g, m, m)) < 0.3).astype(np.int64)
+    GN = (rng.random((g, n, n)) < 0.3).astype(np.int64)
+    ia, ib = np.arange(m), np.arange(n)
+    K = np.zeros((g, m, n, m, n), dtype=np.int64)
+    K[:, :, ib, :, ib] = GM
+    K[:, ia, :, ia, :] ^= np.swapaxes(GN, 1, 2)
+    K = K.reshape(g * m * n, m * n)
+    _assert_gf2_rref_matches_oracle(K)
+    _assert_gf2_rref_matches_oracle(K.T)

@@ -1,10 +1,13 @@
 """Semisimple decomposition: factor multisets, matrix units, the verified
 isomorphism onto the block model."""
 
+import random
+
 import numpy as np
 import pytest
 
-from topring import linalg
+from oracles import primitive_family_rescan
+from topring import linalg, wedderburn as wedderburn_module
 from topring.algebras import (
     AlgebraError,
     StructureAlgebra,
@@ -135,3 +138,25 @@ def test_center_dimension_matches_factors():
     A = cyclic_group_algebra(F3, 4)
     W = wedderburn(A)
     assert A.center_basis().shape[0] == sum(f.m for f in W.factors)
+
+
+@pytest.mark.parametrize("B,n", [
+    (matrix_algebra(F2, 3), 3),
+    (matrix_algebra(F3, 2), 2),
+    (matrix_algebra(F4, 3), 3),
+    (matrix_algebra(GF(5), 4), 4),
+    (basis_change(matrix_algebra(F2, 4), np.roll(np.eye(16, dtype=np.int64), 5, axis=1)
+                  + np.eye(16, dtype=np.int64, k=7)), 4),
+    (field_extension_algebra(F3, 3), 1),
+], ids=["Mat3(F2)", "Mat2(F3)", "Mat3(F4)", "Mat4(F5)", "Mat4(F2)-hidden", "F27"])
+def test_primitive_family_computes_each_corner_once(B, n, monkeypatch):
+    # the same family as rescanning every corner at every step, from the
+    # two corners of each split's new members alone: 2(n - 1) in all
+    want = primitive_family_rescan(B, random.Random(4))
+    calls = []
+    real = wedderburn_module.corner_basis
+    monkeypatch.setattr(wedderburn_module, "corner_basis",
+                        lambda A, e, f: calls.append(1) or real(A, e, f))
+    got = wedderburn_module.primitive_orthogonal_family(B, random.Random(4))
+    assert np.array_equal(got, want)
+    assert got.shape[0] == n and len(calls) == 2 * (n - 1)
