@@ -30,12 +30,12 @@ K*d*(p-1)^2.  In int64 that is exact while K*d*(p-1)^2 < 2^63: under the
 512-element cap, for any K below 2^45 over a prime field (p - 1 <= 508) and
 below 2^53 over an extension (d*(p-1)^2 <= 648, from 19^2).  A product of at
 least FLOAT_MIN_MADDS multiply-adds runs in float64 BLAS instead, one block
-of at most FLOAT_BLOCK multiply-adds at a time, when K*d*(p-1)^2 < 2^53
-(FLOAT_EXACT): every integer up to 2^53 is a double, so each product and
-partial sum is exact whatever the order and blocking of the BLAS and its
-thread count, and the block is cast back to int64 before the reduction (an
-AND with 1 when p = 2).  Past that bound the product stays in int64.
-Nothing here is approximate.
+of at most FLOAT_BLOCK multiply-adds (or one dot product) at a time, when
+K*d*(p-1)^2 < 2^53 (FLOAT_EXACT): every integer up to 2^53 is a double, so
+each product and partial sum is exact whatever the order and blocking of
+the BLAS and its thread count, and the block is cast back to int64 before
+the reduction (an AND with 1 when p = 2).  Past that bound the product
+stays in int64.  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -56,11 +56,13 @@ MAX_FIELD_SIZE = 512
 # 8,000 multiply-adds for one square matrix and 10,000 for a stack of them.
 FLOAT_MIN_MADDS = 10_000
 
-# Multiply-adds of one float64 block of such a product (or one row, if a
-# row needs more).  Its temporaries stay this small whatever the size of the
-# product, and OpenBLAS runs a dgemm of at most 2^18 multiply-adds on the
-# calling thread: a BLAS thread pool would add about 2 MB to the peak RSS of
-# `topring verify` and gains nothing at the sizes it contracts.
+# Multiply-adds of one float64 block of such a product (or one dot product,
+# if that needs more).  Each float64 temporary of a block (its rows of X,
+# its columns of Y, its product) has at most this many entries whatever the
+# size of the product, and OpenBLAS runs a product of at most 2^18
+# multiply-adds on the calling thread: a BLAS thread pool would add about
+# 2 MB to the peak RSS of `topring verify` and gains nothing at the sizes
+# it contracts.
 FLOAT_BLOCK = 1 << 18
 
 # Every integer up to 2^53 is a double, so float64 sums of integers are exact
@@ -332,19 +334,24 @@ def _layout(spec: str, shape_a: tuple, shape_b: tuple, d: int):
 
 
 def _float_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X @ Y as int64 for int64 stacks (b, m, k) and (b, k, n), computed in
-    float64 BLAS one block of whole matrices or of rows of one matrix at a
-    time, of at most FLOAT_BLOCK multiply-adds (or one row).  The caller
-    checks that the sums are exact (module docstring)."""
+    """X @ Y as int64 for int64 stacks (b, m, k) and (b, k, n) with k >= 1,
+    computed in float64 BLAS one block at a time: whole matrices of the
+    stack, or rows of one matrix, times all of its columns or, when k*n
+    exceeds FLOAT_BLOCK, a slice of them.  A block makes at most FLOAT_BLOCK
+    multiply-adds (or one dot product).  The caller checks that the sums
+    are exact (module docstring)."""
     b, m, k = X.shape
     n = Y.shape[2]
     out = np.empty((b, m, n), dtype=np.int64)
-    rows = max(1, FLOAT_BLOCK // (k * n))
+    cols = max(1, min(n, FLOAT_BLOCK // k))
+    rows = max(1, FLOAT_BLOCK // (k * cols))
     per = max(1, rows // m)
     for i in range(0, b, per):
-        Yf = Y[i : i + per].astype(np.float64)
-        for r in range(0, m, rows):
-            out[i : i + per, r : r + rows] = X[i : i + per, r : r + rows].astype(np.float64) @ Yf
+        for c in range(0, n, cols):
+            Yf = Y[i : i + per, :, c : c + cols].astype(np.float64)
+            for r in range(0, m, rows):
+                out[i : i + per, r : r + rows, c : c + cols] = (
+                    X[i : i + per, r : r + rows].astype(np.float64) @ Yf)
     return out
 
 

@@ -66,9 +66,14 @@ def rref(F: FiniteField, M: np.ndarray):
     One matrix over GF(2) is reduced on its rows packed into Python
     integers (``_rref_gf2``), a stack over GF(2) on rows packed into 64-bit
     words (``_rref_stack_gf2``); there the entries must be encoded elements,
-    0 or 1.  Other fields eliminate one column at a time through the
-    field's elementwise methods.  The RREF is unique, so every route gives
-    the same R and pivots.
+    0 or 1.  The word route pays about a dozen numpy calls per column,
+    shared by all the matrices of a stack; the integer route pays Python
+    work per row of each matrix.  On the calls of `topring verify` the
+    integer route is about 10 times faster on a single matrix and about 3
+    times slower on a stack reduced matrix by matrix.  Other fields
+    eliminate one column at a time through the field's elementwise
+    methods.  The RREF is unique, so every route gives the same R and
+    pivots.
     """
     R = np.asarray(M, dtype=np.int64)
     if R.ndim == 3:

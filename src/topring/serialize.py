@@ -38,6 +38,7 @@ and never contain timestamps; rerunning a job byte-reproduces them.
 """
 
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -53,13 +54,13 @@ class ParseError(ValueError):
     """Malformed description text (bad syntax, not bad mathematics)."""
 
 
-def _records(text: str) -> list[list[str]]:
-    out = []
+def _records(text: str) -> Iterator[list[str]]:
+    """The tokens of each line of text that is not blank once its comment
+    is cut, one line at a time."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(line.split())
-    return out
+            yield line.split()
 
 
 def _ints(rec: list[str]) -> list[int]:
@@ -134,10 +135,8 @@ def _indexed_ref(rec: list[str], refs: dict, usage: str) -> int:
     return idx
 
 
-def _framed(text: str, kind: str, records: list[list[str]] | None = None) -> list[list[str]]:
-    """The records between the `object <kind>` header and the `end` line.
-    records, when given, are _records(text), so the text is not split again."""
-    recs = _records(text) if records is None else records
+def _framed(text: str, kind: str) -> list[list[str]]:
+    recs = list(_records(text))
     if not recs or recs[0][:2] != ["object", kind]:
         raise ParseError(f"expected an 'object {kind}' header")
     if recs[-1] != ["end"]:
@@ -145,11 +144,13 @@ def _framed(text: str, kind: str, records: list[list[str]] | None = None) -> lis
     return recs[1:-1]
 
 
-def _kind(recs: list[list[str]]) -> str:
-    """The kind named by the `object <kind>` header of a file's records."""
-    if not recs or recs[0][0] != "object" or len(recs[0]) != 2:
+def object_kind(text: str) -> str:
+    """The kind of the `object <kind>` header.  Only the first record is
+    split: the parser of the kind splits the whole text, once."""
+    head = next(_records(text), None)
+    if head is None or head[0] != "object" or len(head) != 2:
         raise ParseError("expected an 'object <kind>' header")
-    return recs[0][1]
+    return head[1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +169,12 @@ def write_algebra(A: StructureAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_algebra(text: str, records: list[list[str]] | None = None) -> StructureAlgebra:
+def parse_algebra(text: str) -> StructureAlgebra:
     field = None
     dim = None
     unit = None
     triples: dict = {}
-    for rec in _framed(text, "algebra", records):
+    for rec in _framed(text, "algebra"):
         key = rec[0]
         if key == "field":
             vals = _ints(rec)
@@ -211,13 +212,12 @@ def write_module(M: FiniteModule, algebra_ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_module(text: str, loader: "Loader", base_dir: str,
-                 records: list[list[str]] | None = None) -> FiniteModule:
+def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
     algebra = None
     side = None
     dim = None
     quads: dict = {}
-    for rec in _framed(text, "module", records):
+    for rec in _framed(text, "module"):
         key = rec[0]
         if key == "algebra":
             if len(rec) != 2:
@@ -257,7 +257,7 @@ def write_tower(T: RingTower, level_refs: list[str]) -> str:
 
 
 def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: str,
-                 link_key: str, load, base_dir: str, link, records):
+                 link_key: str, load, base_dir: str, link):
     """The `tag / count / indexed references / per-link matrices` layout
     shared by towers and systems.
 
@@ -272,7 +272,7 @@ def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: st
     count = None
     refs: dict = {}
     quads: dict = {}
-    for rec in _framed(text, kind, records):
+    for rec in _framed(text, kind):
         key = rec[0]
         if key == tag_key:
             if len(rec) != 2:
@@ -301,11 +301,10 @@ def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: st
                        for n in range(count - 1)]
 
 
-def parse_tower(text: str, loader: "Loader", base_dir: str,
-                records: list[list[str]] | None = None) -> RingTower:
+def parse_tower(text: str, loader: "Loader", base_dir: str) -> RingTower:
     intent, levels, transitions = _parse_chain(
         text, "tower", "intent", "levels", "level", "transition", loader.algebra, base_dir,
-        lambda lo, hi: ((hi.dim, lo.dim), lo.field.q), records)
+        lambda lo, hi: ((hi.dim, lo.dim), lo.field.q))
     return build_tower(levels, transitions, intent=intent)
 
 
@@ -328,15 +327,14 @@ def write_matrix(m: WindowedMatrix, algebra_ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str, loader: "Loader", base_dir: str,
-                 records: list[list[str]] | None = None) -> WindowedMatrix:
+def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
     base = None
     y_kind = None
     window = None
     entry_quads: dict = {}
     extra_quads: dict = {}
     ideal_rows: dict[str, list[list[int]]] = {"tail": [], "precision": []}
-    for rec in _framed(text, "matrix", records):
+    for rec in _framed(text, "matrix"):
         key = rec[0]
         if key == "algebra":
             if len(rec) != 2:
@@ -399,11 +397,10 @@ def write_system(S: OmegaSystem, module_refs: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_system(text: str, loader: "Loader", base_dir: str,
-                 records: list[list[str]] | None = None) -> OmegaSystem:
+def parse_system(text: str, loader: "Loader", base_dir: str) -> OmegaSystem:
     ground, modules, maps = _parse_chain(
         text, "system", "ground", "modules", "module", "map", loader.module, base_dir,
-        lambda lo, hi: ((lo.dim, hi.dim), lo.algebra.field.q), records)
+        lambda lo, hi: ((lo.dim, hi.dim), lo.algebra.field.q))
     return omega_system(modules, maps, ground=ground)
 
 
@@ -413,7 +410,7 @@ def parse_system(text: str, loader: "Loader", base_dir: str,
 
 
 PARSERS = {
-    "algebra": lambda text, loader, base_dir, records=None: parse_algebra(text, records),
+    "algebra": lambda text, loader, base_dir: parse_algebra(text),
     "module": parse_module,
     "tower": parse_tower,
     "matrix": parse_matrix,
@@ -436,11 +433,10 @@ class Loader:
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        recs = _records(text)
-        kind = _kind(recs)
+        kind = object_kind(text)
         if kind not in PARSERS:
             raise ParseError(f"unknown object kind {kind!r}")
-        obj = PARSERS[kind](text, self, os.path.dirname(real), records=recs)
+        obj = PARSERS[kind](text, self, os.path.dirname(real))
         self.cache[real] = obj
         return obj
 

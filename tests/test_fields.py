@@ -345,21 +345,21 @@ def test_long_extension_sums_are_exact():
 # ---------------------------------------------------------------------------
 
 
+# the kernel fields, every field of the bundled files (test below) and the
+# largest prime under the 512-element cap
+ROUTE_FIELDS = sorted(set(KERNEL_FIELDS) | {(509, 1)})
+
+
 def _corpus_fields() -> set[tuple[int, int]]:
     loader = serialize.Loader()
     found = set()
-    for path in sorted(Path(corpus.__file__).parent.iterdir()):
-        if path.suffix == ".py":
-            continue
-        obj = loader.load(str(path))
+    for name in sorted(corpus.render_all()):
+        obj = loader.load(corpus.path(name))
         for ring in [obj] + list(getattr(obj, "levels", [])) + list(getattr(obj, "modules", [])):
             F = getattr(ring, "field", None) or getattr(getattr(ring, "algebra", None), "field", None)
             if F is not None:
                 found.add((F.p, F.d))
     return found
-
-
-ROUTE_FIELDS = sorted(set(KERNEL_FIELDS) | _corpus_fields() | {(509, 1)})
 
 
 def _spy_float(monkeypatch) -> list:
@@ -422,14 +422,35 @@ def test_float_route_stops_at_the_exactness_bound(field, monkeypatch):
         assert (got == want).all()
 
 
+class _Products(np.ndarray):
+    """An array that records the operand shapes of every matmul it enters."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Products.seen.append((inputs[0].shape, inputs[1].shape))
+        return super().__array_ufunc__(ufunc, method, *map(np.asarray, inputs), **kwargs)
+
+
 def test_float_route_blocks_match_one_product(monkeypatch):
-    # blocks of one row, of 7 rows of one matrix (the last one short), of 2
-    # matrices of a stack of 9, and of the whole product
+    # blocks of one dot product, of 3 columns of one row and of all but one
+    # column of one row (the last slice short), of 7 rows of one matrix (the
+    # last block short), of 2 matrices of a stack of 9 (a bound of 2m + 1
+    # rows), and of the whole product; each float64 product makes at most
+    # FLOAT_BLOCK multiply-adds (or one dot product), so none of its
+    # operands holds more entries
     rng = np.random.default_rng(5)
     for X, Y in ((rng.integers(0, 3, size=(1, 300, 40)), rng.integers(0, 3, size=(1, 40, 70))),
                  (rng.integers(0, 3, size=(9, 30, 20)), rng.integers(0, 3, size=(9, 20, 40)))):
         k, n = Y.shape[1:]
-        for block in (1, 7 * k * n, 2 * X.shape[1] * k * n, 1 << 30):
+        for block in (1, 3 * k, k * (n - 1), 7 * k * n, (2 * X.shape[1] + 1) * k * n,
+                      1 << 30):
             monkeypatch.setattr(fields, "FLOAT_BLOCK", block)
-            got = fields._float_matmul(X, Y)
-            assert got.dtype == np.int64 and np.array_equal(got, X @ Y)
+            _Products.seen = []
+            got = fields._float_matmul(X.view(_Products), Y.view(_Products))
+            assert type(got) is np.ndarray and got.dtype == np.int64
+            assert np.array_equal(got, X @ Y)
+            assert _Products.seen
+            for (b, m, kx), (_, ky, cols) in _Products.seen:
+                assert kx == ky == k and b * m * k * cols <= max(block, k)

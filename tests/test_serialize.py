@@ -21,6 +21,7 @@ from topring.modules import right_regular_module
 from topring.serialize import (
     Loader,
     ParseError,
+    object_kind,
     parse_algebra,
     write_algebra,
     write_matrix,
@@ -132,20 +133,33 @@ def test_loader_shares_between_tower_and_algebra():
 
 
 def test_object_kind():
-    assert serialize._kind(serialize._records(RENDERED["f2.alg"])) == "algebra"
-    assert serialize._kind(serialize._records(RENDERED["chain6.sys"])) == "system"
-    with pytest.raises(ParseError, match="'object <kind>' header"):
-        serialize._kind(serialize._records("nothing here"))
+    assert object_kind(RENDERED["f2.alg"]) == "algebra"
+    assert object_kind(RENDERED["chain6.sys"]) == "system"
+    with pytest.raises(ParseError):
+        object_kind("nothing here")
+    # comments and blank lines before the header are skipped
+    assert object_kind("# a tower\n\nobject tower   # levels below\n") == "tower"
 
 
 def test_loader_splits_each_file_once(monkeypatch):
-    # the loader reads the kind and the records off one split of the text
-    calls = []
+    # object_kind splits only the header record; the parser splits the text
+    pulled = []
     split = serialize._records
-    monkeypatch.setattr(serialize, "_records", lambda text: calls.append(text) or split(text))
+
+    def spy(text):
+        for rec in split(text):
+            pulled.append(rec)
+            yield rec
+
+    monkeypatch.setattr(serialize, "_records", spy)
     loader = Loader()
     loader.system(corpus.path("chain6.sys"))
-    assert len(calls) == len(loader.cache) > 1
+    texts = []
+    for path in loader.cache:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    assert len(texts) > 1
+    assert len(pulled) == sum(len(list(split(text))) + 1 for text in texts)
 
 
 def test_missing_file_is_parse_error():
@@ -219,7 +233,7 @@ def test_duplicate_record_is_parse_error(name, key):
     at = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
     lines.insert(at + 1, lines[at])
     text = "\n".join(lines) + "\n"
-    parser = serialize.PARSERS[lines[0].split()[1]]
+    parser = serialize.PARSERS[object_kind(text)]
     with pytest.raises(ParseError, match="duplicate"):
         parser(text, Loader(), CORPUS_DIR)
 
