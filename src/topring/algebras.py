@@ -13,6 +13,9 @@ for all a, b) is provided for cross-checking at card <= 4096.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 import numpy as np
 
 from topring import linalg, poly
@@ -50,7 +53,10 @@ class StructureAlgebra:
         field: coefficient FiniteField.
         dim: dimension n over field.
         c: structure constants, shape (n, n, n); c[i, j, k] is the e_k
-            coefficient of e_i * e_j.
+            coefficient of e_i * e_j.  Passed either as an array or as a
+            function of no arguments that returns it; a function is called
+            the first time c is read (modules.endo_algebra hands one over,
+            so End(M) forms its n^3 tensor only where a product is taken).
         unit: coordinate row of the multiplicative unit.
         rep: optional faithful representation used for radical computations;
             a stack (n, m, m) of column-convention matrices, multiplicative
@@ -60,27 +66,28 @@ class StructureAlgebra:
     c, unit and rep are read-only copies of the arrays passed in, so the
     generators, the radical and the Fitting splits of endo.bass_flat (one
     per tail term, keyed by its bytes) cached on the object stay valid.
+    A c given as a function is copied, checked for shape and range and
+    frozen in the same way when it is first read; every later read is a
+    plain attribute lookup.
     """
 
     def __init__(
         self,
         field: FiniteField,
-        c: np.ndarray,
+        c: np.ndarray | Callable[[], np.ndarray],
         unit: np.ndarray,
         check: bool = True,
         rep: np.ndarray | None = None,
     ):
         self.field = field
-        self.c = _frozen(c)
         self.unit = _frozen(unit).ravel()
-        n = self.unit.shape[0]
-        if self.c.shape != (n, n, n):
-            raise AlgebraError(f"structure constants shape {self.c.shape} != {(n, n, n)}")
-        if self.c.size and (self.c.min() < 0 or self.c.max() >= field.q):
-            raise AlgebraError("structure constant out of field range")
+        self.dim = self.unit.shape[0]
+        if callable(c):
+            self._build_c = c
+        else:
+            self.c = self._checked(c)
         if self.unit.size and (self.unit.min() < 0 or self.unit.max() >= field.q):
             raise AlgebraError("unit coordinate out of field range")
-        self.dim = n
         self.rep = None if rep is None else _frozen(rep)
         self._gens: list[int] | None = None
         self._radical: SubspaceIdeal | None = None
@@ -91,6 +98,21 @@ class StructureAlgebra:
                 raise AlgebraError(
                     f"not a unital associative algebra ({len(problems)} failures)", problems
                 )
+
+    def _checked(self, c) -> np.ndarray:
+        c = _frozen(c)
+        n = self.dim
+        if c.shape != (n, n, n):
+            raise AlgebraError(f"structure constants shape {c.shape} != {(n, n, n)}")
+        if c.size and (c.min() < 0 or c.max() >= self.field.q):
+            raise AlgebraError("structure constant out of field range")
+        return c
+
+    @functools.cached_property
+    def c(self) -> np.ndarray:
+        # reached only for a c given as a function: an array passed in is
+        # stored in the instance dict, which this non-data descriptor yields to
+        return self._checked(self._build_c())
 
     # -- multiplication -----------------------------------------------------
 

@@ -264,14 +264,18 @@ def endo_algebra(M: FiniteModule):
     off at the pivot columns, and only those entries of each composite are
     computed; closure and associativity hold because composites of
     structure-compatible maps are again such maps and matrix
-    multiplication is associative.  As a tripwire against a corrupted hom
-    basis, the unit and a seeded sample of products (all k^2 of them when
-    k^2 <= 576, else 64 drawn pairs) are rebuilt from their coordinates in
-    one matmul and compared exactly, in one stacked check, with the
-    composites, which one contraction forms.  The stack holds at most
-    577 * dim^2 integers.  Then every basis map must commute with the
-    generators (one pair of contractions) and the basis be the identity on
-    its pivot columns, where coordinates are read."""
+    multiplication is associative.  E's k^3 structure constants are formed
+    by one contraction over those entries the first time E.c is read,
+    which the chain search of endo.sigma_coperfect_check never does.  As
+    a tripwire against a corrupted hom basis, the unit and a seeded sample
+    of products (all k^2 of them when k^2 <= 576, else 64 drawn pairs) are
+    rebuilt in one matmul from their coordinates, the pivot entries of the
+    composites (the values E.c holds for those pairs), and compared
+    exactly, in one stacked check, with the composites, which one
+    contraction forms.  The stack holds at most 577 * dim^2 integers.
+    Then every basis map must commute with the generators (one pair of
+    contractions) and the basis be the identity on its pivot columns,
+    where coordinates are read."""
     F = M.algebra.field
     homs = hom_space(M, M)
     k = homs.shape[0]
@@ -280,7 +284,6 @@ def endo_algebra(M: FiniteModule):
     pivots = (flat != 0).argmax(axis=1) if flat.size else np.zeros(k, dtype=np.int64)
     # pivot r sits at entry (a_r, b_r) of an n x n hom matrix
     a_piv, b_piv = np.divmod(pivots, M.dim)
-    c = F.contract("irt,jtr->ijr", homs[:, a_piv, :], homs[:, :, b_piv])
     unit_flat = np.eye(M.dim, dtype=np.int64).reshape(-1)
     unit = unit_flat[pivots]
     if k * k <= 576:
@@ -289,7 +292,8 @@ def endo_algebra(M: FiniteModule):
         rng = random.Random(k)
         first, second = np.array([(rng.randrange(k), rng.randrange(k)) for _ in range(64)]).T
     composites = F.contract("sij,sjk->sik", homs[first], homs[second])
-    coords = np.vstack([unit, c[first, second]])
+    # the pivot entries of a composite are its coordinates, E.c[first, second]
+    coords = np.vstack([unit, composites[:, a_piv, b_piv]])
     targets = np.vstack([unit_flat, linalg.as_rows(composites, M.dim * M.dim)])
     if not np.array_equal(linalg.matmul(F, coords, flat), targets):
         raise InternalInconsistencyError("hom space is not closed under composition")
@@ -301,7 +305,9 @@ def endo_algebra(M: FiniteModule):
         raise InternalInconsistencyError(f"hom basis map {np.argmax(moved)} is not a module map")
     if not np.array_equal(flat[:, pivots], np.eye(k, dtype=np.int64)):
         raise InternalInconsistencyError("hom basis is not reduced on its pivot columns")
-    E = StructureAlgebra(F, c, unit, check=False, rep=homs)
+    E = StructureAlgebra(
+        F, lambda: F.contract("irt,jtr->ijr", homs[:, a_piv, :], homs[:, :, b_piv]),
+        unit, check=False, rep=homs)
     M_over_E = FiniteModule(E, homs, side="right", check=False)
     return E, homs, M_over_E
 

@@ -592,6 +592,24 @@ def test_building_an_algebra_copies_the_callers_arrays():
     assert A == base and A.rep[0, 0, 0] == 1
 
 
+def test_structure_constants_given_as_a_function_are_built_on_first_read():
+    base = matrix_algebra(F2, 2)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return base.c.copy()
+
+    A = StructureAlgebra(F2, build, base.unit, check=False)
+    assert calls == [] and A.dim == 4
+    assert A == base and A.c is A.c and not A.c.flags.writeable
+    assert calls == [1]
+    for bad, message in [(np.zeros((4, 4, 3)), "shape"), (base.c + 1, "out of field range")]:
+        B = StructureAlgebra(F2, lambda: bad, base.unit, check=False)
+        with pytest.raises(AlgebraError, match=message):
+            B.c
+
+
 def test_quotient_by_an_ideal_of_an_equal_algebra_is_not_cached():
     A, B = truncated_poly_algebra(F2, 3), truncated_poly_algebra(F2, 3)
     I = radical(B)

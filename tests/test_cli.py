@@ -390,14 +390,50 @@ def test_coperfect_on_a_vector_space_fits_in_600_mb(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "topring.cli", "coperfect", "v5.mod"],
-                          cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True,
-                          text=True, timeout=300)
+                          cwd=tmp_path, env=_child_env(), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "bound 5" in done.stdout.splitlines()
+
+
+def _child_env():
+    """This environment with one BLAS thread and this package importable."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# Runs topring.cli with the given arguments in a child forked from this small
+# interpreter and writes that child's own ru_maxrss (kilobytes on Linux), read
+# from wait4, to the file named first.  A child spawned straight from the test
+# process would not do: a forked child's peak starts at the resident size of
+# the process it was forked from, and exec keeps that peak
+_MAXRSS_LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "topring.cli", *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_bridge_on_the_chain_families_peaks_below_70_mb(tmp_path):
+    # End of the 21- and 28-dimensional sums (k = 91 and 140) is built, but
+    # the chain search never forms its k^3 structure tensor; forming it and
+    # its read-only copy took the peak to about 92 MB
+    maxrss = tmp_path / "maxrss"
+    done = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_LAUNCHER, str(maxrss), "bridge",
+         corpus.path("chain6.sys"), corpus.path("chain7.sys"), "--depth", "5"],
+        env=_child_env(), capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (b"report bridge\nseed 0\ndepth 5\nperfect_verdict NOT_PERFECT\n"
+                           b"sigma_kind witness\nconsistent 1\nmodule_semisimple 0\nend\n")
+    assert int(maxrss.read_text()) < 70 * 1024
 
 
 def _absolute_refs(text):

@@ -19,7 +19,7 @@ from oracles import (
     sampled_isomorphism,
     solve_left_rows,
 )
-from topring import acceptance, linalg, modules
+from topring import acceptance, endo, linalg, modules
 from topring.algebras import (
     AlgebraError,
     InternalInconsistencyError,
@@ -34,8 +34,8 @@ from topring.algebras import (
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
-from topring.endo import polynomial_adic_system, system_family
-from topring.fields import GF
+from topring.endo import polynomial_adic_system, sigma_coperfect_check, system_family
+from topring.fields import GF, FiniteField
 from topring.modules import (
     FiniteModule,
     ModuleFamily,
@@ -260,9 +260,25 @@ def test_corrupted_hom_basis_trips_the_composition_check(monkeypatch, depth):
     assert pivot // M.dim != pivot % M.dim
     row[pivot + 1:] ^= 1
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
+    builds = _counting_structure_builds(monkeypatch)
     with pytest.raises(InternalInconsistencyError,
                        match="^hom space is not closed under composition$"):
         endo_algebra(M)
+    assert builds == []
+
+
+def _counting_structure_builds(monkeypatch):
+    """Records every contraction that forms End(M)'s full structure tensor."""
+    builds = []
+    real = FiniteField.contract
+
+    def contract(self, spec, *operands):
+        if spec == "irt,jtr->ijr":
+            builds.append(operands[0].shape[0])
+        return real(self, spec, *operands)
+
+    monkeypatch.setattr(FiniteField, "contract", contract)
+    return builds
 
 
 def _unchecked_maps(M):
@@ -290,9 +306,11 @@ def test_hom_basis_map_that_is_no_module_map_trips(monkeypatch):
     bad = homs.copy()
     bad[r, -1, -1] ^= 1
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
+    builds = _counting_structure_builds(monkeypatch)
     with pytest.raises(InternalInconsistencyError,
                        match=f"^hom basis map {r} is not a module map$"):
         endo_algebra(M)
+    assert builds == []
 
 
 def test_hom_basis_that_is_not_reduced_trips(monkeypatch):
@@ -304,9 +322,11 @@ def test_hom_basis_that_is_not_reduced_trips(monkeypatch):
     bad = homs.copy()
     bad[r] ^= homs[r + 1]
     monkeypatch.setattr(modules, "hom_space", lambda M1, M2: bad)
+    builds = _counting_structure_builds(monkeypatch)
     with pytest.raises(InternalInconsistencyError,
                        match="^hom basis is not reduced on its pivot columns$"):
         endo_algebra(M)
+    assert builds == []
 
 
 def test_endo_action_module_is_valid():
@@ -924,7 +944,33 @@ def _showcase_module():
 def test_endo_algebra_matches_full_composite_route(build):
     M = build()
     E, _, _ = endo_algebra(M)
-    assert np.array_equal(E.c, endo_structure_full(M))
+    assert "c" not in E.__dict__
+    c = E.c
+    assert np.array_equal(c, endo_structure_full(M))
+    assert c.dtype == np.int64 and c.flags.c_contiguous and not c.flags.writeable
+    assert E.c is c
+
+
+def test_sigma_check_never_forms_the_endo_structure_constants(monkeypatch):
+    # the chain6 family refined by chain7: End of the 21- and 28-dimensional
+    # sums, k = 91 and 140, is built, but the chain search and the radical
+    # read homs only, so neither k^3 tensor is formed
+    ends = []
+    real = endo.endo_algebra
+
+    def recording(M):
+        out = real(M)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(endo, "endo_algebra", recording)
+    builds = _counting_structure_builds(monkeypatch)
+    res = sigma_coperfect_check(system_family(polynomial_adic_system(F2, 6)), depth=5,
+                                refinement=system_family(polynomial_adic_system(F2, 7)))
+    assert res.kind == "witness" and res.refinement_verified
+    assert [E.dim for E in ends] == [91, 140]
+    assert builds == []
+    assert all("c" not in E.__dict__ for E in ends)
 
 
 @pytest.mark.parametrize("A", acceptance._finite_ring_pool() + hidden_block_algebras(), ids=repr)
