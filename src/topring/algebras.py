@@ -40,7 +40,11 @@ class InternalInconsistencyError(Exception):
 
 
 def _frozen(a) -> np.ndarray:
-    """A read-only C-contiguous int64 copy of a."""
+    """A read-only C-contiguous int64 copy of a; a itself if it is one
+    already and owns its data, so that no view can write to it."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=np.int64, order="C")
     out.flags.writeable = False
     return out
@@ -63,7 +67,8 @@ class StructureAlgebra:
             on basis products.  Defaults to the (transposed) left regular
             representation.
 
-    c, unit and rep are read-only copies of the arrays passed in, so the
+    c, unit and rep are read-only copies of the arrays passed in (or the
+    arrays themselves, if they are read-only and own their data), so the
     generators, the radical and the Fitting splits of endo.bass_flat (one
     per tail term, keyed by its bytes) cached on the object stay valid.
     A c given as a function is copied, checked for shape and range and
@@ -217,6 +222,11 @@ class StructureAlgebra:
 
     def min_poly(self, x: np.ndarray) -> poly.Poly:
         """Monic minimal polynomial of x over the base field."""
+        return self._min_poly_powers(x)[0]
+
+    def _min_poly_powers(self, x: np.ndarray) -> tuple[poly.Poly, np.ndarray]:
+        """(m, P): the monic minimal polynomial m of x, of degree d, and
+        the rows P[i] = x^i for i < d, which the search forms anyway."""
         F = self.field
         rows = [self.unit.copy()]
         cur = self.unit.copy()
@@ -228,7 +238,7 @@ class StructureAlgebra:
                 coeffs = np.zeros(k + 1, dtype=np.int64)
                 coeffs[:k] = F.neg(sol)
                 coeffs[k] = 1
-                return poly.norm(coeffs)
+                return poly.norm(coeffs), A
             rows.append(cur.copy())
         raise InternalInconsistencyError("minimal polynomial must exist within dim+1 powers")
 

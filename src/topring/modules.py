@@ -27,6 +27,7 @@ from topring.algebras import (
     AlgebraError,
     InternalInconsistencyError,
     StructureAlgebra,
+    _frozen,
     peirce_corner,
     quotient,
     radical,
@@ -277,7 +278,9 @@ def endo_algebra(M: FiniteModule):
     contractions) and the basis be the identity on its pivot columns,
     where coordinates are read."""
     F = M.algebra.field
-    homs = hom_space(M, M)
+    # one read-only array is the returned basis, E.rep, the action of
+    # M_over_E and the operand of E.c's builder
+    homs = _frozen(hom_space(M, M))
     k = homs.shape[0]
     flat = homs.reshape(k, M.dim * M.dim)
     # the first nonzero column of each row (column 0 for a zero row)

@@ -23,9 +23,17 @@ one StructureAlgebra instance.
 
 One emitter, `_sparse_lines`, writes every sparse record `key *prefix
 *index value`: the nonzero entries of an array in row-major order.  The
-writers and `Report.sparse` all call it.  One reader, `_dense`, fills an
-array of a given shape from such records; an index outside the shape is
-a ParseError (exit 2).  Towers and systems share one reader of their
+writers and `Report.sparse` all call it.  Every parser reads its records
+through `_SparseReader`, which keeps the token lists of each sparse key
+and, once the loop over the other records ends, converts each key in
+bulk: one int64 array, with its token count, integer and duplicate check
+(`_bulk_records`).  One reader, `_dense`, fills an array of a given shape
+from a key's entries with one value and range check (`_bulk_fits`) and
+one scatter; an index outside the shape is a ParseError (exit 2).  A key
+the bulk check rejects is read record by record in line order, only to
+name its first fault, and those checks run before the error of any later
+record is raised, so a file's exit code and message are those of its
+first fault in line order.  Towers and systems share one reader of their
 `tag / count / indexed references / per-link matrices` layout.
 
 The value rule: every field value, in a sparse record (`c`, `act`,
@@ -37,6 +45,7 @@ Reports share the lexical rules with `report <verb>` ... `end` framing
 and never contain timestamps; rerunning a job byte-reproduces them.
 """
 
+import itertools
 import os
 from collections.abc import Iterator
 
@@ -80,18 +89,119 @@ def _count(rec: list[str]) -> int:
     return vals[0]
 
 
-def _sparse_record(rec: list[str], records: dict, usage: str) -> None:
-    """Add one `key i j k v` record to records[(i, j, k)] = v.
+# The usage message of each sparse key, `key i j k v`: three indices, one value.
+SPARSE_USAGE = {
+    "c": "structure line needs i j k v",
+    "act": "action line needs a r c v",
+    "transition": "transition line needs n r c v",
+    "map": "map line needs n r c v",
+    "entry": "entry line needs x z t v",
+    "extra": "extra line needs x c t v",
+}
 
-    A repeated index is a ParseError, whatever the values: keeping either
-    one silently would turn a typo into a different object."""
-    vals = _ints(rec)
-    if len(vals) != 4:
-        raise ParseError(f"{usage}: {' '.join(rec)!r}")
-    idx = tuple(vals[:3])
-    if idx in records:
-        raise ParseError(f"duplicate {rec[0]} record at index {idx}")
-    records[idx] = vals[3]
+
+def _bulk_records(recs: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """(indices, values) of one key's `key i j k v` records, as int64
+    arrays in line order, or None if any record has the wrong token count,
+    a token that is not an int64 integer, a repeated index, or a negative
+    or huge index (the range check of the record-by-record route names it)."""
+    if not recs:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if set(map(len, recs)) != {5}:
+        return None
+    flat = list(itertools.chain.from_iterable(recs))
+    del flat[::5]
+    try:
+        # numpy reads each string as int() does; past int64 it raises OverflowError
+        table = np.array(flat, dtype=np.int64).reshape(-1, 4)
+    except (ValueError, OverflowError):
+        return None
+    idx = table[:, :3]
+    # read as uint64 a negative index is at least 2^63, so one maximum bounds
+    # every index from both sides; below the bound, (a, b, c) -> a k^2 + b k + c
+    # is one-to-one in int64
+    k = int(idx.view(np.uint64).max()) + 1
+    if k ** 3 >= 1 << 62:
+        return None
+    keys = idx @ np.array([k * k, k, 1], dtype=np.int64)
+    # a set, not np.unique (its first call imports numpy.ma, about 1.7 MB
+    # resident) or a sort (about 0.25 MB more of numpy's library mapped)
+    if len(set(keys.tolist())) != keys.shape[0]:
+        return None
+    return idx, table[:, 3]
+
+
+def _bulk_fits(idx: np.ndarray, shape: tuple[int, ...], vals: np.ndarray | None = None,
+               q: int = 0) -> bool:
+    """Whether every index row lies in shape and every value, if given, in
+    [0, q).  Read as uint64 a negative entry is at least 2^63, so one
+    maximum bounds each column from both sides."""
+    if not idx.shape[0]:
+        return True
+    if vals is not None and int(vals.view(np.uint64).max()) >= q:
+        return False
+    return all(m < n for m, n in zip(idx.view(np.uint64).max(axis=0).tolist(), shape))
+
+
+class _SparseReader:
+    """The records of one file with its sparse records kept aside.
+
+    Iterating yields every other record and keeps the token lists of each
+    sparse key's records.  Used as a context manager around the parse
+    loop: when the loop ends, each key's records are converted in bulk
+    (_bulk_records) into `entries[key]`, int64 (indices, values) arrays.
+    A key the bulk check rejects is read record by record, in line order:
+    that raises the first fault of its records (a token that is not an
+    integer, a wrong token count, a repeated index) or, if every record
+    holds up (one has a negative index or an integer past int64, say),
+    leaves the key's entries as a dict {index tuple: value}.  When a later record raises, the sparse
+    records before it are read the same way first, so a file's error is
+    its first fault in line order, as when each record was read as it came.
+    """
+
+    def __init__(self, recs: list[list[str]], keys: tuple[str, ...]):
+        self.recs = recs
+        self.lines: dict[str, list[list[str]]] = {key: [] for key in keys}
+        self.at = 0
+        self.entries: dict = {}
+
+    def __iter__(self):
+        for self.at, rec in enumerate(self.recs):
+            lines = self.lines.get(rec[0])
+            if lines is None:
+                yield rec
+            else:
+                lines.append(rec)
+
+    def __enter__(self) -> "_SparseReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            self.entries = {key: _bulk_records(lines) for key, lines in self.lines.items()}
+            recs = self.recs
+        elif issubclass(exc_type, Exception):
+            recs = self.recs[:self.at]
+        else:
+            return False
+        slow: dict[str, dict] = {key: {} for key in self.lines if self.entries.get(key) is None}
+        for rec in recs if slow else ():
+            records = slow.get(rec[0])
+            if records is None:
+                continue
+            vals = _ints(rec)
+            if len(vals) != 4:
+                raise ParseError(f"{SPARSE_USAGE[rec[0]]}: {' '.join(rec)!r}")
+            idx = tuple(vals[:3])
+            # keeping either of two records silently would turn a typo into another object
+            if idx in records:
+                raise ParseError(f"duplicate {rec[0]} record at index {idx}")
+            records[idx] = vals[3]
+        self.entries.update(slow)
+        # the token lists outweigh the arrays, and the checks after the loop
+        # (StructureAlgebra's associativity check among them) need neither
+        self.recs = self.lines = None
+        return False
 
 
 def _in_field(key: str, vals, q: int) -> None:
@@ -101,11 +211,23 @@ def _in_field(key: str, vals, q: int) -> None:
             raise AlgebraError(f"{key} value {v} outside the field range [0, {q})")
 
 
-def _dense(key: str, records: dict, shape: tuple[int, ...], q: int) -> np.ndarray:
-    """The array of the given shape holding records[index] = value, zero elsewhere.
+def _dense(key: str, entries, shape: tuple[int, ...], q: int) -> np.ndarray:
+    """The array of the given shape holding each entry's value at its index,
+    zero elsewhere.
 
-    Values are checked first, since one outside the value rule may not
-    fit the int64 array; then an index outside the shape is a ParseError."""
+    Entries in bulk form that pass the value and range check are scattered
+    at once.  Otherwise they are checked one by one in line order: values
+    first, since one outside the value rule may not fit the int64 array;
+    then an index outside the shape is a ParseError."""
+    if isinstance(entries, dict):
+        records = entries
+    else:
+        idx, vals = entries
+        if _bulk_fits(idx, shape, vals, q):
+            out = np.zeros(shape, dtype=np.int64)
+            out[tuple(idx.T)] = vals
+            return out
+        records = dict(zip(map(tuple, idx.tolist()), vals.tolist()))
     _in_field(key, records.values(), q)
     if any(min(axis) < 0 or max(axis) >= n for axis, n in zip(zip(*records), shape)):
         bad = next(idx for idx in records if not all(0 <= i < n for i, n in zip(idx, shape)))
@@ -114,6 +236,34 @@ def _dense(key: str, records: dict, shape: tuple[int, ...], q: int) -> np.ndarra
     for idx, v in records.items():
         out[idx] = v
     return out
+
+
+def _groups(entries) -> list[tuple[int, object]]:
+    """Sparse entries (n, *rest) grouped by n in increasing order: (n, the
+    entries of that n indexed by rest), each group in line order."""
+    if isinstance(entries, dict):
+        groups: dict[int, dict] = {}
+        for (n, *rest), v in entries.items():
+            groups.setdefault(n, {})[tuple(rest)] = v
+        return sorted(groups.items())
+    idx, vals = entries
+    return [(n, (idx[sel, 1:], vals[sel]))
+            for n in sorted(set(idx[:, 0].tolist())) for sel in [idx[:, 0] == n]]
+
+
+def _groups_in(entries, count: int, fault) -> list[tuple[int, object]]:
+    """_groups(entries), once fault(n) is raised for the first n, in line
+    order, outside range(count)."""
+    if isinstance(entries, dict):
+        firsts = [n for n, *_ in entries]
+    elif not _bulk_fits(entries[0][:, :1], (count,)):
+        firsts = entries[0][:, 0].tolist()
+    else:
+        firsts = []
+    bad = next((n for n in firsts if not 0 <= n < count), None)
+    if bad is not None:
+        raise fault(bad)
+    return _groups(entries)
 
 
 def _sparse_lines(key: str, prefix: tuple[int, ...], M) -> list[str]:
@@ -173,30 +323,29 @@ def parse_algebra(text: str) -> StructureAlgebra:
     field = None
     dim = None
     unit = None
-    triples: dict = {}
-    for rec in _framed(text, "algebra"):
-        key = rec[0]
-        if key == "field":
-            vals = _ints(rec)
-            if len(vals) < 3:
-                raise ParseError("field line needs p d and modulus coefficients")
-            p, d, mod = vals[0], vals[1], vals[2:]
-            if len(mod) != d + 1:
-                raise ParseError(f"modulus needs {d + 1} coefficients, got {len(mod)}")
-            field = GF(p, d, tuple(mod))
-        elif key == "dim":
-            dim = _count(rec)
-        elif key == "unit":
-            unit = _ints(rec)
-        elif key == "c":
-            _sparse_record(rec, triples, "structure line needs i j k v")
-        else:
-            raise ParseError(f"unknown algebra key {key!r}")
+    reader = _SparseReader(_framed(text, "algebra"), ("c",))
+    with reader:
+        for rec in reader:
+            key = rec[0]
+            if key == "field":
+                vals = _ints(rec)
+                if len(vals) < 3:
+                    raise ParseError("field line needs p d and modulus coefficients")
+                p, d, mod = vals[0], vals[1], vals[2:]
+                if len(mod) != d + 1:
+                    raise ParseError(f"modulus needs {d + 1} coefficients, got {len(mod)}")
+                field = GF(p, d, tuple(mod))
+            elif key == "dim":
+                dim = _count(rec)
+            elif key == "unit":
+                unit = _ints(rec)
+            else:
+                raise ParseError(f"unknown algebra key {key!r}")
     if field is None or dim is None or unit is None:
         raise ParseError("algebra needs field, dim, and unit lines")
     if len(unit) != dim:
         raise ParseError("unit length differs from dim")
-    c = _dense("c", triples, (dim, dim, dim), field.q)
+    c = _dense("c", reader.entries["c"], (dim, dim, dim), field.q)
     _in_field("unit", unit, field.q)
     return StructureAlgebra(field, c, np.array(unit, dtype=np.int64), check=True)
 
@@ -216,26 +365,25 @@ def parse_module(text: str, loader: "Loader", base_dir: str) -> FiniteModule:
     algebra = None
     side = None
     dim = None
-    quads: dict = {}
-    for rec in _framed(text, "module"):
-        key = rec[0]
-        if key == "algebra":
-            if len(rec) != 2:
-                raise ParseError("algebra reference takes one path")
-            algebra = loader.algebra(os.path.join(base_dir, rec[1]))
-        elif key == "side":
-            if len(rec) != 2 or rec[1] not in ("left", "right"):
-                raise ParseError("side must be left or right")
-            side = rec[1]
-        elif key == "dim":
-            dim = _count(rec)
-        elif key == "act":
-            _sparse_record(rec, quads, "action line needs a r c v")
-        else:
-            raise ParseError(f"unknown module key {key!r}")
+    reader = _SparseReader(_framed(text, "module"), ("act",))
+    with reader:
+        for rec in reader:
+            key = rec[0]
+            if key == "algebra":
+                if len(rec) != 2:
+                    raise ParseError("algebra reference takes one path")
+                algebra = loader.algebra(os.path.join(base_dir, rec[1]))
+            elif key == "side":
+                if len(rec) != 2 or rec[1] not in ("left", "right"):
+                    raise ParseError("side must be left or right")
+                side = rec[1]
+            elif key == "dim":
+                dim = _count(rec)
+            else:
+                raise ParseError(f"unknown module key {key!r}")
     if algebra is None or side is None or dim is None:
         raise ParseError("module needs algebra, side, and dim lines")
-    action = _dense("act", quads, (algebra.dim, dim, dim), algebra.field.q)
+    action = _dense("act", reader.entries["act"], (algebra.dim, dim, dim), algebra.field.q)
     return FiniteModule(algebra, action, side=side, check=True)
 
 
@@ -271,33 +419,29 @@ def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: st
     tag = None
     count = None
     refs: dict = {}
-    quads: dict = {}
-    for rec in _framed(text, kind):
-        key = rec[0]
-        if key == tag_key:
-            if len(rec) != 2:
-                raise ParseError(f"{tag_key} takes one tag")
-            tag = rec[1]
-        elif key == count_key:
-            count = _count(rec)
-        elif key == ref_key:
-            idx = _indexed_ref(rec, refs, f"{ref_key} line needs an index and a path")
-            refs[idx] = load(os.path.join(base_dir, rec[2]))
-        elif key == link_key:
-            _sparse_record(rec, quads, f"{link_key} line needs n r c v")
-        else:
-            raise ParseError(f"unknown {kind} key {key!r}")
+    reader = _SparseReader(_framed(text, kind), (link_key,))
+    with reader:
+        for rec in reader:
+            key = rec[0]
+            if key == tag_key:
+                if len(rec) != 2:
+                    raise ParseError(f"{tag_key} takes one tag")
+                tag = rec[1]
+            elif key == count_key:
+                count = _count(rec)
+            elif key == ref_key:
+                idx = _indexed_ref(rec, refs, f"{ref_key} line needs an index and a path")
+                refs[idx] = load(os.path.join(base_dir, rec[2]))
+            else:
+                raise ParseError(f"unknown {kind} key {key!r}")
     if tag is None or count is None:
         raise ParseError(f"{kind} needs {tag_key} and {count_key} lines")
     if sorted(refs) != list(range(count)):
         raise ParseError(f"need {ref_key} lines 0..{count - 1}")
     objs = [refs[i] for i in range(count)]
-    links: dict[int, dict] = {n: {} for n in range(count - 1)}
-    for (n, r, c), v in quads.items():
-        if n not in links:
-            raise ParseError(f"{link_key} index {n} out of range")
-        links[n][(r, c)] = v
-    return tag, objs, [_dense(link_key, links[n], *link(objs[n], objs[n + 1]))
+    links = dict(_groups_in(reader.entries[link_key], count - 1,
+                            lambda n: ParseError(f"{link_key} index {n} out of range")))
+    return tag, objs, [_dense(link_key, links.get(n, {}), *link(objs[n], objs[n + 1]))
                        for n in range(count - 1)]
 
 
@@ -331,41 +475,33 @@ def parse_matrix(text: str, loader: "Loader", base_dir: str) -> WindowedMatrix:
     base = None
     y_kind = None
     window = None
-    entry_quads: dict = {}
-    extra_quads: dict = {}
     ideal_rows: dict[str, list[list[int]]] = {"tail": [], "precision": []}
-    for rec in _framed(text, "matrix"):
-        key = rec[0]
-        if key == "algebra":
-            if len(rec) != 2:
-                raise ParseError("algebra reference takes one path")
-            base = loader.algebra(os.path.join(base_dir, rec[1]))
-        elif key == "y":
-            if len(rec) != 2 or rec[1] not in ("finite", "omega"):
-                raise ParseError("y must be finite or omega")
-            y_kind = rec[1]
-        elif key == "window":
-            window = _count(rec)
-        elif key == "entry":
-            _sparse_record(rec, entry_quads, "entry line needs x z t v")
-        elif key == "extra":
-            _sparse_record(rec, extra_quads, "extra line needs x c t v")
-        elif key in ideal_rows:
-            ideal_rows[key].append(_ints(rec))
-        else:
-            raise ParseError(f"unknown matrix key {key!r}")
+    reader = _SparseReader(_framed(text, "matrix"), ("entry", "extra"))
+    with reader:
+        for rec in reader:
+            key = rec[0]
+            if key == "algebra":
+                if len(rec) != 2:
+                    raise ParseError("algebra reference takes one path")
+                base = loader.algebra(os.path.join(base_dir, rec[1]))
+            elif key == "y":
+                if len(rec) != 2 or rec[1] not in ("finite", "omega"):
+                    raise ParseError("y must be finite or omega")
+                y_kind = rec[1]
+            elif key == "window":
+                window = _count(rec)
+            elif key in ideal_rows:
+                ideal_rows[key].append(_ints(rec))
+            else:
+                raise ParseError(f"unknown matrix key {key!r}")
     if base is None or y_kind is None or window is None:
         raise ParseError("matrix needs algebra, y, and window lines")
     q = base.field.q
-    entries = _dense("entry", entry_quads, (window, window, base.dim), q)
-    extra_vecs: dict[tuple[int, int], dict] = {}
-    for (x, c, t), v in extra_quads.items():
-        if not 0 <= x < window:
-            raise ParseError(f"extra row {x} outside window {window}")
-        extra_vecs.setdefault((x, c), {})[(t,)] = v
+    entries = _dense("entry", reader.entries["entry"], (window, window, base.dim), q)
     extras: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(window)]
-    for (x, c), recs in sorted(extra_vecs.items()):
-        extras[x].append((c, _dense("extra", recs, (base.dim,), q)))
+    for x, row in _groups_in(reader.entries["extra"], window,
+                             lambda x: ParseError(f"extra row {x} outside window {window}")):
+        extras[x] = [(c, _dense("extra", vec, (base.dim,), q)) for c, vec in _groups(row)]
     ideals = {key: [np.zeros((0, base.dim), dtype=np.int64) for _ in range(window)]
               for key in ideal_rows}
     for key, rows in ideal_rows.items():

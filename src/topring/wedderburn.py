@@ -3,11 +3,17 @@
 The pipeline is fully explicit: central primitive idempotents come from
 Lagrange interpolation on elements of the Frobenius-fixed subspace of the
 center (whose dimension equals the number of simple factors, which makes
-termination a certificate rather than a hope); each simple factor is cut
-by corner refinement into a complete family of primitive orthogonal
-idempotents; matrix units come from solving one linear equation per
-off-diagonal generator.  The result carries an explicit isomorphism onto
-an abstract model algebra, verified on every product of basis elements.
+termination a certificate rather than a hope).  A fixed z satisfies
+z^q = z, so its minimal polynomial divides x^q - x, the product of x - a
+over all a in F_q: it has exactly as many roots in F_q as its degree,
+found by evaluating it at every element, and no polynomial is factored
+(Friedl and Ronyai, STOC 1985; Ronyai, J. Symbolic Comput. 1990).  Fewer
+roots than the degree is an InternalInconsistencyError.  Each simple
+factor is cut by corner refinement into a complete family of primitive
+orthogonal idempotents; matrix units come from solving one linear
+equation per off-diagonal generator.  The result carries an explicit
+isomorphism onto an abstract model algebra, verified on every product of
+basis elements.
 """
 
 from __future__ import annotations
@@ -74,8 +80,11 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     """Rows of the central primitive idempotents of a semisimple algebra.
 
     The q-power Frobenius is linear on the center; its fixed space has one
-    dimension per simple factor.  Lagrange idempotents of fixed elements
-    refine the family {1} until it reaches that size.
+    dimension per simple factor.  A fixed z satisfies z^q = z, so its
+    minimal polynomial divides x^q - x and has exactly as many roots in F_q
+    as its degree; the Lagrange idempotents of those roots (_root_idempotents)
+    refine the family {1} until it reaches the factor count.  No polynomial
+    is factored.
     """
     F = A.field
     Z = A.center_basis()
@@ -89,22 +98,44 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     for z in fixed:
         if family.shape[0] == k:
             break
-        mp = A.min_poly(z)
-        lagr = []
-        for g, e in poly.factor_poly(F, mp)[1]:
-            if poly.deg(g) != 1 or e != 1:
-                raise InternalInconsistencyError("fixed central element with non-split minimal polynomial")
-            # g is x - a; num(a) is the remainder of num = mp / g by g
-            num = poly.exact_div(F, mp, g)
-            den = int(poly.mod(F, num, g)[0])
-            lagr.append(A.evaluate_poly(poly.scale(F, F.inv(den), num), z))
-        family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
+        family = A.mul_pairs(family, _root_idempotents(A, z)).reshape(-1, A.dim)
         family = family[family.any(axis=1)]
     if family.shape[0] != k:
         raise InternalInconsistencyError("central idempotent refinement did not reach the factor count")
     rows = np.vstack(sorted(family, key=A.encode))
     check_complete_orthogonal(A, rows)
     return rows
+
+
+def _root_idempotents(A: StructureAlgebra, z: np.ndarray) -> np.ndarray:
+    """The Lagrange idempotents (m/(x - a))(z) / m'(a), one row per root a
+    of the minimal polynomial m of z, which must split into deg m distinct
+    roots in F_q.
+
+    One Horner pass evaluates m at every element of F_q; one synthetic
+    division, run across all roots at once, gives each quotient m/(x - a)
+    and its value m'(a) at a; one product with the powers 1, z, ..., z^(d-1)
+    that the minimal polynomial search formed gives every idempotent.
+    """
+    F = A.field
+    m, powers = A._min_poly_powers(z)
+    d = poly.deg(m)
+    elements = np.arange(F.q, dtype=np.int64)
+    values = np.zeros(F.q, dtype=np.int64)
+    for c in m[::-1]:
+        values = F.add(F.mul(values, elements), c)
+    roots = np.flatnonzero(values == 0)
+    if roots.shape[0] != d:
+        raise InternalInconsistencyError("fixed central element with non-split minimal polynomial")
+    # quotient[:, i] is the x^i coefficient of m/(x - a), one row per root a
+    quotient = np.zeros((d, d), dtype=np.int64)
+    quotient[:, d - 1] = m[d]
+    for i in range(d - 1, 0, -1):
+        quotient[:, i - 1] = F.add(m[i], F.mul(roots, quotient[:, i]))
+    at_root = np.zeros(d, dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        at_root = F.add(F.mul(at_root, roots), quotient[:, i])
+    return linalg.matmul(F, F.mul(F.inv(at_root)[:, None], quotient), powers)
 
 
 def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:

@@ -21,7 +21,10 @@ of a submodule lattice: intersection_of_maximals reads the maximal
 submodules off it and intersects them with intersect_row_spaces, the
 reference that modules.radical_of_module and algebras.radical_bruteforce
 are compared against; hidden_block_algebras builds inputs for these
-oracles.  module_diagnostics_loop
+oracles.  central_idempotents_berlekamp is the Berlekamp/Lagrange route of
+wedderburn.central_primitive_idempotents before it read the roots of
+each minimal polynomial off x^q - x; hidden_matrix_block_products builds
+semisimple inputs for it.  module_diagnostics_loop
 is the per-pair check that FiniteModule.diagnostics replaced by one
 contraction pair per generator, composition_length_layers the per-layer
 Mat_s(F) route that modules.composition_length replaced by the Wedderburn
@@ -544,6 +547,66 @@ def hidden_block_algebras():
     ]
     return [basis_change(A, _random_invertible(A.field, A.dim, rng)) for A in products]
 
+
+
+def central_idempotents_berlekamp(A) -> np.ndarray:
+    """wedderburn.central_primitive_idempotents as it was before it read
+    the roots of each minimal polynomial off x^q - x: every Frobenius-fixed
+    central element's minimal polynomial is factored by Berlekamp, and each
+    linear factor x - a gives the Lagrange idempotent (m/(x - a))(z) / m'(a),
+    with m'(a) the remainder of m/(x - a) at a, evaluated by Horner in A."""
+    from topring import linalg, poly
+    from topring.algebras import check_complete_orthogonal
+
+    F = A.field
+    Z = A.center_basis()
+    phi = linalg.solve_left(F, Z, np.array([A.power(z, F.q) for z in Z]).reshape(-1, A.dim))
+    fixed_coeff = linalg.left_null_basis(F, F.sub(phi, np.eye(Z.shape[0], dtype=np.int64)))
+    fixed = linalg.matmul(F, fixed_coeff, Z)
+    k = fixed.shape[0]
+    family = A.unit[None, :]
+    for z in fixed:
+        if family.shape[0] == k:
+            break
+        mp = A.min_poly(z)
+        lagr = []
+        for g, e in poly.factor_poly(F, mp)[1]:
+            assert poly.deg(g) == 1 and e == 1
+            num = poly.exact_div(F, mp, g)
+            den = int(poly.mod(F, num, g)[0])
+            lagr.append(A.evaluate_poly(poly.scale(F, F.inv(den), num), z))
+        family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
+        family = family[family.any(axis=1)]
+    assert family.shape[0] == k
+    rows = np.vstack(sorted(family, key=A.encode))
+    check_complete_orthogonal(A, rows)
+    return rows
+
+
+def hidden_matrix_block_products():
+    """Semisimple inputs for the central idempotents: F_q x F_q x Mat_2(F_q)
+    x F_{q^2} x Mat_2(F_{q^2}) over GF(2), GF(3), GF(4), GF(5), GF(8),
+    GF(9) and GF(256) (fewer blocks over the larger fields), behind a
+    seeded random basis change.  With two equal F_q factors a fixed central
+    element can take one value on both, so refinement needs several."""
+    from topring.acceptance import _random_invertible
+    from topring.algebras import (
+        basis_change, field_algebra, field_extension_algebra, matrix_algebra, product_algebra,
+        tensor_algebra)
+    from topring.fields import GF
+
+    rng = np.random.default_rng(28)
+    out = []
+    for F in (GF(2), GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(2, 8)):
+        blocks = [field_algebra(F), field_algebra(F), matrix_algebra(F, 2),
+                  field_extension_algebra(F, 2)]
+        if F.q <= 4:
+            blocks.append(tensor_algebra(matrix_algebra(F, 2), field_extension_algebra(F, 2)))
+        A = blocks[0]
+        for B in blocks[1:]:
+            A = product_algebra(A, B)
+        out.append(basis_change(A, _random_invertible(F, A.dim, rng)))
+    return out
 
 
 def primitive_family_rescan(B, rng) -> np.ndarray:

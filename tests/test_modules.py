@@ -951,6 +951,17 @@ def test_endo_algebra_matches_full_composite_route(build):
     assert E.c is c
 
 
+def test_endo_algebra_keeps_one_hom_array():
+    # the returned basis, E.rep, the action of M over E and the operand of
+    # the structure-constant builder are one read-only array, not copies
+    E, homs, M_over_E = endo_algebra(_showcase_module())
+    assert E.dim == 140 and not homs.flags.writeable
+    assert E.rep is homs and M_over_E.action is homs
+    operands = [cell.cell_contents for cell in E._build_c.__closure__]
+    assert any(x is homs for x in operands)
+    assert all(np.shares_memory(x, homs) for x in (E.rep, M_over_E.action))
+
+
 def test_sigma_check_never_forms_the_endo_structure_constants(monkeypatch):
     # the chain6 family refined by chain7: End of the 21- and 28-dimensional
     # sums, k = 91 and 140, is built, but the chain search and the radical

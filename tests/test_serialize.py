@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from topring import corpus, serialize
+from topring import cli, corpus, serialize
 from topring.algebras import (
     AlgebraError,
     cyclic_group_algebra,
@@ -243,3 +244,141 @@ def test_duplicate_with_a_new_value_is_parse_error():
     bad = RENDERED["f2.alg"].replace("c 0 0 0 1", "c 0 0 0 1\nc 0 0 0 0")
     with pytest.raises(ParseError, match="duplicate"):
         parse_algebra(bad)
+
+
+BIG = 2 ** 63
+
+# (file, line to replace, replacement, exit code, first line of stderr): a
+# token past int64 on every kind of sparse record and on a dense row
+BIG_CASES = [
+    ("f2c3.alg", "c 0 0 0 1", f"c 0 0 0 {BIG}", 3,
+     f"error: c value {BIG} outside the field range [0, 2)"),
+    ("f2c3.alg", "c 0 0 0 1", f"c {BIG} 0 0 1", 2,
+     f"error: c index ({BIG}, 0, 0) outside shape (3, 3, 3)"),
+    ("f2c3.alg", "unit 1 0 0", f"unit 1 {BIG} 0", 3,
+     f"error: unit value {BIG} outside the field range [0, 2)"),
+    ("dual2_reg.mod", "act 0 1 1 1", f"act 0 1 {-BIG - 1} 1", 2,
+     f"error: act index (0, 1, {-BIG - 1}) outside shape (2, 2, 2)"),
+    ("adic4.twr", "transition 0 0 0 1", f"transition {BIG} 0 0 1", 2,
+     f"error: transition index {BIG} out of range"),
+    ("shift_f2.mat", "entry 0 1 0 1", f"entry 0 1 0 {10 ** 20}", 3,
+     f"error: entry value {10 ** 20} outside the field range [0, 2)"),
+    ("shift_f2.mat", "extra 5 6 0 1", f"extra {BIG} 6 0 1", 2,
+     f"error: extra row {BIG} outside window 6"),
+    ("chain6.sys", "map 1 1 2 1", f"map 1 1 2 {BIG}", 3,
+     f"error: map value {BIG} outside the field range [0, 2)"),
+]
+
+VERB = {".alg": "radical", ".mod": "decompose-module", ".twr": "classify-tower",
+        ".mat": "matmul", ".sys": "split-limit"}
+
+
+def _run(tmp_path, name, text, capsys):
+    """cli.main on text saved as a sibling of copies of the bundled files."""
+    for other in RENDERED:
+        shutil.copy(corpus.path(other), tmp_path / other)
+    path = tmp_path / f"mutant{os.path.splitext(name)[1]}"
+    path.write_text(text)
+    verb = VERB[path.suffix]
+    rc = cli.main([verb] + [str(path)] * (2 if verb == "matmul" else 1))
+    return rc, capsys.readouterr().err.splitlines()[0]
+
+
+@pytest.mark.parametrize("name,old,new,code,message", BIG_CASES,
+                         ids=[f"{c[0]}:{c[1].split()[0]}:{i}" for i, c in enumerate(BIG_CASES)])
+def test_an_integer_past_int64_is_an_input_error(tmp_path, capsys, name, old, new, code, message):
+    # numpy's int64 conversion raises OverflowError on these tokens; the
+    # record-by-record reading names the fault, and nothing escapes cli.main
+    assert old in RENDERED[name]
+    assert _run(tmp_path, name, RENDERED[name].replace(old, new, 1), capsys) == (code, message)
+
+
+def test_a_malformed_record_above_a_bad_field_line_is_still_a_parse_error(tmp_path, capsys):
+    # the c line's fault comes first in the file, so it is the error (exit
+    # 2), although the sparse records are read only after the loop and the
+    # reducible modulus x^2 + 1 below it is an exit 3
+    text = "object algebra\nc 0 0 0\nfield 2 2 1 0 1\ndim 1\nunit 1\nend\n"
+    assert _run(tmp_path, "bad.alg", text, capsys) == (
+        2, "error: structure line needs i j k v: 'c 0 0 0'")
+    below = "object algebra\nfield 2 2 1 0 1\nc 0 0 0\ndim 1\nunit 1\nend\n"
+    assert _run(tmp_path, "bad.alg", below, capsys) == (
+        3, "error: modulus (1, 0, 1) is reducible over F_2")
+
+
+def test_a_malformed_record_above_a_bad_reference_is_still_a_parse_error(tmp_path, capsys):
+    # the same for a module: a duplicate act line comes before the line
+    # naming a file that does not exist
+    text = ("object module\nact 0 0 0 1\nact 0 0 0 0\nalgebra missing.alg\nside right\n"
+            "dim 2\nend\n")
+    assert _run(tmp_path, "bad.mod", text, capsys) == (
+        2, "error: duplicate act record at index (0, 0, 0)")
+
+
+def test_extras_of_one_row_come_sorted_by_column(tmp_path):
+    # lines out of column order, as a hand-written file may have them;
+    # windowed rejects unsorted columns, so the reader must sort them
+    text = RENDERED["shift_f2.mat"].replace(
+        "extra 5 6 0 1", "extra 5 9 0 1\nextra 4 7 0 1\nextra 5 6 0 1\nextra 5 8 0 1")
+    (tmp_path / "f2.alg").write_text(RENDERED["f2.alg"])
+    (tmp_path / "m.mat").write_text(text)
+    m = Loader().matrix(str(tmp_path / "m.mat"))
+    assert [[c for c, _ in row] for row in m.extras] == [[], [], [], [], [7], [6, 8, 9]]
+    assert write_matrix(m, "f2.alg") == RENDERED["shift_f2.mat"].replace(
+        "extra 5 6 0 1", "extra 4 7 0 1\nextra 5 6 0 1\nextra 5 8 0 1\nextra 5 9 0 1")
+    # with two faulty columns, the lower one's fault is named, as when the
+    # groups were checked in sorted order
+    (tmp_path / "m.mat").write_text(text.replace("extra 5 9 0 1", "extra 5 9 0 3")
+                                    .replace("extra 5 8 0 1", "extra 5 8 0 2"))
+    with pytest.raises(AlgebraError, match=r"^extra value 2 outside the field range \[0, 2\)$"):
+        Loader().matrix(str(tmp_path / "m.mat"))
+
+
+@pytest.mark.parametrize("name,old,new,message", [
+    ("adic4.twr", "transition 0 0 0 1", "transition 7 0 0 1\ntransition 5 0 0 1",
+     "transition index 7 out of range"),
+    ("shift_f2.mat", "extra 5 6 0 1", "extra 9 6 0 1\nextra 8 6 0 1",
+     "extra row 9 outside window 6"),
+], ids=["transition", "extra"])
+def test_the_first_group_index_out_of_range_is_named(tmp_path, name, old, new, message):
+    # of two faulty first indices, the one on the earlier line is named
+    for other in RENDERED:
+        shutil.copy(corpus.path(other), tmp_path / other)
+    path = tmp_path / name
+    path.write_text(RENDERED[name].replace(old, new))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        Loader().load(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_bundled_files_read_their_sparse_records_in_bulk(name, monkeypatch):
+    # no sparse record of a well-formed file is converted or checked one
+    # at a time: _ints and _in_field see dense lines and counts only
+    ints, in_field = serialize._ints, serialize._in_field
+
+    def dense_only(seen):
+        assert seen not in serialize.SPARSE_USAGE, f"{seen} read record by record"
+
+    monkeypatch.setattr(serialize, "_ints", lambda rec: dense_only(rec[0]) or ints(rec))
+    monkeypatch.setattr(serialize, "_in_field",
+                        lambda key, vals, q: dense_only(key) or in_field(key, vals, q))
+    Loader().load(corpus.path(name))
+
+
+@pytest.mark.parametrize("recs", [
+    [["c", "0", "0", "0"]],
+    [["c", "0", "0", "0", "1", "1"]],
+    [["c", "0", "0", "0", "1"], ["c", "0", "0", "1"]],
+    [["c", "0", "x", "0", "1"]],
+    [["c", "0", "0", "0", str(BIG)]],
+    [["c", "0", "0", "0", "1"], ["c", "0", "0", "0", "0"]],
+], ids=["short", "long", "ragged", "not-int", "past-int64", "duplicate"])
+def test_bulk_conversion_rejects_what_the_record_reader_must_diagnose(recs):
+    assert serialize._bulk_records(recs) is None
+
+
+def test_bulk_conversion_keeps_line_order_and_reads_as_int_does():
+    idx, vals = serialize._bulk_records([["c", "2", "0", "1", "1"], ["c", "0", "+1", "0", "0"],
+                                         ["c", "\u0661", "1_0", "-0", "1"]])
+    assert idx.tolist() == [[2, 0, 1], [0, 1, 0], [1, 10, 0]]
+    assert vals.tolist() == [1, 0, 1]
+    assert idx.dtype == vals.dtype == np.int64

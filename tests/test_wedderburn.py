@@ -6,10 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from oracles import primitive_family_rescan
-from topring import linalg, wedderburn as wedderburn_module
+from oracles import (
+    central_idempotents_berlekamp,
+    hidden_block_algebras,
+    hidden_matrix_block_products,
+    primitive_family_rescan,
+)
+from topring import linalg, poly, wedderburn as wedderburn_module
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
     StructureAlgebra,
     basis_change,
     cyclic_group_algebra,
@@ -160,3 +166,40 @@ def test_primitive_family_computes_each_corner_once(B, n, monkeypatch):
     got = wedderburn_module.primitive_orthogonal_family(B, random.Random(4))
     assert np.array_equal(got, want)
     assert got.shape[0] == n and len(calls) == 2 * (n - 1)
+
+
+@pytest.mark.parametrize("A", hidden_block_algebras() + hidden_matrix_block_products(),
+                         ids=lambda A: f"dim{A.dim}q{A.field.q}")
+def test_central_idempotents_from_roots_match_berlekamp(A):
+    # the roots of x^q - x read off by evaluation give the rows the
+    # Berlekamp factorization gave, on hidden products with repeated
+    # factors, extension blocks and fields up to GF(256)
+    assert np.array_equal(wedderburn_module.central_primitive_idempotents(A),
+                          central_idempotents_berlekamp(A))
+
+
+def test_central_idempotents_factor_no_polynomial(monkeypatch):
+    calls = []
+    real = poly.factor_poly
+    monkeypatch.setattr(poly, "factor_poly", lambda F, f: calls.append(1) or real(F, f))
+    A = hidden_matrix_block_products()[0]
+    rows = wedderburn_module.central_primitive_idempotents(A)
+    assert rows.shape[0] == 5 and calls == []
+
+
+def test_a_minimal_polynomial_without_enough_roots_is_an_inconsistency():
+    # x generates F_4 over F_2: x^2 + x + 1 has no root in F_2, and x is not
+    # Frobenius-fixed, so no fixed central element can give it
+    A = field_extension_algebra(F2, 2)
+    x = linalg.basis_vector(2, 1)
+    assert A.min_poly(x).tolist() == [1, 1, 1]
+    with pytest.raises(InternalInconsistencyError,
+                       match="^fixed central element with non-split minimal polynomial$"):
+        wedderburn_module._root_idempotents(A, x)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, GF(5)], ids=["F2", "F3", "F4", "F5"])
+def test_root_idempotents_of_a_scalar_is_the_unit(F):
+    A = product_algebra(field_algebra(F), matrix_algebra(F, 2))
+    z = F.mul(2 % F.q or 1, A.unit)
+    assert np.array_equal(wedderburn_module._root_idempotents(A, z), A.unit[None, :])
