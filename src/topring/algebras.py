@@ -827,6 +827,10 @@ def basis_change(A: StructureAlgebra, P: np.ndarray) -> StructureAlgebra:
 def subalgebra_structure(A: StructureAlgebra, basis: np.ndarray, unit_row: np.ndarray):
     """Subalgebra on the given basis rows (must be multiplicatively closed).
 
+    The coordinates of the m² basis products and of the unit come from one
+    solve_left of their stack; only when it fails are the products solved
+    alone, to tell an open basis (reported first) from a unit outside.
+
     Returns:
         (B, embed): B with B.dim == len(basis) and embed mapping B rows to
         A rows (embed == basis), such that embedding is multiplicative and
@@ -835,13 +839,13 @@ def subalgebra_structure(A: StructureAlgebra, basis: np.ndarray, unit_row: np.nd
     F = A.field
     basis = np.asarray(basis, dtype=np.int64)
     m = basis.shape[0]
-    c = linalg.solve_left(F, basis, A.mul_pairs(basis, basis).reshape(m * m, A.dim))
-    if c is None:
-        raise AlgebraError("basis is not multiplicatively closed")
-    u = linalg.solve_left(F, basis, np.asarray(unit_row, dtype=np.int64))
-    if u is None:
+    prods = A.mul_pairs(basis, basis).reshape(m * m, A.dim)
+    coords = linalg.solve_left(F, basis, np.vstack([prods, unit_row]))
+    if coords is None:
+        if linalg.solve_left(F, basis, prods) is None:
+            raise AlgebraError("basis is not multiplicatively closed")
         raise AlgebraError("unit is outside the subalgebra")
-    B = StructureAlgebra(F, c.reshape(m, m, m), u, check=False)
+    B = StructureAlgebra(F, coords[:-1].reshape(m, m, m), coords[-1], check=False)
     return B, basis
 
 

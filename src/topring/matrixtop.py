@@ -31,6 +31,7 @@ from topring.algebras import (
     InternalInconsistencyError,
     StructureAlgebra,
     SubspaceIdeal,
+    _side_products,
     ideal_span,
     matrix_algebra,
     tensor_algebra,
@@ -45,22 +46,6 @@ class WindowError(AlgebraError):
 
 def _zero_basis(dim: int) -> np.ndarray:
     return np.zeros((0, dim), dtype=np.int64)
-
-
-def _right_ideal_bases(A: StructureAlgebra, W: int, parts) -> list[np.ndarray]:
-    """Canonical bases of the right ideals I_0, ..., I_{W-1}, where each
-    part is a block (W, k, dim) or a list of W stacks and part[x] holds
-    generators of I_x: one ideal_span of every nonzero generator and one
-    stacked row reduction."""
-    stacks = [(x, g) for part in parts for x, g in enumerate(part)]
-    owner = np.repeat([x for x, _ in stacks], [len(g) for _, g in stacks])
-    gens = np.concatenate([g for _, g in stacks])
-    keep = gens.any(axis=1)
-    span = ideal_span(A, gens[keep], "right")
-    # the span holds one block of rows per generator, in generator order
-    owner = np.repeat(owner[keep], span.shape[0] // max(keep.sum(), 1))
-    keep = span.any(axis=1)
-    return linalg.row_space_bases(A.field, [span[keep & (owner == x)] for x in range(W)], A.dim)
 
 
 @dataclass
@@ -117,6 +102,27 @@ def windowed_diagnostics(m: WindowedMatrix) -> list[str]:
     if not (len(m.extras) == len(m.tails) == len(m.precisions) == W):
         problems.append("per-row certificate lists must match the window")
         return problems
+    # over the naturals every nonzero certificate G is tested at once: its
+    # rows span a right ideal iff rank [G; G·A] = rank G, read off one
+    # contraction of every certificate row and one stacked rref of the
+    # matrices G, then the matrices [G; G·A]
+    certs = [basis for x in range(W) for basis in (m.tails[x], m.precisions[x])
+             if basis.shape[0] and m.y_kind == "omega"]
+    not_ideal = iter(())
+    if certs:
+        k = len(certs)
+        # dim rows per certificate row: its products with every basis vector
+        prods = _side_products(A, np.concatenate(certs), "right")[0].reshape(-1, A.dim)
+        stack = np.zeros((2 * k, max(g.shape[0] for g in certs) * (A.dim + 1), A.dim),
+                         dtype=np.int64)
+        start = 0
+        for i, g in enumerate(certs):
+            h = g.shape[0]
+            stack[i, :h] = stack[k + i, :h] = g
+            stack[k + i, h:h * (A.dim + 1)] = prods[start * A.dim:(start + h) * A.dim]
+            start += h
+        ranks = linalg.rref(A.field, stack)[1]
+        not_ideal = iter(ranks[k:] > ranks[:k])
     for x in range(W):
         cols = [c for c, _ in m.extras[x]]
         if cols != sorted(set(cols)):
@@ -132,9 +138,7 @@ def windowed_diagnostics(m: WindowedMatrix) -> list[str]:
             if m.y_kind == "finite":
                 problems.append(f"row {x}: finite index sets take no {name} certificate")
                 continue
-            try:
-                SubspaceIdeal(A, basis, side="right")
-            except AlgebraError:
+            if next(not_ideal):
                 problems.append(f"row {x}: {name} certificate is not a right ideal")
         if m.y_kind == "finite" and m.extras[x]:
             problems.append(f"row {x}: finite index sets take no extra columns")
@@ -158,8 +162,8 @@ def windowed(base: StructureAlgebra, y_kind: str, entries: np.ndarray,
         tails = [_zero_basis(base.dim) for _ in range(W)]
     if precisions is None:
         precisions = [_zero_basis(base.dim) for _ in range(W)]
-    tails = linalg.row_space_bases(base.field, tails, base.dim)
-    precisions = linalg.row_space_bases(base.field, precisions, base.dim)
+    bases = linalg.row_space_bases(base.field, list(tails) + list(precisions), base.dim)
+    tails, precisions = bases[:len(tails)], bases[len(tails):]
     m = WindowedMatrix(base, y_kind, W, entries, extras, tails, precisions)
     if check:
         problems = windowed_diagnostics(m)
@@ -240,20 +244,28 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     of left against b's window gives the entries.  A finite index set
     carries no certificates and stops there.
 
-    Over the naturals the certificates of a row are stacks: the terms
-    known[x, y] * b[y, z] past the window (one contraction that keeps y
-    apart, W * b.window * (b.window - W) * dim int64), and the products of
-    known with b's precision rows, extra values and tail rows (one
-    mul_rows over every (row, certificate row) pair).  Terms pairing a
-    certified-tail entry of the left factor with an unknown row of the
+    Over the naturals each row has generators of its precision: a's own
+    precision and tail, a's known nonzero entries in columns b has no row
+    for, and the products of known with b's precision rows.  Terms pairing
+    a certified-tail entry of the left factor with an unknown row of the
     right factor stay inside the tail ideal because tail ideals are right
     ideals; a known nonzero left entry against an unrepresented right row
     cannot be bounded, so it widens the row precision by the right ideal
-    it generates.  All precisions, then all tails (seeded with them), take
-    one ideal_span and one stacked row reduction.  The first row whose
-    precision reaches the whole base ring raises WindowError: the window
-    was too small to certify it.  windowed_diagnostics re-checks that every
-    certificate is a right ideal; a failure is an InternalInconsistencyError.
+    it generates.  The tail also takes the known values b holds past the
+    window: the terms known[x, y] * b[y, z] with z past it (one contraction
+    that keeps y apart, W * b.window * (b.window - W) * dim int64, made
+    only when b is wider), and the products of known with b's extra values
+    and tail rows (with b's precision rows, one mul_rows over every (row,
+    certificate row) pair, made only when b has such rows).  The tail is
+    the right ideal of both kinds of generators, as the right ideal of the
+    precision generators is the precision.  So one ideal_span of every
+    nonzero generator and one stacked row reduction of 2 * W spans, each
+    row's precision generators and then each row's generators of both
+    kinds, give every certificate; with no nonzero generator neither is
+    made.  The first row whose precision reaches the whole base ring
+    raises WindowError: the window was too small to certify it.
+    windowed_diagnostics re-checks that every certificate is a right
+    ideal; a failure is an InternalInconsistencyError.
     """
     _check_compatible(a, b)
     A = a.base
@@ -269,31 +281,51 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     # ent[x, z] = sum_y a[x, y] * b[y, z] in the base ring
     left = F.contract("xyi,ijk->xyjk", known, A.c)
     ent = F.contract("xyjk,yzj->xzk", left, b.entries[:, :W])
+    # two lists, so that setting a row of one leaves the other as it is
+    tails, precisions = [_zero_basis(A.dim)] * W, [_zero_basis(A.dim)] * W
     if a.y_kind == "finite":
-        return WindowedMatrix(A, "finite", W, ent, [[] for _ in range(W)],
-                              [_zero_basis(A.dim)] * W, [_zero_basis(A.dim)] * W)
+        return WindowedMatrix(A, "finite", W, ent, [[] for _ in range(W)], tails, precisions)
 
-    past = F.contract("xyjk,yzj->xyzk", left, b.entries[:, W:]).reshape(W, -1, A.dim)
     # b's certificate rows, precisions first, each with the row y of b it sits in
-    certs = b.precisions + [np.array([v for _, v in e], dtype=np.int64).reshape(-1, A.dim)
+    empty = _zero_basis(A.dim)
+    certs = b.precisions + [np.array([v for _, v in e], dtype=np.int64) if e else empty
                             for e in b.extras] + b.tails
-    owner = np.repeat(np.tile(np.arange(n), 3), [r.shape[0] for r in certs])
-    n_prec = sum(r.shape[0] for r in b.precisions)
-    prods = A.mul_rows(known[:, owner].reshape(-1, A.dim),
-                       np.tile(np.vstack(certs), (W, 1))).reshape(W, owner.size, A.dim)
-    # a's own precision, then a's tail columns and its known entries in
-    # columns b has no row for (they meet unknown rows of b), then known
-    # entries against b's precisions
-    precisions = _right_ideal_bases(A, W, [
-        a.precisions[:W], a.tails[:W], a.entries[:W, W:],
-        [np.array([v for c, v in e if c >= n], dtype=np.int64).reshape(-1, A.dim)
-         for e in a.extras[:W]], prods[:, :n_prec]])
-    full = [x for x, prec in enumerate(precisions) if prec.shape[0] == A.dim]
-    if full:
-        raise WindowError(f"window too small to certify row {full[0]} of the product")
-    # the tail covers columns past the window: every uncertainty source
-    # above, plus the known values the right factor holds out there
-    tails = _right_ideal_bases(A, W, [precisions, past, prods[:, n_prec:]])
+    counts = [r.shape[0] for r in certs]
+    n_prec = sum(counts[:n])
+    prods = np.zeros((W, 0, A.dim), dtype=np.int64)
+    if sum(counts):
+        owner = np.repeat(np.tile(np.arange(n), 3), counts)
+        prods = A.mul_rows(known[:, owner].reshape(-1, A.dim),
+                           np.tile(np.vstack(certs), (W, 1))).reshape(W, owner.size, A.dim)
+    # a's extra values in columns b has no row for
+    unmet = [np.array([v for c, v in e if c >= n], dtype=np.int64).reshape(-1, A.dim) if e else empty
+             for e in a.extras[:W]]
+    # (generators of row x per part, whether only the tail takes them), the
+    # precision parts first
+    parts = [(a.precisions[:W], False), (a.tails[:W], False), (a.entries[:W, W:], False),
+             (unmet, False), (prods[:, :n_prec], False), (prods[:, n_prec:], True)]
+    if n > W:
+        parts.append((F.contract("xyjk,yzj->xyzk", left, b.entries[:, W:]).reshape(W, -1, A.dim),
+                      True))
+    # row by row, so the keys run 2x (precision of row x), then 2x + 1 (tail only)
+    stacks = [(2 * x + tail_only, part[x]) for x in range(W) for part, tail_only in parts]
+    key = np.repeat([k for k, _ in stacks], [len(g) for _, g in stacks])
+    gens = np.concatenate([g for _, g in stacks])
+    keep = gens.any(axis=1)
+    if keep.any():
+        span = ideal_span(A, gens[keep], "right")
+        # the span holds one block of rows per generator, in generator order
+        key = np.repeat(key[keep], span.shape[0] // keep.sum())
+        nonzero = span.any(axis=1)
+        span, key = span[nonzero], key[nonzero]
+        cut = np.searchsorted(key, np.arange(2 * W + 1))
+        bases = linalg.row_space_bases(
+            F, [span[cut[2 * x]:cut[2 * x + 1]] for x in range(W)]
+            + [span[cut[2 * x]:cut[2 * x + 2]] for x in range(W)], A.dim)
+        precisions, tails = bases[:W], bases[W:]
+        full = [x for x, prec in enumerate(precisions) if prec.shape[0] == A.dim]
+        if full:
+            raise WindowError(f"window too small to certify row {full[0]} of the product")
     m = WindowedMatrix(A, "omega", W, ent, [[] for _ in range(W)], tails, precisions)
     if problems := windowed_diagnostics(m):
         raise InternalInconsistencyError("product certificates failed their check: " + "; ".join(problems))

@@ -46,11 +46,16 @@ that endo._greedy_cyclic_chain reduces as one stack), and bass_flat_loop
 of sequences at once), and mat_mul_loop (the two product routes of
 matrixtop.mat_mul, its per-row loop over the naturals among them, before
 both index kinds took one entry contraction and stacked certificate
-products), which closes its certificates with ideal_closure_loop (the
-multiply-and-reduce fixed point that algebras.ideal_span replaced by
-G·A, A·G and A·(G·A)), and noniso_beam_search (the capped beam over hom
-basis maps that modules.noniso_witness_search replaced by the powers of
-the Peirce blocks of rad End).
+products, and every row's precision and tail came from one ideal_span
+and one stacked reduction), which closes each certificate of each row on
+its own with ideal_closure_loop (the multiply-and-reduce fixed point
+that algebras.ideal_span replaced by G·A, A·G and A·(G·A)), and
+windowed_ideal_failures_loop (one SubspaceIdeal per certificate, the
+right-ideal test of matrixtop.windowed_diagnostics before it compared
+the ranks of every [G; G·A] and G in one stacked rref), and
+noniso_beam_search (the capped beam over hom basis maps that
+modules.noniso_witness_search replaced by the powers of the Peirce
+blocks of rad End).
 """
 
 from __future__ import annotations
@@ -1169,6 +1174,24 @@ def mat_mul_loop(a, b):
         tails.append(tail)
     return windowed(A, "omega", ent, None, tails, precisions, check=False)
 
+
+def windowed_ideal_failures_loop(m) -> list[str]:
+    """The right-ideal test of matrixtop.windowed_diagnostics before it
+    stacked every certificate: one SubspaceIdeal (one rref and one closure
+    contraction) per nonzero tail and precision, row by row, tail first.
+    The index set is the naturals; finite ones take no certificate."""
+    from topring.algebras import AlgebraError, SubspaceIdeal
+
+    problems = []
+    for x in range(m.window):
+        for name, basis in (("tail", m.tails[x]), ("precision", m.precisions[x])):
+            if basis.shape[0] == 0:
+                continue
+            try:
+                SubspaceIdeal(m.base, basis, side="right")
+            except AlgebraError:
+                problems.append(f"row {x}: {name} certificate is not a right ideal")
+    return problems
 
 def noniso_beam_search(family, depth: int):
     """modules.noniso_witness_search before it read composites off the powers

@@ -556,6 +556,33 @@ def test_subalgebra_structure_rejects_open_bases():
         subalgebra_structure(A, e12[None, :], A.unit)
 
 
+def test_subalgebra_structure_solves_products_and_unit_at_once(monkeypatch):
+    """One solve_left of the products stacked over the unit when both lie
+    in the span; a second one, of the products alone, only to name the
+    failure, and an open basis is named even when the unit lies in it."""
+    A = matrix_algebra(F2, 2)
+    e12, e21 = np.eye(4, dtype=np.int64)[[1, 2]]
+    calls = []
+    real = linalg.solve_left
+
+    def counted(F, M, rhs):
+        calls.append(np.atleast_2d(rhs).shape[0])
+        return real(F, M, rhs)
+
+    monkeypatch.setattr(linalg, "solve_left", counted)
+    B, _ = subalgebra_structure(A, np.vstack([A.unit, e12]), A.unit)
+    assert calls == [5] and not B.diagnostics()
+    calls.clear()
+    # 1, e12 and e21 hold the unit, but e12 * e21 = e11 lies outside
+    with pytest.raises(AlgebraError, match="^basis is not multiplicatively closed$"):
+        subalgebra_structure(A, np.vstack([A.unit, e12, e21]), A.unit)
+    assert calls == [10, 9]
+    calls.clear()
+    with pytest.raises(AlgebraError, match="^unit is outside the subalgebra$"):
+        subalgebra_structure(A, e12[None, :], A.unit)
+    assert calls == [2, 1]
+
+
 @pytest.mark.parametrize("A", acceptance._finite_ring_pool() + hidden_block_algebras(), ids=repr)
 def test_radical_bruteforce_matches_per_element_loop(A):
     assert np.array_equal(radical_bruteforce(A), radical_bruteforce_loop(A))

@@ -4,8 +4,8 @@ with their relation check, transport and corner actions, contratensor
 relations and iso, regular actions, the level modules of a tower, right
 null bases and Hom spaces, the powers and trace forms of the radical, the
 greedy chain of cyclic submodules, the stacked window bases, the
-prefix chains of a stack of Bass sequences and the products of windowed
-matrices.
+prefix chains of a stack of Bass sequences, the products of windowed
+matrices and the right-ideal re-check of their certificates.
 
 Inputs are every bundled module and tower, the algebras of the lifting and
 perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(5), GF(8)
@@ -36,6 +36,7 @@ from oracles import (
     right_null_basis_loop,
     trace_gram_loop,
     transport_action_loop,
+    windowed_ideal_failures_loop,
 )
 from topring import acceptance, algebras, cli, corpus, endo, linalg, matrixtop
 from topring.algebras import (
@@ -57,6 +58,8 @@ from topring.matrixtop import (
     WindowError,
     contratensor,
     free_contra_corner,
+    identity_matrix,
+    lower_shift_matrix,
     mat_mul,
     transport_discrete,
     windowed,
@@ -529,30 +532,100 @@ def test_windowed_product_matches_the_row_loop():
     assert min(seen.values()) >= 20, seen
 
 
-def test_windowed_product_reduces_all_certificates_twice(monkeypatch):
+def test_windowed_product_spans_and_reduces_all_certificates_once(monkeypatch):
+    """One ideal_span, then one row_space_bases call of 2 * W spans, each
+    row's precision then each row's tail, for a product over the naturals
+    with a nonzero certificate generator, the WindowError path included;
+    neither for a finite index set or when every generator is zero, which
+    is exactly when the product carries no certificate, since a generator
+    lies in the right ideal it generates."""
     calls = []
-    real = linalg.row_space_bases
+    real, real_span = linalg.row_space_bases, matrixtop.ideal_span
 
     def counted(F, spans, n):
         calls.append(len(spans))
         return real(F, spans, n)
 
+    def counted_span(A, gens, side):
+        calls.append("ideal_span")
+        return real_span(A, gens, side)
+
     monkeypatch.setattr(linalg, "row_space_bases", counted)
+    monkeypatch.setattr(matrixtop, "ideal_span", counted_span)
     rng = np.random.default_rng(7)
     A = truncated_poly_algebra(GF(2), 2)
     a, b = (_random_windowed(A, "finite", 4, rng) for _ in range(2))
     calls.clear()
     mat_mul(a, b)
     assert calls == []
-    seen = {"product": 0, "error": 0}
-    for _ in range(30):
+    lower, one = lower_shift_matrix(A, 5), identity_matrix(A, "omega", 5)
+    calls.clear()
+    assert mat_mul(lower, one) == lower
+    assert calls == []
+    seen = {"product": 0, "error": 0, "no generator": 0}
+    for _ in range(100):
         a, b = (_random_windowed(A, "omega", int(rng.integers(1, 6)), rng) for _ in range(2))
         calls.clear()
         out = _product_or_message(a, b, mat_mul)
         rows = min(a.window, b.window)
-        assert calls == ([rows] if isinstance(out, str) else [rows, rows])
-        seen["error" if isinstance(out, str) else "product"] += 1
-    assert min(seen.values()) >= 3, seen
+        if isinstance(out, str):
+            kind = "error"
+        else:
+            kind = "product" if any(c.shape[0] for c in out.tails + out.precisions) else "no generator"
+        assert calls == ([] if kind == "no generator" else ["ideal_span", 2 * rows])
+        seen[kind] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+RECHECK_BASES = [
+    (truncated_poly_algebra(GF(2), 2), [1, 1]), (cyclic_group_algebra(GF(2), 3), [1, 1, 0]),
+    (matrix_algebra(GF(2), 2), [1, 0, 0, 0]), (upper_triangular_algebra(GF(2), 2), [1, 0, 0]),
+    (field_algebra(GF(3, 2)), None), (truncated_poly_algebra(GF(3, 2), 2), [1, 1])]
+
+
+@pytest.mark.parametrize("A,planted", RECHECK_BASES, ids=[
+    "DUAL", "F2[C3]", "Mat2(F2)", "T2(F2)", "GF(9)", "F9[x]/(x^2)"])
+def test_stacked_recheck_matches_per_certificate_ideals(monkeypatch, A, planted):
+    """windowed_diagnostics names the same certificates, in the same order,
+    as one SubspaceIdeal per certificate, from at most one rref.  The
+    certificates are right ideals of random elements or a few random rows,
+    unreduced and sometimes zero; one of them is then replaced by a span
+    that is not a right ideal (1 + x, 1 + g, E00, e11), where the ring has
+    one.  Every subspace of GF(9) is an ideal of it."""
+    rng = np.random.default_rng(A.dim * A.field.q)
+    q = A.field.q
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda F, M: calls.append(1) or real(F, M))
+
+    def certificate():
+        if rng.random() < 0.5:
+            return np.zeros((0, A.dim), dtype=np.int64)
+        if rng.random() < 0.8:
+            return ideal_span(A, rng.integers(0, q, size=A.dim), "right")
+        return rng.integers(0, q, size=(int(rng.integers(1, 4)), A.dim))
+
+    seen = {"planted": 0, "failure": 0, "all ideals": 0}
+    for _ in range(60):
+        W = int(rng.integers(1, 7))
+        tails = [certificate() for _ in range(W)]
+        precisions = [certificate() for _ in range(W)]
+        plant = planted is not None and rng.random() < 0.5
+        if plant:
+            (tails, precisions)[int(rng.integers(0, 2))][int(rng.integers(0, W))] = np.array(
+                [planted], dtype=np.int64)
+            seen["planted"] += 1
+        m = matrixtop.WindowedMatrix(A, "omega", W, np.zeros((W, W, A.dim), dtype=np.int64),
+                                     [[] for _ in range(W)], tails, precisions)
+        want = windowed_ideal_failures_loop(m)
+        assert want or not plant
+        calls.clear()
+        assert matrixtop.windowed_diagnostics(m) == want
+        assert len(calls) == any(c.shape[0] for c in tails + precisions)
+        seen["failure" if want else "all ideals"] += 1
+    assert seen["all ideals"] >= 3, seen
+    if planted is not None:
+        assert min(seen.values()) >= 3, seen
 
 
 def test_unclosed_product_certificate_exits_4(tmp_path, monkeypatch, capsys):
