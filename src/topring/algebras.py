@@ -19,7 +19,7 @@ from collections.abc import Callable
 import numpy as np
 
 from topring import linalg, poly
-from topring.fields import FiniteField, GF
+from topring.fields import FiniteField, GF, matmul_mod
 
 
 class AlgebraError(ValueError):
@@ -226,21 +226,27 @@ class StructureAlgebra:
 
     def _min_poly_powers(self, x: np.ndarray) -> tuple[poly.Poly, np.ndarray]:
         """(m, P): the monic minimal polynomial m of x, of degree d, and
-        the rows P[i] = x^i for i < d, which the search forms anyway."""
+        the rows P[i] = x^i for i < d, which the search forms anyway.
+
+        The powers x^0, ..., x^dim are formed by doubling: x^k, ..., x^(2k-1)
+        and x^(2k) are the rows x^0, ..., x^(k-1) and x^k times x^k, one
+        product.  One rref of the powers as columns has pivots 0, ..., d-1:
+        column d, the first without a pivot, is the first power in the span
+        of the ones before it, and its entries are the coefficients."""
         F = self.field
-        rows = [self.unit.copy()]
-        cur = self.unit.copy()
-        for k in range(1, self.dim + 1):
-            cur = self.mul(cur, x)
-            A = np.vstack(rows)
-            sol = linalg.solve_left(F, A, cur)
-            if sol is not None:
-                coeffs = np.zeros(k + 1, dtype=np.int64)
-                coeffs[:k] = F.neg(sol)
-                coeffs[k] = 1
-                return poly.norm(coeffs), A
-            rows.append(cur.copy())
-        raise InternalInconsistencyError("minimal polynomial must exist within dim+1 powers")
+        P = self.unit[None, :]
+        xk = np.asarray(x, dtype=np.int64)
+        while P.shape[0] <= self.dim:
+            prods = linalg.matmul(F, np.vstack([P, xk]), self.rmul_matrix(xk))
+            P, xk = np.vstack([P, prods[:-1]]), prods[-1]
+        R, pivots = linalg.rref(F, P[: self.dim + 1].T)
+        d = len(pivots)
+        if pivots != list(range(d)):
+            raise InternalInconsistencyError("a power past the minimal polynomial is independent")
+        coeffs = np.zeros(d + 1, dtype=np.int64)
+        coeffs[:d] = F.neg(R[:, d])
+        coeffs[d] = 1
+        return poly.norm(coeffs), P[:d]
 
     def evaluate_poly(self, f: poly.Poly, x: np.ndarray) -> np.ndarray:
         """f(x) inside the algebra (constant term times the unit)."""
@@ -487,16 +493,17 @@ def _batch_power_mod(W: np.ndarray, e: int, m: int) -> np.ndarray:
 
     Left-to-right square-and-multiply from W mod m: every bit of e below
     the top one costs a squaring and every set one a product more, so
-    W^(2^k) takes k batched products and W^1 none."""
+    W^(2^k) takes k batched products and W^1 none.  Each product is one
+    fields.matmul_mod, exact as that function states."""
     e = int(e)
     if e < 1:
         raise ValueError("exponent must be >= 1")
     base = W % m
     result = base
     for bit in bin(e)[3:]:
-        result = np.matmul(result, result) % m
+        result = matmul_mod(result, result, m)
         if bit == "1":
-            result = np.matmul(result, base) % m
+            result = matmul_mod(result, base, m)
     return result
 
 
@@ -505,18 +512,23 @@ def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
     matrices over F_p: entry (s, t) is tr((M_s M_t)^(p^i)) / p^i mod p,
     computed on the integer lifts in [0, p).
 
-    Level 0 is the bilinear form tr(M_s M_t), one contraction over all
-    pairs.  A level i >= 1 powers the products M_s M_t for t >= s, one s at
-    a time, so it holds O(m*N^2) integers; a trace not divisible by p^i is
-    an InternalInconsistencyError."""
+    Every product is a fields.matmul_mod mod p^(i+1).  Level 0 is the
+    bilinear form tr(M_s M_t) = sum over (a, b) of M_s[a, b] M_t[b, a],
+    one product over all pairs.  A level i >= 1 powers the products
+    M_s M_t for t >= s, one s at a time, so it holds O(m*N^2) integers:
+    M_s times the matrices M_t side by side is one product.  A trace not
+    divisible by p^i is an InternalInconsistencyError."""
+    m_dim, N = mats.shape[:2]
     if i == 0:
-        return np.einsum("sab,tba->st", mats, mats) % p
-    m_dim = mats.shape[0]
+        flat = mats.reshape(1, m_dim, N * N)
+        return matmul_mod(flat, mats.transpose(2, 1, 0).reshape(1, N * N, m_dim), p)[0]
     step = p ** i
     modulus = step * p
     gram = np.zeros((m_dim, m_dim), dtype=np.int64)
     for s in range(m_dim):
-        prods = np.matmul(mats[s][None, :, :], mats[s:]) % modulus
+        count = m_dim - s
+        side = mats[s:].transpose(1, 0, 2).reshape(1, N, count * N)
+        prods = matmul_mod(mats[s][None], side, modulus).reshape(N, count, N).transpose(1, 0, 2)
         tr = _batch_power_mod(prods, step, modulus).trace(axis1=1, axis2=2) % modulus
         if np.any(tr % step):
             raise InternalInconsistencyError("divided trace not divisible; filtration broken")
@@ -531,12 +543,16 @@ def radical(A: StructureAlgebra) -> SubspaceIdeal:
 
     Computed over the prime field by iterated kernels of the divided trace
     forms (x, y) -> tr((XY)^(p^i)) / p^i mod p on a faithful representation
-    of F_p-dimension N, for p^i <= N, using exact integer lifts.  Level 0
-    is bilinear, tr(XY) mod p, and is one int64 contraction over all
-    pairs, exact while N^2*(p-1)^2 < 2^63.  Each level i >= 1 powers the
-    products mod p^(i+1) by square-and-multiply, exact while
-    N*(p^(i+1)-1)^2 < 2^63; p^i <= N keeps that below p^2*N^3, so both
-    hold for any N below 10^4 and p below the field cap of 512.
+    of F_p-dimension N, for p^i <= N, using exact integer lifts.  Every
+    product mod p^(i+1) is one fields.matmul_mod: it runs in
+    double-precision BLAS while its sums stay below 2^53, checked per
+    product, and in int64 past that.  Level 0 is bilinear, tr(XY) mod p,
+    and is one product over all pairs, adding N^2 terms of at most
+    (p-1)^2.  Each level i >= 1 powers the products mod p^(i+1) by
+    square-and-multiply, a product adding N terms of at most
+    (p^(i+1)-1)^2.  In int64 both are exact while that sum is below 2^63;
+    p^i <= N keeps N*(p^(i+1)-1)^2 below p^2*N^3, so both hold for any N
+    below 10^4 and p below the field cap of 512.
 
     The climb stops at the first level whose kernel is an F_q-stable,
     nilpotent two-sided ideal, and returns that ideal.  This is exact:

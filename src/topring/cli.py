@@ -153,9 +153,12 @@ def cmd_matmul(args, loader: serialize.Loader) -> serialize.Report:
     for x in range(c.window):
         for col, vec in c.extras[x]:
             rep.add("extra", x, col, *vec)
+    # an empty certificate prints nothing, so only rows with one are visited
     for x in range(c.window):
-        rep.sparse("tail", (x,), c.tails[x])
-        rep.sparse("precision", (x,), c.precisions[x])
+        if c.tails[x].shape[0]:
+            rep.sparse("tail", (x,), c.tails[x])
+        if c.precisions[x].shape[0]:
+            rep.sparse("precision", (x,), c.precisions[x])
     return rep
 
 

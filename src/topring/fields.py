@@ -10,17 +10,22 @@ and neg is a copy, all on the codes themselves: this trusts that every
 entry is an encoded element, 0 or 1 (the parser's value rule and
 StructureAlgebra enforce it), where a table would raise IndexError on an
 entry >= q.  The tables stay, for the other fields and as the oracle.
+For row reduction, ``packing`` (a RowPacking, built on first use) lays
+rows of every other field out as Python integers, one slot of one or two
+bytes per entry, and holds the constants and row operations on them.
 
-This module holds only those tables and the contraction kernel: polynomial work (the default modulus, the
-irreducibility check of a given one, the reduction rows x^k mod modulus
-behind MUL) is done in poly, over the prime field GF(p).  poly imports this
-module, so the functions here import poly when they run.
+This module holds only those tables, the row packing and the product
+kernels: polynomial work (the default modulus, the irreducibility check of
+a given one, the reduction rows x^k mod modulus behind MUL) is done in
+poly, over the prime field GF(p).  poly imports this module, so the
+functions here import poly when they run.
 
 Sums and sums of products (``fsum``, ``contract``) are integer sums reduced
 mod p once.  Addition is coordinatewise on digit vectors, so ``fsum`` adds
 the digit vectors (``DIGITS``) of its terms in int64.  ``contract`` is one
 batched matmul over F_p.  Over F_{p^d} with d > 1 the operand with more
-entries becomes its digit vectors and the other its multiplication matrices
+entries becomes its digit vectors, gathered from its codes once these are
+transposed into matmul order, and the other its multiplication matrices
 (``REG``), which gives the same product because the field is commutative;
 over a prime field the operands go in as they are.  No product tensor is
 formed; the route holds |larger operand|*d, |smaller operand|*d^2 and
@@ -35,7 +40,11 @@ K*d*(p-1)^2 < 2^53 (FLOAT_EXACT): every integer up to 2^53 is a double, so
 each product and partial sum is exact whatever the order and blocking of
 the BLAS and its thread count, and the block is cast back to int64 before
 the reduction (an AND with 1 when p = 2).  Past that bound the product
-stays in int64.  Nothing here is approximate.
+stays in int64.  ``matmul_mod`` multiplies integer matrices mod m, the
+powers of the radical's trace forms mod p^(i+1), by the same rule: a sum
+adds K terms of at most (m-1)^2, so the product runs in float64 BLAS when
+it makes at least FLOAT_MIN_MADDS multiply-adds and K*(m-1)^2 < 2^53,
+checked per call, and in int64 otherwise.  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -236,9 +245,13 @@ class FiniteField:
             spec, A.shape, B.shape, self.d)
         X, Y = (B, A) if swap else (A, B)
         if self.d > 1:
-            X, Y = np.take(self.DIGITS, X, axis=0), np.take(self.REG, Y, axis=0)
-        X = X.transpose(perm_x).reshape(view_x)
-        Y = Y.transpose(perm_y).reshape(view_y)
+            # X's codes are put in matmul order before the gather, so the
+            # d-times larger array of digits needs no transposed copy
+            X = np.take(self.DIGITS, X.transpose(perm_x[:-1]), axis=0).reshape(view_x)
+            Y = np.take(self.REG, Y, axis=0).transpose(perm_y).reshape(view_y)
+        else:
+            X = X.transpose(perm_x).reshape(view_x)
+            Y = Y.transpose(perm_y).reshape(view_y)
         if madds < FLOAT_MIN_MADDS or view_x[2] * (self.p - 1) ** 2 >= FLOAT_EXACT:
             out = X @ Y
         else:
@@ -251,6 +264,12 @@ class FiniteField:
         if self.d > 1:
             out = out @ self._pp
         return out.transpose(perm_out)
+
+    @functools.cached_property
+    def packing(self) -> RowPacking:
+        """The packed-row layout of this field for linalg.rref, built on
+        first use, so constructing a field does not pay for it."""
+        return RowPacking(self)
 
     def pth_root(self, a):
         """Inverse of Frobenius: the unique b with b^p == a."""
@@ -274,6 +293,120 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"F_{self.q}" if self.d == 1 else f"F_{self.q}(p={self.p},mod={list(self.modulus)})"
+
+
+class RowPacking:
+    """Rows of encoded elements of one field packed into Python integers:
+    the constants and row operations of linalg.rref over every field but
+    GF(2), which packs one bit per entry.
+
+    Entry j of a row of n entries is slot j, bits [j*slot, (j+1)*slot) of a
+    nonnegative integer read little-endian from the slots' bytes, so the
+    map from slots to columns is the same on every host.  A slot is one
+    byte, or two when one cannot hold it.  It holds the d digits of its
+    element, digit i in the field of `width` bits at bit i*width; over a
+    prime field and over GF(2^d) (width 1) the slot is the code itself.
+
+    In characteristic 2 rows add by XOR.  Otherwise each digit field has a
+    spare top bit, H = 2^(width-1) >= p: a digit of the sum of two reduced
+    rows is at most 2p - 2 < 2H, adding H - p to every field sets the top
+    bit of exactly the fields that reached p, with no carry out of a field,
+    and one masked subtraction of p takes those back.  A row is scaled by
+    a code c through the slot map of multiplication by c: bytes.translate
+    with a 256-byte table per element when a slot is one byte (over
+    GF(2^d) up to 256 elements, the primes up to 127, GF(9), GF(25) and
+    GF(49)), a gather through MUL when it is two.
+
+    Entries must be encoded elements: packing casts the slots to one or
+    two bytes, which would wrap any other value silently.
+    """
+
+    def __init__(self, F: FiniteField):
+        p, d, q = F.p, F.d, F.q
+        self._p = p
+        self._width = 1 if p == 2 else (p - 1).bit_length() + 1
+        bits = d * self._width
+        self._nbytes = 1 if bits <= 8 else 2
+        self._dtype = "<u1" if self._nbytes == 1 else "<u2"
+        self._mul = F.MUL
+        # what linalg reads: log2 of the bits of a slot, the mask of one
+        # slot, the code of every slot value and the inverse of every code
+        self.shift = 2 + self._nbytes
+        self.mask = (1 << (8 * self._nbytes)) - 1
+        # enc[a] is the slot of code a, dec[s] the code of slot s (0 where
+        # no code has slot s)
+        enc = (F.DIGITS << (self._width * np.arange(d))).sum(axis=1)
+        dec = np.zeros(256 if self._nbytes == 1 else 1 << bits, dtype=np.int64)
+        dec[enc] = np.arange(q)
+        self._plain = bool((enc == np.arange(q)).all())
+        self._enc, self._dec = enc.astype(self._dtype), dec
+        self.dec = dec.tolist()
+        self.inv = F.INV.tolist()
+        self._neg = F.NEG.tolist()
+        # H - p and H in every digit field of one slot
+        fields = sum(1 << (self._width * i) for i in range(d))
+        self._carry = ((1 << (self._width - 1)) - p) * fields
+        self._high = (1 << (self._width - 1)) * fields
+        # tables[c] maps the slot of a to the slot of c*a, byte slots only
+        self._tables = ([bytes(row) for row in enc[F.MUL[:, dec]].astype(np.uint8)]
+                        if self._nbytes == 1 else None)
+        self._ops: dict = {}
+
+    def pack(self, M: np.ndarray) -> list[int]:
+        """The rows of M, a 2-d array of encoded elements, as integers."""
+        m, n = M.shape
+        data = (M if self._plain else self._enc[M]).astype(self._dtype).tobytes()
+        nb = n * self._nbytes
+        from_bytes = int.from_bytes
+        return [from_bytes(data[i:i + nb], "little") for i in range(0, m * nb, nb)]
+
+    def unpack(self, rows: list[int], n: int) -> np.ndarray:
+        """The int64 matrix of codes whose packed rows are rows."""
+        nb = n * self._nbytes
+        out = np.frombuffer(b"".join([r.to_bytes(nb, "little") for r in rows]),
+                            dtype=self._dtype).reshape(len(rows), n)
+        return (out if self._plain else self._dec[out]).astype(np.int64)
+
+    def row_ops(self, n: int):
+        """(sub_mul, scale) for packed rows of n entries: sub_mul(row, c,
+        prow) is row - c*prow and scale(row, c) is c*row, for a code c.
+        Built once per row length."""
+        ops = self._ops.get(n)
+        if ops is None:
+            ops = self._ops[n] = self._row_ops(n)
+        return ops
+
+    def _row_ops(self, n: int):
+        nb = n * self._nbytes
+        from_bytes = int.from_bytes
+        if self._tables is not None:
+            tables = self._tables
+
+            def scale(row: int, c: int) -> int:
+                if c == 1:
+                    return row
+                return from_bytes(row.to_bytes(nb, "little").translate(tables[c]), "little")
+        else:
+            mul, enc, dec, plain, dtype = self._mul, self._enc, self._dec, self._plain, self._dtype
+
+            def scale(row: int, c: int) -> int:
+                if c == 1:
+                    return row
+                slots = np.frombuffer(row.to_bytes(nb, "little"), dtype=dtype)
+                out = mul[c, slots] if plain else enc[mul[c, dec[slots]]]
+                return from_bytes(out.astype(dtype).tobytes(), "little")
+        if self._p == 2:
+            def sub_mul(row: int, c: int, prow: int) -> int:
+                return row ^ scale(prow, c)
+        else:
+            ones = from_bytes((b"\x01" + bytes(self._nbytes - 1)) * n, "little")
+            carry, high = self._carry * ones, self._high * ones
+            top, p, neg = self._width - 1, self._p, self._neg
+
+            def sub_mul(row: int, c: int, prow: int) -> int:
+                s = row + scale(prow, neg[c])
+                return s - (((s + carry) & high) >> top) * p
+        return sub_mul, scale
 
 
 @functools.lru_cache(maxsize=256)
@@ -352,6 +485,28 @@ def _float_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             for r in range(0, m, rows):
                 out[i : i + per, r : r + rows, c : c + cols] = (
                     X[i : i + per, r : r + rows].astype(np.float64) @ Yf)
+    return out
+
+
+def matmul_mod(X: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:
+    """X @ Y mod m for int64 stacks (b, r, k) and (b, k, s) of integers in
+    [0, m), as an int64 stack (b, r, s) in [0, m).
+
+    A sum of a product adds k terms of at most (m-1)^2, so, as for
+    contract, the product runs in float64 BLAS when it makes at least
+    FLOAT_MIN_MADDS multiply-adds and k*(m-1)^2 < FLOAT_EXACT, checked per
+    call, and in int64 matmul otherwise (exact while k*(m-1)^2 < 2^63).
+    The sums are nonnegative, so a modulus that is a power of two is an
+    AND with m - 1."""
+    b, r, k = X.shape
+    if b * r * k * Y.shape[2] >= FLOAT_MIN_MADDS and k * (m - 1) ** 2 < FLOAT_EXACT:
+        out = _float_matmul(X, Y)
+    else:
+        out = X @ Y
+    if m & (m - 1):
+        out %= m
+    else:
+        out &= m - 1  # a power of two, as every modulus is over GF(2^d)
     return out
 
 

@@ -56,6 +56,9 @@ def rref(F: FiniteField, M: np.ndarray):
     Args:
         F: the field.
         M: matrix of encoded elements, shape (m, n), or a stack (B, m, n).
+            Every entry must be an encoded element, in [0, q): both packed
+            routes cast entries to a few bits, which would wrap any other
+            value silently.
 
     Returns:
         For a matrix, (R, pivots): R has one row per pivot (zero rows
@@ -63,17 +66,18 @@ def rref(F: FiniteField, M: np.ndarray):
         For a stack, (R, ranks): R has shape (B, m, n) with R[b, :ranks[b]]
         the reduced form of M[b] and zero rows below it.
 
-    One matrix over GF(2) is reduced on its rows packed into Python
-    integers (``_rref_gf2``), a stack over GF(2) on rows packed into 64-bit
-    words (``_rref_stack_gf2``); there the entries must be encoded elements,
-    0 or 1.  The word route pays about a dozen numpy calls per column,
-    shared by all the matrices of a stack; the integer route pays Python
-    work per row of each matrix.  On the calls of `topring verify` the
-    integer route is about 10 times faster on a single matrix and about 3
-    times slower on a stack reduced matrix by matrix.  Other fields
-    eliminate one column at a time through the field's elementwise
-    methods.  The RREF is unique, so every route gives the same R and
-    pivots.
+    One matrix is reduced on its rows packed into Python integers: over
+    GF(2) one bit per entry (``_rref_gf2``), over every other field one
+    slot of one or two bytes per entry, in the layout of ``F.packing``
+    (``_rref_packed``).  A stack over GF(2) is reduced on rows packed into
+    64-bit words (``_rref_stack_gf2``), over other fields one column at a
+    time through the field's elementwise methods (``_rref_stack``).  The
+    stack routes pay about a dozen numpy calls per column, shared by all
+    the matrices of a stack; the integer routes pay Python work per row of
+    each matrix.  On the calls of `topring verify` the integer route is
+    about 10 times faster on a single matrix over GF(2) and about 3 times
+    slower on a stack reduced matrix by matrix.  The RREF is unique, so
+    every route gives the same R and pivots.
     """
     R = np.asarray(M, dtype=np.int64)
     if R.ndim == 3:
@@ -82,27 +86,52 @@ def rref(F: FiniteField, M: np.ndarray):
         raise ValueError("rref expects a 2d array or a 3d stack")
     if F.q == 2:
         return _rref_gf2(R)
-    R = R.copy()
+    return _rref_packed(F, R)
+
+
+def _rref_packed(F: FiniteField, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """rref of one matrix over a field other than GF(2), on rows packed
+    into Python integers as ``F.packing`` lays them out: one slot per
+    entry, which rows add and scale all at once.
+
+    Forward elimination clears the lowest nonzero slot of each incoming row
+    with the pivot row of that column until the column has no pivot row;
+    the row, scaled to lead with 1, becomes it.  It stops once every column
+    has a pivot.  Back-substitution runs from the highest pivot down and
+    clears in a row only the pivot columns where it is nonzero, with the
+    already reduced rows of those pivots, so it costs the fill of the rows,
+    not rank^2.  The RREF is unique, so R and the pivots are those of any
+    other elimination."""
     m, n = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        hits = np.nonzero(R[r:, c])[0]
-        if hits.size == 0:
-            continue
-        piv = r + int(hits[0])
-        if piv != r:
-            R[[r, piv]] = R[[piv, r]]
-        R[r] = F.mul(F.inv(R[r, c]), R[r])
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others] = F.sub(R[others], F.mul(R[others, c][:, None], R[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return R[: len(pivots)], pivots
+    if not (m and n):
+        return np.zeros((0, n), dtype=np.int64), []
+    pk = F.packing
+    sub_mul, scale = pk.row_ops(n)
+    shift, mask, dec, inv = pk.shift, pk.mask, pk.dec, pk.inv
+    rows: dict[int, int] = {}  # pivot column -> pivot row
+    for row in pk.pack(R):
+        while row:
+            col = ((row & -row).bit_length() - 1) >> shift
+            c = dec[(row >> (col << shift)) & mask]
+            prow = rows.get(col)
+            if prow is None:
+                rows[col] = scale(row, inv[c])
+                break
+            row = sub_mul(row, c, prow)
+        if len(rows) == n:
+            break  # every column has a pivot, so the rows left lie in the span
+    cols = sorted(rows)
+    pivot_slots = sum(mask << (col << shift) for col in cols)
+    for col in reversed(cols):
+        row = rows[col]
+        hits = (row & pivot_slots) ^ (1 << (col << shift))
+        while hits:
+            j = ((hits & -hits).bit_length() - 1) >> shift
+            slot = (hits >> (j << shift)) & mask
+            row = sub_mul(row, dec[slot], rows[j])
+            hits ^= slot << (j << shift)
+        rows[col] = row
+    return pk.unpack([rows[col] for col in cols], n), cols
 
 
 def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -102,6 +102,8 @@ def windowed_diagnostics(m: WindowedMatrix) -> list[str]:
     if not (len(m.extras) == len(m.tails) == len(m.precisions) == W):
         problems.append("per-row certificate lists must match the window")
         return problems
+    if not any(m.extras) and not any(g.shape[0] for g in (*m.tails, *m.precisions)):
+        return problems  # no row has an extra column or a certificate to check
     # over the naturals every nonzero certificate G is tested at once: its
     # rows span a right ideal iff rank [G; G·A] = rank G, read off one
     # contraction of every certificate row and one stacked rref of the

@@ -267,12 +267,12 @@ def _groups_in(entries, count: int, fault) -> list[tuple[int, object]]:
 
 
 def _sparse_lines(key: str, prefix: tuple[int, ...], M) -> list[str]:
-    """`key *prefix *index value` for every nonzero entry of M, row-major."""
+    """`key *prefix *index value` for every nonzero entry of M, row-major,
+    each from one format string."""
     M = np.asarray(M)
     nz = np.nonzero(M)
-    head = " ".join([key, *map(str, prefix)])
-    return [" ".join([head, *map(str, row)])
-            for row in zip(*(i.tolist() for i in nz), M[nz].tolist())]
+    fmt = " ".join([key, *map(str, prefix), *["%d"] * (M.ndim + 1)])
+    return [fmt % rec for rec in zip(*(i.tolist() for i in nz), M[nz].tolist())]
 
 
 def _indexed_ref(rec: list[str], refs: dict, usage: str) -> int:

@@ -55,11 +55,15 @@ right-ideal test of matrixtop.windowed_diagnostics before it compared
 the ranks of every [G; G·A] and G in one stacked rref), and
 noniso_beam_search (the capped beam over hom basis maps that
 modules.noniso_witness_search replaced by the powers of the Peirce
-blocks of rad End).
+blocks of rad End), and min_poly_loop (the minimal polynomial found one
+power at a time, each solved against the powers before it, before
+StructureAlgebra._min_poly_powers formed every power by doubling and read
+the polynomial off one rref).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -73,11 +77,18 @@ def naive_rank(F: FiniteField, M) -> int:
     return len(naive_rref(F, M)[1])
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_tables(F: FiniteField) -> tuple[list, list, list, list]:
+    """F's ADD, MUL, NEG and INV tables as nested lists, for scalar lookups."""
+    return F.ADD.tolist(), F.MUL.tolist(), F.NEG.tolist(), F.INV.tolist()
+
+
 def naive_rref(F: FiniteField, M) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (nonzero rows, pivot columns), one scalar
     at a time."""
     M = np.asarray(M, dtype=np.int64)
     m, n = M.shape
+    ADD, MUL, NEG, INV = _scalar_tables(F)
     rows = [[int(x) for x in row] for row in M]
     rank = 0
     pivots = []
@@ -90,14 +101,12 @@ def naive_rref(F: FiniteField, M) -> tuple[np.ndarray, list[int]]:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = int(F.INV[rows[rank][col]])
-        rows[rank] = [int(F.MUL[inv, x]) for x in rows[rank]]
+        inv = INV[rows[rank][col]]
+        rows[rank] = [MUL[inv][x] for x in rows[rank]]
         for r in range(m):
             if r != rank and rows[r][col] != 0:
                 c = rows[r][col]
-                rows[r] = [
-                    int(F.ADD[rows[r][j], F.NEG[F.MUL[c, rows[rank][j]]]]) for j in range(n)
-                ]
+                rows[r] = [ADD[rows[r][j]][NEG[MUL[c][rows[rank][j]]]] for j in range(n)]
         pivots.append(col)
         rank += 1
         if rank == m:
@@ -1251,3 +1260,20 @@ def noniso_beam_search(family, depth: int):
     return NonisoWitnessChain(
         labels=[family.labels[a] for (a, _, _) in path] + [family.labels[path[-1][1]]],
         steps=path, start_element=v, images=images)
+
+
+def min_poly_loop(A, x) -> tuple[list[int], np.ndarray]:
+    """(coefficients low degree first, powers x^0, ..., x^(d-1)) of the
+    minimal polynomial of x: x^k is solved against the powers before it,
+    one naive solve per power, until it lies in their span."""
+    F = A.field
+    rows = [np.asarray(A.unit, dtype=np.int64)]
+    cur = rows[0]
+    for k in range(1, A.dim + 1):
+        cur = A.mul(cur, x)
+        P = np.vstack(rows)
+        sol = solve_left_rows(F, P, cur[None, :])
+        if sol is not None:
+            return [int(F.NEG[c]) for c in sol[0]] + [1], P
+        rows.append(cur)
+    raise AssertionError("no dependency among the first dim + 1 powers")

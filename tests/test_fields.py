@@ -454,3 +454,72 @@ def test_float_route_blocks_match_one_product(monkeypatch):
             assert _Products.seen
             for (b, m, kx), (_, ky, cols) in _Products.seen:
                 assert kx == ky == k and b * m * k * cols <= max(block, k)
+
+
+# ---------------------------------------------------------------------------
+# Digits gathered after the transpose, products mod m on the float64 route
+# ---------------------------------------------------------------------------
+
+# distinct index sizes, so a wrong transpose cannot keep the shapes
+TRANSPOSE_SIZES = dict(i=2, j=3, k=4, m=2, l=3, r=5, x=2, y=3, z=2, a=3)
+
+
+@pytest.mark.parametrize("field", [(2, 2), (3, 2), (2, 3), (7, 3)], ids=str)
+@pytest.mark.parametrize("spec", ["ij,ijk->k", "ijm,mkl->ijkl", "ri,jik->rjk", "ia,ajk->ijk",
+                                  "ijk,ij->k", "xyjk,yzj->xzk", "kij,j->ik"])
+def test_contract_gathers_digits_after_transposing_the_larger_operand(field, spec):
+    # over F_{p^d} the codes of the operand with more entries (B in the first
+    # four specs, A in the last three) are put in matmul order before their
+    # digits are gathered; every spec here needs a transpose that moves them
+    F = GF(*field)
+    sa, sb = spec.split("->")[0].split(",")
+    rng = np.random.default_rng(F.q + len(spec))
+    A = rng.integers(0, F.q, size=[TRANSPOSE_SIZES[x] for x in sa])
+    B = rng.integers(0, F.q, size=[TRANSPOSE_SIZES[x] for x in sb])
+    swap, perm_x = fields._layout(spec, A.shape, B.shape, F.d)[:2]
+    assert swap == (B.size > A.size)
+    assert perm_x[-1] == len(perm_x) - 1 and perm_x[:-1] != tuple(range(len(perm_x) - 1))
+    assert np.array_equal(F.contract(spec, A, B), table_contract(F, spec, A, B))
+    top_a, top_b = np.full_like(A, F.q - 1), np.full_like(B, F.q - 1)
+    assert np.array_equal(F.contract(spec, top_a, top_b), table_contract(F, spec, top_a, top_b))
+
+
+def _exact_matmul_mod(X, Y, m):
+    """X @ Y mod m on Python integers."""
+    return ((X.astype(object) @ Y.astype(object)) % m).astype(np.int64)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 9, 25, 27, 509, 509 ** 2])
+def test_matmul_mod_float_route_stops_at_the_exactness_bound(m, monkeypatch):
+    # matmul_mod takes the float64 route while k*(m-1)^2 < FLOAT_EXACT, k
+    # the summed length: with the bound moved down to these operands, the
+    # largest sum it allows takes the float64 route and one more takes
+    # int64, and both give the exact products, for odd moduli and for the
+    # powers of two that are reduced by an AND
+    calls = _spy_float(monkeypatch)
+    k = 3000
+    X = np.full((2, 4, k), m - 1, dtype=np.int64)
+    Y = np.full((2, k, 5), m - 1, dtype=np.int64)
+    top = k * (m - 1) ** 2
+    for bound, floats in ((top + 1, True), (top, False)):
+        monkeypatch.setattr(fields, "FLOAT_EXACT", bound)
+        calls.clear()
+        got = fields.matmul_mod(X, Y, m)
+        assert bool(calls) == floats
+        assert got.dtype == np.int64 and got.shape == (2, 4, 5)
+        assert (got == top % m).all()
+
+
+@pytest.mark.parametrize("m", [2, 8, 9, 27, 125])
+def test_matmul_mod_matches_exact_products_on_both_sides_of_the_float_threshold(m, monkeypatch):
+    # a (3, 4, k) @ (3, k, 4) product makes 48*k multiply-adds: k one short
+    # of FLOAT_MIN_MADDS stays in int64 and k at it or past it takes float64
+    calls = _spy_float(monkeypatch)
+    rng = np.random.default_rng(m)
+    for k, floats in (((fields.FLOAT_MIN_MADDS - 1) // 48, False),
+                      (-(-fields.FLOAT_MIN_MADDS // 48), True)):
+        X = rng.integers(0, m, size=(3, 4, k))
+        Y = rng.integers(0, m, size=(3, k, 4))
+        calls.clear()
+        assert np.array_equal(fields.matmul_mod(X, Y, m), _exact_matmul_mod(X, Y, m))
+        assert bool(calls) == floats

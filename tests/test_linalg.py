@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topring import linalg
-from topring.fields import GF
+from topring.fields import GF, FiniteField
 
 from oracles import (
     blowup, intersect_row_spaces, naive_rank, naive_rref, quotient_maps_loop, rank_membership,
@@ -375,3 +375,71 @@ def test_gf2_rref_of_tall_sparse_commutation_systems(m, n, g):
     K = K.reshape(g * m * n, m * n)
     _assert_gf2_rref_matches_oracle(K)
     _assert_gf2_rref_matches_oracle(K.T)
+
+
+# ---------------------------------------------------------------------------
+# One matrix over any other field: slots of one or two bytes
+# ---------------------------------------------------------------------------
+
+# GF(2)'s bit rows, then every kind of slot layout under the 512-element
+# cap: byte slots of codes that add by XOR (4, 8) or by a masked
+# subtraction of p (3, 5, 7, 67), two-byte slots of both kinds (2^9, 509),
+# and digit fields inside a slot, in one byte (9, 25) and in two (27)
+PACKED_FIELDS = [GF(2), GF(2, 2), GF(2, 3), GF(2, 9), GF(3), GF(5), GF(7), GF(67), GF(509),
+                 GF(3, 2), GF(5, 2), GF(3, 3)]
+
+
+def _invertible(F, rng, n):
+    """A random invertible n x n matrix: unit lower times unit upper
+    triangular, with a random unit on the diagonal of the second."""
+    lower = np.tril(random_matrix(F, rng, n, n), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(random_matrix(F, rng, n, n), 1)
+    upper[np.arange(n), np.arange(n)] = rng.integers(1, F.q, size=n)
+    return linalg.matmul(F, lower, upper)
+
+
+def _assert_rref_matches_oracle(F, M):
+    R, pivots = linalg.rref(F, M)
+    want, want_pivots = naive_rref(F, M)
+    assert R.dtype == np.int64 and R.shape == want.shape
+    assert np.array_equal(R, want) and pivots == want_pivots
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("F", PACKED_FIELDS, ids=str)
+def test_rref_matches_naive_elimination_over_every_slot_layout(F, n):
+    # empty, zero, tall of full and of low column rank, full rank, wide,
+    # and pivots only in the last three slots, entries up to q - 1
+    rng = np.random.default_rng(F.q * 100 + n)
+    late = np.zeros((4, n), dtype=np.int64)
+    late[:, max(0, n - 3):] = random_matrix(F, rng, 4, min(n, 3))
+    low = min(n, 2)
+    for M in (np.zeros((0, n), dtype=np.int64),
+              np.zeros((5, n), dtype=np.int64),
+              random_matrix(F, rng, n + 4, n),
+              linalg.matmul(F, random_matrix(F, rng, n + 4, low), random_matrix(F, rng, low, n)),
+              _invertible(F, rng, n),
+              random_matrix(F, rng, 3, n),
+              np.full((3, n), F.q - 1, dtype=np.int64),
+              late):
+        _assert_rref_matches_oracle(F, M)
+    R, pivots = linalg.rref(F, _invertible(F, rng, n))
+    assert np.array_equal(R, np.eye(n, dtype=np.int64)) and pivots == list(range(n))
+
+
+@given(st.sampled_from(PACKED_FIELDS[1:]), st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
+       st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_packed_rref_matches_naive_elimination(F, seed, m, n):
+    rng = np.random.default_rng(seed)
+    M = random_matrix(F, rng, m, n)
+    M[rng.random((m, n)) < 0.5] = 0
+    _assert_rref_matches_oracle(F, M)
+
+
+def test_row_packing_is_built_on_first_use():
+    # the per-field constants of the packed rows cost nothing at GF() time
+    F = FiniteField(3, 2)
+    assert "packing" not in vars(F)
+    linalg.rref(F, np.array([[1, 2], [3, 4]]))
+    assert "packing" in vars(F)

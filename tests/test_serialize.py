@@ -382,3 +382,15 @@ def test_bulk_conversion_keeps_line_order_and_reads_as_int_does():
     assert idx.tolist() == [[2, 0, 1], [0, 1, 0], [1, 10, 0]]
     assert vals.tolist() == [1, 0, 1]
     assert idx.dtype == vals.dtype == np.int64
+
+
+@pytest.mark.parametrize("prefix", [(), (3,), (0, 12)])
+@pytest.mark.parametrize("shape", [(0,), (5,), (3, 4), (2, 3, 4), (0, 4)])
+def test_sparse_lines_are_the_joined_tokens_of_every_nonzero_entry(shape, prefix):
+    # one format string per record gives the bytes of joining the key, the
+    # prefix, the index and the value with single spaces
+    rng = np.random.default_rng(len(shape) + len(prefix))
+    M = rng.integers(0, 300, size=shape) * (rng.random(shape) < 0.5)
+    want = [" ".join(map(str, ["entry", *prefix, *idx, M[idx]]))
+            for idx in np.ndindex(*shape) if M[idx]]
+    assert serialize._sparse_lines("entry", prefix, M) == want

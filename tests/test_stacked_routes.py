@@ -30,6 +30,7 @@ from oracles import (
     mat_mul_loop,
     matrix_unit_relation_failure,
     matrix_units_loop,
+    min_poly_loop,
     naive_rref,
     prime_restriction_per_matrix,
     regular_actions_loop,
@@ -318,6 +319,20 @@ def test_every_trace_form_of_radical_matches_the_pair_loop(monkeypatch, A):
     assert seen
     for mats, p, i, out in seen:
         assert np.array_equal(out, trace_gram_loop(mats, p, i))
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
+def test_min_poly_by_doubling_matches_the_per_power_search(A):
+    # the unit, zero, every basis element and seeded random elements, also
+    # nilpotent ones, whose minimal polynomial has degree 0 to dim
+    rng = random.Random(A.dim * A.field.q)
+    elements = [A.unit, np.zeros(A.dim, dtype=np.int64), *np.eye(A.dim, dtype=np.int64)]
+    elements += [A.random_element(rng) for _ in range(4)]
+    for x in elements:
+        m, powers = A._min_poly_powers(x)
+        want, want_powers = min_poly_loop(A, x)
+        assert m.tolist() == want
+        assert powers.dtype == np.int64 and np.array_equal(powers, want_powers)
 
 
 # ---------------------------------------------------------------------------
