@@ -40,11 +40,11 @@ K*d*(p-1)^2 < 2^53 (FLOAT_EXACT): every integer up to 2^53 is a double, so
 each product and partial sum is exact whatever the order and blocking of
 the BLAS and its thread count, and the block is cast back to int64 before
 the reduction (an AND with 1 when p = 2).  Past that bound the product
-stays in int64.  ``matmul_mod`` multiplies integer matrices mod m, the
-powers of the radical's trace forms mod p^(i+1), by the same rule: a sum
-adds K terms of at most (m-1)^2, so the product runs in float64 BLAS when
-it makes at least FLOAT_MIN_MADDS multiply-adds and K*(m-1)^2 < 2^53,
-checked per call, and in int64 otherwise.  Nothing here is approximate.
+stays in int64.  ``contract`` runs that rule through ``matmul_mod`` with
+m = p, which also multiplies the radical's trace forms mod p^(i+1): a sum
+adds K terms of at most (m-1)^2, so a product of at least FLOAT_MIN_MADDS
+multiply-adds runs in float64 BLAS when K*(m-1)^2 < 2^53, in int64
+otherwise.  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ class FiniteField:
         """
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        swap, perm_x, view_x, perm_y, view_y, shape, perm_out, madds = _layout(
+        swap, perm_x, view_x, perm_y, view_y, shape, perm_out = _layout(
             spec, A.shape, B.shape, self.d)
         X, Y = (B, A) if swap else (A, B)
         if self.d > 1:
@@ -252,15 +252,7 @@ class FiniteField:
         else:
             X = X.transpose(perm_x).reshape(view_x)
             Y = Y.transpose(perm_y).reshape(view_y)
-        if madds < FLOAT_MIN_MADDS or view_x[2] * (self.p - 1) ** 2 >= FLOAT_EXACT:
-            out = X @ Y
-        else:
-            out = _float_matmul(X, Y)
-        out = out.reshape(shape)
-        if self.p == 2:
-            out &= 1
-        else:
-            out %= self.p
+        out = matmul_mod(X, Y, self.p).reshape(shape)
         if self.d > 1:
             out = out @ self._pp
         return out.transpose(perm_out)
@@ -440,8 +432,7 @@ def _layout(spec: str, shape_a: tuple, shape_b: tuple, d: int):
     operands are not gathered and have no axes u and v.
     Returns whether X is B, the transpose and view of each operand, the
     shape of the product before the digits v are folded, the transpose
-    that puts the folded result in output order, and the multiply-add
-    count of the matmul."""
+    that puts the folded result in output order."""
     sa, sb, out = _indices(spec)
     sizes = dict(zip(sa, shape_a)) | dict(zip(sb, shape_b))
     swap = math.prod(shape_b) > math.prod(shape_a)
@@ -463,7 +454,7 @@ def _layout(spec: str, shape_a: tuple, shape_b: tuple, d: int):
     res = batch + free_x + free_y
     digits = (d,) if d > 1 else ()
     return (swap, perm_x, view_x, perm_y, view_y, (*[sizes[x] for x in res], *digits),
-            tuple(res.index(x) for x in out), math.prod(view_x) * view_y[2])
+            tuple(res.index(x) for x in out))
 
 
 def _float_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -492,10 +483,10 @@ def matmul_mod(X: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:
     """X @ Y mod m for int64 stacks (b, r, k) and (b, k, s) of integers in
     [0, m), as an int64 stack (b, r, s) in [0, m).
 
-    A sum of a product adds k terms of at most (m-1)^2, so, as for
-    contract, the product runs in float64 BLAS when it makes at least
-    FLOAT_MIN_MADDS multiply-adds and k*(m-1)^2 < FLOAT_EXACT, checked per
-    call, and in int64 matmul otherwise (exact while k*(m-1)^2 < 2^63).
+    A sum of a product adds k terms of at most (m-1)^2, so the product
+    runs in float64 BLAS when it makes at least FLOAT_MIN_MADDS
+    multiply-adds and k*(m-1)^2 < FLOAT_EXACT, checked per call, and in
+    int64 matmul otherwise (exact while k*(m-1)^2 < 2^63).
     The sums are nonnegative, so a modulus that is a power of two is an
     AND with m - 1."""
     b, r, k = X.shape

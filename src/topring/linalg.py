@@ -77,7 +77,11 @@ def rref(F: FiniteField, M: np.ndarray):
     each matrix.  On the calls of `topring verify` the integer route is
     about 10 times faster on a single matrix over GF(2) and about 3 times
     slower on a stack reduced matrix by matrix.  The RREF is unique, so
-    every route gives the same R and pivots.
+    every route gives the same R and pivots.  GF(2) keeps ``_rref_gf2``
+    (2-core x86-64 VM): ``_rref_packed`` on a one-bit ``RowPacking`` took
+    0.182-0.189 s against 0.162-0.168 s on the 7,136 GF(2) calls of
+    ``acceptance.run_all(0)``, 1.8-2.2 times as long on dense random
+    matrices of 20-400 columns, and on byte slots 2.4-3.0 times on wide ones.
     """
     R = np.asarray(M, dtype=np.int64)
     if R.ndim == 3:

@@ -27,13 +27,15 @@ writers and `Report.sparse` all call it.  Every parser reads its records
 through `_SparseReader`, which keeps the token lists of each sparse key
 and, once the loop over the other records ends, converts each key in
 bulk: one int64 array, with its token count, integer and duplicate check
-(`_bulk_records`).  One reader, `_dense`, fills an array of a given shape
-from a key's entries with one value and range check (`_bulk_fits`) and
-one scatter; an index outside the shape is a ParseError (exit 2).  A key
-the bulk check rejects is read record by record in line order, only to
-name its first fault, and those checks run before the error of any later
-record is raised, so a file's exit code and message are those of its
-first fault in line order.  Towers and systems share one reader of their
+(`_bulk_records`).  A key it rejects is walked record by record in line
+order only to raise its first fault, before the error of any later record,
+so a file's exit code and message are those of its first fault in line
+order; with none (a negative index, say) its entries are object arrays of
+Python ints.  Every parser gets one form, an (indices, values) pair of
+arrays in line order.  `_dense` fills an array of a given shape from it:
+the first value outside the field fails validation (exit 3), then the
+first index outside the shape is a ParseError (exit 2), then one scatter.
+Towers and systems share one reader of their
 `tag / count / indexed references / per-link matrices` layout.
 
 The value rule: every field value, in a sparse record (`c`, `act`,
@@ -104,7 +106,7 @@ def _bulk_records(recs: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None
     """(indices, values) of one key's `key i j k v` records, as int64
     arrays in line order, or None if any record has the wrong token count,
     a token that is not an int64 integer, a repeated index, or a negative
-    or huge index (the range check of the record-by-record route names it)."""
+    or huge index (the fault walk of _SparseReader names the first fault)."""
     if not recs:
         return np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)
     if set(map(len, recs)) != {5}:
@@ -131,32 +133,20 @@ def _bulk_records(recs: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None
     return idx, table[:, 3]
 
 
-def _bulk_fits(idx: np.ndarray, shape: tuple[int, ...], vals: np.ndarray | None = None,
-               q: int = 0) -> bool:
-    """Whether every index row lies in shape and every value, if given, in
-    [0, q).  Read as uint64 a negative entry is at least 2^63, so one
-    maximum bounds each column from both sides."""
-    if not idx.shape[0]:
-        return True
-    if vals is not None and int(vals.view(np.uint64).max()) >= q:
-        return False
-    return all(m < n for m, n in zip(idx.view(np.uint64).max(axis=0).tolist(), shape))
-
-
 class _SparseReader:
     """The records of one file with its sparse records kept aside.
 
     Iterating yields every other record and keeps the token lists of each
     sparse key's records.  Used as a context manager around the parse
     loop: when the loop ends, each key's records are converted in bulk
-    (_bulk_records) into `entries[key]`, int64 (indices, values) arrays.
-    A key the bulk check rejects is read record by record, in line order:
-    that raises the first fault of its records (a token that is not an
-    integer, a wrong token count, a repeated index) or, if every record
-    holds up (one has a negative index or an integer past int64, say),
-    leaves the key's entries as a dict {index tuple: value}.  When a later record raises, the sparse
-    records before it are read the same way first, so a file's error is
-    its first fault in line order, as when each record was read as it came.
+    (_bulk_records) into `entries[key]`, an (indices, values) pair of
+    arrays in line order.  A key the bulk check rejects is walked record by
+    record, in line order, only to raise the first fault of its records (a
+    token that is not an integer, a wrong token count, a repeated index);
+    with none (a negative index or an integer past int64, say), its pair
+    holds object arrays of Python ints.  When a later record raises, the
+    sparse records before it are walked first, so a file's error is its
+    first fault in line order, as when each record was read as it came.
     """
 
     def __init__(self, recs: list[list[str]], keys: tuple[str, ...]):
@@ -184,20 +174,22 @@ class _SparseReader:
             recs = self.recs[:self.at]
         else:
             return False
-        slow: dict[str, dict] = {key: {} for key in self.lines if self.entries.get(key) is None}
-        for rec in recs if slow else ():
-            records = slow.get(rec[0])
-            if records is None:
+        seen: dict[str, set] = {key: set() for key in self.lines if self.entries.get(key) is None}
+        for rec in recs if seen else ():
+            if rec[0] not in seen:
                 continue
             vals = _ints(rec)
             if len(vals) != 4:
                 raise ParseError(f"{SPARSE_USAGE[rec[0]]}: {' '.join(rec)!r}")
             idx = tuple(vals[:3])
             # keeping either of two records silently would turn a typo into another object
-            if idx in records:
+            if idx in seen[rec[0]]:
                 raise ParseError(f"duplicate {rec[0]} record at index {idx}")
-            records[idx] = vals[3]
-        self.entries.update(slow)
+            seen[rec[0]].add(idx)
+        for key in seen if exc_type is None else ():
+            # dtype=object keeps integers past int64 exact; numpy would make them floats
+            table = np.array([_ints(rec) for rec in self.lines[key]], dtype=object).reshape(-1, 4)
+            self.entries[key] = table[:, :3], table[:, 3]
         # the token lists outweigh the arrays, and the checks after the loop
         # (StructureAlgebra's associativity check among them) need neither
         self.recs = self.lines = None
@@ -215,54 +207,37 @@ def _dense(key: str, entries, shape: tuple[int, ...], q: int) -> np.ndarray:
     """The array of the given shape holding each entry's value at its index,
     zero elsewhere.
 
-    Entries in bulk form that pass the value and range check are scattered
-    at once.  Otherwise they are checked one by one in line order: values
-    first, since one outside the value rule may not fit the int64 array;
-    then an index outside the shape is a ParseError."""
-    if isinstance(entries, dict):
-        records = entries
-    else:
-        idx, vals = entries
-        if _bulk_fits(idx, shape, vals, q):
-            out = np.zeros(shape, dtype=np.int64)
-            out[tuple(idx.T)] = vals
-            return out
-        records = dict(zip(map(tuple, idx.tolist()), vals.tolist()))
-    _in_field(key, records.values(), q)
-    if any(min(axis) < 0 or max(axis) >= n for axis, n in zip(zip(*records), shape)):
-        bad = next(idx for idx in records if not all(0 <= i < n for i, n in zip(idx, shape)))
+    The first value outside [0, q) in line order is a validation error,
+    checked first since it may not fit the int64 array; then the first
+    index outside the shape is a ParseError; then one scatter."""
+    idx, vals = entries
+    outside = (vals < 0) | (vals >= q)
+    if outside.any():
+        _in_field(key, vals[outside], q)
+    outside = ((idx < 0) | (idx >= shape)).any(axis=1)
+    if outside.any():
+        bad = tuple(idx[outside.argmax()].tolist())
         raise ParseError(f"{key} index {bad} outside shape {shape}")
     out = np.zeros(shape, dtype=np.int64)
-    for idx, v in records.items():
-        out[idx] = v
+    out[tuple(np.asarray(idx, dtype=np.int64).T)] = vals
     return out
 
 
-def _groups(entries) -> list[tuple[int, object]]:
+def _groups(entries) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
     """Sparse entries (n, *rest) grouped by n in increasing order: (n, the
     entries of that n indexed by rest), each group in line order."""
-    if isinstance(entries, dict):
-        groups: dict[int, dict] = {}
-        for (n, *rest), v in entries.items():
-            groups.setdefault(n, {})[tuple(rest)] = v
-        return sorted(groups.items())
     idx, vals = entries
     return [(n, (idx[sel, 1:], vals[sel]))
             for n in sorted(set(idx[:, 0].tolist())) for sel in [idx[:, 0] == n]]
 
 
-def _groups_in(entries, count: int, fault) -> list[tuple[int, object]]:
+def _groups_in(entries, count: int, fault) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
     """_groups(entries), once fault(n) is raised for the first n, in line
     order, outside range(count)."""
-    if isinstance(entries, dict):
-        firsts = [n for n, *_ in entries]
-    elif not _bulk_fits(entries[0][:, :1], (count,)):
-        firsts = entries[0][:, 0].tolist()
-    else:
-        firsts = []
-    bad = next((n for n in firsts if not 0 <= n < count), None)
-    if bad is not None:
-        raise fault(bad)
+    firsts = entries[0][:, 0]
+    outside = (firsts < 0) | (firsts >= count)
+    if outside.any():
+        raise fault(int(firsts[outside.argmax()]))
     return _groups(entries)
 
 
@@ -273,16 +248,6 @@ def _sparse_lines(key: str, prefix: tuple[int, ...], M) -> list[str]:
     nz = np.nonzero(M)
     fmt = " ".join([key, *map(str, prefix), *["%d"] * (M.ndim + 1)])
     return [fmt % rec for rec in zip(*(i.tolist() for i in nz), M[nz].tolist())]
-
-
-def _indexed_ref(rec: list[str], refs: dict, usage: str) -> int:
-    """Index of a `key i path` reference line, new among refs."""
-    if len(rec) != 3:
-        raise ParseError(usage)
-    idx = _ints(rec[:2])[0]
-    if idx in refs:
-        raise ParseError(f"duplicate {rec[0]} line for index {idx}")
-    return idx
 
 
 def _framed(text: str, kind: str) -> list[list[str]]:
@@ -430,18 +395,23 @@ def _parse_chain(text: str, kind: str, tag_key: str, count_key: str, ref_key: st
             elif key == count_key:
                 count = _count(rec)
             elif key == ref_key:
-                idx = _indexed_ref(rec, refs, f"{ref_key} line needs an index and a path")
+                if len(rec) != 3:
+                    raise ParseError(f"{ref_key} line needs an index and a path")
+                idx = _ints(rec[:2])[0]
+                if idx in refs:
+                    raise ParseError(f"duplicate {ref_key} line for index {idx}")
                 refs[idx] = load(os.path.join(base_dir, rec[2]))
             else:
                 raise ParseError(f"unknown {kind} key {key!r}")
     if tag is None or count is None:
         raise ParseError(f"{kind} needs {tag_key} and {count_key} lines")
-    if sorted(refs) != list(range(count)):
+    if len(refs) != count or sorted(refs) != list(range(count)):  # len first: count may be huge
         raise ParseError(f"need {ref_key} lines 0..{count - 1}")
     objs = [refs[i] for i in range(count)]
     links = dict(_groups_in(reader.entries[link_key], count - 1,
                             lambda n: ParseError(f"{link_key} index {n} out of range")))
-    return tag, objs, [_dense(link_key, links.get(n, {}), *link(objs[n], objs[n + 1]))
+    none = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return tag, objs, [_dense(link_key, links.get(n, none), *link(objs[n], objs[n + 1]))
                        for n in range(count - 1)]
 
 

@@ -474,6 +474,41 @@ def test_count_line_needs_one_integer(capsys, tmp_path, verb, name, line, form):
     assert f"{keyword} line {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb,name,line,ref", [
+    ("classify-tower", "blocks2.twr", "levels 3", "level"),
+    ("split-limit", "chain6.sys", "modules 6", "module"),
+], ids=["levels", "modules"])
+def test_a_count_past_int64_names_the_missing_reference_lines(capsys, tmp_path, verb, name,
+                                                              line, ref):
+    # the count is compared with the reference lines before range(count) is
+    # built, which past int64 raised an OverflowError out of cli.main
+    keyword = line.split()[0]
+    p = tmp_path / name
+    p.write_text(_absolute_refs(corpus.read(name)).replace(f"\n{line}\n",
+                                                           f"\n{keyword} {2 ** 63}\n"))
+    assert cli.main([verb, str(p)]) == 2
+    assert capsys.readouterr().err == f"error: need {ref} lines 0..{2 ** 63 - 1}\n"
+
+
+def test_a_huge_levels_count_exits_2_in_200_mb(tmp_path):
+    # a list of 10^8 level indices would take gigabytes before the count is
+    # found not to match the five level lines
+    for name in corpus.render_all():
+        (tmp_path / name).write_text(corpus.read(name))
+    (tmp_path / "adic4.twr").write_text(
+        corpus.read("adic4.twr").replace("\nlevels 5\n", "\nlevels 100000000\n"))
+    cap = 200 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run([sys.executable, "-m", "topring.cli", "classify-tower", "adic4.twr"],
+                          cwd=tmp_path, env=_child_env(), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.endswith("need level lines 0..99999999\n")
+
+
 def test_decompose_module_without_class_isomorphism_exits_4(capsys, tmp_path, monkeypatch):
     from topring import modules, serialize
     from topring.modules import right_regular_module

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from topring import linalg
 from topring.algebras import (
     AlgebraError,
+    SubspaceIdeal,
     matrix_algebra,
     quotient,
     radical,
@@ -109,6 +110,21 @@ def test_orthogonalize_u_equals_one_returns_input():
     fam = orthogonalize(A, rows, H)
     assert np.array_equal(fam.rows, rows)
     assert np.array_equal(fam.u, A.unit)
+
+
+def test_orthogonalize_inverts_a_sum_that_is_a_unit_outside_one_plus_h(monkeypatch):
+    # Mat_2(F_2), basis index 2i + j for E_(i+1)(j+1), H = 0: e_1 e_0 =
+    # (E22 + E12) E11 = 0, and the sum u = 1 + E12 is a unit not in 1 + H,
+    # so it is inverted in A: u^-1 = u, and u^-1 e_z gives E11 and E22
+    A = matrix_algebra(F2, 2)
+    H = SubspaceIdeal(A, np.zeros((0, 4), dtype=np.int64))
+    calls = []
+    inverse = A.inverse
+    monkeypatch.setattr(A, "inverse", lambda x: calls.append(x) or inverse(x))
+    fam = orthogonalize(A, np.array([[1, 0, 0, 0], [0, 1, 0, 1]]), H)
+    assert len(calls) == 1
+    assert fam.u.tolist() == fam.u_inv.tolist() == [1, 1, 0, 1]
+    assert fam.rows.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
 
 
 def test_orthogonalize_rejects_half_orthogonality_violation():

@@ -8,9 +8,10 @@ out of loading fails this test as well.  Each example mutates one bundled
 file and loads it next to unmutated copies of the files it references.
 
 The sparse records (`c`, `act`, `transition`, `map`, `entry`, `extra`) are
-read in bulk, and record by record only where the bulk check rejects a
-key.  Every mutant is also loaded with the bulk checks forced to reject,
-once at the value and range check and once at the token conversion, and
+converted in bulk to int64 arrays, and where the bulk check rejects a key
+they are walked record by record for a fault and otherwise held as object
+arrays of Python ints.  Every mutant is also loaded with the bulk
+conversion forced to reject every key, so through the object arrays, and
 must give the same object or the same exception and message.
 """
 
@@ -152,9 +153,7 @@ def test_mutated_file_loads_or_raises_a_value_error(corpus_copy, mutant):
     path = corpus_copy / f"mutant_{name}"
     path.write_text(text)
     bulk = _outcome(path)
-    # the record-by-record reading gives the same object or error
+    # the walk and the object arrays give the same object or error
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(serialize, "_bulk_fits", lambda *args, **kwargs: False)
-        assert _outcome(path) == bulk
         mp.setattr(serialize, "_bulk_records", lambda recs: None)
         assert _outcome(path) == bulk

@@ -1,8 +1,8 @@
 """Hostile inputs at verb level: does any mutant leak exit 4 or a traceback?
 
 Copies the bundled corpus into a temporary directory.  For every integer
-token of every bundled file, and for each value 0-3 other than the
-token's own, it writes that one-token mutant next to the unmutated copies
+token of every bundled file, and for each value in 0-3, -1 and 2^63
+other than the token's own, it writes that one-token mutant next to the unmutated copies
 (so the files it references resolve to them) and runs one verb of the
 file's kind on it through `cli.main`, cycling through that kind's verbs.
 A mutant may parse (exit 2 otherwise), fail validation (exit 3) or pass
@@ -42,6 +42,10 @@ DIGEST = Path(__file__).resolve().with_name("verb_sweep.sha256")
 
 from topring import cli, corpus  # noqa: E402
 
+# 0-3 are small field values and indices; -1 and 2^63 are out of range both
+# ways, the second past int64
+VALUES = (0, 1, 2, 3, -1, 2 ** 63)
+
 VERBS = {
     ".alg": ["radical", "wedderburn", "lift-idempotents", "bass-flat"],
     ".twr": ["classify-tower", "classify-perfect", "lift-idempotents"],
@@ -53,14 +57,14 @@ VERBS = {
 
 def mutants(text: str):
     """(line, token, value, text): each text with one integer token
-    replaced by a different value in 0-3."""
+    replaced by a different value in VALUES."""
     lines = text.splitlines()
     for i, line in enumerate(lines):
         toks = line.split()
         for j, tok in enumerate(toks):
             if not tok.lstrip("-").isdigit():
                 continue
-            for value in range(4):
+            for value in VALUES:
                 if str(value) != tok:
                     lines[i] = " ".join(toks[:j] + [str(value)] + toks[j + 1:])
                     yield i, j, value, "\n".join(lines) + "\n"
