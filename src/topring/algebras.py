@@ -144,18 +144,6 @@ class StructureAlgebra:
         """R with y * x == y @ R for every row y."""
         return self.field.contract("j,ijk->ik", x, self.c)
 
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
-        if k < 0:
-            raise ValueError("negative power")
-        acc = self.unit.copy()
-        base = np.asarray(x, dtype=np.int64)
-        while k > 0:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
     def inverse(self, x: np.ndarray) -> np.ndarray | None:
         """Two-sided inverse, or None.  Left inverses are two-sided here."""
         L = self.lmul_matrix(x)
@@ -507,6 +495,19 @@ def _batch_power_mod(W: np.ndarray, e: int, m: int) -> np.ndarray:
     return result
 
 
+# Integers of one stacked operand of a level >= 1 trace-form chunk, unless
+# one Gram row's products are more.  FLOAT_BLOCK (2^18) raised the largest
+# traced allocation of a ring-ladder op from 2.9 to 3.7 MB; 2^16 keeps it.
+GRAM_BLOCK = 1 << 16
+
+
+def _gram_chunk(m_dim: int, N: int) -> int:
+    """Pairs per chunk of a level >= 1 trace form on m_dim matrices of
+    size N: a stack of a chunk holds at most max(m_dim*N^2, GRAM_BLOCK)
+    integers, the products of one Gram row or one block."""
+    return max(m_dim, GRAM_BLOCK // (N * N), 1)
+
+
 def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
     """Gram matrix of the i-th divided trace form on a stack (m, N, N) of
     matrices over F_p: entry (s, t) is tr((M_s M_t)^(p^i)) / p^i mod p,
@@ -514,10 +515,12 @@ def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
 
     Every product is a fields.matmul_mod mod p^(i+1).  Level 0 is the
     bilinear form tr(M_s M_t) = sum over (a, b) of M_s[a, b] M_t[b, a],
-    one product over all pairs.  A level i >= 1 powers the products
-    M_s M_t for t >= s, one s at a time, so it holds O(m*N^2) integers:
-    M_s times the matrices M_t side by side is one product.  A trace not
-    divisible by p^i is an InternalInconsistencyError."""
+    one product over all pairs.  A level i >= 1 takes the pairs s <= t in
+    chunks of _gram_chunk pairs: one stacked product M_s M_t and one
+    _batch_power_mod per chunk.  tr(XY) is that same sum, so the power's
+    last product is never formed: W^(p^i) is Y·Y with Y = W^(p^i/2) for
+    p = 2, and Y·W with Y = W^(p^i - 1) for odd p.  A trace not divisible
+    by p^i is an InternalInconsistencyError."""
     m_dim, N = mats.shape[:2]
     if i == 0:
         flat = mats.reshape(1, m_dim, N * N)
@@ -525,16 +528,16 @@ def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:
     step = p ** i
     modulus = step * p
     gram = np.zeros((m_dim, m_dim), dtype=np.int64)
-    for s in range(m_dim):
-        count = m_dim - s
-        side = mats[s:].transpose(1, 0, 2).reshape(1, N, count * N)
-        prods = matmul_mod(mats[s][None], side, modulus).reshape(N, count, N).transpose(1, 0, 2)
-        tr = _batch_power_mod(prods, step, modulus).trace(axis1=1, axis2=2) % modulus
+    S, T = np.triu_indices(m_dim)
+    chunk = _gram_chunk(m_dim, N)
+    for lo in range(0, S.size, chunk):
+        s, t = S[lo:lo + chunk], T[lo:lo + chunk]
+        W = matmul_mod(mats[s], mats[t], modulus)
+        Y = _batch_power_mod(W, step // 2 if p == 2 else step - 1, modulus)
+        tr = np.einsum("cab,cba->c", Y, Y if p == 2 else W) % modulus
         if np.any(tr % step):
             raise InternalInconsistencyError("divided trace not divisible; filtration broken")
-        g = (tr // step) % p
-        gram[s, s:] = g
-        gram[s:, s] = g
+        gram[s, t] = gram[t, s] = (tr // step) % p
     return gram
 
 

@@ -11,7 +11,9 @@ through the transition maps.  The three operations:
     lie in a nil ideal and whose sum u is invertible, u^{-1}e_z (or
     e_z*u^{-1}) is a complete orthogonal family.
   * lift_orthogonal_family: the composite, from idempotents-mod-H with all
-    pairwise products in H and sum in 1 + H.
+    pairwise products in H and sum in 1 + H.  The whole family is lifted
+    and checked as one stack, and a single lift_idempotent is a family of
+    one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from topring.algebras import (
     StructureAlgebra,
     SubspaceIdeal,
     check_complete_orthogonal,
-    corner_basis,
     invert_in_one_plus_H,
 )
 
@@ -54,30 +55,70 @@ def lift_idempotent(A: StructureAlgebra, f: np.ndarray, H: SubspaceIdeal) -> np.
 
     Requires f^2 - f in H and H nil; raises AlgebraError otherwise.
     """
+    return _lift_rows(A, np.asarray(f, dtype=np.int64)[None, :], H)[0]
+
+
+def _lift_rows(A: StructureAlgebra, rows: np.ndarray, H: SubspaceIdeal) -> np.ndarray:
+    """lift_idempotent of every row of rows at once.
+
+    Newton's step runs on the rows not yet idempotent, one mul_rows pair
+    per round; an idempotent is a fixed point of it, so a row that has
+    converged stays as the one-row iteration leaves it.  Defects and drifts
+    are one member_rows each.  g_z lies in f_z*A*f_z iff the span of the
+    rows f_z*e_j*f_z has the same rank with g_z as without it: one stacked
+    rref of every span without and with its row.  A failure is raised for
+    the first failing row, and within a row in the order defect,
+    nilpotency of H, convergence, drift, corner."""
     F = A.field
-    f = np.asarray(f, dtype=np.int64)
-    defect = F.sub(A.mul(f, f), f)
-    if not H.contains(defect):
+    k, n = rows.shape
+    if not (k and n):
+        return rows  # no member, or the zero ring, where every row is 0
+    defect_ok = H.member_rows(F.sub(A.mul_rows(rows, rows), rows))
+    if not defect_ok[0]:
         raise AlgebraError("f^2 - f is not in H")
     nu = H.nilpotency_index()
-    g = f.copy()
     three = 3 % F.p
     two = 2 % F.p
-    rounds = max(1, nu - 1).bit_length() + 1
-    for _ in range(rounds):
-        g2 = A.mul(g, g)
-        if np.array_equal(g2, g):
+    g = rows.copy()
+    active = np.arange(k)
+    for _ in range(max(1, nu - 1).bit_length() + 1):
+        g2 = A.mul_rows(g[active], g[active])
+        moving = (g2 != g[active]).any(axis=1)
+        active, g2 = active[moving], g2[moving]
+        if not active.size:
             break
-        g3 = A.mul(g2, g)
-        g = F.sub(F.mul(three, g2), F.mul(two, g3))
+        g3 = A.mul_rows(g2, g[active])
+        g[active] = F.sub(F.mul(three, g2), F.mul(two, g3))
     else:
-        if not np.array_equal(A.mul(g, g), g):
+        active = active[(A.mul_rows(g[active], g[active]) != g[active]).any(axis=1)]
+    diverged = np.zeros(k, dtype=bool)
+    diverged[active] = True
+    drift_ok = H.member_rows(F.sub(g, rows))
+    # row j of span z is f_z * e_j * f_z
+    left = A.mul_pairs(rows, np.eye(n, dtype=np.int64)).reshape(k * n, n)
+    corners = A.mul_rows(left, np.repeat(rows, n, axis=0)).reshape(k, n, n)
+    escaped = g.any(axis=1) & _outside_spans(F, corners, g)
+    for z in range(k):
+        if not defect_ok[z]:
+            raise AlgebraError("f^2 - f is not in H")
+        if diverged[z]:
             raise AlgebraError("idempotent lift did not converge; H is not nil")
-    if not H.contains(F.sub(g, f)):
-        raise InternalInconsistencyError("lifted idempotent drifted out of f + H")
-    if g.any() and not linalg.in_row_space(F, corner_basis(A, f, f), g):
-        raise InternalInconsistencyError("lifted idempotent escaped f*A*f")
+        if not drift_ok[z]:
+            raise InternalInconsistencyError("lifted idempotent drifted out of f + H")
+        if escaped[z]:
+            raise InternalInconsistencyError("lifted idempotent escaped f*A*f")
     return g
+
+
+def _outside_spans(F, spans: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Mask of the rows V[z] outside the row space of spans[z], a stack
+    (k, h, n): rank [spans[z]; V[z]] > rank spans[z], from one stacked rref."""
+    k, h, n = spans.shape
+    stack = np.zeros((2 * k, h + 1, n), dtype=np.int64)
+    stack[:k, :h] = stack[k:, :h] = spans
+    stack[k:, h] = V
+    ranks = linalg.rref(F, stack)[1]
+    return ranks[k:] > ranks[:k]
 
 
 def orthogonalize(
@@ -140,15 +181,17 @@ def lift_orthogonal_family(
     total = F.fsum(rows, axis=0)
     if not H.contains(F.sub(total, A.unit)):
         raise AlgebraError("family sum is not in 1 + H")
-    singles = np.vstack([lift_idempotent(A, f, H) for f in rows]) if rows.shape[0] else rows
-    fam = orthogonalize(A, singles, H, side=side)
+    fam = orthogonalize(A, _lift_rows(A, rows, H), H, side=side)
     congruent = H.member_rows(F.sub(fam.rows, rows))
+    # row j of span z is e_j * f_z (A*f_z) or f_z * e_j (f_z*A)
+    eye = np.eye(A.dim, dtype=np.int64)
+    spans = (A.mul_pairs(eye, rows).transpose(1, 0, 2) if side == "left"
+             else A.mul_pairs(rows, eye))
+    escaped = fam.rows.any(axis=1) & _outside_spans(F, spans, fam.rows)
     for z in range(k):
         if not congruent[z]:
             raise InternalInconsistencyError(f"lifted member {z} is not congruent to its input")
-        anchor = rows[z]
-        span = A.rmul_matrix(anchor) if side == "left" else A.lmul_matrix(anchor)
-        if fam.rows[z].any() and not linalg.in_row_space(F, linalg.row_space_basis(F, span), fam.rows[z]):
+        if escaped[z]:
             raise InternalInconsistencyError(f"lifted member {z} violates the {side} closure choice")
     return fam
 
@@ -170,7 +213,7 @@ def lift_family_from_quotient(
     quotient_rows = np.asarray(quotient_rows, dtype=np.int64).reshape(-1, proj.shape[1])
     preimages = linalg.matmul(F, quotient_rows, section)
     fam = lift_orthogonal_family(A, preimages, H, side=side)
-    for z in range(quotient_rows.shape[0]):
-        if not np.array_equal(linalg.matvec(F, fam.rows[z], proj), quotient_rows[z]):
-            raise InternalInconsistencyError(f"lift {z} does not project onto the given idempotent")
+    wrong = np.flatnonzero((linalg.matmul(F, fam.rows, proj) != quotient_rows).any(axis=1))
+    if wrong.size:
+        raise InternalInconsistencyError(f"lift {wrong[0]} does not project onto the given idempotent")
     return fam

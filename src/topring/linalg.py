@@ -146,10 +146,11 @@ def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
     a little-endian integer, so the map from bits to columns is the same on
     every host.  Forward elimination reduces each incoming row by the pivot
     row of its lowest set bit until that bit has no pivot row, which makes
-    it one.  Back-substitution runs from the highest pivot down and XORs
-    into a row only the (already reduced) pivot rows of the pivot bits it
-    has set, so it costs the fill of the rows, not rank^2.  The RREF is
-    unique, so R and the pivots are those of the table route."""
+    it one; it stops once every column has a pivot.  Back-substitution
+    runs from the highest pivot down and XORs into a row only the (already
+    reduced) pivot rows of the pivot bits it has set, so it costs the fill
+    of the rows, not rank^2.  The RREF is unique, so R and the pivots are
+    those of the table route."""
     m, n = R.shape
     width = -(-n // 8)
     data = np.packbits(R, axis=1, bitorder="little").tobytes()
@@ -163,6 +164,8 @@ def _rref_gf2(R: np.ndarray) -> tuple[np.ndarray, list[int]]:
                 rows[low] = row
                 break
             row ^= prow
+        if len(rows) == n:
+            break  # every column has a pivot, so the rows left lie in the span
     mask = sum(rows)
     lows = sorted(rows, reverse=True)
     for low in lows:

@@ -79,16 +79,23 @@ class WedderburnDatum:
 def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     """Rows of the central primitive idempotents of a semisimple algebra.
 
-    The q-power Frobenius is linear on the center; its fixed space has one
-    dimension per simple factor.  A fixed z satisfies z^q = z, so its
-    minimal polynomial divides x^q - x and has exactly as many roots in F_q
-    as its degree; the Lagrange idempotents of those roots (_root_idempotents)
-    refine the family {1} until it reaches the factor count.  No polynomial
-    is factored.
+    The q-power Frobenius is linear on the center, and is taken on all of
+    its basis rows at once; its fixed space has one dimension per simple
+    factor.  A fixed z satisfies z^q = z, so its minimal polynomial divides
+    x^q - x and has exactly as many roots in F_q as its degree; the
+    Lagrange idempotents of those roots (_root_idempotents) refine the
+    family {1} until it reaches the factor count.  No polynomial is
+    factored.
     """
     F = A.field
     Z = A.center_basis()
-    phi = linalg.solve_left(F, Z, np.array([A.power(z, F.q) for z in Z]).reshape(-1, A.dim))
+    # z^q for every basis row z at once, by left-to-right square-and-multiply
+    Zq = Z
+    for bit in bin(F.q)[3:]:
+        Zq = A.mul_rows(Zq, Zq)
+        if bit == "1":
+            Zq = A.mul_rows(Zq, Z)
+    phi = linalg.solve_left(F, Z, Zq)
     if phi is None:
         raise AlgebraError("center is not closed under q-th powers")
     fixed_coeff = linalg.left_null_basis(F, F.sub(phi, np.eye(Z.shape[0], dtype=np.int64)))

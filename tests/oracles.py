@@ -58,7 +58,12 @@ modules.noniso_witness_search replaced by the powers of the Peirce
 blocks of rad End), and min_poly_loop (the minimal polynomial found one
 power at a time, each solved against the powers before it, before
 StructureAlgebra._min_poly_powers formed every power by doubling and read
-the polynomial off one rref).
+the polynomial off one rref), and lift_family_loop with
+lift_idempotent_loop (the per-member Newton lift, drift, corner and
+side-closure checks that lifting.lift_orthogonal_family runs on the whole
+family as one stack).  power_loop is the per-element square-and-multiply
+of the deleted StructureAlgebra.power, which central_idempotents_berlekamp
+applies to each central basis row.
 """
 
 from __future__ import annotations
@@ -563,6 +568,19 @@ def hidden_block_algebras():
 
 
 
+def power_loop(A, x, k: int) -> np.ndarray:
+    """x^k in A (k >= 0) by right-to-left square-and-multiply on A.mul, one
+    element at a time, as StructureAlgebra.power computed it."""
+    acc = A.unit.copy()
+    base = np.asarray(x, dtype=np.int64)
+    while k > 0:
+        if k & 1:
+            acc = A.mul(acc, base)
+        base = A.mul(base, base)
+        k >>= 1
+    return acc
+
+
 def central_idempotents_berlekamp(A) -> np.ndarray:
     """wedderburn.central_primitive_idempotents as it was before it read
     the roots of each minimal polynomial off x^q - x: every Frobenius-fixed
@@ -574,7 +592,7 @@ def central_idempotents_berlekamp(A) -> np.ndarray:
 
     F = A.field
     Z = A.center_basis()
-    phi = linalg.solve_left(F, Z, np.array([A.power(z, F.q) for z in Z]).reshape(-1, A.dim))
+    phi = linalg.solve_left(F, Z, np.array([power_loop(A, z, F.q) for z in Z]).reshape(-1, A.dim))
     fixed_coeff = linalg.left_null_basis(F, F.sub(phi, np.eye(Z.shape[0], dtype=np.int64)))
     fixed = linalg.matmul(F, fixed_coeff, Z)
     k = fixed.shape[0]
@@ -1277,3 +1295,68 @@ def min_poly_loop(A, x) -> tuple[list[int], np.ndarray]:
             return [int(F.NEG[c]) for c in sol[0]] + [1], P
         rows.append(cur)
     raise AssertionError("no dependency among the first dim + 1 powers")
+
+
+def lift_idempotent_loop(A, f, H) -> np.ndarray:
+    """lifting.lift_idempotent before it became the one-row call of the
+    stacked lift: Newton's step g -> 3g^2 - 2g^3 on one element, then the
+    drift check and the corner check against corner_basis(A, f, f)."""
+    from topring import linalg
+    from topring.algebras import AlgebraError, InternalInconsistencyError, corner_basis
+
+    F = A.field
+    f = np.asarray(f, dtype=np.int64)
+    defect = F.sub(A.mul(f, f), f)
+    if not H.contains(defect):
+        raise AlgebraError("f^2 - f is not in H")
+    nu = H.nilpotency_index()
+    g = f.copy()
+    three = 3 % F.p
+    two = 2 % F.p
+    rounds = max(1, nu - 1).bit_length() + 1
+    for _ in range(rounds):
+        g2 = A.mul(g, g)
+        if np.array_equal(g2, g):
+            break
+        g3 = A.mul(g2, g)
+        g = F.sub(F.mul(three, g2), F.mul(two, g3))
+    else:
+        if not np.array_equal(A.mul(g, g), g):
+            raise AlgebraError("idempotent lift did not converge; H is not nil")
+    if not H.contains(F.sub(g, f)):
+        raise InternalInconsistencyError("lifted idempotent drifted out of f + H")
+    if g.any() and not linalg.in_row_space(F, corner_basis(A, f, f), g):
+        raise InternalInconsistencyError("lifted idempotent escaped f*A*f")
+    return g
+
+
+def lift_family_loop(A, rows, H, side: str = "left"):
+    """lifting.lift_orthogonal_family before it lifted a family as one
+    stack: one lift_idempotent_loop per member, then one congruence check
+    and one side-closure row reduction per member."""
+    from topring import linalg
+    from topring.algebras import AlgebraError, InternalInconsistencyError
+    from topring.lifting import orthogonalize
+
+    F = A.field
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
+    k = rows.shape[0]
+    in_H = H.member_rows(A.mul_pairs(rows, rows)).reshape(k, k)
+    for z in range(k):
+        for w in range(k):
+            if z != w and not in_H[w, z]:
+                raise AlgebraError(f"pairwise product ({w}, {z}) is not in H")
+    total = F.fsum(rows, axis=0)
+    if not H.contains(F.sub(total, A.unit)):
+        raise AlgebraError("family sum is not in 1 + H")
+    singles = np.vstack([lift_idempotent_loop(A, f, H) for f in rows]) if rows.shape[0] else rows
+    fam = orthogonalize(A, singles, H, side=side)
+    congruent = H.member_rows(F.sub(fam.rows, rows))
+    for z in range(k):
+        if not congruent[z]:
+            raise InternalInconsistencyError(f"lifted member {z} is not congruent to its input")
+        anchor = rows[z]
+        span = A.rmul_matrix(anchor) if side == "left" else A.lmul_matrix(anchor)
+        if fam.rows[z].any() and not linalg.in_row_space(F, linalg.row_space_basis(F, span), fam.rows[z]):
+            raise InternalInconsistencyError(f"lifted member {z} violates the {side} closure choice")
+    return fam

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topring import linalg
+from topring import algebras, lifting, linalg
 from topring.algebras import (
     AlgebraError,
+    InternalInconsistencyError,
+    StructureAlgebra,
     SubspaceIdeal,
     matrix_algebra,
     quotient,
@@ -23,6 +25,13 @@ from topring.lifting import (
     orthogonalize,
 )
 from topring.wedderburn import wedderburn
+
+from oracles import (
+    hidden_block_algebras,
+    hidden_matrix_block_products,
+    lift_family_loop,
+    lift_idempotent_loop,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -234,3 +243,203 @@ def test_lift_family_on_conjugated_idempotents(h1_code, h2_code, side):
         assert H.contains(F2.sub(fam.rows[z], rows[z]))
         if fam.rows[z].any():
             assert linalg.in_row_space(F2, side_span(A, rows[z], side), fam.rows[z])
+
+
+# ---------------------------------------------------------------------------
+# The stacked lift against the per-member loop (oracles.lift_family_loop)
+# ---------------------------------------------------------------------------
+
+
+def _lift_cases():
+    """(name, A, H, rows): the preimages of the primitive family of A/rad A,
+    the same perturbed by seeded radical elements, and the exact lifted
+    family itself, whose members are already idempotent; over the algebras
+    above, hidden block products over GF(2), GF(3) and GF(4), and
+    semisimple ones (H = 0) over the same fields."""
+    pool = [truncated_poly_algebra(F2, 4), truncated_poly_algebra(F2, 2), mat2_dual(),
+            matrix_algebra(F2, 2), upper_triangular_algebra(F3, 3)]
+    pool += hidden_block_algebras() + hidden_matrix_block_products()[:3]
+    rng = np.random.default_rng(32)
+    for A in pool:
+        F = A.field
+        H = radical(A)
+        Q, proj, section = quotient(A, H)
+        rows = linalg.matmul(F, wedderburn(Q).primitive_family(), section)
+        coeffs = rng.integers(0, F.q, size=(rows.shape[0], H.dim))
+        perturbed = F.add(rows, linalg.matmul(F, coeffs, H.basis)) if H.dim else rows
+        exact = lift_family_loop(A, perturbed, H).rows
+        for name, r in (("preimages", rows), ("perturbed", perturbed), ("idempotent", exact)):
+            yield f"{A!r}-{F}-H{H.dim}-{name}", A, H, r
+
+
+LIFT_CASES = list(_lift_cases())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("case", LIFT_CASES, ids=[c[0] for c in LIFT_CASES])
+def test_stacked_family_lift_matches_the_member_loop(case, side):
+    _, A, H, rows = case
+    fam = lift_orthogonal_family(A, rows, H, side=side)
+    want = lift_family_loop(A, rows, H, side=side)
+    assert fam.side == want.side == side
+    for got, ref in ((fam.rows, want.rows), (fam.u, want.u), (fam.u_inv, want.u_inv)):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+    for f in rows:
+        assert np.array_equal(lift_idempotent(A, f, H), lift_idempotent_loop(A, f, H))
+
+
+def test_semisimple_cases_are_covered():
+    assert any(H.is_zero() for _, _, H, _ in LIFT_CASES)
+    assert {A.field.q for _, A, H, _ in LIFT_CASES if not H.is_zero()} >= {2, 3, 4}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (AlgebraError, InternalInconsistencyError) as e:
+        return type(e).__name__, str(e)
+
+
+def _plant_outside(monkeypatch, H, vectors):
+    """Make H report each of vectors as a non-member, as a drift fault
+    would, for the stacked route and the loop alike."""
+    real = H.member_rows
+    bad = {np.asarray(v, dtype=np.int64).tobytes() for v in vectors}
+
+    def member_rows(V):
+        V = linalg.as_rows(V, H.algebra.dim)
+        return real(V) & np.array([v.tobytes() not in bad for v in V], dtype=bool)
+
+    monkeypatch.setattr(H, "member_rows", member_rows)
+
+
+F3_TRUNC = truncated_poly_algebra(F3, 10)
+SLOW = np.eye(10, dtype=np.int64)[0] + np.eye(10, dtype=np.int64)[1]  # 1 + x: 3 rounds to 1
+FAST = np.eye(10, dtype=np.int64)[4] + np.eye(10, dtype=np.int64)[5]  # x^4 + x^5: 1 to 0
+MINUS_ONE = 2 * np.eye(10, dtype=np.int64)[0]  # (-1)^2 - (-1) = 2 is not in (x)
+
+DEFECT = ("AlgebraError", "f^2 - f is not in H")
+NOT_NIL = ("AlgebraError", "ideal is not nilpotent within the dimension bound")
+DIVERGED = ("AlgebraError", "idempotent lift did not converge; H is not nil")
+DRIFT = ("InternalInconsistencyError", "lifted idempotent drifted out of f + H")
+CORNER = ("InternalInconsistencyError", "lifted idempotent escaped f*A*f")
+
+
+def _members_loop(A, rows, H):
+    return np.vstack([lift_idempotent_loop(A, f, H) for f in rows])
+
+
+def _not_nil():
+    raise AlgebraError("ideal is not nilpotent within the dimension bound")
+
+
+# (members, planted faults, expected outcome) over F3[x]/(x^10) with H = (x),
+# where Newton's step is g -> g^3: "drift z" reports g_z - f_z outside H,
+# "nu=1" reads the nilpotency index as 1 (two rounds, too few for 1 + x,
+# enough for x^4 + x^5), "not nil" makes it raise,
+# "corner z" reports g_z outside f_z*A*f_z; MINUS_ONE is a real defect fault
+PRECEDENCE = [
+    ((SLOW, MINUS_ONE), ("drift 0",), DRIFT),
+    ((MINUS_ONE, SLOW), ("drift 1",), DEFECT),
+    ((SLOW, MINUS_ONE), (), DEFECT),
+    ((MINUS_ONE, SLOW), ("not nil",), DEFECT),
+    ((SLOW, MINUS_ONE), ("not nil",), NOT_NIL),
+    ((FAST, SLOW), ("nu=1", "drift 0"), DRIFT),
+    ((SLOW, FAST), ("nu=1", "drift 0"), DIVERGED),
+    ((FAST, SLOW), ("nu=1",), DIVERGED),
+    ((SLOW, FAST), ("corner 0", "drift 1"), CORNER),
+    ((SLOW, FAST), ("corner 0", "drift 0"), DRIFT),
+    ((FAST, SLOW), ("corner 1", "drift 1"), DRIFT),
+    ((FAST, SLOW), ("corner 1",), CORNER),
+    ((SLOW, FAST), ("drift 1",), DRIFT),
+]
+
+
+@pytest.mark.parametrize("members,faults,expected", PRECEDENCE)
+def test_stacked_lift_raises_the_first_members_first_fault(monkeypatch, members, faults,
+                                                           expected):
+    """Members in order; within one, defect, nilpotency, convergence, drift,
+    corner: the stacked lift raises what the per-member loop raises."""
+    A, rows = F3_TRUNC, np.vstack(members)
+    H = radical(A)
+    # Newton's iterate after as many rounds as the lift takes, diverged or not
+    rounds = max(1, (1 if "nu=1" in faults else H.nilpotency_index()) - 1).bit_length() + 1
+    lifted = rows.copy()
+    for _ in range(rounds):
+        lifted = A.mul_rows(A.mul_rows(lifted, lifted), lifted)  # 3g^2 - 2g^3 = g^3 over F3
+    _plant_outside(monkeypatch, H, [F3.sub(lifted[int(f[-1])], rows[int(f[-1])])
+                                    for f in faults if f.startswith("drift")])
+    if "nu=1" in faults:
+        monkeypatch.setattr(H, "nilpotency_index", lambda: 1)
+    if "not nil" in faults:
+        monkeypatch.setattr(H, "nilpotency_index", _not_nil)
+    corner = [int(f[-1]) for f in faults if f.startswith("corner")]
+    if corner:
+        # the loop checks against corner_basis, the stack with _outside_spans
+        real_basis, real_outside = algebras.corner_basis, lifting._outside_spans
+        targets = {rows[z].tobytes() for z in corner}
+        monkeypatch.setattr(algebras, "corner_basis", lambda A, e, f: (
+            real_basis(A, e, f)[:0] if e.tobytes() in targets else real_basis(A, e, f)))
+
+        def outside(F, spans, V):
+            out = real_outside(F, spans, V)
+            out[corner] = True
+            return out
+
+        monkeypatch.setattr(lifting, "_outside_spans", outside)
+    assert _outcome(lambda: lifting._lift_rows(A, rows, H)) == expected
+    assert _outcome(lambda: _members_loop(A, rows, H)) == expected
+
+
+def test_precedence_inputs_lift_cleanly_without_faults():
+    A = F3_TRUNC
+    H = radical(A)
+    out = lifting._lift_rows(A, np.vstack([SLOW, FAST]), H)
+    assert out.tolist() == [[1] + [0] * 9, [0] * 10]
+    assert np.array_equal(out, _members_loop(A, np.vstack([SLOW, FAST]), H))
+
+
+T2 = upper_triangular_algebra(F3, 2)  # basis E11, E12, E22
+E11, E12, E22 = np.eye(3, dtype=np.int64)
+CONGRUENCE = "lifted member {z} is not congruent to its input"
+CLOSURE = "lifted member {z} violates the {side} closure choice"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("doctored,expected", [
+    # E11 + E12 is congruent to E11 but lies outside A*E11 = <E11> and
+    # E11*A = <E11, E12> only on the left; E22 + E11 is not congruent to E22
+    ((E11 + E12, E22 + E11), {"left": CLOSURE.format(z=0, side="left"),
+                              "right": CONGRUENCE.format(z=1)}),
+    ((E11 + E12 + E22, E22), {"left": CONGRUENCE.format(z=0),
+                              "right": CONGRUENCE.format(z=0)}),
+    ((E11, E22 + E12), {"left": None, "right": CLOSURE.format(z=1, side="right")}),
+])
+def test_final_checks_keep_member_order_and_congruence_first(monkeypatch, side, doctored,
+                                                             expected):
+    """orthogonalize's output replaced by members with real congruence and
+    closure faults: each member's congruence check comes before its closure
+    check, and members are checked in order, as in the loop."""
+    H = radical(T2)
+    rows = np.vstack([E11, E22])
+    real = lifting.orthogonalize
+
+    def doctor(A, singles, H, side="left"):
+        fam = real(A, singles, H, side=side)
+        fam.rows = np.vstack(doctored)
+        return fam
+
+    monkeypatch.setattr(lifting, "orthogonalize", doctor)
+    want = None if expected[side] is None else ("InternalInconsistencyError", expected[side])
+    for fn in (lift_orthogonal_family, lift_family_loop):
+        got = _outcome(lambda: fn(T2, rows, H, side=side))
+        assert (None if isinstance(got, lifting.IdempotentFamily) else got) == want
+
+
+def test_lift_in_the_zero_ring_returns_the_empty_row():
+    # every row of a 0-dimensional algebra is 0, which is idempotent
+    A = StructureAlgebra(F2, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                         check=False)
+    H = radical(A)
+    assert lift_idempotent(A, np.zeros(0, dtype=np.int64), H).shape == (0,)
+    assert lifting._lift_rows(A, np.zeros((3, 0), dtype=np.int64), H).shape == (3, 0)

@@ -377,6 +377,28 @@ def test_gf2_rref_of_tall_sparse_commutation_systems(m, n, g):
     _assert_gf2_rref_matches_oracle(K.T)
 
 
+@pytest.mark.parametrize("m,n", [(2, 1), (9, 8), (40, 7), (70, 64), (200, 65), (130, 129)])
+def test_tall_gf2_rref_matches_the_stacked_route(m, n):
+    # _rref_gf2 stops once every column has a pivot: full column rank with
+    # the pivots found early or only in the last row, rank-deficient ones
+    # that never stop early, and a zero matrix
+    F = GF(2)
+    rng = np.random.default_rng(m * n)
+    eye_first = np.zeros((m, n), dtype=np.int64)
+    eye_first[:n] = np.eye(n, dtype=np.int64)
+    last_needed = np.zeros((m, n), dtype=np.int64)
+    last_needed[: n - 1, : n - 1] = np.eye(n - 1, dtype=np.int64)
+    last_needed[-1] = 1
+    low_rank = linalg.matmul(F, random_matrix(F, rng, m, n - 1), random_matrix(F, rng, n - 1, n))
+    for M in (random_matrix(F, rng, m, n), eye_first, last_needed, low_rank,
+              np.zeros((m, n), dtype=np.int64)):
+        R, pivots = linalg._rref_gf2(M)
+        S, ranks = linalg._rref_stack_gf2(M[None])
+        assert len(pivots) == ranks[0] and np.array_equal(R, S[0, : ranks[0]])
+        assert not S[0, ranks[0]:].any()
+        _assert_gf2_rref_matches_oracle(M)
+
+
 # ---------------------------------------------------------------------------
 # One matrix over any other field: slots of one or two bytes
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Inputs are every bundled module and tower, the algebras of the lifting and
 perfectness suites, small algebras over GF(2), GF(3), GF(4), GF(5), GF(8)
 and GF(9), and random matrices over GF(2), GF(3), GF(4) and GF(9)."""
 
+import functools
 import random
 
 import numpy as np
@@ -319,6 +320,62 @@ def test_every_trace_form_of_radical_matches_the_pair_loop(monkeypatch, A):
     assert seen
     for mats, p, i, out in seen:
         assert np.array_equal(out, trace_gram_loop(mats, p, i))
+
+
+@functools.lru_cache(maxsize=None)
+def _divisible_level_matrices(p: int, i: int):
+    """(mats, trace_gram_loop of them): m matrices over F_p whose level-i
+    divided traces exist, p^i copies of a random b x b block B_s on the
+    diagonal, rows and columns under one seeded permutation, so that
+    tr((M_s M_t)^(p^i)) = p^i tr((B_s B_t)^(p^i))."""
+    rng = np.random.default_rng(10 * p + i)
+    copies = p ** i
+    m, b = (5, 2) if copies < 27 else (3, 1)
+    blocks = rng.integers(0, p, size=(m, b, b))
+    mats = np.stack([np.kron(np.eye(copies, dtype=np.int64), B) for B in blocks])
+    perm = rng.permutation(copies * b)
+    mats = mats[:, perm][:, :, perm]
+    return mats, trace_gram_loop(mats, p, i)
+
+
+@pytest.mark.parametrize("p,i", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("budget", ["1 pair", "P - 1 pairs", "P + 3 pairs"])
+def test_level_gram_chunks_match_the_pair_loop(monkeypatch, p, i, budget):
+    """Every chunk size gives the pair loop's Gram matrix, from one
+    matmul_mod and one _batch_power_mod per chunk."""
+    mats, want = _divisible_level_matrices(p, i)
+    m = mats.shape[0]
+    pairs = m * (m + 1) // 2
+    chunk = {"1 pair": 1, "P - 1 pairs": pairs - 1, "P + 3 pairs": pairs + 3}[budget]
+    calls, inside = [], []
+    real_product, real_power = algebras.matmul_mod, algebras._batch_power_mod
+
+    def product(*args):
+        if not inside:  # the products of the power are its own
+            calls.append("matmul_mod")
+        return real_product(*args)
+
+    def power(*args):
+        calls.append("_batch_power_mod")
+        inside.append(1)
+        try:
+            return real_power(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(algebras, "_gram_chunk", lambda m_dim, N: chunk)
+    monkeypatch.setattr(algebras, "matmul_mod", product)
+    monkeypatch.setattr(algebras, "_batch_power_mod", power)
+    out = algebras._trace_gram(mats, p, i)
+    assert want.any() and np.array_equal(out, want)
+    assert calls == ["matmul_mod", "_batch_power_mod"] * -(-pairs // chunk)
+
+
+@pytest.mark.parametrize("m,N", [(1, 1), (4, 5), (20, 26), (3, 200), (300, 40)])
+def test_level_gram_chunk_bounds_every_stack(m, N):
+    # a chunk's stacks hold at most max(m*N^2, GRAM_BLOCK) integers
+    chunk = algebras._gram_chunk(m, N)
+    assert chunk >= 1 and chunk * N * N <= max(m * N * N, algebras.GRAM_BLOCK)
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
