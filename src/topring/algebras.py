@@ -495,17 +495,19 @@ def _batch_power_mod(W: np.ndarray, e: int, m: int) -> np.ndarray:
     return result
 
 
-# Integers of one stacked operand of a level >= 1 trace-form chunk, unless
-# one Gram row's products are more.  FLOAT_BLOCK (2^18) raised the largest
-# traced allocation of a ring-ladder op from 2.9 to 3.7 MB; 2^16 keeps it.
-GRAM_BLOCK = 1 << 16
+# Integers of one stack formed for many elements at once: a stacked operand
+# of a level >= 1 trace-form chunk, unless one Gram row's products are
+# more, or the block-diagonal matrix of lifting._outside_spans, unless one
+# span is more.  FLOAT_BLOCK (2^18) raised the largest traced allocation of
+# a ring-ladder op from 2.9 to 3.7 MB; 2^16 keeps it.
+STACK_BLOCK = 1 << 16
 
 
 def _gram_chunk(m_dim: int, N: int) -> int:
     """Pairs per chunk of a level >= 1 trace form on m_dim matrices of
-    size N: a stack of a chunk holds at most max(m_dim*N^2, GRAM_BLOCK)
+    size N: a stack of a chunk holds at most max(m_dim*N^2, STACK_BLOCK)
     integers, the products of one Gram row or one block."""
-    return max(m_dim, GRAM_BLOCK // (N * N), 1)
+    return max(m_dim, STACK_BLOCK // (N * N), 1)
 
 
 def _trace_gram(mats: np.ndarray, p: int, i: int) -> np.ndarray:

@@ -18,12 +18,14 @@ through the transition maps.  The three operations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from topring import linalg
 from topring.algebras import (
+    STACK_BLOCK,
     AlgebraError,
     InternalInconsistencyError,
     StructureAlgebra,
@@ -64,9 +66,8 @@ def _lift_rows(A: StructureAlgebra, rows: np.ndarray, H: SubspaceIdeal) -> np.nd
     Newton's step runs on the rows not yet idempotent, one mul_rows pair
     per round; an idempotent is a fixed point of it, so a row that has
     converged stays as the one-row iteration leaves it.  Defects and drifts
-    are one member_rows each.  g_z lies in f_z*A*f_z iff the span of the
-    rows f_z*e_j*f_z has the same rank with g_z as without it: one stacked
-    rref of every span without and with its row.  A failure is raised for
+    are one member_rows each, and _outside_spans tests g_z against the span
+    of the rows f_z*e_j*f_z for every z at once.  A failure is raised for
     the first failing row, and within a row in the order defect,
     nilpotency of H, convergence, drift, corner."""
     F = A.field
@@ -94,10 +95,12 @@ def _lift_rows(A: StructureAlgebra, rows: np.ndarray, H: SubspaceIdeal) -> np.nd
     diverged = np.zeros(k, dtype=bool)
     diverged[active] = True
     drift_ok = H.member_rows(F.sub(g, rows))
-    # row j of span z is f_z * e_j * f_z
-    left = A.mul_pairs(rows, np.eye(n, dtype=np.int64)).reshape(k * n, n)
-    corners = A.mul_rows(left, np.repeat(rows, n, axis=0)).reshape(k, n, n)
-    escaped = g.any(axis=1) & _outside_spans(F, corners, g)
+    # row j of span z is f_z * e_j * f_z: row j of L_z @ R_z, with row j of
+    # L_z = f_z * e_j and row i of R_z = e_i * f_z
+    eye = np.eye(n, dtype=np.int64)
+    corners = F.contract("sij,sjk->sik", A.mul_pairs(rows, eye),
+                         A.mul_pairs(eye, rows).transpose(1, 0, 2))
+    escaped = _outside_spans(F, corners, g)
     for z in range(k):
         if not defect_ok[z]:
             raise AlgebraError("f^2 - f is not in H")
@@ -112,13 +115,26 @@ def _lift_rows(A: StructureAlgebra, rows: np.ndarray, H: SubspaceIdeal) -> np.nd
 
 def _outside_spans(F, spans: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Mask of the rows V[z] outside the row space of spans[z], a stack
-    (k, h, n): rank [spans[z]; V[z]] > rank spans[z], from one stacked rref."""
+    (k, h, n).
+
+    The RREF of a block-diagonal matrix is the block-diagonal of the RREFs
+    of its blocks, so one 2-D rref of diag(spans[z]) and one residual of
+    the rows V[z], each placed in its block's columns, test a group of
+    members at once.  A group's matrix holds at most STACK_BLOCK entries
+    unless one span is more."""
     k, h, n = spans.shape
-    stack = np.zeros((2 * k, h + 1, n), dtype=np.int64)
-    stack[:k, :h] = stack[k:, :h] = spans
-    stack[k:, h] = V
-    ranks = linalg.rref(F, stack)[1]
-    return ranks[k:] > ranks[:k]
+    group = max(1, math.isqrt(STACK_BLOCK // max(h * n, 1)))
+    outside = np.zeros(k, dtype=bool)
+    for lo in range(0, k, group):
+        c = min(group, k - lo)
+        diag = np.arange(c)
+        D = np.zeros((c, h, c, n), dtype=np.int64)
+        D[diag, :, diag] = spans[lo:lo + c]
+        W = np.zeros((c, c, n), dtype=np.int64)
+        W[diag, diag] = V[lo:lo + c]
+        R, pivots = linalg.rref(F, D.reshape(c * h, c * n))
+        outside[lo:lo + c] = linalg.residual(F, R, pivots, W.reshape(c, c * n)).any(axis=1)
+    return outside
 
 
 def orthogonalize(
@@ -187,7 +203,7 @@ def lift_orthogonal_family(
     eye = np.eye(A.dim, dtype=np.int64)
     spans = (A.mul_pairs(eye, rows).transpose(1, 0, 2) if side == "left"
              else A.mul_pairs(rows, eye))
-    escaped = fam.rows.any(axis=1) & _outside_spans(F, spans, fam.rows)
+    escaped = _outside_spans(F, spans, fam.rows)
     for z in range(k):
         if not congruent[z]:
             raise InternalInconsistencyError(f"lifted member {z} is not congruent to its input")

@@ -288,6 +288,35 @@ def test_stacked_family_lift_matches_the_member_loop(case, side):
         assert np.array_equal(lift_idempotent(A, f, H), lift_idempotent_loop(A, f, H))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("budget", [1, 100, 1 << 16])
+def test_outside_spans_matches_membership_per_member(monkeypatch, q, budget):
+    # one block-diagonal rref per group of members: groups of 1, of 2 (the
+    # last one of 1) and of all k = 7; spans of every rank, zero and full
+    # rank among them, rows inside and outside, and the zero row
+    F = GF(2, 2) if q == 4 else GF(q)
+    rng = np.random.default_rng(q)
+    k, h, n = 7, 4, 5
+    spans = rng.integers(0, q, size=(k, h, n))
+    spans[0] = 0
+    spans[1] = np.eye(h, n, dtype=np.int64)
+    spans[2, 1:] = 0
+    V = rng.integers(0, q, size=(k, n))
+    V[3] = F.add(spans[3, 0], spans[3, 2])
+    V[4] = 0
+    V[5] = spans[5, 1]
+    monkeypatch.setattr(lifting, "STACK_BLOCK", budget)
+    shapes = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda F, M: shapes.append(M.shape) or real(F, M))
+    got = lifting._outside_spans(F, spans, V)
+    assert shapes == {1: [(4, 5)] * 7, 100: [(8, 10)] * 3 + [(4, 5)],
+                      1 << 16: [(28, 35)]}[budget]
+    monkeypatch.setattr(linalg, "rref", real)
+    want = [not linalg.in_row_space(F, s, v) for s, v in zip(spans, V)]
+    assert got.tolist() == want and any(want) and not all(want)
+
+
 def test_semisimple_cases_are_covered():
     assert any(H.is_zero() for _, _, H, _ in LIFT_CASES)
     assert {A.field.q for _, A, H, _ in LIFT_CASES if not H.is_zero()} >= {2, 3, 4}

@@ -373,9 +373,9 @@ def test_level_gram_chunks_match_the_pair_loop(monkeypatch, p, i, budget):
 
 @pytest.mark.parametrize("m,N", [(1, 1), (4, 5), (20, 26), (3, 200), (300, 40)])
 def test_level_gram_chunk_bounds_every_stack(m, N):
-    # a chunk's stacks hold at most max(m*N^2, GRAM_BLOCK) integers
+    # a chunk's stacks hold at most max(m*N^2, STACK_BLOCK) integers
     chunk = algebras._gram_chunk(m, N)
-    assert chunk >= 1 and chunk * N * N <= max(m * N * N, algebras.GRAM_BLOCK)
+    assert chunk >= 1 and chunk * N * N <= max(m * N * N, algebras.STACK_BLOCK)
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=repr)
