@@ -121,38 +121,33 @@ class StructureAlgebra:
 
     # -- multiplication -----------------------------------------------------
 
+    def lmul_matrix(self, X: np.ndarray) -> np.ndarray:
+        """L_x with x * y == y @ L_x for every row y, for each element x of
+        the stack X: shape (..., n) to (..., n, n).  Row j of L_x is x * e_j.
+
+        Every product and action of the algebra comes from this method and
+        rmul_matrix; outside the class only hom_failures, the default
+        representation of the radical, the direct-sum and tensor
+        constructors and the file writer read c."""
+        L = self.field.contract("hi,ijk->hjk", linalg.as_rows(X, self.dim), self.c)
+        return L.reshape(np.shape(X) + (self.dim,))
+
+    def rmul_matrix(self, X: np.ndarray) -> np.ndarray:
+        """R_x with y * x == y @ R_x for every row y, for each element x of
+        the stack X: shape (..., n) to (..., n, n).  Row i of R_x is e_i * x."""
+        R = self.field.contract("hj,ijk->hik", linalg.as_rows(X, self.dim), self.c)
+        return R.reshape(np.shape(X) + (self.dim,))
+
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        F = self.field
-        return F.contract("ij,ijk->k", F.contract("i,j->ij", x, y), self.c)
+        return self.mul_rows(np.asarray(x)[None], np.asarray(y)[None])[0]
 
     def mul_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Rowwise products of two stacks of elements, shape (m, n)."""
-        F = self.field
-        left = F.contract("mi,ijk->mjk", X, self.c)
-        return F.contract("mj,mjk->mk", Y, left)
+        return self.field.contract("mj,mjk->mk", Y, self.lmul_matrix(X))
 
     def mul_pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """All products x * y of two stacks, shape (|X|, |Y|, n), x-major."""
-        F = self.field
-        return F.contract("vj,hjk->hvk", Y, F.contract("hi,ijk->hjk", X, self.c))
-
-    def lmul_matrix(self, x: np.ndarray) -> np.ndarray:
-        """L with x * y == y @ L for every row y."""
-        return self.field.contract("i,ijk->jk", x, self.c)
-
-    def rmul_matrix(self, x: np.ndarray) -> np.ndarray:
-        """R with y * x == y @ R for every row y."""
-        return self.field.contract("j,ijk->ik", x, self.c)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray | None:
-        """Two-sided inverse, or None.  Left inverses are two-sided here."""
-        L = self.lmul_matrix(x)
-        y = linalg.solve_left(self.field, L, self.unit)
-        if y is None:
-            return None
-        if not np.array_equal(self.mul(y, x), self.unit):
-            return None
-        return y
+        return self.field.contract("vj,hjk->hvk", Y, self.lmul_matrix(X))
 
     def is_idempotent(self, x: np.ndarray) -> bool:
         return np.array_equal(self.mul(x, x), np.asarray(x))
@@ -392,13 +387,12 @@ def _side_products(A: StructureAlgebra, basis: np.ndarray, side: str):
         products first when both are present; names[s] formats a failure
         message for slot s from r and j.
     """
-    F = A.field
     prods, names = [], []
     if side in ("right", "two"):
-        prods.append(F.contract("ri,ijk->rjk", basis, A.c))
+        prods.append(A.lmul_matrix(basis))
         names.append("h_{r} * e_{j} escapes")
     if side in ("left", "two"):
-        prods.append(F.contract("ri,jik->rjk", basis, A.c))
+        prods.append(A.rmul_matrix(basis))
         names.append("e_{j} * h_{r} escapes")
     return np.stack(prods, axis=2), names
 
@@ -445,7 +439,7 @@ def quotient(A: StructureAlgebra, I: SubspaceIdeal):
 def _quotient(A: StructureAlgebra, I: SubspaceIdeal):
     F = A.field
     proj, section = linalg.quotient_maps(F, I.basis, A.dim)
-    cq = F.contract("abk,kc->abc", A.mul_pairs(section, section), proj)
+    cq = F.contract("ijk,kl->ijl", A.mul_pairs(section, section), proj)
     unit_q = linalg.matvec(F, A.unit, proj)
     Q = StructureAlgebra(F, cq, unit_q, check=True)
     # surjective unital homomorphism with kernel exactly I, verified
@@ -650,11 +644,8 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
     elements = A.all_elements()
     # all_elements lists x at its base-q code sum_i x_i q^i
     codes = F.q ** np.arange(n, dtype=np.int64)
-    lmul = F.contract("vi,ijk->vjk", elements, A.c)
-    rmul = F.contract("vj,ijk->vik", elements, A.c)
     # 1 - z is a unit iff left multiplication by it has full rank
-    one_minus = F.contract("vi,ijk->vjk", F.sub(A.unit[None, :], elements), A.c)
-    unit_ok = linalg.rref(F, one_minus)[1] == n
+    unit_ok = linalg.rref(F, A.lmul_matrix(F.sub(A.unit[None, :], elements)))[1] == n
 
     def on_every_span_element(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
         """Per matrix of the stack, whether ok holds at every element of
@@ -671,8 +662,8 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
         return out
 
     # y*A is the row space of L_y, A*x that of R_x
-    right_multiples_ok = on_every_span_element(lmul, unit_ok)
-    members = elements[on_every_span_element(rmul, right_multiples_ok)]
+    right_multiples_ok = on_every_span_element(A.lmul_matrix(elements), unit_ok)
+    members = elements[on_every_span_element(A.rmul_matrix(elements), right_multiples_ok)]
     basis = linalg.row_space_basis(F, members) if len(members) else np.zeros((0, n), dtype=np.int64)
     # the member set must be exactly the subspace it spans
     if F.q ** basis.shape[0] != len(members):

@@ -130,7 +130,7 @@ def bass_flat(R: StructureAlgebra,
     L = ext.shape[1]
     # P[s, h] is the right multiplication by term h of sequence s, then,
     # in place, the prefix product of its first h + 1 terms
-    P = F.contract("shj,ijk->shik", ext, R.c)
+    P = R.rmul_matrix(ext)
     for h in range(1, L):
         P[:, h] = F.contract("sij,sjk->sik", P[:, h - 1], P[:, h])
     ranks = linalg.rref(F, P.reshape(S * L, n, n))[1].reshape(S, L)
@@ -442,7 +442,7 @@ def _greedy_cyclic_chain(Mod: FiniteModule, depth: int, rng: random.Random):
         # candidate c's cyclic submodule, as in cyclic_submodule, is the
         # row space of matrix c of the contraction; one rref reduces them all
         V = np.stack(candidates(space))
-        R, ranks = linalg.rref(F, F.contract("cj,ijk->cik", V, eff))
+        R, ranks = linalg.rref(F, F.contract("hj,ijk->hik", V, eff))
         fits = np.flatnonzero((ranks > 0) & (ranks < limit))
         if fits.size == 0:
             break

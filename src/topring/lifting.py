@@ -8,7 +8,7 @@ through the transition maps.  The three operations:
     defect g^2 - g each round, so log2(nilpotency index) + 1 rounds reach an
     exact idempotent inside f*A*f congruent to f.
   * orthogonalize: given exact idempotents whose products in one direction
-    lie in a nil ideal and whose sum u is invertible, u^{-1}e_z (or
+    lie in a nil ideal H and whose sum u lies in 1 + H, u^{-1}e_z (or
     e_z*u^{-1}) is a complete orthogonal family.
   * lift_orthogonal_family: the composite, from idempotents-mod-H with all
     pairwise products in H and sum in 1 + H.  The whole family is lifted
@@ -144,10 +144,16 @@ def orthogonalize(
     side: str = "left",
 ) -> IdempotentFamily:
     """Complete orthogonal family from exact idempotents e_z with
-    e_w e_z in H for z < w (input order) and invertible sum u.
+    e_w e_z in H for z < w (input order) and sum u in 1 + H.
 
     Returns u^{-1}e_z for side "left", e_z u^{-1} for side "right"; when
     u = 1 the input is returned unchanged (and was already orthogonal).
+    u^{-1} is the geometric series of invert_in_one_plus_H, which raises
+    AlgebraError for a sum outside 1 + H.  No caller passes one:
+    lift_orthogonal_family checks that the sum of its f_z lies in 1 + H,
+    and each lift e_z is congruent to f_z mod H, so the sum of the e_z
+    does too; the acceptance suite's direct call passes an exactly
+    orthogonal complete family, whose sum is 1.
     """
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
@@ -163,12 +169,7 @@ def orthogonalize(
             if not in_H[w, z]:
                 raise AlgebraError(f"half-orthogonality fails at pair ({w}, {z})")
     u = F.fsum(rows, axis=0)
-    if H.contains(F.sub(u, A.unit)):
-        u_inv = invert_in_one_plus_H(A, u, H)
-    else:
-        u_inv = A.inverse(u)
-        if u_inv is None:
-            raise AlgebraError("sum of the family is not invertible")
+    u_inv = invert_in_one_plus_H(A, u, H)
     if side == "left":
         out = A.mul_pairs(u_inv[None, :], rows)[0]
     else:

@@ -281,7 +281,7 @@ def mat_mul(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
             if c < n:
                 known[x, c] = v
     # ent[x, z] = sum_y a[x, y] * b[y, z] in the base ring
-    left = F.contract("xyi,ijk->xyjk", known, A.c)
+    left = A.lmul_matrix(known)
     ent = F.contract("xyjk,yzj->xzk", left, b.entries[:, :W])
     # two lists, so that setting a row of one leaves the other as it is
     tails, precisions = [_zero_basis(A.dim)] * W, [_zero_basis(A.dim)] * W
@@ -552,8 +552,9 @@ def free_contra_corner(base: StructureAlgebra, y_kind: str, window: int, x: int,
     if y_kind == "finite":
         if tail_basis.shape[0]:
             raise WindowError("finite corners take no tail ideal")
-        # e_t acts as I_window (x) L_t^T, with L_t = c[t] its left multiplication
-        stored = np.einsum("yz,tba->tyazb", np.eye(window, dtype=np.int64), base.c).reshape(
+        # e_t acts as I_window (x) L_t^T, with L_t its left multiplication
+        L = base.lmul_matrix(np.eye(base.dim, dtype=np.int64))
+        stored = np.einsum("yz,tba->tyazb", np.eye(window, dtype=np.int64), L).reshape(
             base.dim, window * base.dim, window * base.dim)
         module = FiniteModule(base, stored, side="left", check=True)
     else:
@@ -620,8 +621,9 @@ def contratensor(N: FiniteModule, x_count: int) -> ContratensorResult:
 
     # prime-field matrices: right mult on N, left and right mult on R
     NR = prime_mults(N.eff_basis())
-    RL = prime_mults(R.c)
-    RRm = prime_mults(np.swapaxes(R.c, 0, 1))
+    eye_r = np.eye(R.dim, dtype=np.int64)
+    RL = prime_mults(R.lmul_matrix(eye_r))
+    RRm = prime_mults(R.rmul_matrix(eye_r))
     eye_x = np.eye(x_count, dtype=np.int64)
 
     T = Np * Cp

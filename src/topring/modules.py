@@ -70,27 +70,30 @@ class FiniteModule:
         m = self.dim
         if m == 0:
             return []
-        unit_mat = self.act(A.unit)
-        if not np.array_equal(unit_mat, np.eye(m, dtype=np.int64)):
+        if not np.array_equal(self.eff(A.unit), np.eye(m, dtype=np.int64)):
             out.append("unit does not act as identity")
+        # row j of L[i] is e_i e_j; on both sides the stored matrices
+        # multiply as the elements do, and on the left eff is their transpose
+        L = A.lmul_matrix(np.eye(A.dim, dtype=np.int64))
         for i in range(A.dim):
-            # lhs[j] acts as e_i e_j, rhs[j] is act(e_i) act(e_j)
-            lhs = F.contract("jk,kab->jab", A.c[i], self.action)
-            rhs = F.contract("ab,jbc->jac", self.action[i], self.action)
+            # lhs[j] is e_i e_j as stored, rhs[j] is action[i] @ action[j]
+            lhs = self.eff(L[i])
+            if self.side == "left":
+                lhs = np.swapaxes(lhs, 1, 2)
+            rhs = F.contract("jk,gkl->gjl", self.action[i], self.action)
             for j in np.flatnonzero((lhs != rhs).any(axis=(1, 2))):
                 out.append(f"action not multiplicative at (e_{i}, e_{j})")
                 if len(out) > 16:
                     return out
         return out
 
-    def act(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of the algebra element x (side-independent storage form)."""
-        return linalg.lincomb(self.algebra.field, x, self.action)
-
-    def eff(self, x: np.ndarray) -> np.ndarray:
-        """Matrix E with 'x acting on v' == v @ E, honoring the side."""
-        M = self.act(x)
-        return M if self.side == "right" else M.T
+    def eff(self, X: np.ndarray) -> np.ndarray:
+        """Matrices E_x with 'x acting on v' == v @ E_x, honoring the side,
+        for each element x of the stack X: shape (..., algebra.dim) to
+        (..., dim, dim)."""
+        E = self.algebra.field.contract(
+            "hi,ijk->hjk", linalg.as_rows(X, self.algebra.dim), self.eff_basis())
+        return E.reshape(np.shape(X)[:-1] + (self.dim, self.dim))
 
     def eff_basis(self) -> np.ndarray:
         return self.action if self.side == "right" else np.swapaxes(self.action, 1, 2)
@@ -105,13 +108,14 @@ class FiniteModule:
 
 
 def right_regular_module(A: StructureAlgebra) -> FiniteModule:
-    # action[i][a, k] = c[a, i, k]: right multiplication by e_i
-    return FiniteModule(A, np.transpose(A.c, (1, 0, 2)), side="right", check=False)
+    # action[i] is right multiplication by e_i
+    return FiniteModule(A, A.rmul_matrix(np.eye(A.dim, dtype=np.int64)), side="right", check=False)
 
 
 def left_regular_module(A: StructureAlgebra) -> FiniteModule:
-    # action[i][k, j] = c[i, j, k]: left multiplication by e_i, transposed
-    return FiniteModule(A, np.transpose(A.c, (0, 2, 1)), side="left", check=False)
+    # action[i] is left multiplication by e_i, transposed
+    L = A.lmul_matrix(np.eye(A.dim, dtype=np.int64))
+    return FiniteModule(A, np.swapaxes(L, 1, 2), side="left", check=False)
 
 
 def submodule_module(M: FiniteModule, basis: np.ndarray):
@@ -125,7 +129,7 @@ def submodule_module(M: FiniteModule, basis: np.ndarray):
     basis = linalg.row_space_basis(F, np.asarray(basis, dtype=np.int64).reshape(-1, M.dim))
     k = basis.shape[0]
     # moved[i, r] is basis row r acted on by e_i
-    moved = F.contract("rj,ijk->irk", basis, M.eff_basis())
+    moved = F.contract("jk,gkl->gjl", basis, M.eff_basis())
     sub_eff = linalg.solve_left(F, basis, moved.reshape(-1, M.dim))
     if sub_eff is None:
         raise AlgebraError("subspace is not action-closed")
@@ -144,7 +148,7 @@ def quotient_module(M: FiniteModule, basis: np.ndarray):
     F = M.algebra.field
     proj, section = linalg.quotient_maps(F, basis, M.dim)
     # q_eff[i] = section @ eff[i] @ proj
-    q_eff = F.contract("irk,kl->irl", F.contract("rj,ijk->irk", section, M.eff_basis()), proj)
+    q_eff = F.contract("ijk,kl->ijl", F.contract("jk,gkl->gjl", section, M.eff_basis()), proj)
     action = q_eff if M.side == "right" else np.swapaxes(q_eff, 1, 2)
     Q = FiniteModule(M.algebra, action, side=M.side, check=False)
     if module_map_failures(M, Q, proj).size:
@@ -180,11 +184,6 @@ def cyclic_submodule(M: FiniteModule, v: np.ndarray) -> np.ndarray:
     return linalg.row_space_basis(F, F.contract("j,ijk->ik", v, M.eff_basis()))
 
 
-def _eff_stack(M: FiniteModule, X: np.ndarray) -> np.ndarray:
-    """The matrices M.eff(x) of the rows x of X, shape (|X|, dim, dim)."""
-    return M.algebra.field.contract("hi,ijk->hjk", X, M.eff_basis())
-
-
 def module_map_failures(M: FiniteModule, N: FiniteModule, T: np.ndarray) -> np.ndarray:
     """Indices of the algebra generators g at which v -> v @ T from M to N
     is not a module map: M.eff(g) @ T != T @ N.eff(g).
@@ -193,8 +192,8 @@ def module_map_failures(M: FiniteModule, N: FiniteModule, T: np.ndarray) -> np.n
     an empty result means T is a module map."""
     F = M.algebra.field
     gens = M.algebra.generator_elements()
-    lhs = F.contract("gjk,kl->gjl", _eff_stack(M, gens), T)
-    rhs = F.contract("jk,gkl->gjl", T, _eff_stack(N, gens))
+    lhs = F.contract("ijk,kl->ijl", M.eff(gens), T)
+    rhs = F.contract("jk,gkl->gjl", T, N.eff(gens))
     return np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
 
 
@@ -208,18 +207,18 @@ def radical_of_module(M: FiniteModule) -> np.ndarray:
     """
     F = M.algebra.field
     rad = radical(M.algebra)
-    return linalg.row_space_basis(F, _eff_stack(M, rad.basis).reshape(rad.dim * M.dim, M.dim))
+    return linalg.row_space_basis(F, M.eff(rad.basis).reshape(rad.dim * M.dim, M.dim))
 
 
 def radical_series(M: FiniteModule) -> list[np.ndarray]:
     """Bases of M >= M*H >= M*H^2 >= ... down to 0 (strictly descending)."""
     F = M.algebra.field
     rad = radical(M.algebra)
-    effs = _eff_stack(M, rad.basis)
+    effs = M.eff(rad.basis)
     series = [np.eye(M.dim, dtype=np.int64)]
     current = series[0]
     while current.shape[0]:
-        rows = F.contract("rj,hjk->hrk", current, effs).reshape(-1, M.dim)
+        rows = F.contract("jk,gkl->gjl", current, effs).reshape(-1, M.dim)
         nxt = linalg.row_space_basis(F, rows)
         if nxt.shape[0] == current.shape[0]:
             raise InternalInconsistencyError("radical series stalled; algebra radical is not nil")
@@ -247,8 +246,8 @@ def hom_space(M: FiniteModule, N: FiniteModule) -> np.ndarray:
     m, n = M.dim, N.dim
     ia, ib = np.arange(m), np.arange(n)
     K = np.zeros((gens.shape[0], m, n, m, n), dtype=np.int64)
-    K[:, :, ib, :, ib] = _eff_stack(M, gens)
-    K[:, ia, :, ia, :] = F.sub(K[:, ia, :, ia, :], np.swapaxes(_eff_stack(N, gens), 1, 2))
+    K[:, :, ib, :, ib] = M.eff(gens)
+    K[:, ia, :, ia, :] = F.sub(K[:, ia, :, ia, :], np.swapaxes(N.eff(gens), 1, 2))
     K = K.reshape(gens.shape[0] * m * n, m * n)
     null = linalg.row_space_basis(F, linalg.right_null_basis(F, K))
     return null.reshape(null.shape[0], m, n)
@@ -300,7 +299,7 @@ def endo_algebra(M: FiniteModule):
     targets = np.vstack([unit_flat, linalg.as_rows(composites, M.dim * M.dim)])
     if not np.array_equal(linalg.matmul(F, coords, flat), targets):
         raise InternalInconsistencyError("hom space is not closed under composition")
-    effs = _eff_stack(M, M.algebra.generator_elements())
+    effs = M.eff(M.algebra.generator_elements())
     # G_g @ H_r at [g, r] against H_r @ G_g at [r, g]
     moved = (F.contract("itk,jkl->ijtl", effs, homs)
              != np.swapaxes(F.contract("itk,jkl->ijtl", homs, effs), 0, 1)).any(axis=(0, 2, 3))
@@ -393,8 +392,7 @@ def decompose_indecomposable(M: FiniteModule, seed: int = 0) -> DecompositionCer
         if EN.cardinality() <= 1024:
             elements = EN.all_elements()
             # x is a unit iff left multiplication by x has full rank
-            lmul = F.contract("vi,ijk->vjk", elements, EN.c)
-            units = linalg.rref(F, lmul)[1] == EN.dim
+            units = linalg.rref(F, EN.lmul_matrix(elements))[1] == EN.dim
             if np.any(units == radN.member_rows(elements)):
                 raise InternalInconsistencyError("non-unit set differs from the endo radical")
             idems = int((EN.mul_rows(elements, elements) == elements).all(axis=1).sum())
@@ -432,7 +430,7 @@ def verify_decomposition(cert: DecompositionCertificate) -> None:
     k = len(cert.idempotents)
     P = np.asarray(cert.idempotents, dtype=np.int64).reshape(k, m, m)
     # prods[z, w] is P_z P_w
-    prods = F.contract("zab,wbc->zwac", P, P)
+    prods = F.contract("itk,jkl->ijtl", P, P)
     diag = np.arange(k)
     not_idempotent = (prods[diag, diag] != P).any(axis=(1, 2))
     not_orthogonal = prods.any(axis=(2, 3))
@@ -460,7 +458,7 @@ def composition_length(M: FiniteModule) -> int:
     Q, _, section = quotient(A, radical(A))
     W = wedderburn(Q)
     lifts = linalg.matmul(F, np.array([f.central_idempotent for f in W.factors]), section)
-    effs = _eff_stack(M, lifts)
+    effs = M.eff(lifts)
     series = radical_series(M)
     total = 0
     for top, below in zip(series, series[1:]):

@@ -307,8 +307,8 @@ def _build_model_and_iso(A: StructureAlgebra, factors: list[SimpleFactor]):
         # corner_basis is RREF: coordinates are the entries at its pivots
         pivots = [int(np.flatnonzero(row)[0]) for row in f.corner_basis]
         # D[i, j, t] is E_0i * e_t * E_j0: left multiplication by E_0i, then right by E_j0
-        D = F.contract("itk,jkl->ijtl", F.contract("ia,ajk->ijk", f.matrix_units[0], A.c),
-                       F.contract("jb,abk->jak", f.matrix_units[:, 0], A.c))
+        D = F.contract("itk,jkl->ijtl", A.lmul_matrix(f.matrix_units[0]),
+                       A.rmul_matrix(f.matrix_units[:, 0]))
         coords = D[..., pivots]
         if not np.array_equal(F.contract("ijtp,pl->ijtl", coords, f.corner_basis), D):
             raise InternalInconsistencyError("corner coordinate extraction failed")

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from topring.algebras import (
     upper_triangular_algebra,
 )
 from topring.fields import GF
+from topring.modules import left_regular_module, right_regular_module
 from topring.serialize import Loader
 
 from oracles import (
@@ -56,6 +58,34 @@ F4 = GF(2, 2)
 F5 = GF(5)
 F8 = GF(2, 3)
 F9 = GF(3, 2)
+
+# the top-level definitions that may read StructureAlgebra.c, per file
+C_READERS = {
+    "algebras.py": {"StructureAlgebra", "hom_failures", "_radical", "product_algebra",
+                    "tensor_algebra"},
+    "serialize.py": {"write_algebra"},
+}
+
+
+def test_only_algebras_reads_structure_constants():
+    # every other product and action comes from lmul_matrix and rmul_matrix;
+    # a read is the token c after the token ".", so the comments and
+    # docstrings that name E.c do not count
+    src = Path(algebras.__file__).parent
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        readers = C_READERS.get(path.name, set())
+        with path.open("rb") as f:
+            tokens = list(tokenize.tokenize(f.readline))
+        top = None  # the top-level definition the token lies in
+        for prev, tok in zip(tokens, tokens[1:]):
+            if tok.type == tokenize.NAME and tok.start[1] == 0:
+                top = None
+            if prev.string in ("def", "class") and prev.start[1] == 0:
+                top = tok.string
+            elif prev.string == "." and tok.string == "c" and top not in readers:
+                hits.append(f"{path.name}:{tok.start[0]}")
+    assert hits == []
 
 
 def mat2_over_dual_numbers():
@@ -421,14 +451,36 @@ def test_multiplication_matrices_agree(a_code, b_code):
     assert not A.evaluate_poly(A.min_poly(x), x).any()
 
 
-def test_mul_rows_batches_match_scalar_products():
-    A = mat2_over_dual_numbers()
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=str)
+@pytest.mark.parametrize("lead", [(), (0,), (3,), (2, 2)], ids=str)
+def test_stacked_products_and_actions_match_the_table_oracle(F, lead):
+    # lmul_matrix, rmul_matrix, mul, mul_rows and the actions of both
+    # regular modules on a stack of elements of shape lead + (n,), entry by
+    # entry against the per-element table product
     rng = np.random.default_rng(3)
-    X = rng.integers(0, 2, size=(10, 8)).astype(np.int64)
-    Y = rng.integers(0, 2, size=(10, 8)).astype(np.int64)
-    batch = A.mul_rows(X, Y)
-    for i in range(10):
-        assert np.array_equal(batch[i], A.mul(X[i], Y[i]))
+    mat2_dual = tensor_algebra(matrix_algebra(F, 2), truncated_poly_algebra(F, 2))
+    for A in (mat2_dual, upper_triangular_algebra(F, 2), _zero_dimensional(F)):
+        n = A.dim
+        eye = np.eye(n, dtype=np.int64)
+        X = rng.integers(0, F.q, size=lead + (n,)).astype(np.int64)
+        Y = rng.integers(0, F.q, size=lead + (n,)).astype(np.int64)
+        L, R = A.lmul_matrix(X), A.rmul_matrix(X)
+        right, left = right_regular_module(A).eff(X), left_regular_module(A).eff(X)
+        assert L.shape == R.shape == right.shape == left.shape == lead + (n, n)
+        rows = A.mul_rows(linalg.as_rows(X, n), linalg.as_rows(Y, n))
+        assert rows.shape == (int(np.prod(lead)) if n else 0, n)
+        for s, idx in enumerate(np.ndindex(*lead)):
+            x, y = X[idx], Y[idx]
+            xy = table_mul(F, A.c, x, y)
+            assert np.array_equal(A.mul(x, y), xy)
+            if n:
+                assert np.array_equal(rows[s], xy)
+            for j in range(n):
+                assert np.array_equal(L[idx][j], table_mul(F, A.c, x, eye[j]))
+                assert np.array_equal(R[idx][j], table_mul(F, A.c, eye[j], x))
+                # e_j acted on: e_j * x on the right, x * e_j on the left
+                assert np.array_equal(right[idx][j], table_mul(F, A.c, eye[j], x))
+                assert np.array_equal(left[idx][j], table_mul(F, A.c, x, eye[j]))
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, GF(3, 2)], ids=str)

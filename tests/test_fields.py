@@ -221,15 +221,11 @@ KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (7, 3)]
 # outer product and a full contraction
 EXTRA_SPECS = {"ac,bd->abcd", "i,i->"}
 KERNEL_SPECS = [
-    "ab,jbc->jac", "abk,kc->abc", "ac,bd->abcd", "cj,ijk->cik", "gjk,kl->gjl",
-    "hi,ijk->hjk", "i,i->", "i,ij->j", "i,ijk->jk", "i,j->ij", "ia,ajk->ijk",
-    "ij,ajk->iak", "ij,ijk->k", "ij,jk->ik", "ijk,kl->ijl", "ijm,mkl->ijkl",
-    "ijtp,pl->ijtl", "irk,kl->irl", "irt,jtr->ijr", "itk,jkl->ijtl", "j,ijk->ik",
-    "jb,abk->jak", "jk,gkl->gjl", "jk,kab->jab", "jkm,iml->ijkl", "jst,axtc->jaxsc",
-    "mi,ijk->mjk", "mj,mjk->mk", "ri,ijk->rjk", "ri,jik->rjk", "rj,hjk->hrk",
-    "rj,ijk->irk", "ryb,jbc->jryc", "shj,ijk->shik", "sij,sjk->sik", "t,iab->itba",
-    "t,jab->jtab", "vi,ijk->vjk", "vj,hjk->hvk", "vj,ijk->vik", "xyi,ijk->xyjk",
-    "xyjk,yzj->xyzk", "xyjk,yzj->xzk", "zab,wbc->zwac",
+    "ac,bd->abcd", "hi,ijk->hjk", "hj,ijk->hik", "i,i->", "i,ij->j", "ij,jk->ik",
+    "ijk,kl->ijl", "ijm,mkl->ijkl", "ijtp,pl->ijtl", "irt,jtr->ijr", "itk,jkl->ijtl",
+    "j,ijk->ik", "jk,gkl->gjl", "jkm,iml->ijkl", "jst,axtc->jaxsc", "mj,mjk->mk",
+    "ryb,jbc->jryc", "sij,sjk->sik", "t,iab->itba", "t,jab->jtab", "vj,hjk->hvk",
+    "xyjk,yzj->xyzk", "xyjk,yzj->xzk",
 ]
 
 

@@ -27,6 +27,7 @@ from topring.lifting import (
 from topring.wedderburn import wedderburn
 
 from oracles import (
+    algebra_inverse,
     hidden_block_algebras,
     hidden_matrix_block_products,
     lift_family_loop,
@@ -121,19 +122,14 @@ def test_orthogonalize_u_equals_one_returns_input():
     assert np.array_equal(fam.u, A.unit)
 
 
-def test_orthogonalize_inverts_a_sum_that_is_a_unit_outside_one_plus_h(monkeypatch):
+def test_orthogonalize_rejects_a_sum_outside_one_plus_h():
     # Mat_2(F_2), basis index 2i + j for E_(i+1)(j+1), H = 0: e_1 e_0 =
-    # (E22 + E12) E11 = 0, and the sum u = 1 + E12 is a unit not in 1 + H,
-    # so it is inverted in A: u^-1 = u, and u^-1 e_z gives E11 and E22
+    # (E22 + E12) E11 = 0, and the sum u = 1 + E12 is a unit not in 1 + H;
+    # no caller passes such a family, and orthogonalize refuses it
     A = matrix_algebra(F2, 2)
     H = SubspaceIdeal(A, np.zeros((0, 4), dtype=np.int64))
-    calls = []
-    inverse = A.inverse
-    monkeypatch.setattr(A, "inverse", lambda x: calls.append(x) or inverse(x))
-    fam = orthogonalize(A, np.array([[1, 0, 0, 0], [0, 1, 0, 1]]), H)
-    assert len(calls) == 1
-    assert fam.u.tolist() == fam.u_inv.tolist() == [1, 1, 0, 1]
-    assert fam.rows.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    with pytest.raises(AlgebraError, match="u - 1 is not in H"):
+        orthogonalize(A, np.array([[1, 0, 0, 0], [0, 1, 0, 1]]), H)
 
 
 def test_orthogonalize_rejects_half_orthogonality_violation():
@@ -236,7 +232,7 @@ def test_lift_family_on_conjugated_idempotents(h1_code, h2_code, side):
         coeffs = np.array([(code >> i) & 1 for i in range(H.dim)], dtype=np.int64)
         h = linalg.matvec(F2, coeffs, H.basis)
         one_plus = F2.add(A.unit, h)
-        inv = A.inverse(one_plus)
+        inv = algebra_inverse(A, one_plus)
         rows[z] = A.mul(A.mul(one_plus, base[z]), inv)
     fam = lift_orthogonal_family(A, rows, H, side=side)
     for z in range(2):
