@@ -62,10 +62,10 @@ class StructureAlgebra:
             the first time c is read (modules.endo_algebra hands one over,
             so End(M) forms its n^3 tensor only where a product is taken).
         unit: coordinate row of the multiplicative unit.
-        rep: optional faithful representation used for radical computations;
-            a stack (n, m, m) of column-convention matrices, multiplicative
-            on basis products.  Defaults to the (transposed) left regular
-            representation.
+        rep: optional faithful representation used for radical computations
+            and nilpotency indices; a stack (n, m, m) of column-convention
+            matrices, multiplicative on basis products.  Defaults to the
+            (transposed) left regular representation.
 
     c, unit and rep are read-only copies of the arrays passed in (or the
     arrays themselves, if they are read-only and own their data), so the
@@ -203,13 +203,10 @@ class StructureAlgebra:
         M = self.field.sub(self.c, np.swapaxes(self.c, 0, 1)).reshape(n, n * n)
         return linalg.left_null_basis(self.field, M)
 
-    def min_poly(self, x: np.ndarray) -> poly.Poly:
-        """Monic minimal polynomial of x over the base field."""
-        return self._min_poly_powers(x)[0]
-
-    def _min_poly_powers(self, x: np.ndarray) -> tuple[poly.Poly, np.ndarray]:
-        """(m, P): the monic minimal polynomial m of x, of degree d, and
-        the rows P[i] = x^i for i < d, which the search forms anyway.
+    def min_poly(self, x: np.ndarray) -> tuple[poly.Poly, np.ndarray]:
+        """(m, P): the monic minimal polynomial m of x over the base field,
+        of degree d, and the rows P[i] = x^i for i < d, which the search
+        forms anyway; a polynomial w of degree below d has w(x) = w @ P.
 
         The powers x^0, ..., x^dim are formed by doubling: x^k, ..., x^(2k-1)
         and x^(2k) are the rows x^0, ..., x^(k-1) and x^k times x^k, one
@@ -230,16 +227,6 @@ class StructureAlgebra:
         coeffs[:d] = F.neg(R[:, d])
         coeffs[d] = 1
         return poly.norm(coeffs), P[:d]
-
-    def evaluate_poly(self, f: poly.Poly, x: np.ndarray) -> np.ndarray:
-        """f(x) inside the algebra (constant term times the unit)."""
-        F = self.field
-        acc = np.zeros(self.dim, dtype=np.int64)
-        for c in reversed(list(np.asarray(f, dtype=np.int64))):
-            acc = self.mul(acc, x)
-            if c:
-                acc = F.add(acc, F.mul(c, self.unit))
-        return acc
 
     def generators(self) -> list[int]:
         """Indices of a small generating set (greedy, deterministic)."""
@@ -347,22 +334,27 @@ class SubspaceIdeal:
     def nilpotency_index(self) -> int:
         """Smallest k with I^k = 0; raises AlgebraError if not nilpotent.
 
-        The powers I^(k+1) = I * I^k of an ideal only shrink, so the chain
-        of their canonical bases reaches 0 or repeats; a repeat I^(k+1) =
-        I^k means every later power is I^k, which is not 0, and the chain
-        stops there.  Computed once per ideal and kept on it, the verdict
-        "not nilpotent" included, since the basis is read-only."""
-        if self._nilpotency is None:
-            A = self.algebra
-            cur, k = self.basis, 1
-            while cur.shape[0]:
-                nxt = linalg.row_space_basis(
-                    A.field, A.mul_pairs(self.basis, cur).reshape(-1, A.dim))
-                if np.array_equal(nxt, cur):
-                    k = 0
-                    break
-                cur, k = nxt, k + 1
-            self._nilpotency = k
+        Read on a faithful module V of the algebra: V·I^k is spanned by the
+        rows of the matrices of the elements of I^k, so V·I^k = 0 exactly
+        when I^k = 0.  V is F^m under rep when it is given (End(M)'s hom
+        basis acting on M), so no product is taken in the algebra, and the
+        algebra under right multiplication otherwise, where A·I = I and the
+        chain starts at I.  The chain V·I^k only shrinks: it reaches 0, or
+        repeats, and then every later power acts as V·I^k ≠ 0
+        (linalg.span_chain).  The zero ideal has index 1 with no chain.
+        Computed once per ideal and kept on it, the verdict "not nilpotent"
+        included, since the basis is read-only."""
+        if self._nilpotency is None and not self.dim:
+            self._nilpotency = 1
+        elif self._nilpotency is None:
+            A, F = self.algebra, self.algebra.field
+            if A.rep is None:
+                start, mats, skipped = self.basis, A.rmul_matrix(self.basis), 1
+            else:
+                start, skipped = np.eye(A.rep.shape[1], dtype=np.int64), 0
+                mats = F.contract("hi,ijk->hjk", self.basis, A.rep)
+            chain, stop = linalg.span_chain(F, start, mats)
+            self._nilpotency = len(chain) - 1 + skipped if stop == "zero" else 0
         if not self._nilpotency:
             raise AlgebraError("ideal is not nilpotent within the dimension bound")
         return self._nilpotency

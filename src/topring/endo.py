@@ -300,19 +300,6 @@ def _suffix_composites(S: OmegaSystem) -> list[np.ndarray]:
     return comps
 
 
-def _x_height(F, X: np.ndarray, v: np.ndarray) -> int:
-    """Largest k with v in the row space of X^k (the divisibility height)."""
-    h = 0
-    P = np.array(X, dtype=np.int64)
-    while True:
-        if not linalg.in_row_space(F, P, v):
-            return h
-        h += 1
-        P = linalg.matmul(F, P, X)
-        if not P.any():
-            return h  # X is nilpotent; callers never pass v == 0, whose height is infinite
-
-
 def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
     """SPLIT with a verified section, NOT_SPLIT with a divisibility-height
     obstruction for the chain family, or UNKNOWN at this truncation.
@@ -322,7 +309,9 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
     the first slot of the invertible stretch, undoing the composite.  For
     the chain family the socle generator of the colimit acquires strictly
     growing divisibility heights while the truncated sum is killed by a
-    fixed power of x, and both facts are recomputed here."""
+    fixed power of x, and both facts are recomputed here, on each level's
+    chain of x-powers; a system tagged polynomial_adic for which either
+    fails is invalid input, an AlgebraError that names the level."""
     F = S.modules[0].algebra.field
     d = len(S.modules)
     comps = _suffix_composites(S)
@@ -355,22 +344,22 @@ def split_omega_limit_check(S: OmegaSystem) -> SplitVerdict:
         dims = [m.dim for m in S.modules]
         if dims != list(range(1, d + 1)):
             raise AlgebraError("chain family levels must have dimensions 1..depth")
+        if S.modules[0].algebra.dim < 2:
+            raise AlgebraError("chain family level 1: the algebra has no basis element x")
         x = linalg.basis_vector(S.modules[0].algebra.dim, 1)
         heights = []
-        for m in S.modules:
-            X = m.eff(x)
-            gen = linalg.basis_vector(m.dim, m.dim - 1)
-            heights.append(_x_height(F, X, gen))
-        if heights != list(range(d)):
-            raise InternalInconsistencyError(
-                f"socle generator heights {heights} are not strictly growing")
-        Sum = direct_sum(S.modules)
-        XS = Sum.eff(x)
-        P = np.eye(Sum.dim, dtype=np.int64)
-        for _ in range(d):
-            P = linalg.matmul(F, P, XS)
-        if P.any():
-            raise InternalInconsistencyError("truncated sum is not killed by x^depth")
+        for n, m in enumerate(S.modules, start=1):
+            # m, m·x, m·x², ...: x^depth kills the level when the chain
+            # reaches 0 within depth steps, and the socle generator's
+            # height is the last member that holds it
+            chain, stop = linalg.span_chain(F, np.eye(n, dtype=np.int64), m.eff(x)[None])
+            if stop == "repeat" or len(chain) > d + 1:
+                raise AlgebraError(f"chain family level {n}: x^{d} does not kill it")
+            gen = linalg.basis_vector(n, n - 1)
+            heights.append(max(k for k, U in enumerate(chain) if linalg.in_row_space(F, U, gen)))
+            if heights[-1] != n - 1:
+                raise AlgebraError(f"chain family level {n}: socle generator height "
+                                   f"{heights[-1]}, expected {n - 1}")
         obstruction = HeightObstruction(socle_heights=heights,
                                         sum_height_bound=d - 1, levels=d)
         return SplitVerdict(

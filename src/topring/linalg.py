@@ -285,6 +285,29 @@ def row_space_bases(F: FiniteField, spans, n: int) -> list[np.ndarray]:
     return [R[b, :r] for b, r in enumerate(ranks)]
 
 
+def span_chain(F: FiniteField, V: np.ndarray, mats: np.ndarray) -> tuple[list[np.ndarray], str]:
+    """Canonical bases of V, V·S, V·S², ... for V given by its canonical
+    basis and S the span of the stack mats (s, m, m) acting on rows: V·S is
+    spanned by the rows v @ X, v in V and X in mats, one contraction and
+    one rref per member.
+
+    Returns (chain, stop).  The chain ends at its first zero member, which
+    it lists, and stop is "zero"; or at the member whose product with S
+    repeats a listed one, so that every later member would too, and stop is
+    "repeat".  F^m has finitely many subspaces, so the chain always ends;
+    when V·S lies in V it descends, and ends within dim V + 1 members."""
+    m = np.shape(mats)[-1]
+    cur = np.asarray(V, dtype=np.int64)
+    chain, seen = [cur], {cur.tobytes()}
+    while cur.shape[0]:
+        cur = row_space_basis(F, as_rows(F.contract("jk,gkl->gjl", cur, mats), m))
+        if cur.tobytes() in seen:
+            return chain, "repeat"
+        chain.append(cur)
+        seen.add(cur.tobytes())
+    return chain, "zero"
+
+
 def residual(F: FiniteField, R: np.ndarray, pivots: list[int], V: np.ndarray) -> np.ndarray:
     """V - V[:, pivots] @ R, row by row, for an RREF basis R with its pivot
     columns (as rref returns them).

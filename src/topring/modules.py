@@ -212,18 +212,10 @@ def radical_of_module(M: FiniteModule) -> np.ndarray:
 
 def radical_series(M: FiniteModule) -> list[np.ndarray]:
     """Bases of M >= M*H >= M*H^2 >= ... down to 0 (strictly descending)."""
-    F = M.algebra.field
-    rad = radical(M.algebra)
-    effs = M.eff(rad.basis)
-    series = [np.eye(M.dim, dtype=np.int64)]
-    current = series[0]
-    while current.shape[0]:
-        rows = F.contract("jk,gkl->gjl", current, effs).reshape(-1, M.dim)
-        nxt = linalg.row_space_basis(F, rows)
-        if nxt.shape[0] == current.shape[0]:
-            raise InternalInconsistencyError("radical series stalled; algebra radical is not nil")
-        series.append(nxt)
-        current = nxt
+    series, stop = linalg.span_chain(
+        M.algebra.field, np.eye(M.dim, dtype=np.int64), M.eff(radical(M.algebra).basis))
+    if stop == "repeat":
+        raise InternalInconsistencyError("radical series stalled; algebra radical is not nil")
     return series
 
 

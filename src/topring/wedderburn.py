@@ -125,7 +125,7 @@ def _root_idempotents(A: StructureAlgebra, z: np.ndarray) -> np.ndarray:
     that the minimal polynomial search formed gives every idempotent.
     """
     F = A.field
-    m, powers = A._min_poly_powers(z)
+    m, powers = A.min_poly(z)
     d = poly.deg(m)
     elements = np.arange(F.q, dtype=np.int64)
     values = np.zeros(F.q, dtype=np.int64)
@@ -158,7 +158,7 @@ def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
             yield C.random_element(rng)
 
     for y in candidates():
-        mp = C.min_poly(y)
+        mp, powers = C.min_poly(y)
         fs = poly.factor_poly(F, mp)[1]
         if len(fs) < 2:
             continue
@@ -170,7 +170,8 @@ def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
         if poly.deg(d) != 0:
             raise InternalInconsistencyError("coprime parts with nontrivial gcd")
         w = poly.mod(F, poly.mul(F, u, g), mp)
-        f = C.evaluate_poly(w, y)
+        # deg w < deg mp, so w(y) is one product with the powers 1, ..., y^(deg mp - 1)
+        f = linalg.matvec(F, np.pad(w, (0, powers.shape[0] - len(w))), powers)
         if not C.is_idempotent(f) or not f.any() or np.array_equal(f, C.unit):
             raise InternalInconsistencyError("idempotent construction failed")
         return f

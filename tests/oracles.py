@@ -57,7 +57,7 @@ noniso_beam_search (the capped beam over hom basis maps that
 modules.noniso_witness_search replaced by the powers of the Peirce
 blocks of rad End), and min_poly_loop (the minimal polynomial found one
 power at a time, each solved against the powers before it, before
-StructureAlgebra._min_poly_powers formed every power by doubling and read
+StructureAlgebra.min_poly formed every power by doubling and read
 the polynomial off one rref), and lift_family_loop with
 lift_idempotent_loop (the per-member Newton lift, drift, corner and
 side-closure checks that lifting.lift_orthogonal_family runs on the whole
@@ -65,6 +65,11 @@ family as one stack).  power_loop is the per-element square-and-multiply
 of the deleted StructureAlgebra.power, which central_idempotents_berlekamp
 applies to each central basis row, and algebra_inverse is the deleted
 StructureAlgebra.inverse, a solve against the left multiplication matrix.
+evaluate_poly_horner is the deleted StructureAlgebra.evaluate_poly, which
+the Berlekamp route applies to each Lagrange numerator, and
+nilpotency_index_loop the product chain I, I^2, ... inside the algebra
+that SubspaceIdeal.nilpotency_index replaced by the chain V, V*I, ... on a
+faithful module V.
 """
 
 from __future__ import annotations
@@ -594,6 +599,34 @@ def power_loop(A, x, k: int) -> np.ndarray:
     return acc
 
 
+def evaluate_poly_horner(A, f, x) -> np.ndarray:
+    """f(x) inside A by Horner's rule on A.mul, the constant term times the
+    unit, as the deleted StructureAlgebra.evaluate_poly computed it."""
+    F = A.field
+    acc = np.zeros(A.dim, dtype=np.int64)
+    for c in reversed(list(np.asarray(f, dtype=np.int64))):
+        acc = A.mul(acc, x)
+        if c:
+            acc = F.add(acc, F.mul(c, A.unit))
+    return acc
+
+
+def nilpotency_index_loop(I) -> int:
+    """SubspaceIdeal.nilpotency_index as it was before it read the powers
+    on a faithful module: I^(k+1) = I * I^k formed by mul_pairs inside the
+    algebra, until a power is 0 (the index) or repeats (0: not nilpotent)."""
+    from topring import linalg
+
+    A = I.algebra
+    cur, k = I.basis, 1
+    while cur.shape[0]:
+        nxt = linalg.row_space_basis(A.field, A.mul_pairs(I.basis, cur).reshape(-1, A.dim))
+        if np.array_equal(nxt, cur):
+            return 0
+        cur, k = nxt, k + 1
+    return k
+
+
 def central_idempotents_berlekamp(A) -> np.ndarray:
     """wedderburn.central_primitive_idempotents as it was before it read
     the roots of each minimal polynomial off x^q - x: every Frobenius-fixed
@@ -613,13 +646,13 @@ def central_idempotents_berlekamp(A) -> np.ndarray:
     for z in fixed:
         if family.shape[0] == k:
             break
-        mp = A.min_poly(z)
+        mp = A.min_poly(z)[0]
         lagr = []
         for g, e in poly.factor_poly(F, mp)[1]:
             assert poly.deg(g) == 1 and e == 1
             num = poly.exact_div(F, mp, g)
             den = int(poly.mod(F, num, g)[0])
-            lagr.append(A.evaluate_poly(poly.scale(F, F.inv(den), num), z))
+            lagr.append(evaluate_poly_horner(A, poly.scale(F, F.inv(den), num), z))
         family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
         family = family[family.any(axis=1)]
     assert family.shape[0] == k

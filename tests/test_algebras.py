@@ -37,15 +37,18 @@ from topring.algebras import (
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
+from topring.endo import polynomial_adic_system
 from topring.fields import GF
-from topring.modules import left_regular_module, right_regular_module
+from topring.modules import direct_sum, endo_algebra, left_regular_module, right_regular_module
 from topring.serialize import Loader
 
 from oracles import (
     closure_failures_loop,
     corner_loop,
+    evaluate_poly_horner,
     hidden_block_algebras,
     hom_failures_loop,
+    nilpotency_index_loop,
     quotient_structure_loop,
     radical_bruteforce_loop,
     solve_left_rows,
@@ -257,6 +260,58 @@ def test_radical_stop_agrees_with_the_full_climb():
         assert H.nilpotency_index() == nu, A
 
 
+def _index_or_zero(I: SubspaceIdeal) -> int:
+    try:
+        return I.nilpotency_index()
+    except AlgebraError:
+        return 0
+
+
+def test_nilpotency_index_on_a_faithful_module_matches_the_product_chain():
+    # the radical and the whole algebra (never nilpotent) of every algebra
+    # the radical suite builds, every bundled algebra, the block products
+    # and End(M) of every bundled module and of the chain family; the
+    # chain read on the module agrees with I, I^2, ... formed in the algebra
+    corpus_dir = Path(algebras.__file__).parent / "corpus"
+    bundled = [Loader().algebra(str(p)) for p in sorted(corpus_dir.glob("*.alg"))]
+    mods = [Loader().module(str(p)) for p in sorted(corpus_dir.glob("*.mod"))]
+    mods += [direct_sum(polynomial_adic_system(F2, n).modules) for n in (4, 6)]
+    ends = [endo_algebra(M)[0] for M in mods]  # each with its hom basis as rep
+    regular = _suite_radical_algebras() + bundled + _block_products()
+    assert all(E.rep is not None for E in ends) and all(A.rep is None for A in regular)
+    for A in regular + ends:
+        for I in (radical(A), SubspaceIdeal(A, np.eye(A.dim, dtype=np.int64))):
+            assert _index_or_zero(I) == nilpotency_index_loop(I), (A, I)
+    # the chain family's rad End has nu = 2n - 1
+    assert [radical(E).nilpotency_index() for E in ends[-2:]] == [7, 11]
+
+
+def test_nilpotency_index_of_an_endomorphism_ideal_takes_no_product_in_it(monkeypatch):
+    # rad End(M) acts on M through the hom basis; End(M) itself is never multiplied
+    E = endo_algebra(direct_sum(polynomial_adic_system(F2, 4).modules))[0]
+    H = radical(E)
+    I = SubspaceIdeal(E, H.basis)
+
+    def refuse(X):
+        raise AssertionError("a product in End(M) was taken")
+
+    monkeypatch.setattr(E, "lmul_matrix", refuse)
+    monkeypatch.setattr(E, "rmul_matrix", refuse)
+    assert I.nilpotency_index() == 7 and SubspaceIdeal(E, H.basis[:0]).nilpotency_index() == 1
+
+
+@pytest.mark.parametrize("F", [F2, GF(3), GF(2, 2)], ids=str)
+def test_zero_ideal_has_index_one_on_every_route(F):
+    # on the regular route, with rep, and with rep on the zero module
+    A = truncated_poly_algebra(F, 3)
+    with_rep = StructureAlgebra(F, A.c, A.unit, check=False, rep=np.swapaxes(A.c, 1, 2))
+    empty = StructureAlgebra(F, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                             check=False, rep=np.zeros((0, 0, 0), dtype=np.int64))
+    for B in (A, with_rep, empty):
+        assert SubspaceIdeal(B, np.zeros((0, B.dim), dtype=np.int64)).nilpotency_index() == 1
+    assert radical(empty).is_zero() and radical(empty).nilpotency_index() == 1
+
+
 def test_truncated_radical_stops_at_level_zero(monkeypatch):
     # tr(1) = 5 is a unit mod 3, so the level-0 kernel is already rad A
     def no_powers(W, e, m):
@@ -273,15 +328,17 @@ def test_truncated_radical_stops_at_level_zero(monkeypatch):
 ], ids=["F2xF2", "F2xF2[x]/(x^2)"])
 def test_non_nilpotent_ideal_stops_at_its_fixed_point(monkeypatch, A, rows, steps):
     # F2 x F2 is an ideal of itself with I^2 = I; span{(1, 0), (0, x)} in
-    # F2 x F2[x]/(x^2) has I^2 = span{(1, 0)} = I^3
-    calls = []
-    real = A.mul_pairs
-    monkeypatch.setattr(A, "mul_pairs", lambda X, Y: calls.append(1) or real(X, Y))
+    # F2 x F2[x]/(x^2) has I^2 = span{(1, 0)} = I^3.  The chain I, I^2, ...
+    # lists each power up to the fixed point once, and is run once
+    chains = []
+    real = linalg.span_chain
+    monkeypatch.setattr(linalg, "span_chain", lambda F, V, mats: chains.append(real(F, V, mats))
+                        or chains[-1])
     I = SubspaceIdeal(A, np.array(rows, dtype=np.int64))
     for _ in range(2):
         with pytest.raises(AlgebraError, match="^ideal is not nilpotent within the dimension bound$"):
             I.nilpotency_index()
-    assert len(calls) == steps
+    assert [(len(chain), stop) for chain, stop in chains] == [(steps, "repeat")]
 
 
 def test_radical_ladder_fits_in_600_mb():
@@ -347,8 +404,9 @@ def test_geometric_series_rejects_unit_outside():
 def test_min_poly_of_extension_generator():
     A = field_extension_algebra(F2, 2)
     x = np.array([0, 1], dtype=np.int64)
-    assert A.min_poly(x).tolist() == [1, 1, 1]
-    assert not A.evaluate_poly(A.min_poly(x), x).any()
+    m, powers = A.min_poly(x)
+    assert m.tolist() == [1, 1, 1] and np.array_equal(powers, [[1, 0], [0, 1]])
+    assert not evaluate_poly_horner(A, m, x).any()
 
 
 def test_extension_of_an_extension_field_is_a_field_of_order_16():
@@ -448,7 +506,7 @@ def test_multiplication_matrices_agree(a_code, b_code):
     assert np.array_equal(xy, linalg.matvec(F2, y, A.lmul_matrix(x)))
     assert np.array_equal(xy, linalg.matvec(F2, x, A.rmul_matrix(y)))
     # minimal polynomial annihilates its element
-    assert not A.evaluate_poly(A.min_poly(x), x).any()
+    assert not evaluate_poly_horner(A, A.min_poly(x)[0], x).any()
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=str)

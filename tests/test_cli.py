@@ -157,6 +157,39 @@ def test_split_limit_not_split(capsys):
     assert "sum_height_bound 5" in body
 
 
+# Two-level systems tagged polynomial_adic that are not the chain family:
+# (algebra, the action lines of each level, the message naming the level).
+# F2 has no x; x = g is a unit of F2[C3], so its chain repeats; x acts as 0
+# on the F2[x]/(x^2)-modules, so level 2's socle generator has height 0
+HOSTILE_CHAIN_SYSTEMS = [
+    ("f2.alg", ["act 0 0 0 1", "act 0 0 0 1\nact 0 1 1 1"],
+     "chain family level 1: the algebra has no basis element x"),
+    ("f2c3.alg", ["act 0 0 0 1\nact 1 0 0 1\nact 2 0 0 1",
+                  "act 0 0 0 1\nact 0 1 1 1\nact 1 0 0 1\nact 1 1 1 1\nact 2 0 0 1\nact 2 1 1 1"],
+     "chain family level 1: x^2 does not kill it"),
+    ("f2x2.alg", ["act 0 0 0 1", "act 0 0 0 1\nact 0 1 1 1"],
+     "chain family level 2: socle generator height 0, expected 1"),
+]
+
+
+@pytest.mark.parametrize("alg,acts,message", HOSTILE_CHAIN_SYSTEMS,
+                         ids=[a for a, _, _ in HOSTILE_CHAIN_SYSTEMS])
+def test_split_limit_rejects_a_false_chain_family_tag(tmp_path, alg, acts, message):
+    # a child process with a timeout, so a chain that never ends fails fast
+    (tmp_path / alg).write_text(corpus.read(alg))
+    for n, act in enumerate(acts, start=1):
+        (tmp_path / f"n{n}.mod").write_text(
+            f"object module\nalgebra {alg}\nside right\ndim {n}\n{act}\nend\n")
+    (tmp_path / "s.sys").write_text(
+        "object system\nground polynomial_adic\nmodules 2\nmodule 0 n1.mod\n"
+        "module 1 n2.mod\nmap 0 0 1 1\nend\n")
+    done = subprocess.run([sys.executable, "-m", "topring.cli", "split-limit", "s.sys"],
+                          cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr.splitlines()[0] == f"error: {message}"
+
+
 def test_coperfect_witness_survives_refinement(capsys):
     rc, out = run(capsys, "coperfect", corpus.path("chain6.sys"),
                   corpus.path("chain7.sys"), "--depth", "5")

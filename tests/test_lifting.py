@@ -195,15 +195,14 @@ def test_family_lift_computes_the_nilpotency_index_once(monkeypatch):
     # reads nu(H), which the radical's own check computed and kept
     A = upper_triangular_algebra(F3, 3)
     starts = []
-    real = A.mul_pairs
+    real = linalg.span_chain
 
-    def counted(X, Y):
-        # a nilpotency chain starts with the basis times itself
-        if X is Y:
-            starts.append(X.tobytes())
-        return real(X, Y)
+    def counted(F, V, mats):
+        # with no representation given, the chain starts at the ideal itself
+        starts.append(np.asarray(V).tobytes())
+        return real(F, V, mats)
 
-    monkeypatch.setattr(A, "mul_pairs", counted)
+    monkeypatch.setattr(linalg, "span_chain", counted)
     H = radical(A)
     Q, proj, section = quotient(A, H)
     fam = lift_family_from_quotient(A, H, proj, section, wedderburn(Q).primitive_family())

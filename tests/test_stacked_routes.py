@@ -386,7 +386,7 @@ def test_min_poly_by_doubling_matches_the_per_power_search(A):
     elements = [A.unit, np.zeros(A.dim, dtype=np.int64), *np.eye(A.dim, dtype=np.int64)]
     elements += [A.random_element(rng) for _ in range(4)]
     for x in elements:
-        m, powers = A._min_poly_powers(x)
+        m, powers = A.min_poly(x)
         want, want_powers = min_poly_loop(A, x)
         assert m.tolist() == want
         assert powers.dtype == np.int64 and np.array_equal(powers, want_powers)

@@ -6,7 +6,9 @@ other than the token's own, it writes that one-token mutant next to the unmutate
 (so the files it references resolve to them) and runs one verb of the
 file's kind on it through `cli.main`, cycling through that kind's verbs.
 A mutant may parse (exit 2 otherwise), fail validation (exit 3) or pass
-(exit 0); an exit 4 or an exception that escapes `cli.main` is a bug.
+(exit 0); an exit 4 or an exception that escapes `cli.main` is a bug, and
+so is a run still going after RUN_SECONDS: a SIGALRM ends it, and it is
+recorded with the outcome "timeout".
 
 Each run is one record: the file, the mutated token's line and position,
 the new value, the verb, the exit code and the first line of stderr, with
@@ -30,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import signal
 import sys
 import tempfile
 import traceback
@@ -45,6 +48,20 @@ from topring import cli, corpus  # noqa: E402
 # 0-3 are small field values and indices; -1 and 2^63 are out of range both
 # ways, the second past int64
 VALUES = (0, 1, 2, 3, -1, 2 ** 63)
+
+# far above the time any run takes (the whole sweep of 8,275 runs takes
+# minutes), so a run past it is a hang
+RUN_SECONDS = 30
+
+
+class RunTimeout(BaseException):
+    """Raised by SIGALRM in a run past RUN_SECONDS.  Not an Exception, so
+    no handler of cli.main can turn it into an exit code."""
+
+
+def _expire(signum, frame):
+    raise RunTimeout
+
 
 VERBS = {
     ".alg": ["radical", "wedderburn", "lift-idempotents", "bass-flat"],
@@ -77,6 +94,7 @@ def main(argv: list[str]) -> int:
     bad = []
     records = []
     cycles = {kind: itertools.cycle(verbs) for kind, verbs in VERBS.items()}
+    signal.signal(signal.SIGALRM, _expire)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         roots = sorted({str(root), str(root.resolve())}, key=len, reverse=True)
@@ -91,12 +109,17 @@ def main(argv: list[str]) -> int:
                 # matmul reads two matrices: the mutant times itself
                 cmd = [verb] + [str(target)] * (2 if verb == "matmul" else 1)
                 err = io.StringIO()
+                signal.alarm(RUN_SECONDS)
                 try:
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                         rc = cli.main(cmd)
+                except RunTimeout:
+                    rc = "timeout"
                 except Exception:
                     rc = "traceback"
                     err.write(traceback.format_exc())
+                finally:
+                    signal.alarm(0)
                 codes[rc] += 1
                 first = next(iter(err.getvalue().splitlines()), "")
                 for r in roots:
