@@ -669,27 +669,21 @@ def radical_bruteforce(A: StructureAlgebra) -> np.ndarray:
 
 
 def invert_in_one_plus_H(A: StructureAlgebra, u: np.ndarray, H: SubspaceIdeal) -> np.ndarray:
-    """Inverse of u with u - 1 in a nil ideal H, by the finite geometric series.
+    """Inverse of u with u - 1 in a nil ideal H (the finite geometric series),
+    as the one v with v * u = 1: one solve against u's right multiplication.
 
-    Raises AlgebraError if u - 1 is outside H or H fails to be nil on it.
+    Raises AlgebraError if u - 1 is outside H or u is no unit (H not nil on it).
     """
     F = A.field
-    h = F.sub(np.asarray(u, dtype=np.int64), A.unit)
-    if not H.contains(h):
+    u = np.asarray(u, dtype=np.int64)
+    if not H.contains(F.sub(u, A.unit)):
         raise AlgebraError("u - 1 is not in H")
-    acc = A.unit.copy()
-    term = A.unit.copy()
-    neg_h = F.neg(h)
-    for _ in range(A.dim + 1):
-        term = A.mul(term, neg_h)
-        if not term.any():
-            break
-        acc = F.add(acc, term)
-    else:
+    inv = linalg.solve_left(F, A.rmul_matrix(u), A.unit)
+    if inv is None:
         raise AlgebraError("H is not nil on u - 1")
-    if not np.array_equal(A.mul(u, acc), A.unit) or not np.array_equal(A.mul(acc, u), A.unit):
-        raise InternalInconsistencyError("geometric series failed to invert u")
-    return acc
+    if not np.array_equal(A.mul(u, inv), A.unit) or not np.array_equal(A.mul(inv, u), A.unit):
+        raise InternalInconsistencyError("the solved inverse of u is not two-sided")
+    return inv
 
 
 def check_complete_orthogonal(A: StructureAlgebra, rows: np.ndarray) -> None:
@@ -733,13 +727,13 @@ def poly_quotient_algebra(F: FiniteField, f: poly.Poly) -> StructureAlgebra:
     n = poly.deg(f)
     if n < 1:
         raise ValueError("modulus must have degree >= 1")
-    c = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            xi = np.zeros(i + j + 1, dtype=np.int64)
-            xi[i + j] = 1
-            r = poly.mod(F, xi, f)
-            c[i, j, : len(r)] = r
+    # x^i * x^j is row i + j of the remainders x^k mod f, k < 2n - 1: x^k
+    # below n, then x times the row before, as x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+    rems = np.vstack([np.eye(n, dtype=np.int64), np.zeros((n - 1, n), dtype=np.int64)])
+    for k in range(n, 2 * n - 1):
+        rems[k, 1:] = rems[k - 1, :-1]
+        rems[k] = F.sub(rems[k], F.mul(rems[k - 1, -1], f[:n]))
+    c = rems[np.add.outer(np.arange(n), np.arange(n))]
     unit = np.zeros(n, dtype=np.int64)
     unit[0] = 1
     return StructureAlgebra(F, c, unit, check=False)

@@ -162,8 +162,23 @@ def cmd_matmul(args, loader: serialize.Loader) -> serialize.Report:
     return rep
 
 
+# Most entries of the largest array of transport, the (k^2 dim R)^3 structure
+# tensor of Mat_k(R), and of contratensor, its (dim N d)^2 (dim R d)^3 X^2
+# relation matrix over F_p (d = [F : F_p]), for k = X = --window: 32 MiB of
+# int64.  Uncapped, transport --window 14 ran out of memory after a minute.
+MAX_WINDOW_ENTRIES = 2 ** 22
+
+
+def _check_window(verb: str, window: int, entries: int, array: str) -> None:
+    if entries > MAX_WINDOW_ENTRIES:
+        raise ValueError(f"{verb} --window {window} needs a {array} of {entries} entries, "
+                         f"over the cap of {MAX_WINDOW_ENTRIES}")
+
+
 def cmd_transport(args, loader: serialize.Loader) -> serialize.Report:
     N = loader.module(args.inputs[0])
+    _check_window("transport", args.window, (args.window ** 2 * N.algebra.dim) ** 3,
+                  "structure tensor")
     tr = transport_discrete(N, args.window)
     end_before = hom_space(N, N).shape[0]
     end_after = hom_space(tr.module, tr.module).shape[0]
@@ -184,6 +199,9 @@ def cmd_transport(args, loader: serialize.Loader) -> serialize.Report:
 
 def cmd_contratensor(args, loader: serialize.Loader) -> serialize.Report:
     N = loader.module(args.inputs[0])
+    d = N.algebra.field.d
+    _check_window("contratensor", args.window,
+                  (N.dim * d) ** 2 * (N.algebra.dim * d) ** 3 * args.window ** 2, "relation matrix")
     res = contratensor(N, args.window)
     rep = _rep("contratensor", args)
     rep.add("p", res.p)

@@ -199,20 +199,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of 0")
         return out
 
-    def power(self, a, n: int):
-        """a^n elementwise, n >= 0 (or any n for invertible a)."""
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        result = np.full_like(np.asarray(a), 1)
-        base = np.asarray(a).copy()
-        n = int(n)
-        while n > 0:
-            if n & 1:
-                result = self.MUL[result, base]
-            base = self.MUL[base, base]
-            n >>= 1
-        return result if result.shape else int(result)
-
     def fsum(self, arr, axis=None):
         """Field sum of an integer array along the given axis (or all axes):
         the digit vectors of the terms are added and reduced mod p once.  An
@@ -262,10 +248,6 @@ class FiniteField:
         """The packed-row layout of this field for linalg.rref, built on
         first use, so constructing a field does not pay for it."""
         return RowPacking(self)
-
-    def pth_root(self, a):
-        """Inverse of Frobenius: the unique b with b^p == a."""
-        return self.power(a, self.q // self.p)
 
     def from_digits(self, dig) -> int:
         dig = np.asarray(dig) % self.p

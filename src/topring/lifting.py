@@ -148,7 +148,7 @@ def orthogonalize(
 
     Returns u^{-1}e_z for side "left", e_z u^{-1} for side "right"; when
     u = 1 the input is returned unchanged (and was already orthogonal).
-    u^{-1} is the geometric series of invert_in_one_plus_H, which raises
+    u^{-1} is the one solve of invert_in_one_plus_H, which raises
     AlgebraError for a sum outside 1 + H.  No caller passes one:
     lift_orthogonal_family checks that the sum of its f_z lies in 1 + H,
     and each lift e_z is congruent to f_z mod H, so the sum of the e_z

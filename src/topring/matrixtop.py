@@ -106,25 +106,19 @@ def windowed_diagnostics(m: WindowedMatrix) -> list[str]:
         return problems  # no row has an extra column or a certificate to check
     # over the naturals every nonzero certificate G is tested at once: its
     # rows span a right ideal iff rank [G; G·A] = rank G, read off one
-    # contraction of every certificate row and one stacked rref of the
+    # contraction of every certificate row and one row_space_bases of the
     # matrices G, then the matrices [G; G·A]
     certs = [basis for x in range(W) for basis in (m.tails[x], m.precisions[x])
              if basis.shape[0] and m.y_kind == "omega"]
     not_ideal = iter(())
     if certs:
-        k = len(certs)
         # dim rows per certificate row: its products with every basis vector
-        prods = _side_products(A, np.concatenate(certs), "right")[0].reshape(-1, A.dim)
-        stack = np.zeros((2 * k, max(g.shape[0] for g in certs) * (A.dim + 1), A.dim),
-                         dtype=np.int64)
-        start = 0
-        for i, g in enumerate(certs):
-            h = g.shape[0]
-            stack[i, :h] = stack[k + i, :h] = g
-            stack[k + i, h:h * (A.dim + 1)] = prods[start * A.dim:(start + h) * A.dim]
-            start += h
-        ranks = linalg.rref(A.field, stack)[1]
-        not_ideal = iter(ranks[k:] > ranks[:k])
+        prods = _side_products(A, np.concatenate(certs), "right")[0]
+        cut = np.cumsum([0] + [g.shape[0] for g in certs])
+        bases = linalg.row_space_bases(
+            A.field, certs + [np.vstack([g, prods[s:e].reshape(-1, A.dim)])
+                              for g, s, e in zip(certs, cut, cut[1:])], A.dim)
+        not_ideal = iter([len(b) > len(g) for g, b in zip(bases, bases[len(certs):])])
     for x in range(W):
         cols = [c for c, _ in m.extras[x]]
         if cols != sorted(set(cols)):

@@ -10,10 +10,11 @@ found by evaluating it at every element, and no polynomial is factored
 (Friedl and Ronyai, STOC 1985; Ronyai, J. Symbolic Comput. 1990).  Fewer
 roots than the degree is an InternalInconsistencyError.  Each simple
 factor is cut by corner refinement into a complete family of primitive
-orthogonal idempotents; matrix units come from solving one linear
-equation per off-diagonal generator.  The result carries an explicit
-isomorphism onto an abstract model algebra, verified on every product of
-basis elements.
+orthogonal idempotents, each cut read off the same routine run on
+F_q[y] = F_q[x]/(m) for an element y of a corner (Berlekamp, Math. Comp.
+1970); matrix units come from solving one linear equation per
+off-diagonal generator.  The result carries an explicit isomorphism onto
+an abstract model algebra, verified on every product of basis elements.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from topring.algebras import (
     hom_failures,
     matrix_algebra,
     peirce_corner,
+    poly_quotient_algebra,
     radical,
     subalgebra_structure,
     tensor_algebra,
@@ -77,7 +79,8 @@ class WedderburnDatum:
 
 
 def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
-    """Rows of the central primitive idempotents of a semisimple algebra.
+    """Rows of the central primitive idempotents of a semisimple algebra,
+    or of any commutative one.
 
     The q-power Frobenius is linear on the center, and is taken on all of
     its basis rows at once; its fixed space has one dimension per simple
@@ -86,6 +89,13 @@ def central_primitive_idempotents(A: StructureAlgebra) -> np.ndarray:
     Lagrange idempotents of those roots (_root_idempotents) refine the
     family {1} until it reaches the factor count.  No polynomial is
     factored.
+
+    A commutative algebra, radical or not, is a product of local algebras,
+    one per primitive idempotent, whose elements are a + n with a in the
+    residue field and n nilpotent; (a + n)^q = a^q + n^q is a + n exactly
+    when a is in F_q and n = n^(q^j) for all j, so n = 0.  The fixed
+    elements are the F_q-span of the primitive idempotents, which the same
+    refinement finds: for F_q[x]/(m), the CRT idempotents of m's primary parts.
     """
     F = A.field
     Z = A.center_basis()
@@ -146,10 +156,9 @@ def _root_idempotents(A: StructureAlgebra, z: np.ndarray) -> np.ndarray:
 
 
 def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
-    """Some idempotent of C other than 0 and 1, found through an element
-    whose minimal polynomial has two coprime parts.  Deterministic basis
-    candidates first, then seeded random ones."""
-    F = C.field
+    """Some idempotent of C other than 0 and 1, cut by the first candidate
+    element that _cut_by splits.  Deterministic basis candidates first,
+    then seeded random ones."""
 
     def candidates():
         for i in range(C.dim):
@@ -158,24 +167,39 @@ def _proper_idempotent(C: StructureAlgebra, rng: random.Random) -> np.ndarray:
             yield C.random_element(rng)
 
     for y in candidates():
-        mp, powers = C.min_poly(y)
-        fs = poly.factor_poly(F, mp)[1]
-        if len(fs) < 2:
-            continue
-        g = poly.const(F, 1)
-        for _ in range(fs[0][1]):
-            g = poly.mul(F, g, fs[0][0])
-        h = poly.exact_div(F, mp, g)
-        d, u, _ = poly.xgcd(F, g, h)
-        if poly.deg(d) != 0:
-            raise InternalInconsistencyError("coprime parts with nontrivial gcd")
-        w = poly.mod(F, poly.mul(F, u, g), mp)
-        # deg w < deg mp, so w(y) is one product with the powers 1, ..., y^(deg mp - 1)
-        f = linalg.matvec(F, np.pad(w, (0, powers.shape[0] - len(w))), powers)
-        if not C.is_idempotent(f) or not f.any() or np.array_equal(f, C.unit):
-            raise InternalInconsistencyError("idempotent construction failed")
-        return f
+        if (f := _cut_by(C, y)) is not None:
+            return f
     raise InternalInconsistencyError("no proper idempotent found within the retry budget")
+
+
+def _cut_by(C: StructureAlgebra, y: np.ndarray) -> np.ndarray | None:
+    """1 - e(y) for a primitive idempotent e of F_q[y] = F_q[x]/(m), m the
+    minimal polynomial of y, or None when m is a power of one irreducible.
+
+    The e_i of central_primitive_idempotents are polynomials of degree below
+    deg m, e_i = 1 modulo its primary part f_i^k of m and 0 modulo the rest.
+    x^(q^r) - x is the product of the monic irreducibles of degree dividing
+    r, so for the first r at which low = gcd(m, x^(q^r) - x) is not 1, low
+    is the product of the f_i of the lowest degree r, and gcd(low, 1 - e_i)
+    is f_i for those and 1 for the others.  e is the e_i of the lowest such
+    f_i by coefficients.  No polynomial is factored."""
+    F = C.field
+    m, powers = C.min_poly(y)
+    eps = central_primitive_idempotents(poly_quotient_algebra(F, m))
+    if eps.shape[0] < 2:
+        return None
+    one = poly.const(F, 1)
+    low, xr = one, poly.X
+    while poly.deg(low) == 0:
+        xr = poly.pow_mod(F, xr, F.q, m)
+        low = poly.gcd(F, m, poly.sub(F, xr, poly.X))
+    fs = [poly.gcd(F, low, poly.sub(F, one, e)) for e in eps]
+    e = eps[min(range(len(fs)), key=lambda i: (poly.deg(fs[i]) == 0, fs[i].tolist()))]
+    # deg e < deg m, so e(y) is one product with the powers 1, ..., y^(deg m - 1)
+    f = F.sub(C.unit, linalg.matvec(F, e, powers))
+    if not C.is_idempotent(f) or not f.any() or np.array_equal(f, C.unit):
+        raise InternalInconsistencyError("idempotent construction failed")
+    return f
 
 
 def primitive_orthogonal_family(B: StructureAlgebra, rng: random.Random) -> np.ndarray:

@@ -69,7 +69,14 @@ evaluate_poly_horner is the deleted StructureAlgebra.evaluate_poly, which
 the Berlekamp route applies to each Lagrange numerator, and
 nilpotency_index_loop the product chain I, I^2, ... inside the algebra
 that SubspaceIdeal.nilpotency_index replaced by the chain V, V*I, ... on a
-faithful module V.
+faithful module V.  The file ends with the polynomial factorizer that poly
+kept (factor_poly: squarefree_decomposition with the p-th roots of the
+deleted FiniteField.power and pth_root, here field_power and
+field_pth_root, then Berlekamp splitting; with xgcd, exact_div and
+derivative), which central_idempotents_berlekamp and test_poly use, and
+proper_idempotent_factoring with cut_by_factoring, the old
+wedderburn._proper_idempotent and its step for one candidate, which built
+the CRT idempotent from that factorization and xgcd.
 """
 
 from __future__ import annotations
@@ -648,9 +655,9 @@ def central_idempotents_berlekamp(A) -> np.ndarray:
             break
         mp = A.min_poly(z)[0]
         lagr = []
-        for g, e in poly.factor_poly(F, mp)[1]:
+        for g, e in factor_poly(F, mp)[1]:
             assert poly.deg(g) == 1 and e == 1
-            num = poly.exact_div(F, mp, g)
+            num = exact_div(F, mp, g)
             den = int(poly.mod(F, num, g)[0])
             lagr.append(evaluate_poly_horner(A, poly.scale(F, F.inv(den), num), z))
         family = A.mul_pairs(family, np.vstack(lagr)).reshape(-1, A.dim)
@@ -1408,3 +1415,239 @@ def lift_family_loop(A, rows, H, side: str = "left"):
         if fam.rows[z].any() and not linalg.in_row_space(F, linalg.row_space_basis(F, span), fam.rows[z]):
             raise InternalInconsistencyError(f"lifted member {z} violates the {side} closure choice")
     return fam
+
+
+# The polynomial factorizer that poly kept before wedderburn._proper_idempotent
+# read its idempotents off central_primitive_idempotents of F_q[x]/(m):
+# squarefree decomposition (with the p-th roots of FiniteField.power and
+# pth_root) and Berlekamp splitting, moved here unchanged.
+
+
+def field_power(F: FiniteField, a, n: int):
+    """a^n elementwise, n >= 0 (or any n for invertible a)."""
+    if n < 0:
+        return field_power(F, F.inv(a), -n)
+    result = np.full_like(np.asarray(a), 1)
+    base = np.asarray(a).copy()
+    n = int(n)
+    while n > 0:
+        if n & 1:
+            result = F.MUL[result, base]
+        base = F.MUL[base, base]
+        n >>= 1
+    return result if result.shape else int(result)
+
+
+def field_pth_root(F: FiniteField, a):
+    """Inverse of Frobenius: the unique b with b^p == a."""
+    return field_power(F, a, F.q // F.p)
+
+
+def exact_div(F: FiniteField, f, g):
+    from topring import poly
+
+    q, r = poly.divmod_(F, f, g)
+    if len(r):
+        raise ValueError("division is not exact")
+    return q
+
+
+def xgcd(F: FiniteField, f, g):
+    """Monic d = gcd(f, g) together with u, v such that u*f + v*g = d."""
+    from topring import poly
+
+    r0, r1 = poly.norm(f), poly.norm(g)
+    u0, u1 = poly.const(F, 1), np.zeros(0, dtype=np.int64)
+    v0, v1 = np.zeros(0, dtype=np.int64), poly.const(F, 1)
+    while len(r1):
+        q, r = poly.divmod_(F, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, poly.sub(F, u0, poly.mul(F, q, u1))
+        v0, v1 = v1, poly.sub(F, v0, poly.mul(F, q, v1))
+    if len(r0) and r0[-1] != 1:
+        lead_inv = int(F.inv(r0[-1]))
+        r0, u0, v0 = (poly.scale(F, lead_inv, r0), poly.scale(F, lead_inv, u0),
+                      poly.scale(F, lead_inv, v0))
+    return r0, u0, v0
+
+
+def derivative(F: FiniteField, f):
+    from topring import poly
+
+    if len(f) <= 1:
+        return np.zeros(0, dtype=np.int64)
+    # k mod p encodes the prime-subfield scalar k, so this is exact
+    ks = (np.arange(1, len(f)) % F.p).astype(np.int64)
+    return poly.norm(F.mul(ks, np.asarray(f[1:], dtype=np.int64)))
+
+
+def _pth_root_poly(F: FiniteField, f):
+    """v with v(x)^p = f(x), for f of the form g(x^p)."""
+    from topring import poly
+
+    p = F.p
+    if any(f[i] != 0 for i in range(len(f)) if i % p):
+        raise ValueError("polynomial is not a p-th power")
+    coeffs = [int(field_pth_root(F, int(f[i]))) for i in range(0, len(f), p)]
+    return poly.norm(np.array(coeffs, dtype=np.int64))
+
+
+def squarefree_decomposition(F: FiniteField, f) -> list:
+    """Monic f as a product of squarefree parts with multiplicities."""
+    from topring import poly
+
+    out: dict[tuple, int] = {}
+
+    def record(g, m: int) -> None:
+        key = tuple(int(c) for c in g)
+        out[key] = out.get(key, 0) + m
+
+    def run(g, e: int) -> None:
+        c = poly.gcd(F, g, derivative(F, g))
+        w = exact_div(F, g, c)
+        i = 1
+        while poly.deg(w) > 0:
+            y = poly.gcd(F, w, c)
+            z = exact_div(F, w, y)
+            if poly.deg(z) > 0:
+                record(z, i * e)
+            i += 1
+            w = y
+            c = exact_div(F, c, y)
+        if poly.deg(c) > 0:
+            run(_pth_root_poly(F, c), e * F.p)
+
+    run(poly.monic(F, f), 1)
+    return [
+        (np.array(k, dtype=np.int64), m)
+        for k, m in sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ]
+
+
+def _berlekamp_matrix(F: FiniteField, g) -> np.ndarray:
+    from topring import poly
+
+    n = poly.deg(g)
+    xq = poly.pow_mod(F, poly.X, F.q, g)
+    rows = np.zeros((n, n), dtype=np.int64)
+    cur = poly.const(F, 1)
+    for i in range(n):
+        rows[i, : len(cur)] = cur
+        cur = poly.mod(F, poly.mul(F, cur, xq), g)
+    return rows
+
+
+def _berlekamp_split(F: FiniteField, g) -> list:
+    """Irreducible factors of a monic squarefree g, deterministic."""
+    from topring import linalg, poly
+
+    n = poly.deg(g)
+    if n <= 1:
+        return [g]
+    Q = _berlekamp_matrix(F, g)
+    B = F.sub(Q, np.eye(n, dtype=np.int64))
+    # left kernel: polynomials h with h^q == h mod g
+    kernel = linalg.left_null_basis(F, B)
+    k = kernel.shape[0]
+    pieces = [g]
+    if k == 1:
+        return pieces
+    for v in kernel:
+        h = poly.norm(v)
+        if poly.deg(h) < 1:
+            continue
+        nxt: list = []
+        for piece in pieces:
+            if poly.deg(piece) == 1:
+                nxt.append(piece)
+                continue
+            rest = piece
+            for a in range(F.q):
+                if poly.deg(rest) < 1:
+                    break
+                d = poly.gcd(F, poly.sub(F, h, poly.const(F, a)), rest)
+                if 0 < poly.deg(d) <= poly.deg(rest):
+                    nxt.append(d)
+                    rest = exact_div(F, rest, d)
+            if poly.deg(rest) > 0:
+                nxt.append(rest)
+        pieces = nxt
+        if len(pieces) == k:
+            break
+    return pieces
+
+
+def factor_poly(F: FiniteField, f) -> tuple[int, list]:
+    """Complete factorization over F_q.
+
+    Args:
+        F: coefficient field.
+        f: nonzero polynomial.
+
+    Returns:
+        (lead, factors): lead is the leading coefficient, factors is a list
+        of (monic irreducible, multiplicity), sorted by degree then by
+        coefficient tuple.  The product of lead and all factor powers
+        reproduces f exactly; tests verify this multiply-back property.
+    """
+    from topring import poly
+
+    f = poly.norm(f)
+    if len(f) == 0:
+        raise ValueError("cannot factor the zero polynomial")
+    lead = int(f[-1])
+    f = poly.monic(F, f)
+    factors: list = []
+    for sqf, m in squarefree_decomposition(F, f):
+        for piece in _berlekamp_split(F, poly.monic(F, sqf)):
+            factors.append((poly.monic(F, piece), m))
+    factors.sort(key=lambda fm: (poly.deg(fm[0]), tuple(int(c) for c in fm[0])))
+    return lead, factors
+
+
+def proper_idempotent_factoring(C, rng) -> np.ndarray:
+    """wedderburn._proper_idempotent as it was before it read F_q[y]'s
+    idempotents off central_primitive_idempotents: the first candidate
+    that cut_by_factoring splits, drawing from rng in the same order."""
+    from topring import linalg
+    from topring.algebras import InternalInconsistencyError
+
+    def candidates():
+        for i in range(C.dim):
+            yield linalg.basis_vector(C.dim, i)
+        for _ in range(64 + 16 * C.dim):
+            yield C.random_element(rng)
+
+    for y in candidates():
+        f = cut_by_factoring(C, y)
+        if f is not None:
+            return f
+    raise InternalInconsistencyError("no proper idempotent found within the retry budget")
+
+
+def cut_by_factoring(C, y) -> np.ndarray | None:
+    """The step of the old _proper_idempotent for one candidate y: None when
+    factor_poly finds one irreducible in y's minimal polynomial m; else, with
+    g = f^k its first primary part and u*g + v*(m/g) = 1 from xgcd, w(y)
+    for w = u*g mod m, which is 0 on g and 1 on m/g."""
+    from topring import linalg, poly
+    from topring.algebras import InternalInconsistencyError
+
+    F = C.field
+    mp, powers = C.min_poly(y)
+    fs = factor_poly(F, mp)[1]
+    if len(fs) < 2:
+        return None
+    g = poly.const(F, 1)
+    for _ in range(fs[0][1]):
+        g = poly.mul(F, g, fs[0][0])
+    h = exact_div(F, mp, g)
+    d, u, _ = xgcd(F, g, h)
+    if poly.deg(d) != 0:
+        raise InternalInconsistencyError("coprime parts with nontrivial gcd")
+    w = poly.mod(F, poly.mul(F, u, g), mp)
+    # deg w < deg mp, so w(y) is one product with the powers 1, ..., y^(deg mp - 1)
+    f = linalg.matvec(F, np.pad(w, (0, powers.shape[0] - len(w))), powers)
+    if not C.is_idempotent(f) or not f.any() or np.array_equal(f, C.unit):
+        raise InternalInconsistencyError("idempotent construction failed")
+    return f

@@ -401,6 +401,33 @@ def test_geometric_series_rejects_unit_outside():
         invert_in_one_plus_H(B, np.array([2, 0, 0]), H)  # 2 - 1 = 1 not in (x)
 
 
+def test_inverse_in_one_plus_H_is_one_solve_on_a_unit_and_fails_on_a_non_unit():
+    # over F3 x F3 the whole algebra is an ideal and not nil; u = (2, 2) has
+    # u - 1 = (1, 1) in it and is a unit, so the solve returns its inverse
+    # (the geometric series never ended there and raised); u = (1, 0) is no
+    # unit, which is how H shows it is not nil on u - 1
+    A = product_algebra(field_algebra(F3), field_algebra(F3))
+    H = SubspaceIdeal(A, np.eye(2, dtype=np.int64))
+    assert invert_in_one_plus_H(A, np.array([2, 2]), H).tolist() == [2, 2]
+    with pytest.raises(AlgebraError, match="^H is not nil on u - 1$"):
+        invert_in_one_plus_H(A, np.array([1, 0]), H)
+
+
+@pytest.mark.parametrize("A", [truncated_poly_algebra(F3, 4), upper_triangular_algebra(F4, 3),
+                               tensor_algebra(matrix_algebra(F2, 2), truncated_poly_algebra(F2, 3))],
+                         ids=repr)
+def test_inverse_in_one_plus_the_radical_is_the_geometric_series(A):
+    # 1 - h + h^2 - ... by products one term at a time, against the solve
+    H = radical(A)
+    rng = np.random.default_rng(A.dim)
+    for _ in range(10):
+        h = linalg.matvec(A.field, rng.integers(0, A.field.q, H.dim), H.basis)
+        series, term = A.unit.copy(), A.unit.copy()
+        while (term := A.mul(term, A.field.neg(h))).any():
+            series = A.field.add(series, term)
+        assert np.array_equal(invert_in_one_plus_H(A, A.field.add(A.unit, h), H), series)
+
+
 def test_min_poly_of_extension_generator():
     A = field_extension_algebra(F2, 2)
     x = np.array([0, 1], dtype=np.int64)

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,43 @@ def test_bass_flat_depth_cap(capsys):
 def test_bad_window_exits_3(capsys):
     rc, _ = run(capsys, "transport", corpus.path("dual2_reg.mod"), "--window", "0")
     assert rc == 3
+
+
+@pytest.mark.parametrize("verb,module,window,array,entries", [
+    ("transport", "dual2_reg.mod", 14, "structure tensor", 392 ** 3),
+    ("transport", "chain7_n7.mod", 10 ** 6, "structure tensor", (7 * 10 ** 12) ** 3),
+    ("contratensor", "mat2_nat.mod", 1000, "relation matrix", 2 ** 2 * 4 ** 3 * 1000 ** 2),
+])
+def test_a_window_over_the_cap_exits_3_within_seconds(verb, module, window, array, entries):
+    # in a child with a 1 GiB address space: transport --window 14 used to
+    # run out of memory after a minute and contratensor --window 1000 asked
+    # for 1.9 GiB in one array; the cap is checked before anything is built
+    cap = 2 ** 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "topring.cli", verb, corpus.path(module),
+                           "--window", str(window)], env=_child_env(), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 10
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr == (f"error: {verb} --window {window} needs a {array} of {entries} "
+                           f"entries, over the cap of {cli.MAX_WINDOW_ENTRIES}\n")
+
+
+@pytest.mark.parametrize("verb,module,largest", [
+    ("transport", "dual2_reg.mod", 8),  # (8^2 * 2)^3 = 2^21 entries
+    ("contratensor", "mat2_nat.mod", 128),  # 2^2 * 4^3 * 128^2 = 2^22 entries
+])
+def test_the_largest_window_under_the_cap_runs(capsys, verb, module, largest):
+    rc, out = run(capsys, verb, corpus.path(module), "--window", str(largest))
+    assert rc == 0 and out.startswith(f"report {verb}\n")
+    rc = cli.main([verb, corpus.path(module), "--window", str(largest + 1)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith(f"error: {verb} --window {largest + 1} needs a ")
 
 
 def test_too_many_inputs_exits_3(capsys):

